@@ -4,7 +4,10 @@
  * §7; §3.1 lays out the ground rules). Compares basic-block fetch
  * against profile-formed superblock units for the Base and Compressed
  * organisations: fewer ATT entries and predictions per delivered op,
- * at the cost of side-exit mispredictions and over-fetch.
+ * at the cost of side-exit mispredictions and over-fetch. Both runs
+ * go through core::runFetch — the unit one with FetchConfig::units
+ * set — so the unit runs carry the same per-cause stall tiling and
+ * CACHE/HOT records (labelled "<workload>+units") as the plain ones.
  */
 
 #include "common.hh"
@@ -39,27 +42,37 @@ printAblation()
     TextTable table;
     table.setHeader({"workload", "units/blocks", "avg blk/unit",
                      "side exit%", "BB IPC", "unit IPC",
-                     "ATT entries saved", "pred lookups saved"});
+                     "ATT entries saved", "pred lookups saved",
+                     "mispred stall%", "refill stall%",
+                     "ATB stall%"});
 
     std::vector<double> gains;
     for (const auto &named : bench::allArtifacts()) {
         const auto &a = named.artifacts();
         const auto units = fetch::formFetchUnits(
             a.compiled.program, a.trace());
-        const auto config = fetch::FetchConfig::paper(
-            SchemeClass::kBase);
+        auto config = fetch::FetchConfig::paper(SchemeClass::kBase);
+        config.units = &units;
         const auto plain = core::runFetch(a, SchemeClass::kBase,
                                           std::nullopt, named.name);
-        const auto unit = fetch::simulateUnitFetch(
-            a.baseImage(), a.compiled.program, a.trace(), units,
-            config);
-        gains.push_back(unit.fetch.ipc() / plain.ipc());
+        // A label of its own keeps the unit runs' CACHE/HOT session
+        // records apart from the basic-block runs'.
+        const auto unit = core::runFetch(a, SchemeClass::kBase, config,
+                                         named.name + "+units");
+        gains.push_back(unit.ipc() / plain.ipc());
 
         const std::uint64_t plain_preds =
             plain.predictionsCorrect + plain.predictionsWrong;
         const std::uint64_t unit_preds =
-            unit.fetch.predictionsCorrect +
-            unit.fetch.predictionsWrong;
+            unit.predictionsCorrect + unit.predictionsWrong;
+        // The unit runs' exact stall tiling, as shares of their stall.
+        auto stall_share = [&](std::uint64_t cause) {
+            return TextTable::percent(
+                unit.stallCycles ? double(cause) /
+                                       double(unit.stallCycles)
+                                 : 0.0,
+                1);
+        };
         table.addRow(
             {named.name,
              std::to_string(units.units) + "/" +
@@ -67,12 +80,15 @@ printAblation()
              TextTable::num(units.averageBlocksPerUnit(), 2),
              TextTable::percent(unit.sideExitRate(), 1),
              TextTable::num(plain.ipc(), 3),
-             TextTable::num(unit.fetch.ipc(), 3),
+             TextTable::num(unit.ipc(), 3),
              TextTable::percent(
                  1.0 - double(units.units) /
                            double(units.headOf.size())),
              TextTable::percent(
-                 1.0 - double(unit_preds) / double(plain_preds))});
+                 1.0 - double(unit_preds) / double(plain_preds)),
+             stall_share(unit.mispredictStallCycles),
+             stall_share(unit.refillStallCycles),
+             stall_share(unit.atbStallCycles)});
     }
     std::printf("%s\n", table.render().c_str());
     std::printf("mean IPC effect of complex fetch units: %+.1f%%\n",

@@ -387,9 +387,10 @@ runFetch(const Artifacts &artifacts, fetch::SchemeClass scheme,
         fetch::HotStats &hs = stats.hotStats;
         // The recorder's totals must reproduce the architectural
         // counters exactly — the tiling sums below it are then
-        // anchored to the simulation itself.
-        TEPIC_ASSERT(hs.blocksSimulated == stats.blocksFetched,
-                     "hot record disagrees with blocks fetched");
+        // anchored to the simulation itself. Attribution is per
+        // fetch (per unit traversal under a fetch-unit partition).
+        TEPIC_ASSERT(hs.blocksSimulated == stats.fetches,
+                     "hot record disagrees with the fetch count");
         TEPIC_ASSERT(hs.cycles == stats.cycles &&
                          hs.stallCycles == stats.stallCycles,
                      "hot record disagrees with the cycle totals");

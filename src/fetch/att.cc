@@ -1,26 +1,39 @@
 #include "fetch/att.hh"
 
+#include "fetch/superblock.hh"
 #include "support/logging.hh"
 
 namespace tepic::fetch {
 
 Att
-Att::build(const isa::Image &image, const isa::VliwProgram &program)
+Att::build(const isa::Image &image, const isa::VliwProgram &program,
+           const FetchUnits *units)
 {
     TEPIC_ASSERT(image.blocks.size() == program.blocks().size(),
                  "image/program block count mismatch");
+    TEPIC_ASSERT(!units || units->headOf.size() == image.blocks.size(),
+                 "unit/program block count mismatch");
     Att att;
-    att.entries_.reserve(image.blocks.size());
+    att.entries_.resize(image.blocks.size());
     for (const auto &blk : program.blocks()) {
-        const isa::BlockLayout &layout = image.blocks[blk.id];
-        AttEntry entry;
-        entry.byteAddress = std::uint32_t(layout.bitOffset / 8);
-        entry.byteSize = std::uint32_t((layout.bitSize + 7) / 8);
-        entry.numMops = layout.numMops;
-        entry.numOps = layout.numOps;
-        entry.fallthrough = blk.fallthrough;
-        entry.staticTarget = blk.branchTarget;
-        att.entries_.push_back(entry);
+        if (units && !units->isHead(blk.id))
+            continue;
+        const isa::BlockId tail =
+            blk.id + (units ? units->lengthOf[blk.id] : 1) - 1;
+        const isa::BlockLayout &tail_layout = image.blocks[tail];
+        AttEntry &entry = att.entries_[blk.id];
+        entry.byteAddress =
+            std::uint32_t(image.blocks[blk.id].bitOffset / 8);
+        entry.byteSize = std::uint32_t(
+            (tail_layout.bitOffset + tail_layout.bitSize + 7) / 8 -
+            entry.byteAddress);
+        for (isa::BlockId b = blk.id; b <= tail; ++b) {
+            entry.numMops += image.blocks[b].numMops;
+            entry.numOps += image.blocks[b].numOps;
+        }
+        entry.fallthrough = program.block(tail).fallthrough;
+        entry.staticTarget = program.block(tail).branchTarget;
+        ++att.rows_;
     }
 
     // Entry size model: image byte address + line count (6b) + MOP
@@ -30,7 +43,7 @@ Att::build(const isa::Image &image, const isa::VliwProgram &program)
         ++addr_bits;
     att.entryBits_ = addr_bits + 6 + 6 + 16;
 
-    const auto entries = std::uint64_t(att.entries_.size());
+    const auto entries = att.rows_;
     att.ledger_.addBits("entry/addr", entries * addr_bits);
     att.ledger_.addBits("entry/line_count", entries * 6);
     att.ledger_.addBits("entry/mop_count", entries * 6);

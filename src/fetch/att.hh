@@ -36,13 +36,23 @@ struct AttEntry
     isa::BlockId staticTarget = isa::kNoBlock;
 };
 
+struct FetchUnits;
+
 /** The whole static table plus its ROM size model. */
 class Att
 {
   public:
-    /** Build from an encoded image and the program's CFG metadata. */
+    /**
+     * Build from an encoded image and the program's CFG metadata.
+     * Entries are indexed by block id. Under a fetch-unit partition
+     * (superblock.hh) the table holds one entry per unit: a head's
+     * entry spans the whole unit (the head's address, the bytes up to
+     * the tail's end, the summed MOP/op counts, the tail's next-PC
+     * fields) and member blocks' slots stay empty.
+     */
     static Att build(const isa::Image &image,
-                     const isa::VliwProgram &program);
+                     const isa::VliwProgram &program,
+                     const FetchUnits *units = nullptr);
 
     const std::vector<AttEntry> &entries() const { return entries_; }
     const AttEntry &entry(isa::BlockId id) const { return entries_[id]; }
@@ -58,7 +68,7 @@ class Att
     std::uint64_t
     totalBits() const
     {
-        return std::uint64_t(entryBits_) * entries_.size();
+        return std::uint64_t(entryBits_) * rows_;
     }
 
     /** ATT overhead relative to an image's code bits. */
@@ -77,6 +87,7 @@ class Att
 
   private:
     std::vector<AttEntry> entries_;
+    std::uint64_t rows_ = 0;  ///< ROM entries: one per block or unit
     unsigned entryBits_ = 0;
     support::SizeLedger ledger_;
 };

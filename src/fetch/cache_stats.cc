@@ -303,19 +303,13 @@ CacheStatsRecorder::shadowTouch(std::uint64_t lineId)
 }
 
 void
-CacheStatsRecorder::onFetch(std::uint32_t block)
+CacheStatsRecorder::onFetch(const FetchObservation &fetch)
 {
-    // Epoch of *this* event, from its trace index (never wall clock:
-    // the heatmaps must be bit-identical across --jobs).
-    if (expectedEvents_ > 0) {
-        epoch_ = unsigned(std::min<std::uint64_t>(
-            stats_.heatmapEpochs - 1,
-            events_ * stats_.heatmapEpochs / expectedEvents_));
-    }
-    ++stats_.fetches;
+    const FetchTraceRecord &rec = fetch.record;
+    const std::uint64_t ordinal = stats_.fetches++;
     if (options_.reuseSampleEvery <= 1 ||
-        events_ % options_.reuseSampleEvery == 0) {
-        const std::uint64_t distance = reuse_.access(block);
+        ordinal % options_.reuseSampleEvery == 0) {
+        const std::uint64_t distance = reuse_.access(rec.block);
         ++stats_.reuseSamples;
         if (distance == ReuseDistanceTracker::kCold) {
             ++stats_.reuseCold;
@@ -328,27 +322,30 @@ CacheStatsRecorder::onFetch(std::uint32_t block)
             stats_.reuseLog2Histogram.sample(key);
         }
     }
-    ++events_;
-}
 
-void
-CacheStatsRecorder::onAtbAccess(bool hit)
-{
-    if (hit)
+    if (rec.atbHit)
         ++stats_.atbHits;
     else
         ++stats_.atbMisses;
+    if (rec.l0Hit)
+        ++stats_.l0Bypasses;  // the L1 was never consulted
+    else
+        classifyL1(fetch.byteAddress, fetch.byteSize, rec.l1Hit);
+
+    // Epoch of the *next* fetch — whose L1 line events arrive before
+    // its own observation — from the trace index it starts at (never
+    // wall clock: the heatmaps must be bit-identical across --jobs).
+    if (expectedEvents_ > 0) {
+        epoch_ = unsigned(std::min<std::uint64_t>(
+            stats_.heatmapEpochs - 1,
+            (rec.index + fetch.blocks) * stats_.heatmapEpochs /
+                expectedEvents_));
+    }
 }
 
 void
-CacheStatsRecorder::onL0Bypass()
-{
-    ++stats_.l0Bypasses;
-}
-
-void
-CacheStatsRecorder::onL1Block(std::uint32_t addr, std::uint32_t size,
-                              bool hit)
+CacheStatsRecorder::classifyL1(std::uint32_t addr, std::uint32_t size,
+                               bool hit)
 {
     TEPIC_ASSERT(size > 0, "zero-size block access");
     const std::uint64_t first = addr / stats_.lineBytes;

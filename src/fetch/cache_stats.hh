@@ -6,8 +6,10 @@
  * the classic 3C model and of reuse-distance profiling per Ozturk et
  * al., PAPERS.md).
  *
- * A CacheStatsRecorder rides along one simulateFetch() run, hooked
- * into all three fetch paths:
+ * A CacheStatsRecorder rides along one simulateFetch() run as one of
+ * its FetchObservers (fetch_observer.hh) — one call per completed
+ * fetch — plus the L1's line-event hook, and covers all three fetch
+ * paths:
  *
  *  - L1 (BankedCache): every block miss is classified as exactly one
  *    of compulsory / capacity / conflict. Compulsory = the block
@@ -41,7 +43,10 @@
  * matrices (accesses / fills / evictions at line granularity) for
  * the tepic_cache.py heatmaps. The epoch of an event is derived from
  * its *index* in the trace, never from wall clock, so every matrix
- * is bit-identical for any --jobs value.
+ * is bit-identical for any --jobs value: line events arrive during a
+ * fetch's L1 access, before its observation, so each observation
+ * sets the epoch of the *next* fetch from the trace position that
+ * fetch starts at.
  *
  * Determinism contract: everything a recorder produces is a pure
  * function of (trace, config) — the whole CACHE report is
@@ -49,8 +54,8 @@
  * sections. Recording is sampling-capable (reuseSampleEvery thins
  * the reuse-distance stream; the 3C state must see every access and
  * cannot be sampled) and the recorder folds to no-op stubs under
- * -DTEPIC_ENABLE_TRACING=OFF: the disabled hot loop pays one null
- * pointer check per path, bounded by the fig14 time-band gate.
+ * -DTEPIC_ENABLE_TRACING=OFF: the disabled hot loop pays one branch
+ * per fetch, bounded by the fig14 time-band gate.
  *
  * Session layer (cachestats::) mirrors support::sched: benches and
  * tepicc --cache-report= start a session, runFetch() records each
@@ -69,6 +74,7 @@
 
 #include "fetch/banked_cache.hh"
 #include "fetch/cycle_model.hh"
+#include "fetch/fetch_observer.hh"
 #include "support/stats.hh"
 #include "support/trace.hh"
 
@@ -107,7 +113,7 @@ struct CacheStats
     unsigned lineBytes = 0;
     unsigned heatmapEpochs = 0;
 
-    /** Fetch events seen (== blocksFetched of the simulation). */
+    /** Fetches seen (== FetchStats::fetches of the simulation). */
     std::uint64_t fetches = 0;
     /** Blocks served by the L0 buffer; the L1 never saw them. */
     std::uint64_t l0Bypasses = 0;
@@ -227,20 +233,21 @@ class ReuseDistanceTracker
 };
 
 /** One simulation's recording hooks; see the file comment. */
-class CacheStatsRecorder final : public CacheLineObserver
+class CacheStatsRecorder final : public CacheLineObserver,
+                                 public FetchObserver
 {
   public:
     CacheStatsRecorder(const CacheConfig &cache,
                        std::uint64_t expectedEvents,
                        const CacheStatsConfig &options);
 
-    /** Every trace event, before any structure is consulted. */
-    void onFetch(std::uint32_t block);
-    void onAtbAccess(bool hit);
-    /** The L0 buffer served the block; the L1 was never consulted. */
-    void onL0Bypass();
-    /** One L1 block access (outcome of BankedCache::accessBlock). */
-    void onL1Block(std::uint32_t addr, std::uint32_t size, bool hit);
+    /**
+     * One completed fetch: its block-stream reuse sample, ATB outcome
+     * and either the L0 bypass or the 3C classification of its L1
+     * access (the shadow is probed from recorder-private state, so
+     * running after the real access changes nothing).
+     */
+    void onFetch(const FetchObservation &fetch) override;
 
     // CacheLineObserver (line granularity, from BankedCache).
     void onLineHit(std::uint64_t lineId, std::uint32_t set) override;
@@ -255,8 +262,7 @@ class CacheStatsRecorder final : public CacheLineObserver
     CacheStatsConfig options_;
     CacheStats stats_;
     std::uint64_t expectedEvents_ = 0;
-    std::uint64_t events_ = 0;
-    unsigned epoch_ = 0;
+    unsigned epoch_ = 0;  ///< of the fetch now accessing the L1
 
     // First-touch tracking + fully-associative LRU shadow over line
     // ids, both as dense grow-on-demand arrays (line ids are bounded
@@ -277,6 +283,7 @@ class CacheStatsRecorder final : public CacheLineObserver
 
     ReuseDistanceTracker reuse_;
 
+    void classifyL1(std::uint32_t addr, std::uint32_t size, bool hit);
     void ensureLine(std::uint64_t lineId);
     bool shadowResident(std::uint64_t lineId) const;
     void shadowTouch(std::uint64_t lineId);
@@ -295,7 +302,8 @@ class ReuseDistanceTracker
     std::uint64_t compactions() const { return 0; }
 };
 
-class CacheStatsRecorder final : public CacheLineObserver
+class CacheStatsRecorder final : public CacheLineObserver,
+                                 public FetchObserver
 {
   public:
     CacheStatsRecorder(const CacheConfig &, std::uint64_t,
@@ -303,10 +311,7 @@ class CacheStatsRecorder final : public CacheLineObserver
     {
     }
 
-    void onFetch(std::uint32_t) {}
-    void onAtbAccess(bool) {}
-    void onL0Bypass() {}
-    void onL1Block(std::uint32_t, std::uint32_t, bool) {}
+    void onFetch(const FetchObservation &) override {}
     void onLineHit(std::uint64_t, std::uint32_t) override {}
     void onLineFill(std::uint64_t, std::uint32_t) override {}
     void onLineEvict(std::uint64_t, std::uint32_t,

@@ -1,9 +1,12 @@
 #include "fetch/fetch_sim.hh"
 
 #include <algorithm>
+#include <array>
 #include <optional>
+#include <span>
 #include <vector>
 
+#include "fetch/superblock.hh"
 #include "support/logging.hh"
 #include "support/trace.hh"
 
@@ -27,8 +30,42 @@ stallRateCounterName(SchemeClass scheme)
     return "fetch.?.stall_rate";
 }
 
-/** Blocks between counter-track samples (power of two). */
+/** Fetches between counter-track samples (power of two). */
 constexpr std::uint64_t kCounterInterval = 1024;
+
+/**
+ * The per-fetch FetchTrace ring plus the per-cause stall histograms,
+ * sampled every FetchTraceOptions::sampleEvery fetches.
+ */
+class TraceRecorder final : public FetchObserver
+{
+  public:
+    TraceRecorder(const FetchTraceOptions &options, FetchStats &stats)
+        : options_(options), stats_(stats) {}
+
+    void
+    onFetch(const FetchObservation &fetch) override
+    {
+        const std::uint64_t ordinal = fetches_++;
+        if (options_.sampleEvery > 1 &&
+            ordinal % options_.sampleEvery != 0) {
+            return;
+        }
+        const FetchTraceRecord &rec = fetch.record;
+        stats_.trace.record(options_, rec);
+        stats_.stallHistogram.sample(std::int64_t(rec.stallCycles));
+        stats_.mispredictHistogram.sample(
+            std::int64_t(rec.mispredictStall));
+        stats_.refillHistogram.sample(std::int64_t(rec.refillStall));
+        stats_.decodeHistogram.sample(std::int64_t(rec.decodeStall));
+        stats_.atbHistogram.sample(std::int64_t(rec.atbStall));
+    }
+
+  private:
+    const FetchTraceOptions &options_;
+    FetchStats &stats_;
+    std::uint64_t fetches_ = 0;
+};
 
 } // namespace
 
@@ -63,102 +100,133 @@ FetchStats
 simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
               const sim::BlockTrace &trace, const FetchConfig &config)
 {
-    const Att att = Att::build(image, program);
+    const FetchUnits *units = config.units;
+    const Att att = Att::build(image, program, units);
     Atb atb(att, config.atbEntries, config.predictor);
     BankedCache cache(config.cache);
     L0Buffer buffer(config.l0CapacityOps);
     power::BusModel bus(config.busWidthBytes);
 
     FetchStats stats;
+    // A local view: its pointer and size stay in registers across the
+    // opaque calls in the loop (a reference to the vector would be
+    // reloaded after each).
+    const std::span<const sim::TraceEvent> events = trace.events;
 
     // One relaxed atomic load, hoisted out of the hot loop so the
     // tracing-off path keeps its < 2 % overhead bound.
     const bool trace_sink = support::trace::enabled();
     const char *stall_rate_name = stallRateCounterName(config.scheme);
 
-    // Cache-behavior observability (cache_stats.hh): a stub under
-    // -DTEPIC_ENABLE_TRACING=OFF, and the disabled hot loop pays one
-    // null check per path either way.
+    // Recorders attach to the one per-fetch observation point; the
+    // loop pays one branch per fetch when none is attached. The cache
+    // recorder also takes the L1's line events (CacheLineObserver).
+    // Both stats recorders fold to no-op stubs under
+    // -DTEPIC_ENABLE_TRACING=OFF.
+    std::optional<TraceRecorder> trace_rec;
     std::optional<CacheStatsRecorder> cache_stats;
-    CacheStatsRecorder *rec = nullptr;
-    if (config.cacheStats.enabled) {
-        cache_stats.emplace(config.cache,
-                            std::uint64_t(trace.events.size()),
-                            config.cacheStats);
-        rec = &*cache_stats;
-        cache.setObserver(rec);
-    }
-
-    // Dynamic-behavior observability (hot_stats.hh): same stub/null
-    // check contract as the cache recorder above.
     std::optional<HotStatsRecorder> hot_stats;
-    HotStatsRecorder *hot = nullptr;
+    std::array<FetchObserver *, 3> observers{};
+    std::size_t n_observers = 0;
+    if (config.trace.enabled)
+        observers[n_observers++] = &trace_rec.emplace(config.trace, stats);
+    if (config.cacheStats.enabled) {
+        cache.setObserver(&cache_stats.emplace(
+            config.cache, std::uint64_t(events.size()),
+            config.cacheStats));
+        observers[n_observers++] = &*cache_stats;
+    }
     if (config.hotStats.enabled) {
-        hot_stats.emplace(std::uint32_t(att.entries().size()),
-                          std::uint64_t(trace.events.size()),
-                          config.hotStats);
-        hot = &*hot_stats;
+        observers[n_observers++] = &hot_stats.emplace(
+            std::uint32_t(att.entries().size()),
+            std::uint64_t(events.size()), config.hotStats);
     }
 
-    // Prediction for the very first block: treat as correct (cold
+    // Prediction for the very first fetch: treat as correct (cold
     // start is charged to neither scheme).
     bool next_prediction_correct = true;
-    std::uint64_t event_index = 0;
+    std::uint64_t fetches = 0;
 
     // Scratch for the ATT-entry bus transfer on ATB misses: sized
     // once, refilled per miss (the fill pattern depends only on the
-    // block id, so reuse cannot change the bit-flip accounting).
+    // head block id, so reuse cannot change the bit-flip accounting).
     std::vector<std::uint8_t> att_bytes((att.entryBits() + 7) / 8);
 
-    for (const auto &event : trace.events) {
-        const isa::BlockId block = event.block;
-        const AttEntry &entry = att.entry(block);
-        ++stats.blocksFetched;
-        if (rec)
-            rec->onFetch(block);
+    for (std::size_t first = 0; first < events.size();) {
+        const isa::BlockId head = events[first].block;
+        const AttEntry &entry = att.entry(head);
+
+        // Walk the unit: the fetch streams on while the trace follows
+        // the unit's fallthrough chain, and leaving before the tail is
+        // a side exit. Under the identity partition the walk is the
+        // head alone.
+        std::size_t last = first;
+        std::uint32_t mops = entry.numMops;
+        std::uint32_t ops = entry.numOps;
+        bool side_exit = false;
+        if (units) {
+            TEPIC_ASSERT(units->isHead(head),
+                         "entered a fetch unit off its head (side "
+                         "entrance?) at block ", head);
+            const isa::BlockId tail = head + units->lengthOf[head] - 1;
+            while (events[last].block != tail &&
+                   events[last].next == events[last].block + 1) {
+                TEPIC_ASSERT(last + 1 < events.size() &&
+                                 events[last + 1].block ==
+                                     events[last].next,
+                             "trace discontinuity");
+                ++last;
+            }
+            side_exit = events[last].block != tail;
+            if (side_exit) {
+                // A partial traversal delivers only the walked blocks.
+                mops = ops = 0;
+                for (isa::BlockId b = head; b <= events[last].block;
+                     ++b) {
+                    mops += image.blocks[b].numMops;
+                    ops += image.blocks[b].numOps;
+                }
+            }
+        }
+        const sim::TraceEvent &exit = events[last];
+        const auto walked = std::uint32_t(last - first + 1);
 
         FetchEvent fe;
         fe.predictionCorrect = next_prediction_correct;
 
-        // Per-cause stall accounting for this block; the simulator
+        // Per-cause stall accounting for this fetch; the simulator
         // owns the ATB cause, the cycle model the other three.
         StallBreakdown causes;
 
-        // ATB: translation must be resident before the block can be
+        // ATB: translation must be resident before the unit can be
         // fetched; a miss costs the ATT upload from ROM.
-        const bool atb_hit = atb.access(block);
-        if (rec)
-            rec->onAtbAccess(atb_hit);
+        const bool atb_hit = atb.access(head);
         if (!atb_hit) {
             causes.atbMiss += config.penalties.atbMissPenalty;
             // The ATT entry travels over the memory bus.
             std::fill(att_bytes.begin(), att_bytes.end(),
-                      std::uint8_t(0xa5 ^ (block & 0xff)));
+                      std::uint8_t(0xa5 ^ (head & 0xff)));
             bus.transfer(att_bytes);
         }
 
         // L0 buffer (compressed only) — checked before/with the L1.
         bool l0_hit = false;
         if (config.scheme == SchemeClass::kCompressed) {
-            l0_hit = buffer.access(block, entry.numOps);
+            l0_hit = buffer.access(head, entry.numOps);
             fe.l0Hit = l0_hit;
         }
 
         // L1 access (skipped entirely on an L0 hit: the buffer has
-        // priority and already holds the whole decompressed block).
+        // priority and already holds the whole decompressed unit).
         std::uint32_t n_lines = 1;
         if (!l0_hit) {
             const CacheAccess access =
                 cache.accessBlock(entry.byteAddress, entry.byteSize);
-            if (rec) {
-                rec->onL1Block(entry.byteAddress, entry.byteSize,
-                               access.hit);
-            }
             fe.l1Hit = access.hit;
             n_lines = access.blockLines;
             if (!access.hit) {
                 stats.linesTransferred += access.linesFilled;
-                // Miss traffic: the block's bytes cross the bus.
+                // Miss traffic: the unit's bytes cross the bus.
                 const std::size_t begin = entry.byteAddress;
                 const std::size_t end = std::min<std::size_t>(
                     begin + std::size_t(access.linesFilled) *
@@ -170,8 +238,6 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
                 }
             }
         } else {
-            if (rec)
-                rec->onL0Bypass();
             fe.l1Hit = true;
             const std::uint32_t span =
                 (entry.byteAddress % config.cache.lineBytes +
@@ -180,32 +246,29 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
             n_lines = std::max(1u, span);
         }
 
-        // Host-side decode: first touch decodes the block, replays
-        // come from the cache. Outside the architectural model by
+        // Host-side decode: first touch decodes a block, replays come
+        // from the cache. Outside the architectural model by
         // construction — nothing below reads the decoded ops.
-        if (config.decodedBlocks != nullptr)
-            config.decodedBlocks->ops(block);
+        if (config.decodedBlocks != nullptr) {
+            for (isa::BlockId b = head; b <= exit.block; ++b)
+                config.decodedBlocks->ops(b);
+        }
 
         {
             const StallBreakdown model = stallBreakdown(
-                config.scheme, fe, entry.numMops, entry.numOps,
-                n_lines, config.penalties);
+                config.scheme, fe, mops, ops, n_lines,
+                config.penalties);
             causes.mispredict += model.mispredict;
             causes.l1Refill += model.l1Refill;
             causes.decodeStage += model.decodeStage;
         }
         const std::uint64_t stall = causes.total();
-        const std::uint64_t block_cycles = entry.numMops + stall;
-        if (hot) {
-            // The mispredict component is charged back to the site
-            // that made the wrong prediction (the recorder remembers
-            // the previous event's block).
-            hot->onBlock(block, block_cycles, stall,
-                         causes.mispredict);
-        }
-        stats.cycles += block_cycles;
-        stats.idealCycles += entry.numMops;
-        stats.opsDelivered += entry.numOps;
+        const std::uint64_t fetch_cycles = mops + stall;
+        stats.cycles += fetch_cycles;
+        stats.idealCycles += mops;
+        stats.opsDelivered += ops;
+        stats.blocksFetched += walked;
+        ++fetches;
         stats.stallCycles += stall;
         stats.mispredictStallCycles += causes.mispredict;
         stats.refillStallCycles += causes.l1Refill;
@@ -216,34 +279,7 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
                 l0BypassSavings(config.scheme, fe, config.penalties);
         }
 
-        if (config.trace.enabled &&
-            (config.trace.sampleEvery <= 1 ||
-             event_index % config.trace.sampleEvery == 0)) {
-            FetchTraceRecord rec;
-            rec.index = event_index;
-            rec.block = block;
-            rec.cycles = std::uint32_t(block_cycles);
-            rec.stallCycles = std::uint32_t(stall);
-            rec.mispredictStall = std::uint32_t(causes.mispredict);
-            rec.refillStall = std::uint32_t(causes.l1Refill);
-            rec.decodeStall = std::uint32_t(causes.decodeStage);
-            rec.atbStall = std::uint32_t(causes.atbMiss);
-            rec.atbHit = atb_hit;
-            rec.l1Hit = fe.l1Hit;
-            rec.l0Hit = l0_hit;
-            rec.predictionCorrect = fe.predictionCorrect;
-            stats.trace.record(config.trace, rec);
-            stats.stallHistogram.sample(std::int64_t(stall));
-            stats.mispredictHistogram.sample(
-                std::int64_t(causes.mispredict));
-            stats.refillHistogram.sample(std::int64_t(causes.l1Refill));
-            stats.decodeHistogram.sample(
-                std::int64_t(causes.decodeStage));
-            stats.atbHistogram.sample(std::int64_t(causes.atbMiss));
-        }
-        ++event_index;
-
-        if (trace_sink && event_index % kCounterInterval == 0) {
+        if (trace_sink && fetches % kCounterInterval == 0) {
             // Counter tracks: running stall rate (stall cycles per
             // total cycle so far) and, for compressed, L0 occupancy.
             support::trace::counter(
@@ -274,25 +310,54 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
                 ++stats.l0Misses;
         }
 
-        // Predict the follower, then train with the actual outcome.
-        const isa::BlockId predicted = atb.predictNext(block);
-        next_prediction_correct = predicted == event.next;
-        if (hot) {
-            hot->onBranchSite(block, event.branchTaken,
-                              next_prediction_correct);
+        // Predict the follower, then train with the actual outcome. A
+        // side exit breaks the streaming assumption: the follower was
+        // not being predicted at all, so it is charged as a mispredict.
+        if (side_exit) {
+            ++stats.sideExits;
+            next_prediction_correct = false;
+        } else {
+            next_prediction_correct = atb.predictNext(head) == exit.next;
         }
-        atb.update(block, event.branchTaken, event.next);
+        atb.update(head, exit.branchTaken, exit.next);
+
+        if (n_observers != 0) {
+            FetchObservation fetch;
+            FetchTraceRecord &rec = fetch.record;
+            rec.index = first;
+            rec.block = head;
+            rec.cycles = std::uint32_t(fetch_cycles);
+            rec.stallCycles = std::uint32_t(stall);
+            rec.mispredictStall = std::uint32_t(causes.mispredict);
+            rec.refillStall = std::uint32_t(causes.l1Refill);
+            rec.decodeStall = std::uint32_t(causes.decodeStage);
+            rec.atbStall = std::uint32_t(causes.atbMiss);
+            rec.atbHit = atb_hit;
+            rec.l1Hit = fe.l1Hit;
+            rec.l0Hit = l0_hit;
+            rec.predictionCorrect = fe.predictionCorrect;
+            fetch.blocks = walked;
+            fetch.byteAddress = entry.byteAddress;
+            fetch.byteSize = entry.byteSize;
+            fetch.branchTaken = exit.branchTaken;
+            fetch.nextPredictionCorrect = next_prediction_correct;
+            for (std::size_t k = 0; k < n_observers; ++k)
+                observers[k]->onFetch(fetch);
+        }
+
+        first = last + 1;
     }
 
+    stats.fetches = fetches;
     stats.atbHits = atb.hits();
     stats.atbMisses = atb.misses();
     stats.busBeats = bus.beats();
     stats.busBitFlips = bus.bitFlips();
     stats.bytesTransferred = bus.bytesTransferred();
-    if (rec)
-        stats.cacheStats = rec->finish();
-    if (hot)
-        stats.hotStats = hot->finish();
+    if (cache_stats)
+        stats.cacheStats = cache_stats->finish();
+    if (hot_stats)
+        stats.hotStats = hot_stats->finish();
     return stats;
 }
 

@@ -9,6 +9,11 @@
  * bit-flip power model. Its outputs are exactly the metrics of
  * Figures 13 (operations delivered per cycle) and 14 (bus bit flips),
  * plus the ATB/Figure-7 statistics.
+ *
+ * The kernel walks fetch units (superblock.hh, §7): one fetch is one
+ * unit traversal, and plain fetch is the identity partition (one
+ * block per unit). Every completed fetch is handed to the attached
+ * recorders through one FetchObserver call (fetch_observer.hh).
  */
 
 #ifndef TEPIC_FETCH_FETCH_SIM_HH
@@ -23,6 +28,7 @@
 #include "fetch/banked_cache.hh"
 #include "fetch/cache_stats.hh"
 #include "fetch/cycle_model.hh"
+#include "fetch/fetch_observer.hh"
 #include "fetch/hot_stats.hh"
 #include "fetch/l0_buffer.hh"
 #include "isa/image.hh"
@@ -33,36 +39,12 @@
 
 namespace tepic::fetch {
 
-/**
- * One recorded block fetch: everything the cycle model saw. This is
- * the paper-facing per-access granularity (cf. the access-pattern
- * traces of Ozturk et al. and Touché's per-access counters) that the
- * aggregate FetchStats hide.
- */
-struct FetchTraceRecord
-{
-    std::uint64_t index = 0;       ///< position in the dynamic trace
-    std::uint32_t block = 0;
-    std::uint32_t cycles = 0;      ///< total charged, incl. ATB stall
-    std::uint32_t stallCycles = 0; ///< cycles beyond the n_mops stream
-    // Per-cause split of stallCycles (the Table-1 taxonomy); the four
-    // fields tile stallCycles exactly, per record.
-    std::uint32_t mispredictStall = 0;
-    std::uint32_t refillStall = 0;
-    std::uint32_t decodeStall = 0;
-    std::uint32_t atbStall = 0;
-    bool atbHit = false;
-    bool l1Hit = false;
-    bool l0Hit = false;            ///< meaningful for kCompressed only
-    bool predictionCorrect = false;
-};
-
-/** How (and how much of) the per-block trace to record. */
+/** How (and how much of) the per-fetch trace to record. */
 struct FetchTraceOptions
 {
     bool enabled = false;
     std::size_t ringCapacity = 4096;  ///< 0 = unbounded
-    std::uint64_t sampleEvery = 1;    ///< record every Nth event
+    std::uint64_t sampleEvery = 1;    ///< record every Nth fetch
 };
 
 /** Bounded (ring) or unbounded store of FetchTraceRecords. */
@@ -92,6 +74,8 @@ class FetchTrace
     std::size_t head_ = 0;  ///< next overwrite slot once full
     std::uint64_t recorded_ = 0;
 };
+
+struct FetchUnits;
 
 struct FetchConfig
 {
@@ -137,6 +121,16 @@ struct FetchConfig
      */
     codec::DecodedBlockCache *decodedBlocks = nullptr;
 
+    /**
+     * Optional fetch-unit partition (superblock.hh): when set, each
+     * fetch traverses one unit — one ATT entry, ATB access, L1
+     * request and next-unit prediction per traversal, a side exit
+     * charged as a mispredict — instead of one basic block. Null is
+     * the identity partition. The caller owns the partition; it must
+     * be formed over the program being simulated.
+     */
+    const FetchUnits *units = nullptr;
+
     /** Paper configuration for a scheme (cache geometry per §5). */
     static FetchConfig
     paper(SchemeClass scheme)
@@ -155,7 +149,12 @@ struct FetchStats
     std::uint64_t cycles = 0;
     std::uint64_t idealCycles = 0;   ///< Σ n_mops (perfect everything)
     std::uint64_t opsDelivered = 0;
-    std::uint64_t blocksFetched = 0;
+    std::uint64_t blocksFetched = 0;  ///< trace events walked
+    /** Fetches made: one per unit traversal (== blocksFetched in
+     *  plain fetch), each consuming exactly one prediction. */
+    std::uint64_t fetches = 0;
+    /** Unit traversals left before the tail (0 in plain fetch). */
+    std::uint64_t sideExits = 0;
 
     std::uint64_t l1Hits = 0;
     std::uint64_t l1Misses = 0;
@@ -191,8 +190,8 @@ struct FetchStats
     std::uint64_t l0SavedCycles = 0;
 
     /**
-     * Per-block stall-cycle distributions (overflow bucket at 64) —
-     * the total and one histogram per cause — and the per-block
+     * Per-fetch stall-cycle distributions (overflow bucket at 64) —
+     * the total and one histogram per cause — and the per-fetch
      * record trace; all populated only when FetchConfig::trace.enabled
      * — the hot loop pays one branch otherwise.
      */
@@ -241,6 +240,12 @@ struct FetchStats
     }
 
     double
+    sideExitRate() const
+    {
+        return fetches ? double(sideExits) / double(fetches) : 0.0;
+    }
+
+    double
     predictionAccuracy() const
     {
         const std::uint64_t total =
@@ -252,7 +257,7 @@ struct FetchStats
 /**
  * Run the fetch simulation of @p image under @p config over @p trace.
  * The image must describe the same program whose execution produced
- * the trace.
+ * the trace (and config.units, when set, must partition it).
  */
 FetchStats simulateFetch(const isa::Image &image,
                          const isa::VliwProgram &program,

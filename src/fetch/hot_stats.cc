@@ -208,58 +208,54 @@ HotStatsRecorder::HotStatsRecorder(std::uint32_t staticBlocks,
 }
 
 void
-HotStatsRecorder::onBlock(std::uint32_t block, std::uint64_t cycles,
-                          std::uint64_t stall,
-                          std::uint64_t mispredictStall)
+HotStatsRecorder::onFetch(const FetchObservation &fetch)
 {
+    const FetchTraceRecord &rec = fetch.record;
+    const std::uint32_t block = rec.block;
     TEPIC_ASSERT(block < stats_.staticBlocks,
                  "fetch of an unknown static block");
-    // Epoch of *this* event, from its trace index (never wall clock:
-    // the phase matrix must be bit-identical across --jobs).
+    // Epoch of *this* fetch, from the trace index it starts at (never
+    // wall clock: the phase matrix must be bit-identical across
+    // --jobs).
+    unsigned epoch = 0;
     if (expectedEvents_ > 0) {
-        epoch_ = unsigned(std::min<std::uint64_t>(
+        epoch = unsigned(std::min<std::uint64_t>(
             stats_.phaseEpochs - 1,
-            events_ * stats_.phaseEpochs / expectedEvents_));
+            rec.index * stats_.phaseEpochs / expectedEvents_));
     }
     ++stats_.blocksSimulated;
-    stats_.cycles += cycles;
-    stats_.stallCycles += stall;
+    stats_.cycles += rec.cycles;
+    stats_.stallCycles += rec.stallCycles;
     ++stats_.blockFetches[block];
-    stats_.blockCycles[block] += cycles;
-    stats_.blockStalls[block] += stall;
-    ++stats_.phaseFetches[std::size_t(epoch_) * stats_.staticBlocks +
+    stats_.blockCycles[block] += rec.cycles;
+    stats_.blockStalls[block] += rec.stallCycles;
+    ++stats_.phaseFetches[std::size_t(epoch) * stats_.staticBlocks +
                           block];
-    if (mispredictStall > 0) {
+    if (rec.mispredictStall > 0) {
         // The repair stall of a wrong prediction is charged at the
-        // *following* event; the responsible site made the prediction
-        // one event earlier (the cold-start event charges none).
+        // *following* fetch; the responsible site made the prediction
+        // one fetch earlier (the cold-start fetch charges none).
         TEPIC_ASSERT(lastSite_ != kNoSite,
                      "mispredict stall before any prediction");
-        stats_.siteMispredictStall[lastSite_] += mispredictStall;
-        stats_.mispredictStallCycles += mispredictStall;
+        stats_.siteMispredictStall[lastSite_] += rec.mispredictStall;
+        stats_.mispredictStallCycles += rec.mispredictStall;
     }
-    ++events_;
-}
 
-void
-HotStatsRecorder::onBranchSite(std::uint32_t block, bool taken,
-                               bool predictionCorrect)
-{
-    TEPIC_ASSERT(block < stats_.staticBlocks,
-                 "prediction at an unknown static block");
-    if (taken) {
+    // The prediction made at the end of this fetch: the block is the
+    // site, branchTaken the direction the trace actually took.
+    if (fetch.branchTaken) {
         ++stats_.siteTaken[block];
         ++stats_.taken;
     } else {
         ++stats_.siteNotTaken[block];
         ++stats_.notTaken;
     }
-    if (!predictionCorrect) {
+    if (!fetch.nextPredictionCorrect) {
         ++stats_.siteMispredicts[block];
         ++stats_.mispredicts;
     }
     lastSite_ = block;
-    lastPredictionWrong_ = !predictionCorrect;
+    lastPredictionWrong_ = !fetch.nextPredictionCorrect;
 }
 
 HotStats

@@ -6,22 +6,27 @@
  * compression pass (keep hot blocks uncompressed, compress cold ones,
  * per Ozturk et al., PAPERS.md) starts from.
  *
- * A HotStatsRecorder rides along one simulateFetch() run and derives,
- * purely from values the hot loop already computes:
+ * A HotStatsRecorder rides along one simulateFetch() run as one of
+ * its FetchObservers (fetch_observer.hh) and derives, purely from
+ * the per-fetch observation, with every count attributed to the
+ * fetch's head block (the block itself in plain fetch; the unit head
+ * under a fetch-unit partition, where "blocks_simulated" counts unit
+ * traversals):
  *
  *  - Per-static-block execution counts plus cycle and stall
  *    attribution. Tiling invariants, TEPIC_ASSERTed in finish() and
  *    re-derived externally by tools/tepic_hot.py:
  *
- *        Σ per-block fetched == blocks_simulated
+ *        Σ per-block fetched == blocks_simulated (== fetches)
  *        Σ per-block cycles  == cycles
  *        Σ per-block stall   == stall_cycles
  *
  *  - Per-branch-site predictor accuracy: the *site* of a prediction
  *    is the block whose follower the ATB guessed (predictNext), so
  *    taken / not-taken / mispredict are counted where the prediction
- *    was *made*, and the mispredict repair stall charged one event
- *    later is attributed back to that site. The per-site stalls tile
+ *    was *made*, and the mispredict repair stall charged one fetch
+ *    later is attributed back to that site (a unit's side exit
+ *    counts as a mispredict of its head). The per-site stalls tile
  *    the existing mispredict stall counter exactly:
  *
  *        Σ per-site mispredict stall == mispredictStallCycles
@@ -36,7 +41,7 @@
  *                                  + unconsumedMispredicts
  *
  *  - An epoch-indexed phase profile: phaseEpochs x static-blocks
- *    fetch counts, the epoch derived from the event's *index* in the
+ *    fetch counts, the epoch derived from the fetch's *index* in the
  *    trace (never wall clock), so every matrix is bit-identical for
  *    any --jobs value — same contract as the cache heatmaps. Column
  *    sums reproduce the per-block fetch counts (asserted).
@@ -53,7 +58,7 @@
  * "structure". Recording is architecturally invisible (FetchStats
  * with and without recording are identical, asserted by tests) and
  * the recorder folds to no-op stubs under -DTEPIC_ENABLE_TRACING=OFF
- * — the disabled hot loop pays one null pointer check per event.
+ * — the disabled hot loop pays one branch per fetch.
  *
  * Session layer (hotstats::) mirrors fetch::cachestats: benches and
  * tepicc --hot-report= start a session, runFetch() records each
@@ -71,6 +76,7 @@
 #include <vector>
 
 #include "fetch/cycle_model.hh"
+#include "fetch/fetch_observer.hh"
 #include "support/trace.hh"
 
 #ifndef TEPIC_HOTSTATS_ENABLED
@@ -104,13 +110,13 @@ struct HotStats
     unsigned phaseEpochs = 0;
     unsigned topBlocks = 0;
 
-    /** Fetch events seen (== blocksFetched of the simulation). */
+    /** Fetches seen (== FetchStats::fetches of the simulation). */
     std::uint64_t blocksSimulated = 0;
     std::uint64_t cycles = 0;
     std::uint64_t stallCycles = 0;
 
     // Branch-site totals. taken + notTaken == blocksSimulated (every
-    // event makes exactly one prediction and trains once).
+    // fetch makes exactly one prediction and trains once).
     std::uint64_t taken = 0;
     std::uint64_t notTaken = 0;
     std::uint64_t mispredicts = 0;
@@ -149,7 +155,7 @@ struct HotStats
                phaseEpochs == other.phaseEpochs;
     }
 
-    /** Predictions made (== blocksSimulated; one per event). */
+    /** Predictions made (== blocksSimulated; one per fetch). */
     std::uint64_t predictions() const { return taken + notTaken; }
 
     double
@@ -186,7 +192,7 @@ struct HotStats
 #if TEPIC_HOTSTATS_ENABLED
 
 /** One simulation's recording hooks; see the file comment. */
-class HotStatsRecorder final
+class HotStatsRecorder final : public FetchObserver
 {
   public:
     HotStatsRecorder(std::uint32_t staticBlocks,
@@ -194,22 +200,12 @@ class HotStatsRecorder final
                      const HotStatsConfig &options);
 
     /**
-     * One trace event, after its cycle accounting is known:
-     * @p cycles is the total charged for the block (n_mops + stall),
-     * @p stall the per-event stall and @p mispredictStall its
-     * mispredict-repair component — charged back to the *site* that
-     * made the wrong prediction (the previous event's block).
+     * One completed fetch: its cycle and stall attribution to the
+     * head block — the mispredict-repair component charged back to
+     * the *site* that made the wrong prediction (the previous fetch's
+     * head) — and the prediction it made for its follower.
      */
-    void onBlock(std::uint32_t block, std::uint64_t cycles,
-                 std::uint64_t stall, std::uint64_t mispredictStall);
-
-    /**
-     * The prediction made at the end of the same event: @p block is
-     * the site, @p taken the actual direction the trace took and
-     * @p predictionCorrect whether predictNext named the follower.
-     */
-    void onBranchSite(std::uint32_t block, bool taken,
-                      bool predictionCorrect);
+    void onFetch(const FetchObservation &fetch) override;
 
     /** Seal the record: derived fields + tiling asserts. */
     HotStats finish();
@@ -220,17 +216,15 @@ class HotStatsRecorder final
     HotStatsConfig options_;
     HotStats stats_;
     std::uint64_t expectedEvents_ = 0;
-    std::uint64_t events_ = 0;
-    unsigned epoch_ = 0;
     /** Site of the most recent prediction (mispredict stall lands
-     *  one event after the wrong prediction was made). */
+     *  one fetch after the wrong prediction was made). */
     std::uint32_t lastSite_ = kNoSite;
     bool lastPredictionWrong_ = false;
 };
 
 #else // !TEPIC_HOTSTATS_ENABLED — the recorder folds away.
 
-class HotStatsRecorder final
+class HotStatsRecorder final : public FetchObserver
 {
   public:
     HotStatsRecorder(std::uint32_t, std::uint64_t,
@@ -238,12 +232,7 @@ class HotStatsRecorder final
     {
     }
 
-    void onBlock(std::uint32_t, std::uint64_t, std::uint64_t,
-                 std::uint64_t)
-    {
-    }
-
-    void onBranchSite(std::uint32_t, bool, bool) {}
+    void onFetch(const FetchObservation &) override {}
 
     HotStats finish() { return HotStats{}; }
 };

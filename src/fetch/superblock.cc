@@ -1,13 +1,5 @@
 #include "fetch/superblock.hh"
 
-#include <list>
-#include <unordered_map>
-
-#include "fetch/att.hh"
-#include "fetch/banked_cache.hh"
-#include "fetch/l0_buffer.hh"
-#include "support/logging.hh"
-
 namespace tepic::fetch {
 
 FetchUnits
@@ -96,249 +88,6 @@ formFetchUnits(const isa::VliwProgram &program,
             ++units.multiBlockUnits;
     }
     return units;
-}
-
-namespace {
-
-/** ATB-like structure keyed by unit head, with a 2-bit predictor. */
-class UnitAtb
-{
-  public:
-    explicit UnitAtb(unsigned capacity) : capacity_(capacity) {}
-
-    bool
-    access(isa::BlockId head, isa::BlockId static_target)
-    {
-        auto it = entries_.find(head);
-        if (it != entries_.end()) {
-            ++hits_;
-            lru_.erase(it->second.lruPos);
-            lru_.push_front(head);
-            it->second.lruPos = lru_.begin();
-            return true;
-        }
-        ++misses_;
-        if (entries_.size() >= capacity_) {
-            entries_.erase(lru_.back());
-            lru_.pop_back();
-        }
-        lru_.push_front(head);
-        Entry entry;
-        entry.lruPos = lru_.begin();
-        // Cold predictor primed with the compiler's static target of
-        // the unit's exit branch, exactly like the per-block ATB.
-        entry.lastTarget = static_target;
-        entries_[head] = entry;
-        return false;
-    }
-
-    isa::BlockId
-    predictNext(isa::BlockId head, isa::BlockId fallthrough) const
-    {
-        const Entry &entry = entries_.at(head);
-        if (fallthrough == isa::kNoBlock)
-            return entry.lastTarget;
-        if (entry.counter >= 2 && entry.lastTarget != isa::kNoBlock)
-            return entry.lastTarget;
-        return fallthrough;
-    }
-
-    void
-    update(isa::BlockId head, bool taken, isa::BlockId next)
-    {
-        Entry &entry = entries_.at(head);
-        if (taken) {
-            if (entry.counter < 3)
-                ++entry.counter;
-            entry.lastTarget = next;
-        } else if (entry.counter > 0) {
-            --entry.counter;
-        }
-    }
-
-    std::uint64_t hits() const { return hits_; }
-    std::uint64_t misses() const { return misses_; }
-
-  private:
-    struct Entry
-    {
-        std::uint8_t counter = 1;
-        isa::BlockId lastTarget = isa::kNoBlock;
-        std::list<isa::BlockId>::iterator lruPos;
-    };
-    unsigned capacity_;
-    std::unordered_map<isa::BlockId, Entry> entries_;
-    std::list<isa::BlockId> lru_;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
-};
-
-} // namespace
-
-UnitFetchStats
-simulateUnitFetch(const isa::Image &image,
-                  const isa::VliwProgram &program,
-                  const sim::BlockTrace &trace,
-                  const FetchUnits &units, const FetchConfig &config)
-{
-    const std::size_t n = program.blocks().size();
-    TEPIC_ASSERT(units.headOf.size() == n, "unit/program mismatch");
-
-    // Per-unit geometry in the image.
-    std::vector<std::uint32_t> unit_addr(n, 0);
-    std::vector<std::uint32_t> unit_size(n, 0);
-    std::vector<std::uint32_t> unit_ops(n, 0);
-    std::vector<isa::BlockId> unit_tail(n, isa::kNoBlock);
-    for (std::size_t b = 0; b < n; ++b) {
-        if (!units.isHead(isa::BlockId(b)))
-            continue;
-        const std::uint32_t len = units.lengthOf[b];
-        const isa::BlockId tail = isa::BlockId(b + len - 1);
-        const auto &head_layout = image.blocks[b];
-        const auto &tail_layout = image.blocks[tail];
-        unit_addr[b] = std::uint32_t(head_layout.bitOffset / 8);
-        unit_size[b] = std::uint32_t(
-            (tail_layout.bitOffset + tail_layout.bitSize + 7) / 8 -
-            head_layout.bitOffset / 8);
-        unit_tail[b] = tail;
-        std::uint32_t ops = 0;
-        for (std::uint32_t k = 0; k < len; ++k)
-            ops += image.blocks[b + k].numOps;
-        unit_ops[b] = ops;
-    }
-
-    UnitFetchStats stats;
-    stats.attEntries = units.units;
-
-    UnitAtb atb(config.atbEntries);
-    BankedCache cache(config.cache);
-    L0Buffer buffer(config.l0CapacityOps);
-    power::BusModel bus(config.busWidthBytes);
-
-    // ATT entries shrink to one per unit; size model as in Att.
-    unsigned addr_bits = 1;
-    while ((std::uint64_t(1) << addr_bits) < image.codeBytes())
-        ++addr_bits;
-    const unsigned att_entry_bits = addr_bits + 6 + 6 + 16;
-
-    bool next_prediction_correct = true;
-    std::size_t i = 0;
-    const auto &events = trace.events;
-    while (i < events.size()) {
-        const isa::BlockId head = units.headOf[events[i].block];
-        TEPIC_ASSERT(events[i].block == head,
-                     "entered a fetch unit off its head (side "
-                     "entrance?)");
-        ++stats.unitTraversals;
-
-        // Walk the streaming path inside the unit.
-        std::size_t j = i;
-        std::uint64_t mops = 0;
-        std::uint64_t ops = 0;
-        while (true) {
-            const auto &ev = events[j];
-            mops += program.block(ev.block).mops.size();
-            ops += image.blocks[ev.block].numOps;
-            if (ev.block == unit_tail[head])
-                break;
-            if (ev.next != ev.block + 1 ||
-                units.headOf[ev.next] != head) {
-                break;  // side exit
-            }
-            TEPIC_ASSERT(j + 1 < events.size() &&
-                         events[j + 1].block == ev.next,
-                         "trace discontinuity");
-            ++j;
-        }
-        const bool side_exit = events[j].block != unit_tail[head];
-
-        FetchEvent fe;
-        fe.predictionCorrect = next_prediction_correct;
-
-        const bool atb_hit = atb.access(
-            head, program.block(unit_tail[head]).branchTarget);
-        if (!atb_hit) {
-            stats.fetch.cycles += config.penalties.atbMissPenalty;
-            std::vector<std::uint8_t> att_bytes(
-                (att_entry_bits + 7) / 8,
-                std::uint8_t(0xa5 ^ (head & 0xff)));
-            bus.transfer(att_bytes);
-        }
-
-        bool l0_hit = false;
-        if (config.scheme == SchemeClass::kCompressed) {
-            l0_hit = buffer.access(head, unit_ops[head]);
-            fe.l0Hit = l0_hit;
-        }
-
-        std::uint32_t n_lines = 1;
-        if (!l0_hit) {
-            const CacheAccess access =
-                cache.accessBlock(unit_addr[head], unit_size[head]);
-            fe.l1Hit = access.hit;
-            n_lines = access.blockLines;
-            if (!access.hit) {
-                stats.fetch.linesTransferred += access.linesFilled;
-                const std::size_t begin = unit_addr[head];
-                const std::size_t end = std::min<std::size_t>(
-                    begin + std::size_t(access.linesFilled) *
-                                config.cache.lineBytes,
-                    image.bytes.size());
-                if (begin < end)
-                    bus.transfer({image.bytes.data() + begin,
-                                  end - begin});
-            }
-        } else {
-            fe.l1Hit = true;
-        }
-
-        stats.fetch.cycles += blockCycles(
-            config.scheme, fe, std::uint32_t(mops),
-            std::uint32_t(std::max(ops, mops)), n_lines,
-            config.penalties);
-        stats.fetch.idealCycles += mops;
-        stats.fetch.opsDelivered += ops;
-        stats.fetch.blocksFetched += j - i + 1;
-
-        if (fe.predictionCorrect)
-            ++stats.fetch.predictionsCorrect;
-        else
-            ++stats.fetch.predictionsWrong;
-        if (fe.l1Hit)
-            ++stats.fetch.l1Hits;
-        else
-            ++stats.fetch.l1Misses;
-        if (config.scheme == SchemeClass::kCompressed) {
-            if (l0_hit)
-                ++stats.fetch.l0Hits;
-            else
-                ++stats.fetch.l0Misses;
-        }
-
-        // Next-unit prediction. A side exit breaks the streaming
-        // assumption: the follower was not being predicted at all.
-        const isa::BlockId tail = unit_tail[head];
-        const isa::BlockId unit_fall =
-            program.block(tail).fallthrough;
-        if (side_exit) {
-            ++stats.sideExits;
-            next_prediction_correct = false;
-        } else {
-            const isa::BlockId predicted =
-                atb.predictNext(head, unit_fall);
-            next_prediction_correct = predicted == events[j].next;
-        }
-        atb.update(head, events[j].branchTaken, events[j].next);
-
-        i = j + 1;
-    }
-
-    stats.fetch.atbHits = atb.hits();
-    stats.fetch.atbMisses = atb.misses();
-    stats.fetch.busBeats = bus.beats();
-    stats.fetch.busBitFlips = bus.bitFlips();
-    stats.fetch.bytesTransferred = bus.bytesTransferred();
-    return stats;
 }
 
 } // namespace tepic::fetch

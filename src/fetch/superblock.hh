@@ -17,9 +17,12 @@
  *  - a side exit taken mid-unit is charged as a misprediction (the
  *    engine was streaming toward the tail).
  *
- * The simulator reuses the Table-1 cycle model with the unit as the
- * block. Formation is compiler-side (profile-driven), exactly like
- * superblock formation in the paper's compiler lineage [21].
+ * There is no separate unit simulator: simulateFetch() walks units
+ * whenever FetchConfig::units is set (plain fetch is the identity
+ * partition), so units see the same ATB/predictor, L1, L0, Table-1
+ * cycle model and recorders as basic blocks. Formation is
+ * compiler-side (profile-driven), exactly like superblock formation
+ * in the paper's compiler lineage [21].
  */
 
 #ifndef TEPIC_FETCH_SUPERBLOCK_HH
@@ -28,8 +31,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "fetch/fetch_sim.hh"
-#include "isa/image.hh"
 #include "isa/program.hh"
 #include "sim/emulator.hh"
 
@@ -70,34 +71,6 @@ struct FetchUnits
 FetchUnits formFetchUnits(const isa::VliwProgram &program,
                           const sim::BlockTrace &trace,
                           const FetchUnitConfig &config = {});
-
-/** Extra statistics of a fetch-unit simulation. */
-struct UnitFetchStats
-{
-    FetchStats fetch;
-    std::uint64_t unitTraversals = 0;
-    std::uint64_t sideExits = 0;       ///< early exits (charged)
-    std::uint64_t attEntries = 0;      ///< one per unit (vs per block)
-
-    double
-    sideExitRate() const
-    {
-        return unitTraversals ? double(sideExits) /
-                                    double(unitTraversals)
-                              : 0.0;
-    }
-};
-
-/**
- * Fetch-simulate @p trace with @p units as the atomic quanta.
- * The scheme semantics (L0 buffer, penalties, geometry) follow
- * @p config exactly as in simulateFetch.
- */
-UnitFetchStats
-simulateUnitFetch(const isa::Image &image,
-                  const isa::VliwProgram &program,
-                  const sim::BlockTrace &trace,
-                  const FetchUnits &units, const FetchConfig &config);
 
 } // namespace tepic::fetch
 

@@ -43,9 +43,8 @@ using fetch::ReuseDistanceTracker;
 
 /**
  * A BankedCache with its recorder attached, driven the way
- * simulateFetch drives them: every access is one fetch event, one
- * ATB access (always a hit — irrelevant here) and one L1 block
- * access.
+ * simulateFetch drives them: every access is one fetch — an L1 block
+ * access, then its observation (ATB always a hit — irrelevant here).
  */
 struct Rig
 {
@@ -72,10 +71,15 @@ struct Rig
     bool
     access(std::uint32_t addr, std::uint32_t size = 1)
     {
-        rec.onFetch(nextFetch++);
-        rec.onAtbAccess(true);
         const auto result = cache.accessBlock(addr, size);
-        rec.onL1Block(addr, size, result.hit);
+        fetch::FetchObservation fetch;
+        fetch.record.index = nextFetch;
+        fetch.record.block = nextFetch++;
+        fetch.record.atbHit = true;
+        fetch.record.l1Hit = result.hit;
+        fetch.byteAddress = addr;
+        fetch.byteSize = size;
+        rec.onFetch(fetch);
         return result.hit;
     }
 };

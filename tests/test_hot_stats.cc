@@ -46,30 +46,46 @@ enabledConfig(unsigned epochs = 2, unsigned top = 32)
 }
 
 /**
+ * One fetch as simulateFetch hands it to the recorder: the fetch's
+ * trace @p index, head @p block and cycle accounting, then the
+ * direction it left by and whether the prediction it made for its
+ * follower was right.
+ */
+fetch::FetchObservation
+observe(std::uint64_t index, std::uint32_t block, std::uint32_t cycles,
+        std::uint32_t stall, std::uint32_t mispredict_stall, bool taken,
+        bool next_correct)
+{
+    fetch::FetchObservation fetch;
+    fetch.record.index = index;
+    fetch.record.block = block;
+    fetch.record.cycles = cycles;
+    fetch.record.stallCycles = stall;
+    fetch.record.mispredictStall = mispredict_stall;
+    fetch.branchTaken = taken;
+    fetch.nextPredictionCorrect = next_correct;
+    return fetch;
+}
+
+/**
  * A hand-driven 6-event trace over 4 static blocks (b0 b1 b0 b1 b0
  * b2), replayed through the recorder exactly the way simulateFetch
- * drives it: onBlock() once the event's cycle accounting is known,
- * onBranchSite() for the prediction the event makes at its end. Site
- * b1 mispredicts at event 1, so the 3-cycle repair bubble lands in
- * event 2's stall and must be charged back to b1; the final event's
- * prediction (site b2, wrong) is never consumed.
+ * drives it: one observation per fetch, once its cycle accounting and
+ * the prediction it makes at its end are known. Site b1 mispredicts
+ * at event 1, so the 3-cycle repair bubble lands in event 2's stall
+ * and must be charged back to b1; the final event's prediction (site
+ * b2, wrong) is never consumed.
  */
 HotStats
 handTrace()
 {
     HotStatsRecorder rec(4, 6, enabledConfig());
-    rec.onBlock(0, 2, 0, 0);
-    rec.onBranchSite(0, true, true);
-    rec.onBlock(1, 3, 1, 0);
-    rec.onBranchSite(1, false, false);  // wrong: bubble next event
-    rec.onBlock(0, 5, 3, 3);            // b1's repair stall lands here
-    rec.onBranchSite(0, true, true);
-    rec.onBlock(1, 3, 1, 0);
-    rec.onBranchSite(1, true, true);
-    rec.onBlock(0, 2, 0, 0);
-    rec.onBranchSite(0, false, true);
-    rec.onBlock(2, 5, 3, 0);
-    rec.onBranchSite(2, true, false);   // wrong, never consumed
+    rec.onFetch(observe(0, 0, 2, 0, 0, true, true));
+    rec.onFetch(observe(1, 1, 3, 1, 0, false, false));  // bubble next
+    rec.onFetch(observe(2, 0, 5, 3, 3, true, true));  // b1's repair
+    rec.onFetch(observe(3, 1, 3, 1, 0, true, true));
+    rec.onFetch(observe(4, 0, 2, 0, 0, false, true));
+    rec.onFetch(observe(5, 2, 5, 3, 0, true, false));  // never consumed
     return rec.finish();
 }
 
@@ -354,8 +370,7 @@ TEST(HotReport, ShapeSweepsAreKeyedApartNotMerged)
     fetch::hotstats::record("go", SchemeClass::kBase, handTrace());
     // Same workload+scheme, different program shape: must not merge.
     HotStatsRecorder other(8, 4, enabledConfig(4));
-    other.onBlock(5, 1, 0, 0);
-    other.onBranchSite(5, true, true);
+    other.onFetch(observe(0, 5, 1, 0, 0, true, true));
     fetch::hotstats::record("go", SchemeClass::kBase, other.finish());
     const auto doc = testjson::parse(fetch::hotstats::reportJson("t"));
     const auto &workloads = doc.at("structure").at("workloads");
