@@ -253,12 +253,94 @@ singleBlock(std::vector<isa::Operation> ops)
 }
 
 std::int32_t
-runSingle(std::vector<isa::Operation> ops)
+exitOf(const isa::VliwProgram &prog)
 {
-    auto prog = singleBlock(std::move(ops));
     compiler::DataSegment data;
     data.base = 0x1000;
     return sim::emulate(prog, data).exitValue;
+}
+
+std::int32_t
+runSingle(std::vector<isa::Operation> ops)
+{
+    return exitOf(singleBlock(std::move(ops)));
+}
+
+isa::Mop
+mopOf(std::initializer_list<isa::Operation> ops)
+{
+    isa::Mop mop;
+    for (const auto &op : ops)
+        mop.append(op);
+    return mop;
+}
+
+/** An OpType::kInt op (IntAlu or IntCmpp): dest <- src1 op src2. */
+isa::Operation
+intOp(isa::Opcode opcode, unsigned dest, unsigned src1, unsigned src2 = 0,
+      unsigned pred = isa::kPredTrue)
+{
+    isa::Operation op = makeOp(isa::OpType::kInt, opcode);
+    op.setDest(dest);
+    op.setSrc1(src1);
+    op.setSrc2(src2);
+    op.setPred(pred);
+    return op;
+}
+
+isa::Operation
+ldi(unsigned dest, std::uint32_t imm, unsigned pred = isa::kPredTrue)
+{
+    isa::Operation op = makeOp(isa::OpType::kInt, isa::Opcode::kLdi);
+    op.setDest(dest);
+    op.setImm(imm);
+    op.setPred(pred);
+    return op;
+}
+
+isa::Operation
+fpOp(isa::Opcode opcode, unsigned dest, unsigned src1)
+{
+    isa::Operation op = makeOp(isa::OpType::kFloat, opcode);
+    op.setDest(dest);
+    op.setSrc1(src1);
+    return op;
+}
+
+isa::Operation
+branchOp(isa::Opcode opcode, isa::BlockId target,
+         unsigned pred = isa::kPredTrue)
+{
+    isa::Operation op = makeOp(isa::OpType::kBranch, opcode);
+    op.setTarget(target);
+    op.setPred(pred);
+    return op;
+}
+
+/** `ret` through the link register. */
+isa::Operation
+retOp()
+{
+    isa::Operation op = branchOp(isa::Opcode::kRet, 0);
+    op.setSrc1(isa::kRegLink);
+    return op;
+}
+
+/**
+ * Append MOPs that leave r3 = the registers as decimal digits
+ * ({r4, r5} -> r4*10 + r5; r28/r29 are scratch), then return.
+ */
+void
+packDigitsAndReturn(isa::VliwBlock &blk,
+                    std::initializer_list<unsigned> regs)
+{
+    blk.mops.push_back(mopOf({ldi(29, 10), ldi(28, 0)}));
+    for (unsigned r : regs) {
+        blk.mops.push_back(mopOf({intOp(isa::Opcode::kMul, 28, 28, 29)}));
+        blk.mops.push_back(mopOf({intOp(isa::Opcode::kAdd, 28, 28, r)}));
+    }
+    blk.mops.push_back(mopOf({intOp(isa::Opcode::kMov, 3, 28)}));
+    blk.mops.push_back(mopOf({retOp()}));
 }
 
 } // namespace
@@ -342,6 +424,144 @@ TEST(Emulator, VliwReadsHappenBeforeWrites)
     EXPECT_EQ(sim::emulate(prog, data).exitValue, 11 * 32 + 5);
 }
 
+// ---- read-at-issue inside one MOP: each case is hand-traced ----
+
+using isa::Opcode;
+
+TEST(Emulator, GuardReadsPreMopPredicate)
+{
+    isa::VliwProgram prog;
+    auto &blk = prog.addBlock();
+    blk.mops.push_back(mopOf({ldi(4, 5), ldi(5, 1)}));
+    // p1 goes false -> true; the op it guards still sees false.
+    blk.mops.push_back(mopOf({intOp(Opcode::kCmppEq, 1, 0, 0),
+                              intOp(Opcode::kAdd, 4, 4, 5, 1)}));
+    // p2 goes true -> false; the op it guards still sees true (r5 = 2).
+    blk.mops.push_back(mopOf({intOp(Opcode::kCmppEq, 2, 0, 0)}));
+    blk.mops.push_back(mopOf({intOp(Opcode::kCmppNe, 2, 0, 0),
+                              intOp(Opcode::kAdd, 5, 5, 5, 2)}));
+    // After the MOPs: p1 true (r6 = 2), p2 false (r7 stays 0).
+    blk.mops.push_back(mopOf({intOp(Opcode::kAdd, 6, 0, 5, 1),
+                              intOp(Opcode::kAdd, 7, 0, 5, 2)}));
+    packDigitsAndReturn(blk, {4, 5, 6, 7});
+    EXPECT_EQ(exitOf(prog), 5220);
+}
+
+TEST(Emulator, BrcfReadsPreMopPredicate)
+{
+    // Block 0 flips p1 in the MOP holding `brcf p1`: the branch tests
+    // the old value. Taken -> block 2 (r3 = 20), else block 1 (10).
+    const auto program = [](bool p1_before) {
+        isa::VliwProgram prog;
+        auto &b0 = prog.addBlock();
+        const Opcode set = p1_before ? Opcode::kCmppEq : Opcode::kCmppNe;
+        const Opcode flip = p1_before ? Opcode::kCmppNe : Opcode::kCmppEq;
+        b0.mops.push_back(mopOf({intOp(set, 1, 0, 0)}));
+        b0.mops.push_back(mopOf({intOp(flip, 1, 0, 0),
+                                 branchOp(Opcode::kBrcf, 2, 1)}));
+        b0.fallthrough = 1;
+        b0.branchTarget = 2;
+        for (std::uint32_t value : {10u, 20u}) {
+            auto &blk = prog.addBlock();
+            blk.mops.push_back(mopOf({ldi(4, value)}));
+            packDigitsAndReturn(blk, {4});
+        }
+        return prog;
+    };
+    EXPECT_EQ(exitOf(program(false)), 20);
+    EXPECT_EQ(exitOf(program(true)), 10);
+}
+
+TEST(Emulator, LastWriteWinsInRenamedMop)
+{
+    isa::VliwProgram prog;
+    auto &blk = prog.addBlock();
+    blk.mops.push_back(mopOf({ldi(4, 5), ldi(6, 4), ldi(9, 1)}));
+    // r4: a true write, then a false-guarded one, then a read of r4.
+    blk.mops.push_back(mopOf({ldi(4, 7), ldi(4, 9, 1),
+                              intOp(Opcode::kMov, 5, 4)}));
+    // r6: only a false-guarded write, then a read: r6 keeps 4.
+    blk.mops.push_back(mopOf({ldi(6, 8, 1), intOp(Opcode::kMov, 7, 6)}));
+    // r8: two writes, no read; r9: write, read, write.
+    blk.mops.push_back(mopOf({ldi(8, 1), ldi(8, 2), ldi(9, 3),
+                              intOp(Opcode::kMov, 10, 9), ldi(9, 6)}));
+    packDigitsAndReturn(blk, {4, 5, 6, 7, 8, 9, 10});
+    EXPECT_EQ(exitOf(prog), 7544261);
+}
+
+TEST(Emulator, FprSwapInOneMop)
+{
+    // f0 is an ordinary register: its shadow shares slot 32 with the
+    // r0/p0 sink of the other files.
+    isa::VliwProgram prog;
+    auto &blk = prog.addBlock();
+    blk.mops.push_back(mopOf({ldi(4, 3), ldi(5, 4)}));
+    blk.mops.push_back(mopOf({fpOp(Opcode::kItof, 0, 4),
+                              fpOp(Opcode::kItof, 1, 5)}));
+    blk.mops.push_back(mopOf({fpOp(Opcode::kFmov, 0, 1),
+                              fpOp(Opcode::kFmov, 1, 0)}));
+    blk.mops.push_back(mopOf({fpOp(Opcode::kFtoi, 6, 0),
+                              fpOp(Opcode::kFtoi, 7, 1)}));
+    packDigitsAndReturn(blk, {6, 7});
+    EXPECT_EQ(exitOf(prog), 43);
+}
+
+TEST(Emulator, BrlcCounterReadInItsMop)
+{
+    // r4 = 3; loop: { brlc r4 -> loop; r3 += r4 } adds the counter's
+    // pre-MOP value each pass: 3 + 2 + 1.
+    isa::VliwProgram prog;
+    auto &b0 = prog.addBlock();
+    b0.mops.push_back(mopOf({ldi(4, 3)}));
+    b0.fallthrough = 1;
+    auto &b1 = prog.addBlock();
+    isa::Operation brlc = branchOp(Opcode::kBrlc, 1);
+    brlc.setField(isa::FieldKind::kCounter, 4);
+    b1.mops.push_back(mopOf({brlc, intOp(Opcode::kAdd, 3, 3, 4)}));
+    b1.fallthrough = 2;
+    b1.branchTarget = 1;
+    auto &b2 = prog.addBlock();
+    packDigitsAndReturn(b2, {3});
+    EXPECT_EQ(exitOf(prog), 6);
+}
+
+TEST(Emulator, CallLinkReadInItsMop)
+{
+    // { call 2; r5 <- r31 } reads the old link (the halt id 65535);
+    // block 2 sees the new one, block 0's fallthrough (1), in r6.
+    isa::VliwProgram prog;
+    auto &b0 = prog.addBlock();
+    b0.mops.push_back(mopOf({branchOp(Opcode::kCall, 2),
+                             intOp(Opcode::kMov, 5, isa::kRegLink)}));
+    b0.fallthrough = 1;
+    b0.branchTarget = 2;
+    auto &b1 = prog.addBlock();
+    b1.mops.push_back(mopOf({intOp(Opcode::kMov, isa::kRegLink, 5)}));
+    packDigitsAndReturn(b1, {5, 6});
+    auto &b2 = prog.addBlock();
+    b2.mops.push_back(mopOf({intOp(Opcode::kMov, 6, isa::kRegLink)}));
+    b2.mops.push_back(mopOf({retOp()}));
+    ASSERT_EQ(compiler::kHaltBlockId, 65535u);
+    EXPECT_EQ(exitOf(prog), 655351);
+}
+
+TEST(Emulator, R0AndP0WritesInRenamedMop)
+{
+    // r4 is renamed (written, then read); the r0/p0 writes in the same
+    // MOP are dropped, and reads of r0/p0 after them see 0 / true.
+    isa::VliwProgram prog;
+    auto &blk = prog.addBlock();
+    blk.mops.push_back(mopOf({ldi(4, 3)}));
+    blk.mops.push_back(mopOf({ldi(0, 99), ldi(4, 7),
+                              intOp(Opcode::kAdd, 5, 0, 4),
+                              intOp(Opcode::kCmppNe, 0, 0, 0),
+                              intOp(Opcode::kMov, 6, 4, 0, 0)}));
+    blk.mops.push_back(mopOf({intOp(Opcode::kAdd, 7, 0, 0, 0),
+                              ldi(8, 1, 0)}));
+    packDigitsAndReturn(blk, {5, 4, 6, 7, 8});
+    EXPECT_EQ(exitOf(prog), 37301);
+}
+
 TEST(Emulator, WritesToR0AndP0Ignored)
 {
     isa::Operation clobber = makeOp(isa::OpType::kInt,
@@ -403,6 +623,21 @@ TEST(Emulator, BrlcLoopCounter)
     compiler::DataSegment data;
     data.base = 0x1000;
     EXPECT_EQ(sim::emulate(prog, data).exitValue, 3);
+
+    // MOP budget boundary: 1 + 3 passes x 3 MOPs + 1 = 11 MOPs pass a
+    // budget of exactly 11. Limit 10 falls on the last block's
+    // boundary; 5 and 2 fall mid-block (second and first pass).
+    sim::EmulatorConfig config;
+    config.maxMops = 11;
+    const auto result = sim::emulate(prog, data, config);
+    EXPECT_EQ(result.exitValue, 3);
+    EXPECT_EQ(result.dynamicMops, 11u);
+    EXPECT_EQ(result.dynamicOps, 11u);
+    for (std::uint64_t limit : {10u, 5u, 2u, 0u}) {
+        config.maxMops = limit;
+        EXPECT_THROW(sim::emulate(prog, data, config), std::runtime_error)
+            << "maxMops = " << limit;
+    }
 }
 
 TEST(Emulator, FaultsAreFatal)
@@ -447,6 +682,27 @@ TEST(Emulator, RunawayGuardTrips)
     config.maxMops = 1000;
     config.recordTrace = false;
     EXPECT_ANY_THROW(sim::emulate(prog, data, config));
+}
+
+TEST(Emulator, BadOperationFailsAtPreDecode)
+{
+    // Block 1 never runs; pre-decoding it must still reject the op.
+    const auto check = [](const isa::Operation &bad) {
+        isa::VliwProgram prog;
+        prog.addBlock().mops.push_back(mopOf({retOp()}));
+        prog.addBlock().mops.push_back(mopOf({bad}));
+        compiler::DataSegment data;
+        data.base = 0x1000;
+        EXPECT_THROW(sim::emulate(prog, data), std::logic_error)
+            << bad.toString();
+    };
+    check(makeOp(isa::OpType::kFloat, static_cast<Opcode>(7)));
+    check(makeOp(isa::OpType::kBranch, static_cast<Opcode>(6)));
+    check(makeOp(isa::OpType::kInt, static_cast<Opcode>(13)));
+    check(makeOp(isa::OpType::kMemory, static_cast<Opcode>(4)));
+    // A register field past the 32-entry files.
+    check(intOp(Opcode::kAdd, 3, 40, 1));
+    check(ldi(3, 1, 32));
 }
 
 } // namespace
