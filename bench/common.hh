@@ -329,7 +329,7 @@ reportBenchSummary(const BenchOptions &options)
     // Scheduling observability: fold the exact-gated sched.* counters
     // into the registry (part of the BENCH snapshot below) and write
     // the per-binary SCHED_<name>.json task-graph report
-    // (tools/tepic_critpath.py renders and gates it).
+    // (tools/tepic_reports.py renders and gates it).
     support::sched::exportMetricsTo(metrics);
     const std::string sched_json =
         "SCHED_" + options.benchName + ".json";
@@ -338,7 +338,7 @@ reportBenchSummary(const BenchOptions &options)
     }
 
     // Cache-behavior observability: write the per-binary
-    // CACHE_<name>.json report (tools/tepic_cache.py validates,
+    // CACHE_<name>.json report (tools/tepic_reports.py validates,
     // renders and --compare-gates it; the cache.<scheme>.* counters
     // were folded into the registry by runFetch as the print phase
     // ran). The session ends here so the timed loops below re-run
@@ -352,7 +352,7 @@ reportBenchSummary(const BenchOptions &options)
     fetch::cachestats::endSession();
 
     // Dynamic-behavior observability: same lifecycle as the CACHE
-    // report above — HOT_<name>.json is written (tools/tepic_hot.py
+    // report above — HOT_<name>.json is written (tools/tepic_reports.py
     // validates, renders and --compare-gates it) and the session
     // ends before the timed loops so they run unrecorded.
     const std::string hot_json = "HOT_" + options.benchName + ".json";

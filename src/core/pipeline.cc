@@ -244,7 +244,7 @@ recordFetchMetrics(fetch::SchemeClass scheme,
  * metrics. Every counter and histogram here is a pure function of
  * (trace, config) — deterministic, exact-gated. The *_rate gauges
  * are derived ratios and band-gated by naming convention
- * (tools/validate_metrics.py masks `cache.*_rate` values like
+ * (tools/tepic_reports.py masks `cache.*_rate` values like
  * `prof.*_per_sec`).
  */
 void
@@ -284,7 +284,7 @@ recordCacheMetrics(fetch::SchemeClass scheme,
  * Fold one simulation's dynamic-behavior record into the process
  * metrics. Counters are pure functions of (trace, config) —
  * deterministic, exact-gated. The *_rate gauges are derived ratios
- * and masked by naming convention (tools/validate_metrics.py treats
+ * and masked by naming convention (tools/tepic_reports.py treats
  * `hot.*_rate` like `cache.*_rate`).
  */
 void

@@ -41,7 +41,7 @@
  *
  * Per-set occupancy is accumulated over time into epochs x sets
  * matrices (accesses / fills / evictions at line granularity) for
- * the tepic_cache.py heatmaps. The epoch of an event is derived from
+ * the tepic_reports.py heatmaps. The epoch of an event is derived from
  * its *index* in the trace, never from wall clock, so every matrix
  * is bit-identical for any --jobs value: line events arrive during a
  * fetch's L1 access, before its observation, so each observation
@@ -155,7 +155,7 @@ struct CacheStats
 
     // Heatmaps: heatmapEpochs rows x sets columns, row-major. Column
     // sums reproduce the per-set vectors above (asserted by
-    // tepic_cache.py).
+    // tepic_reports.py).
     std::vector<std::uint64_t> heatAccesses;
     std::vector<std::uint64_t> heatFills;
     std::vector<std::uint64_t> heatEvictions;

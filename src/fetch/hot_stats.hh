@@ -15,7 +15,7 @@
  *
  *  - Per-static-block execution counts plus cycle and stall
  *    attribution. Tiling invariants, TEPIC_ASSERTed in finish() and
- *    re-derived externally by tools/tepic_hot.py:
+ *    re-derived externally by tools/tepic_reports.py:
  *
  *        Σ per-block fetched == blocks_simulated (== fetches)
  *        Σ per-block cycles  == cycles

@@ -14,7 +14,7 @@
  *
  * The first three sections are bit-identical for any engine --jobs
  * value (the same guarantee as the artifact engine's outputs); the
- * comparison tool (tools/validate_metrics.py --compare) checks exactly
+ * comparison tool (tools/tepic_reports.py --compare) checks exactly
  * those. Registries merge per-name in the caller's order — the same
  * ordered-reduction discipline as ScalarStat/Histogram — so parallel
  * code can keep one registry per task and fold deterministically.

@@ -26,7 +26,7 @@
  *  - Sampling profiler: SIGPROF (ITIMER_PROF, i.e. process CPU time)
  *    samples the running thread's call stack into a fixed ring;
  *    collapsedStacks() folds them into FlameGraph "collapsed" text
- *    (root;child;leaf count), rendered by tools/tepic_profile.py.
+ *    (root;child;leaf count), rendered by tools/tepic_reports.py.
  *
  * The phase set is a closed enum so every report carries the *same
  * key set* regardless of --jobs or which phases actually ran —

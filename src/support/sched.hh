@@ -99,7 +99,7 @@ struct WorkerSummary
     std::uint64_t depStallNs = 0;
     std::uint64_t tasksRun = 0;
     // Invariant (asserted in analyze() and re-checked by
-    // tools/tepic_critpath.py): rampNs + busyNs + queueEmptyNs +
+    // tools/tepic_reports.py): rampNs + busyNs + queueEmptyNs +
     // depStallNs == endNs - window start.
 };
 

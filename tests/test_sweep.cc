@@ -38,8 +38,8 @@ axes()
 }
 
 // Hand-traced trio: each point holds at least one best axis, so none
-// dominates another (mirrored by the tools/test_tepic_sweep.py
-// fixture).
+// dominates another (mirrored by the sweep fixture of the
+// tools/tepic_reports.py tests).
 //   base        (32000, 800000,   0, 5000)  best decoder
 //   compressed  (20000, 727272, 400, 3000)  best size + flips
 //   tailored    (24000, 842105, 150, 4000)  best IPC

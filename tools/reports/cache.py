@@ -1,24 +1,5 @@
-#!/usr/bin/env python3
-"""Validate and render tepic cache-behavior reports (tepic-cache-v1,
-the CACHE_*.json files every bench binary and `tepicc
---cache-report=` emit).
-
-Usage:
-  tepic_cache.py REPORT...             validate CACHE_*.json files and
-                                       print a summary
-  tepic_cache.py REPORT --md FILE      also write a Markdown "where
-                                       did compression buy capacity?"
-                                       report for the first REPORT
-  tepic_cache.py REPORT --heatmap FILE also write an SVG per-set
-                                       access heatmap for the first
-                                       REPORT
-  tepic_cache.py --compare A B         require the two reports'
-                                       "structure" sections to be
-                                       byte-identical — the
-                                       determinism contract: every
-                                       recorded counter is a pure
-                                       function of (trace, config)
-                                       and must not depend on --jobs.
+"""tepic-cache-v1: cache-behavior reports (the CACHE_*.json files
+every bench binary and `tepicc --cache-report=` emit).
 
 Validation re-derives the tiling invariants the C++ recorder asserts:
 
@@ -35,15 +16,17 @@ Validation re-derives the tiling invariants the C++ recorder asserts:
   * every heatmap is an epochs x sets matrix whose column sums
     reproduce the per-set vectors.
 
-Exit codes: 0 = ok, 1 = invariant violation (including --compare
-mismatch), 2 = usage/schema error. Only the standard library is used.
+--compare covers the "structure" section: every recorded counter is a
+pure function of (trace, config) and must not depend on --jobs.
+Renders a Markdown "where did compression buy capacity?" report and
+an SVG per-set access heatmap.
 """
 
-import argparse
-import json
-import sys
+from tepic_reports import (check_hist, check_keys, check_nonneg_int,
+                           fmt_pct, hist_mass, invariant_error,
+                           svg_escape, usage_error)
 
-CACHE_SCHEMA = "tepic-cache-v1"
+SCHEMA = "tepic-cache-v1"
 
 SCHEME_KEYS = ("config", "blocks", "atb", "l1", "lines", "reuse",
                "sets", "heatmap")
@@ -55,66 +38,17 @@ LINE_KEYS = ("fills", "evictions", "dead_on_fill", "resident_at_end",
 REUSE_KEYS = ("samples", "cold", "max", "log2_hist")
 SET_KEYS = ("accesses", "hits", "fills", "evictions", "dead_on_fill")
 HEAT_KEYS = ("epochs", "accesses", "fills", "evictions")
-HIST_KEYS = ("total", "overflow", "bins")
 
 # Blue ramp for the heatmap cells (light -> dark with load).
 HEAT_LOW = (247, 251, 255)
 HEAT_HIGH = (8, 48, 107)
 
 
-def usage_error(msg):
-    print(f"tepic_cache: error: {msg}", file=sys.stderr)
-    sys.exit(2)
-
-
-def invariant_error(msg):
-    print(f"tepic_cache: invariant violated: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-
-def load(path):
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        usage_error(f"{path}: {e}")
-
-
 # --- validation ------------------------------------------------------
 
 
-def check_keys(path, what, obj, keys):
-    if not isinstance(obj, dict):
-        usage_error(f"{path}: {what} is not an object")
-    for key in keys:
-        if key not in obj:
-            usage_error(f"{path}: {what} is missing '{key}'")
-
-
-def check_nonneg_int(path, what, value):
-    if not isinstance(value, int) or isinstance(value, bool) \
-            or value < 0:
-        usage_error(f"{path}: {what} is not a non-negative integer")
-
-
-def check_hist(path, what, hist):
-    check_keys(path, what, hist, HIST_KEYS)
-    check_nonneg_int(path, f"{what}['total']", hist["total"])
-    check_nonneg_int(path, f"{what}['overflow']", hist["overflow"])
-    if not isinstance(hist["bins"], list):
-        usage_error(f"{path}: {what}['bins'] is not an array")
-    for i, bin_ in enumerate(hist["bins"]):
-        if not (isinstance(bin_, list) and len(bin_) == 2):
-            usage_error(f"{path}: {what}['bins'][{i}] is not a "
-                        f"[key, weight] pair")
-        check_nonneg_int(path, f"{what}['bins'][{i}][1]", bin_[1])
-
-
-def validate_schema(path, doc):
+def check_schema(path, doc):
     """Shape checks (exit 2 on failure); returns the workloads map."""
-    if doc.get("schema") != CACHE_SCHEMA:
-        usage_error(f"{path}: schema {doc.get('schema')!r} is not "
-                    f"{CACHE_SCHEMA!r}")
     if not isinstance(doc.get("name"), str) or not doc["name"]:
         usage_error(f"{path}: missing report 'name'")
     check_keys(path, "report", doc, ("structure",))
@@ -176,11 +110,7 @@ def validate_schema(path, doc):
     return workloads
 
 
-def hist_mass(hist):
-    return sum(w for _, w in hist["bins"]) + hist["overflow"]
-
-
-def validate_invariants(path, workloads):
+def check_invariants(path, workloads):
     """Semantic checks (exit 1 on failure) — the schema's promises.
 
     Every message names the counter that broke so CI failures read as
@@ -290,11 +220,29 @@ def validate_invariants(path, workloads):
                             f"{vecs[key][s]}")
 
 
+def validate(path, doc):
+    check_invariants(path, check_schema(path, doc))
+
+
+def summary(doc):
+    workloads = doc["structure"]["workloads"]
+    records = sum(len(s) for s in workloads.values())
+    misses = sum(rec["l1"]["misses"]
+                 for schemes in workloads.values()
+                 for rec in schemes.values())
+    conflict = sum(rec["l1"]["miss_classes"]["conflict"]
+                   for schemes in workloads.values()
+                   for rec in schemes.values())
+    return (f"{len(workloads)} workloads, {records} records; "
+            f"{misses} L1 misses tiled into 3C classes, {conflict} "
+            f"conflict")
+
+
+def comparable(doc):
+    return {"structure": doc["structure"]}
+
+
 # --- Markdown "where did compression buy capacity?" report -----------
-
-
-def fmt_pct(num, den):
-    return f"{100.0 * num / den:.1f}%" if den else "-"
 
 
 def fmt_delta(new, old):
@@ -317,7 +265,7 @@ def capacity_log2(rec):
     return max(1, lines.bit_length())
 
 
-def render_markdown(path, doc):
+def render_md(path, doc):
     workloads = doc["structure"]["workloads"]
     lines = [f"# Cache behavior: {doc['name']}", ""]
     lines.append(
@@ -399,17 +347,12 @@ def render_markdown(path, doc):
                     lines.append(row)
                 lines.append("")
 
-    lines.append(f"*(generated by tools/tepic_cache.py from "
+    lines.append(f"*(generated by tools/tepic_reports.py from "
                  f"`{path}`)*")
     return "\n".join(lines) + "\n"
 
 
 # --- SVG per-set heatmap ---------------------------------------------
-
-
-def svg_escape(text):
-    return (text.replace("&", "&amp;").replace("<", "&lt;")
-            .replace(">", "&gt;").replace('"', "&quot;"))
 
 
 def heat_color(value, peak):
@@ -420,7 +363,7 @@ def heat_color(value, peak):
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def render_heatmap(doc, max_width=1200):
+def render_svg(doc, max_width=1200):
     """One epochs x sets access matrix per (workload, scheme)."""
     workloads = doc["structure"]["workloads"]
     panels = []
@@ -465,118 +408,3 @@ def render_heatmap(doc, max_width=1200):
     return "\n".join(out) + "\n"
 
 
-# --- determinism compare ---------------------------------------------
-
-
-def first_divergence(a, b, crumb):
-    """Depth-first search for the first differing JSON path."""
-    if type(a) is not type(b):
-        return crumb, f"{a!r} vs {b!r}"
-    if isinstance(a, dict):
-        for key in sorted(set(a) | set(b)):
-            if key not in a:
-                return f"{crumb}.{key}", "missing on the left"
-            if key not in b:
-                return f"{crumb}.{key}", "missing on the right"
-            hit = first_divergence(a[key], b[key], f"{crumb}.{key}")
-            if hit:
-                return hit
-        return None
-    if isinstance(a, list):
-        if len(a) != len(b):
-            return crumb, f"{len(a)} vs {len(b)} elements"
-        for i, (va, vb) in enumerate(zip(a, b)):
-            hit = first_divergence(va, vb, f"{crumb}[{i}]")
-            if hit:
-                return hit
-        return None
-    if a != b:
-        return crumb, f"{a!r} vs {b!r}"
-    return None
-
-
-def compare(path_a, path_b):
-    a, b = load(path_a), load(path_b)
-    for path, doc in ((path_a, a), (path_b, b)):
-        validate_invariants(path, validate_schema(path, doc))
-    if a["structure"] == b["structure"]:
-        n = sum(len(s) for s in a["structure"]["workloads"].values())
-        print(f"tepic_cache: {path_a} and {path_b} have identical "
-              f"structure ({n} workload/scheme records)")
-        return
-    hit = first_divergence(a["structure"], b["structure"],
-                           "structure")
-    where, detail = hit if hit else ("structure", "unknown")
-    invariant_error(
-        f"{path_a} and {path_b} disagree at {where}: {detail} — "
-        f"every CACHE counter must be identical for any --jobs value")
-
-
-# --- entry point -----------------------------------------------------
-
-
-def write_file(path, text):
-    try:
-        with open(path, "w") as f:
-            f.write(text)
-    except OSError as e:
-        usage_error(f"{path}: {e}")
-
-
-def summarize(path, workloads):
-    records = sum(len(s) for s in workloads.values())
-    misses = sum(rec["l1"]["misses"]
-                 for schemes in workloads.values()
-                 for rec in schemes.values())
-    conflict = sum(rec["l1"]["miss_classes"]["conflict"]
-                   for schemes in workloads.values()
-                   for rec in schemes.values())
-    print(f"tepic_cache: {path}: ok ({len(workloads)} workloads, "
-          f"{records} records; {misses} L1 misses tiled into 3C "
-          f"classes, {conflict} conflict)")
-
-
-def main(argv):
-    parser = argparse.ArgumentParser(
-        prog="tepic_cache",
-        description="Validate and render tepic-cache-v1 reports.")
-    parser.add_argument("reports", nargs="*",
-                        help="CACHE_*.json files to validate")
-    parser.add_argument("--md", default=None, metavar="FILE",
-                        help="write a Markdown miss-class report for "
-                             "the first REPORT")
-    parser.add_argument("--heatmap", default=None, metavar="FILE",
-                        help="write an SVG per-set heatmap for the "
-                             "first REPORT")
-    parser.add_argument("--compare", nargs=2, default=None,
-                        metavar=("A", "B"),
-                        help="check two reports for structural "
-                             "identity")
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit:
-        sys.exit(2)
-
-    if args.compare:
-        if args.reports or args.md or args.heatmap:
-            usage_error("--compare takes no other inputs")
-        compare(*args.compare)
-        return
-
-    if not args.reports:
-        usage_error("no CACHE report given (see module docstring)")
-    for i, path in enumerate(args.reports):
-        doc = load(path)
-        workloads = validate_schema(path, doc)
-        validate_invariants(path, workloads)
-        summarize(path, workloads)
-        if i == 0 and args.md:
-            write_file(args.md, render_markdown(path, doc))
-            print(f"tepic_cache: wrote {args.md}")
-        if i == 0 and args.heatmap:
-            write_file(args.heatmap, render_heatmap(doc))
-            print(f"tepic_cache: wrote {args.heatmap}")
-
-
-if __name__ == "__main__":
-    main(sys.argv[1:])

@@ -1,29 +1,5 @@
-#!/usr/bin/env python3
-"""Validate and render tepic dynamic-behavior reports (tepic-hot-v1,
-the HOT_*.json files every bench binary and `tepicc --hot-report=`
-emit).
-
-Usage:
-  tepic_hot.py REPORT...              validate HOT_*.json files and
-                                      print a summary
-  tepic_hot.py REPORT --md FILE       also write a Markdown "what
-                                      would selective compression
-                                      buy?" report for the first
-                                      REPORT
-  tepic_hot.py REPORT --size SIZE     join per-function hotness with
-                                      the compressed-bit shares of a
-                                      tepic-size-v1 report inside the
-                                      --md output
-  tepic_hot.py REPORT --coverage FILE also write an SVG hot/cold
-                                      coverage curve for the first
-                                      REPORT
-  tepic_hot.py --compare A B          require the two reports'
-                                      "structure" sections to be
-                                      byte-identical — the
-                                      determinism contract: every
-                                      recorded counter is a pure
-                                      function of (trace, config)
-                                      and must not depend on --jobs.
+"""tepic-hot-v1: dynamic-behavior reports (the HOT_*.json files every
+bench binary and `tepicc --hot-report=` emit).
 
 Validation re-derives the tiling invariants the C++ recorder asserts:
 
@@ -40,15 +16,17 @@ Validation re-derives the tiling invariants the C++ recorder asserts:
   * the phase matrix columns reproduce the top blocks' fetch counts
     and its rows (plus the per-epoch rest) tile blocks_simulated.
 
-Exit codes: 0 = ok, 1 = invariant violation (including --compare
-mismatch), 2 = usage/schema error. Only the standard library is used.
+--compare covers the "structure" section: every recorded counter is a
+pure function of (trace, config) and must not depend on --jobs.
+Renders a Markdown "what would selective compression buy?" report
+(optionally joined with the per-function bits of a tepic-size-v1
+report) and an SVG hot/cold coverage curve.
 """
 
-import argparse
-import json
-import sys
+from tepic_reports import (check_keys, check_nonneg_int, fmt_pct,
+                           invariant_error, svg_escape, usage_error)
 
-HOT_SCHEMA = "tepic-hot-v1"
+SCHEMA = "tepic-hot-v1"
 SIZE_SCHEMA = "tepic-size-v1"
 
 SCHEME_KEYS = ("config", "totals", "blocks", "functions",
@@ -74,39 +52,7 @@ SCHEME_COLORS = {"base": "#7f7f7f", "compressed": "#1f77b4",
 FALLBACK_COLORS = ("#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
 
-def usage_error(msg):
-    print(f"tepic_hot: error: {msg}", file=sys.stderr)
-    sys.exit(2)
-
-
-def invariant_error(msg):
-    print(f"tepic_hot: invariant violated: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-
-def load(path):
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        usage_error(f"{path}: {e}")
-
-
 # --- validation ------------------------------------------------------
-
-
-def check_keys(path, what, obj, keys):
-    if not isinstance(obj, dict):
-        usage_error(f"{path}: {what} is not an object")
-    for key in keys:
-        if key not in obj:
-            usage_error(f"{path}: {what} is missing '{key}'")
-
-
-def check_nonneg_int(path, what, value):
-    if not isinstance(value, int) or isinstance(value, bool) \
-            or value < 0:
-        usage_error(f"{path}: {what} is not a non-negative integer")
 
 
 def check_row(path, what, row, width):
@@ -116,11 +62,8 @@ def check_row(path, what, row, width):
         check_nonneg_int(path, f"{what}[{i}]", v)
 
 
-def validate_schema(path, doc):
+def check_schema(path, doc):
     """Shape checks (exit 2 on failure); returns the workloads map."""
-    if doc.get("schema") != HOT_SCHEMA:
-        usage_error(f"{path}: schema {doc.get('schema')!r} is not "
-                    f"{HOT_SCHEMA!r}")
     if not isinstance(doc.get("name"), str) or not doc["name"]:
         usage_error(f"{path}: missing report 'name'")
     check_keys(path, "report", doc, ("structure",))
@@ -210,7 +153,7 @@ def validate_schema(path, doc):
     return workloads
 
 
-def validate_invariants(path, workloads):
+def check_invariants(path, workloads):
     """Semantic checks (exit 1 on failure) — the schema's promises.
 
     Every message names the counter that broke so CI failures read as
@@ -399,11 +342,29 @@ def validate_invariants(path, workloads):
                     f"{totals['blocks_simulated']}")
 
 
+def validate(path, doc):
+    check_invariants(path, check_schema(path, doc))
+
+
+def summary(doc):
+    workloads = doc["structure"]["workloads"]
+    records = sum(len(s) for s in workloads.values())
+    fetches = sum(rec["totals"]["blocks_simulated"]
+                  for schemes in workloads.values()
+                  for rec in schemes.values())
+    mispredicts = sum(rec["branch_sites"]["totals"]["mispredicts"]
+                      for schemes in workloads.values()
+                      for rec in schemes.values())
+    return (f"{len(workloads)} workloads, {records} records; "
+            f"{fetches} fetches tiled per block, {mispredicts} "
+            f"mispredicts tiled per site")
+
+
+def comparable(doc):
+    return {"structure": doc["structure"]}
+
+
 # --- Markdown "what would selective compression buy?" report ---------
-
-
-def fmt_pct(num, den):
-    return f"{100.0 * num / den:.1f}%" if den else "-"
 
 
 def coverage_at(rec, k):
@@ -433,7 +394,7 @@ def function_bits(size_doc, wl, scheme):
     return {fn: sum(leaves.values()) for fn, leaves in tree.items()}
 
 
-def render_markdown(path, doc, size_doc=None):
+def render_md(path, doc, size_doc=None):
     workloads = doc["structure"]["workloads"]
     lines = [f"# Dynamic hotness: {doc['name']}", ""]
     lines.append(
@@ -550,7 +511,7 @@ def render_markdown(path, doc, size_doc=None):
                              f"| {mis} | {stall} |")
             lines.append("")
 
-    lines.append(f"*(generated by tools/tepic_hot.py from "
+    lines.append(f"*(generated by tools/tepic_reports.py from "
                  f"`{path}`)*")
     return "\n".join(lines) + "\n"
 
@@ -558,17 +519,12 @@ def render_markdown(path, doc, size_doc=None):
 # --- SVG coverage curve ----------------------------------------------
 
 
-def svg_escape(text):
-    return (text.replace("&", "&amp;").replace("<", "&lt;")
-            .replace(">", "&gt;").replace('"', "&quot;"))
-
-
 def scheme_color(scheme, index):
     return SCHEME_COLORS.get(
         scheme, FALLBACK_COLORS[index % len(FALLBACK_COLORS)])
 
 
-def render_coverage(doc):
+def render_svg(doc):
     """One hot/cold coverage panel per workload: fraction of dynamic
     fetches covered by the top-k blocks, one polyline per scheme."""
     workloads = doc["structure"]["workloads"]
@@ -631,128 +587,3 @@ def render_coverage(doc):
     return "\n".join(out) + "\n"
 
 
-# --- determinism compare ---------------------------------------------
-
-
-def first_divergence(a, b, crumb):
-    """Depth-first search for the first differing JSON path."""
-    if type(a) is not type(b):
-        return crumb, f"{a!r} vs {b!r}"
-    if isinstance(a, dict):
-        for key in sorted(set(a) | set(b)):
-            if key not in a:
-                return f"{crumb}.{key}", "missing on the left"
-            if key not in b:
-                return f"{crumb}.{key}", "missing on the right"
-            hit = first_divergence(a[key], b[key], f"{crumb}.{key}")
-            if hit:
-                return hit
-        return None
-    if isinstance(a, list):
-        if len(a) != len(b):
-            return crumb, f"{len(a)} vs {len(b)} elements"
-        for i, (va, vb) in enumerate(zip(a, b)):
-            hit = first_divergence(va, vb, f"{crumb}[{i}]")
-            if hit:
-                return hit
-        return None
-    if a != b:
-        return crumb, f"{a!r} vs {b!r}"
-    return None
-
-
-def compare(path_a, path_b):
-    a, b = load(path_a), load(path_b)
-    for path, doc in ((path_a, a), (path_b, b)):
-        validate_invariants(path, validate_schema(path, doc))
-    if a["structure"] == b["structure"]:
-        n = sum(len(s) for s in a["structure"]["workloads"].values())
-        print(f"tepic_hot: {path_a} and {path_b} have identical "
-              f"structure ({n} workload/scheme records)")
-        return
-    hit = first_divergence(a["structure"], b["structure"],
-                           "structure")
-    where, detail = hit if hit else ("structure", "unknown")
-    invariant_error(
-        f"{path_a} and {path_b} disagree at {where}: {detail} — "
-        f"every HOT counter must be identical for any --jobs value")
-
-
-# --- entry point -----------------------------------------------------
-
-
-def write_file(path, text):
-    try:
-        with open(path, "w") as f:
-            f.write(text)
-    except OSError as e:
-        usage_error(f"{path}: {e}")
-
-
-def summarize(path, workloads):
-    records = sum(len(s) for s in workloads.values())
-    fetches = sum(rec["totals"]["blocks_simulated"]
-                  for schemes in workloads.values()
-                  for rec in schemes.values())
-    mispredicts = sum(rec["branch_sites"]["totals"]["mispredicts"]
-                      for schemes in workloads.values()
-                      for rec in schemes.values())
-    print(f"tepic_hot: {path}: ok ({len(workloads)} workloads, "
-          f"{records} records; {fetches} fetches tiled per block, "
-          f"{mispredicts} mispredicts tiled per site)")
-
-
-def main(argv):
-    parser = argparse.ArgumentParser(
-        prog="tepic_hot",
-        description="Validate and render tepic-hot-v1 reports.")
-    parser.add_argument("reports", nargs="*",
-                        help="HOT_*.json files to validate")
-    parser.add_argument("--md", default=None, metavar="FILE",
-                        help="write a Markdown selective-compression "
-                             "report for the first REPORT")
-    parser.add_argument("--size", default=None, metavar="SIZE",
-                        help="tepic-size-v1 report joined into the "
-                             "--md per-function table")
-    parser.add_argument("--coverage", default=None, metavar="FILE",
-                        help="write an SVG coverage curve for the "
-                             "first REPORT")
-    parser.add_argument("--compare", nargs=2, default=None,
-                        metavar=("A", "B"),
-                        help="check two reports for structural "
-                             "identity")
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit:
-        sys.exit(2)
-
-    if args.compare:
-        if args.reports or args.md or args.size or args.coverage:
-            usage_error("--compare takes no other inputs")
-        compare(*args.compare)
-        return
-
-    if not args.reports:
-        usage_error("no HOT report given (see module docstring)")
-    size_doc = None
-    if args.size:
-        size_doc = load(args.size)
-        if size_doc.get("schema") != SIZE_SCHEMA:
-            usage_error(f"{args.size}: schema "
-                        f"{size_doc.get('schema')!r} is not "
-                        f"{SIZE_SCHEMA!r}")
-    for i, path in enumerate(args.reports):
-        doc = load(path)
-        workloads = validate_schema(path, doc)
-        validate_invariants(path, workloads)
-        summarize(path, workloads)
-        if i == 0 and args.md:
-            write_file(args.md, render_markdown(path, doc, size_doc))
-            print(f"tepic_hot: wrote {args.md}")
-        if i == 0 and args.coverage:
-            write_file(args.coverage, render_coverage(doc))
-            print(f"tepic_hot: wrote {args.coverage}")
-
-
-if __name__ == "__main__":
-    main(sys.argv[1:])

@@ -1,64 +1,28 @@
-#!/usr/bin/env python3
-"""Render and validate tepic host-profile reports (tepic-prof-v1).
-
-Usage:
-  tepic_profile.py REPORT...               validate PROF_*.json files
-                                           and print a summary
-  tepic_profile.py REPORT --md FILE        also write a Markdown
-                                           hot-path report
-  tepic_profile.py --flamegraph COLLAPSED --svg FILE [--title T]
-                                           render a FlameGraph SVG
-                                           from collapsed-stack text
-                                           (the --prof-collapse=
-                                           output)
-  tepic_profile.py --compare A B           require the two reports to
-                                           agree on everything the
-                                           determinism contract
-                                           covers: phase key set,
-                                           work counters (exact), and
-                                           throughput gauge key set.
-                                           Host counter values are
-                                           wall-clock data and exempt
+"""tepic-prof-v1: host-profile reports (PROF_*.json).
 
 Validation is layered to match how the data can degrade:
-  * structural problems (missing sections, unknown schema, phases
+  * structural problems (missing sections, unknown source, phases
     that don't tile the total) are hard failures,
   * graceful degradation (no perf events -> source "thread_cputime",
     profiler compiled out -> source "disabled", zero samples) is
     reported as a note and exits 0 — CI containers routinely run
     with perf_event_paranoid locked down.
 
-Exit codes: 0 = ok (possibly with degradation notes), 1 = invariant
-violation (e.g. phases don't tile the total, --compare mismatch),
-2 = usage/schema error. Only the standard library is used.
+--compare covers the phase key set, the work counters (exact) and the
+throughput gauge key set; host counter values and gauge rates are
+wall-clock data and exempt. The module also renders FlameGraph SVGs
+from collapsed-stack text (the --prof-collapse= output).
 """
 
-import argparse
-import json
 import sys
 
-PROF_SCHEMA = "tepic-prof-v1"
+from tepic_reports import (PROG, check_nonneg_int, fmt_pct,
+                           invariant_error, svg_escape, usage_error)
+
+SCHEMA = "tepic-prof-v1"
 COUNTER_KEYS = ("cycles", "instructions", "cache_misses",
                 "branch_misses", "cpu_ns")
 SOURCES = ("perf_event", "thread_cputime", "disabled")
-
-
-def usage_error(msg):
-    print(f"tepic_profile: error: {msg}", file=sys.stderr)
-    sys.exit(2)
-
-
-def invariant_error(msg):
-    print(f"tepic_profile: invariant violated: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-
-def load(path):
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        usage_error(f"{path}: {e}")
 
 
 # --- validation ------------------------------------------------------
@@ -68,17 +32,11 @@ def check_counters(path, what, counters, extra=()):
     if not isinstance(counters, dict):
         usage_error(f"{path}: {what} is not an object")
     for key in COUNTER_KEYS + tuple(extra):
-        value = counters.get(key)
-        if not isinstance(value, int) or value < 0:
-            usage_error(f"{path}: {what}['{key}'] is not a "
-                        f"non-negative integer")
+        check_nonneg_int(path, f"{what}['{key}']", counters.get(key))
 
 
 def validate(path, doc):
     """Schema/invariant checks; returns a list of degradation notes."""
-    if doc.get("schema") != PROF_SCHEMA:
-        usage_error(f"{path}: schema {doc.get('schema')!r} is not "
-                    f"{PROF_SCHEMA!r}")
     if not isinstance(doc.get("name"), str) or not doc["name"]:
         usage_error(f"{path}: missing report 'name'")
     if doc.get("source") not in SOURCES:
@@ -96,9 +54,7 @@ def validate(path, doc):
         check_counters(path, f"phases['{phase}']", counters,
                        extra=("enters",))
     for name, value in doc["work"].items():
-        if not isinstance(value, int) or value < 0:
-            usage_error(f"{path}: work['{name}'] is not a "
-                        f"non-negative integer")
+        check_nonneg_int(path, f"work['{name}']", value)
     for name, value in doc["throughput"].items():
         if not isinstance(value, (int, float)) or value < 0:
             usage_error(f"{path}: throughput['{name}'] is not a "
@@ -116,7 +72,10 @@ def validate(path, doc):
             invariant_error(
                 f"{path}: phases do not tile total['{key}']: "
                 f"sum {tiled} != total {total}")
+    return degradation_notes(doc)
 
+
+def degradation_notes(doc):
     notes = []
     if doc["source"] == "disabled":
         notes.append("profiler compiled out "
@@ -135,6 +94,19 @@ def validate(path, doc):
     return notes
 
 
+def summary(doc):
+    return (f"source {doc['source']}, {len(doc['phases'])} phases "
+            f"tiling {doc['total']['cycles']} cycles, "
+            f"{len(doc['work'])} work counters")
+
+
+def comparable(doc):
+    """Key sets for phases and throughput gauges, exact work values."""
+    return {"phases": dict.fromkeys(doc["phases"]),
+            "throughput": dict.fromkeys(doc["throughput"]),
+            "work": doc["work"]}
+
+
 # --- Markdown hot-path report ----------------------------------------
 
 
@@ -142,11 +114,7 @@ def fmt_count(value):
     return f"{value:,}"
 
 
-def fmt_pct(num, den):
-    return f"{100.0 * num / den:.1f}%" if den else "-"
-
-
-def render_markdown(path, doc, notes):
+def render_md(path, doc):
     total = doc["total"]
     lines = [f"# Host profile: {doc['name']}", ""]
     lines.append(f"Source: `{doc['source']}` &mdash; total "
@@ -200,13 +168,14 @@ def render_markdown(path, doc, notes):
     lines.append(f"Samples: {samples['taken']} taken, "
                  f"{samples['dropped']} dropped.")
     lines.append("")
+    notes = degradation_notes(doc)
     if notes:
         lines.append("## Notes")
         lines.append("")
         for note in notes:
             lines.append(f"- {note}")
         lines.append("")
-    lines.append(f"*(generated by tools/tepic_profile.py from "
+    lines.append(f"*(generated by tools/tepic_reports.py from "
                  f"`{path}`)*")
     return "\n".join(lines) + "\n"
 
@@ -267,11 +236,6 @@ def frame_color(name, depth):
     return f"rgb({min(r, 255)},{min(g, 255)},{b})"
 
 
-def svg_escape(text):
-    return (text.replace("&", "&amp;").replace("<", "&lt;")
-            .replace(">", "&gt;").replace('"', "&quot;"))
-
-
 def render_flamegraph(root, title, width=1200, row_height=16):
     """Self-contained SVG; x in sample-proportional coordinates."""
     rects = []
@@ -326,117 +290,11 @@ def render_flamegraph(root, title, width=1200, row_height=16):
     return "\n".join(out) + "\n"
 
 
-# --- determinism compare ---------------------------------------------
-
-
-def compare(path_a, path_b):
-    a, b = load(path_a), load(path_b)
-    validate(path_a, a)
-    validate(path_b, b)
-    problems = []
-    if set(a["phases"]) != set(b["phases"]):
-        problems.append(
-            f"phase key sets differ: only in {path_a}: "
-            f"{sorted(set(a['phases']) - set(b['phases']))}; only in "
-            f"{path_b}: {sorted(set(b['phases']) - set(a['phases']))}")
-    if a["work"] != b["work"]:
-        only_a = set(a["work"]) - set(b["work"])
-        only_b = set(b["work"]) - set(a["work"])
-        diff = {k for k in set(a["work"]) & set(b["work"])
-                if a["work"][k] != b["work"][k]}
-        problems.append(
-            f"work counters differ (these are deterministic by "
-            f"contract): only in {path_a}: {sorted(only_a)}; only in "
-            f"{path_b}: {sorted(only_b)}; changed: {sorted(diff)}")
-    if set(a["throughput"]) != set(b["throughput"]):
-        problems.append(
-            f"throughput gauge key sets differ: only in {path_a}: "
-            f"{sorted(set(a['throughput']) - set(b['throughput']))}; "
-            f"only in {path_b}: "
-            f"{sorted(set(b['throughput']) - set(a['throughput']))}")
-    if problems:
-        for p in problems:
-            print(f"tepic_profile: {p}", file=sys.stderr)
-        sys.exit(1)
-    print(f"tepic_profile: {path_a} and {path_b} agree on "
-          f"{len(a['phases'])} phases, {len(a['work'])} work "
-          f"counters, {len(a['throughput'])} throughput gauges")
-
-
-# --- entry point -----------------------------------------------------
-
-
-def main(argv):
-    parser = argparse.ArgumentParser(
-        prog="tepic_profile",
-        description="Render and validate tepic-prof-v1 reports.")
-    parser.add_argument("reports", nargs="*",
-                        help="PROF_*.json files to validate")
-    parser.add_argument("--md", default=None, metavar="FILE",
-                        help="write a Markdown hot-path report for "
-                             "the first REPORT")
-    parser.add_argument("--flamegraph", default=None,
-                        metavar="COLLAPSED",
-                        help="collapsed-stack input "
-                             "(--prof-collapse= output)")
-    parser.add_argument("--svg", default=None, metavar="FILE",
-                        help="flamegraph SVG output (with "
-                             "--flamegraph)")
-    parser.add_argument("--title", default="tepic host profile",
-                        help="flamegraph title")
-    parser.add_argument("--compare", nargs=2, default=None,
-                        metavar=("A", "B"),
-                        help="check two reports for determinism-"
-                             "contract agreement")
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit:
-        sys.exit(2)
-
-    if args.compare:
-        if args.reports or args.md or args.flamegraph:
-            usage_error("--compare takes no other inputs")
-        compare(*args.compare)
-        return
-
-    if args.flamegraph:
-        if args.svg is None:
-            usage_error("--flamegraph requires --svg OUT")
-        stacks, total = parse_collapsed(args.flamegraph)
-        if not stacks:
-            print(f"tepic_profile: {args.flamegraph}: no samples "
-                  f"(empty flamegraph written)", file=sys.stderr)
-        svg = render_flamegraph(build_tree(stacks), args.title)
-        try:
-            with open(args.svg, "w") as f:
-                f.write(svg)
-        except OSError as e:
-            usage_error(f"{args.svg}: {e}")
-        print(f"tepic_profile: wrote {args.svg} "
-              f"({len(stacks)} stacks, {total} samples)")
-        if not args.reports:
-            return
-
-    if not args.reports:
-        usage_error("no PROF report given (see module docstring)")
-    for i, path in enumerate(args.reports):
-        doc = load(path)
-        notes = validate(path, doc)
-        print(f"tepic_profile: {path}: ok (source {doc['source']}, "
-              f"{len(doc['phases'])} phases tiling "
-              f"{doc['total']['cycles']} cycles, "
-              f"{len(doc['work'])} work counters)")
-        for note in notes:
-            print(f"tepic_profile:   note: {note}")
-        if i == 0 and args.md:
-            report = render_markdown(path, doc, notes)
-            try:
-                with open(args.md, "w") as f:
-                    f.write(report)
-            except OSError as e:
-                usage_error(f"{args.md}: {e}")
-            print(f"tepic_profile: wrote {args.md}")
-
-
-if __name__ == "__main__":
-    main(sys.argv[1:])
+def flamegraph(collapsed, title):
+    """(SVG text, stack count, sample count) for a collapsed file."""
+    stacks, total = parse_collapsed(collapsed)
+    if not stacks:
+        print(f"{PROG}: {collapsed}: no samples (empty flamegraph "
+              f"written)", file=sys.stderr)
+    return render_flamegraph(build_tree(stacks), title), \
+        len(stacks), total

@@ -1,26 +1,5 @@
-#!/usr/bin/env python3
-"""Validate and render tepic task-graph scheduling reports
-(tepic-sched-v1, the SCHED_*.json files every bench binary and
-`tepicc --sched-report=` emit).
-
-Usage:
-  tepic_critpath.py REPORT...             validate SCHED_*.json files
-                                          and print a summary
-  tepic_critpath.py REPORT --md FILE      also write a Markdown
-                                          "why is this build slow"
-                                          report for the first REPORT
-  tepic_critpath.py REPORT --gantt FILE   also write an SVG worker
-                                          timeline (Gantt) for the
-                                          first REPORT
-  tepic_critpath.py --compare A B         require the two reports'
-                                          "structure" sections to be
-                                          identical — the determinism
-                                          contract: the task DAG
-                                          (ids, labels, kinds,
-                                          edges, cache-hit flags) must
-                                          not depend on --jobs. The
-                                          "timing" section is
-                                          wall-clock data and exempt.
+"""tepic-sched-v1: task-graph scheduling reports (the SCHED_*.json
+files every bench binary and `tepicc --sched-report=` emit).
 
 Validation re-derives the invariants the C++ recorder asserts:
 
@@ -34,15 +13,16 @@ Validation re-derives the invariants the C++ recorder asserts:
   * critical_path is a real dependency chain and its length equals
     the sum of its tasks' durations.
 
-Exit codes: 0 = ok, 1 = invariant violation (including --compare
-mismatch), 2 = usage/schema error. Only the standard library is used.
+--compare covers the "structure" section: the task DAG (ids, labels,
+kinds, edges, cache-hit flags) must not depend on --jobs. The
+"timing" section is wall-clock data and exempt. Renders a Markdown
+"why is this build slow" report and an SVG worker timeline (Gantt).
 """
 
-import argparse
-import json
-import sys
+from tepic_reports import (check_keys, check_nonneg_int, fmt_pct,
+                           invariant_error, svg_escape, usage_error)
 
-SCHED_SCHEMA = "tepic-sched-v1"
+SCHEMA = "tepic-sched-v1"
 
 STRUCT_TASK_KEYS = ("id", "label", "kind", "workload", "scheme",
                     "cache_hit", "deps")
@@ -64,47 +44,11 @@ KIND_COLORS = {
 DEFAULT_COLOR = "#999999"
 
 
-def usage_error(msg):
-    print(f"tepic_critpath: error: {msg}", file=sys.stderr)
-    sys.exit(2)
-
-
-def invariant_error(msg):
-    print(f"tepic_critpath: invariant violated: {msg}",
-          file=sys.stderr)
-    sys.exit(1)
-
-
-def load(path):
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        usage_error(f"{path}: {e}")
-
-
 # --- validation ------------------------------------------------------
 
 
-def check_keys(path, what, obj, keys):
-    if not isinstance(obj, dict):
-        usage_error(f"{path}: {what} is not an object")
-    for key in keys:
-        if key not in obj:
-            usage_error(f"{path}: {what} is missing '{key}'")
-
-
-def check_nonneg_int(path, what, value):
-    if not isinstance(value, int) or isinstance(value, bool) \
-            or value < 0:
-        usage_error(f"{path}: {what} is not a non-negative integer")
-
-
-def validate_schema(path, doc):
+def check_schema(path, doc):
     """Shape checks (exit 2 on failure); returns (structure, timing)."""
-    if doc.get("schema") != SCHED_SCHEMA:
-        usage_error(f"{path}: schema {doc.get('schema')!r} is not "
-                    f"{SCHED_SCHEMA!r}")
     if not isinstance(doc.get("name"), str) or not doc["name"]:
         usage_error(f"{path}: missing report 'name'")
     check_nonneg_int(path, "jobs", doc.get("jobs"))
@@ -156,7 +100,7 @@ def validate_schema(path, doc):
     return s, t
 
 
-def validate_invariants(path, structure, timing):
+def check_invariants(path, structure, timing):
     """Semantic checks (exit 1 on failure) — the schema's promises."""
     tasks = structure["tasks"]
     n = len(tasks)
@@ -274,6 +218,24 @@ def validate_invariants(path, structure, timing):
         invariant_error(f"{path}: tasks ran but no workers listed")
 
 
+def validate(path, doc):
+    check_invariants(path, *check_schema(path, doc))
+
+
+def summary(doc):
+    structure, timing = doc["structure"], doc["timing"]
+    speedup = timing["speedup"]
+    return (f"{structure['task_count']} tasks, "
+            f"{structure['edge_count']} edges, acyclic; critical "
+            f"path {fmt_ms(timing['critical_path_ns'])} ms, "
+            f"speedup {speedup['achieved']:.2f}x of "
+            f"{speedup['achievable']:.2f}x achievable")
+
+
+def comparable(doc):
+    return {"structure": doc["structure"]}
+
+
 # --- Markdown "why is this build slow" report ------------------------
 
 
@@ -281,11 +243,7 @@ def fmt_ms(ns):
     return f"{ns / 1e6:.2f}"
 
 
-def fmt_pct(num, den):
-    return f"{100.0 * num / den:.1f}%" if den else "-"
-
-
-def render_markdown(path, doc):
+def render_md(path, doc):
     structure, timing = doc["structure"], doc["timing"]
     tasks = structure["tasks"]
     ttasks = timing["tasks"]
@@ -361,7 +319,7 @@ def render_markdown(path, doc):
                        "would raise utilization")
     lines.append(f"**Verdict:** {'; '.join(verdict)}.")
     lines.append("")
-    lines.append(f"*(generated by tools/tepic_critpath.py from "
+    lines.append(f"*(generated by tools/tepic_reports.py from "
                  f"`{path}`)*")
     return "\n".join(lines) + "\n"
 
@@ -369,12 +327,7 @@ def render_markdown(path, doc):
 # --- SVG Gantt -------------------------------------------------------
 
 
-def svg_escape(text):
-    return (text.replace("&", "&amp;").replace("<", "&lt;")
-            .replace(">", "&gt;").replace('"', "&quot;"))
-
-
-def render_gantt(doc, width=1200, row_height=24):
+def render_svg(doc, width=1200, row_height=24):
     """Worker-per-row timeline; critical-path tasks get a red edge."""
     structure, timing = doc["structure"], doc["timing"]
     tasks = structure["tasks"]
@@ -435,94 +388,3 @@ def render_gantt(doc, width=1200, row_height=24):
     return "\n".join(out) + "\n"
 
 
-# --- determinism compare ---------------------------------------------
-
-
-def compare(path_a, path_b):
-    a, b = load(path_a), load(path_b)
-    for path, doc in ((path_a, a), (path_b, b)):
-        validate_invariants(path, *validate_schema(path, doc))
-    if a["structure"] == b["structure"]:
-        print(f"tepic_critpath: {path_a} (jobs={a['jobs']}) and "
-              f"{path_b} (jobs={b['jobs']}) have identical structure "
-              f"({a['structure']['task_count']} tasks, "
-              f"{a['structure']['edge_count']} edges)")
-        return
-    sa, sb = a["structure"], b["structure"]
-    for key in ("task_count", "edge_count", "cache_hits", "acyclic"):
-        if sa[key] != sb[key]:
-            print(f"tepic_critpath: structure['{key}'] differs: "
-                  f"{sa[key]} vs {sb[key]}", file=sys.stderr)
-    for ta, tb in zip(sa["tasks"], sb["tasks"]):
-        if ta != tb:
-            print(f"tepic_critpath: first divergent task: id "
-                  f"{ta['id']}: {json.dumps(ta, sort_keys=True)} vs "
-                  f"{json.dumps(tb, sort_keys=True)}",
-                  file=sys.stderr)
-            break
-    invariant_error(
-        f"{path_a} and {path_b} disagree on the task-graph structure "
-        f"— the DAG must not depend on --jobs")
-
-
-# --- entry point -----------------------------------------------------
-
-
-def write_file(path, text):
-    try:
-        with open(path, "w") as f:
-            f.write(text)
-    except OSError as e:
-        usage_error(f"{path}: {e}")
-
-
-def main(argv):
-    parser = argparse.ArgumentParser(
-        prog="tepic_critpath",
-        description="Validate and render tepic-sched-v1 reports.")
-    parser.add_argument("reports", nargs="*",
-                        help="SCHED_*.json files to validate")
-    parser.add_argument("--md", default=None, metavar="FILE",
-                        help="write a Markdown schedule report for "
-                             "the first REPORT")
-    parser.add_argument("--gantt", default=None, metavar="FILE",
-                        help="write an SVG worker timeline for the "
-                             "first REPORT")
-    parser.add_argument("--compare", nargs=2, default=None,
-                        metavar=("A", "B"),
-                        help="check two reports for structural "
-                             "(DAG) identity")
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit:
-        sys.exit(2)
-
-    if args.compare:
-        if args.reports or args.md or args.gantt:
-            usage_error("--compare takes no other inputs")
-        compare(*args.compare)
-        return
-
-    if not args.reports:
-        usage_error("no SCHED report given (see module docstring)")
-    for i, path in enumerate(args.reports):
-        doc = load(path)
-        structure, timing = validate_schema(path, doc)
-        validate_invariants(path, structure, timing)
-        speedup = timing["speedup"]
-        print(f"tepic_critpath: {path}: ok "
-              f"({structure['task_count']} tasks, "
-              f"{structure['edge_count']} edges, acyclic; critical "
-              f"path {fmt_ms(timing['critical_path_ns'])} ms, "
-              f"speedup {speedup['achieved']:.2f}x of "
-              f"{speedup['achievable']:.2f}x achievable)")
-        if i == 0 and args.md:
-            write_file(args.md, render_markdown(path, doc))
-            print(f"tepic_critpath: wrote {args.md}")
-        if i == 0 and args.gantt:
-            write_file(args.gantt, render_gantt(doc))
-            print(f"tepic_critpath: wrote {args.gantt}")
-
-
-if __name__ == "__main__":
-    main(sys.argv[1:])

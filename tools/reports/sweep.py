@@ -1,24 +1,5 @@
-#!/usr/bin/env python3
-"""Validate and render tepic design-space sweep reports
-(tepic-sweep-v1, the SWEEP_*.json files `tepic-sweep` emits).
-
-Usage:
-  tepic_sweep.py REPORT...            validate SWEEP_*.json files and
-                                      print a summary
-  tepic_sweep.py REPORT --md FILE     also write a Markdown "what
-                                      should this core look like?"
-                                      report for the first REPORT
-  tepic_sweep.py REPORT --scatter FILE  also write an SVG of 2-D
-                                      Pareto scatter panels (one per
-                                      objective pair) for the first
-                                      REPORT
-  tepic_sweep.py --compare A B        require the two reports'
-                                      "structure" sections to be
-                                      identical — the determinism
-                                      contract: every record and the
-                                      front are pure functions of
-                                      (grid, workloads) and must not
-                                      depend on --jobs.
+"""tepic-sweep-v1: design-space sweep reports (the SWEEP_*.json files
+`tepic-sweep` emits).
 
 Validation re-derives everything the C++ driver promises:
 
@@ -38,15 +19,16 @@ Validation re-derives everything the C++ driver promises:
     sorted in dominance order (oriented objective tuple ascending,
     key as tie-break).
 
-Exit codes: 0 = ok, 1 = invariant violation (including --compare
-mismatch), 2 = usage/schema error. Only the standard library is used.
+--compare covers the "structure" section: every record and the front
+are pure functions of (grid, workloads) and must not depend on
+--jobs. Renders a Markdown "what should this core look like?" report
+and SVG Pareto scatter panels, one per objective pair.
 """
 
-import argparse
-import json
-import sys
+from tepic_reports import (check_keys, check_nonneg_int,
+                           invariant_error, svg_escape, usage_error)
 
-SWEEP_SCHEMA = "tepic-sweep-v1"
+SCHEMA = "tepic-sweep-v1"
 
 # The objective space, in report order. Senses mirror core/sweep.cc.
 OBJECTIVES = (("size_bits", "min"), ("ipc_e6", "max"),
@@ -80,24 +62,6 @@ SCHEME_COLORS = {"base": "#7f7f7f", "compressed": "#1f77b4",
                  "tailored": "#d62728"}
 
 
-def usage_error(msg):
-    print(f"tepic_sweep: error: {msg}", file=sys.stderr)
-    sys.exit(2)
-
-
-def invariant_error(msg):
-    print(f"tepic_sweep: invariant violated: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-
-def load(path):
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        usage_error(f"{path}: {e}")
-
-
 # --- dominance (mirror of support/sweep.cc) --------------------------
 
 
@@ -128,25 +92,8 @@ def config_key(config):
 # --- validation ------------------------------------------------------
 
 
-def check_keys(path, what, obj, keys):
-    if not isinstance(obj, dict):
-        usage_error(f"{path}: {what} is not an object")
-    for key in keys:
-        if key not in obj:
-            usage_error(f"{path}: {what} is missing '{key}'")
-
-
-def check_nonneg_int(path, what, value):
-    if not isinstance(value, int) or isinstance(value, bool) \
-            or value < 0:
-        usage_error(f"{path}: {what} is not a non-negative integer")
-
-
-def validate_schema(path, doc):
+def check_schema(path, doc):
     """Shape checks (exit 2 on failure); returns the structure."""
-    if doc.get("schema") != SWEEP_SCHEMA:
-        usage_error(f"{path}: schema {doc.get('schema')!r} is not "
-                    f"{SWEEP_SCHEMA!r}")
     if not isinstance(doc.get("name"), str) or not doc["name"]:
         usage_error(f"{path}: missing report 'name'")
     check_keys(path, "report", doc, ("structure", "timing"))
@@ -220,7 +167,7 @@ def validate_schema(path, doc):
     return structure
 
 
-def validate_invariants(path, structure):
+def check_invariants(path, structure):
     """Semantic checks (exit 1 on failure). Every message names the
     point or front member that broke."""
     points = structure["points"]
@@ -349,6 +296,21 @@ def validate_invariants(path, structure):
                     f"'{got}' where '{want}' belongs")
 
 
+def validate(path, doc):
+    check_invariants(path, check_schema(path, doc))
+
+
+def summary(doc):
+    structure = doc["structure"]
+    return (f"{len(structure['aggregates'])} configs, "
+            f"{len(structure['points'])} points validated, front "
+            f"{len(structure['front'])} in dominance order")
+
+
+def comparable(doc):
+    return {"structure": doc["structure"]}
+
+
 # --- Markdown "what should this core look like?" report --------------
 
 
@@ -374,7 +336,7 @@ def recommend(structure):
                key=lambda kv: (kv[1]["metrics"]["size_bits"], kv[0]))
 
 
-def render_markdown(path, doc):
+def render_md(path, doc):
     structure = doc["structure"]
     aggs = structure["aggregates"]
     rows = front_rows(structure)
@@ -445,7 +407,7 @@ def render_markdown(path, doc):
                          f"| {share} |")
         lines.append("")
 
-    lines.append(f"*(generated by tools/tepic_sweep.py from "
+    lines.append(f"*(generated by tools/tepic_reports.py from "
                  f"`{path}`)*")
     return "\n".join(lines) + "\n"
 
@@ -453,12 +415,7 @@ def render_markdown(path, doc):
 # --- SVG Pareto scatter panels ---------------------------------------
 
 
-def svg_escape(text):
-    return (text.replace("&", "&amp;").replace("<", "&lt;")
-            .replace(">", "&gt;").replace('"', "&quot;"))
-
-
-def render_scatter(doc):
+def render_svg(doc):
     """One panel per objective pair: every aggregate as a gray dot,
     front members colored by scheme."""
     structure = doc["structure"]
@@ -531,112 +488,3 @@ def render_scatter(doc):
     return "\n".join(out) + "\n"
 
 
-# --- determinism compare ---------------------------------------------
-
-
-def first_divergence(a, b, crumb):
-    """Depth-first search for the first differing JSON path."""
-    if type(a) is not type(b):
-        return crumb, f"{a!r} vs {b!r}"
-    if isinstance(a, dict):
-        for key in sorted(set(a) | set(b)):
-            if key not in a:
-                return f"{crumb}.{key}", "missing on the left"
-            if key not in b:
-                return f"{crumb}.{key}", "missing on the right"
-            hit = first_divergence(a[key], b[key], f"{crumb}.{key}")
-            if hit:
-                return hit
-        return None
-    if isinstance(a, list):
-        if len(a) != len(b):
-            return crumb, f"{len(a)} vs {len(b)} elements"
-        for i, (va, vb) in enumerate(zip(a, b)):
-            hit = first_divergence(va, vb, f"{crumb}[{i}]")
-            if hit:
-                return hit
-        return None
-    if a != b:
-        return crumb, f"{a!r} vs {b!r}"
-    return None
-
-
-def compare(path_a, path_b):
-    a, b = load(path_a), load(path_b)
-    for path, doc in ((path_a, a), (path_b, b)):
-        validate_invariants(path, validate_schema(path, doc))
-    if a["structure"] == b["structure"]:
-        n = len(a["structure"]["points"])
-        print(f"tepic_sweep: {path_a} and {path_b} have identical "
-              f"structure ({n} points, "
-              f"front {len(a['structure']['front'])})")
-        return
-    hit = first_divergence(a["structure"], b["structure"],
-                           "structure")
-    where, detail = hit if hit else ("structure", "unknown")
-    invariant_error(
-        f"{path_a} and {path_b} disagree at {where}: {detail} — "
-        f"every sweep record must be identical for any --jobs value")
-
-
-# --- entry point -----------------------------------------------------
-
-
-def write_file(path, text):
-    try:
-        with open(path, "w") as f:
-            f.write(text)
-    except OSError as e:
-        usage_error(f"{path}: {e}")
-
-
-def summarize(path, structure):
-    print(f"tepic_sweep: {path}: ok ({len(structure['aggregates'])} "
-          f"configs, {len(structure['points'])} points validated, "
-          f"front {len(structure['front'])} in dominance order)")
-
-
-def main(argv):
-    parser = argparse.ArgumentParser(
-        prog="tepic_sweep",
-        description="Validate and render tepic-sweep-v1 reports.")
-    parser.add_argument("reports", nargs="*",
-                        help="SWEEP_*.json files to validate")
-    parser.add_argument("--md", default=None, metavar="FILE",
-                        help="write a Markdown design-space report "
-                             "for the first REPORT")
-    parser.add_argument("--scatter", default=None, metavar="FILE",
-                        help="write SVG Pareto scatter panels for "
-                             "the first REPORT")
-    parser.add_argument("--compare", nargs=2, default=None,
-                        metavar=("A", "B"),
-                        help="check two reports for structural "
-                             "identity")
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit:
-        sys.exit(2)
-
-    if args.compare:
-        if args.reports or args.md or args.scatter:
-            usage_error("--compare takes no other inputs")
-        compare(*args.compare)
-        return
-
-    if not args.reports:
-        usage_error("no SWEEP report given (see module docstring)")
-    for i, path in enumerate(args.reports):
-        doc = load(path)
-        structure = validate_schema(path, doc)
-        validate_invariants(path, structure)
-        summarize(path, structure)
-        if i == 0 and args.md:
-            write_file(args.md, render_markdown(path, doc))
-            print(f"tepic_sweep: wrote {args.md}")
-        if i == 0 and args.scatter:
-            write_file(args.scatter, render_scatter(doc))
-            print(f"tepic_sweep: wrote {args.scatter}")
-
-
-if __name__ == "__main__":
-    main(sys.argv[1:])

@@ -43,22 +43,11 @@ import json
 import os
 import sys
 
+from tepic_reports import load, usage_error
+
 SIZE_SCHEMA = "tepic-size-v1"
 METRICS_SCHEMA = "tepic-metrics-v1"
 GAUGE_EPSILON = 1e-9
-
-
-def usage_error(msg):
-    print(f"tepic_diff: error: {msg}", file=sys.stderr)
-    sys.exit(2)
-
-
-def load(path):
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        usage_error(f"{path}: {e}")
 
 
 # --- flattening ------------------------------------------------------

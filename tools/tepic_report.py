@@ -39,9 +39,10 @@ error. Only the standard library is used.
 
 import argparse
 import html
-import json
 import os
 import sys
+
+from tepic_reports import load, usage_error
 
 # (gauge, label, repo-expected, paper reference or None, band)
 # band = allowed relative deviation from repo-expected for "pass".
@@ -96,19 +97,6 @@ HEADLINES = [
 
 STALL_CAUSES = ("mispredict", "l1_refill", "decode_stage", "atb_miss")
 SCHEMES = ("base", "tailored", "compressed")
-
-
-def usage_error(msg):
-    print(f"tepic_report: error: {msg}", file=sys.stderr)
-    sys.exit(2)
-
-
-def load(path):
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        usage_error(f"{path}: {e}")
 
 
 def section(doc, name, source, notes):

@@ -8,7 +8,7 @@
  * tepic-sweep-v1 report (core/sweep.hh): per-point records, per-config
  * aggregates and the Pareto front over size / IPC / decoder cost /
  * bus bit flips. The structure section is byte-identical for any
- * --jobs value; tools/tepic_sweep.py re-derives every invariant from
+ * --jobs value; tools/tepic_reports.py re-derives every invariant from
  * the file and renders the Markdown/SVG views.
  *
  *   tepic-sweep --preset=ci --jobs=4 --out=SWEEP_ci.json

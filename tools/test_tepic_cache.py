@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Unit tests for tepic_cache.py (stdlib unittest only)."""
+"""Unit tests for the tepic-cache-v1 kind of tepic_reports.py (stdlib
+unittest only)."""
 
 import json
 import os
@@ -10,7 +11,7 @@ import unittest
 import xml.dom.minidom
 
 TOOLS_DIR = os.path.dirname(os.path.abspath(__file__))
-CACHE = os.path.join(TOOLS_DIR, "tepic_cache.py")
+CACHE = os.path.join(TOOLS_DIR, "tepic_reports.py")
 
 
 def base_record():
@@ -191,7 +192,7 @@ class TepicCacheTest(unittest.TestCase):
     def test_heatmap_svg_is_well_formed(self):
         path = self.write("CACHE_unit.json", cache_doc())
         svg = os.path.join(self.dir.name, "cache.svg")
-        result = run([path, "--heatmap", svg])
+        result = run([path, "--svg", svg])
         self.assertEqual(result.returncode, 0, result.stderr)
         dom = xml.dom.minidom.parse(svg)  # raises if malformed
         text = dom.toxml()

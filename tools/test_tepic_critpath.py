@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Unit tests for tepic_critpath.py (stdlib unittest only)."""
+"""Unit tests for the tepic-sched-v1 kind of tepic_reports.py (stdlib
+unittest only)."""
 
 import json
 import os
@@ -10,7 +11,7 @@ import unittest
 import xml.dom.minidom
 
 TOOLS_DIR = os.path.dirname(os.path.abspath(__file__))
-CRITPATH = os.path.join(TOOLS_DIR, "tepic_critpath.py")
+CRITPATH = os.path.join(TOOLS_DIR, "tepic_reports.py")
 
 
 def sched_doc():
@@ -173,7 +174,7 @@ class TepicCritpathTest(unittest.TestCase):
     def test_gantt_svg_is_well_formed(self):
         path = self.write("SCHED_unit.json", sched_doc())
         svg = os.path.join(self.dir.name, "sched.svg")
-        result = run([path, "--gantt", svg])
+        result = run([path, "--svg", svg])
         self.assertEqual(result.returncode, 0, result.stderr)
         dom = xml.dom.minidom.parse(svg)  # raises if malformed
         text = dom.toxml()
@@ -219,7 +220,7 @@ class TepicCritpathTest(unittest.TestCase):
         b = self.write("b.json", doc)
         result = run(["--compare", a, b])
         self.assertEqual(result.returncode, 1)
-        self.assertIn("first divergent task: id 2", result.stderr)
+        self.assertIn("structure.tasks[2].scheme", result.stderr)
         self.assertIn("must not depend on --jobs", result.stderr)
 
     def test_compare_requires_valid_inputs(self):

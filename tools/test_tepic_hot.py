@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Unit tests for tepic_hot.py (stdlib unittest only)."""
+"""Unit tests for the tepic-hot-v1 kind of tepic_reports.py (stdlib
+unittest only)."""
 
 import json
 import os
@@ -10,7 +11,7 @@ import unittest
 import xml.dom.minidom
 
 TOOLS_DIR = os.path.dirname(os.path.abspath(__file__))
-HOT = os.path.join(TOOLS_DIR, "tepic_hot.py")
+HOT = os.path.join(TOOLS_DIR, "tepic_reports.py")
 
 
 def base_record():
@@ -249,7 +250,7 @@ class TepicHotTest(unittest.TestCase):
     def test_coverage_svg_is_well_formed(self):
         path = self.write("HOT_unit.json", hot_doc())
         svg = os.path.join(self.dir.name, "hot.svg")
-        result = run([path, "--coverage", svg])
+        result = run([path, "--svg", svg])
         self.assertEqual(result.returncode, 0, result.stderr)
         dom = xml.dom.minidom.parse(svg)  # raises if malformed
         text = dom.toxml()

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Unit tests for tepic_profile.py (stdlib unittest only)."""
+"""Unit tests for the tepic-prof-v1 kind of tepic_reports.py (stdlib
+unittest only)."""
 
 import copy
 import json
@@ -11,7 +12,7 @@ import unittest
 import xml.dom.minidom
 
 TOOLS_DIR = os.path.dirname(os.path.abspath(__file__))
-PROFILE = os.path.join(TOOLS_DIR, "tepic_profile.py")
+PROFILE = os.path.join(TOOLS_DIR, "tepic_reports.py")
 
 PHASES = ("frontend", "optimise", "backend", "emulate", "build_base",
           "build_byte", "build_stream", "build_full", "build_tailored",
@@ -178,7 +179,7 @@ class TepicProfileTest(unittest.TestCase):
         b = self.write("b.json", doc)
         result = run(["--compare", a, b])
         self.assertEqual(result.returncode, 1)
-        self.assertIn("work counters differ", result.stderr)
+        self.assertIn("work.ops_encoded", result.stderr)
 
     def test_compare_rejects_gauge_key_drift(self):
         a = self.write("a.json", prof_doc())
@@ -187,7 +188,7 @@ class TepicProfileTest(unittest.TestCase):
         b = self.write("b.json", doc)
         result = run(["--compare", a, b])
         self.assertEqual(result.returncode, 1)
-        self.assertIn("throughput gauge key sets differ",
+        self.assertIn("throughput.fetch.base.blocks_per_sec",
                       result.stderr)
 
 

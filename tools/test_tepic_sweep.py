@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Tests for tepic_sweep.py — the tepic-sweep-v1 validator/renderer.
+"""Tests for the tepic-sweep-v1 kind of tepic_reports.py.
 
 The fixture is a hand-traced three-configuration sweep over one
 workload (fir). Objective vectors (size_bits, ipc_e6,
@@ -26,7 +26,7 @@ import tempfile
 import unittest
 
 TOOLS_DIR = os.path.dirname(os.path.abspath(__file__))
-TOOL = os.path.join(TOOLS_DIR, "tepic_sweep.py")
+TOOL = os.path.join(TOOLS_DIR, "tepic_reports.py")
 
 CFG_BASE = "base@S256xW2xL32/l0:0/atb:64/p:bimodal/pen:paper"
 CFG_COMP = "compressed@S256xW2xL32/l0:32/atb:64/p:bimodal/pen:paper"
@@ -241,7 +241,7 @@ class SweepToolTest(unittest.TestCase):
         self.assertIn("sum", result.stderr)
 
     def test_dominated_front_member_is_named(self):
-        """The ISSUE's injected-drift check: a dominated point kept
+        """The CI injected-drift check: a dominated point kept
         on the front must fail naming the point AND its dominator."""
         doc = inject_dominated_tailored(make_doc())
         result = self.run_tool(self.write("SWEEP_bad.json", doc))
@@ -289,7 +289,7 @@ class SweepToolTest(unittest.TestCase):
     def test_scatter_svg(self):
         path = self.write("SWEEP_ok.json", make_doc())
         svg = os.path.join(self.tmp.name, "sweep.svg")
-        result = self.run_tool(path, "--scatter", svg)
+        result = self.run_tool(path, "--svg", svg)
         self.assertEqual(result.returncode, 0, result.stderr)
         with open(svg) as f:
             text = f.read()

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Unit tests for validate_metrics.py (stdlib unittest only)."""
+"""Unit tests for the tepic-metrics-v1 kind of tepic_reports.py
+(stdlib unittest only)."""
 
 import json
 import os
@@ -9,7 +10,7 @@ import tempfile
 import unittest
 
 TOOLS_DIR = os.path.dirname(os.path.abspath(__file__))
-TOOL = os.path.join(TOOLS_DIR, "validate_metrics.py")
+TOOL = os.path.join(TOOLS_DIR, "tepic_reports.py")
 
 
 def valid_doc():
@@ -68,6 +69,22 @@ class ValidateMetricsTest(unittest.TestCase):
         result = self.run_tool(self.write_doc(doc))
         self.assertNotEqual(result.returncode, 0)
         self.assertIn("bins+overflow", result.stderr)
+
+    def test_boolean_counter_rejected(self):
+        doc = valid_doc()
+        doc["counters"]["a.b"] = True
+        result = self.run_tool(self.write_doc(doc))
+        self.assertNotEqual(result.returncode, 0)
+        self.assertIn("counter 'a.b' is not a non-negative integer",
+                      result.stderr)
+
+    def test_malformed_histogram_bin_rejected(self):
+        doc = valid_doc()
+        doc["histograms"]["h"]["bins"] = [[1]]
+        result = self.run_tool(self.write_doc(doc))
+        self.assertNotEqual(result.returncode, 0)
+        self.assertNotIn("Traceback", result.stderr)
+        self.assertIn("is not a [key, weight] pair", result.stderr)
 
     def test_compare_identical_passes(self):
         path_a = self.write_doc(valid_doc())
