@@ -53,8 +53,8 @@ printAblation()
     // One batch: {off, on} per workload, built concurrently.
     std::vector<core::BuildRequest> requests;
     for (const auto *w : selected) {
-        requests.push_back({w->source, kRequest, hoistConfig(false)});
-        requests.push_back({w->source, kRequest, hoistConfig(true)});
+        requests.push_back({w->source, kRequest, hoistConfig(false), {}});
+        requests.push_back({w->source, kRequest, hoistConfig(true), {}});
     }
     const auto built = engine->buildMany(requests);
 

@@ -620,7 +620,7 @@ ArtifactEngine::buildUncached(const std::string &source,
 {
     ArtifactEngine serial(1);
     Artifacts artifacts;
-    const BuildRequest req{source, request.normalized(), config};
+    const BuildRequest req{source, request.normalized(), config, {}};
     const std::string workload =
         schedWorkload({}, pipelineCacheKey(source, config));
     const std::uint64_t compile_task =

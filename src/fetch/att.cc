@@ -52,97 +52,4 @@ Att::build(const isa::Image &image, const isa::VliwProgram &program,
     return att;
 }
 
-void
-Atb::unlink(std::uint32_t id)
-{
-    Node &node = nodes_[id];
-    if (node.prev != kNil)
-        nodes_[node.prev].next = node.next;
-    else
-        head_ = node.next;
-    if (node.next != kNil)
-        nodes_[node.next].prev = node.prev;
-    else
-        tail_ = node.prev;
-    node.prev = node.next = kNil;
-}
-
-void
-Atb::pushFront(std::uint32_t id)
-{
-    Node &node = nodes_[id];
-    node.prev = kNil;
-    node.next = head_;
-    if (head_ != kNil)
-        nodes_[head_].prev = id;
-    head_ = id;
-    if (tail_ == kNil)
-        tail_ = id;
-}
-
-bool
-Atb::access(isa::BlockId block)
-{
-    TEPIC_ASSERT(block < nodes_.size(),
-                 "block id outside the ATT: ", block);
-    Node &node = nodes_[block];
-    if (node.resident) {
-        ++hits_;
-        if (head_ != block) {
-            unlink(block);
-            pushFront(block);
-        }
-        return true;
-    }
-    ++misses_;
-    if (count_ >= capacity_) {
-        const std::uint32_t victim = tail_;
-        unlink(victim);
-        nodes_[victim].resident = false;
-        --count_;
-    }
-    // Cold predictor: 2-bit counter back to weakly-not-taken, last
-    // target primed with the static branch target the compiler stored
-    // in the ATT (per-entry state does not survive eviction).
-    node.counter = 1;
-    node.lastTarget = att_.entry(block).staticTarget;
-    node.resident = true;
-    pushFront(block);
-    ++count_;
-    return false;
-}
-
-isa::BlockId
-Atb::predictNext(isa::BlockId block) const
-{
-    const Node &node = nodes_[block];
-    TEPIC_ASSERT(node.resident,
-                 "predictNext on non-resident block ", block);
-    const isa::BlockId fall = att_.entry(block).fallthrough;
-    if (fall == isa::kNoBlock)
-        return node.lastTarget;
-    if (direction_.predictTaken(block, node.counter) &&
-        node.lastTarget != isa::kNoBlock) {
-        return node.lastTarget;
-    }
-    return fall;
-}
-
-void
-Atb::update(isa::BlockId block, bool taken, isa::BlockId next)
-{
-    Node &node = nodes_[block];
-    TEPIC_ASSERT(node.resident,
-                 "update on non-resident block ", block);
-    if (taken) {
-        if (node.counter < 3)
-            ++node.counter;
-        node.lastTarget = next;
-    } else {
-        if (node.counter > 0)
-            --node.counter;
-    }
-    direction_.update(block, taken);
-}
-
 } // namespace tepic::fetch

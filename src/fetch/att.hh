@@ -21,6 +21,7 @@
 #include "fetch/predictor.hh"
 #include "isa/image.hh"
 #include "isa/program.hh"
+#include "support/logging.hh"
 #include "support/size_ledger.hh"
 
 namespace tepic::fetch {
@@ -156,6 +157,102 @@ class Atb
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };
+
+// The per-fetch path, inline so the fetch kernel's compilation unit
+// sees through it.
+
+inline void
+Atb::unlink(std::uint32_t id)
+{
+    Node &node = nodes_[id];
+    if (node.prev != kNil)
+        nodes_[node.prev].next = node.next;
+    else
+        head_ = node.next;
+    if (node.next != kNil)
+        nodes_[node.next].prev = node.prev;
+    else
+        tail_ = node.prev;
+    node.prev = node.next = kNil;
+}
+
+inline void
+Atb::pushFront(std::uint32_t id)
+{
+    Node &node = nodes_[id];
+    node.prev = kNil;
+    node.next = head_;
+    if (head_ != kNil)
+        nodes_[head_].prev = id;
+    head_ = id;
+    if (tail_ == kNil)
+        tail_ = id;
+}
+
+inline bool
+Atb::access(isa::BlockId block)
+{
+    TEPIC_ASSERT(block < nodes_.size(),
+                 "block id outside the ATT: ", block);
+    Node &node = nodes_[block];
+    if (node.resident) {
+        ++hits_;
+        if (head_ != block) {
+            unlink(block);
+            pushFront(block);
+        }
+        return true;
+    }
+    ++misses_;
+    if (count_ >= capacity_) {
+        const std::uint32_t victim = tail_;
+        unlink(victim);
+        nodes_[victim].resident = false;
+        --count_;
+    }
+    // Cold predictor: 2-bit counter back to weakly-not-taken, last
+    // target primed with the static branch target the compiler stored
+    // in the ATT (per-entry state does not survive eviction).
+    node.counter = 1;
+    node.lastTarget = att_.entry(block).staticTarget;
+    node.resident = true;
+    pushFront(block);
+    ++count_;
+    return false;
+}
+
+inline isa::BlockId
+Atb::predictNext(isa::BlockId block) const
+{
+    const Node &node = nodes_[block];
+    TEPIC_ASSERT(node.resident,
+                 "predictNext on non-resident block ", block);
+    const isa::BlockId fall = att_.entry(block).fallthrough;
+    if (fall == isa::kNoBlock)
+        return node.lastTarget;
+    if (direction_.predictTaken(block, node.counter) &&
+        node.lastTarget != isa::kNoBlock) {
+        return node.lastTarget;
+    }
+    return fall;
+}
+
+inline void
+Atb::update(isa::BlockId block, bool taken, isa::BlockId next)
+{
+    Node &node = nodes_[block];
+    TEPIC_ASSERT(node.resident,
+                 "update on non-resident block ", block);
+    if (taken) {
+        if (node.counter < 3)
+            ++node.counter;
+        node.lastTarget = next;
+    } else {
+        if (node.counter > 0)
+            --node.counter;
+    }
+    direction_.update(block, taken);
+}
 
 } // namespace tepic::fetch
 

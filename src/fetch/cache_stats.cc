@@ -221,6 +221,8 @@ CacheStatsRecorder::CacheStatsRecorder(const CacheConfig &cache,
       reuse_(std::size_t(cache.sets) * cache.ways)
 {
     options_.heatmapEpochs = std::max(1u, options_.heatmapEpochs);
+    options_.reuseSampleEvery =
+        std::max<std::uint64_t>(1, options_.reuseSampleEvery);
     stats_.sets = cache.sets;
     stats_.ways = cache.ways;
     stats_.lineBytes = cache.lineBytes;
@@ -236,21 +238,26 @@ CacheStatsRecorder::CacheStatsRecorder(const CacheConfig &cache,
     stats_.heatFills.assign(cells, 0);
     stats_.heatEvictions.assign(cells, 0);
     shadowCapacity_ = cache.sets * cache.ways;
+    evictionUses_.assign(CacheStats::kUseHistogramOverflow, 0);
+    advanceEpoch(0);
 }
 
 void
-CacheStatsRecorder::ensureLine(std::uint64_t lineId)
+CacheStatsRecorder::advanceEpoch(std::uint64_t position)
 {
-    if (lineId >= touched_.size()) {
-        touched_.resize(std::size_t(lineId) + 1, false);
-        shadow_.resize(std::size_t(lineId) + 1);
+    // epoch(pos) = min(E-1, pos·E/N) reaches e+1 exactly at
+    // pos >= ceil((e+1)·N/E); positions only grow, so the thresholds
+    // are crossed in order (several at once when N < E).
+    const std::uint64_t epochs = stats_.heatmapEpochs;
+    if (expectedEvents_ != 0) {
+        for (; epoch_ + 1 < epochs; ++epoch_) {
+            nextEpochAt_ =
+                ((epoch_ + 1) * expectedEvents_ + epochs - 1) / epochs;
+            if (position < nextEpochAt_)
+                return;
+        }
     }
-}
-
-bool
-CacheStatsRecorder::shadowResident(std::uint64_t lineId) const
-{
-    return lineId < shadow_.size() && shadow_[lineId].resident;
+    nextEpochAt_ = ~std::uint64_t(0);  // the last epoch never ends
 }
 
 void
@@ -287,6 +294,8 @@ CacheStatsRecorder::shadowTouch(std::uint64_t lineId)
     const auto line = std::uint32_t(lineId);
     ShadowNode &node = shadow_[line];
     if (node.resident) {
+        if (shadowHead_ == line)
+            return;  // already most recent
         shadowUnlink(line);
         shadowPushFront(line);
         return;
@@ -306,9 +315,9 @@ void
 CacheStatsRecorder::onFetch(const FetchObservation &fetch)
 {
     const FetchTraceRecord &rec = fetch.record;
-    const std::uint64_t ordinal = stats_.fetches++;
-    if (options_.reuseSampleEvery <= 1 ||
-        ordinal % options_.reuseSampleEvery == 0) {
+    ++stats_.fetches;
+    if (reuseCountdown_-- == 0) {
+        reuseCountdown_ = options_.reuseSampleEvery - 1;
         const std::uint64_t distance = reuse_.access(rec.block);
         ++stats_.reuseSamples;
         if (distance == ReuseDistanceTracker::kCold) {
@@ -330,41 +339,36 @@ CacheStatsRecorder::onFetch(const FetchObservation &fetch)
     if (rec.l0Hit)
         ++stats_.l0Bypasses;  // the L1 was never consulted
     else
-        classifyL1(fetch.byteAddress, fetch.byteSize, rec.l1Hit);
+        classifyL1(fetch.firstLine, fetch.lastLine, rec.l1Hit);
 
     // Epoch of the *next* fetch — whose L1 line events arrive before
     // its own observation — from the trace index it starts at (never
     // wall clock: the heatmaps must be bit-identical across --jobs).
-    if (expectedEvents_ > 0) {
-        epoch_ = unsigned(std::min<std::uint64_t>(
-            stats_.heatmapEpochs - 1,
-            (rec.index + fetch.blocks) * stats_.heatmapEpochs /
-                expectedEvents_));
-    }
+    const std::uint64_t next = rec.index + fetch.blocks;
+    if (next >= nextEpochAt_)
+        advanceEpoch(next);
 }
 
 void
-CacheStatsRecorder::classifyL1(std::uint32_t addr, std::uint32_t size,
+CacheStatsRecorder::classifyL1(std::uint64_t first, std::uint64_t last,
                                bool hit)
 {
-    TEPIC_ASSERT(size > 0, "zero-size block access");
-    const std::uint64_t first = addr / stats_.lineBytes;
-    const std::uint64_t last =
-        (std::uint64_t(addr) + size - 1) / stats_.lineBytes;
-    ensureLine(last);
+    TEPIC_ASSERT(first <= last, "empty line span");
+    if (last >= shadow_.size())
+        shadow_.resize(std::size_t(last) + 1);
 
     // Probe first (pre-access state), then update: a block's own
     // earlier lines must not satisfy its later ones.
     bool first_touch = false;
     bool shadow_all = true;
     for (std::uint64_t line = first; line <= last; ++line) {
-        if (!touched_[line])
+        if (!shadow_[line].touched)
             first_touch = true;
         if (!shadow_[line].resident)
             shadow_all = false;
     }
     for (std::uint64_t line = first; line <= last; ++line) {
-        touched_[line] = true;
+        shadow_[line].touched = true;
         shadowTouch(line);
     }
 
@@ -412,14 +416,23 @@ CacheStatsRecorder::onLineEvict(std::uint64_t, std::uint32_t set,
         ++stats_.deadOnFill;
         ++stats_.setDeadOnFill[set];
     }
-    stats_.evictionUseHistogram.sample(std::int64_t(
-        std::min<std::uint64_t>(uses, std::uint64_t(1) << 62)));
+    if (uses < evictionUses_.size())
+        ++evictionUses_[uses];
+    else
+        stats_.evictionUseHistogram.sample(std::int64_t(
+            std::min<std::uint64_t>(uses, std::uint64_t(1) << 62)));
 }
 
 CacheStats
 CacheStatsRecorder::finish()
 {
     stats_.recorded = true;
+    for (std::size_t uses = 0; uses < evictionUses_.size(); ++uses) {
+        if (evictionUses_[uses] != 0) {
+            stats_.evictionUseHistogram.sample(std::int64_t(uses),
+                                               evictionUses_[uses]);
+        }
+    }
     stats_.residentAtEnd = stats_.lineFills - stats_.lineEvictions;
     TEPIC_ASSERT(stats_.residentAtEnd <=
                      std::uint64_t(stats_.sets) * stats_.ways,

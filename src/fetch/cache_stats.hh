@@ -244,8 +244,9 @@ class CacheStatsRecorder final : public CacheLineObserver,
     /**
      * One completed fetch: its block-stream reuse sample, ATB outcome
      * and either the L0 bypass or the 3C classification of its L1
-     * access (the shadow is probed from recorder-private state, so
-     * running after the real access changes nothing).
+     * access over [firstLine, lastLine] (the shadow is probed from
+     * recorder-private state, so running after the real access
+     * changes nothing). Fetches arrive in trace order.
      */
     void onFetch(const FetchObservation &fetch) override;
 
@@ -263,16 +264,24 @@ class CacheStatsRecorder final : public CacheLineObserver,
     CacheStats stats_;
     std::uint64_t expectedEvents_ = 0;
     unsigned epoch_ = 0;  ///< of the fetch now accessing the L1
+    /** First trace position of epoch_ + 1: ceil((e+1)·N/E), so the
+     *  epoch of a position is found without a division per fetch. */
+    std::uint64_t nextEpochAt_ = ~std::uint64_t(0);
+    /** Fetches until the next reuse sample (reuseSampleEvery). */
+    std::uint64_t reuseCountdown_ = 0;
+    /** Evictions by use count below the histogram's overflow,
+     *  folded into evictionUseHistogram by finish(). */
+    std::vector<std::uint64_t> evictionUses_;
 
     // First-touch tracking + fully-associative LRU shadow over line
-    // ids, both as dense grow-on-demand arrays (line ids are bounded
-    // by image bytes / lineBytes).
-    std::vector<bool> touched_;
+    // ids, as one dense grow-on-demand array (line ids are bounded by
+    // image bytes / lineBytes).
     struct ShadowNode
     {
         std::uint32_t prev = kNil;
         std::uint32_t next = kNil;
         bool resident = false;
+        bool touched = false;  ///< ever accessed (first-touch test)
     };
     static constexpr std::uint32_t kNil = 0xffffffffu;
     std::vector<ShadowNode> shadow_;
@@ -283,9 +292,8 @@ class CacheStatsRecorder final : public CacheLineObserver,
 
     ReuseDistanceTracker reuse_;
 
-    void classifyL1(std::uint32_t addr, std::uint32_t size, bool hit);
-    void ensureLine(std::uint64_t lineId);
-    bool shadowResident(std::uint64_t lineId) const;
+    void classifyL1(std::uint64_t first, std::uint64_t last, bool hit);
+    void advanceEpoch(std::uint64_t position);
     void shadowTouch(std::uint64_t lineId);
     void shadowUnlink(std::uint32_t line);
     void shadowPushFront(std::uint32_t line);

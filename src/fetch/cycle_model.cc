@@ -1,7 +1,5 @@
 #include "fetch/cycle_model.hh"
 
-#include "support/logging.hh"
-
 namespace tepic::fetch {
 
 const char *
@@ -13,76 +11,6 @@ schemeClassName(SchemeClass scheme)
       case SchemeClass::kCompressed: return "compressed";
     }
     return "?";
-}
-
-StallBreakdown
-stallBreakdown(SchemeClass scheme, const FetchEvent &event,
-               std::uint32_t n_mops, std::uint32_t n_ops,
-               std::uint32_t n_lines, const CyclePenalties &p)
-{
-    TEPIC_ASSERT(n_mops > 0 && n_ops >= n_mops && n_lines > 0,
-                 "bad block shape: mops=", n_mops, " ops=", n_ops,
-                 " lines=", n_lines);
-
-    StallBreakdown causes;
-    const std::uint64_t repair = n_lines - 1;
-
-    switch (scheme) {
-      case SchemeClass::kBase:
-        if (!event.l1Hit)
-            causes.l1Refill += repair;
-        if (!event.predictionCorrect)
-            causes.mispredict += event.l1Hit ? p.mispredictRefill
-                                             : p.mispredictMissBase;
-        break;
-      case SchemeClass::kTailored:
-        // Extra stage on the *miss* path only (MOP extraction and
-        // restricted placement, §5/Figure 12).
-        if (!event.l1Hit)
-            causes.l1Refill += p.tailoredMissExtra + repair;
-        if (!event.predictionCorrect)
-            causes.mispredict += event.l1Hit ? p.mispredictRefill
-                                             : p.mispredictMissBase;
-        break;
-      case SchemeClass::kCompressed:
-        if (event.l0Hit) {
-            // Decompressed ops ready in the L0 buffer, which is
-            // accessed in parallel with (and has priority over) the
-            // L1: every Table-1 buffer-hit row is a flat "1 cycle",
-            // even on a mispredicted transition.
-            break;
-        }
-        if (!event.l1Hit)
-            causes.l1Refill += p.compressedMissExtra + repair;
-        if (!event.predictionCorrect) {
-            // The decompressor stage lengthens the hit-path refill by
-            // one cycle relative to Base; on a miss its latency hides
-            // under the miss-extra setup (Table 1: 10+(n-1) vs Base's
-            // 8+(n-1), i.e. exactly the miss-extra delta).
-            if (event.l1Hit) {
-                causes.mispredict += p.mispredictRefill;
-                causes.decodeStage += p.compressedDecodeStage;
-            } else {
-                causes.mispredict += p.mispredictMissBase;
-            }
-        }
-        break;
-    }
-    return causes;
-}
-
-std::uint64_t
-l0BypassSavings(SchemeClass scheme, const FetchEvent &event,
-                const CyclePenalties &p)
-{
-    if (scheme != SchemeClass::kCompressed || !event.l0Hit)
-        return 0;
-    // Counterfactual: the same transition missing the L0 but hitting
-    // the L1 — a mispredicted one would have paid the redirect plus
-    // the decoder stage; a predicted one streams for free either way.
-    if (event.predictionCorrect)
-        return 0;
-    return std::uint64_t(p.mispredictRefill) + p.compressedDecodeStage;
 }
 
 std::uint64_t

@@ -55,6 +55,10 @@ struct FetchObservation
     std::uint32_t blocks = 1;        ///< trace events walked (1 = plain)
     std::uint32_t byteAddress = 0;   ///< L1 request (the unit's bytes)
     std::uint32_t byteSize = 0;
+    /** The request's L1 line span [firstLine, lastLine] under the
+     *  simulated geometry (set on L0 hits too). */
+    std::uint32_t firstLine = 0;
+    std::uint32_t lastLine = 0;
     bool branchTaken = false;        ///< direction the fetch left by
     /** Whether the prediction made at the end of this fetch named
      *  the follower (false on a side exit: nothing was predicted). */

@@ -67,6 +67,104 @@ class TraceRecorder final : public FetchObserver
     std::uint64_t fetches_ = 0;
 };
 
+/**
+ * Everything the per-fetch loop needs that depends only on (image,
+ * ATT entry, L1 geometry), computed once per simulation: each entry's
+ * L1 line span, and its two bus transfers — the miss fill and the ATT
+ * upload — folded into bursts on first use and replayed after.
+ * Folding is exact: a miss refills every line of the entry, so its
+ * fill always moves the same bytes, and an upload is a fixed pattern
+ * per head. A bus wider than 8 bytes cannot fold and gets the raw
+ * bytes each time.
+ */
+class FetchTable
+{
+  public:
+    struct Lines
+    {
+        std::uint32_t first = 0;
+        std::uint32_t last = 0;
+    };
+
+    FetchTable(const Att &att, const isa::Image &image,
+               unsigned line_bytes)
+        : att_(att), image_(image), lineBytes_(line_bytes),
+          lines_(att.entries().size()), traffic_(lines_.size()),
+          upload_((att.entryBits() + 7) / 8)
+    {
+        for (std::size_t id = 0; id < lines_.size(); ++id) {
+            const AttEntry &entry = att.entries()[id];
+            if (entry.numMops == 0)
+                continue;  // not fetchable: a unit member's slot
+            TEPIC_ASSERT(entry.byteSize > 0, "zero-size block access");
+            lines_[id].first = entry.byteAddress / line_bytes;
+            lines_[id].last = std::uint32_t(
+                (std::uint64_t(entry.byteAddress) + entry.byteSize -
+                 1) / line_bytes);
+        }
+    }
+
+    const Lines &lines(isa::BlockId head) const { return lines_[head]; }
+
+    /** A miss's traffic: the entry's lines from its first byte,
+     *  clipped to the image. */
+    void
+    sendFill(isa::BlockId head, power::BusModel &bus)
+    {
+        send(bus, traffic_[head].fill, [&] {
+            const Lines &l = lines_[head];
+            const std::size_t begin = att_.entry(head).byteAddress;
+            const std::size_t end = std::min<std::size_t>(
+                begin + std::size_t(l.last - l.first + 1) * lineBytes_,
+                image_.bytes.size());
+            return begin < end
+                ? std::span<const std::uint8_t>(
+                      image_.bytes.data() + begin, end - begin)
+                : std::span<const std::uint8_t>();
+        });
+    }
+
+    /** An ATB miss's traffic: the ATT entry, as a fixed per-head
+     *  fill pattern. */
+    void
+    sendUpload(isa::BlockId head, power::BusModel &bus)
+    {
+        send(bus, traffic_[head].upload, [&] {
+            std::fill(upload_.begin(), upload_.end(),
+                      std::uint8_t(0xa5 ^ (head & 0xff)));
+            return std::span<const std::uint8_t>(upload_);
+        });
+    }
+
+  private:
+    struct Traffic
+    {
+        std::optional<power::Burst> fill;
+        std::optional<power::Burst> upload;
+    };
+
+    template <typename Bytes>
+    static void
+    send(power::BusModel &bus, std::optional<power::Burst> &burst,
+         Bytes bytes)
+    {
+        if (!bus.foldable()) {
+            bus.transfer(bytes());
+            return;
+        }
+        if (!burst)
+            burst = bus.fold(bytes());
+        bus.send(*burst);
+    }
+
+    const Att &att_;
+    const isa::Image &image_;
+    unsigned lineBytes_;
+    std::vector<Lines> lines_;       ///< indexed by block id
+    std::vector<Traffic> traffic_;   ///< indexed by block id
+    std::vector<std::uint8_t> upload_;  ///< scratch ATT-entry bytes
+};
+
 } // namespace
 
 void
@@ -106,6 +204,7 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
     BankedCache cache(config.cache);
     L0Buffer buffer(config.l0CapacityOps);
     power::BusModel bus(config.busWidthBytes);
+    FetchTable table(att, image, config.cache.lineBytes);
 
     FetchStats stats;
     // A local view: its pointer and size stay in registers across the
@@ -147,14 +246,11 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
     bool next_prediction_correct = true;
     std::uint64_t fetches = 0;
 
-    // Scratch for the ATT-entry bus transfer on ATB misses: sized
-    // once, refilled per miss (the fill pattern depends only on the
-    // head block id, so reuse cannot change the bit-flip accounting).
-    std::vector<std::uint8_t> att_bytes((att.entryBits() + 7) / 8);
-
     for (std::size_t first = 0; first < events.size();) {
         const isa::BlockId head = events[first].block;
         const AttEntry &entry = att.entry(head);
+        const FetchTable::Lines &lines = table.lines(head);
+        const std::uint32_t n_lines = lines.last - lines.first + 1;
 
         // Walk the unit: the fetch streams on while the trace follows
         // the unit's fallthrough chain, and leaving before the tail is
@@ -191,9 +287,6 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
         const sim::TraceEvent &exit = events[last];
         const auto walked = std::uint32_t(last - first + 1);
 
-        FetchEvent fe;
-        fe.predictionCorrect = next_prediction_correct;
-
         // Per-cause stall accounting for this fetch; the simulator
         // owns the ATB cause, the cycle model the other three.
         StallBreakdown causes;
@@ -204,47 +297,29 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
         if (!atb_hit) {
             causes.atbMiss += config.penalties.atbMissPenalty;
             // The ATT entry travels over the memory bus.
-            std::fill(att_bytes.begin(), att_bytes.end(),
-                      std::uint8_t(0xa5 ^ (head & 0xff)));
-            bus.transfer(att_bytes);
+            table.sendUpload(head, bus);
         }
 
         // L0 buffer (compressed only) — checked before/with the L1.
         bool l0_hit = false;
         if (config.scheme == SchemeClass::kCompressed) {
             l0_hit = buffer.access(head, entry.numOps);
-            fe.l0Hit = l0_hit;
         }
 
         // L1 access (skipped entirely on an L0 hit: the buffer has
         // priority and already holds the whole decompressed unit).
-        std::uint32_t n_lines = 1;
+        bool l1_hit = true;
         if (!l0_hit) {
-            const CacheAccess access =
-                cache.accessBlock(entry.byteAddress, entry.byteSize);
-            fe.l1Hit = access.hit;
-            n_lines = access.blockLines;
-            if (!access.hit) {
-                stats.linesTransferred += access.linesFilled;
+            l1_hit = cache.accessLines(lines.first, lines.last);
+            if (!l1_hit) {
+                // A miss fills every line of the unit.
+                stats.linesTransferred += n_lines;
                 // Miss traffic: the unit's bytes cross the bus.
-                const std::size_t begin = entry.byteAddress;
-                const std::size_t end = std::min<std::size_t>(
-                    begin + std::size_t(access.linesFilled) *
-                                config.cache.lineBytes,
-                    image.bytes.size());
-                if (begin < end) {
-                    bus.transfer({image.bytes.data() + begin,
-                                  end - begin});
-                }
+                table.sendFill(head, bus);
             }
-        } else {
-            fe.l1Hit = true;
-            const std::uint32_t span =
-                (entry.byteAddress % config.cache.lineBytes +
-                 entry.byteSize + config.cache.lineBytes - 1) /
-                config.cache.lineBytes;
-            n_lines = std::max(1u, span);
         }
+        // Built from locals only here, so it stays in registers.
+        const FetchEvent fe{next_prediction_correct, l1_hit, l0_hit};
 
         // Host-side decode: first touch decodes a block, replays come
         // from the cache. Outside the architectural model by
@@ -339,6 +414,8 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
             fetch.blocks = walked;
             fetch.byteAddress = entry.byteAddress;
             fetch.byteSize = entry.byteSize;
+            fetch.firstLine = lines.first;
+            fetch.lastLine = lines.last;
             fetch.branchTaken = exit.branchTaken;
             fetch.nextPredictionCorrect = next_prediction_correct;
             for (std::size_t k = 0; k < n_observers; ++k)

@@ -69,6 +69,67 @@ class L0Buffer
     std::uint64_t misses_ = 0;
 };
 
+// The per-fetch path, inline so the fetch kernel's compilation unit
+// sees through it.
+
+inline void
+L0Buffer::unlink(std::uint32_t id)
+{
+    Node &node = nodes_[id];
+    if (node.prev != kNil)
+        nodes_[node.prev].next = node.next;
+    else
+        head_ = node.next;
+    if (node.next != kNil)
+        nodes_[node.next].prev = node.prev;
+    else
+        tail_ = node.prev;
+    node.prev = node.next = kNil;
+}
+
+inline void
+L0Buffer::pushFront(std::uint32_t id)
+{
+    Node &node = nodes_[id];
+    node.prev = kNil;
+    node.next = head_;
+    if (head_ != kNil)
+        nodes_[head_].prev = id;
+    head_ = id;
+    if (tail_ == kNil)
+        tail_ = id;
+}
+
+inline bool
+L0Buffer::access(isa::BlockId block, std::uint32_t ops)
+{
+    if (block >= nodes_.size())
+        nodes_.resize(std::size_t(block) + 1);
+    Node &node = nodes_[block];
+    if (node.resident) {
+        ++hits_;
+        if (head_ != block) {
+            unlink(block);
+            pushFront(block);
+        }
+        return true;
+    }
+    ++misses_;
+    if (ops > capacity_)
+        return false;  // can never fit; bypass
+    while (used_ + ops > capacity_) {
+        const std::uint32_t victim = tail_;
+        unlink(victim);
+        used_ -= nodes_[victim].ops;
+        nodes_[victim].resident = false;
+    }
+    node.ops = ops;
+    node.resident = true;
+    pushFront(block);
+    used_ += ops;
+    return false;
+}
+
 } // namespace tepic::fetch
 
 #endif // TEPIC_FETCH_L0_BUFFER_HH

@@ -27,70 +27,9 @@ DirectionPredictor::DirectionPredictor(const PredictorConfig &config)
     if (config.kind == PredictorKind::kGshare) {
         pht_.assign(std::size_t(1) << config.gshareHistoryBits, 1);
     } else if (config.kind == PredictorKind::kPas) {
-        historyRegs_.assign(1024, 0);
+        historyRegs_.assign(kPasHistoryRegs, 0);
         patternTable_.assign(std::size_t(1) << config.pasHistoryBits,
                              1);
-    }
-}
-
-std::size_t
-DirectionPredictor::gshareIndex(isa::BlockId block) const
-{
-    const std::uint32_t mask =
-        (1u << config_.gshareHistoryBits) - 1;
-    return (globalHistory_ ^ block) & mask;
-}
-
-std::size_t
-DirectionPredictor::pasPatternIndex(isa::BlockId block) const
-{
-    const std::uint32_t mask = (1u << config_.pasHistoryBits) - 1;
-    return historyRegs_[block % historyRegs_.size()] & mask;
-}
-
-bool
-DirectionPredictor::predictTaken(isa::BlockId block,
-                                 std::uint8_t entry_counter) const
-{
-    switch (config_.kind) {
-      case PredictorKind::kBimodal:
-        return entry_counter >= 2;
-      case PredictorKind::kGshare:
-        return pht_[gshareIndex(block)] >= 2;
-      case PredictorKind::kPas:
-        return patternTable_[pasPatternIndex(block)] >= 2;
-    }
-    return false;
-}
-
-void
-DirectionPredictor::update(isa::BlockId block, bool taken)
-{
-    switch (config_.kind) {
-      case PredictorKind::kBimodal:
-        break;  // per-entry counter updated by the ATB
-      case PredictorKind::kGshare: {
-        std::uint8_t &counter = pht_[gshareIndex(block)];
-        if (taken && counter < 3)
-            ++counter;
-        else if (!taken && counter > 0)
-            --counter;
-        globalHistory_ =
-            (globalHistory_ << 1) | (taken ? 1u : 0u);
-        break;
-      }
-      case PredictorKind::kPas: {
-        std::uint8_t &counter =
-            patternTable_[pasPatternIndex(block)];
-        if (taken && counter < 3)
-            ++counter;
-        else if (!taken && counter > 0)
-            --counter;
-        std::uint32_t &hist =
-            historyRegs_[block % historyRegs_.size()];
-        hist = (hist << 1) | (taken ? 1u : 0u);
-        break;
-      }
     }
 }
 

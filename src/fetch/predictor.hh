@@ -67,8 +67,29 @@ class DirectionPredictor
     const PredictorConfig &config() const { return config_; }
 
   private:
-    std::size_t gshareIndex(isa::BlockId block) const;
-    std::size_t pasPatternIndex(isa::BlockId block) const;
+    /** PAs history registers, direct-mapped by block id. */
+    static constexpr std::uint32_t kPasHistoryRegs = 1024;
+
+    std::size_t
+    gshareIndex(isa::BlockId block) const
+    {
+        const std::uint32_t mask =
+            (1u << config_.gshareHistoryBits) - 1;
+        return (globalHistory_ ^ block) & mask;
+    }
+
+    static std::size_t
+    pasRegister(isa::BlockId block)
+    {
+        return block & (kPasHistoryRegs - 1);
+    }
+
+    std::size_t
+    pasPatternIndex(isa::BlockId block) const
+    {
+        const std::uint32_t mask = (1u << config_.pasHistoryBits) - 1;
+        return historyRegs_[pasRegister(block)] & mask;
+    }
 
     PredictorConfig config_;
     // gshare
@@ -79,6 +100,54 @@ class DirectionPredictor
     std::vector<std::uint32_t> historyRegs_;
     std::vector<std::uint8_t> patternTable_;
 };
+
+// The per-fetch path, inline so the fetch kernel's compilation unit
+// sees through it.
+
+inline bool
+DirectionPredictor::predictTaken(isa::BlockId block,
+                                 std::uint8_t entry_counter) const
+{
+    switch (config_.kind) {
+      case PredictorKind::kBimodal:
+        return entry_counter >= 2;
+      case PredictorKind::kGshare:
+        return pht_[gshareIndex(block)] >= 2;
+      case PredictorKind::kPas:
+        return patternTable_[pasPatternIndex(block)] >= 2;
+    }
+    return false;
+}
+
+inline void
+DirectionPredictor::update(isa::BlockId block, bool taken)
+{
+    switch (config_.kind) {
+      case PredictorKind::kBimodal:
+        break;  // per-entry counter updated by the ATB
+      case PredictorKind::kGshare: {
+        std::uint8_t &counter = pht_[gshareIndex(block)];
+        if (taken && counter < 3)
+            ++counter;
+        else if (!taken && counter > 0)
+            --counter;
+        globalHistory_ =
+            (globalHistory_ << 1) | (taken ? 1u : 0u);
+        break;
+      }
+      case PredictorKind::kPas: {
+        std::uint8_t &counter =
+            patternTable_[pasPatternIndex(block)];
+        if (taken && counter < 3)
+            ++counter;
+        else if (!taken && counter > 0)
+            --counter;
+        std::uint32_t &hist = historyRegs_[pasRegister(block)];
+        hist = (hist << 1) | (taken ? 1u : 0u);
+        break;
+      }
+    }
+}
 
 } // namespace tepic::fetch
 

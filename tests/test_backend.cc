@@ -60,10 +60,12 @@ TEST(Lowering, LeafDetection)
         func main(): int { return leaf(41); }
     )");
     for (const auto &fn : lir.functions) {
-        if (fn.name == "leaf")
+        if (fn.name == "leaf") {
             EXPECT_TRUE(fn.isLeaf);
-        if (fn.name == "main")
+        }
+        if (fn.name == "main") {
             EXPECT_FALSE(fn.isLeaf);
+        }
     }
 }
 
@@ -189,8 +191,9 @@ TEST(Layout, CallContinuationIsAdjacent)
         const auto &blk = laid.blocks[b];
         if (blk.ops.empty() || !blk.ops.back().isBranch())
             continue;
-        if (blk.ops.back().opcode() == isa::Opcode::kCall)
+        if (blk.ops.back().opcode() == isa::Opcode::kCall) {
             EXPECT_EQ(blk.fallthrough, isa::BlockId(b + 1));
+        }
     }
     EXPECT_EQ(laid.entry, 0u);
     EXPECT_EQ(laid.blockSource.size(), laid.blocks.size());
@@ -217,8 +220,9 @@ TEST(Layout, EveryBlockEndsResolvably)
             EXPECT_EQ(blk.fallthrough, isa::BlockId(b + 1));
         }
         // Branch targets are in range.
-        if (blk.branchTarget != isa::kNoBlock)
+        if (blk.branchTarget != isa::kNoBlock) {
             EXPECT_LT(blk.branchTarget, laid.blocks.size());
+        }
     }
 }
 

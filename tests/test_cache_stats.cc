@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <vector>
@@ -50,12 +51,14 @@ struct Rig
 {
     fetch::BankedCache cache;
     CacheStatsRecorder rec;
+    std::uint32_t lineBytes;
     std::uint32_t nextFetch = 0;
 
     explicit Rig(const CacheConfig &config,
                  std::uint64_t expected_events = 1024,
                  const CacheStatsConfig &options = enabledConfig())
-        : cache(config), rec(config, expected_events, options)
+        : cache(config), rec(config, expected_events, options),
+          lineBytes(config.lineBytes)
     {
         cache.setObserver(&rec);
     }
@@ -71,16 +74,19 @@ struct Rig
     bool
     access(std::uint32_t addr, std::uint32_t size = 1)
     {
-        const auto result = cache.accessBlock(addr, size);
         fetch::FetchObservation fetch;
+        fetch.byteAddress = addr;
+        fetch.byteSize = size;
+        fetch.firstLine = addr / lineBytes;
+        fetch.lastLine = (addr + size - 1) / lineBytes;
+        const bool hit =
+            cache.accessLines(fetch.firstLine, fetch.lastLine);
         fetch.record.index = nextFetch;
         fetch.record.block = nextFetch++;
         fetch.record.atbHit = true;
-        fetch.record.l1Hit = result.hit;
-        fetch.byteAddress = addr;
-        fetch.byteSize = size;
+        fetch.record.l1Hit = hit;
         rec.onFetch(fetch);
-        return result.hit;
+        return hit;
     }
 };
 
@@ -283,6 +289,143 @@ TEST(Recorder, HeatmapColumnsSumToPerSetVectors)
     for (unsigned s = 0; s < 8; ++s)
         last_epoch += stats.heatAccesses[3 * 8 + s];
     EXPECT_GT(last_epoch, 0u);
+}
+
+/**
+ * Line events per (epoch, set) with each fetch's epoch from the
+ * closed formula min(E-1, pos·E/N) — the reference the recorder's
+ * threshold walk must reproduce.
+ */
+struct EpochOracle final : fetch::CacheLineObserver
+{
+    unsigned sets;
+    unsigned epoch = 0;
+    std::vector<std::uint64_t> accesses, fills, evictions;
+
+    EpochOracle(unsigned sets_, unsigned epochs)
+        : sets(sets_), accesses(std::size_t(sets_) * epochs, 0),
+          fills(accesses), evictions(accesses)
+    {
+    }
+
+    void
+    onLineHit(std::uint64_t, std::uint32_t set) override
+    {
+        ++accesses[std::size_t(epoch) * sets + set];
+    }
+
+    void
+    onLineFill(std::uint64_t, std::uint32_t set) override
+    {
+        ++accesses[std::size_t(epoch) * sets + set];
+        ++fills[std::size_t(epoch) * sets + set];
+    }
+
+    void
+    onLineEvict(std::uint64_t, std::uint32_t set,
+                std::uint64_t) override
+    {
+        ++evictions[std::size_t(epoch) * sets + set];
+    }
+};
+
+/**
+ * Drive a recorder and the oracle through the same fetches, fetch i
+ * walking blocks[i] trace events (a fetch unit when > 1), with
+ * @p expected_events as N and @p epochs as E; the heatmaps must be
+ * equal cell for cell.
+ */
+void
+expectFormulaEpochs(unsigned epochs, std::uint64_t expected_events,
+                    const std::vector<std::uint32_t> &blocks)
+{
+    const CacheConfig geometry{4, 1, 16};
+    CacheStatsConfig options;
+    options.enabled = true;
+    options.heatmapEpochs = epochs;
+    fetch::BankedCache cache(geometry), reference(geometry);
+    CacheStatsRecorder rec(geometry, expected_events, options);
+    EpochOracle oracle(geometry.sets, epochs);
+    cache.setObserver(&rec);
+    reference.setObserver(&oracle);
+
+    support::Rng rng(epochs * 1000 + expected_events);
+    std::uint64_t pos = 0;
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+        oracle.epoch = expected_events == 0
+            ? 0
+            : unsigned(std::min<std::uint64_t>(
+                  epochs - 1, pos * epochs / expected_events));
+        fetch::FetchObservation fetch;
+        fetch.firstLine = std::uint32_t(rng.below(24));
+        fetch.lastLine = fetch.firstLine + std::uint32_t(rng.below(3));
+        fetch.record.index = pos;
+        fetch.record.block = std::uint32_t(i);
+        fetch.record.atbHit = true;
+        fetch.record.l1Hit =
+            cache.accessLines(fetch.firstLine, fetch.lastLine);
+        reference.accessLines(fetch.firstLine, fetch.lastLine);
+        fetch.blocks = blocks[i];
+        rec.onFetch(fetch);
+        pos += blocks[i];
+    }
+    const CacheStats stats = rec.finish();
+    EXPECT_EQ(stats.heatAccesses, oracle.accesses);
+    EXPECT_EQ(stats.heatFills, oracle.fills);
+    EXPECT_EQ(stats.heatEvictions, oracle.evictions);
+}
+
+TEST(Recorder, EpochThresholdsMatchTheFormulaWhenFewerEventsThanEpochs)
+{
+    expectFormulaEpochs(16, 5, std::vector<std::uint32_t>(5, 1));
+    expectFormulaEpochs(7, 1, {1});
+}
+
+TEST(Recorder, EpochThresholdsMatchTheFormulaOffMultiples)
+{
+    expectFormulaEpochs(8, 37, std::vector<std::uint32_t>(37, 1));
+    expectFormulaEpochs(3, 100, std::vector<std::uint32_t>(100, 1));
+    expectFormulaEpochs(1, 20, std::vector<std::uint32_t>(20, 1));
+    // No expected events: everything stays in epoch 0.
+    expectFormulaEpochs(4, 0, std::vector<std::uint32_t>(10, 1));
+}
+
+TEST(Recorder, EpochThresholdsMatchTheFormulaUnderFetchUnits)
+{
+    support::Rng rng(5);
+    for (const unsigned epochs : {6u, 16u, 50u}) {
+        std::vector<std::uint32_t> blocks(40);
+        std::uint64_t total = 0;
+        for (std::uint32_t &b : blocks) {
+            b = std::uint32_t(rng.range(1, 4));
+            total += b;
+        }
+        expectFormulaEpochs(epochs, total, blocks);
+    }
+}
+
+/** The flat use-count array folds into the histogram exactly. */
+TEST(LineLifetime, EvictionUseHistogramCountsEveryUseCount)
+{
+    // 1 set, 1 way: every new line evicts the previous one, which was
+    // hit `uses` times first — including past the overflow at 64.
+    Rig rig({1, 1, 16});
+    const std::vector<std::uint64_t> uses = {0, 1, 3, 63, 64, 70, 3};
+    for (std::size_t i = 0; i < uses.size(); ++i) {
+        const auto addr = std::uint32_t(i * 16);
+        rig.access(addr, 16);
+        for (std::uint64_t u = 0; u < uses[i]; ++u)
+            rig.access(addr, 16);
+    }
+    rig.access(std::uint32_t(uses.size() * 16), 16);  // evict the last
+    const CacheStats stats = rig.rec.finish();
+    const auto &bins = stats.evictionUseHistogram.bins();
+    EXPECT_EQ(stats.evictionUseHistogram.total(), uses.size());
+    EXPECT_EQ(stats.evictionUseHistogram.overflow(), 2u);
+    const std::map<std::int64_t, std::uint64_t> want = {
+        {0, 1}, {1, 1}, {3, 2}, {63, 1}};
+    EXPECT_EQ(bins, want);
+    EXPECT_EQ(stats.deadOnFill, 1u);
 }
 
 /** merge(): sums counters; an unrecorded target adopts the source. */

@@ -143,6 +143,7 @@ TEST(ArtifactEngine, BatchCoalescesDuplicates)
     ArtifactEngine engine(1);
     const BuildRequest req{sourceOf("matmul"),
                            ArtifactRequest::all(),
+                           {},
                            {}};
     const auto built = engine.buildMany({req, req, req});
     ASSERT_EQ(built.size(), 3u);
@@ -181,7 +182,8 @@ TEST(ArtifactEngine, MultiThreadOutputIsBitIdenticalToSerial)
 
     std::vector<BuildRequest> requests;
     for (const char *name : {"matmul", "fir"})
-        requests.push_back({sourceOf(name), ArtifactRequest::all(), {}});
+        requests.push_back(
+            {sourceOf(name), ArtifactRequest::all(), {}, {}});
 
     const auto from_serial = serial.buildMany(requests);
     const auto from_parallel = parallel.buildMany(requests);

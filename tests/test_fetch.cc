@@ -17,6 +17,7 @@
 #include "isa/baseline.hh"
 #include "schemes/huffman_scheme.hh"
 #include "sim/emulator.hh"
+#include "support/rng.hh"
 
 namespace {
 
@@ -223,6 +224,79 @@ TEST(BankedCache, RestrictedPlacementPartialIsMiss)
     auto again = cache.accessBlock(0, 64);
     EXPECT_FALSE(again.hit);
     EXPECT_EQ(again.linesFilled, 2u);  // whole block refilled
+}
+
+/** Every line event, in order, for comparing two caches' behaviour. */
+struct LineEventLog final : fetch::CacheLineObserver
+{
+    std::vector<std::uint64_t> events;
+
+    void
+    onLineHit(std::uint64_t line, std::uint32_t set) override
+    {
+        events.insert(events.end(), {0, line, set});
+    }
+
+    void
+    onLineFill(std::uint64_t line, std::uint32_t set) override
+    {
+        events.insert(events.end(), {1, line, set});
+    }
+
+    void
+    onLineEvict(std::uint64_t line, std::uint32_t set,
+                std::uint64_t uses) override
+    {
+        events.insert(events.end(), {2, line, set, uses});
+    }
+};
+
+/**
+ * accessLines (the set walked on from the first line's) against
+ * accessBlock (the span from byte addresses) on set counts that are
+ * not powers of two and on the Base image's 40-byte lines: same hits,
+ * same fills, same line events in the same order, and every event
+ * names the set line % sets.
+ */
+TEST(BankedCache, AccessLinesAgreesWithAccessBlock)
+{
+    const fetch::CacheConfig geometries[] = {
+        {3, 2, 32}, {96, 1, 32}, {96, 2, 64}, {5, 3, 40},
+        fetch::CacheConfig::paperBase(), {64, 2, 32}, {1, 2, 32}};
+    for (const fetch::CacheConfig &geometry : geometries) {
+        fetch::BankedCache by_block(geometry), by_lines(geometry);
+        LineEventLog block_log, lines_log;
+        by_block.setObserver(&block_log);
+        by_lines.setObserver(&lines_log);
+        support::Rng rng(geometry.sets * 131 + geometry.lineBytes);
+        const std::uint32_t span =
+            4 * std::uint32_t(geometry.capacityBytes());
+        for (int i = 0; i < 4000; ++i) {
+            const auto addr = std::uint32_t(rng.below(span));
+            const auto size = std::uint32_t(rng.range(1, 200));
+            const fetch::CacheAccess want =
+                by_block.accessBlock(addr, size);
+            const std::uint64_t first = addr / geometry.lineBytes;
+            const std::uint64_t last =
+                (std::uint64_t(addr) + size - 1) / geometry.lineBytes;
+            ASSERT_EQ(by_lines.accessLines(first, last), want.hit)
+                << "access " << i << " sets " << geometry.sets;
+            ASSERT_EQ(want.blockLines, last - first + 1);
+        }
+        EXPECT_EQ(by_lines.hits(), by_block.hits());
+        EXPECT_EQ(by_lines.misses(), by_block.misses());
+        EXPECT_EQ(by_lines.linesFilled(), by_block.linesFilled());
+        EXPECT_GT(by_block.hits(), 0u);
+        EXPECT_GT(by_block.misses(), 0u);
+        EXPECT_EQ(lines_log.events, block_log.events)
+            << "sets " << geometry.sets;
+        for (std::size_t e = 0; e < lines_log.events.size();) {
+            const std::uint64_t line = lines_log.events[e + 1];
+            ASSERT_EQ(lines_log.events[e + 2], line % geometry.sets)
+                << "line " << line << " sets " << geometry.sets;
+            e += lines_log.events[e] == 2 ? 4 : 3;
+        }
+    }
 }
 
 TEST(BankedCache, PaperGeometries)

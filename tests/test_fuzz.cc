@@ -328,8 +328,9 @@ TEST_P(FuzzStallTiling, CausesTileUnderRandomConfigs)
                       stats.decodeStallCycles + stats.atbStallCycles,
                   stats.stallCycles);
         EXPECT_EQ(stats.cycles, stats.idealCycles + stats.stallCycles);
-        if (scheme != SchemeClass::kCompressed)
+        if (scheme != SchemeClass::kCompressed) {
             EXPECT_EQ(stats.l0SavedCycles, 0u);
+        }
 
         // The decoded-block cache is host-side only: re-running the
         // identical configuration with a cache attached must leave
@@ -506,8 +507,9 @@ TEST_P(FuzzCacheTiling, ThreeCTilesUnderRandomGeometries)
         EXPECT_EQ(cs.atbMisses, stats.atbMisses);
         // A 1-set cache is fully associative: its shadow twin can
         // never disagree with it, so nothing classifies as conflict.
-        if (config.cache.sets == 1)
+        if (config.cache.sets == 1) {
             EXPECT_EQ(cs.conflict, 0u);
+        }
 #else
         EXPECT_FALSE(stats.cacheStats.recorded);
 #endif

@@ -1,17 +1,22 @@
 /**
  * @file
  * Power-model and decoder-cost tests: bus bit-flip accounting against
- * hand-computed sequences, and the paper's §3.5 transistor-count
+ * hand-computed sequences, folded bursts against plain transfers and
+ * a byte-at-a-time reference, and the paper's §3.5 transistor-count
  * formula evaluated at known points.
  */
 
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <vector>
 
 #include "compiler/driver.hh"
 #include "decoder/complexity.hh"
 #include "power/bitflips.hh"
 #include "schemes/huffman_scheme.hh"
 #include "schemes/tailored.hh"
+#include "support/rng.hh"
 
 namespace {
 
@@ -118,6 +123,100 @@ TEST(BusModel, NarrowAndWidePathsAgreeAtTheBoundary)
     wide.transfer(b);
     EXPECT_EQ(narrow.bitFlips(), wide.bitFlips());
     EXPECT_EQ(narrow.beats(), wide.beats());
+}
+
+/**
+ * Byte-at-a-time reference for a bus of at most 8 bytes: each beat
+ * packed lane by lane, the short tail zero-padded, flips counted
+ * against the previous beat.
+ */
+struct ReferenceBus
+{
+    unsigned width;
+    std::uint64_t last = 0, flips = 0, beats = 0, bytes = 0;
+
+    void
+    transfer(const std::vector<std::uint8_t> &data)
+    {
+        for (std::size_t i = 0; i < data.size(); i += width) {
+            std::uint64_t beat = 0;
+            for (unsigned b = 0; b < width; ++b) {
+                const std::uint8_t byte =
+                    i + b < data.size() ? data[i + b] : 0;
+                beat |= std::uint64_t(byte) << (8 * b);
+            }
+            flips += std::uint64_t(std::popcount(beat ^ last));
+            last = beat;
+            ++beats;
+        }
+        bytes += data.size();
+    }
+};
+
+/**
+ * send(fold(bytes)) == transfer(bytes) == the reference, for every
+ * narrow width, over seeded random spans (empty ones and short tails
+ * included) with transfers and sends mixed on one bus, so the state
+ * a burst starts from is whatever the previous operation left.
+ */
+TEST(BusModel, FoldedBurstsMatchTransfers)
+{
+    for (unsigned width = 1; width <= 8; ++width) {
+        power::BusModel by_transfer(width), mixed(width);
+        ReferenceBus reference{width};
+        ASSERT_TRUE(mixed.foldable());
+        support::Rng rng(width);
+        for (int step = 0; step < 400; ++step) {
+            std::vector<std::uint8_t> data(
+                std::size_t(rng.below(4 * width + 3)));
+            for (std::uint8_t &byte : data)
+                byte = std::uint8_t(rng.next());
+
+            const power::Burst burst = mixed.fold(data);
+            EXPECT_EQ(burst.beats, (data.size() + width - 1) / width);
+            EXPECT_EQ(burst.bytes, data.size());
+            if (rng.below(2) == 0) {
+                mixed.send(burst);
+                // A folded burst replays identically.
+                if (rng.below(4) == 0) {
+                    mixed.send(burst);
+                    by_transfer.transfer(data);
+                    reference.transfer(data);
+                }
+            } else {
+                mixed.transfer(data);
+            }
+            by_transfer.transfer(data);
+            reference.transfer(data);
+
+            ASSERT_EQ(by_transfer.bitFlips(), reference.flips)
+                << "width " << width << " step " << step;
+            ASSERT_EQ(mixed.bitFlips(), reference.flips)
+                << "width " << width << " step " << step;
+            ASSERT_EQ(mixed.beats(), reference.beats);
+            ASSERT_EQ(by_transfer.beats(), reference.beats);
+            ASSERT_EQ(mixed.bytesTransferred(), reference.bytes);
+            ASSERT_EQ(by_transfer.bytesTransferred(), reference.bytes);
+        }
+    }
+    // Wider buses keep the per-lane transfer path.
+    EXPECT_FALSE(power::BusModel(9).foldable());
+}
+
+TEST(BusModel, EmptyBurstLeavesTheBusAlone)
+{
+    power::BusModel bus(4);
+    const std::uint8_t ones[] = {0xff, 0xff};
+    bus.transfer(ones);
+    const power::Burst empty = bus.fold({});
+    EXPECT_EQ(empty.beats, 0u);
+    bus.send(empty);
+    EXPECT_EQ(bus.beats(), 1u);
+    EXPECT_EQ(bus.bitFlips(), 16u);
+    // The bus still holds 0xffff: repeating it costs nothing.
+    bus.send(bus.fold(ones));
+    EXPECT_EQ(bus.bitFlips(), 16u);
+    EXPECT_EQ(bus.bytesTransferred(), 4u);
 }
 
 TEST(DecoderCost, FormulaAtKnownPoints)

@@ -33,7 +33,7 @@ using support::prof::Phase;
 using support::prof::ProfScope;
 
 /** Burn roughly @p ms milliseconds of this thread's CPU time. */
-std::uint64_t
+[[maybe_unused]] std::uint64_t
 spinCpu(unsigned ms)
 {
     const std::uint64_t start = support::prof::threadCpuNowNs();
@@ -49,7 +49,7 @@ spinCpu(unsigned ms)
     return acc;
 }
 
-std::uint64_t
+[[maybe_unused]] std::uint64_t
 phaseCycleSum(const support::prof::Snapshot &snap)
 {
     std::uint64_t sum = 0;

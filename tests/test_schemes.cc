@@ -209,8 +209,9 @@ TEST(Tailored, ConstantFieldsVanish)
         if (!tf.used)
             continue;
         for (const auto &field : tf.fields) {
-            if (field.kind == tepic::isa::FieldKind::kPred)
+            if (field.kind == tepic::isa::FieldKind::kPred) {
                 EXPECT_EQ(field.width, 0u);
+            }
         }
     }
 }

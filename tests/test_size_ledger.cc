@@ -133,8 +133,9 @@ TEST_F(SizeTiling, EveryBuiltSchemeTilesExactly)
         ASSERT_NE(entry.ledger, nullptr);
         EXPECT_FALSE(entry.ledger->empty());
         EXPECT_EQ(entry.ledger->totalBits(), entry.totalBits);
-        if (entry.image != nullptr)
+        if (entry.image != nullptr) {
             EXPECT_EQ(entry.totalBits, entry.image->bitSize);
+        }
     }
     // The sizes the fig05/fig07 gauges are computed from are these
     // same image.bitSize / Att::totalBits() values: tie them to the
@@ -208,9 +209,9 @@ TEST(SizeReport, JsonIsDeterministicAcrossJobs)
     const auto &fir = workloads::workloadByName("fir");
     const auto &matmul = workloads::workloadByName("matmul");
     const core::BuildRequest req_fir{fir.source,
-                                     core::ArtifactRequest::all(), {}};
+                                     core::ArtifactRequest::all(), {}, {}};
     const core::BuildRequest req_matmul{
-        matmul.source, core::ArtifactRequest::all(), {}};
+        matmul.source, core::ArtifactRequest::all(), {}, {}};
 
     auto report = [&](unsigned jobs) {
         core::ArtifactEngine engine(jobs);

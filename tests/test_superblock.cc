@@ -96,9 +96,10 @@ TEST(FetchUnits, CallsAreNeverAbsorbed)
                     (op.opcode() == isa::Opcode::kCall ||
                      op.opcode() == isa::Opcode::kRet))
                     call_or_ret = true;
-        if (call_or_ret && blk.id + 1 < units.headOf.size())
+        if (call_or_ret && blk.id + 1 < units.headOf.size()) {
             EXPECT_TRUE(units.isHead(isa::BlockId(blk.id + 1)))
                 << "block " << blk.id;
+        }
     }
 }
 
