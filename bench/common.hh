@@ -11,10 +11,11 @@
  *      up front, in main, so build logging never interleaves with
  *      benchmark output and build failures surface before timings,
  *   3. print the reproduced table/figure rows (the deliverable),
- *   4. snapshot observability: write --metrics=/BENCH_fetch.json and
- *      print the engine cache + per-phase timing summary to stderr
- *      (before the timing loops run, so the deterministic metric
- *      sections are untouched by machine-dependent iteration counts),
+ *   4. snapshot observability: write every core::reports report,
+ *      --metrics=/BENCH_<name>.json/BENCH_fetch.json and print the
+ *      engine cache + per-phase timing summary to stderr (before the
+ *      timing loops run, so the deterministic metric sections are
+ *      untouched by machine-dependent iteration counts),
  *   5. hand control to google-benchmark for the timing section, then
  *      flush the --trace= file (timed loops are included in traces —
  *      traces are wall-clock data anyway).
@@ -36,6 +37,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,12 +45,10 @@
 
 #include "core/artifact_engine.hh"
 #include "core/pipeline.hh"
-#include "fetch/cache_stats.hh"
-#include "fetch/hot_stats.hh"
+#include "core/reports.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/profiler.hh"
-#include "support/sched.hh"
 #include "support/stats.hh"
 #include "support/table.hh"
 #include "support/trace.hh"
@@ -273,109 +273,48 @@ buildAllArtifacts(const BenchOptions &options)
 
 /**
  * Snapshot the process metrics (engine + fetch + phase timings) and
- * report them: a human summary on stderr, `--metrics=` JSON if asked
- * for, and BENCH_fetch.json whenever the binary ran fetch
- * simulations. Must run before google-benchmark's timed loops — they
- * re-run fetch sims with machine-dependent iteration counts, which
- * would poison the deterministic counter section.
+ * report them: a human summary on stderr, every core::reports report
+ * (<KIND>_<name>.json) in the working directory, `--metrics=` JSON if
+ * asked for, BENCH_<name>.json, and BENCH_fetch.json whenever the
+ * binary ran fetch simulations. Ends the report sessions, so it must
+ * run before google-benchmark's timed loops — they re-run fetch sims
+ * with machine-dependent iteration counts, which would poison the
+ * deterministic counter section. Returns false if a write failed.
  */
-inline void
+inline bool
 reportBenchSummary(const BenchOptions &options)
 {
     auto &metrics = support::MetricsRegistry::global();
-    benchEngine().exportMetrics(metrics);
-
-    // Size provenance: fold every built artifact's ledger into the
-    // deterministic size.* counter namespace (suite order, so the
-    // fold is reproducible) and emit the SIZE_<name>.json treemap
-    // artifact alongside the BENCH_<name>.json snapshot.
-    std::vector<core::SizeReportEntry> size_entries;
-    for (const auto &named : detail::artifactsSlot()) {
-        core::recordSizeMetrics(named.artifacts(), metrics);
-        if (!core::collectSizeLedgers(named.artifacts()).empty()) {
-            size_entries.push_back(
+    std::vector<core::SizeReportEntry> artifacts;
+    if (detail::engineSlot() != nullptr) {
+        benchEngine().exportMetrics(metrics);
+        const auto stats = benchEngine().stats();
+        TEPIC_INFORM("[bench] engine cache: ", stats.cacheHits,
+                     " hits / ", stats.cacheMisses, " misses");
+        for (const auto &named : detail::artifactsSlot()) {
+            artifacts.push_back(
                 core::SizeReportEntry{named.name, named.ptr.get()});
         }
     }
-    if (!size_entries.empty()) {
-        const std::string size_json =
-            "SIZE_" + options.benchName + ".json";
-        core::writeSizeReport(size_json, options.benchName,
-                              size_entries);
-        TEPIC_INFORM("[bench] wrote size report to ", size_json);
-    }
-
-    const auto stats = benchEngine().stats();
-    TEPIC_INFORM("[bench] engine cache: ", stats.cacheHits, " hits / ",
-                 stats.cacheMisses, " misses");
     for (const auto &[name, stat] : metrics.timingsSnapshot()) {
         TEPIC_INFORM("[bench] phase ", name, ": sum=", stat.sum(),
                      " ms over ", stat.count(), " samples (mean=",
                      stat.mean(), " ms)");
     }
 
-    // Host-performance attribution: fold the profiler's per-phase
-    // counters (runtime section) and throughput gauges into the
-    // registry, then write the per-binary PROF_<name>.json rollup.
-    // Runs before the BENCH snapshot below so the prof.* gauges are
-    // part of it.
-    support::prof::exportMetricsTo(metrics);
-    const std::string prof_json = "PROF_" + options.benchName + ".json";
-    if (support::prof::writeReport(prof_json, options.benchName,
-                                   metrics)) {
-        TEPIC_INFORM("[bench] wrote profile report to ", prof_json);
-    }
-
-    // Scheduling observability: fold the exact-gated sched.* counters
-    // into the registry (part of the BENCH snapshot below) and write
-    // the per-binary SCHED_<name>.json task-graph report
-    // (tools/tepic_reports.py renders and gates it).
-    support::sched::exportMetricsTo(metrics);
-    const std::string sched_json =
-        "SCHED_" + options.benchName + ".json";
-    if (support::sched::writeReport(sched_json, options.benchName)) {
-        TEPIC_INFORM("[bench] wrote sched report to ", sched_json);
-    }
-
-    // Cache-behavior observability: write the per-binary
-    // CACHE_<name>.json report (tools/tepic_reports.py validates,
-    // renders and --compare-gates it; the cache.<scheme>.* counters
-    // were folded into the registry by runFetch as the print phase
-    // ran). The session ends here so the timed loops below re-run
-    // the fetch sims unrecorded, at full speed.
-    const std::string cache_json =
-        "CACHE_" + options.benchName + ".json";
-    if (fetch::cachestats::writeReport(cache_json,
-                                       options.benchName)) {
-        TEPIC_INFORM("[bench] wrote cache report to ", cache_json);
-    }
-    fetch::cachestats::endSession();
-
-    // Dynamic-behavior observability: same lifecycle as the CACHE
-    // report above — HOT_<name>.json is written (tools/tepic_reports.py
-    // validates, renders and --compare-gates it) and the session
-    // ends before the timed loops so they run unrecorded.
-    const std::string hot_json = "HOT_" + options.benchName + ".json";
-    if (fetch::hotstats::writeReport(hot_json, options.benchName)) {
-        TEPIC_INFORM("[bench] wrote hot report to ", hot_json);
-    }
-    fetch::hotstats::endSession();
-
-    if (!options.metricsPath.empty()) {
-        metrics.writeJsonFile(options.metricsPath);
-        TEPIC_INFORM("[bench] wrote metrics to ", options.metricsPath);
-    }
+    bool ok = core::reports::writeReports(".", options.benchName,
+                                          artifacts, metrics);
+    core::reports::endSessions();
+    if (!options.metricsPath.empty())
+        ok = metrics.writeJsonFile(options.metricsPath) && ok;
     // Canonical per-binary snapshot: the regression-gate baseline
     // (tools/check_regression.py) and fidelity report
     // (tools/tepic_report.py) key off this name.
-    const std::string bench_json =
-        "BENCH_" + options.benchName + ".json";
-    metrics.writeJsonFile(bench_json);
-    TEPIC_INFORM("[bench] wrote bench metrics to ", bench_json);
-    if (metrics.hasCounterWithPrefix("fetch.")) {
-        metrics.writeJsonFile("BENCH_fetch.json");
-        TEPIC_INFORM("[bench] wrote fetch metrics to BENCH_fetch.json");
-    }
+    ok = metrics.writeJsonFile("BENCH_" + options.benchName + ".json") &&
+         ok;
+    if (metrics.hasCounterWithPrefix("fetch."))
+        ok = metrics.writeJsonFile("BENCH_fetch.json") && ok;
+    return ok;
 }
 
 /** Artefacts for every selected workload, in suite order. */
@@ -400,36 +339,44 @@ findArtifacts(const std::string &name)
 }
 
 /**
- * Standard bench main: parse the shared CLI layer, build the
- * requested artefacts, print the table, then run timings.
+ * The bench main: parse the shared CLI layer, start the report
+ * sessions, build @p request's artefacts (no engine at all when it is
+ * nullopt), run @p print_fn, report, then run the timings. Exits 1
+ * when a requested output could not be written.
  */
+inline int
+benchMain(int argc, char **argv, void (*print_fn)(),
+          std::optional<core::ArtifactRequest> request)
+{
+    const auto options = parseBenchOptions(
+        &argc, argv, request.value_or(core::ArtifactRequest{}));
+    core::reports::startSessions(options.jobs);
+    if (!options.profCollapsePath.empty())
+        support::prof::startSampling();
+    if (!options.tracePath.empty())
+        support::trace::start(options.tracePath);
+    if (request)
+        buildAllArtifacts(options);
+    print_fn();
+    bool ok = reportBenchSummary(options);
+    ::benchmark::Initialize(&argc, argv);
+    ::benchmark::RunSpecifiedBenchmarks();
+    if (!options.tracePath.empty())
+        ok = support::trace::stop() && ok;
+    if (!options.profCollapsePath.empty()) {
+        support::prof::stopSampling();
+        ok = support::prof::writeCollapsed(options.profCollapsePath) && ok;
+    }
+    return ok ? 0 : 1;
+}
+
+/** Standard bench main over benchMain() and the engine. */
 #define TEPIC_BENCH_MAIN(print_fn, default_request)                    \
     int                                                                \
     main(int argc, char **argv)                                        \
     {                                                                  \
-        const auto bench_options = ::tepic::bench::parseBenchOptions(  \
-            &argc, argv, (default_request));                           \
-        ::tepic::support::prof::startSession();                        \
-        ::tepic::support::sched::startSession(bench_options.jobs);     \
-        ::tepic::fetch::cachestats::startSession();                    \
-        ::tepic::fetch::hotstats::startSession();                      \
-        if (!bench_options.profCollapsePath.empty())                   \
-            ::tepic::support::prof::startSampling();                   \
-        if (!bench_options.tracePath.empty())                          \
-            ::tepic::support::trace::start(bench_options.tracePath);   \
-        ::tepic::bench::buildAllArtifacts(bench_options);              \
-        print_fn();                                                    \
-        ::tepic::bench::reportBenchSummary(bench_options);             \
-        ::benchmark::Initialize(&argc, argv);                          \
-        ::benchmark::RunSpecifiedBenchmarks();                         \
-        if (!bench_options.tracePath.empty())                          \
-            ::tepic::support::trace::stop();                           \
-        if (!bench_options.profCollapsePath.empty()) {                 \
-            ::tepic::support::prof::stopSampling();                    \
-            ::tepic::support::prof::writeCollapsed(                    \
-                bench_options.profCollapsePath);                       \
-        }                                                              \
-        return 0;                                                      \
+        return ::tepic::bench::benchMain(argc, argv, print_fn,         \
+                                         (default_request));           \
     }
 
 } // namespace tepic::bench

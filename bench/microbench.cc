@@ -19,6 +19,7 @@
 #include "sim/emulator.hh"
 #include "support/bitstream.hh"
 #include "support/rng.hh"
+#include "support/sched.hh"
 #include "workloads/workload.hh"
 
 namespace {
@@ -272,61 +273,12 @@ recordMicroSentinels()
 
 } // namespace
 
+// The shared CLI layer and report lifecycle of the figure benches;
+// no artefacts are requested — the sentinels build what they need
+// inline.
 int
 main(int argc, char **argv)
 {
-    // The shared CLI layer for --metrics=/--log-level= consistency
-    // with the figure benches; no artefacts are requested — the
-    // sentinels build what they need inline.
-    const auto options =
-        tepic::bench::parseBenchOptions(&argc, argv, {});
-    support::prof::startSession();
-    support::sched::startSession(options.jobs);
-    fetch::cachestats::startSession();
-    fetch::hotstats::startSession();
-    if (!options.profCollapsePath.empty())
-        support::prof::startSampling();
-    recordMicroSentinels();
-    auto &metrics = support::MetricsRegistry::global();
-    support::prof::exportMetricsTo(metrics);
-    const std::string prof_json =
-        "PROF_" + options.benchName + ".json";
-    if (support::prof::writeReport(prof_json, options.benchName,
-                                   metrics)) {
-        TEPIC_INFORM("[bench] wrote profile report to ", prof_json);
-    }
-    support::sched::exportMetricsTo(metrics);
-    const std::string sched_json =
-        "SCHED_" + options.benchName + ".json";
-    if (support::sched::writeReport(sched_json,
-                                    options.benchName)) {
-        TEPIC_INFORM("[bench] wrote sched report to ", sched_json);
-    }
-    const std::string cache_json =
-        "CACHE_" + options.benchName + ".json";
-    if (fetch::cachestats::writeReport(cache_json,
-                                       options.benchName)) {
-        TEPIC_INFORM("[bench] wrote cache report to ", cache_json);
-    }
-    fetch::cachestats::endSession();
-    const std::string hot_json =
-        "HOT_" + options.benchName + ".json";
-    if (fetch::hotstats::writeReport(hot_json,
-                                     options.benchName)) {
-        TEPIC_INFORM("[bench] wrote hot report to ", hot_json);
-    }
-    fetch::hotstats::endSession();
-    if (!options.metricsPath.empty())
-        metrics.writeJsonFile(options.metricsPath);
-    const std::string bench_json =
-        "BENCH_" + options.benchName + ".json";
-    metrics.writeJsonFile(bench_json);
-    TEPIC_INFORM("[bench] wrote bench metrics to ", bench_json);
-    ::benchmark::Initialize(&argc, argv);
-    ::benchmark::RunSpecifiedBenchmarks();
-    if (!options.profCollapsePath.empty()) {
-        support::prof::stopSampling();
-        support::prof::writeCollapsed(options.profCollapsePath);
-    }
-    return 0;
+    return tepic::bench::benchMain(argc, argv, recordMicroSentinels,
+                                   std::nullopt);
 }

@@ -331,7 +331,7 @@ runFetch(const Artifacts &artifacts, fetch::SchemeClass scheme,
         config ? *config : fetch::FetchConfig::paper(scheme);
 
     // A live cachestats session turns recording on (bench print
-    // phase, tepicc --cache-report=); callers that enabled it in
+    // phase, tepicc --report-dir=); callers that enabled it in
     // their own config are honored as-is.
     if (fetch::cachestats::enabled())
         fetch_config.cacheStats.enabled = true;
@@ -622,12 +622,6 @@ recordSizeMetrics(const Artifacts &artifacts,
         recordCodelenHistogram(artifacts.fullImage(), metrics);
 }
 
-void
-recordSizeMetrics(const Artifacts &artifacts)
-{
-    recordSizeMetrics(artifacts, support::MetricsRegistry::global());
-}
-
 std::string
 sizeReportJson(const std::string &name,
                const std::vector<SizeReportEntry> &entries)
@@ -674,21 +668,6 @@ sizeReportJson(const std::string &name,
     }
     out += first_workload ? "}\n}\n" : "\n  }\n}\n";
     return out;
-}
-
-bool
-writeSizeReport(const std::string &path, const std::string &name,
-                const std::vector<SizeReportEntry> &entries)
-{
-    const std::string json = sizeReportJson(name, entries);
-    std::FILE *file = std::fopen(path.c_str(), "w");
-    if (!file) {
-        TEPIC_WARN("size report: cannot write '", path, "'");
-        return false;
-    }
-    std::fwrite(json.data(), 1, json.size(), file);
-    std::fclose(file);
-    return true;
 }
 
 } // namespace tepic::core

@@ -155,8 +155,8 @@ const isa::Image &imageFor(const Artifacts &artifacts,
 
 /**
  * Fetch-simulate @p scheme with the paper's configuration. While a
- * fetch::cachestats session is active (benches, tepicc
- * --cache-report=), cache-behavior recording is switched on and the
+ * fetch::cachestats session is active (core::reports, run by benches
+ * and tepicc), cache-behavior recording is switched on and the
  * simulation's CacheStats land in the session store under
  * @p label (the workload name; "-" when empty) plus the exact
  * cache.<scheme>.* metrics counters.
@@ -210,9 +210,8 @@ std::vector<SizeEntry> collectSizeLedgers(const Artifacts &artifacts);
  * Export every built ledger into @p metrics as deterministic
  * counters "size.<scheme>.<leaf>" + "size.<scheme>.total_bits", and
  * the Huffman code-length distributions as "size.<scheme>.codelen"
- * histograms. Defaults to the process-global registry.
+ * histograms.
  */
-void recordSizeMetrics(const Artifacts &artifacts);
 void recordSizeMetrics(const Artifacts &artifacts,
                        support::MetricsRegistry &metrics);
 
@@ -232,10 +231,6 @@ struct SizeReportEntry
 std::string sizeReportJson(
     const std::string &name,
     const std::vector<SizeReportEntry> &entries);
-
-/** sizeReportJson() to a file; warns (returns false) on I/O error. */
-bool writeSizeReport(const std::string &path, const std::string &name,
-                     const std::vector<SizeReportEntry> &entries);
 
 } // namespace tepic::core
 

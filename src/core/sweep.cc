@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <set>
 
 #include "core/pipeline.hh"
@@ -33,23 +32,6 @@ predictorToken(fetch::PredictorKind kind)
       case fetch::PredictorKind::kPas: return "pas";
     }
     return "?";
-}
-
-bool
-writeStringFile(const std::string &path, const std::string &text)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-        TEPIC_WARN("cannot open ", path, " for writing");
-        return false;
-    }
-    out << text;
-    out.flush();
-    if (!out) {
-        TEPIC_WARN("short write to ", path);
-        return false;
-    }
-    return true;
 }
 
 } // namespace
@@ -572,13 +554,6 @@ reportJson(const SweepResult &result, const std::string &name)
            std::to_string(points_per_sec) + "\n";
     out += "  }\n}\n";
     return out;
-}
-
-bool
-writeReport(const std::string &path, const std::string &name,
-            const SweepResult &result)
-{
-    return writeStringFile(path, reportJson(result, name));
 }
 
 void

@@ -257,10 +257,6 @@ std::string structureJson(const SweepResult &result);
 std::string reportJson(const SweepResult &result,
                        const std::string &name);
 
-/** reportJson() to a file; warns (returns false) on I/O error. */
-bool writeReport(const std::string &path, const std::string &name,
-                 const SweepResult &result);
-
 /**
  * Export deterministic sweep.* counters (points, configs,
  * front_size, workloads) plus the band-gated sweep.points_rate gauge

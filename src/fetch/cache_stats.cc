@@ -1,16 +1,10 @@
 #include "fetch/cache_stats.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <cstdio>
-#include <map>
-#include <mutex>
 #include <utility>
 
-#include "support/keys.hh"
 #include "support/logging.hh"
-#include "support/metrics.hh"
 
 namespace tepic::fetch {
 
@@ -26,7 +20,7 @@ CacheStats::merge(const CacheStats &other)
         *this = other;
         return;
     }
-    TEPIC_ASSERT(sameGeometry(other),
+    TEPIC_ASSERT(sameShape(other),
                  "CacheStats::merge across cache geometries (the "
                  "session layer must key these apart)");
     fetches += other.fetches;
@@ -444,34 +438,9 @@ CacheStatsRecorder::finish()
 #endif // TEPIC_CACHESTATS_ENABLED
 
 // ---------------------------------------------------------------------------
-// Session store (compiled unconditionally, like support::sched).
-
-namespace cachestats {
+// CACHE-report rendering (the store is report_store.hh).
 
 namespace {
-
-struct Store
-{
-    std::atomic<bool> enabled{false};
-    std::mutex mutex;
-    // workload -> scheme name -> merged record; std::map so report
-    // iteration order is deterministic.
-    std::map<std::string, std::map<std::string, CacheStats>> workloads;
-};
-
-Store &
-store()
-{
-    static Store s;
-    return s;
-}
-
-std::string
-geometryKey(const CacheStats &stats)
-{
-    return support::shapeSuffix(
-        {{"", stats.sets}, {"", stats.ways}, {"", stats.lineBytes}});
-}
 
 void
 appendArray(std::string &out, const std::vector<std::uint64_t> &values,
@@ -502,6 +471,8 @@ appendHistogram(std::string &out, const support::Histogram &hist)
     }
     out += "]}";
 }
+
+} // namespace
 
 void
 appendScheme(std::string &out, const CacheStats &s,
@@ -581,112 +552,5 @@ appendScheme(std::string &out, const CacheStats &s,
     out += "\n" + in2 + "}\n";
     out += indent + "}";
 }
-
-} // namespace
-
-bool
-enabled()
-{
-    return store().enabled.load(std::memory_order_relaxed);
-}
-
-void
-startSession()
-{
-    auto &s = store();
-    s.enabled.store(false, std::memory_order_relaxed);
-    {
-        std::lock_guard<std::mutex> lock(s.mutex);
-        s.workloads.clear();
-    }
-    s.enabled.store(true, std::memory_order_release);
-}
-
-void
-endSession()
-{
-    store().enabled.store(false, std::memory_order_relaxed);
-}
-
-void
-record(const std::string &workload, SchemeClass scheme,
-       const CacheStats &stats)
-{
-    if (!enabled() || !stats.recorded)
-        return;
-    auto &s = store();
-    const std::string key = workload.empty() ? "-" : workload;
-    const std::string scheme_name = schemeClassName(scheme);
-    std::lock_guard<std::mutex> lock(s.mutex);
-    CacheStats &slot = s.workloads[key][scheme_name];
-    if (slot.recorded && !slot.sameGeometry(stats)) {
-        // Same workload simulated under a different geometry (a
-        // sweep): keep it apart rather than asserting in merge().
-        s.workloads[key + geometryKey(stats)][scheme_name].merge(
-            stats);
-        return;
-    }
-    slot.merge(stats);
-}
-
-std::string
-reportJson(const std::string &name)
-{
-    auto &s = store();
-    std::string out = "{\n";
-    out += "  \"schema\": \"tepic-cache-v1\",\n";
-    out += "  \"name\": " + support::jsonQuote(name) + ",\n";
-    out += "  \"structure\": {\n";
-    out += "    \"workloads\": {";
-    std::lock_guard<std::mutex> lock(s.mutex);
-    bool first_wl = true;
-    for (const auto &[workload, schemes] : s.workloads) {
-        if (!first_wl)
-            out += ",";
-        first_wl = false;
-        out += "\n      " + support::jsonQuote(workload) + ": {";
-        bool first_scheme = true;
-        for (const auto &[scheme, stats] : schemes) {
-            if (!first_scheme)
-                out += ",";
-            first_scheme = false;
-            out += "\n        " + support::jsonQuote(scheme) + ": ";
-            appendScheme(out, stats, "        ");
-        }
-        out += "\n      }";
-    }
-    out += s.workloads.empty() ? "}\n" : "\n    }\n";
-    out += "  }\n";
-    out += "}\n";
-    return out;
-}
-
-bool
-writeReport(const std::string &path, const std::string &name)
-{
-    const std::string json = reportJson(name);
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        TEPIC_WARN("cannot open cache report output '", path, "'");
-        return false;
-    }
-    const bool ok =
-        std::fwrite(json.data(), 1, json.size(), f) == json.size();
-    std::fclose(f);
-    if (!ok)
-        TEPIC_WARN("short write to cache report output '", path, "'");
-    return ok;
-}
-
-void
-resetForTest()
-{
-    auto &s = store();
-    s.enabled.store(false, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.workloads.clear();
-}
-
-} // namespace cachestats
 
 } // namespace tepic::fetch

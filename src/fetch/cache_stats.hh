@@ -57,12 +57,10 @@
  * -DTEPIC_ENABLE_TRACING=OFF: the disabled hot loop pays one branch
  * per fetch, bounded by the fig14 time-band gate.
  *
- * Session layer (cachestats::) mirrors support::sched: benches and
- * tepicc --cache-report= start a session, runFetch() records each
- * simulation under its workload label, and reportJson() renders
- * schema "tepic-cache-v1". The session store is compiled
- * unconditionally so disabled builds still write valid (empty)
- * reports.
+ * Session layer: cachestats is the report_store.hh template over
+ * CacheStats. core::reports starts its session, runFetch() records
+ * each simulation under its workload label, and reportJson() renders
+ * schema "tepic-cache-v1".
  */
 
 #ifndef TEPIC_FETCH_CACHE_STATS_HH
@@ -75,6 +73,8 @@
 #include "fetch/banked_cache.hh"
 #include "fetch/cycle_model.hh"
 #include "fetch/fetch_observer.hh"
+#include "fetch/report_store.hh"
+#include "support/keys.hh"
 #include "support/stats.hh"
 #include "support/trace.hh"
 
@@ -161,13 +161,23 @@ struct CacheStats
     std::vector<std::uint64_t> heatEvictions;
 
     static constexpr std::int64_t kUseHistogramOverflow = 64;
+    static constexpr const char *kReportSchema = "tepic-cache-v1";
 
+    /** Same geometry: the records may merge. */
     bool
-    sameGeometry(const CacheStats &other) const
+    sameShape(const CacheStats &other) const
     {
         return sets == other.sets && ways == other.ways &&
                lineBytes == other.lineBytes &&
                heatmapEpochs == other.heatmapEpochs;
+    }
+
+    /** The store's split key, "@<sets>x<ways>x<lineBytes>". */
+    std::string
+    shapeKey() const
+    {
+        return support::shapeSuffix({{"", sets}, {"", ways},
+                                     {"", lineBytes}});
     }
 
     double
@@ -332,44 +342,12 @@ class CacheStatsRecorder final : public CacheLineObserver,
 
 #endif // TEPIC_CACHESTATS_ENABLED
 
-/**
- * Session-scoped CACHE-report store, mirroring support::sched: one
- * relaxed atomic until startSession(). core::runFetch() records each
- * simulation under its workload label; geometry-mismatched records
- * for the same (workload, scheme) are keyed apart under
- * "<workload>@<sets>x<ways>x<lineBytes>" so merge() never crosses
- * geometries. Compiled unconditionally: disabled builds write valid
- * empty reports.
- */
-namespace cachestats {
+/** One merged record as a CACHE-report scheme object. */
+void appendScheme(std::string &out, const CacheStats &stats,
+                  const std::string &indent);
 
-/** Runtime switch; one relaxed atomic load. */
-bool enabled();
-
-/** Reset the store and enable recording. */
-void startSession();
-
-/** Disable recording; recorded data stays until the next start. */
-void endSession();
-
-/** Merge one simulation's record under (@p workload, @p scheme). */
-void record(const std::string &workload, SchemeClass scheme,
-            const CacheStats &stats);
-
-/**
- * Render schema "tepic-cache-v1": {"schema", "name", "structure"}.
- * Everything under "structure" is exact-gated across --jobs (the
- * recorder is a pure function of trace + config).
- */
-std::string reportJson(const std::string &name);
-
-/** reportJson() to a file; warns (returns false) on I/O failure. */
-bool writeReport(const std::string &path, const std::string &name);
-
-/** Drop all recorded state and disable (tests only). */
-void resetForTest();
-
-} // namespace cachestats
+/** The session-scoped CACHE-report store (report_store.hh). */
+using cachestats = ReportStore<CacheStats>;
 
 } // namespace tepic::fetch
 

@@ -1,13 +1,9 @@
 #include "fetch/hot_stats.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
 #include <map>
-#include <mutex>
 #include <utility>
 
-#include "support/keys.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
 
@@ -273,34 +269,9 @@ HotStatsRecorder::finish()
 #endif // TEPIC_HOTSTATS_ENABLED
 
 // ---------------------------------------------------------------------------
-// Session store (compiled unconditionally, like fetch::cachestats).
-
-namespace hotstats {
+// HOT-report rendering (the store is report_store.hh).
 
 namespace {
-
-struct Store
-{
-    std::atomic<bool> enabled{false};
-    std::mutex mutex;
-    // workload -> scheme name -> merged record; std::map so report
-    // iteration order is deterministic.
-    std::map<std::string, std::map<std::string, HotStats>> workloads;
-};
-
-Store &
-store()
-{
-    static Store s;
-    return s;
-}
-
-std::string
-shapeKey(const HotStats &stats)
-{
-    return support::shapeSuffix(
-        {{"B", stats.staticBlocks}, {"E", stats.phaseEpochs}});
-}
 
 /** Top-K export width: everything beyond folds into "rest". */
 std::size_t
@@ -309,6 +280,8 @@ exportWidth(const HotStats &s)
     return std::min<std::size_t>(std::max(1u, s.topBlocks),
                                  s.blockFetches.size());
 }
+
+} // namespace
 
 void
 appendScheme(std::string &out, const HotStats &s,
@@ -498,112 +471,5 @@ appendScheme(std::string &out, const HotStats &s,
     out += in2 + "}\n";
     out += indent + "}";
 }
-
-} // namespace
-
-bool
-enabled()
-{
-    return store().enabled.load(std::memory_order_relaxed);
-}
-
-void
-startSession()
-{
-    auto &s = store();
-    s.enabled.store(false, std::memory_order_relaxed);
-    {
-        std::lock_guard<std::mutex> lock(s.mutex);
-        s.workloads.clear();
-    }
-    s.enabled.store(true, std::memory_order_release);
-}
-
-void
-endSession()
-{
-    store().enabled.store(false, std::memory_order_relaxed);
-}
-
-void
-record(const std::string &workload, SchemeClass scheme,
-       const HotStats &stats)
-{
-    if (!enabled() || !stats.recorded)
-        return;
-    auto &s = store();
-    const std::string key = workload.empty() ? "-" : workload;
-    const std::string scheme_name = schemeClassName(scheme);
-    std::lock_guard<std::mutex> lock(s.mutex);
-    HotStats &slot = s.workloads[key][scheme_name];
-    if (slot.recorded && !slot.sameShape(stats)) {
-        // Same workload simulated over a different program shape
-        // (profile-guided relayout, a sweep): keep it apart rather
-        // than asserting in merge().
-        s.workloads[key + shapeKey(stats)][scheme_name].merge(stats);
-        return;
-    }
-    slot.merge(stats);
-}
-
-std::string
-reportJson(const std::string &name)
-{
-    auto &s = store();
-    std::string out = "{\n";
-    out += "  \"schema\": \"tepic-hot-v1\",\n";
-    out += "  \"name\": " + support::jsonQuote(name) + ",\n";
-    out += "  \"structure\": {\n";
-    out += "    \"workloads\": {";
-    std::lock_guard<std::mutex> lock(s.mutex);
-    bool first_wl = true;
-    for (const auto &[workload, schemes] : s.workloads) {
-        if (!first_wl)
-            out += ",";
-        first_wl = false;
-        out += "\n      " + support::jsonQuote(workload) + ": {";
-        bool first_scheme = true;
-        for (const auto &[scheme, stats] : schemes) {
-            if (!first_scheme)
-                out += ",";
-            first_scheme = false;
-            out += "\n        " + support::jsonQuote(scheme) + ": ";
-            appendScheme(out, stats, "        ");
-        }
-        out += "\n      }";
-    }
-    out += s.workloads.empty() ? "}\n" : "\n    }\n";
-    out += "  }\n";
-    out += "}\n";
-    return out;
-}
-
-bool
-writeReport(const std::string &path, const std::string &name)
-{
-    const std::string json = reportJson(name);
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        TEPIC_WARN("cannot open hot report output '", path, "'");
-        return false;
-    }
-    const bool ok =
-        std::fwrite(json.data(), 1, json.size(), f) == json.size();
-    std::fclose(f);
-    if (!ok)
-        TEPIC_WARN("short write to hot report output '", path, "'");
-    return ok;
-}
-
-void
-resetForTest()
-{
-    auto &s = store();
-    s.enabled.store(false, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.workloads.clear();
-}
-
-} // namespace hotstats
 
 } // namespace tepic::fetch

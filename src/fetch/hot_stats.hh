@@ -60,12 +60,9 @@
  * the recorder folds to no-op stubs under -DTEPIC_ENABLE_TRACING=OFF
  * — the disabled hot loop pays one branch per fetch.
  *
- * Session layer (hotstats::) mirrors fetch::cachestats: benches and
- * tepicc --hot-report= start a session, runFetch() records each
- * simulation under its workload label, and reportJson() renders
- * schema "tepic-hot-v1". The session store is compiled
- * unconditionally so disabled builds still write valid (empty)
- * reports.
+ * Session layer: hotstats is the report_store.hh template over
+ * HotStats, run exactly like cachestats; reportJson() renders schema
+ * "tepic-hot-v1".
  */
 
 #ifndef TEPIC_FETCH_HOT_STATS_HH
@@ -77,6 +74,8 @@
 
 #include "fetch/cycle_model.hh"
 #include "fetch/fetch_observer.hh"
+#include "fetch/report_store.hh"
+#include "support/keys.hh"
 #include "support/trace.hh"
 
 #ifndef TEPIC_HOTSTATS_ENABLED
@@ -148,11 +147,22 @@ struct HotStats
     std::vector<std::string> functionNames;
     std::vector<std::uint32_t> blockFunction;
 
+    static constexpr const char *kReportSchema = "tepic-hot-v1";
+
+    /** Same program shape: the records may merge. */
     bool
     sameShape(const HotStats &other) const
     {
         return staticBlocks == other.staticBlocks &&
                phaseEpochs == other.phaseEpochs;
+    }
+
+    /** The store's split key, "@B<staticBlocks>xE<phaseEpochs>". */
+    std::string
+    shapeKey() const
+    {
+        return support::shapeSuffix({{"B", staticBlocks},
+                                     {"E", phaseEpochs}});
     }
 
     /** Predictions made (== blocksSimulated; one per fetch). */
@@ -239,44 +249,12 @@ class HotStatsRecorder final : public FetchObserver
 
 #endif // TEPIC_HOTSTATS_ENABLED
 
-/**
- * Session-scoped HOT-report store, mirroring fetch::cachestats: one
- * relaxed atomic until startSession(). core::runFetch() records each
- * simulation under its workload label; shape-mismatched records for
- * the same (workload, scheme) are keyed apart under
- * "<workload>@B<staticBlocks>xE<phaseEpochs>" so merge() never
- * crosses programs. Compiled unconditionally: disabled builds write
- * valid empty reports.
- */
-namespace hotstats {
+/** One merged record as a HOT-report scheme object. */
+void appendScheme(std::string &out, const HotStats &stats,
+                  const std::string &indent);
 
-/** Runtime switch; one relaxed atomic load. */
-bool enabled();
-
-/** Reset the store and enable recording. */
-void startSession();
-
-/** Disable recording; recorded data stays until the next start. */
-void endSession();
-
-/** Merge one simulation's record under (@p workload, @p scheme). */
-void record(const std::string &workload, SchemeClass scheme,
-            const HotStats &stats);
-
-/**
- * Render schema "tepic-hot-v1": {"schema", "name", "structure"}.
- * Everything under "structure" is exact-gated across --jobs (the
- * recorder is a pure function of trace + config).
- */
-std::string reportJson(const std::string &name);
-
-/** reportJson() to a file; warns (returns false) on I/O failure. */
-bool writeReport(const std::string &path, const std::string &name);
-
-/** Drop all recorded state and disable (tests only). */
-void resetForTest();
-
-} // namespace hotstats
+/** The session-scoped HOT-report store (report_store.hh). */
+using hotstats = ReportStore<HotStats>;
 
 } // namespace tepic::fetch
 

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "support/logging.hh"
+#include "support/text_file.hh"
 
 namespace tepic::support {
 
@@ -269,15 +270,7 @@ MetricsRegistry::toJson() const
 bool
 MetricsRegistry::writeJsonFile(const std::string &path) const
 {
-    const std::string json = toJson();
-    std::FILE *file = std::fopen(path.c_str(), "w");
-    if (!file) {
-        TEPIC_WARN("metrics: cannot write '", path, "'");
-        return false;
-    }
-    std::fwrite(json.data(), 1, json.size(), file);
-    std::fclose(file);
-    return true;
+    return writeTextFile(path, toJson(), "metrics");
 }
 
 MetricsRegistry &

@@ -13,6 +13,7 @@
 
 #include "support/logging.hh"
 #include "support/metrics.hh"
+#include "support/text_file.hh"
 
 #if TEPIC_PROFILING_ENABLED
 #include <atomic>
@@ -104,8 +105,8 @@ appendCountersJson(std::string &out, const PhaseCounters &c,
 /**
  * Render the shared report body from a snapshot plus the registry's
  * prof.work.* counters and prof.* gauges. Also used by the disabled
- * build (with an all-zero snapshot and source "disabled") so
- * --prof-report= stays functional in every configuration.
+ * build (with an all-zero snapshot and source "disabled") so the
+ * PROF report stays valid in every configuration.
  */
 std::string
 renderReport(const std::string &name, const char *source,
@@ -158,23 +159,6 @@ renderReport(const std::string &name, const char *source,
                   (unsigned long long)snap.samplesDropped);
     out += buf;
     return out;
-}
-
-bool
-writeStringFile(const std::string &path, const std::string &text,
-                const char *what)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        TEPIC_WARN("cannot open ", what, " output '", path, "'");
-        return false;
-    }
-    const bool ok = std::fwrite(text.data(), 1, text.size(), f) ==
-                    text.size();
-    std::fclose(f);
-    if (!ok)
-        TEPIC_WARN("short write to ", what, " output '", path, "'");
-    return ok;
 }
 
 } // namespace
@@ -733,14 +717,6 @@ reportJson(const std::string &name, const MetricsRegistry &metrics)
                         snap, metrics);
 }
 
-bool
-writeReport(const std::string &path, const std::string &name,
-            const MetricsRegistry &metrics)
-{
-    return writeStringFile(path, reportJson(name, metrics),
-                           "prof report");
-}
-
 // ---------------------------------------------------------------------------
 // Sampling.
 
@@ -837,13 +813,6 @@ collapsedStacks()
 #endif
 }
 
-bool
-writeCollapsed(const std::string &path)
-{
-    return writeStringFile(path, collapsedStacks(),
-                           "collapsed stacks");
-}
-
 void
 resetForTest()
 {
@@ -875,14 +844,12 @@ reportJson(const std::string &name, const MetricsRegistry &metrics)
     return renderReport(name, "disabled", Snapshot{}, metrics);
 }
 
-bool
-writeReport(const std::string &path, const std::string &name,
-            const MetricsRegistry &metrics)
-{
-    return writeStringFile(path, reportJson(name, metrics),
-                           "prof report");
-}
-
 #endif // TEPIC_PROFILING_ENABLED
+
+bool
+writeCollapsed(const std::string &path)
+{
+    return writeTextFile(path, collapsedStacks(), "collapsed stacks");
+}
 
 } // namespace tepic::support::prof

@@ -151,10 +151,6 @@ void exportMetricsTo(MetricsRegistry &metrics);
 std::string reportJson(const std::string &name,
                        const MetricsRegistry &metrics);
 
-/** reportJson() to a file; warns (returns false) on I/O failure. */
-bool writeReport(const std::string &path, const std::string &name,
-                 const MetricsRegistry &metrics);
-
 /**
  * CLOCK_THREAD_CPUTIME_ID now, for callers that attribute their own
  * cpu-time deltas (e.g. per-scheme fetch runtime in core::runFetch).
@@ -179,9 +175,6 @@ void stopSampling();
  * Symbolization uses dladdr; frames without symbols render as hex.
  */
 std::string collapsedStacks();
-
-/** collapsedStacks() to a file; warns (returns false) on failure. */
-bool writeCollapsed(const std::string &path);
 
 /** Scoped phase attribution (self-time; see file comment). */
 class ProfScope
@@ -212,16 +205,13 @@ inline void exportMetricsTo(MetricsRegistry &) {}
 inline bool startSampling(unsigned = 997) { return false; }
 inline void stopSampling() {}
 inline std::string collapsedStacks() { return {}; }
-inline bool writeCollapsed(const std::string &) { return false; }
 inline void resetForTest() {}
 
 // Out of line even when disabled: a stub PROF report (all-zero
-// phases, source "disabled") keeps --prof-report= callers working in
+// phases, source "disabled") keeps report writers working in
 // -DTEPIC_ENABLE_TRACING=OFF builds.
 std::string reportJson(const std::string &name,
                        const MetricsRegistry &metrics);
-bool writeReport(const std::string &path, const std::string &name,
-                 const MetricsRegistry &metrics);
 
 class ProfScope
 {
@@ -232,6 +222,12 @@ class ProfScope
 };
 
 #endif // TEPIC_PROFILING_ENABLED
+
+/**
+ * collapsedStacks() to a file (empty when profiling is compiled out);
+ * warns (returns false) on I/O failure.
+ */
+bool writeCollapsed(const std::string &path);
 
 } // namespace prof
 

@@ -157,22 +157,6 @@ formatDouble(double value)
     return buf;
 }
 
-bool
-writeStringFile(const std::string &path, const std::string &text)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        TEPIC_WARN("cannot open sched report output '", path, "'");
-        return false;
-    }
-    const bool ok = std::fwrite(text.data(), 1, text.size(), f) ==
-                    text.size();
-    std::fclose(f);
-    if (!ok)
-        TEPIC_WARN("short write to sched report output '", path, "'");
-    return ok;
-}
-
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -641,12 +625,6 @@ reportJson(const std::string &name)
     out += a.workers.empty() ? "]\n" : "\n    ]\n";
     out += "  }\n}\n";
     return out;
-}
-
-bool
-writeReport(const std::string &path, const std::string &name)
-{
-    return writeStringFile(path, reportJson(name));
 }
 
 void

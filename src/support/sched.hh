@@ -204,9 +204,6 @@ Analysis analyze();
  */
 std::string reportJson(const std::string &name);
 
-/** reportJson() to a file; warns (returns false) on I/O failure. */
-bool writeReport(const std::string &path, const std::string &name);
-
 /**
  * Deterministic sched.* counters into @p metrics: sched.tasks,
  * sched.edges, sched.cache_hits and per-kind sched.tasks.<kind> —

@@ -11,6 +11,7 @@
 
 #include "support/logging.hh"
 #include "support/metrics.hh"
+#include "support/text_file.hh"
 
 namespace tepic::support::trace {
 
@@ -222,14 +223,14 @@ start(const std::string &path)
     r.enabled.store(true, std::memory_order_release);
 }
 
-void
+bool
 stop()
 {
     auto &r = registry();
     {
         std::lock_guard<std::mutex> lock(r.mutex);
         if (!r.started)
-            return;
+            return true;
     }
     r.enabled.store(false, std::memory_order_relaxed);
     // r.started stays true across the drain so threads exiting right
@@ -243,15 +244,7 @@ stop()
         path = r.path;
         r.path.clear();
     }
-    if (path.empty())
-        return;
-    std::FILE *file = std::fopen(path.c_str(), "w");
-    if (!file) {
-        TEPIC_WARN("trace: cannot write '", path, "'");
-        return;
-    }
-    std::fwrite(json.data(), 1, json.size(), file);
-    std::fclose(file);
+    return path.empty() || writeTextFile(path, json, "trace");
 }
 
 std::string

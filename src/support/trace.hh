@@ -51,9 +51,10 @@ void start(const std::string &path);
 
 /**
  * Disable collection, flush every thread buffer, and write the JSON
- * file given to start() (if any). No-op when never started.
+ * file given to start() (if any). No-op when never started. Returns
+ * false only if the file could not be written.
  */
-void stop();
+bool stop();
 
 /** Like stop(), but return the JSON instead of writing a file. */
 std::string stopToJson();
@@ -98,7 +99,7 @@ std::size_t pendingEvents();
 
 inline bool enabled() { return false; }
 inline void start(const std::string &) {}
-inline void stop() {}
+inline bool stop() { return true; }
 inline std::string stopToJson() { return "{\"traceEvents\":[]}"; }
 inline void instant(const char *, const char * = "tepic") {}
 inline void counter(const char *, double, const char * = "tepic") {}

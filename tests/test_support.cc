@@ -1,16 +1,20 @@
 /**
  * @file
  * Unit tests for the support substrate: bit streams, statistics,
- * text tables and the deterministic RNG.
+ * text tables, the checked file writer and the deterministic RNG.
  */
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
 
 #include "support/bitstream.hh"
 #include "support/keys.hh"
 #include "support/rng.hh"
 #include "support/stats.hh"
 #include "support/table.hh"
+#include "support/text_file.hh"
 
 namespace {
 
@@ -43,6 +47,25 @@ TEST(ShapeKeys, DegenerateDimensions)
 {
     EXPECT_EQ(tepic::support::shapeSuffix({}), "@");
     EXPECT_EQ(tepic::support::shapeSuffix({{"N", 0}}), "@N0");
+}
+
+TEST(TextFile, WritesTheWholeText)
+{
+    const std::string path = ::testing::TempDir() + "text_file.txt";
+    ASSERT_TRUE(tepic::support::writeTextFile(path, "one\ntwo\n", "test"));
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    EXPECT_EQ(text.str(), "one\ntwo\n");
+}
+
+TEST(TextFile, FullDeviceAndMissingDirectoryFail)
+{
+    // A small write to /dev/full is buffered and only fails when
+    // fclose() flushes it: the writer must still report it.
+    EXPECT_FALSE(tepic::support::writeTextFile("/dev/full", "x", "test"));
+    EXPECT_FALSE(tepic::support::writeTextFile(
+        "/nonexistent-dir/out.json", "x", "test"));
 }
 
 TEST(BitStream, SingleBits)

@@ -1,5 +1,5 @@
 """tepic-cache-v1: cache-behavior reports (the CACHE_*.json files
-every bench binary and `tepicc --cache-report=` emit).
+every bench binary and `tepicc --report-dir=` emit).
 
 Validation re-derives the tiling invariants the C++ recorder asserts:
 

@@ -1,5 +1,5 @@
 """tepic-hot-v1: dynamic-behavior reports (the HOT_*.json files every
-bench binary and `tepicc --hot-report=` emit).
+bench binary and `tepicc --report-dir=` emit).
 
 Validation re-derives the tiling invariants the C++ recorder asserts:
 

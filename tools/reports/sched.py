@@ -1,5 +1,5 @@
 """tepic-sched-v1: task-graph scheduling reports (the SCHED_*.json
-files every bench binary and `tepicc --sched-report=` emit).
+files every bench binary and `tepicc --report-dir=` emit).
 
 Validation re-derives the invariants the C++ recorder asserts:
 

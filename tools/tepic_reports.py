@@ -11,6 +11,7 @@ tools/reports/:
   tepic-cache-v1    CACHE_*.json   3C miss classes, reuse, heatmaps
   tepic-hot-v1      HOT_*.json     block hotness, branch sites, phases
   tepic-sweep-v1    SWEEP_*.json   design-space sweep, Pareto front
+  tepic-size-v1     SIZE_*.json    size ledgers tile each image
   tepic-metrics-v1  BENCH_*.json and --metrics= snapshots
   (Chrome trace)    --trace= output
 
@@ -37,7 +38,8 @@ Usage:
                                       contract, which must not depend
                                       on --jobs: the "structure"
                                       section (sched, cache, hot,
-                                      sweep); phase and throughput key
+                                      sweep); every ledger (size);
+                                      phase and throughput key
                                       sets plus exact work counters
                                       (prof); counters, histograms and
                                       gauges with wall-clock and rate
@@ -143,8 +145,8 @@ def svg_escape(text):
 def kinds():
     """schema id -> report module. Imported on first use: the report
     modules import their helpers from this one."""
-    from reports import cache, hot, metrics, prof, sched, sweep
-    return {m.SCHEMA: m for m in (prof, sched, cache, hot, sweep,
+    from reports import cache, hot, metrics, prof, sched, size, sweep
+    return {m.SCHEMA: m for m in (prof, sched, cache, hot, sweep, size,
                                   metrics)}
 
 

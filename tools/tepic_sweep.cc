@@ -26,6 +26,7 @@
 #include "fetch/predictor.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
+#include "support/text_file.hh"
 
 namespace {
 
@@ -240,14 +241,17 @@ main(int argc, char **argv)
     const core::sweep::SweepResult result =
         core::sweep::runSweep(engine, options);
 
-    if (!core::sweep::writeReport(outPath, name, result))
+    if (!support::writeTextFile(outPath,
+                                core::sweep::reportJson(result, name),
+                                "sweep report"))
         return 1;
 
     core::sweep::exportMetricsTo(support::MetricsRegistry::global(),
                                  result);
     engine.exportMetrics(support::MetricsRegistry::global());
-    if (!metricsPath.empty())
-        support::MetricsRegistry::global().writeJsonFile(metricsPath);
+    if (!metricsPath.empty() &&
+        !support::MetricsRegistry::global().writeJsonFile(metricsPath))
+        return 1;
 
     std::printf("tepic-sweep: %zu configs, %zu points, front %zu "
                 "(%llu ms, jobs %u) -> %s\n",

@@ -17,9 +17,9 @@
  * Global flags: --no-pgo (single-pass layout), -O0 (optimiser off),
  * --trace=<file> (Chrome trace-event JSON for chrome://tracing or
  * Perfetto), --metrics=<file> (metrics registry JSON),
- * --size-report=<file> (size-provenance treemap JSON, schema
- * tepic-size-v1, for commands that build images: compress, fetch,
- * verify, verilog).
+ * --report-dir=<dir> (every core::reports report as
+ * <KIND>_tepicc.json), --prof-collapse=<file> (FlameGraph stacks).
+ * Exits 1 when a requested output could not be written.
  */
 
 #include <cstdio>
@@ -33,13 +33,11 @@
 #include "compiler/irgen.hh"
 #include "compiler/parser.hh"
 #include "core/artifact_engine.hh"
+#include "core/reports.hh"
 #include "decoder/complexity.hh"
-#include "fetch/cache_stats.hh"
-#include "fetch/hot_stats.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/profiler.hh"
-#include "support/sched.hh"
 #include "support/table.hh"
 #include "support/trace.hh"
 #include "workloads/workload.hh"
@@ -57,20 +55,11 @@ usage()
         "<prog>\n"
         "  workloads\n"
         "flags: --no-pgo, -O0, --trace=<file>, --metrics=<file>,\n"
-        "       --size-report=<file> (compress|fetch|verify|verilog),\n"
-        "       --prof-report=<file> (host-profile rollup, schema "
-        "tepic-prof-v1),\n"
+        "       --report-dir=<dir> (PROF, SCHED, CACHE, HOT and, for "
+        "commands\n"
+        "         that build images, SIZE reports as "
+        "<dir>/<KIND>_tepicc.json),\n"
         "       --prof-collapse=<file> (FlameGraph collapsed stacks),\n"
-        "       --sched-report=<file> (task-graph scheduling report, "
-        "schema tepic-sched-v1),\n"
-        "       --cache-report=<file> (cache-behavior report: 3C miss "
-        "classes,\n"
-        "         reuse distances, per-set heatmaps; schema "
-        "tepic-cache-v1),\n"
-        "       --hot-report=<file> (dynamic-behavior report: "
-        "per-block hotness,\n"
-        "         branch-site accuracy, phase profile; schema "
-        "tepic-hot-v1),\n"
         "       --log-level=debug|info|warn|error|none (overrides "
         "TEPIC_LOG)\n"
         "<prog> = tinkerc file or built-in workload name\n");
@@ -101,19 +90,21 @@ struct Options
     bool optimise = true;
     std::string tracePath;
     std::string metricsPath;
-    std::string sizeReportPath;
-    std::string profReportPath;
+    std::string reportDir;
     std::string profCollapsePath;
-    std::string schedReportPath;
-    std::string cacheReportPath;
-    std::string hotReportPath;
     std::vector<std::string> positional;
+
+    /** Whether the report sessions run (their metrics feed --metrics=). */
+    bool
+    reporting() const
+    {
+        return !reportDir.empty() || !metricsPath.empty();
+    }
 };
 
 /**
  * The last engine build of this invocation, kept so
- * finalizeObservability() can emit the --size-report= artifact after
- * the command ran.
+ * finalizeObservability() can report its sizes after the command ran.
  */
 struct
 {
@@ -143,18 +134,10 @@ parseArgs(int argc, char **argv)
             opts.tracePath = argv[i] + 8;
         else if (std::strncmp(argv[i], "--metrics=", 10) == 0)
             opts.metricsPath = argv[i] + 10;
-        else if (std::strncmp(argv[i], "--size-report=", 14) == 0)
-            opts.sizeReportPath = argv[i] + 14;
-        else if (std::strncmp(argv[i], "--prof-report=", 14) == 0)
-            opts.profReportPath = argv[i] + 14;
+        else if (std::strncmp(argv[i], "--report-dir=", 13) == 0)
+            opts.reportDir = argv[i] + 13;
         else if (std::strncmp(argv[i], "--prof-collapse=", 16) == 0)
             opts.profCollapsePath = argv[i] + 16;
-        else if (std::strncmp(argv[i], "--sched-report=", 15) == 0)
-            opts.schedReportPath = argv[i] + 15;
-        else if (std::strncmp(argv[i], "--cache-report=", 15) == 0)
-            opts.cacheReportPath = argv[i] + 15;
-        else if (std::strncmp(argv[i], "--hot-report=", 13) == 0)
-            opts.hotReportPath = argv[i] + 13;
         else if (std::strncmp(argv[i], "--log-level=", 12) == 0) {
             const char *level = argv[i] + 12;
             if (!support::isLogLevelName(level)) {
@@ -423,51 +406,35 @@ dispatch(const std::string &cmd, const Options &opts)
     return usage();
 }
 
-/** Flush --trace=/--metrics=/--size-report= outputs after the run. */
-void
+/**
+ * Write --report-dir=/--metrics=/--prof-collapse=/--trace= outputs
+ * after the run; false if any of them could not be written.
+ */
+bool
 finalizeObservability(const Options &opts)
 {
-    if (!opts.sizeReportPath.empty()) {
-        if (g_lastBuild.artifacts == nullptr) {
-            TEPIC_WARN("--size-report= ignored: this command builds "
-                       "no images (use compress, fetch, verify or "
-                       "verilog)");
-        } else {
-            core::recordSizeMetrics(*g_lastBuild.artifacts);
-            core::writeSizeReport(
-                opts.sizeReportPath, "tepicc",
-                {core::SizeReportEntry{g_lastBuild.name,
-                                       g_lastBuild.artifacts.get()}});
-        }
-    }
-    if (!opts.schedReportPath.empty()) {
-        support::sched::writeReport(opts.schedReportPath, "tepicc");
-    }
-    if (!opts.cacheReportPath.empty()) {
-        fetch::cachestats::writeReport(opts.cacheReportPath,
-                                       "tepicc");
-    }
-    if (!opts.hotReportPath.empty()) {
-        fetch::hotstats::writeReport(opts.hotReportPath, "tepicc");
-    }
-    if (!opts.metricsPath.empty() || !opts.profReportPath.empty()) {
+    bool ok = true;
+    if (opts.reporting()) {
         auto &metrics = support::MetricsRegistry::global();
         core::ArtifactEngine::global().exportMetrics(metrics);
-        support::prof::exportMetricsTo(metrics);
-        support::sched::exportMetricsTo(metrics);
-        if (!opts.profReportPath.empty()) {
-            support::prof::writeReport(opts.profReportPath, "tepicc",
-                                       metrics);
+        std::vector<core::SizeReportEntry> artifacts;
+        if (g_lastBuild.artifacts != nullptr) {
+            artifacts.push_back(core::SizeReportEntry{
+                g_lastBuild.name, g_lastBuild.artifacts.get()});
         }
+        ok = core::reports::writeReports(opts.reportDir, "tepicc",
+                                         artifacts, metrics);
+        core::reports::endSessions();
         if (!opts.metricsPath.empty())
-            metrics.writeJsonFile(opts.metricsPath);
+            ok = metrics.writeJsonFile(opts.metricsPath) && ok;
     }
     if (!opts.profCollapsePath.empty()) {
         support::prof::stopSampling();
-        support::prof::writeCollapsed(opts.profCollapsePath);
+        ok = support::prof::writeCollapsed(opts.profCollapsePath) && ok;
     }
     if (!opts.tracePath.empty())
-        support::trace::stop();
+        ok = support::trace::stop() && ok;
+    return ok;
 }
 
 } // namespace
@@ -489,23 +456,16 @@ main(int argc, char **argv)
     if (opts.positional.size() < 2)
         return usage();
 
-    support::prof::startSession();
-    // Scheduling observability is always recorded (the engine emits a
-    // handful of task events per build); the report is written only
-    // when --sched-report= asks for it.
-    support::sched::startSession(0);
-    // Cache-behavior recording costs the fetch sims real time, so it
-    // is switched on only when the report was requested.
-    if (!opts.cacheReportPath.empty())
-        fetch::cachestats::startSession();
-    // Likewise for dynamic-behavior recording.
-    if (!opts.hotReportPath.empty())
-        fetch::hotstats::startSession();
+    // CACHE and HOT recording costs the fetch sims real time, so the
+    // sessions run only when their reports or metrics were asked for.
+    if (opts.reporting())
+        core::reports::startSessions(0);
     if (!opts.profCollapsePath.empty())
         support::prof::startSampling();
     if (!opts.tracePath.empty())
         support::trace::start(opts.tracePath);
     const int status = dispatch(cmd, opts);
-    finalizeObservability(opts);
+    if (!finalizeObservability(opts))
+        return 1;
     return status;
 }

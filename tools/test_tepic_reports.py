@@ -15,13 +15,22 @@ TOOLS_DIR = os.path.dirname(os.path.abspath(__file__))
 TOOL = os.path.join(TOOLS_DIR, "tepic_reports.py")
 
 SCHEMAS = ("tepic-cache-v1", "tepic-hot-v1", "tepic-metrics-v1",
-           "tepic-prof-v1", "tepic-sched-v1", "tepic-sweep-v1")
+           "tepic-prof-v1", "tepic-sched-v1", "tepic-size-v1",
+           "tepic-sweep-v1")
 
 
 def metrics_doc():
     return {"schema": "tepic-metrics-v1", "counters": {"a": 1},
             "gauges": {}, "histograms": {}, "timings": {},
             "runtime": {}}
+
+
+def size_doc():
+    return {"schema": "tepic-size-v1", "name": "t", "workloads": {
+        "fir": {"schemes": {"base": {
+            "total_bits": 12,
+            "tree": {"opcode": 8, "operands": {"src": 3, "dest": 1}},
+            "by_function": {"main": {"B0": 12}}}}}}}
 
 
 def trace_doc():
@@ -111,6 +120,29 @@ class TepicReportsTest(unittest.TestCase):
         result = run([path, "--md", out, "--size", size])
         self.assertEqual(result.returncode, 2)
         self.assertIn("--size joins into tepic-hot-v1", result.stderr)
+
+    def test_size_ledgers_must_tile_total_bits(self):
+        good = self.write("SIZE_a.json", size_doc())
+        result = run([good])
+        self.assertEqual(result.returncode, 0, result.stderr)
+        for view in ("tree", "by_function"):
+            doc = size_doc()
+            rec = doc["workloads"]["fir"]["schemes"]["base"]
+            rec[view] = {"x": 11}
+            result = run([self.write("SIZE_b.json", doc)])
+            self.assertEqual(result.returncode, 1, result.stderr)
+            self.assertIn(f"fir.base.{view} leaves sum to 11",
+                          result.stderr)
+
+    def test_size_compare_names_the_divergent_leaf(self):
+        doc = size_doc()
+        doc["workloads"]["fir"]["schemes"]["base"]["tree"] = {
+            "opcode": 9, "operands": {"src": 2, "dest": 1}}
+        result = run(["--compare", self.write("a.json", size_doc()),
+                      self.write("b.json", doc)])
+        self.assertEqual(result.returncode, 1, result.stderr)
+        self.assertIn("workloads.fir.schemes.base.tree.opcode",
+                      result.stderr)
 
     def test_compare_takes_no_other_inputs(self):
         a = self.write("a.json", metrics_doc())
