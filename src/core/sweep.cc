@@ -1,14 +1,24 @@
 #include "core/sweep.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <chrono>
+#include <functional>
+#include <map>
+#include <numeric>
+#include <optional>
 #include <set>
+#include <span>
+#include <tuple>
 
 #include "core/pipeline.hh"
 #include "decoder/complexity.hh"
+#include "fetch/fetch_stages.hh"
 #include "support/keys.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
+#include "support/popcount.hh"
 #include "support/thread_pool.hh"
 #include "workloads/workload.hh"
 
@@ -123,8 +133,9 @@ SweepConfig::fetchConfig(bool record_3c) const
     config.predictor.kind = predictor;
     config.penalties = penaltyProfileByName(penaltyProfile).penalties;
     config.cacheStats.enabled = record_3c;
-    // The sweep consumes only the 3C split; sample the reuse stream
-    // coarsely so recording does not dominate a 500+-point grid.
+    // The sweep consumes only the 3C split, recorded once per memory
+    // stream; sample the reuse stream coarsely so recording stays a
+    // small share of each stream's simulation.
     config.cacheStats.reuseSampleEvery = 64;
     return config;
 }
@@ -201,50 +212,325 @@ decoderCost(const Artifacts &artifacts, fetch::SchemeClass scheme)
     TEPIC_PANIC("bad scheme class");
 }
 
-PointRecord
-evaluatePoint(const std::string &workload, const Artifacts &artifacts,
-              const SweepConfig &config, bool record_3c)
+// ---------------------------------------------------------------------------
+// Factored evaluation: streams, then the fold (see sweep.hh).
+
+/** Per-fetch flags, 64 fetches to a word; bit f is fetch f. */
+using Bits = std::vector<std::uint64_t>;
+
+Bits
+zeroBits(std::size_t fetches)
 {
-    const fetch::FetchConfig fetch_config =
-        config.fetchConfig(record_3c);
-    const isa::Image &image = imageFor(artifacts, config.scheme);
-    const fetch::FetchStats stats =
-        fetch::simulateFetch(image, artifacts.compiled.program,
-                             artifacts.trace(), fetch_config);
-
-    PointRecord rec;
-    rec.workload = workload;
-    rec.config = config;
-    rec.key = workload + "/" + config.key();
-
-    PointMetrics &m = rec.metrics;
-    m.sizeBits = image.bitSize;
-    m.cycles = stats.cycles;
-    m.idealCycles = stats.idealCycles;
-    m.opsDelivered = stats.opsDelivered;
-    m.blocksFetched = stats.blocksFetched;
-    m.stallCycles = stats.stallCycles;
-    m.mispredictStall = stats.mispredictStallCycles;
-    m.refillStall = stats.refillStallCycles;
-    m.decodeStall = stats.decodeStallCycles;
-    m.atbStall = stats.atbStallCycles;
-    m.l0SavedCycles = stats.l0SavedCycles;
-    m.l1Hits = stats.l1Hits;
-    m.l1Misses = stats.l1Misses;
-    m.busBitFlips = stats.busBitFlips;
-    m.busBeats = stats.busBeats;
-    m.bytesTransferred = stats.bytesTransferred;
-    m.decoderTransistors = decoderCost(artifacts, config.scheme);
-    m.cacheRecorded = stats.cacheStats.recorded;
-    if (stats.cacheStats.recorded) {
-        m.compulsory = stats.cacheStats.compulsory;
-        m.capacity = stats.cacheStats.capacity;
-        m.conflict = stats.cacheStats.conflict;
-    }
-    return rec;
+    return Bits((fetches + 63) / 64, 0);
 }
 
+void
+putBit(Bits &bits, std::size_t fetch, bool value)
+{
+    bits[fetch >> 6] |= std::uint64_t(value) << (fetch & 63);
+}
+
+/** One memory stream (scheme image, L1 geometry, L0 ops). */
+struct MemoryStream
+{
+    Bits l0Hit;
+    Bits l1Miss;
+    std::uint64_t mops = 0;        ///< Σ n_mops
+    std::uint64_t ops = 0;         ///< Σ n_ops
+    std::uint64_t l1Misses = 0;
+    std::uint64_t missRepair = 0;  ///< Σ over L1 misses of n_lines−1
+    bool cacheRecorded = false;
+    std::uint64_t compulsory = 0;
+    std::uint64_t capacity = 0;
+    std::uint64_t conflict = 0;
+};
+
+/**
+ * Run the memory stage of @p config over @p trace, with the 3C
+ * recorder attached when config.cacheStats asks for it. The recorder
+ * is fed the same observations simulateFetch gives it; the control
+ * fields it sees are placeholders, since the 3C split never reads
+ * them.
+ */
+MemoryStream
+recordMemoryStream(const sim::BlockTrace &trace,
+                   const fetch::FetchTable &table,
+                   const fetch::FetchConfig &config)
+{
+    const std::span<const sim::TraceEvent> events = trace.events;
+    const fetch::Att &att = table.att();
+    MemoryStream out;
+    out.l0Hit = zeroBits(events.size());
+    out.l1Miss = zeroBits(events.size());
+    fetch::BankedCache cache(config.cache);
+    fetch::L0Buffer buffer(config.l0CapacityOps);
+    std::optional<fetch::CacheStatsRecorder> recorder;
+    if (config.cacheStats.enabled) {
+        cache.setObserver(&recorder.emplace(
+            config.cache, std::uint64_t(events.size()),
+            config.cacheStats));
+    }
+
+    for (std::size_t f = 0; f < events.size(); ++f) {
+        const isa::BlockId head = events[f].block;
+        const fetch::AttEntry &entry = att.entry(head);
+        const fetch::FetchTable::Lines &lines = table.lines(head);
+        const fetch::MemoryOutcome mem = fetch::accessMemory(
+            config, buffer, cache, head, entry.numOps, lines);
+        out.mops += entry.numMops;
+        out.ops += entry.numOps;
+        putBit(out.l0Hit, f, mem.l0Hit);
+        putBit(out.l1Miss, f, !mem.l1Hit);
+        if (!mem.l1Hit) {
+            ++out.l1Misses;
+            out.missRepair += lines.count() - 1;
+        }
+        if (recorder) {
+            fetch::FetchObservation fetch;
+            fetch.record.index = f;
+            fetch.record.block = head;
+            fetch.record.l0Hit = mem.l0Hit;
+            fetch.record.l1Hit = mem.l1Hit;
+            fetch.byteAddress = entry.byteAddress;
+            fetch.byteSize = entry.byteSize;
+            fetch.firstLine = lines.first;
+            fetch.lastLine = lines.last;
+            recorder->onFetch(fetch);
+        }
+    }
+    if (recorder) {
+        const fetch::CacheStats stats = recorder->finish();
+        out.cacheRecorded = stats.recorded;
+        out.compulsory = stats.compulsory;
+        out.capacity = stats.capacity;
+        out.conflict = stats.conflict;
+    }
+    return out;
+}
+
+/**
+ * The cost stage folded over one (control, memory) stream pair: the
+ * bit counts fetch::foldCost needs, then the bus traffic replayed in
+ * fetch order — only the fetches that missed the ATB or the L1 move
+ * anything, the upload before the fill within a fetch.
+ */
+TEPIC_POPCNT_CLONES PointMetrics
+foldPoint(const ControlStream &control, const MemoryStream &memory,
+          const sim::BlockTrace &trace, fetch::FetchTable &table,
+          const fetch::FetchConfig &config)
+{
+    const std::span<const sim::TraceEvent> events = trace.events;
+    fetch::FoldCounts n;
+    n.mops = memory.mops;
+    n.l1Misses = memory.l1Misses;
+    n.missRepair = memory.missRepair;
+    std::uint64_t mispredicts = 0;
+    power::BusModel bus(config.busWidthBytes);
+    for (std::size_t w = 0; w < memory.l1Miss.size(); ++w) {
+        const std::uint64_t wrong = control.mispredict[w];
+        const std::uint64_t missed = memory.l1Miss[w];
+        const std::uint64_t served = ~(memory.l0Hit[w] | missed);
+        const std::uint64_t uploads = control.atbMiss[w];
+        mispredicts += std::uint64_t(std::popcount(wrong));
+        n.mispredictServed += std::uint64_t(std::popcount(wrong & served));
+        n.mispredictMissed += std::uint64_t(std::popcount(wrong & missed));
+        n.atbMisses += std::uint64_t(std::popcount(uploads));
+        for (std::uint64_t any = uploads | missed; any != 0;
+             any &= any - 1) {
+            const int b = std::countr_zero(any);
+            const isa::BlockId head = events[w * 64 + unsigned(b)].block;
+            if ((uploads >> b) & 1)
+                table.sendUpload(head, bus);
+            if ((missed >> b) & 1)
+                table.sendFill(head, bus);
+        }
+    }
+    n.mispredictL0 = mispredicts - n.mispredictServed - n.mispredictMissed;
+    const fetch::FoldedCost cost =
+        fetch::foldCost(config.scheme, n, config.penalties);
+
+    PointMetrics m;
+    m.stallCycles = cost.causes.total();
+    m.cycles = n.mops + m.stallCycles;
+    m.idealCycles = n.mops;
+    m.opsDelivered = memory.ops;
+    m.blocksFetched = events.size();
+    m.mispredictStall = cost.causes.mispredict;
+    m.refillStall = cost.causes.l1Refill;
+    m.decodeStall = cost.causes.decodeStage;
+    m.atbStall = cost.causes.atbMiss;
+    m.l0SavedCycles = cost.l0Saved;
+    m.l1Hits = events.size() - memory.l1Misses;
+    m.l1Misses = memory.l1Misses;
+    m.busBitFlips = bus.bitFlips();
+    m.busBeats = bus.beats();
+    m.bytesTransferred = bus.bytesTransferred();
+    m.cacheRecorded = memory.cacheRecorded;
+    m.compulsory = memory.compulsory;
+    m.capacity = memory.capacity;
+    m.conflict = memory.conflict;
+    return m;
+}
+
+/** What one (workload, scheme) contributes to every point. */
+struct SchemeInputs
+{
+    const isa::Image *image = nullptr;
+    std::optional<fetch::Att> att;
+    std::uint64_t decoderTransistors = 0;
+};
+
+/**
+ * The configurations grouped by the streams they read: configs with
+ * equal (atb entries, predictor) share a control stream, configs with
+ * equal (scheme, sets, ways, line bytes, L0 ops) a memory stream.
+ */
+struct StreamPlan
+{
+    std::vector<std::size_t> controlReps;  ///< a config per control stream
+    std::vector<std::size_t> controlOf;    ///< config -> control stream
+    std::vector<std::vector<std::size_t>> memoryMembers;  ///< configs
+
+    explicit StreamPlan(const std::vector<SweepConfig> &configs)
+        : controlOf(configs.size())
+    {
+        std::map<std::pair<unsigned, fetch::PredictorKind>, std::size_t>
+            controls;
+        std::map<std::tuple<fetch::SchemeClass, unsigned, unsigned,
+                            unsigned, unsigned>,
+                 std::size_t>
+            memories;
+        for (std::size_t c = 0; c < configs.size(); ++c) {
+            const SweepConfig &config = configs[c];
+            const auto [control, new_control] = controls.emplace(
+                std::pair(config.atbEntries, config.predictor),
+                controls.size());
+            if (new_control)
+                controlReps.push_back(c);
+            controlOf[c] = control->second;
+            const auto [memory, new_memory] = memories.emplace(
+                std::tuple(config.scheme, config.sets, config.ways,
+                           config.lineBytes, config.l0Ops),
+                memories.size());
+            if (new_memory)
+                memoryMembers.emplace_back();
+            memoryMembers[memory->second].push_back(c);
+        }
+    }
+};
+
 } // namespace
+
+ControlStream
+recordControlStream(const fetch::Att &att, const sim::BlockTrace &trace,
+                    unsigned atb_entries,
+                    const fetch::PredictorConfig &predictor)
+{
+    const std::span<const sim::TraceEvent> events = trace.events;
+    ControlStream out;
+    out.atbMiss = zeroBits(events.size());
+    out.mispredict = zeroBits(events.size());
+    fetch::ControlStage control(att, atb_entries, predictor);
+    for (std::size_t f = 0; f < events.size(); ++f) {
+        const sim::TraceEvent &event = events[f];
+        const fetch::ControlOutcome ctl = control.enter(event.block);
+        putBit(out.atbMiss, f, !ctl.atbHit);
+        putBit(out.mispredict, f, !ctl.predictionCorrect);
+        control.leave(event.block, event, false);
+    }
+    return out;
+}
+
+std::vector<PointMetrics>
+evaluatePoints(const std::vector<const Artifacts *> &workloads,
+               const std::vector<SweepConfig> &configs, bool record_3c,
+               unsigned jobs)
+{
+    const std::size_t config_count = configs.size();
+    std::vector<PointMetrics> out(workloads.size() * config_count);
+    if (out.empty())
+        return out;
+    const StreamPlan plan(configs);
+    const std::size_t control_count = plan.controlReps.size();
+    const std::size_t memory_count = plan.memoryMembers.size();
+
+    // One ATT and one decoder cost per (workload, scheme).
+    std::vector<std::array<SchemeInputs, 3>> inputs(workloads.size());
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+        for (const SweepConfig &config : configs) {
+            SchemeInputs &in = inputs[w][std::size_t(config.scheme)];
+            if (in.att)
+                continue;
+            in.image = &imageFor(*workloads[w], config.scheme);
+            in.att.emplace(fetch::Att::build(
+                *in.image, workloads[w]->compiled.program));
+            in.decoderTransistors =
+                decoderCost(*workloads[w], config.scheme);
+        }
+    }
+
+    std::optional<support::ThreadPool> pool;
+    if (jobs != 1)
+        pool.emplace(jobs);
+    const auto run = [&](std::size_t count,
+                         const std::function<void(std::size_t)> &body) {
+        if (pool) {
+            pool->parallelFor(count, body);
+            return;
+        }
+        for (std::size_t i = 0; i < count; ++i)
+            body(i);
+    };
+
+    // Phase 1: the control streams. The ATB reads only the program's
+    // CFG through the ATT, so any swept scheme's ATT serves.
+    std::vector<ControlStream> controls(workloads.size() * control_count);
+    run(controls.size(), [&](std::size_t task) {
+        const std::size_t w = task / control_count;
+        const SweepConfig &rep =
+            configs[plan.controlReps[task % control_count]];
+        const auto with_att = std::find_if(
+            inputs[w].begin(), inputs[w].end(),
+            [](const SchemeInputs &in) { return in.att.has_value(); });
+        controls[task] = recordControlStream(
+            *with_att->att, workloads[w]->trace(), rep.atbEntries,
+            rep.fetchConfig(false).predictor);
+    });
+
+    // Phase 2: the memory streams, longest trace first, each folded
+    // into every point that reads it, then dropped.
+    std::vector<std::size_t> tasks(workloads.size() * memory_count);
+    std::iota(tasks.begin(), tasks.end(), std::size_t(0));
+    std::stable_sort(tasks.begin(), tasks.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return workloads[a / memory_count]
+                                    ->trace().events.size() >
+                                workloads[b / memory_count]
+                                    ->trace().events.size();
+                     });
+    run(tasks.size(), [&](std::size_t i) {
+        const std::size_t w = tasks[i] / memory_count;
+        const std::vector<std::size_t> &members =
+            plan.memoryMembers[tasks[i] % memory_count];
+        const sim::BlockTrace &trace = workloads[w]->trace();
+        const SchemeInputs &in =
+            inputs[w][std::size_t(configs[members.front()].scheme)];
+        fetch::FetchTable table(*in.att, *in.image,
+                                configs[members.front()].lineBytes);
+        const MemoryStream memory = recordMemoryStream(
+            trace, table,
+            configs[members.front()].fetchConfig(record_3c));
+        for (std::size_t c : members) {
+            PointMetrics &m = out[w * config_count + c];
+            m = foldPoint(
+                controls[w * control_count + plan.controlOf[c]], memory,
+                trace, table, configs[c].fetchConfig(record_3c));
+            m.sizeBits = in.image->bitSize;
+            m.decoderTransistors = in.decoderTransistors;
+        }
+    });
+    return out;
+}
 
 SweepResult
 runSweep(ArtifactEngine &engine, const SweepOptions &options)
@@ -282,25 +568,21 @@ runSweep(ArtifactEngine &engine, const SweepOptions &options)
     }
     const auto artifacts = engine.buildMany(builds);
 
-    // One slot per (workload, config); every simulation writes only
-    // its own slot, so any fan-out is bit-identical to serial.
+    // One slot per (workload, config), filled by the factored
+    // evaluation; any fan-out is bit-identical to serial.
+    std::vector<const Artifacts *> inputs;
+    for (const auto &built : artifacts)
+        inputs.push_back(built.get());
+    const std::vector<PointMetrics> metrics = evaluatePoints(
+        inputs, out.configs, options.record3c, out.jobs);
     const std::size_t config_count = out.configs.size();
-    const std::size_t point_count =
-        config_count * options.grid.workloads.size();
-    out.points.resize(point_count);
-    const auto evalOne = [&](std::size_t flat) {
-        const std::size_t w = flat / config_count;
-        const std::size_t c = flat % config_count;
-        out.points[flat] =
-            evaluatePoint(options.grid.workloads[w], *artifacts[w],
-                          out.configs[c], options.record3c);
-    };
-    if (out.jobs <= 1 || point_count <= 1) {
-        for (std::size_t flat = 0; flat < point_count; ++flat)
-            evalOne(flat);
-    } else {
-        support::ThreadPool pool(out.jobs);
-        pool.parallelFor(point_count, evalOne);
+    out.points.resize(metrics.size());
+    for (std::size_t flat = 0; flat < metrics.size(); ++flat) {
+        PointRecord &rec = out.points[flat];
+        rec.workload = options.grid.workloads[flat / config_count];
+        rec.config = out.configs[flat % config_count];
+        rec.key = rec.workload + "/" + rec.config.key();
+        rec.metrics = metrics[flat];
     }
 
     // Aggregate per configuration across workloads (u64 sums; the

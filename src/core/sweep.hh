@@ -8,9 +8,10 @@
  * complexity is not free, and the right scheme depends on which axis
  * the system is starved on — is a design-space claim. This driver
  * makes it observable: expand a grid (schemes x cache geometry x L0
- * capacity x ATB entries x predictor x cycle-penalty profile), run
- * fetch::simulateFetch for every (workload, configuration) point over
- * one memoized ArtifactEngine, and emit schema "tepic-sweep-v1":
+ * capacity x ATB entries x predictor x cycle-penalty profile), build
+ * every workload once through one memoized ArtifactEngine, evaluate
+ * every (workload, configuration) point, and emit schema
+ * "tepic-sweep-v1":
  *
  *  - structure: objectives, the grid, one record per point (sizes,
  *    cycles, exact stall tiling, decoder transistors, bus bit flips,
@@ -23,6 +24,31 @@
  *  - timing: wall-clock throughput (jobs, wall_ms, points_per_sec),
  *    band-gated only.
  *
+ * Factored evaluation (fetch/fetch_stages.hh). A point is not one
+ * simulateFetch run: the kernel's control stage (ATB + predictor)
+ * depends only on (trace, ATB entries, predictor), its memory stage
+ * (L0 + L1) only on (scheme image, sets, ways, line bytes, L0 ops),
+ * and its cost stage is a function of their per-fetch bits. So the
+ * sweep simulates each distinct stream once — on the CI grid, 6
+ * control streams and 48 memory streams per workload instead of 288
+ * full runs — in three phases:
+ *
+ *  1. control streams, one pool task each, into packed bit vectors
+ *     (ATB miss, mispredict) over the ATT of any swept scheme (the
+ *     streams are scheme-independent, a tested fact);
+ *  2. memory streams, one pool task per (workload, stream) with the
+ *     3C recorder attached, so 3C is recorded once per stream; each
+ *     task then folds every configuration sharing its stream
+ *     (control stream x penalty profile) into that point's slot and
+ *     drops its bit vectors;
+ *  3. the fold: fetch::foldCost over popcounts of ANDed bit vectors
+ *     and per-stream sums, plus one walk over the ATB-miss and
+ *     L1-miss bits in fetch order that replays the folded bus bursts
+ *     (upload before fill within a fetch).
+ *
+ * Every point equals simulateFetch under SweepConfig::fetchConfig(),
+ * field for field (property-tested on random programs and grids).
+ *
  * Dominance (support/sweep.hh): a configuration dominates another
  * when it is no worse on all four objectives — total size bits (min),
  * aggregate ipc_e6 (max), decoder transistors (min), bus bit flips
@@ -30,14 +56,14 @@
  * in dominance order (oriented objective tuple ascending, key as the
  * tie-break) and is invariant under point evaluation order.
  *
- * Determinism notes: every point is evaluated into a pre-assigned
- * slot (ThreadPool::parallelFor, jobs == 1 runs strictly serially on
- * the caller); simulations share nothing — no decoded-block cache is
- * attached (the sim's architectural numbers never depend on decoded
- * operations, so skipping host decode is both faster and race-free);
- * aggregation and front construction happen on the calling thread in
- * grid order. Configurations are normalized before expansion (the L0
- * capacity collapses to 0 for the schemes that have no L0 buffer) and
+ * Determinism notes: every stream task writes only its own slots
+ * (ThreadPool::parallelFor, jobs == 1 runs strictly serially on the
+ * caller); streams share nothing but read-only artefacts — no
+ * decoded-block cache is attached (the sim's architectural numbers
+ * never depend on decoded operations); aggregation and front
+ * construction happen on the calling thread in grid order.
+ * Configurations are normalized before expansion (the L0 capacity
+ * collapses to 0 for the schemes that have no L0 buffer) and
  * deduplicated, so no two records alias the same hardware.
  */
 
@@ -49,9 +75,11 @@
 #include <vector>
 
 #include "core/artifact_engine.hh"
+#include "fetch/att.hh"
 #include "fetch/cycle_model.hh"
 #include "fetch/fetch_sim.hh"
 #include "fetch/predictor.hh"
+#include "sim/emulator.hh"
 #include "support/sweep.hh"
 
 namespace tepic::support {
@@ -130,7 +158,10 @@ struct SweepConfig
 
     std::string key() const;
 
-    /** The fetch::FetchConfig this point simulates. */
+    /**
+     * The fetch::FetchConfig this point stands for: simulateFetch
+     * under it reproduces the point's metrics exactly.
+     */
     fetch::FetchConfig fetchConfig(bool record_3c) const;
 };
 
@@ -222,7 +253,10 @@ struct SweepOptions
     SweepGrid grid;
     /** Simulation fan-out: 0 = hardware concurrency, 1 = serial. */
     unsigned jobs = 1;
-    /** Record the 3C miss split per point (costs simulation time). */
+    /**
+     * Record the 3C miss split: once per memory stream (48 per CI
+     * workload), shared by every point of that stream.
+     */
     bool record3c = true;
 };
 
@@ -246,6 +280,41 @@ struct SweepResult
  */
 SweepResult runSweep(ArtifactEngine &engine,
                      const SweepOptions &options);
+
+/**
+ * One workload's control stream (see the file comment): bit f of
+ * each vector describes the f-th fetch of the trace (the identity
+ * partition: one block per fetch).
+ */
+struct ControlStream
+{
+    std::vector<std::uint64_t> atbMiss;     ///< the ATB missed
+    std::vector<std::uint64_t> mispredict;  ///< the fetch was not the
+                                            ///< predicted follower
+
+    bool operator==(const ControlStream &) const = default;
+};
+
+/**
+ * Run the control stage over @p trace with the ATB keyed by @p att:
+ * @p atb_entries entries and @p predictor's direction predictor.
+ */
+ControlStream recordControlStream(const fetch::Att &att,
+                                  const sim::BlockTrace &trace,
+                                  unsigned atb_entries,
+                                  const fetch::PredictorConfig &predictor);
+
+/**
+ * The factored evaluation behind runSweep, over built artefacts:
+ * each entry of @p workloads must hold kTrace plus the images of the
+ * schemes @p configs name. Returns the metrics of every (workload,
+ * config) pair at [w * configs.size() + c]; bit-identical for any
+ * @p jobs (0 = hardware concurrency, 1 = serial on the caller).
+ */
+std::vector<PointMetrics>
+evaluatePoints(const std::vector<const Artifacts *> &workloads,
+               const std::vector<SweepConfig> &configs, bool record_3c,
+               unsigned jobs);
 
 /**
  * The exact-gated "structure" object alone, as a standalone JSON

@@ -1,11 +1,11 @@
 #include "fetch/fetch_sim.hh"
 
-#include <algorithm>
 #include <array>
 #include <optional>
 #include <span>
 #include <vector>
 
+#include "fetch/fetch_stages.hh"
 #include "fetch/superblock.hh"
 #include "support/logging.hh"
 #include "support/trace.hh"
@@ -67,104 +67,6 @@ class TraceRecorder final : public FetchObserver
     std::uint64_t fetches_ = 0;
 };
 
-/**
- * Everything the per-fetch loop needs that depends only on (image,
- * ATT entry, L1 geometry), computed once per simulation: each entry's
- * L1 line span, and its two bus transfers — the miss fill and the ATT
- * upload — folded into bursts on first use and replayed after.
- * Folding is exact: a miss refills every line of the entry, so its
- * fill always moves the same bytes, and an upload is a fixed pattern
- * per head. A bus wider than 8 bytes cannot fold and gets the raw
- * bytes each time.
- */
-class FetchTable
-{
-  public:
-    struct Lines
-    {
-        std::uint32_t first = 0;
-        std::uint32_t last = 0;
-    };
-
-    FetchTable(const Att &att, const isa::Image &image,
-               unsigned line_bytes)
-        : att_(att), image_(image), lineBytes_(line_bytes),
-          lines_(att.entries().size()), traffic_(lines_.size()),
-          upload_((att.entryBits() + 7) / 8)
-    {
-        for (std::size_t id = 0; id < lines_.size(); ++id) {
-            const AttEntry &entry = att.entries()[id];
-            if (entry.numMops == 0)
-                continue;  // not fetchable: a unit member's slot
-            TEPIC_ASSERT(entry.byteSize > 0, "zero-size block access");
-            lines_[id].first = entry.byteAddress / line_bytes;
-            lines_[id].last = std::uint32_t(
-                (std::uint64_t(entry.byteAddress) + entry.byteSize -
-                 1) / line_bytes);
-        }
-    }
-
-    const Lines &lines(isa::BlockId head) const { return lines_[head]; }
-
-    /** A miss's traffic: the entry's lines from its first byte,
-     *  clipped to the image. */
-    void
-    sendFill(isa::BlockId head, power::BusModel &bus)
-    {
-        send(bus, traffic_[head].fill, [&] {
-            const Lines &l = lines_[head];
-            const std::size_t begin = att_.entry(head).byteAddress;
-            const std::size_t end = std::min<std::size_t>(
-                begin + std::size_t(l.last - l.first + 1) * lineBytes_,
-                image_.bytes.size());
-            return begin < end
-                ? std::span<const std::uint8_t>(
-                      image_.bytes.data() + begin, end - begin)
-                : std::span<const std::uint8_t>();
-        });
-    }
-
-    /** An ATB miss's traffic: the ATT entry, as a fixed per-head
-     *  fill pattern. */
-    void
-    sendUpload(isa::BlockId head, power::BusModel &bus)
-    {
-        send(bus, traffic_[head].upload, [&] {
-            std::fill(upload_.begin(), upload_.end(),
-                      std::uint8_t(0xa5 ^ (head & 0xff)));
-            return std::span<const std::uint8_t>(upload_);
-        });
-    }
-
-  private:
-    struct Traffic
-    {
-        std::optional<power::Burst> fill;
-        std::optional<power::Burst> upload;
-    };
-
-    template <typename Bytes>
-    static void
-    send(power::BusModel &bus, std::optional<power::Burst> &burst,
-         Bytes bytes)
-    {
-        if (!bus.foldable()) {
-            bus.transfer(bytes());
-            return;
-        }
-        if (!burst)
-            burst = bus.fold(bytes());
-        bus.send(*burst);
-    }
-
-    const Att &att_;
-    const isa::Image &image_;
-    unsigned lineBytes_;
-    std::vector<Lines> lines_;       ///< indexed by block id
-    std::vector<Traffic> traffic_;   ///< indexed by block id
-    std::vector<std::uint8_t> upload_;  ///< scratch ATT-entry bytes
-};
-
 } // namespace
 
 void
@@ -200,11 +102,13 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
 {
     const FetchUnits *units = config.units;
     const Att att = Att::build(image, program, units);
-    Atb atb(att, config.atbEntries, config.predictor);
+    FetchTable table(att, image, config.cache.lineBytes);
+    // The three stages of fetch_stages.hh, composed per fetch.
+    ControlStage control(att, config.atbEntries, config.predictor);
     BankedCache cache(config.cache);
     L0Buffer buffer(config.l0CapacityOps);
     power::BusModel bus(config.busWidthBytes);
-    FetchTable table(att, image, config.cache.lineBytes);
+    CostStage cost(config, table, bus);
 
     FetchStats stats;
     // A local view: its pointer and size stay in registers across the
@@ -217,11 +121,11 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
     const bool trace_sink = support::trace::enabled();
     const char *stall_rate_name = stallRateCounterName(config.scheme);
 
-    // Recorders attach to the one per-fetch observation point; the
-    // loop pays one branch per fetch when none is attached. The cache
-    // recorder also takes the L1's line events (CacheLineObserver).
-    // Both stats recorders fold to no-op stubs under
-    // -DTEPIC_ENABLE_TRACING=OFF.
+    // Recorders attach to the one per-fetch observation point, after
+    // the cost stage; the loop pays one branch per fetch when none is
+    // attached. The cache recorder also takes the L1's line events
+    // (CacheLineObserver). Both stats recorders fold to no-op stubs
+    // under -DTEPIC_ENABLE_TRACING=OFF.
     std::optional<TraceRecorder> trace_rec;
     std::optional<CacheStatsRecorder> cache_stats;
     std::optional<HotStatsRecorder> hot_stats;
@@ -241,24 +145,19 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
             std::uint64_t(events.size()), config.hotStats);
     }
 
-    // Prediction for the very first fetch: treat as correct (cold
-    // start is charged to neither scheme).
-    bool next_prediction_correct = true;
     std::uint64_t fetches = 0;
 
     for (std::size_t first = 0; first < events.size();) {
         const isa::BlockId head = events[first].block;
         const AttEntry &entry = att.entry(head);
         const FetchTable::Lines &lines = table.lines(head);
-        const std::uint32_t n_lines = lines.last - lines.first + 1;
 
         // Walk the unit: the fetch streams on while the trace follows
         // the unit's fallthrough chain, and leaving before the tail is
         // a side exit. Under the identity partition the walk is the
         // head alone.
         std::size_t last = first;
-        std::uint32_t mops = entry.numMops;
-        std::uint32_t ops = entry.numOps;
+        FetchShape shape{entry.numMops, entry.numOps, lines.count(), 1};
         bool side_exit = false;
         if (units) {
             TEPIC_ASSERT(units->isHead(head),
@@ -276,50 +175,24 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
             side_exit = events[last].block != tail;
             if (side_exit) {
                 // A partial traversal delivers only the walked blocks.
-                mops = ops = 0;
+                shape.mops = shape.ops = 0;
                 for (isa::BlockId b = head; b <= events[last].block;
                      ++b) {
-                    mops += image.blocks[b].numMops;
-                    ops += image.blocks[b].numOps;
+                    shape.mops += image.blocks[b].numMops;
+                    shape.ops += image.blocks[b].numOps;
                 }
             }
+            shape.blocks = std::uint32_t(last - first + 1);
         }
         const sim::TraceEvent &exit = events[last];
-        const auto walked = std::uint32_t(last - first + 1);
 
-        // Per-cause stall accounting for this fetch; the simulator
-        // owns the ATB cause, the cycle model the other three.
-        StallBreakdown causes;
-
-        // ATB: translation must be resident before the unit can be
-        // fetched; a miss costs the ATT upload from ROM.
-        const bool atb_hit = atb.access(head);
-        if (!atb_hit) {
-            causes.atbMiss += config.penalties.atbMissPenalty;
-            // The ATT entry travels over the memory bus.
-            table.sendUpload(head, bus);
-        }
-
-        // L0 buffer (compressed only) — checked before/with the L1.
-        bool l0_hit = false;
-        if (config.scheme == SchemeClass::kCompressed) {
-            l0_hit = buffer.access(head, entry.numOps);
-        }
-
-        // L1 access (skipped entirely on an L0 hit: the buffer has
-        // priority and already holds the whole decompressed unit).
-        bool l1_hit = true;
-        if (!l0_hit) {
-            l1_hit = cache.accessLines(lines.first, lines.last);
-            if (!l1_hit) {
-                // A miss fills every line of the unit.
-                stats.linesTransferred += n_lines;
-                // Miss traffic: the unit's bytes cross the bus.
-                table.sendFill(head, bus);
-            }
-        }
-        // Built from locals only here, so it stays in registers.
-        const FetchEvent fe{next_prediction_correct, l1_hit, l0_hit};
+        // Control, then memory: the translation must be resident
+        // before the unit can be fetched (a miss costs the ATT upload
+        // from ROM), and the L0 is checked before/with the L1.
+        const ControlOutcome ctl = control.enter(head);
+        const MemoryOutcome mem =
+            accessMemory(config, buffer, cache, head, entry.numOps, lines);
+        cost.transfer(stats, head, ctl, mem, shape);
 
         // Host-side decode: first touch decodes a block, replays come
         // from the cache. Outside the architectural model by
@@ -329,30 +202,9 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
                 config.decodedBlocks->ops(b);
         }
 
-        {
-            const StallBreakdown model = stallBreakdown(
-                config.scheme, fe, mops, ops, n_lines,
-                config.penalties);
-            causes.mispredict += model.mispredict;
-            causes.l1Refill += model.l1Refill;
-            causes.decodeStage += model.decodeStage;
-        }
-        const std::uint64_t stall = causes.total();
-        const std::uint64_t fetch_cycles = mops + stall;
-        stats.cycles += fetch_cycles;
-        stats.idealCycles += mops;
-        stats.opsDelivered += ops;
-        stats.blocksFetched += walked;
+        const StallBreakdown causes =
+            cost.charge(stats, ctl, mem, shape);
         ++fetches;
-        stats.stallCycles += stall;
-        stats.mispredictStallCycles += causes.mispredict;
-        stats.refillStallCycles += causes.l1Refill;
-        stats.decodeStallCycles += causes.decodeStage;
-        stats.atbStallCycles += causes.atbMiss;
-        if (l0_hit) {
-            stats.l0SavedCycles +=
-                l0BypassSavings(config.scheme, fe, config.penalties);
-        }
 
         if (trace_sink && fetches % kCounterInterval == 0) {
             // Counter tracks: running stall rate (stall cycles per
@@ -370,54 +222,33 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
             }
         }
 
-        if (fe.predictionCorrect)
-            ++stats.predictionsCorrect;
-        else
-            ++stats.predictionsWrong;
-        if (fe.l1Hit)
-            ++stats.l1Hits;
-        else
-            ++stats.l1Misses;
-        if (config.scheme == SchemeClass::kCompressed) {
-            if (l0_hit)
-                ++stats.l0Hits;
-            else
-                ++stats.l0Misses;
-        }
-
-        // Predict the follower, then train with the actual outcome. A
-        // side exit breaks the streaming assumption: the follower was
-        // not being predicted at all, so it is charged as a mispredict.
-        if (side_exit) {
+        if (side_exit)
             ++stats.sideExits;
-            next_prediction_correct = false;
-        } else {
-            next_prediction_correct = atb.predictNext(head) == exit.next;
-        }
-        atb.update(head, exit.branchTaken, exit.next);
+        const bool next_correct = control.leave(head, exit, side_exit);
 
         if (n_observers != 0) {
             FetchObservation fetch;
             FetchTraceRecord &rec = fetch.record;
+            const std::uint64_t stall = causes.total();
             rec.index = first;
             rec.block = head;
-            rec.cycles = std::uint32_t(fetch_cycles);
+            rec.cycles = std::uint32_t(shape.mops + stall);
             rec.stallCycles = std::uint32_t(stall);
             rec.mispredictStall = std::uint32_t(causes.mispredict);
             rec.refillStall = std::uint32_t(causes.l1Refill);
             rec.decodeStall = std::uint32_t(causes.decodeStage);
             rec.atbStall = std::uint32_t(causes.atbMiss);
-            rec.atbHit = atb_hit;
-            rec.l1Hit = fe.l1Hit;
-            rec.l0Hit = l0_hit;
-            rec.predictionCorrect = fe.predictionCorrect;
-            fetch.blocks = walked;
+            rec.atbHit = ctl.atbHit;
+            rec.l1Hit = mem.l1Hit;
+            rec.l0Hit = mem.l0Hit;
+            rec.predictionCorrect = ctl.predictionCorrect;
+            fetch.blocks = shape.blocks;
             fetch.byteAddress = entry.byteAddress;
             fetch.byteSize = entry.byteSize;
             fetch.firstLine = lines.first;
             fetch.lastLine = lines.last;
             fetch.branchTaken = exit.branchTaken;
-            fetch.nextPredictionCorrect = next_prediction_correct;
+            fetch.nextPredictionCorrect = next_correct;
             for (std::size_t k = 0; k < n_observers; ++k)
                 observers[k]->onFetch(fetch);
         }
@@ -426,8 +257,8 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
     }
 
     stats.fetches = fetches;
-    stats.atbHits = atb.hits();
-    stats.atbMisses = atb.misses();
+    stats.atbHits = control.atb().hits();
+    stats.atbMisses = control.atb().misses();
     stats.busBeats = bus.beats();
     stats.busBitFlips = bus.bitFlips();
     stats.bytesTransferred = bus.bytesTransferred();

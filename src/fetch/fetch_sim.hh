@@ -12,8 +12,11 @@
  *
  * The kernel walks fetch units (superblock.hh, §7): one fetch is one
  * unit traversal, and plain fetch is the identity partition (one
- * block per unit). Every completed fetch is handed to the attached
- * recorders through one FetchObserver call (fetch_observer.hh).
+ * block per unit). Each fetch is the composition of three stages
+ * (fetch_stages.hh): control (ATB + predictor), memory (L0 + L1) and
+ * cost (cycle model, counters, bus). Every completed fetch is then
+ * handed to the attached recorders through one FetchObserver call
+ * (fetch_observer.hh).
  */
 
 #ifndef TEPIC_FETCH_FETCH_SIM_HH

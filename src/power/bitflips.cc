@@ -4,14 +4,7 @@
 #include <cstring>
 
 #include "support/logging.hh"
-
-// Hardware popcount without a build flag: the compiler emits a popcnt
-// clone and a portable one and picks between them once, at load time.
-#if defined(__GNUC__) && defined(__x86_64__) && defined(__ELF__)
-#define TEPIC_POPCNT_CLONES [[gnu::target_clones("popcnt", "default")]]
-#else
-#define TEPIC_POPCNT_CLONES
-#endif
+#include "support/popcount.hh"
 
 namespace tepic::power {
 

@@ -1,9 +1,12 @@
 /**
  * @file
  * Design-space sweep tests: Pareto dominance on hand-traced fixtures,
- * grid expansion order, configuration normalization, and the driver's
+ * grid expansion order, configuration normalization, the driver's
  * determinism contract (the structure section is byte-identical for
- * any jobs value; the front is invariant under input order).
+ * any jobs value; the front is invariant under input order), and the
+ * factored evaluation against the composed kernel: control streams
+ * are scheme-independent, and every folded point equals
+ * fetch::simulateFetch field by field on random programs and grids.
  */
 
 #include <gtest/gtest.h>
@@ -15,9 +18,17 @@
 
 #include "core/artifact_engine.hh"
 #include "core/sweep.hh"
+#include "decoder/complexity.hh"
+#include "fetch/att.hh"
+#include "fetch/cache_stats.hh"
 #include "fetch/fetch_sim.hh"
+#include "fetch/fetch_stages.hh"
+#include "support/rng.hh"
 #include "support/sweep.hh"
+#include "support/thread_pool.hh"
 #include "workloads/workload.hh"
+
+#include "program_gen.hh"
 
 namespace {
 
@@ -221,39 +232,113 @@ TEST(SweepDriver, StructureByteIdenticalAcrossJobs)
               options.grid.workloads.size() * serial.configs.size());
 }
 
+/** What simulateFetch says about @p config: the per-point kernel. */
+core::sweep::PointMetrics
+composedPoint(const core::Artifacts &artifacts,
+              const core::sweep::SweepConfig &config, bool record_3c)
+{
+    const isa::Image &image = core::imageFor(artifacts, config.scheme);
+    const fetch::FetchStats stats = fetch::simulateFetch(
+        image, artifacts.compiled.program, artifacts.trace(),
+        config.fetchConfig(record_3c));
+    core::sweep::PointMetrics m;
+    m.sizeBits = image.bitSize;
+    m.cycles = stats.cycles;
+    m.idealCycles = stats.idealCycles;
+    m.opsDelivered = stats.opsDelivered;
+    m.blocksFetched = stats.blocksFetched;
+    m.stallCycles = stats.stallCycles;
+    m.mispredictStall = stats.mispredictStallCycles;
+    m.refillStall = stats.refillStallCycles;
+    m.decodeStall = stats.decodeStallCycles;
+    m.atbStall = stats.atbStallCycles;
+    m.l0SavedCycles = stats.l0SavedCycles;
+    m.l1Hits = stats.l1Hits;
+    m.l1Misses = stats.l1Misses;
+    m.busBitFlips = stats.busBitFlips;
+    m.busBeats = stats.busBeats;
+    m.bytesTransferred = stats.bytesTransferred;
+    switch (config.scheme) {
+      case fetch::SchemeClass::kBase:
+        m.decoderTransistors = 0;
+        break;
+      case fetch::SchemeClass::kCompressed:
+        m.decoderTransistors =
+            decoder::decoderTransistors(artifacts.fullImage());
+        break;
+      case fetch::SchemeClass::kTailored:
+        m.decoderTransistors =
+            decoder::tailoredDecoderTransistors(artifacts.tailoredIsa());
+        break;
+    }
+    m.cacheRecorded = stats.cacheStats.recorded;
+    m.compulsory = stats.cacheStats.compulsory;
+    m.capacity = stats.cacheStats.capacity;
+    m.conflict = stats.cacheStats.conflict;
+    return m;
+}
+
+void
+expectSameMetrics(const core::sweep::PointMetrics &got,
+                  const core::sweep::PointMetrics &want,
+                  const std::string &key)
+{
+    SCOPED_TRACE(key);
+    EXPECT_EQ(got.sizeBits, want.sizeBits);
+    EXPECT_EQ(got.cycles, want.cycles);
+    EXPECT_EQ(got.idealCycles, want.idealCycles);
+    EXPECT_EQ(got.opsDelivered, want.opsDelivered);
+    EXPECT_EQ(got.blocksFetched, want.blocksFetched);
+    EXPECT_EQ(got.stallCycles, want.stallCycles);
+    EXPECT_EQ(got.mispredictStall, want.mispredictStall);
+    EXPECT_EQ(got.refillStall, want.refillStall);
+    EXPECT_EQ(got.decodeStall, want.decodeStall);
+    EXPECT_EQ(got.atbStall, want.atbStall);
+    EXPECT_EQ(got.l0SavedCycles, want.l0SavedCycles);
+    EXPECT_EQ(got.l1Hits, want.l1Hits);
+    EXPECT_EQ(got.l1Misses, want.l1Misses);
+    EXPECT_EQ(got.busBitFlips, want.busBitFlips);
+    EXPECT_EQ(got.busBeats, want.busBeats);
+    EXPECT_EQ(got.bytesTransferred, want.bytesTransferred);
+    EXPECT_EQ(got.decoderTransistors, want.decoderTransistors);
+    EXPECT_EQ(got.cacheRecorded, want.cacheRecorded);
+    EXPECT_EQ(got.compulsory, want.compulsory);
+    EXPECT_EQ(got.capacity, want.capacity);
+    EXPECT_EQ(got.conflict, want.conflict);
+}
+
 TEST(SweepDriver, PointMatchesDirectSimulation)
 {
     core::ArtifactEngine engine(1);
     core::sweep::SweepOptions options;
     options.grid.workloads = {"fir"};
-    options.grid.schemes = {fetch::SchemeClass::kBase};
     const auto result = core::sweep::runSweep(engine, options);
-    ASSERT_EQ(result.points.size(), 1u);
-    const auto &point = result.points[0];
+    ASSERT_EQ(result.points.size(), 3u);
 
-    // Re-run the same point by hand: same image, same trace, same
-    // FetchConfig — the sweep must be a plain fan-out of simulateFetch.
+    // Re-run each scheme's point by hand: same image, same trace,
+    // same FetchConfig. The sweep's factored streams and fold must
+    // reproduce the composed kernel exactly.
     const auto artifacts = engine.build(
         workloads::workloadByName("fir").source,
-        core::ArtifactRequest{core::ArtifactKind::kTrace,
-                              core::ArtifactKind::kBase});
-    const fetch::FetchStats direct = fetch::simulateFetch(
-        artifacts->baseImage(), artifacts->compiled.program,
-        artifacts->trace(), point.config.fetchConfig(true));
-
-    EXPECT_EQ(point.metrics.sizeBits, artifacts->baseImage().bitSize);
-    EXPECT_EQ(point.metrics.cycles, direct.cycles);
-    EXPECT_EQ(point.metrics.stallCycles, direct.stallCycles);
-    EXPECT_EQ(point.metrics.busBitFlips, direct.busBitFlips);
-    EXPECT_EQ(point.metrics.l1Misses, direct.l1Misses);
-    EXPECT_EQ(point.metrics.decoderTransistors, 0u);  // base decodes
-                                                      // for free
-    // The exact stall tiling the validator re-derives.
-    EXPECT_EQ(point.metrics.mispredictStall + point.metrics.refillStall
-                  + point.metrics.decodeStall + point.metrics.atbStall,
-              point.metrics.stallCycles);
-    EXPECT_EQ(point.metrics.idealCycles + point.metrics.stallCycles,
-              point.metrics.cycles);
+        core::ArtifactRequest{
+            core::ArtifactKind::kTrace, core::ArtifactKind::kBase,
+            core::ArtifactKind::kFull, core::ArtifactKind::kTailored});
+    for (const auto &point : result.points) {
+        expectSameMetrics(point.metrics,
+                          composedPoint(*artifacts, point.config, true),
+                          point.key);
+        // The exact stall tiling the validator re-derives.
+        EXPECT_EQ(point.metrics.mispredictStall +
+                      point.metrics.refillStall +
+                      point.metrics.decodeStall + point.metrics.atbStall,
+                  point.metrics.stallCycles);
+        EXPECT_EQ(point.metrics.idealCycles + point.metrics.stallCycles,
+                  point.metrics.cycles);
+        if (point.config.scheme == fetch::SchemeClass::kBase) {
+            // Base decodes for free.
+            EXPECT_EQ(point.metrics.decoderTransistors, 0u);
+        }
+    }
 }
 
 TEST(SweepDriver, AggregatesSumWorkloadPoints)
@@ -286,6 +371,219 @@ TEST(SweepDriver, AggregatesSumWorkloadPoints)
     const auto expect =
         support::sweep::paretoFront(cloud, core::sweep::objectives());
     EXPECT_EQ(result.front, expect);
+}
+
+TEST(SweepFactored, ControlStreamsSchemeIndependent)
+{
+    // The ATB is keyed by block id and primed from the program's CFG,
+    // so the control stream must not depend on which image the ATT
+    // was built from. The factored sweep shares one control stream
+    // across all three schemes on the strength of this.
+    core::ArtifactEngine engine(support::ThreadPool::hardwareThreads());
+    const core::ArtifactRequest request{
+        core::ArtifactKind::kTrace, core::ArtifactKind::kBase,
+        core::ArtifactKind::kFull, core::ArtifactKind::kTailored};
+    std::vector<core::BuildRequest> builds;
+    for (const auto &workload : workloads::allWorkloads())
+        builds.push_back({workload.source, request, {}, workload.name});
+    const auto built = engine.buildMany(builds);
+
+    struct Control
+    {
+        unsigned atbEntries;
+        fetch::PredictorKind predictor;
+    };
+    const Control controls[] = {
+        {16, fetch::PredictorKind::kBimodal},
+        {16, fetch::PredictorKind::kGshare},
+        {16, fetch::PredictorKind::kPas},
+        {64, fetch::PredictorKind::kBimodal},
+    };
+    for (std::size_t w = 0; w < built.size(); ++w) {
+        SCOPED_TRACE(builds[w].label);
+        const core::Artifacts &artifacts = *built[w];
+        const auto &program = artifacts.compiled.program;
+        const fetch::Att base =
+            fetch::Att::build(artifacts.baseImage(), program);
+        const fetch::Att tailored =
+            fetch::Att::build(artifacts.tailoredImage(), program);
+        const fetch::Att compressed =
+            fetch::Att::build(artifacts.fullImage().image, program);
+        for (const Control &control : controls) {
+            fetch::PredictorConfig predictor;
+            predictor.kind = control.predictor;
+            const auto stream = [&](const fetch::Att &att) {
+                return core::sweep::recordControlStream(
+                    att, artifacts.trace(), control.atbEntries,
+                    predictor);
+            };
+            const core::sweep::ControlStream reference = stream(base);
+            EXPECT_EQ(stream(tailored), reference)
+                << "atb " << control.atbEntries;
+            EXPECT_EQ(stream(compressed), reference)
+                << "atb " << control.atbEntries;
+        }
+    }
+}
+
+/** Up to @p most distinct picks from @p pool, at least one. */
+template <typename T>
+std::vector<T>
+pickSome(support::Rng &rng, std::vector<T> pool, std::size_t most)
+{
+    for (std::size_t i = pool.size(); i > 1; --i)
+        std::swap(pool[i - 1], pool[rng.below(i)]);
+    pool.resize(std::size_t(rng.range(1, std::int64_t(most))));
+    return pool;
+}
+
+/**
+ * A random grid over every dimension the factored evaluation groups
+ * by: non-power-of-two sets, 1-4 ways, 16/32/40/64-byte lines, 0-64
+ * L0 ops, 1-128 ATB entries, and all three predictors and penalty
+ * profiles.
+ */
+core::sweep::SweepGrid
+randomGrid(support::Rng &rng)
+{
+    core::sweep::SweepGrid grid;
+    grid.cacheSets = pickSome<unsigned>(
+        rng, {1, 3, 5, 7, 12, 16, 24, 48, 64, 100}, 2);
+    grid.cacheWays = pickSome<unsigned>(rng, {1, 2, 3, 4}, 2);
+    grid.lineBytes = pickSome<unsigned>(rng, {16, 32, 40, 64}, 2);
+    grid.l0CapacityOps = {unsigned(rng.range(0, 64)),
+                          unsigned(rng.range(0, 64))};
+    grid.atbEntries = {unsigned(rng.range(1, 128)),
+                       unsigned(rng.range(1, 128))};
+    grid.predictors = {fetch::PredictorKind::kBimodal,
+                       fetch::PredictorKind::kGshare,
+                       fetch::PredictorKind::kPas};
+    grid.penaltyProfiles = {"paper", "slowmem", "deeppipe"};
+    return grid;
+}
+
+TEST(SweepFactored, MatchesComposedKernel)
+{
+    for (std::uint64_t round = 0; round < 6; ++round) {
+        const std::uint64_t seed = round * 2654435761u + 4099;
+        test::ProgramGen gen(seed);
+        const std::string source = gen.generate();
+        SCOPED_TRACE(source);
+
+        core::PipelineConfig config;
+        config.profileGuided = false;
+        config.emulator.maxMops = 20'000'000;  // generated programs
+                                               // are small
+        const core::Artifacts artifacts =
+            core::ArtifactEngine::buildUncached(
+                source,
+                core::ArtifactRequest{core::ArtifactKind::kTrace,
+                                      core::ArtifactKind::kBase,
+                                      core::ArtifactKind::kFull,
+                                      core::ArtifactKind::kTailored},
+                config);
+
+        support::Rng rng(seed ^ 0x5eed);
+        const auto configs =
+            core::sweep::expandConfigs(randomGrid(rng));
+        // The pool path: three jobs over one workload's streams.
+        const auto metrics =
+            core::sweep::evaluatePoints({&artifacts}, configs, true, 3);
+        ASSERT_EQ(metrics.size(), configs.size());
+        for (std::size_t c = 0; c < configs.size(); ++c) {
+            expectSameMetrics(metrics[c],
+                              composedPoint(artifacts, configs[c], true),
+                              configs[c].key());
+            // 3C is recorded exactly when the build compiles it in.
+            EXPECT_EQ(metrics[c].cacheRecorded,
+                      bool(TEPIC_CACHESTATS_ENABLED));
+        }
+    }
+
+    // The whole driver on a random grid: the structure is
+    // byte-identical serially and on three jobs.
+    core::ArtifactEngine engine(1);
+    support::Rng rng(77);
+    core::sweep::SweepOptions options;
+    options.grid = randomGrid(rng);
+    options.grid.workloads = {"fir", "matmul"};
+    options.jobs = 1;
+    const auto serial = core::sweep::runSweep(engine, options);
+    options.jobs = 3;
+    const auto fanned = core::sweep::runSweep(engine, options);
+    EXPECT_EQ(core::sweep::structureJson(serial),
+              core::sweep::structureJson(fanned));
+    for (const auto &point : serial.points) {
+        EXPECT_EQ(point.metrics.cacheRecorded,
+                  bool(TEPIC_CACHESTATS_ENABLED))
+            << point.key;
+    }
+}
+
+TEST(SweepFactored, FoldCostSumsPerFetchCost)
+{
+    // foldCost() must equal the per-fetch cycle model summed fetch by
+    // fetch for any penalties — the built-in profiles alone cannot
+    // tell every term apart (each has mispredictRefill equal to
+    // compressedDecodeStage).
+    support::Rng rng(2024);
+    for (int round = 0; round < 100; ++round) {
+        fetch::CyclePenalties p;
+        p.mispredictRefill = unsigned(rng.below(10));
+        p.mispredictMissBase = unsigned(rng.below(10));
+        p.tailoredMissExtra = unsigned(rng.below(10));
+        p.compressedMissExtra = unsigned(rng.below(10));
+        p.compressedDecodeStage = unsigned(rng.below(10));
+        p.atbMissPenalty = unsigned(rng.below(10));
+        for (auto scheme :
+             {fetch::SchemeClass::kBase, fetch::SchemeClass::kTailored,
+              fetch::SchemeClass::kCompressed}) {
+            fetch::FoldCounts n;
+            fetch::StallBreakdown want;
+            std::uint64_t want_saved = 0;
+            for (int f = 0; f < 64; ++f) {
+                fetch::FetchEvent e;
+                e.predictionCorrect = rng.chance(0.5);
+                e.l0Hit = scheme == fetch::SchemeClass::kCompressed &&
+                          rng.chance(0.3);
+                e.l1Hit = e.l0Hit || rng.chance(0.5);
+                const bool atb_hit = rng.chance(0.5);
+                const auto mops = std::uint32_t(rng.range(1, 8));
+                const auto ops = mops + std::uint32_t(rng.below(8));
+                const auto lines = std::uint32_t(rng.range(1, 4));
+
+                const fetch::StallBreakdown c =
+                    fetch::stallBreakdown(scheme, e, mops, ops, lines, p);
+                want.mispredict += c.mispredict;
+                want.l1Refill += c.l1Refill;
+                want.decodeStage += c.decodeStage;
+                want.atbMiss += atb_hit ? 0 : p.atbMissPenalty;
+                want_saved += fetch::l0BypassSavings(scheme, e, p);
+
+                n.mops += mops;
+                n.atbMisses += atb_hit ? 0 : 1;
+                if (!e.l1Hit) {
+                    ++n.l1Misses;
+                    n.missRepair += lines - 1;
+                }
+                if (!e.predictionCorrect) {
+                    if (e.l0Hit)
+                        ++n.mispredictL0;
+                    else if (e.l1Hit)
+                        ++n.mispredictServed;
+                    else
+                        ++n.mispredictMissed;
+                }
+            }
+            const fetch::FoldedCost got = fetch::foldCost(scheme, n, p);
+            SCOPED_TRACE(fetch::schemeClassName(scheme));
+            EXPECT_EQ(got.causes.mispredict, want.mispredict);
+            EXPECT_EQ(got.causes.l1Refill, want.l1Refill);
+            EXPECT_EQ(got.causes.decodeStage, want.decodeStage);
+            EXPECT_EQ(got.causes.atbMiss, want.atbMiss);
+            EXPECT_EQ(got.l0Saved, want_saved);
+        }
+    }
 }
 
 } // namespace

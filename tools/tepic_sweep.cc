@@ -3,20 +3,27 @@
  * tepic-sweep — the design-space sweep driver CLI.
  *
  * Expands a configuration grid (schemes x cache geometry x L0 x ATB x
- * predictor x penalty profile), simulates every (workload, config)
- * point through one memoized ArtifactEngine, and writes the
- * tepic-sweep-v1 report (core/sweep.hh): per-point records, per-config
- * aggregates and the Pareto front over size / IPC / decoder cost /
- * bus bit flips. The structure section is byte-identical for any
- * --jobs value; tools/tepic_reports.py re-derives every invariant from
- * the file and renders the Markdown/SVG views.
+ * predictor x penalty profile), evaluates every (workload, config)
+ * point over one memoized ArtifactEngine — each distinct control and
+ * memory stream simulated once, the points folded from their hit bits
+ * — and writes the tepic-sweep-v1 report (core/sweep.hh): per-point
+ * records, per-config aggregates and the Pareto front over size / IPC
+ * / decoder cost / bus bit flips. The structure section is
+ * byte-identical for any --jobs value; tools/tepic_reports.py
+ * re-derives every invariant from the file and renders the
+ * Markdown/SVG views. Bad flags or grid input exit 2 with a usage
+ * message; a failure while sweeping exits 1.
  *
  *   tepic-sweep --preset=ci --jobs=4 --out=SWEEP_ci.json
  *   tepic-sweep --workloads=fir --sets=128,256 --ways=1,2
  */
 
+#include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -27,6 +34,7 @@
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/text_file.hh"
+#include "workloads/workload.hh"
 
 namespace {
 
@@ -79,20 +87,35 @@ splitCsv(const std::string &csv)
     return out;
 }
 
+/** @p text as a decimal unsigned: digits only, no sign or blanks,
+ *  no overflow. */
+bool
+parseUnsigned(const std::string &text, unsigned &out)
+{
+    if (text.empty() ||
+        text.find_first_not_of("0123456789") != std::string::npos)
+        return false;
+    errno = 0;
+    const unsigned long value = std::strtoul(text.c_str(), nullptr, 10);
+    if (errno == ERANGE || value > UINT_MAX)
+        return false;
+    out = unsigned(value);
+    return true;
+}
+
 std::vector<unsigned>
 parseUnsignedList(const char *flag, const std::string &csv)
 {
     std::vector<unsigned> out;
     for (const std::string &item : splitCsv(csv)) {
-        char *end = nullptr;
-        const unsigned long value = std::strtoul(item.c_str(), &end, 10);
-        if (end == item.c_str() || *end != '\0' || value == 0) {
+        unsigned value = 0;
+        if (!parseUnsigned(item, value) || value == 0) {
             std::fprintf(stderr,
                          "tepic-sweep: %s wants positive integers, "
                          "got '%s'\n", flag, item.c_str());
             std::exit(2);
         }
-        out.push_back(unsigned(value));
+        out.push_back(value);
     }
     if (out.empty()) {
         std::fprintf(stderr, "tepic-sweep: %s is empty\n", flag);
@@ -152,6 +175,45 @@ parsePredictors(const std::string &csv)
     return out;
 }
 
+/** Exit 2 unless every name in @p names is a suite workload. */
+void
+checkWorkloads(const std::vector<std::string> &names)
+{
+    const auto &suite = workloads::allWorkloads();
+    for (const std::string &name : names) {
+        if (std::any_of(suite.begin(), suite.end(),
+                        [&](const workloads::Workload &w) {
+                            return w.name == name;
+                        }))
+            continue;
+        std::string known;
+        for (const workloads::Workload &w : suite)
+            known += (known.empty() ? "" : ", ") + w.name;
+        std::fprintf(stderr,
+                     "tepic-sweep: unknown workload '%s' (known: %s)\n",
+                     name.c_str(), known.c_str());
+        std::exit(usage());
+    }
+}
+
+/** Exit 2 unless every name in @p names is a built-in profile. */
+void
+checkPenaltyProfiles(const std::vector<std::string> &names)
+{
+    for (const std::string &name : names) {
+        bool known = false;
+        for (const auto &profile : core::sweep::penaltyProfiles())
+            known = known || profile.name == name;
+        if (!known) {
+            std::fprintf(stderr,
+                         "tepic-sweep: unknown penalty profile '%s' "
+                         "(expected paper|slowmem|deeppipe)\n",
+                         name.c_str());
+            std::exit(2);
+        }
+    }
+}
+
 } // namespace
 
 int
@@ -169,9 +231,14 @@ main(int argc, char **argv)
             name = arg + 7;
         else if (std::strncmp(arg, "--out=", 6) == 0)
             outPath = arg + 6;
-        else if (std::strncmp(arg, "--jobs=", 7) == 0)
-            options.jobs = unsigned(std::strtoul(arg + 7, nullptr, 10));
-        else if (std::strncmp(arg, "--preset=", 9) == 0) {
+        else if (std::strncmp(arg, "--jobs=", 7) == 0) {
+            if (!parseUnsigned(arg + 7, options.jobs)) {
+                std::fprintf(stderr,
+                             "tepic-sweep: --jobs wants a non-negative "
+                             "integer, got '%s'\n", arg + 7);
+                return usage();
+            }
+        } else if (std::strncmp(arg, "--preset=", 9) == 0) {
             const std::string preset = arg + 9;
             if (preset == "paper")
                 options.grid = core::sweep::SweepGrid::paperPoint();
@@ -206,8 +273,7 @@ main(int argc, char **argv)
             options.grid.predictors = parsePredictors(arg + 13);
         else if (std::strncmp(arg, "--penalties=", 12) == 0) {
             options.grid.penaltyProfiles = splitCsv(arg + 12);
-            for (const std::string &p : options.grid.penaltyProfiles)
-                core::sweep::penaltyProfileByName(p);  // validates
+            checkPenaltyProfiles(options.grid.penaltyProfiles);
         } else if (std::strcmp(arg, "--no-3c") == 0)
             options.record3c = false;
         else if (std::strncmp(arg, "--metrics=", 10) == 0)
@@ -232,14 +298,20 @@ main(int argc, char **argv)
         std::fprintf(stderr, "tepic-sweep: --workloads is empty\n");
         return 2;
     }
+    checkWorkloads(options.grid.workloads);
     if (outPath.empty())
         outPath = "SWEEP_" + name + ".json";
 
     // One engine for the whole sweep: every workload's artefacts are
     // built exactly once, whatever the grid size.
     core::ArtifactEngine engine(options.jobs);
-    const core::sweep::SweepResult result =
-        core::sweep::runSweep(engine, options);
+    core::sweep::SweepResult result;
+    try {
+        result = core::sweep::runSweep(engine, options);
+    } catch (const std::exception &error) {
+        std::fprintf(stderr, "tepic-sweep: error: %s\n", error.what());
+        return 1;
+    }
 
     if (!support::writeTextFile(outPath,
                                 core::sweep::reportJson(result, name),

@@ -19,14 +19,18 @@
  * Perfetto), --metrics=<file> (metrics registry JSON),
  * --report-dir=<dir> (every core::reports report as
  * <KIND>_tepicc.json), --prof-collapse=<file> (FlameGraph stacks).
- * Exits 1 when a requested output could not be written.
+ * Exits 1 when <prog> is rejected (a parse or semantic error prints
+ * "<prog>: error: ...") or a requested output could not be written,
+ * and 2 on a usage error.
  */
 
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -464,7 +468,23 @@ main(int argc, char **argv)
         support::prof::startSampling();
     if (!opts.tracePath.empty())
         support::trace::start(opts.tracePath);
-    const int status = dispatch(cmd, opts);
+    int status = 0;
+    try {
+        status = dispatch(cmd, opts);
+    } catch (const std::runtime_error &error) {
+        // A TEPIC_FATAL: the input was rejected. Name the input, not
+        // the library source line that noticed.
+        std::string what = error.what();
+        if (what.rfind("fatal: ", 0) == 0)
+            what.erase(0, 7);
+        std::fprintf(stderr, "%s: error: %s\n",
+                     opts.positional[1].c_str(), what.c_str());
+        status = 1;
+    } catch (const std::exception &error) {
+        std::fprintf(stderr, "tepicc: internal error on %s: %s\n",
+                     opts.positional[1].c_str(), error.what());
+        status = 1;
+    }
     if (!finalizeObservability(opts))
         return 1;
     return status;
