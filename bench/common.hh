@@ -307,9 +307,9 @@ reportBenchSummary(const BenchOptions &options)
     core::reports::endSessions();
     if (!options.metricsPath.empty())
         ok = metrics.writeJsonFile(options.metricsPath) && ok;
-    // Canonical per-binary snapshot: the regression-gate baseline
-    // (tools/check_regression.py) and fidelity report
-    // (tools/tepic_report.py) key off this name.
+    // Canonical per-binary snapshot: the regression gate and the
+    // fidelity report (tools/tepic_reports.py --diff / --fidelity) key
+    // off this name.
     ok = metrics.writeJsonFile("BENCH_" + options.benchName + ".json") &&
          ok;
     if (metrics.hasCounterWithPrefix("fetch."))

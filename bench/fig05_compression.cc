@@ -81,7 +81,7 @@ printFigure5()
                   TextTable::percent(support::mean(tail_r)), ""});
     std::printf("%s\n", table.render().c_str());
 
-    // Headline gauges for the fidelity report (tools/tepic_report.py):
+    // Headline gauges for the fidelity report (tepic_reports.py --fidelity):
     // suite-average size as a fraction of the 40-bit baseline.
     auto &metrics = support::MetricsRegistry::global();
     metrics.setGauge("fig05.ratio.byte", support::mean(byte_r));

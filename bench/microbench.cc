@@ -174,7 +174,7 @@ BENCHMARK(BM_BaselineImage)->Unit(benchmark::kMicrosecond);
 /**
  * Deterministic sentinels over the same kernels the timed loops
  * exercise: any functional change to a hot kernel moves one of these
- * counters, which the regression gate (tools/check_regression.py)
+ * counters, which the regression gate (tools/tepic_reports.py --diff)
  * compares exactly against bench/baselines/BENCH_microbench.json.
  */
 void

@@ -300,7 +300,7 @@ recordHotMetrics(fetch::SchemeClass scheme, const fetch::HotStats &hs)
     m.addCounter(prefix + "static_blocks", hs.staticBlocks);
     m.addCounter(prefix + "executed_blocks", hs.executedBlocks());
     // Dynamic-fetch concentration: how much of the trace the hottest
-    // 1/10 static blocks cover (tepic_diff.py harvests the trend).
+    // 1/10 static blocks cover (exact-gated by tepic_reports.py --diff).
     m.addCounter(prefix + "coverage.top1_fetches", hs.topCoverage(1));
     m.addCounter(prefix + "coverage.top10_fetches",
                  hs.topCoverage(10));

@@ -55,7 +55,8 @@
  * the reuse-distance stream; the 3C state must see every access and
  * cannot be sampled) and the recorder folds to no-op stubs under
  * -DTEPIC_ENABLE_TRACING=OFF: the disabled hot loop pays one branch
- * per fetch, bounded by the fig14 time-band gate.
+ * per fetch, bounded by the --diff gate's x100 band on fig14's
+ * prof.* throughput gauges.
  *
  * Session layer: cachestats is the report_store.hh template over
  * CacheStats. core::reports starts its session, runFetch() records

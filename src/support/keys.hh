@@ -11,7 +11,7 @@
  * "@" then the dimensions joined by "x", each dimension an optional
  * tag letter followed by its decimal value. Key stability is a tested
  * contract (tests/test_support.cc) because the suffixes appear in
- * committed report baselines and in trend logs.
+ * committed report baselines.
  */
 
 #ifndef TEPIC_SUPPORT_KEYS_HH

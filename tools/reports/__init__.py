@@ -11,4 +11,8 @@ Every module exports the same small interface; the shared plumbing
                          identical across --jobs (None: no contract)
   render_md(path, doc)   optional Markdown report (--md)
   render_svg(doc)        optional figure (--svg)
+
+Two modules are modes over whole runs rather than report kinds:
+diff.py (--diff, the regression gate) and fidelity.py (--fidelity,
+the paper-fidelity report).
 """

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate, compare and render every tepic JSON report.
+"""Validate, compare, diff and render every tepic JSON report.
 
 The report kind is read from the document's "schema" field; Chrome
 trace files (the --trace= output) carry no schema id and are
@@ -46,21 +46,34 @@ Usage:
                                       gauge values masked (metrics).
                                       The first differing JSON path is
                                       named.
+  tepic_reports.py --diff OLD NEW [--md FILE]
+                                      the regression gate: pair the
+                                      BENCH_/SIZE_ snapshots of two
+                                      files or directories, print every
+                                      drift (exact counters, histograms
+                                      and size ledgers; gauges within
+                                      1e-9; wall-clock within x100) and
+                                      rank what grew or shrank in
+                                      Markdown (stdout without --md);
+                                      see reports/diff.py
+  tepic_reports.py --fidelity DIR [--md FILE] [--html FILE]
+                                      the paper-fidelity report over
+                                      DIR's BENCH_*.json snapshots
+                                      (stdout without --md); see
+                                      reports/fidelity.py
 
-Exit codes: 0 = ok (profile degradation is a note, not an error),
-1 = invariant violation or --compare mismatch, 2 = usage or schema
-error (including a file that is not a JSON object, an unknown schema
-and a --compare across kinds). Only the standard library is used.
+Exit codes: 0 = ok (profile degradation and fidelity warns are
+notes, not errors), 1 = invariant violation, --compare mismatch or
+--diff drift, 2 = usage or schema error (including a file that is not
+a JSON object, an unknown schema, a --compare across kinds and an
+output that cannot be written). Only the standard library is used.
 """
 
 import argparse
 import json
-import os
 import sys
 
-# Diagnostics carry the running script's name, so the tools that
-# import load/usage_error from here keep their own prefix.
-PROG = os.path.splitext(os.path.basename(sys.argv[0]))[0]
+PROG = "tepic_reports"
 
 
 def usage_error(msg):
@@ -241,12 +254,14 @@ def render(kind, path, doc, md, svg, size_doc):
 def main(argv):
     parser = argparse.ArgumentParser(
         prog=PROG,
-        description="Validate, compare and render tepic JSON reports.")
+        description="Validate, compare, diff and render tepic JSON "
+                    "reports.")
     parser.add_argument("reports", nargs="*", metavar="REPORT",
                         help="report files to validate (kinds may be "
                              "mixed)")
     parser.add_argument("--md", metavar="FILE",
-                        help="write the first REPORT's Markdown report")
+                        help="write the first REPORT's, the --diff or "
+                             "the --fidelity Markdown report")
     parser.add_argument("--svg", metavar="FILE",
                         help="write the first REPORT's figure, or the "
                              "--flamegraph SVG")
@@ -261,13 +276,34 @@ def main(argv):
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
                         help="check two reports of one kind for "
                              "determinism-contract agreement")
+    parser.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
+                        help="regression gate and ranked diff of two "
+                             "snapshot files or directories")
+    parser.add_argument("--fidelity", metavar="DIR",
+                        help="paper-fidelity report over DIR's "
+                             "BENCH_*.json snapshots")
+    parser.add_argument("--html", metavar="FILE",
+                        help="also write the --fidelity report as HTML")
     args = parser.parse_args(argv)
 
+    modes = [flag for flag in ("compare", "diff", "fidelity")
+             if getattr(args, flag)]
+    if len(modes) > 1:
+        usage_error(f"--{modes[0]} and --{modes[1]} are exclusive")
+    if modes and (args.reports or args.svg or args.size
+                  or args.flamegraph or args.compare and args.md):
+        usage_error(f"--{modes[0]} takes no other inputs")
+    if args.html and modes != ["fidelity"]:
+        usage_error("--html needs --fidelity")
     if args.compare:
-        if args.reports or args.md or args.svg or args.size \
-                or args.flamegraph:
-            usage_error("--compare takes no other inputs")
         compare(*args.compare)
+        return
+    if args.diff:
+        from reports import diff
+        sys.exit(diff.run(*args.diff, args.md))
+    if args.fidelity:
+        from reports import fidelity
+        fidelity.run(args.fidelity, args.md, args.html)
         return
 
     svg = args.svg

@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
-"""Unit tests for check_regression.py (stdlib unittest only).
-tepic_report.py's tests live in test_tepic_report.py."""
+"""Unit tests for the regression-gate checks of
+`tepic_reports.py --diff OLD NEW` over two snapshot directories
+(stdlib unittest only). The ranked Markdown is tested in
+test_tepic_diff.py, --fidelity in test_tepic_report.py."""
 
 import json
 import os
@@ -10,7 +12,7 @@ import tempfile
 import unittest
 
 TOOLS_DIR = os.path.dirname(os.path.abspath(__file__))
-CHECK = os.path.join(TOOLS_DIR, "check_regression.py")
+TOOL = os.path.join(TOOLS_DIR, "tepic_reports.py")
 
 
 def bench_doc():
@@ -54,10 +56,9 @@ class TempDirs(unittest.TestCase):
 
 class CheckRegressionTest(TempDirs):
 
-    def run_check(self, *extra):
+    def run_check(self):
         return subprocess.run(
-            [sys.executable, CHECK, "--baseline-dir", self.baseline,
-             "--fresh-dir", self.fresh, *extra],
+            [sys.executable, TOOL, "--diff", self.baseline, self.fresh],
             capture_output=True, text=True)
 
     def test_identical_runs_pass(self):
@@ -79,7 +80,8 @@ class CheckRegressionTest(TempDirs):
         self.write(self.baseline, "BENCH_x.json", bench_doc())
         result = self.run_check()
         self.assertEqual(result.returncode, 1)
-        self.assertIn("no fresh run", result.stderr)
+        self.assertIn(f"BENCH_x.json: missing from {self.fresh}",
+                      result.stderr)
 
     def test_runtime_section_ignored(self):
         self.write(self.baseline, "BENCH_x.json", bench_doc())
@@ -94,7 +96,7 @@ class CheckRegressionTest(TempDirs):
         doc = bench_doc()
         doc["timings"]["phase_ms"]["sum"] = 30.0
         self.write(self.fresh, "BENCH_x.json", doc)
-        result = self.run_check("--time-band", "100")
+        result = self.run_check()
         self.assertEqual(result.returncode, 0, result.stderr)
 
     def test_wallclock_outside_band_fails(self):
@@ -102,7 +104,7 @@ class CheckRegressionTest(TempDirs):
         doc = bench_doc()
         doc["timings"]["phase_ms"]["sum"] = 5000.0
         self.write(self.fresh, "BENCH_x.json", doc)
-        result = self.run_check("--time-band", "100")
+        result = self.run_check()
         self.assertEqual(result.returncode, 1)
         self.assertIn("noise band", result.stderr)
 
@@ -113,7 +115,7 @@ class CheckRegressionTest(TempDirs):
         doc = bench_doc()
         doc["gauges"]["prof.ops_encoded_per_sec"] = 750000.0
         self.write(self.fresh, "BENCH_x.json", doc)
-        result = self.run_check("--time-band", "100")
+        result = self.run_check()
         self.assertEqual(result.returncode, 0, result.stderr)
 
     def test_prof_gauge_outside_band_fails(self):
@@ -123,70 +125,56 @@ class CheckRegressionTest(TempDirs):
         doc = bench_doc()
         doc["gauges"]["prof.ops_encoded_per_sec"] = 2000.0
         self.write(self.fresh, "BENCH_x.json", doc)
-        result = self.run_check("--time-band", "100")
+        result = self.run_check()
         self.assertEqual(result.returncode, 1)
         self.assertIn("throughput band", result.stderr)
 
     def test_prof_gauge_zero_side_skipped(self):
         # One run without a perf/cpu-time source reports 0 — never a
-        # regression by itself.
-        doc = bench_doc()
-        doc["gauges"]["prof.ipc_host"] = 0.0
-        self.write(self.baseline, "BENCH_x.json", doc)
-        doc = bench_doc()
-        doc["gauges"]["prof.ipc_host"] = 1.7
-        self.write(self.fresh, "BENCH_x.json", doc)
-        result = self.run_check("--time-band", "100")
-        self.assertEqual(result.returncode, 0, result.stderr)
+        # regression by itself, on either side.
+        for old, new in ((0.0, 1.7), (1.7, 0.0)):
+            doc = bench_doc()
+            doc["gauges"]["prof.ipc_host"] = old
+            self.write(self.baseline, "BENCH_x.json", doc)
+            doc["gauges"]["prof.ipc_host"] = new
+            self.write(self.fresh, "BENCH_x.json", doc)
+            result = self.run_check()
+            self.assertEqual(result.returncode, 0, result.stderr)
 
     def test_prof_gauge_key_set_still_gated(self):
         doc = bench_doc()
         doc["gauges"]["prof.ops_encoded_per_sec"] = 500000.0
         self.write(self.baseline, "BENCH_x.json", doc)
         self.write(self.fresh, "BENCH_x.json", bench_doc())
-        result = self.run_check("--time-band", "100")
+        result = self.run_check()
         self.assertEqual(result.returncode, 1)
-        self.assertIn("missing from fresh", result.stderr)
+        self.assertIn("gauge prof.ops_encoded_per_sec missing from NEW",
+                      result.stderr)
 
-    def test_only_accepts_a_comma_separated_list(self):
+    def test_malformed_timing_is_schema_error(self):
+        # A timing that is not an object fails validation (exit 2,
+        # naming the file and the timing), never with a traceback
+        # that would read as drift.
         self.write(self.baseline, "BENCH_x.json", bench_doc())
-        self.write(self.baseline, "BENCH_y.json", bench_doc())
-        self.write(self.fresh, "BENCH_x.json", bench_doc())
-        self.write(self.fresh, "BENCH_y.json", bench_doc())
-        # BENCH_z would drift, but it is not selected.
-        self.write(self.baseline, "BENCH_z.json", bench_doc())
-        result = self.run_check("--only", "BENCH_x.json,BENCH_y.json")
-        self.assertEqual(result.returncode, 0, result.stderr)
-        self.assertIn("all 2 baseline(s) match", result.stdout)
-
-    def test_only_accepts_repeated_flags(self):
-        self.write(self.baseline, "BENCH_x.json", bench_doc())
-        self.write(self.baseline, "BENCH_y.json", bench_doc())
-        self.write(self.fresh, "BENCH_x.json", bench_doc())
         doc = bench_doc()
-        doc["counters"]["fetch.base.stall_cycles"] += 1
-        self.write(self.fresh, "BENCH_y.json", doc)
-        # Repeated flags union with comma groups; the drifting file
-        # is selected, so the exit code must still be 1.
-        result = self.run_check("--only", "BENCH_x.json",
-                                "--only", "BENCH_y.json")
-        self.assertEqual(result.returncode, 1)
-        self.assertIn("stall_cycles", result.stderr)
-
-    def test_only_unknown_name_is_usage_error(self):
-        self.write(self.baseline, "BENCH_x.json", bench_doc())
-        self.write(self.fresh, "BENCH_x.json", bench_doc())
-        result = self.run_check("--only", "BENCH_x.json",
-                                "--only", "BENCH_nope.json")
+        doc["timings"]["engine.build.base_ms"] = 5
+        self.write(self.fresh, "BENCH_x.json", doc)
+        result = self.run_check()
         self.assertEqual(result.returncode, 2)
-        self.assertIn("BENCH_nope.json", result.stderr)
+        self.assertIn("BENCH_x.json: timing 'engine.build.base_ms' is "
+                      "not an object", result.stderr)
+        self.assertNotIn("Traceback", result.stderr)
 
-    def test_only_empty_value_is_usage_error(self):
+    def test_non_object_section_is_schema_error(self):
         self.write(self.baseline, "BENCH_x.json", bench_doc())
-        self.write(self.fresh, "BENCH_x.json", bench_doc())
-        result = self.run_check("--only", ",")
+        doc = bench_doc()
+        doc["counters"] = [1, 2]
+        self.write(self.fresh, "BENCH_x.json", doc)
+        result = self.run_check()
         self.assertEqual(result.returncode, 2)
-        self.assertIn("without any file name", result.stderr)
+        self.assertIn("BENCH_x.json: missing section 'counters'",
+                      result.stderr)
+        self.assertNotIn("Traceback", result.stderr)
 
     def test_empty_baseline_dir_is_usage_error(self):
         result = self.run_check()

@@ -1,5 +1,7 @@
 #!/usr/bin/env python3
-"""Unit tests for tepic_diff.py (stdlib unittest only)."""
+"""Unit tests for the ranked size/metrics diff of
+`tepic_reports.py --diff OLD NEW` (stdlib unittest only). The gate's
+exactness and band checks are tested in test_check_regression.py."""
 
 import json
 import os
@@ -9,7 +11,7 @@ import tempfile
 import unittest
 
 TOOLS_DIR = os.path.dirname(os.path.abspath(__file__))
-DIFF = os.path.join(TOOLS_DIR, "tepic_diff.py")
+TOOL = os.path.join(TOOLS_DIR, "tepic_reports.py")
 
 
 def metrics_doc():
@@ -80,7 +82,7 @@ class TempDirs(unittest.TestCase):
         return path
 
     def run_diff(self, *args):
-        return subprocess.run([sys.executable, DIFF, *args],
+        return subprocess.run([sys.executable, TOOL, "--diff", *args],
                               capture_output=True, text=True)
 
 
@@ -158,183 +160,43 @@ class TepicDiffTest(TempDirs):
         self.assertEqual(result.returncode, 1)
         self.assertIn("size.huff-byte.codelen.bin4", result.stdout)
 
-    def test_append_trend_writes_one_json_line(self):
-        a = self.write(self.old_dir, "BENCH_x.json", metrics_doc())
-        b = self.write(self.new_dir, "BENCH_x.json", metrics_doc())
-        trend = os.path.join(self.new_dir, "trend.jsonl")
-        for label in ("run1", "run2"):
-            result = self.run_diff(a, b, "--append-trend", trend,
-                                   "--label", label)
-            self.assertEqual(result.returncode, 0, result.stderr)
-        with open(trend) as f:
-            records = [json.loads(line) for line in f]
-        self.assertEqual([r["label"] for r in records],
-                         ["run1", "run2"])
-        self.assertEqual(records[0]["total_bits"]["tailored"], 1056)
-        self.assertEqual(records[0]["total_bits"]["base"], 5840)
-        self.assertIn("timestamp", records[0])
-
-    def test_trend_harvests_cache_miss_class_totals(self):
-        doc = metrics_doc()
-        doc["counters"].update({
-            "cache.base.miss.compulsory": 40,
-            "cache.base.miss.capacity": 25,
-            "cache.base.miss.conflict": 5,
-            "cache.compressed.miss.compulsory": 30,
-            "cache.compressed.miss.capacity": 4,
-            "cache.compressed.miss.conflict": 2,
-            "cache.compressed.misses": 36,  # not a class: ignored
-        })
-        a = self.write(self.old_dir, "BENCH_x.json", doc)
-        b = self.write(self.new_dir, "BENCH_x.json", doc)
-        # A second snapshot contributes to the same per-scheme sums.
-        doc2 = metrics_doc()
-        doc2["counters"]["cache.base.miss.capacity"] = 10
-        self.write(self.old_dir, "BENCH_y.json", doc2)
-        self.write(self.new_dir, "BENCH_y.json", doc2)
-        trend = os.path.join(self.new_dir, "trend.jsonl")
-        result = self.run_diff(self.old_dir, self.new_dir,
-                               "--append-trend", trend,
-                               "--label", "run1")
-        self.assertEqual(result.returncode, 0, result.stderr)
-        with open(trend) as f:
-            record = json.loads(f.readline())
-        self.assertEqual(record["cache_misses"], {
-            "base.compulsory": 40,
-            "base.capacity": 35,
-            "base.conflict": 5,
-            "compressed.compulsory": 30,
-            "compressed.capacity": 4,
-            "compressed.conflict": 2,
-        })
-        # Snapshots without cache counters produce an empty map, not
-        # a missing key.
-        a = self.write(self.old_dir, "BENCH_z.json", metrics_doc())
-        b = self.write(self.new_dir, "BENCH_z.json", metrics_doc())
-        result = self.run_diff(a, b, "--append-trend", trend,
-                               "--label", "run2")
-        self.assertEqual(result.returncode, 0, result.stderr)
-        with open(trend) as f:
-            records = [json.loads(line) for line in f]
-        self.assertEqual(records[1]["cache_misses"], {})
-
-    def test_trend_harvests_hotness_concentration(self):
-        doc = metrics_doc()
-        doc["counters"].update({
-            "hot.base.blocks_simulated": 1000,
-            "hot.base.coverage.top10_fetches": 900,
-            "hot.compressed.blocks_simulated": 1000,
-            "hot.compressed.coverage.top10_fetches": 950,
-            # Not headline keys: must not be harvested.
-            "hot.base.coverage.top1_fetches": 400,
-            "hot.base.branch.mispredicts": 7,
-        })
-        self.write(self.old_dir, "BENCH_x.json", doc)
-        self.write(self.new_dir, "BENCH_x.json", doc)
-        # A second snapshot contributes to the same per-scheme sums.
-        doc2 = metrics_doc()
-        doc2["counters"]["hot.base.blocks_simulated"] = 500
-        doc2["counters"]["hot.base.coverage.top10_fetches"] = 100
-        self.write(self.old_dir, "BENCH_y.json", doc2)
-        self.write(self.new_dir, "BENCH_y.json", doc2)
-        trend = os.path.join(self.new_dir, "trend.jsonl")
-        result = self.run_diff(self.old_dir, self.new_dir,
-                               "--append-trend", trend,
-                               "--label", "run1")
-        self.assertEqual(result.returncode, 0, result.stderr)
-        with open(trend) as f:
-            record = json.loads(f.readline())
-        self.assertEqual(record["hotness"], {
-            "base.blocks_simulated": 1500,
-            "base.top10_fetches": 1000,
-            "compressed.blocks_simulated": 1000,
-            "compressed.top10_fetches": 950,
-        })
-        # Snapshots without hot counters produce an empty map, not a
-        # missing key.
-        a = self.write(self.old_dir, "BENCH_z.json", metrics_doc())
-        b = self.write(self.new_dir, "BENCH_z.json", metrics_doc())
-        result = self.run_diff(a, b, "--append-trend", trend,
-                               "--label", "run2")
-        self.assertEqual(result.returncode, 0, result.stderr)
-        with open(trend) as f:
-            records = [json.loads(line) for line in f]
-        self.assertEqual(records[1]["hotness"], {})
-
-    def test_trend_harvests_sweep_front_extrema(self):
-        self.write(self.old_dir, "BENCH_x.json", metrics_doc())
-        self.write(self.new_dir, "BENCH_x.json", metrics_doc())
-        # A sweep report next to the snapshots: two aggregates on the
-        # front, one dominated straggler that must not contribute.
-        self.write(self.new_dir, "SWEEP_ci.json", {
-            "schema": "tepic-sweep-v1",
-            "name": "ci",
-            "structure": {
-                "aggregates": {
-                    "small": {"metrics": {"size_bits": 2000,
-                                          "ipc_e6": 700000}},
-                    "fast": {"metrics": {"size_bits": 3000,
-                                         "ipc_e6": 900000}},
-                    "dominated": {"metrics": {"size_bits": 9000,
-                                              "ipc_e6": 100000}},
-                },
-                "front": ["small", "fast"],
-            },
-            "timing": {"jobs": 1, "wall_ms": 4},
-        })
-        trend = os.path.join(self.new_dir, "trend.jsonl")
-        result = self.run_diff(self.old_dir, self.new_dir,
-                               "--append-trend", trend,
-                               "--label", "run1")
-        self.assertEqual(result.returncode, 0, result.stderr)
-        with open(trend) as f:
-            record = json.loads(f.readline())
-        self.assertEqual(record["sweep"], {
-            "ci": {"configs": 3, "front_size": 2,
-                   "front_min_size_bits": 2000,
-                   "front_max_ipc_e6": 900000},
-        })
-        # Runs with no SWEEP report produce an empty map, not a
-        # missing key.
-        a = self.write(self.old_dir, "BENCH_z.json", metrics_doc())
-        b = self.write(self.new_dir, "BENCH_z.json", metrics_doc())
-        result = self.run_diff(a, b, "--append-trend", trend,
-                               "--label", "run2")
-        self.assertEqual(result.returncode, 0, result.stderr)
-        with open(trend) as f:
-            records = [json.loads(line) for line in f]
-        self.assertEqual(records[1]["sweep"], {})
-
-    def test_prof_gauges_excluded_from_diff_but_in_trend(self):
+    def test_prof_gauges_excluded_from_ranking(self):
         doc = metrics_doc()
         doc["gauges"]["prof.ops_encoded_per_sec"] = 500000.0
-        doc["gauges"]["prof.fetch.base.blocks_per_sec"] = 1.0e7
         doc["gauges"]["prof.ipc_host"] = 0.0
         a = self.write(self.old_dir, "BENCH_x.json", doc)
-        doc = metrics_doc()
-        # A faster machine is not a snapshot difference...
+        # A faster machine is not a snapshot difference.
         doc["gauges"]["prof.ops_encoded_per_sec"] = 900000.0
-        doc["gauges"]["prof.fetch.base.blocks_per_sec"] = 2.0e7
-        doc["gauges"]["prof.ipc_host"] = 0.0
         b = self.write(self.new_dir, "BENCH_x.json", doc)
-        trend = os.path.join(self.new_dir, "trend.jsonl")
-        result = self.run_diff(a, b, "--append-trend", trend,
-                               "--label", "run1")
+        result = self.run_diff(a, b)
         self.assertEqual(result.returncode, 0, result.stderr)
         self.assertIn("identical", result.stdout)
-        # ...but the trend log carries the throughput history
-        # (zero-valued gauges — no measurement source — excluded).
-        with open(trend) as f:
-            record = json.loads(f.readline())
-        self.assertEqual(record["throughput"], {
-            "prof.fetch.base.blocks_per_sec": 2.0e7,
-            "prof.ops_encoded_per_sec": 900000.0,
-        })
+
+    def test_prof_gauge_on_one_side_only_fails(self):
+        a = self.write(self.old_dir, "BENCH_x.json", metrics_doc())
+        doc = metrics_doc()
+        doc["gauges"]["prof.ops_encoded_per_sec"] = 500000.0
+        b = self.write(self.new_dir, "BENCH_x.json", doc)
+        result = self.run_diff(a, b)
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("gauge prof.ops_encoded_per_sec missing from OLD",
+                      result.stderr)
+
+    def test_timing_on_one_side_only_fails(self):
+        doc = metrics_doc()
+        doc["timings"]["phase_ms"] = {"count": 1, "min": 10.0,
+                                      "max": 10.0, "mean": 10.0,
+                                      "sum": 10.0}
+        a = self.write(self.old_dir, "BENCH_x.json", doc)
+        b = self.write(self.new_dir, "BENCH_x.json", metrics_doc())
+        result = self.run_diff(a, b)
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("timing phase_ms missing from NEW", result.stderr)
 
     def test_out_file_and_missing_input_usage_error(self):
         a = self.write(self.old_dir, "BENCH_x.json", metrics_doc())
         out = os.path.join(self.new_dir, "report.md")
-        result = self.run_diff(a, a, "--out", out)
+        result = self.run_diff(a, a, "--md", out)
         self.assertEqual(result.returncode, 0, result.stderr)
         with open(out) as f:
             self.assertIn("identical", f.read())

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Unit tests for tepic_report.py (stdlib unittest only)."""
+"""Unit tests for the paper-fidelity report of
+`tepic_reports.py --fidelity DIR` (stdlib unittest only)."""
 
 import json
 import os
@@ -9,7 +10,7 @@ import tempfile
 import unittest
 
 TOOLS_DIR = os.path.dirname(os.path.abspath(__file__))
-REPORT = os.path.join(TOOLS_DIR, "tepic_report.py")
+TOOL = os.path.join(TOOLS_DIR, "tepic_reports.py")
 
 
 def bench_doc():
@@ -73,7 +74,7 @@ class TepicReportTest(unittest.TestCase):
 
     def run_report(self, *extra):
         return subprocess.run(
-            [sys.executable, REPORT, "--input-dir", self.input_dir,
+            [sys.executable, TOOL, "--fidelity", self.input_dir,
              *extra],
             capture_output=True, text=True)
 
@@ -81,8 +82,7 @@ class TepicReportTest(unittest.TestCase):
         self.write("BENCH_fig13_ipc.json", bench_doc())
         out_md = os.path.join(self.out_dir, "report.md")
         out_html = os.path.join(self.out_dir, "report.html")
-        result = self.run_report("--output", out_md,
-                                 "--html", out_html)
+        result = self.run_report("--md", out_md, "--html", out_html)
         self.assertEqual(result.returncode, 0, result.stderr)
         with open(out_md) as f:
             text = f.read()
@@ -146,6 +146,23 @@ class TepicReportTest(unittest.TestCase):
         self.assertIn("| huff-byte | 4 |", result.stdout)
         self.assertIn("'size.huff-full.codelen' malformed",
                       result.stdout)
+
+    def test_unwritable_output_is_usage_error(self):
+        self.write("BENCH_fig13_ipc.json", bench_doc())
+        missing = os.path.join(self.out_dir, "nope", "x")
+        for flag in ("--md", "--html"):
+            result = self.run_report(flag, missing)
+            self.assertEqual(result.returncode, 2, flag)
+            self.assertIn(f"error: {missing}", result.stderr)
+            self.assertNotIn("Traceback", result.stderr)
+
+    def test_missing_input_dir_is_usage_error(self):
+        result = subprocess.run(
+            [sys.executable, TOOL, "--fidelity",
+             os.path.join(self.out_dir, "nope")],
+            capture_output=True, text=True)
+        self.assertEqual(result.returncode, 2)
+        self.assertIn("not found", result.stderr)
 
 
 if __name__ == "__main__":

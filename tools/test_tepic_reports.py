@@ -150,6 +150,25 @@ class TepicReportsTest(unittest.TestCase):
         self.assertEqual(result.returncode, 2)
         self.assertIn("--compare takes no other inputs", result.stderr)
 
+    def test_modes_are_exclusive(self):
+        a = self.write("a.json", metrics_doc())
+        for args, message in (
+                (["--diff", a, a, a], "--diff takes no other inputs"),
+                (["--diff", a, a, "--fidelity", self.dir.name],
+                 "--diff and --fidelity are exclusive"),
+                (["--fidelity", self.dir.name, "--svg", "x.svg"],
+                 "--fidelity takes no other inputs"),
+                ([a, "--html", "x.html"], "--html needs --fidelity")):
+            result = run(args)
+            self.assertEqual(result.returncode, 2, args)
+            self.assertIn(message, result.stderr)
+
+    def test_diff_rejects_other_kinds(self):
+        sched = self.write("SCHED_x.json", {"schema": "tepic-sched-v1"})
+        result = run(["--diff", sched, sched])
+        self.assertEqual(result.returncode, 2)
+        self.assertIn("--diff compares", result.stderr)
+
 
 if __name__ == "__main__":
     unittest.main()
