@@ -164,10 +164,8 @@ Artifacts::bestStreamByDecoder() const
 Artifacts
 buildArtifacts(const std::string &source, const PipelineConfig &config)
 {
-    ArtifactRequest request = ArtifactRequest::all();
-    if (!config.buildAllStreamConfigs)
-        request = request.without(ArtifactKind::kStream);
-    return ArtifactEngine::buildUncached(source, request, config);
+    return ArtifactEngine::buildUncached(source, ArtifactRequest::all(),
+                                         config);
 }
 
 const isa::Image &
@@ -626,10 +624,11 @@ std::string
 sizeReportJson(const std::string &name,
                const std::vector<SizeReportEntry> &entries)
 {
-    std::string out = "{\n  \"schema\": \"tepic-size-v1\",\n";
-    out += "  \"name\": " + support::jsonQuote(name) + ",\n";
-    out += "  \"workloads\": {";
-    bool first_workload = true;
+    support::JsonWriter json;
+    json.object();
+    json.key("schema").value("tepic-size-v1");
+    json.key("name").value(name);
+    json.key("workloads").object();
     for (const auto &entry : entries) {
         TEPIC_ASSERT(entry.artifacts != nullptr,
                      "null artifacts in size report entry");
@@ -638,36 +637,28 @@ sizeReportJson(const std::string &name,
         for (const auto &fn : artifacts.compiled.emitted.functions)
             function_names.push_back(fn.name);
 
-        out += first_workload ? "\n" : ",\n";
-        first_workload = false;
-        out += "    " + support::jsonQuote(entry.workload) +
-               ": {\n      \"schemes\": {";
-        bool first_scheme = true;
+        json.key(entry.workload).object();
+        json.key("schemes").object();
         for (const auto &size : collectSizeLedgers(artifacts)) {
-            out += first_scheme ? "\n" : ",\n";
-            first_scheme = false;
-            out += "        " + support::jsonQuote(size.scheme) +
-                   ": {\n";
-            out += "          \"total_bits\": " +
-                   std::to_string(size.totalBits) + ",\n";
-            out += "          \"tree\": " +
-                   size.ledger->toJson(10);
+            json.key(size.scheme).object();
+            json.key("total_bits").value(size.totalBits);
+            json.key("tree");
+            size.ledger->writeJson(json);
             if (size.image != nullptr) {
                 // Orthogonal view: the same bits attributed to the
                 // functions/blocks that own them (tiles total_bits
                 // too — asserted inside the rollup).
-                const auto rollup = asmgen::imageLayoutRollup(
-                    *size.image, artifacts.compiled.blockSource,
-                    function_names);
-                out += ",\n          \"by_function\": " +
-                       rollup.toJson(10);
+                json.key("by_function");
+                asmgen::imageLayoutRollup(*size.image,
+                                          artifacts.compiled.blockSource,
+                                          function_names)
+                    .writeJson(json);
             }
-            out += "\n        }";
+            json.end();
         }
-        out += first_scheme ? "}\n    }" : "\n      }\n    }";
+        json.end().end();
     }
-    out += first_workload ? "}\n}\n" : "\n  }\n}\n";
-    return out;
+    return json.end().end().take();
 }
 
 } // namespace tepic::core

@@ -45,7 +45,6 @@ struct PipelineConfig
     compiler::CompileOptions compile;
     bool profileGuided = true;
     schemes::HuffmanOptions huffman;
-    bool buildAllStreamConfigs = true;  ///< honoured by buildArtifacts()
     sim::EmulatorConfig emulator;
 };
 
@@ -141,10 +140,10 @@ struct Artifacts
 
 /**
  * Run the full toolchain over tinkerc source text, building every
- * artefact (minus streams when config.buildAllStreamConfigs is off).
- * Thin wrapper over the engine's serial path; kept for callers that
- * genuinely want everything. Selective/parallel/cached builds live in
- * core/artifact_engine.hh.
+ * artefact. Thin wrapper over the engine's serial path; kept for
+ * callers that genuinely want everything. Selective builds (e.g.
+ * ArtifactRequest::all().without(ArtifactKind::kStream)), parallel and
+ * cached ones live in core/artifact_engine.hh.
  */
 Artifacts buildArtifacts(const std::string &source,
                          const PipelineConfig &config = {});

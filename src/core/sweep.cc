@@ -24,7 +24,7 @@
 
 namespace tepic::core::sweep {
 
-using support::jsonQuote;
+using support::JsonWriter;
 
 namespace {
 
@@ -638,176 +638,131 @@ runSweep(ArtifactEngine &engine, const SweepOptions &options)
 namespace {
 
 void
-appendStringList(std::string &out,
-                 const std::vector<std::string> &items)
+writeConfig(JsonWriter &json, const SweepConfig &config)
 {
-    out += "[";
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        if (i)
-            out += ", ";
-        out += jsonQuote(items[i]);
-    }
-    out += "]";
+    json.object(JsonWriter::kInline);
+    json.key("scheme").value(fetch::schemeClassName(config.scheme));
+    json.key("sets").value(config.sets);
+    json.key("ways").value(config.ways);
+    json.key("line_bytes").value(config.lineBytes);
+    json.key("l0_ops").value(config.l0Ops);
+    json.key("atb_entries").value(config.atbEntries);
+    json.key("predictor").value(predictorToken(config.predictor));
+    json.key("penalties").value(config.penaltyProfile);
+    json.end();
 }
 
+/** One inline array of @p items, each written as @p token(item). */
+template <typename Item, typename Token>
 void
-appendUnsignedList(std::string &out, const std::vector<unsigned> &items)
+writeList(JsonWriter &json, const char *name,
+          const std::vector<Item> &items, Token token)
 {
-    out += "[";
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        if (i)
-            out += ", ";
-        out += std::to_string(items[i]);
-    }
-    out += "]";
+    json.key(name).array(JsonWriter::kInline);
+    for (const Item &item : items)
+        json.value(token(item));
+    json.end();
 }
 
+/** The structure object: everything exact-gated across --jobs. */
 void
-appendConfig(std::string &out, const SweepConfig &config)
+writeStructure(JsonWriter &json, const SweepResult &result)
 {
-    out += "{\"scheme\": " +
-           jsonQuote(fetch::schemeClassName(config.scheme));
-    out += ", \"sets\": " + std::to_string(config.sets);
-    out += ", \"ways\": " + std::to_string(config.ways);
-    out += ", \"line_bytes\": " + std::to_string(config.lineBytes);
-    out += ", \"l0_ops\": " + std::to_string(config.l0Ops);
-    out += ", \"atb_entries\": " + std::to_string(config.atbEntries);
-    out += ", \"predictor\": " +
-           jsonQuote(predictorToken(config.predictor));
-    out += ", \"penalties\": " + jsonQuote(config.penaltyProfile);
-    out += "}";
-}
+    const std::identity same;
+    json.object();
 
-/** The structure object, lines prefixed by @p indent. */
-std::string
-structureObject(const SweepResult &result, const std::string &indent)
-{
-    const std::string i1 = indent + "  ";
-    const std::string i2 = i1 + "  ";
-    std::string out = "{\n";
-
-    out += i1 + "\"objectives\": [";
-    const auto &objs = objectives();
-    for (std::size_t i = 0; i < objs.size(); ++i) {
-        if (i)
-            out += ", ";
-        out += "{\"name\": " + jsonQuote(objs[i].name) +
-               ", \"sense\": " +
-               jsonQuote(support::sweep::senseName(objs[i].sense)) +
-               "}";
+    json.key("objectives").array(JsonWriter::kInline);
+    for (const auto &objective : objectives()) {
+        json.object(JsonWriter::kInline);
+        json.key("name").value(objective.name);
+        json.key("sense").value(
+            support::sweep::senseName(objective.sense));
+        json.end();
     }
-    out += "],\n";
+    json.end();
 
-    out += i1 + "\"grid\": {\n";
-    out += i2 + "\"workloads\": ";
-    appendStringList(out, result.grid.workloads);
-    out += ",\n" + i2 + "\"schemes\": [";
-    for (std::size_t i = 0; i < result.grid.schemes.size(); ++i) {
-        if (i)
-            out += ", ";
-        out += jsonQuote(
-            fetch::schemeClassName(result.grid.schemes[i]));
-    }
-    out += "],\n" + i2 + "\"sets\": ";
-    appendUnsignedList(out, result.grid.cacheSets);
-    out += ",\n" + i2 + "\"ways\": ";
-    appendUnsignedList(out, result.grid.cacheWays);
-    out += ",\n" + i2 + "\"line_bytes\": ";
-    appendUnsignedList(out, result.grid.lineBytes);
-    out += ",\n" + i2 + "\"l0_ops\": ";
-    appendUnsignedList(out, result.grid.l0CapacityOps);
-    out += ",\n" + i2 + "\"atb_entries\": ";
-    appendUnsignedList(out, result.grid.atbEntries);
-    out += ",\n" + i2 + "\"predictors\": [";
-    for (std::size_t i = 0; i < result.grid.predictors.size(); ++i) {
-        if (i)
-            out += ", ";
-        out += jsonQuote(predictorToken(result.grid.predictors[i]));
-    }
-    out += "],\n" + i2 + "\"penalties\": ";
-    appendStringList(out, result.grid.penaltyProfiles);
-    out += "\n" + i1 + "},\n";
+    const SweepGrid &grid = result.grid;
+    json.key("grid").object();
+    writeList(json, "workloads", grid.workloads, same);
+    writeList(json, "schemes", grid.schemes, fetch::schemeClassName);
+    writeList(json, "sets", grid.cacheSets, same);
+    writeList(json, "ways", grid.cacheWays, same);
+    writeList(json, "line_bytes", grid.lineBytes, same);
+    writeList(json, "l0_ops", grid.l0CapacityOps, same);
+    writeList(json, "atb_entries", grid.atbEntries, same);
+    writeList(json, "predictors", grid.predictors, predictorToken);
+    writeList(json, "penalties", grid.penaltyProfiles, same);
+    json.end();
 
-    out += i1 + "\"config_count\": " +
-           std::to_string(result.configs.size()) + ",\n";
-    out += i1 + "\"point_count\": " +
-           std::to_string(result.points.size()) + ",\n";
+    json.key("config_count").value(result.configs.size());
+    json.key("point_count").value(result.points.size());
 
-    out += i1 + "\"points\": {";
-    for (std::size_t i = 0; i < result.points.size(); ++i) {
-        const PointRecord &p = result.points[i];
+    json.key("points").object();
+    for (const PointRecord &p : result.points) {
         const PointMetrics &m = p.metrics;
-        out += i ? ",\n" + i2 : "\n" + i2;
-        out += jsonQuote(p.key) + ": {\"workload\": " +
-               jsonQuote(p.workload);
-        out += ", \"config\": ";
-        appendConfig(out, p.config);
-        out += ", \"metrics\": {";
-        out += "\"size_bits\": " + std::to_string(m.sizeBits);
-        out += ", \"cycles\": " + std::to_string(m.cycles);
-        out += ", \"ideal_cycles\": " + std::to_string(m.idealCycles);
-        out += ", \"ops_delivered\": " +
-               std::to_string(m.opsDelivered);
-        out += ", \"blocks_fetched\": " +
-               std::to_string(m.blocksFetched);
-        out += ", \"ipc_e6\": " + std::to_string(m.ipcE6());
-        out += ", \"stall\": {\"total\": " +
-               std::to_string(m.stallCycles);
-        out += ", \"mispredict\": " +
-               std::to_string(m.mispredictStall);
-        out += ", \"l1_refill\": " + std::to_string(m.refillStall);
-        out += ", \"decode_stage\": " + std::to_string(m.decodeStall);
-        out += ", \"atb_miss\": " + std::to_string(m.atbStall);
-        out += ", \"l0_saved\": " + std::to_string(m.l0SavedCycles);
-        out += "}, \"l1\": {\"hits\": " + std::to_string(m.l1Hits);
-        out += ", \"misses\": " + std::to_string(m.l1Misses);
-        out += "}, \"bus\": {\"bit_flips\": " +
-               std::to_string(m.busBitFlips);
-        out += ", \"beats\": " + std::to_string(m.busBeats);
-        out += ", \"bytes\": " + std::to_string(m.bytesTransferred);
-        out += "}, \"decoder_transistors\": " +
-               std::to_string(m.decoderTransistors);
-        out += ", \"cache3c\": {\"recorded\": ";
-        out += m.cacheRecorded ? "true" : "false";
-        out += ", \"compulsory\": " + std::to_string(m.compulsory);
-        out += ", \"capacity\": " + std::to_string(m.capacity);
-        out += ", \"conflict\": " + std::to_string(m.conflict);
-        out += "}}}";
+        json.key(p.key).object(JsonWriter::kInline);
+        json.key("workload").value(p.workload);
+        json.key("config");
+        writeConfig(json, p.config);
+        json.key("metrics").object(JsonWriter::kInline);
+        json.key("size_bits").value(m.sizeBits);
+        json.key("cycles").value(m.cycles);
+        json.key("ideal_cycles").value(m.idealCycles);
+        json.key("ops_delivered").value(m.opsDelivered);
+        json.key("blocks_fetched").value(m.blocksFetched);
+        json.key("ipc_e6").value(m.ipcE6());
+        json.key("stall").object(JsonWriter::kInline);
+        json.key("total").value(m.stallCycles);
+        json.key("mispredict").value(m.mispredictStall);
+        json.key("l1_refill").value(m.refillStall);
+        json.key("decode_stage").value(m.decodeStall);
+        json.key("atb_miss").value(m.atbStall);
+        json.key("l0_saved").value(m.l0SavedCycles);
+        json.end();
+        json.key("l1").object(JsonWriter::kInline);
+        json.key("hits").value(m.l1Hits);
+        json.key("misses").value(m.l1Misses);
+        json.end();
+        json.key("bus").object(JsonWriter::kInline);
+        json.key("bit_flips").value(m.busBitFlips);
+        json.key("beats").value(m.busBeats);
+        json.key("bytes").value(m.bytesTransferred);
+        json.end();
+        json.key("decoder_transistors").value(m.decoderTransistors);
+        json.key("cache3c").object(JsonWriter::kInline);
+        json.key("recorded").value(m.cacheRecorded);
+        json.key("compulsory").value(m.compulsory);
+        json.key("capacity").value(m.capacity);
+        json.key("conflict").value(m.conflict);
+        json.end().end().end();
     }
-    out += result.points.empty() ? "},\n" : "\n" + i1 + "},\n";
+    json.end();
 
-    out += i1 + "\"aggregates\": {";
-    for (std::size_t i = 0; i < result.aggregates.size(); ++i) {
-        const AggregateRecord &a = result.aggregates[i];
-        out += i ? ",\n" + i2 : "\n" + i2;
-        out += jsonQuote(a.key) + ": {\"config\": ";
-        appendConfig(out, a.config);
-        out += ", \"workloads\": " + std::to_string(a.workloadCount);
-        out += ", \"metrics\": {";
-        out += "\"size_bits\": " + std::to_string(a.sizeBits);
-        out += ", \"cycles\": " + std::to_string(a.cycles);
-        out += ", \"ideal_cycles\": " + std::to_string(a.idealCycles);
-        out += ", \"ops_delivered\": " +
-               std::to_string(a.opsDelivered);
-        out += ", \"stall_cycles\": " + std::to_string(a.stallCycles);
-        out += ", \"ipc_e6\": " + std::to_string(a.ipcE6());
-        out += ", \"decoder_transistors\": " +
-               std::to_string(a.decoderTransistors);
-        out += ", \"bus_bit_flips\": " +
-               std::to_string(a.busBitFlips);
-        out += "}}";
+    json.key("aggregates").object();
+    for (const AggregateRecord &a : result.aggregates) {
+        json.key(a.key).object(JsonWriter::kInline);
+        json.key("config");
+        writeConfig(json, a.config);
+        json.key("workloads").value(a.workloadCount);
+        json.key("metrics").object(JsonWriter::kInline);
+        json.key("size_bits").value(a.sizeBits);
+        json.key("cycles").value(a.cycles);
+        json.key("ideal_cycles").value(a.idealCycles);
+        json.key("ops_delivered").value(a.opsDelivered);
+        json.key("stall_cycles").value(a.stallCycles);
+        json.key("ipc_e6").value(a.ipcE6());
+        json.key("decoder_transistors").value(a.decoderTransistors);
+        json.key("bus_bit_flips").value(a.busBitFlips);
+        json.end().end();
     }
-    out += result.aggregates.empty() ? "},\n" : "\n" + i1 + "},\n";
+    json.end();
 
-    out += i1 + "\"front\": [";
-    for (std::size_t i = 0; i < result.front.size(); ++i) {
-        out += i ? ",\n" + i2 : "\n" + i2;
-        out += jsonQuote(result.aggregates[result.front[i]].key);
-    }
-    out += result.front.empty() ? "]\n" : "\n" + i1 + "]\n";
+    json.key("front").array();
+    for (const std::size_t index : result.front)
+        json.value(result.aggregates[index].key);
+    json.end();
 
-    out += indent + "}";
-    return out;
+    json.end();
 }
 
 } // namespace
@@ -815,27 +770,30 @@ structureObject(const SweepResult &result, const std::string &indent)
 std::string
 structureJson(const SweepResult &result)
 {
-    return structureObject(result, "") + "\n";
+    JsonWriter json;
+    writeStructure(json, result);
+    return json.take();
 }
 
 std::string
 reportJson(const SweepResult &result, const std::string &name)
 {
-    std::string out = "{\n  \"schema\": \"tepic-sweep-v1\",\n";
-    out += "  \"name\": " + jsonQuote(name) + ",\n";
-    out += "  \"structure\": " + structureObject(result, "  ") + ",\n";
+    JsonWriter json;
+    json.object();
+    json.key("schema").value("tepic-sweep-v1");
+    json.key("name").value(name);
+    json.key("structure");
+    writeStructure(json, result);
 
     // --- timing: wall-clock data, band-gated only ---------------------
     const std::uint64_t points_per_sec = result.wallMs
         ? result.points.size() * 1000ull / result.wallMs
         : 0;
-    out += "  \"timing\": {\n";
-    out += "    \"jobs\": " + std::to_string(result.jobs) + ",\n";
-    out += "    \"wall_ms\": " + std::to_string(result.wallMs) + ",\n";
-    out += "    \"points_per_sec\": " +
-           std::to_string(points_per_sec) + "\n";
-    out += "  }\n}\n";
-    return out;
+    json.key("timing").object();
+    json.key("jobs").value(result.jobs);
+    json.key("wall_ms").value(result.wallMs);
+    json.key("points_per_sec").value(points_per_sec);
+    return json.end().end().take();
 }
 
 void

@@ -442,115 +442,88 @@ CacheStatsRecorder::finish()
 
 namespace {
 
+/** values[begin, begin + count) as one inline array. */
 void
-appendArray(std::string &out, const std::vector<std::uint64_t> &values,
-            std::size_t begin, std::size_t count)
+writeArray(support::JsonWriter &json,
+           const std::vector<std::uint64_t> &values, std::size_t begin,
+           std::size_t count)
 {
-    out += "[";
-    for (std::size_t i = 0; i < count; ++i) {
-        if (i)
-            out += ", ";
-        out += std::to_string(values[begin + i]);
-    }
-    out += "]";
-}
-
-void
-appendHistogram(std::string &out, const support::Histogram &hist)
-{
-    out += "{\"total\": " + std::to_string(hist.total()) +
-           ", \"overflow\": " + std::to_string(hist.overflow()) +
-           ", \"bins\": [";
-    bool first = true;
-    for (const auto &[key, weight] : hist.bins()) {
-        if (!first)
-            out += ", ";
-        first = false;
-        out += "[" + std::to_string(key) + ", " +
-               std::to_string(weight) + "]";
-    }
-    out += "]}";
+    json.array(support::JsonWriter::kInline);
+    for (std::size_t i = begin; i < begin + count; ++i)
+        json.value(values[i]);
+    json.end();
 }
 
 } // namespace
 
 void
-appendScheme(std::string &out, const CacheStats &s,
-             const std::string &indent)
+writeScheme(support::JsonWriter &json, const CacheStats &s)
 {
-    const std::string in2 = indent + "  ";
-    out += "{\n";
-    out += in2 + "\"config\": {\"sets\": " + std::to_string(s.sets) +
-           ", \"ways\": " + std::to_string(s.ways) +
-           ", \"line_bytes\": " + std::to_string(s.lineBytes) +
-           ", \"heatmap_epochs\": " +
-           std::to_string(s.heatmapEpochs) + "},\n";
-    out += in2 + "\"blocks\": {\"fetches\": " +
-           std::to_string(s.fetches) + ", \"l0_bypasses\": " +
-           std::to_string(s.l0Bypasses) + "},\n";
-    out += in2 + "\"atb\": {\"hits\": " + std::to_string(s.atbHits) +
-           ", \"misses\": " + std::to_string(s.atbMisses) + "},\n";
-    out += in2 + "\"l1\": {\"accesses\": " +
-           std::to_string(s.accesses) +
-           ", \"hits\": " + std::to_string(s.hits) +
-           ", \"misses\": " + std::to_string(s.misses) +
-           ", \"miss_classes\": {\"compulsory\": " +
-           std::to_string(s.compulsory) +
-           ", \"capacity\": " + std::to_string(s.capacity) +
-           ", \"conflict\": " + std::to_string(s.conflict) + "}},\n";
-    out += in2 + "\"lines\": {\"fills\": " +
-           std::to_string(s.lineFills) +
-           ", \"evictions\": " + std::to_string(s.lineEvictions) +
-           ", \"dead_on_fill\": " + std::to_string(s.deadOnFill) +
-           ", \"resident_at_end\": " +
-           std::to_string(s.residentAtEnd) +
-           ", \"eviction_use_hist\": ";
-    appendHistogram(out, s.evictionUseHistogram);
-    out += "},\n";
-    out += in2 + "\"reuse\": {\"samples\": " +
-           std::to_string(s.reuseSamples) +
-           ", \"cold\": " + std::to_string(s.reuseCold) +
-           ", \"max\": " + std::to_string(s.reuseMax) +
-           ", \"log2_hist\": ";
-    appendHistogram(out, s.reuseLog2Histogram);
-    out += "},\n";
-    out += in2 + "\"sets\": {\n";
-    const auto named = {
-        std::make_pair("accesses", &s.setAccesses),
-        std::make_pair("hits", &s.setHits),
-        std::make_pair("fills", &s.setFills),
-        std::make_pair("evictions", &s.setEvictions),
-        std::make_pair("dead_on_fill", &s.setDeadOnFill)};
-    bool first = true;
-    for (const auto &[label, vec] : named) {
-        if (!first)
-            out += ",\n";
-        first = false;
-        out += in2 + "  \"" + label + "\": ";
-        appendArray(out, *vec, 0, vec->size());
+    using support::JsonWriter;
+    json.object();
+    json.key("config").object(JsonWriter::kInline);
+    json.key("sets").value(s.sets);
+    json.key("ways").value(s.ways);
+    json.key("line_bytes").value(s.lineBytes);
+    json.key("heatmap_epochs").value(s.heatmapEpochs);
+    json.end();
+    json.key("blocks").object(JsonWriter::kInline);
+    json.key("fetches").value(s.fetches);
+    json.key("l0_bypasses").value(s.l0Bypasses);
+    json.end();
+    json.key("atb").object(JsonWriter::kInline);
+    json.key("hits").value(s.atbHits);
+    json.key("misses").value(s.atbMisses);
+    json.end();
+    json.key("l1").object(JsonWriter::kInline);
+    json.key("accesses").value(s.accesses);
+    json.key("hits").value(s.hits);
+    json.key("misses").value(s.misses);
+    json.key("miss_classes").object(JsonWriter::kInline);
+    json.key("compulsory").value(s.compulsory);
+    json.key("capacity").value(s.capacity);
+    json.key("conflict").value(s.conflict);
+    json.end().end();
+    json.key("lines").object(JsonWriter::kInline);
+    json.key("fills").value(s.lineFills);
+    json.key("evictions").value(s.lineEvictions);
+    json.key("dead_on_fill").value(s.deadOnFill);
+    json.key("resident_at_end").value(s.residentAtEnd);
+    json.key("eviction_use_hist");
+    support::writeHistogram(json, s.evictionUseHistogram);
+    json.end();
+    json.key("reuse").object(JsonWriter::kInline);
+    json.key("samples").value(s.reuseSamples);
+    json.key("cold").value(s.reuseCold);
+    json.key("max").value(s.reuseMax);
+    json.key("log2_hist");
+    support::writeHistogram(json, s.reuseLog2Histogram);
+    json.end();
+
+    json.key("sets").object();
+    for (const auto &[label, vec] :
+         {std::make_pair("accesses", &s.setAccesses),
+          std::make_pair("hits", &s.setHits),
+          std::make_pair("fills", &s.setFills),
+          std::make_pair("evictions", &s.setEvictions),
+          std::make_pair("dead_on_fill", &s.setDeadOnFill)}) {
+        json.key(label);
+        writeArray(json, *vec, 0, vec->size());
     }
-    out += "\n" + in2 + "},\n";
-    out += in2 + "\"heatmap\": {\"epochs\": " +
-           std::to_string(s.heatmapEpochs) + ",\n";
-    const auto heat = {std::make_pair("accesses", &s.heatAccesses),
-                       std::make_pair("fills", &s.heatFills),
-                       std::make_pair("evictions", &s.heatEvictions)};
-    first = true;
-    for (const auto &[label, vec] : heat) {
-        if (!first)
-            out += ",\n";
-        first = false;
-        out += in2 + "  \"" + label + "\": [";
-        for (unsigned e = 0; e < s.heatmapEpochs; ++e) {
-            if (e)
-                out += ",";
-            out += "\n" + in2 + "    ";
-            appendArray(out, *vec, std::size_t(e) * s.sets, s.sets);
-        }
-        out += "]";
+    json.end();
+
+    json.key("heatmap").object();
+    json.key("epochs").value(s.heatmapEpochs);
+    for (const auto &[label, vec] :
+         {std::make_pair("accesses", &s.heatAccesses),
+          std::make_pair("fills", &s.heatFills),
+          std::make_pair("evictions", &s.heatEvictions)}) {
+        json.key(label).array();
+        for (unsigned e = 0; e < s.heatmapEpochs; ++e)
+            writeArray(json, *vec, std::size_t(e) * s.sets, s.sets);
+        json.end();
     }
-    out += "\n" + in2 + "}\n";
-    out += indent + "}";
+    json.end().end();
 }
 
 } // namespace tepic::fetch

@@ -344,8 +344,7 @@ class CacheStatsRecorder final : public CacheLineObserver,
 #endif // TEPIC_CACHESTATS_ENABLED
 
 /** One merged record as a CACHE-report scheme object. */
-void appendScheme(std::string &out, const CacheStats &stats,
-                  const std::string &indent);
+void writeScheme(support::JsonWriter &json, const CacheStats &stats);
 
 /** The session-scoped CACHE-report store (report_store.hh). */
 using cachestats = ReportStore<CacheStats>;

@@ -284,64 +284,62 @@ exportWidth(const HotStats &s)
 } // namespace
 
 void
-appendScheme(std::string &out, const HotStats &s,
-             const std::string &indent)
+writeScheme(support::JsonWriter &json, const HotStats &s)
 {
-    const std::string in2 = indent + "  ";
+    using support::JsonWriter;
     const std::size_t k = exportWidth(s);
     const auto order = s.hotOrder();
 
-    out += "{\n";
-    out += in2 + "\"config\": {\"static_blocks\": " +
-           std::to_string(s.staticBlocks) +
-           ", \"phase_epochs\": " + std::to_string(s.phaseEpochs) +
-           ", \"top_blocks\": " + std::to_string(k) + "},\n";
-    out += in2 + "\"totals\": {\"blocks_simulated\": " +
-           std::to_string(s.blocksSimulated) +
-           ", \"cycles\": " + std::to_string(s.cycles) +
-           ", \"stall_cycles\": " + std::to_string(s.stallCycles) +
-           ", \"executed_blocks\": " +
-           std::to_string(s.executedBlocks()) + "},\n";
+    json.object();
+    json.key("config").object(JsonWriter::kInline);
+    json.key("static_blocks").value(s.staticBlocks);
+    json.key("phase_epochs").value(s.phaseEpochs);
+    json.key("top_blocks").value(k);
+    json.end();
+    json.key("totals").object(JsonWriter::kInline);
+    json.key("blocks_simulated").value(s.blocksSimulated);
+    json.key("cycles").value(s.cycles);
+    json.key("stall_cycles").value(s.stallCycles);
+    json.key("executed_blocks").value(s.executedBlocks());
+    json.end();
 
     // Hottest blocks individually; the exact residual keeps every
     // total re-derivable (top + rest tiles totals).
-    out += in2 + "\"blocks\": {\n";
-    out += in2 + "  \"top\": [";
+    json.key("blocks").object();
+    json.key("top").array();
     std::uint64_t rest_fetches = s.blocksSimulated;
     std::uint64_t rest_cycles = s.cycles;
     std::uint64_t rest_stall = s.stallCycles;
-    std::string coverage;
-    std::uint64_t covered = 0;
     for (std::size_t i = 0; i < k; ++i) {
         const std::uint32_t b = order[i];
-        if (i) {
-            out += ",";
-            coverage += ", ";
-        }
-        out += "\n" + in2 + "    [" + std::to_string(b) + ", " +
-               std::to_string(s.blockFetches[b]) + ", " +
-               std::to_string(s.blockCycles[b]) + ", " +
-               std::to_string(s.blockStalls[b]) + "]";
+        json.array(JsonWriter::kInline)
+            .value(b)
+            .value(s.blockFetches[b])
+            .value(s.blockCycles[b])
+            .value(s.blockStalls[b])
+            .end();
         rest_fetches -= s.blockFetches[b];
         rest_cycles -= s.blockCycles[b];
         rest_stall -= s.blockStalls[b];
-        covered += s.blockFetches[b];
-        coverage += std::to_string(covered);
     }
-    out += k ? "\n" + in2 + "  ],\n" : "],\n";
-    out += in2 + "  \"rest\": {\"fetches\": " +
-           std::to_string(rest_fetches) +
-           ", \"cycles\": " + std::to_string(rest_cycles) +
-           ", \"stall\": " + std::to_string(rest_stall) + "},\n";
+    json.end();
+    json.key("rest").object(JsonWriter::kInline);
+    json.key("fetches").value(rest_fetches);
+    json.key("cycles").value(rest_cycles);
+    json.key("stall").value(rest_stall);
+    json.end();
     // Monotone hot/cold coverage curve: cumulative fetches of the i
     // hottest blocks, as exact counts (the tooling derives ratios).
-    out += in2 + "  \"coverage\": [" + coverage + "]\n";
-    out += in2 + "},\n";
+    json.key("coverage").array(JsonWriter::kInline);
+    std::uint64_t covered = 0;
+    for (std::size_t i = 0; i < k; ++i)
+        json.value(covered += s.blockFetches[order[i]]);
+    json.end().end();
 
     // Per-function rollup of the same per-block vectors — the input
     // profile-guided selective compression consumes. Tiles the
     // totals exactly when attribution is attached.
-    out += in2 + "\"functions\": {";
+    json.key("functions").object();
     if (!s.blockFunction.empty()) {
         struct FuncAgg
         {
@@ -362,36 +360,29 @@ appendScheme(std::string &out, const HotStats &s,
             agg.cycles += s.blockCycles[b];
             agg.stall += s.blockStalls[b];
         }
-        bool first = true;
         for (const auto &[name, agg] : funcs) {
-            if (!first)
-                out += ",";
-            first = false;
-            out += "\n" + in2 + "  " + support::jsonQuote(name) +
-                   ": {\"static_blocks\": " +
-                   std::to_string(agg.staticBlocks) +
-                   ", \"executed_blocks\": " +
-                   std::to_string(agg.executed) +
-                   ", \"fetches\": " + std::to_string(agg.fetches) +
-                   ", \"cycles\": " + std::to_string(agg.cycles) +
-                   ", \"stall\": " + std::to_string(agg.stall) + "}";
+            json.key(name).object(JsonWriter::kInline);
+            json.key("static_blocks").value(agg.staticBlocks);
+            json.key("executed_blocks").value(agg.executed);
+            json.key("fetches").value(agg.fetches);
+            json.key("cycles").value(agg.cycles);
+            json.key("stall").value(agg.stall);
+            json.end();
         }
-        out += funcs.empty() ? "" : "\n" + in2;
     }
-    out += "},\n";
+    json.end();
 
     // Branch sites: worst predicted first (mispredict stall desc,
     // mispredicts desc, id asc), with the same exact-residual shape.
-    out += in2 + "\"branch_sites\": {\n";
-    out += in2 + "  \"totals\": {\"predictions\": " +
-           std::to_string(s.predictions()) +
-           ", \"taken\": " + std::to_string(s.taken) +
-           ", \"not_taken\": " + std::to_string(s.notTaken) +
-           ", \"mispredicts\": " + std::to_string(s.mispredicts) +
-           ", \"mispredict_stall_cycles\": " +
-           std::to_string(s.mispredictStallCycles) +
-           ", \"unconsumed_mispredicts\": " +
-           std::to_string(s.unconsumedMispredicts) + "},\n";
+    json.key("branch_sites").object();
+    json.key("totals").object(JsonWriter::kInline);
+    json.key("predictions").value(s.predictions());
+    json.key("taken").value(s.taken);
+    json.key("not_taken").value(s.notTaken);
+    json.key("mispredicts").value(s.mispredicts);
+    json.key("mispredict_stall_cycles").value(s.mispredictStallCycles);
+    json.key("unconsumed_mispredicts").value(s.unconsumedMispredicts);
+    json.end();
     std::vector<std::uint32_t> sites(s.siteTaken.size());
     for (std::uint32_t b = 0; b < sites.size(); ++b)
         sites[b] = b;
@@ -405,71 +396,61 @@ appendScheme(std::string &out, const HotStats &s,
                 return s.siteMispredicts[a] > s.siteMispredicts[b];
             return a < b;
         });
-    out += in2 + "  \"top\": [";
+    json.key("top").array();
     std::uint64_t rest_taken = s.taken;
     std::uint64_t rest_not_taken = s.notTaken;
     std::uint64_t rest_mispredicts = s.mispredicts;
     std::uint64_t rest_mp_stall = s.mispredictStallCycles;
     for (std::size_t i = 0; i < k; ++i) {
         const std::uint32_t b = sites[i];
-        if (i)
-            out += ",";
-        out += "\n" + in2 + "    [" + std::to_string(b) + ", " +
-               std::to_string(s.siteTaken[b]) + ", " +
-               std::to_string(s.siteNotTaken[b]) + ", " +
-               std::to_string(s.siteMispredicts[b]) + ", " +
-               std::to_string(s.siteMispredictStall[b]) + "]";
+        json.array(JsonWriter::kInline)
+            .value(b)
+            .value(s.siteTaken[b])
+            .value(s.siteNotTaken[b])
+            .value(s.siteMispredicts[b])
+            .value(s.siteMispredictStall[b])
+            .end();
         rest_taken -= s.siteTaken[b];
         rest_not_taken -= s.siteNotTaken[b];
         rest_mispredicts -= s.siteMispredicts[b];
         rest_mp_stall -= s.siteMispredictStall[b];
     }
-    out += k ? "\n" + in2 + "  ],\n" : "],\n";
-    out += in2 + "  \"rest\": {\"taken\": " +
-           std::to_string(rest_taken) +
-           ", \"not_taken\": " + std::to_string(rest_not_taken) +
-           ", \"mispredicts\": " + std::to_string(rest_mispredicts) +
-           ", \"mispredict_stall\": " +
-           std::to_string(rest_mp_stall) + "}\n";
-    out += in2 + "},\n";
+    json.end();
+    json.key("rest").object(JsonWriter::kInline);
+    json.key("taken").value(rest_taken);
+    json.key("not_taken").value(rest_not_taken);
+    json.key("mispredicts").value(rest_mispredicts);
+    json.key("mispredict_stall").value(rest_mp_stall);
+    json.end().end();
 
     // Phase profile over the same top blocks; per-epoch "rest"
     // completes each row so rows tile the epoch's fetches.
-    out += in2 + "\"phase\": {\n";
-    out += in2 + "  \"block_ids\": [";
-    for (std::size_t i = 0; i < k; ++i) {
-        if (i)
-            out += ", ";
-        out += std::to_string(order[i]);
-    }
-    out += "],\n";
-    out += in2 + "  \"matrix\": [";
-    std::string rest_row;
+    json.key("phase").object();
+    json.key("block_ids").array(JsonWriter::kInline);
+    for (std::size_t i = 0; i < k; ++i)
+        json.value(order[i]);
+    json.end();
+    json.key("matrix").array();
+    std::vector<std::uint64_t> rest_row;
     for (unsigned e = 0; e < s.phaseEpochs; ++e) {
         const std::size_t row = std::size_t(e) * s.staticBlocks;
         std::uint64_t row_total = 0;
         for (std::uint32_t b = 0; b < s.staticBlocks; ++b)
             row_total += s.phaseFetches[row + b];
-        if (e) {
-            out += ",";
-            rest_row += ", ";
-        }
-        out += "\n" + in2 + "    [";
+        json.array(JsonWriter::kInline);
         for (std::size_t i = 0; i < k; ++i) {
-            if (i)
-                out += ", ";
-            const std::uint64_t cell =
-                s.phaseFetches[row + order[i]];
-            out += std::to_string(cell);
+            const std::uint64_t cell = s.phaseFetches[row + order[i]];
+            json.value(cell);
             row_total -= cell;
         }
-        out += "]";
-        rest_row += std::to_string(row_total);
+        json.end();
+        rest_row.push_back(row_total);
     }
-    out += "],\n";
-    out += in2 + "  \"rest\": [" + rest_row + "]\n";
-    out += in2 + "}\n";
-    out += indent + "}";
+    json.end();
+    json.key("rest").array(JsonWriter::kInline);
+    for (const std::uint64_t rest : rest_row)
+        json.value(rest);
+    json.end().end().end();
 }
 
 } // namespace tepic::fetch

@@ -250,8 +250,7 @@ class HotStatsRecorder final : public FetchObserver
 #endif // TEPIC_HOTSTATS_ENABLED
 
 /** One merged record as a HOT-report scheme object. */
-void appendScheme(std::string &out, const HotStats &stats,
-                  const std::string &indent);
+void writeScheme(support::JsonWriter &json, const HotStats &stats);
 
 /** The session-scoped HOT-report store (report_store.hh). */
 using hotstats = ReportStore<HotStats>;

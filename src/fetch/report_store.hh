@@ -8,11 +8,12 @@
  * write valid (empty) reports.
  *
  * A Stats type plugs in with `recorded`, `merge(other)`, its schema id
- * `kReportSchema`, a free `appendScheme(out, stats, indent)` (found by
- * ADL) rendering one record, and `sameShape(other)`/`shapeKey()`: a
- * record whose shape differs from the stored one (a sweep's cache
- * geometry, a relayout's block count) is keyed apart under
- * "<workload><shapeKey()>", so merge() never crosses shapes.
+ * `kReportSchema`, a free `writeScheme(json, stats)` (found by ADL)
+ * writing one record into a support::JsonWriter, and
+ * `sameShape(other)`/`shapeKey()`: a record whose shape differs from
+ * the stored one (a sweep's cache geometry, a relayout's block count)
+ * is keyed apart under "<workload><shapeKey()>", so merge() never
+ * crosses shapes.
  */
 
 #ifndef TEPIC_FETCH_REPORT_STORE_HH
@@ -86,33 +87,22 @@ class ReportStore
     static std::string
     reportJson(const std::string &name)
     {
-        std::string out = "{\n";
-        out += "  \"schema\": \"" + std::string(Stats::kReportSchema) +
-               "\",\n";
-        out += "  \"name\": " + support::jsonQuote(name) + ",\n";
-        out += "  \"structure\": {\n";
-        out += "    \"workloads\": {";
+        support::JsonWriter json;
+        json.object();
+        json.key("schema").value(Stats::kReportSchema);
+        json.key("name").value(name);
+        json.key("structure").object();
+        json.key("workloads").object();
         std::lock_guard<std::mutex> lock(mutex_);
-        bool first_wl = true;
         for (const auto &[workload, schemes] : records()) {
-            if (!first_wl)
-                out += ",";
-            first_wl = false;
-            out += "\n      " + support::jsonQuote(workload) + ": {";
-            bool first_scheme = true;
+            json.key(workload).object();
             for (const auto &[scheme, stats] : schemes) {
-                if (!first_scheme)
-                    out += ",";
-                first_scheme = false;
-                out += "\n        " + support::jsonQuote(scheme) + ": ";
-                appendScheme(out, stats, "        ");
+                json.key(scheme);
+                writeScheme(json, stats);
             }
-            out += "\n      }";
+            json.end();
         }
-        out += records().empty() ? "}\n" : "\n    }\n";
-        out += "  }\n";
-        out += "}\n";
-        return out;
+        return json.end().end().end().take();
     }
 
     /** reportJson() to a file; warns (returns false) on I/O failure. */

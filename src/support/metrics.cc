@@ -1,50 +1,23 @@
 #include "support/metrics.hh"
 
-#include <cstdio>
-
 #include "support/logging.hh"
 #include "support/text_file.hh"
 
 namespace tepic::support {
 
-std::string
-jsonQuote(std::string_view text)
+void
+writeHistogram(JsonWriter &json, const Histogram &hist)
 {
-    std::string out;
-    out.reserve(text.size() + 2);
-    out += '"';
-    for (unsigned char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += char(c);
-            }
-        }
-    }
-    out += '"';
-    return out;
+    json.object(JsonWriter::kInline);
+    json.key("total").value(hist.total());
+    json.key("overflow").value(hist.overflow());
+    if (hist.bounded())
+        json.key("overflow_threshold").value(hist.overflowThreshold());
+    json.key("bins").array(JsonWriter::kInline);
+    for (const auto &[key, weight] : hist.bins())
+        json.array(JsonWriter::kInline).value(key).value(weight).end();
+    json.end().end();
 }
-
-namespace {
-
-std::string
-formatDouble(double value)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.12g", value);
-    return buf;
-}
-
-} // namespace
 
 void
 MetricsRegistry::addCounter(std::string_view name, std::uint64_t delta)
@@ -210,61 +183,36 @@ std::string
 MetricsRegistry::toJson() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::string out = "{\n  \"schema\": \"tepic-metrics-v1\"";
+    JsonWriter json;
+    json.object().key("schema").value("tepic-metrics-v1");
 
-    const auto section = [&out](const char *name, const auto &map,
-                                const auto &renderValue) {
-        out += ",\n  ";
-        out += jsonQuote(name);
-        out += ": {";
-        bool first = true;
+    const auto section = [&json](const char *name, const auto &map,
+                                 const auto &writeValue) {
+        json.key(name).object();
         for (const auto &[key, value] : map) {
-            out += first ? "\n    " : ",\n    ";
-            first = false;
-            out += jsonQuote(key);
-            out += ": ";
-            renderValue(value);
+            json.key(key);
+            writeValue(value);
         }
-        out += first ? "}" : "\n  }";
+        json.end();
     };
+    const auto scalar = [&json](const auto &value) { json.value(value); };
 
-    section("counters", counters_, [&out](std::uint64_t value) {
-        out += std::to_string(value);
+    section("counters", counters_, scalar);
+    section("gauges", gauges_, scalar);
+    section("histograms", histograms_, [&json](const Histogram &hist) {
+        writeHistogram(json, hist);
     });
-    section("gauges", gauges_, [&out](double value) {
-        out += formatDouble(value);
+    section("timings", timings_, [&json](const ScalarStat &stat) {
+        json.object(JsonWriter::kInline);
+        json.key("count").value(stat.count());
+        json.key("min").value(stat.min());
+        json.key("max").value(stat.max());
+        json.key("mean").value(stat.mean());
+        json.key("sum").value(stat.sum());
+        json.end();
     });
-    section("histograms", histograms_, [&out](const Histogram &hist) {
-        out += "{\"total\": " + std::to_string(hist.total());
-        out += ", \"overflow\": " + std::to_string(hist.overflow());
-        if (hist.bounded()) {
-            out += ", \"overflow_threshold\": " +
-                   std::to_string(hist.overflowThreshold());
-        }
-        out += ", \"bins\": [";
-        bool first = true;
-        for (const auto &[key, weight] : hist.bins()) {
-            if (!first)
-                out += ", ";
-            first = false;
-            out += "[" + std::to_string(key) + ", " +
-                   std::to_string(weight) + "]";
-        }
-        out += "]}";
-    });
-    section("timings", timings_, [&out](const ScalarStat &stat) {
-        out += "{\"count\": " + std::to_string(stat.count());
-        out += ", \"min\": " + formatDouble(stat.min());
-        out += ", \"max\": " + formatDouble(stat.max());
-        out += ", \"mean\": " + formatDouble(stat.mean());
-        out += ", \"sum\": " + formatDouble(stat.sum()) + "}";
-    });
-    section("runtime", runtime_, [&out](std::uint64_t value) {
-        out += std::to_string(value);
-    });
-
-    out += "\n}\n";
-    return out;
+    section("runtime", runtime_, scalar);
+    return json.end().take();
 }
 
 bool

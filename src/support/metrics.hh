@@ -35,12 +35,16 @@
 #include <utility>
 #include <vector>
 
+#include "support/json_writer.hh"
 #include "support/stats.hh"
 
 namespace tepic::support {
 
-/** JSON string literal (quotes + escapes) for @p text. */
-std::string jsonQuote(std::string_view text);
+/**
+ * @p hist as one inline object: total, overflow, overflow_threshold
+ * (bounded histograms only) and bins as [key, weight] pairs.
+ */
+void writeHistogram(JsonWriter &json, const Histogram &hist);
 
 class MetricsRegistry
 {

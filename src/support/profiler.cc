@@ -71,35 +71,18 @@ namespace {
 
 constexpr unsigned kNumValues = 5;  // cycles, instr, cmiss, bmiss, cpu_ns
 
-std::string
-formatGaugeValue(double value)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.12g", value);
-    return buf;
-}
-
 void
-appendCountersJson(std::string &out, const PhaseCounters &c,
-                   bool with_enters)
+writeCounters(JsonWriter &json, const PhaseCounters &c, bool with_enters)
 {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"cycles\":%llu,\"instructions\":%llu,"
-                  "\"cache_misses\":%llu,\"branch_misses\":%llu,"
-                  "\"cpu_ns\":%llu",
-                  (unsigned long long)c.cycles,
-                  (unsigned long long)c.instructions,
-                  (unsigned long long)c.cacheMisses,
-                  (unsigned long long)c.branchMisses,
-                  (unsigned long long)c.cpuNs);
-    out += buf;
-    if (with_enters) {
-        std::snprintf(buf, sizeof(buf), ",\"enters\":%llu",
-                      (unsigned long long)c.enters);
-        out += buf;
-    }
-    out += '}';
+    json.object(JsonWriter::kInline);
+    json.key("cycles").value(c.cycles);
+    json.key("instructions").value(c.instructions);
+    json.key("cache_misses").value(c.cacheMisses);
+    json.key("branch_misses").value(c.branchMisses);
+    json.key("cpu_ns").value(c.cpuNs);
+    if (with_enters)
+        json.key("enters").value(c.enters);
+    json.end();
 }
 
 /**
@@ -112,53 +95,43 @@ std::string
 renderReport(const std::string &name, const char *source,
              const Snapshot &snap, const MetricsRegistry &metrics)
 {
-    std::string out = "{\n  \"schema\": \"tepic-prof-v1\",\n";
-    out += "  \"name\": " + jsonQuote(name) + ",\n";
-    out += "  \"source\": " + jsonQuote(source) + ",\n";
+    JsonWriter json;
+    json.object();
+    json.key("schema").value("tepic-prof-v1");
+    json.key("name").value(name);
+    json.key("source").value(source);
 
-    out += "  \"total\": ";
-    appendCountersJson(out, snap.total, false);
-    out += ",\n  \"phases\": {\n";
+    json.key("total");
+    writeCounters(json, snap.total, false);
+    json.key("phases").object();
     for (unsigned i = 0; i < kNumPhases; ++i) {
-        out += "    " + jsonQuote(phaseName(Phase(i))) + ": ";
-        appendCountersJson(out, snap.phases[i], true);
-        out += i + 1 < kNumPhases ? ",\n" : "\n";
+        json.key(phaseName(Phase(i)));
+        writeCounters(json, snap.phases[i], true);
     }
-    out += "  },\n";
+    json.end();
 
-    out += "  \"work\": {";
-    bool first = true;
+    json.key("work").object();
     for (const auto &counter : metrics.counterNames()) {
         if (counter.rfind("prof.work.", 0) != 0)
             continue;
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += "    " +
-               jsonQuote(counter.substr(std::strlen("prof.work."))) +
-               ": " + std::to_string(metrics.counter(counter));
+        json.key(counter.substr(std::strlen("prof.work.")))
+            .value(metrics.counter(counter));
     }
-    out += first ? "},\n" : "\n  },\n";
+    json.end();
 
-    out += "  \"throughput\": {";
-    first = true;
+    json.key("throughput").object();
     for (const auto &gauge : metrics.gaugeNames()) {
         if (gauge.rfind("prof.", 0) != 0)
             continue;
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += "    " + jsonQuote(gauge.substr(std::strlen("prof."))) +
-               ": " + formatGaugeValue(metrics.gauge(gauge));
+        json.key(gauge.substr(std::strlen("prof.")))
+            .value(metrics.gauge(gauge));
     }
-    out += first ? "},\n" : "\n  },\n";
+    json.end();
 
-    char buf[96];
-    std::snprintf(buf, sizeof(buf),
-                  "  \"samples\": {\"taken\": %llu, \"dropped\": "
-                  "%llu}\n}\n",
-                  (unsigned long long)snap.samplesTaken,
-                  (unsigned long long)snap.samplesDropped);
-    out += buf;
-    return out;
+    json.key("samples").object(JsonWriter::kInline);
+    json.key("taken").value(snap.samplesTaken);
+    json.key("dropped").value(snap.samplesDropped);
+    return json.end().end().take();
 }
 
 } // namespace

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <map>
 #include <mutex>
 #include <set>
@@ -147,14 +146,6 @@ workerName(std::uint32_t worker)
     if (worker == kMainWorker)
         return "main";
     return "w" + std::to_string(worker);
-}
-
-std::string
-formatDouble(double value)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.12g", value);
-    return buf;
 }
 
 } // namespace
@@ -519,112 +510,90 @@ reportJson(const std::string &name)
 {
     const Analysis a = analyze();
 
-    std::string out = "{\n  \"schema\": \"tepic-sched-v1\",\n";
-    out += "  \"name\": " + jsonQuote(name) + ",\n";
-    out += "  \"jobs\": " + std::to_string(a.jobs) + ",\n";
+    JsonWriter json;
+    json.object();
+    json.key("schema").value("tepic-sched-v1");
+    json.key("name").value(name);
+    json.key("jobs").value(a.jobs);
 
     // --- structure: exact-gated across --jobs -------------------------
-    out += "  \"structure\": {\n";
-    out += "    \"task_count\": " + std::to_string(a.tasks.size()) +
-           ",\n";
-    out += "    \"edge_count\": " + std::to_string(a.edgeCount) +
-           ",\n";
-    out += "    \"cache_hits\": " + std::to_string(a.cacheHits) +
-           ",\n";
-    out += "    \"acyclic\": ";
-    out += a.acyclic ? "true" : "false";
-    out += ",\n    \"tasks\": [";
-    for (std::size_t i = 0; i < a.tasks.size(); ++i) {
-        const TaskRecord &t = a.tasks[i];
-        out += i ? ",\n      " : "\n      ";
-        out += "{\"id\": " + std::to_string(t.id);
-        out += ", \"label\": " + jsonQuote(t.decl.label);
-        out += ", \"kind\": " + jsonQuote(t.decl.kind);
-        out += ", \"workload\": " + jsonQuote(t.decl.workload);
-        out += ", \"scheme\": " + jsonQuote(t.decl.scheme);
-        out += ", \"cache_hit\": ";
-        out += t.decl.cacheHit ? "true" : "false";
-        out += ", \"deps\": [";
-        for (std::size_t d = 0; d < t.decl.deps.size(); ++d) {
-            if (d)
-                out += ", ";
-            out += std::to_string(t.decl.deps[d]);
-        }
-        out += "]}";
+    json.key("structure").object();
+    json.key("task_count").value(a.tasks.size());
+    json.key("edge_count").value(a.edgeCount);
+    json.key("cache_hits").value(a.cacheHits);
+    json.key("acyclic").value(a.acyclic);
+    json.key("tasks").array();
+    for (const TaskRecord &t : a.tasks) {
+        json.object(JsonWriter::kInline);
+        json.key("id").value(t.id);
+        json.key("label").value(t.decl.label);
+        json.key("kind").value(t.decl.kind);
+        json.key("workload").value(t.decl.workload);
+        json.key("scheme").value(t.decl.scheme);
+        json.key("cache_hit").value(t.decl.cacheHit);
+        json.key("deps").array(JsonWriter::kInline);
+        for (const auto dep : t.decl.deps)
+            json.value(dep);
+        json.end().end();
     }
-    out += a.tasks.empty() ? "]\n" : "\n    ]\n";
-    out += "  },\n";
+    json.end().end();
 
     // --- timing: wall-clock data, band-gated only ---------------------
-    out += "  \"timing\": {\n";
-    out += "    \"window\": {\"start_ns\": " +
-           std::to_string(a.windowStartNs) +
-           ", \"end_ns\": " + std::to_string(a.windowEndNs) + "},\n";
-    out += "    \"makespan_ns\": " + std::to_string(a.makespanNs) +
-           ",\n";
-    out += "    \"total_work_ns\": " + std::to_string(a.totalWorkNs) +
-           ",\n";
-    out += "    \"critical_path_ns\": " +
-           std::to_string(a.criticalPathNs) + ",\n";
-    out += "    \"critical_path\": [";
-    for (std::size_t i = 0; i < a.criticalPath.size(); ++i) {
-        if (i)
-            out += ", ";
-        out += std::to_string(a.criticalPath[i]);
-    }
-    out += "],\n";
-    out += "    \"speedup\": {\"achievable\": " +
-           formatDouble(a.achievableSpeedup) +
-           ", \"achieved\": " + formatDouble(a.achievedSpeedup) +
-           "},\n";
-    out += "    \"parallelism\": {\"bucket_ns\": " +
-           std::to_string(a.bucketNs) + ", \"concurrency\": [";
-    for (std::size_t i = 0; i < a.concurrency.size(); ++i) {
-        if (i)
-            out += ", ";
-        out += formatDouble(a.concurrency[i]);
-    }
-    out += "]},\n";
+    json.key("timing").object();
+    json.key("window").object(JsonWriter::kInline);
+    json.key("start_ns").value(a.windowStartNs);
+    json.key("end_ns").value(a.windowEndNs);
+    json.end();
+    json.key("makespan_ns").value(a.makespanNs);
+    json.key("total_work_ns").value(a.totalWorkNs);
+    json.key("critical_path_ns").value(a.criticalPathNs);
+    json.key("critical_path").array(JsonWriter::kInline);
+    for (const auto id : a.criticalPath)
+        json.value(id);
+    json.end();
+    json.key("speedup").object(JsonWriter::kInline);
+    json.key("achievable").value(a.achievableSpeedup);
+    json.key("achieved").value(a.achievedSpeedup);
+    json.end();
+    json.key("parallelism").object(JsonWriter::kInline);
+    json.key("bucket_ns").value(a.bucketNs);
+    json.key("concurrency").array(JsonWriter::kInline);
+    for (const double level : a.concurrency)
+        json.value(level);
+    json.end().end();
 
-    out += "    \"tasks\": [";
-    for (std::size_t i = 0; i < a.tasks.size(); ++i) {
-        const TaskRecord &t = a.tasks[i];
-        out += i ? ",\n      " : "\n      ";
-        out += "{\"id\": " + std::to_string(t.id);
-        out += ", \"enqueue_ns\": " + std::to_string(t.enqueueNs);
-        out += ", \"start_ns\": " + std::to_string(t.startNs);
-        out += ", \"finish_ns\": " + std::to_string(t.finishNs);
-        out += ", \"ran\": ";
-        out += t.ran ? "true" : "false";
-        out += ", \"worker\": ";
+    json.key("tasks").array();
+    for (const TaskRecord &t : a.tasks) {
+        json.object(JsonWriter::kInline);
+        json.key("id").value(t.id);
+        json.key("enqueue_ns").value(t.enqueueNs);
+        json.key("start_ns").value(t.startNs);
+        json.key("finish_ns").value(t.finishNs);
+        json.key("ran").value(t.ran);
+        json.key("worker");
         if (!t.ran || t.worker == kNoWorker)
-            out += "null";
+            json.value(nullptr);
         else
-            out += jsonQuote(workerName(t.worker));
-        out += "}";
+            json.value(workerName(t.worker));
+        json.end();
     }
-    out += a.tasks.empty() ? "],\n" : "\n    ],\n";
+    json.end();
 
-    out += "    \"workers\": [";
-    for (std::size_t i = 0; i < a.workers.size(); ++i) {
-        const WorkerSummary &w = a.workers[i];
-        out += i ? ",\n      " : "\n      ";
-        out += "{\"id\": " + jsonQuote(w.name);
-        out += ", \"start_ns\": " + std::to_string(w.startNs);
-        out += ", \"end_ns\": " + std::to_string(w.endNs);
-        out += ", \"busy_ns\": " + std::to_string(w.busyNs);
-        out += ", \"tasks\": " + std::to_string(w.tasksRun);
-        out += ", \"idle\": {\"ramp_ns\": " +
-               std::to_string(w.rampNs);
-        out += ", \"queue_empty_ns\": " +
-               std::to_string(w.queueEmptyNs);
-        out += ", \"dep_stall_ns\": " +
-               std::to_string(w.depStallNs);
-        out += "}}";
+    json.key("workers").array();
+    for (const WorkerSummary &w : a.workers) {
+        json.object(JsonWriter::kInline);
+        json.key("id").value(w.name);
+        json.key("start_ns").value(w.startNs);
+        json.key("end_ns").value(w.endNs);
+        json.key("busy_ns").value(w.busyNs);
+        json.key("tasks").value(w.tasksRun);
+        json.key("idle").object(JsonWriter::kInline);
+        json.key("ramp_ns").value(w.rampNs);
+        json.key("queue_empty_ns").value(w.queueEmptyNs);
+        json.key("dep_stall_ns").value(w.depStallNs);
+        json.end().end();
     }
-    out += a.workers.empty() ? "]\n" : "\n    ]\n";
-    out += "  }\n}\n";
-    return out;
+    return json.end().end().end().take();
 }
 
 void

@@ -105,44 +105,30 @@ struct FlatLeaf
 };
 
 void
-renderRange(std::string &out, const std::vector<FlatLeaf> &leaves,
-            std::size_t begin, std::size_t end, std::size_t depth,
-            unsigned indent)
+writeRange(JsonWriter &json, const std::vector<FlatLeaf> &leaves,
+           std::size_t begin, std::size_t end, std::size_t depth)
 {
-    const std::string pad(indent + 2 * (depth + 1), ' ');
-    out += "{";
-    bool first = true;
+    json.object();
     std::size_t i = begin;
     while (i < end) {
         const std::string_view segment = leaves[i].segments[depth];
         std::size_t j = i;
         while (j < end && leaves[j].segments[depth] == segment)
             ++j;
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += pad;
-        out += jsonQuote(segment);
-        out += ": ";
-        if (j == i + 1 && leaves[i].segments.size() == depth + 1) {
-            out += std::to_string(leaves[i].bits);
-        } else {
-            renderRange(out, leaves, i, j, depth + 1, indent);
-        }
+        json.key(segment);
+        if (j == i + 1 && leaves[i].segments.size() == depth + 1)
+            json.value(leaves[i].bits);
+        else
+            writeRange(json, leaves, i, j, depth + 1);
         i = j;
     }
-    if (first) {
-        out += "}";
-    } else {
-        out += "\n";
-        out += std::string(indent + 2 * depth, ' ');
-        out += "}";
-    }
+    json.end();
 }
 
 } // namespace
 
-std::string
-SizeLedger::toJson(unsigned indent) const
+void
+SizeLedger::writeJson(JsonWriter &json) const
 {
     std::vector<FlatLeaf> flat;
     flat.reserve(leaves_.size());
@@ -165,9 +151,7 @@ SizeLedger::toJson(unsigned indent) const
               [](const FlatLeaf &a, const FlatLeaf &b) {
                   return a.segments < b.segments;
               });
-    std::string out;
-    renderRange(out, flat, 0, flat.size(), 0, indent);
-    return out;
+    writeRange(json, flat, 0, flat.size(), 0);
 }
 
 } // namespace tepic::support

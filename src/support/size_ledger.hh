@@ -26,7 +26,7 @@
  *                replaced by '.', plus "<prefix>.total_bits" — this
  *                lands in the deterministic counters section, so the
  *                regression gate covers size provenance for free;
- *   toJson()     a nested treemap object for SIZE_*.json artifacts
+ *   writeJson()  a nested treemap object for SIZE_*.json artifacts
  *                (schema "tepic-size-v1", assembled by core).
  */
 
@@ -40,6 +40,7 @@
 
 namespace tepic::support {
 
+class JsonWriter;
 class MetricsRegistry;
 
 class SizeLedger
@@ -87,12 +88,11 @@ class SizeLedger
     void exportTo(MetricsRegistry &out, std::string_view prefix) const;
 
     /**
-     * Render as a nested JSON object: interior path segments become
-     * objects, leaves become numbers (bits). @p indent is the base
-     * indentation in spaces for pretty-printing inside a larger
-     * document. Deterministic: keys in sorted order.
+     * Write as a nested JSON object: interior path segments become
+     * objects, leaves become numbers (bits). Deterministic: keys in
+     * sorted order.
      */
-    std::string toJson(unsigned indent = 0) const;
+    void writeJson(JsonWriter &json) const;
 
   private:
     std::map<std::string, std::uint64_t, std::less<>> leaves_;

@@ -1,10 +1,10 @@
 /**
  * @file
  * Minimal recursive-descent JSON parser for tests that round-trip the
- * observability outputs (Chrome trace-event files, metrics JSON).
- * Supports the full value grammar the emitters produce: objects,
- * arrays, strings with the escapes jsonQuote() writes, numbers, bools
- * and null. Throws std::runtime_error on malformed input — a test
+ * observability outputs (the reports support::JsonWriter renders and
+ * Chrome trace-event files). Supports the full value grammar those
+ * produce: objects, arrays, strings with the escapes jsonQuote()
+ * writes, numbers, bools and null. Throws std::runtime_error on malformed input — a test
  * failure, not a recoverable condition.
  */
 

@@ -9,12 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <functional>
 #include <sstream>
+#include <stdexcept>
 
 #include "json_mini.hh"
+#include "support/json_writer.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/stats.hh"
@@ -22,6 +25,7 @@
 namespace {
 
 using tepic::support::Histogram;
+using tepic::support::JsonWriter;
 using tepic::support::LogLevel;
 using tepic::support::MetricsRegistry;
 using tepic::support::ScalarStat;
@@ -357,6 +361,90 @@ TEST(Metrics, JsonQuoteEscapes)
     EXPECT_EQ(tepic::support::jsonQuote("a\nb"), "\"a\\nb\"");
     EXPECT_EQ(tepic::support::jsonQuote(std::string("a\x01") + "b"),
               "\"a\\u0001b\"");
+}
+
+TEST(Metrics, JsonWriterLayout)
+{
+    // Block containers: one member per line, two spaces per level;
+    // inline ones: members joined by ", "; empty ones: {} and [].
+    JsonWriter json;
+    json.object();
+    json.key("name").value("a\"b");
+    json.key("list").array();
+    json.object(JsonWriter::kInline);
+    json.key("x").value(1).key("y").value(nullptr);
+    json.end();
+    json.array(JsonWriter::kInline).value(true).value(false).end();
+    json.end();
+    json.key("nested").object().key("deep").object().end().end();
+    json.key("none").array(JsonWriter::kInline).end();
+    EXPECT_EQ(json.end().take(),
+              "{\n"
+              "  \"name\": \"a\\\"b\",\n"
+              "  \"list\": [\n"
+              "    {\"x\": 1, \"y\": null},\n"
+              "    [true, false]\n"
+              "  ],\n"
+              "  \"nested\": {\n"
+              "    \"deep\": {}\n"
+              "  },\n"
+              "  \"none\": []\n"
+              "}\n");
+
+    JsonWriter empty_object;
+    EXPECT_EQ(empty_object.object().end().take(), "{}\n");
+    JsonWriter empty_array;
+    EXPECT_EQ(empty_array.array().end().take(), "[]\n");
+}
+
+TEST(Metrics, JsonWriterNumbers)
+{
+    JsonWriter json;
+    json.array(JsonWriter::kInline);
+    json.value(UINT64_MAX).value(std::int64_t(-42)).value(INT64_MIN);
+    json.value(0.1).value(1e-07).value(123456789012345.0).value(0.5);
+    json.value(unsigned(7)).value(short(-3));
+    // Integers are exact; doubles are %.12g, so a 15-digit double
+    // keeps 12 significant digits.
+    EXPECT_EQ(json.end().take(),
+              "[18446744073709551615, -42, -9223372036854775808, "
+              "0.1, 1e-07, 1.23456789012e+14, 0.5, 7, -3]\n");
+}
+
+TEST(Metrics, JsonWriterMisusePanics)
+{
+    {
+        JsonWriter json;
+        json.object();
+        EXPECT_THROW(json.value(1), std::logic_error);  // no key
+    }
+    {
+        JsonWriter json;
+        json.array();
+        EXPECT_THROW(json.key("k"), std::logic_error);  // key in array
+    }
+    {
+        JsonWriter json;
+        json.object().key("k");
+        EXPECT_THROW(json.key("again"), std::logic_error);
+        EXPECT_THROW(json.end(), std::logic_error);  // dangling key
+    }
+    {
+        JsonWriter json;
+        json.array().end();
+        EXPECT_THROW(json.end(), std::logic_error);  // unbalanced
+    }
+    {
+        JsonWriter json;
+        json.object().key("open").array();
+        EXPECT_THROW(json.take(), std::logic_error);  // still open
+    }
+    {
+        JsonWriter json;
+        EXPECT_THROW(json.take(), std::logic_error);  // nothing written
+        json.value(1);
+        EXPECT_THROW(json.value(2), std::logic_error);  // second root
+    }
 }
 
 } // namespace

@@ -97,7 +97,9 @@ TEST(SizeLedger, TreemapJsonNestsAndSumsToTotal)
     ledger.addBits("stream/s1_b9_w10/payload", 50);
     ledger.addBits("align_pad", 5);
 
-    const auto doc = testjson::parse(ledger.toJson());
+    support::JsonWriter json;
+    ledger.writeJson(json);
+    const auto doc = testjson::parse(json.take());
     ASSERT_TRUE(doc.isObject());
     EXPECT_EQ(doc.at("align_pad").number, 5.0);
     const auto &s0 = doc.at("stream").at("s0_b0_w9");
