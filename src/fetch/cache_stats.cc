@@ -132,23 +132,25 @@ ReuseDistanceTracker::ReuseDistanceTracker(std::size_t expectedBlocks)
     const std::uint64_t want =
         std::max<std::uint64_t>(64, 4 * std::uint64_t(expectedBlocks));
     cap_ = std::uint32_t(std::bit_ceil(want));
-    fenwick_.assign(cap_ + 1, 0);
+    bits_.assign(cap_ / 64, 0);
+    fenwick_.assign(bits_.size() + 1, 0);
 }
 
 void
-ReuseDistanceTracker::add(std::uint32_t index, std::int32_t delta)
+ReuseDistanceTracker::add(std::uint32_t word, std::uint32_t delta)
 {
-    for (; index <= cap_; index += index & (~index + 1))
-        fenwick_[index] = std::uint32_t(std::int64_t(fenwick_[index]) +
-                                        delta);
+    // Unsigned wrap-around: delta ~0u subtracts one.
+    for (std::size_t i = std::size_t(word) + 1; i < fenwick_.size();
+         i += i & (~i + 1))
+        fenwick_[i] += delta;
 }
 
 std::uint64_t
-ReuseDistanceTracker::prefix(std::uint32_t index) const
+ReuseDistanceTracker::prefixWords(std::uint32_t words) const
 {
     std::uint64_t sum = 0;
-    for (; index > 0; index -= index & (~index + 1))
-        sum += fenwick_[index];
+    for (std::uint32_t i = words; i > 0; i -= i & (~i + 1))
+        sum += fenwick_[i];
     return sum;
 }
 
@@ -156,26 +158,43 @@ void
 ReuseDistanceTracker::compact()
 {
     // Renumber the live markers by rank order: distances only depend
-    // on the *relative* order of last-access positions, so the tree
-    // stays exact while the position space shrinks to O(live).
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> live;
-    live.reserve(live_);
-    for (std::uint32_t b = 0; b < lastPos_.size(); ++b)
-        if (lastPos_[b] != 0)
-            live.emplace_back(lastPos_[b], b);
-    std::sort(live.begin(), live.end());
-
-    if (std::uint64_t(live.size()) * 4 > cap_)
-        cap_ = std::uint32_t(std::bit_ceil(std::uint64_t(
-            std::max<std::uint64_t>(64, 4 * live.size()))));
-    fenwick_.assign(cap_ + 1, 0);
-    std::uint32_t pos = 0;
-    for (const auto &[old_pos, block] : live) {
-        lastPos_[block] = pos + 1;
-        add(pos + 1, +1);
-        ++pos;
+    // on the *relative* order of last-access positions, so the
+    // markers stay exact while the position space shrinks to O(live).
+    // A marker's rank is the markers in the words before its own
+    // (one popcount prefix scan, kept in fenwick_ until the rebuild)
+    // plus the markers below it in its word — no sort.
+    const std::size_t words = bits_.size();
+    std::uint32_t before = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+        fenwick_[w] = before;
+        before += std::uint32_t(std::popcount(bits_[w]));
     }
-    next_ = pos;
+    for (std::uint32_t &last : lastPos_) {
+        if (last == 0)
+            continue;
+        const std::uint32_t p = last - 1;
+        const std::uint64_t below = (std::uint64_t(1) << (p % 64)) - 1;
+        last = fenwick_[p / 64] +
+               std::uint32_t(std::popcount(bits_[p / 64] & below)) + 1;
+    }
+
+    if (std::uint64_t(live_) * 4 > cap_)
+        cap_ = std::uint32_t(std::bit_ceil(
+            std::max<std::uint64_t>(64, 4 * std::uint64_t(live_))));
+    // The live markers become the low live_ bits; the word tree is
+    // rebuilt bottom-up in O(words).
+    bits_.assign(cap_ / 64, 0);
+    std::fill_n(bits_.begin(), live_ / 64, ~std::uint64_t(0));
+    if (live_ % 64 != 0)
+        bits_[live_ / 64] = (std::uint64_t(1) << (live_ % 64)) - 1;
+    fenwick_.assign(bits_.size() + 1, 0);
+    for (std::size_t i = 1; i < fenwick_.size(); ++i) {
+        fenwick_[i] += std::uint32_t(std::popcount(bits_[i - 1]));
+        const std::size_t parent = i + (i & (~i + 1));
+        if (parent < fenwick_.size())
+            fenwick_[parent] += fenwick_[i];
+    }
+    next_ = live_;
     ++compactions_;
 }
 
@@ -187,18 +206,30 @@ ReuseDistanceTracker::access(std::uint32_t block)
     if (next_ == cap_)
         compact();
 
+    const std::uint32_t tail = next_ / 64;  // the new marker's word
     std::uint64_t distance = kCold;
-    if (lastPos_[block] != 0) {
-        const std::uint32_t p = lastPos_[block];
-        // Markers strictly after p = live markers - markers at <= p.
-        distance = live_ - prefix(p);
-        add(p, -1);
-        --live_;
+    if (const std::uint32_t last = lastPos_[block]; last != 0) {
+        const std::uint32_t p = last - 1;
+        const std::uint32_t word = p / 64;
+        const std::uint64_t upto = ~std::uint64_t(0) >> (63 - p % 64);
+        if (word == tail) {
+            // No marker lies past the tail word, and the marker moves
+            // within it: the word tree is unchanged.
+            distance = std::uint64_t(std::popcount(bits_[word] & ~upto));
+        } else {
+            // Markers strictly after p = live markers - markers <= p.
+            distance = live_ - prefixWords(word) -
+                       std::uint64_t(std::popcount(bits_[word] & upto));
+            add(word, ~std::uint32_t(0));
+            add(tail, 1);
+        }
+        bits_[word] &= ~(std::uint64_t(1) << (p % 64));
+    } else {
+        add(tail, 1);
+        ++live_;
     }
-    add(next_ + 1, +1);
-    ++live_;
-    lastPos_[block] = next_ + 1;
-    ++next_;
+    bits_[tail] |= std::uint64_t(1) << (next_ % 64);
+    lastPos_[block] = ++next_;
     return distance;
 }
 
@@ -208,7 +239,8 @@ ReuseDistanceTracker::access(std::uint32_t block)
 CacheStatsRecorder::CacheStatsRecorder(const CacheConfig &cache,
                                        std::uint64_t expectedEvents,
                                        const CacheStatsConfig &options)
-    : options_(options), expectedEvents_(expectedEvents),
+    : options_(options),
+      clock_(std::max(1u, options.heatmapEpochs), expectedEvents),
       // Seed the position space with the shadow capacity: the
       // distinct-block count is unknown here and the tracker grows
       // itself on compaction anyway.
@@ -221,37 +253,11 @@ CacheStatsRecorder::CacheStatsRecorder(const CacheConfig &cache,
     stats_.ways = cache.ways;
     stats_.lineBytes = cache.lineBytes;
     stats_.heatmapEpochs = options_.heatmapEpochs;
-    stats_.setAccesses.assign(cache.sets, 0);
-    stats_.setHits.assign(cache.sets, 0);
-    stats_.setFills.assign(cache.sets, 0);
-    stats_.setEvictions.assign(cache.sets, 0);
-    stats_.setDeadOnFill.assign(cache.sets, 0);
-    const std::size_t cells =
-        std::size_t(options_.heatmapEpochs) * cache.sets;
-    stats_.heatAccesses.assign(cells, 0);
-    stats_.heatFills.assign(cells, 0);
-    stats_.heatEvictions.assign(cells, 0);
+    cells_.assign(std::size_t(options_.heatmapEpochs) * cache.sets,
+                  LineCell{});
+    row_ = cells_.data();
     shadowCapacity_ = cache.sets * cache.ways;
     evictionUses_.assign(CacheStats::kUseHistogramOverflow, 0);
-    advanceEpoch(0);
-}
-
-void
-CacheStatsRecorder::advanceEpoch(std::uint64_t position)
-{
-    // epoch(pos) = min(E-1, pos·E/N) reaches e+1 exactly at
-    // pos >= ceil((e+1)·N/E); positions only grow, so the thresholds
-    // are crossed in order (several at once when N < E).
-    const std::uint64_t epochs = stats_.heatmapEpochs;
-    if (expectedEvents_ != 0) {
-        for (; epoch_ + 1 < epochs; ++epoch_) {
-            nextEpochAt_ =
-                ((epoch_ + 1) * expectedEvents_ + epochs - 1) / epochs;
-            if (position < nextEpochAt_)
-                return;
-        }
-    }
-    nextEpochAt_ = ~std::uint64_t(0);  // the last epoch never ends
 }
 
 void
@@ -318,11 +324,8 @@ CacheStatsRecorder::onFetch(const FetchObservation &fetch)
             ++stats_.reuseCold;
         } else {
             stats_.reuseMax = std::max(stats_.reuseMax, distance);
-            const std::int64_t key =
-                distance == 0
-                    ? 0
-                    : std::int64_t(std::bit_width(distance));
-            stats_.reuseLog2Histogram.sample(key);
+            // bit_width(0) == 0: distance 0 keeps its own key.
+            ++reuseBins_[std::bit_width(distance)];
         }
     }
 
@@ -338,9 +341,8 @@ CacheStatsRecorder::onFetch(const FetchObservation &fetch)
     // Epoch of the *next* fetch — whose L1 line events arrive before
     // its own observation — from the trace index it starts at (never
     // wall clock: the heatmaps must be bit-identical across --jobs).
-    const std::uint64_t next = rec.index + fetch.blocks;
-    if (next >= nextEpochAt_)
-        advanceEpoch(next);
+    row_ = cells_.data() +
+           std::size_t(clock_.at(rec.index + fetch.blocks)) * stats_.sets;
 }
 
 void
@@ -383,33 +385,24 @@ CacheStatsRecorder::classifyL1(std::uint64_t first, std::uint64_t last,
 void
 CacheStatsRecorder::onLineHit(std::uint64_t, std::uint32_t set)
 {
-    ++stats_.setAccesses[set];
-    ++stats_.setHits[set];
-    ++stats_.heatAccesses[std::size_t(epoch_) * stats_.sets + set];
+    ++row_[set].hits;
 }
 
 void
 CacheStatsRecorder::onLineFill(std::uint64_t, std::uint32_t set)
 {
-    ++stats_.lineFills;
-    ++stats_.setAccesses[set];
-    ++stats_.setFills[set];
-    const std::size_t cell = std::size_t(epoch_) * stats_.sets + set;
-    ++stats_.heatAccesses[cell];
-    ++stats_.heatFills[cell];
+    ++row_[set].fills;
 }
 
 void
 CacheStatsRecorder::onLineEvict(std::uint64_t, std::uint32_t set,
                                 std::uint64_t uses)
 {
-    ++stats_.lineEvictions;
-    ++stats_.setEvictions[set];
-    ++stats_.heatEvictions[std::size_t(epoch_) * stats_.sets + set];
     if (uses == 0) {
-        ++stats_.deadOnFill;
-        ++stats_.setDeadOnFill[set];
+        ++row_[set].deadEvictions;
+        return;
     }
+    ++row_[set].liveEvictions;
     if (uses < evictionUses_.size())
         ++evictionUses_[uses];
     else
@@ -421,10 +414,47 @@ CacheStats
 CacheStatsRecorder::finish()
 {
     stats_.recorded = true;
+
+    // Fold the (epoch, set) cells into the heatmaps, the per-set
+    // vectors and the line totals.
+    const std::size_t sets = stats_.sets;
+    stats_.setAccesses.assign(sets, 0);
+    stats_.setHits.assign(sets, 0);
+    stats_.setFills.assign(sets, 0);
+    stats_.setEvictions.assign(sets, 0);
+    stats_.setDeadOnFill.assign(sets, 0);
+    stats_.heatAccesses.assign(cells_.size(), 0);
+    stats_.heatFills.assign(cells_.size(), 0);
+    stats_.heatEvictions.assign(cells_.size(), 0);
+    for (std::size_t i = 0; i < cells_.size(); ++i) {
+        const LineCell &cell = cells_[i];
+        const std::size_t set = i % sets;
+        const std::uint64_t evictions =
+            cell.liveEvictions + cell.deadEvictions;
+        stats_.heatAccesses[i] = cell.hits + cell.fills;
+        stats_.heatFills[i] = cell.fills;
+        stats_.heatEvictions[i] = evictions;
+        stats_.setAccesses[set] += cell.hits + cell.fills;
+        stats_.setHits[set] += cell.hits;
+        stats_.setFills[set] += cell.fills;
+        stats_.setEvictions[set] += evictions;
+        stats_.setDeadOnFill[set] += cell.deadEvictions;
+        stats_.lineFills += cell.fills;
+        stats_.lineEvictions += evictions;
+        stats_.deadOnFill += cell.deadEvictions;
+    }
+
+    evictionUses_[0] = stats_.deadOnFill;
     for (std::size_t uses = 0; uses < evictionUses_.size(); ++uses) {
         if (evictionUses_[uses] != 0) {
             stats_.evictionUseHistogram.sample(std::int64_t(uses),
                                                evictionUses_[uses]);
+        }
+    }
+    for (std::size_t key = 0; key < reuseBins_.size(); ++key) {
+        if (reuseBins_[key] != 0) {
+            stats_.reuseLog2Histogram.sample(std::int64_t(key),
+                                             reuseBins_[key]);
         }
     }
     stats_.residentAtEnd = stats_.lineFills - stats_.lineEvictions;

@@ -31,10 +31,11 @@
  *
  *  - Block stream: reuse distances (number of *distinct* blocks
  *    between consecutive accesses to the same block) via an
- *    Olken-style order-statistic structure — a Fenwick tree over
- *    access positions with periodic position compaction, O(log B)
- *    per access for B distinct blocks. Distances land in a log2
- *    histogram; first touches count as cold.
+ *    Olken-style order-statistic structure — one bit per access
+ *    position, a Fenwick tree over the 64-bit words' popcounts and
+ *    periodic position compaction, O(log(B/64)) per access for B
+ *    distinct blocks. Distances land in a log2 histogram; first
+ *    touches count as cold.
  *
  *  - L0 / ATB: bypasses and translation hits/misses are recorded so
  *    a CACHE report shows the traffic each level absorbed.
@@ -42,11 +43,13 @@
  * Per-set occupancy is accumulated over time into epochs x sets
  * matrices (accesses / fills / evictions at line granularity) for
  * the tepic_reports.py heatmaps. The epoch of an event is derived from
- * its *index* in the trace, never from wall clock, so every matrix
- * is bit-identical for any --jobs value: line events arrive during a
- * fetch's L1 access, before its observation, so each observation
- * sets the epoch of the *next* fetch from the trace position that
- * fetch starts at.
+ * its *index* in the trace (epoch_clock.hh), never from wall clock,
+ * so every matrix is bit-identical for any --jobs value: line events
+ * arrive during a fetch's L1 access, before its observation, so each
+ * observation sets the epoch of the *next* fetch from the trace
+ * position that fetch starts at. Each line event bumps one counter
+ * of its (epoch, set) cell; finish() derives the per-set vectors,
+ * the heatmaps and the line totals from the cells.
  *
  * Determinism contract: everything a recorder produces is a pure
  * function of (trace, config) — the whole CACHE report is
@@ -67,12 +70,14 @@
 #ifndef TEPIC_FETCH_CACHE_STATS_HH
 #define TEPIC_FETCH_CACHE_STATS_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "fetch/banked_cache.hh"
 #include "fetch/cycle_model.hh"
+#include "fetch/epoch_clock.hh"
 #include "fetch/fetch_observer.hh"
 #include "fetch/report_store.hh"
 #include "support/keys.hh"
@@ -210,12 +215,15 @@ struct CacheStats
 #if TEPIC_CACHESTATS_ENABLED
 
 /**
- * Exact reuse distances in O(log B) per access: each live block
- * owns one marker at its most recent access position in a Fenwick
- * tree; the distance to the previous access is the number of
- * markers strictly after it. Positions are compacted (rank-order
- * renumbering) whenever the position space fills, bounding memory
- * by the distinct-block count rather than the trace length.
+ * Exact reuse distances: each live block owns one marker at its most
+ * recent access position; the distance to the previous access is the
+ * number of markers strictly after it. Markers are one bit per
+ * position in 64-bit words, counted through a Fenwick tree over the
+ * words' popcounts (1/64 the positions), so an access costs
+ * O(log(positions/64)) plus one masked popcount. Positions are
+ * compacted (rank-order renumbering) whenever the position space
+ * fills, bounding memory by the distinct-block count rather than the
+ * trace length.
  */
 class ReuseDistanceTracker
 {
@@ -231,15 +239,16 @@ class ReuseDistanceTracker
     std::uint64_t compactions() const { return compactions_; }
 
   private:
-    std::vector<std::uint32_t> fenwick_;  ///< 1-based, size cap_+1
+    std::vector<std::uint64_t> bits_;     ///< marker bits, cap_/64 words
+    std::vector<std::uint32_t> fenwick_;  ///< 1-based word popcounts
     std::vector<std::uint32_t> lastPos_;  ///< block -> pos+1, 0=never
     std::uint32_t cap_ = 0;
     std::uint32_t next_ = 0;   ///< next unused position
-    std::uint32_t live_ = 0;   ///< markers in the tree
+    std::uint32_t live_ = 0;   ///< markers set
     std::uint64_t compactions_ = 0;
 
-    void add(std::uint32_t index, std::int32_t delta);
-    std::uint64_t prefix(std::uint32_t index) const;
+    void add(std::uint32_t word, std::uint32_t delta);
+    std::uint64_t prefixWords(std::uint32_t words) const;
     void compact();
 };
 
@@ -251,6 +260,9 @@ class CacheStatsRecorder final : public CacheLineObserver,
     CacheStatsRecorder(const CacheConfig &cache,
                        std::uint64_t expectedEvents,
                        const CacheStatsConfig &options);
+    // row_ points into cells_: a copy would write the original's.
+    CacheStatsRecorder(const CacheStatsRecorder &) = delete;
+    CacheStatsRecorder &operator=(const CacheStatsRecorder &) = delete;
 
     /**
      * One completed fetch: its block-stream reuse sample, ATB outcome
@@ -271,17 +283,31 @@ class CacheStatsRecorder final : public CacheLineObserver,
     CacheStats finish();
 
   private:
+    /** Line events of one (epoch, set); each event bumps one count
+     *  (an eviction is dead or live by its use count). */
+    struct LineCell
+    {
+        std::uint64_t hits = 0;
+        std::uint64_t fills = 0;
+        std::uint64_t liveEvictions = 0;
+        std::uint64_t deadEvictions = 0;
+    };
+
     CacheStatsConfig options_;
     CacheStats stats_;
-    std::uint64_t expectedEvents_ = 0;
-    unsigned epoch_ = 0;  ///< of the fetch now accessing the L1
-    /** First trace position of epoch_ + 1: ceil((e+1)·N/E), so the
-     *  epoch of a position is found without a division per fetch. */
-    std::uint64_t nextEpochAt_ = ~std::uint64_t(0);
+    EpochClock clock_;
+    /** epochs x sets, row-major; folded into stats_ by finish(). */
+    std::vector<LineCell> cells_;
+    /** The row of the fetch now accessing the L1. */
+    LineCell *row_ = nullptr;
     /** Fetches until the next reuse sample (reuseSampleEvery). */
     std::uint64_t reuseCountdown_ = 0;
-    /** Evictions by use count below the histogram's overflow,
-     *  folded into evictionUseHistogram by finish(). */
+    /** Warm reuse samples by log2 key (0..64), folded into
+     *  reuseLog2Histogram by finish(). */
+    std::array<std::uint64_t, 65> reuseBins_{};
+    /** Evictions by use count below the histogram's overflow (the
+     *  dead-on-fill slot 0 comes from the cells), folded into
+     *  evictionUseHistogram by finish(). */
     std::vector<std::uint64_t> evictionUses_;
 
     // First-touch tracking + fully-associative LRU shadow over line
@@ -304,7 +330,6 @@ class CacheStatsRecorder final : public CacheLineObserver,
     ReuseDistanceTracker reuse_;
 
     void classifyL1(std::uint64_t first, std::uint64_t last, bool hit);
-    void advanceEpoch(std::uint64_t position);
     void shadowTouch(std::uint64_t lineId);
     void shadowUnlink(std::uint32_t line);
     void shadowPushFront(std::uint32_t line);

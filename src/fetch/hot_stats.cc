@@ -186,7 +186,8 @@ HotStats::assertTiling() const
 HotStatsRecorder::HotStatsRecorder(std::uint32_t staticBlocks,
                                    std::uint64_t expectedEvents,
                                    const HotStatsConfig &options)
-    : options_(options), expectedEvents_(expectedEvents)
+    : options_(options),
+      clock_(std::max(1u, options.phaseEpochs), expectedEvents)
 {
     options_.phaseEpochs = std::max(1u, options_.phaseEpochs);
     stats_.staticBlocks = staticBlocks;
@@ -213,12 +214,7 @@ HotStatsRecorder::onFetch(const FetchObservation &fetch)
     // Epoch of *this* fetch, from the trace index it starts at (never
     // wall clock: the phase matrix must be bit-identical across
     // --jobs).
-    unsigned epoch = 0;
-    if (expectedEvents_ > 0) {
-        epoch = unsigned(std::min<std::uint64_t>(
-            stats_.phaseEpochs - 1,
-            rec.index * stats_.phaseEpochs / expectedEvents_));
-    }
+    const unsigned epoch = clock_.at(rec.index);
     ++stats_.blocksSimulated;
     stats_.cycles += rec.cycles;
     stats_.stallCycles += rec.stallCycles;

@@ -42,9 +42,10 @@
  *
  *  - An epoch-indexed phase profile: phaseEpochs x static-blocks
  *    fetch counts, the epoch derived from the fetch's *index* in the
- *    trace (never wall clock), so every matrix is bit-identical for
- *    any --jobs value — same contract as the cache heatmaps. Column
- *    sums reproduce the per-block fetch counts (asserted).
+ *    trace (never wall clock) by the same clock as the cache
+ *    heatmaps (epoch_clock.hh), so every matrix is bit-identical for
+ *    any --jobs value. Column sums reproduce the per-block fetch
+ *    counts (asserted).
  *
  * The report layer condenses the full vectors into a top-K view with
  * an exact "rest" residual (top + rest re-tiles every total), a
@@ -73,6 +74,7 @@
 #include <vector>
 
 #include "fetch/cycle_model.hh"
+#include "fetch/epoch_clock.hh"
 #include "fetch/fetch_observer.hh"
 #include "fetch/report_store.hh"
 #include "support/keys.hh"
@@ -225,7 +227,7 @@ class HotStatsRecorder final : public FetchObserver
 
     HotStatsConfig options_;
     HotStats stats_;
-    std::uint64_t expectedEvents_ = 0;
+    EpochClock clock_;
     /** Site of the most recent prediction (mispredict stall lands
      *  one fetch after the wrong prediction was made). */
     std::uint32_t lastSite_ = kNoSite;

@@ -3,9 +3,10 @@
  * Cache-behavior observability tests: the 3C miss classification
  * (compulsory / capacity / conflict must tile L1 misses exactly, with
  * hand-built traces hitting each class), the Olken-style reuse
- * distance tracker checked against a brute-force oracle across
- * compactions, line-lifetime (dead-on-fill) accounting, whole-sim
- * tiling for all three fetch organisations, the recorder's
+ * distance tracker checked against brute-force oracles across
+ * compactions and at scale, line-lifetime (dead-on-fill) accounting,
+ * whole-sim tiling for all three fetch organisations, whole CACHE and
+ * HOT records of real traces against a naive rebuild, the recorder's
  * architectural transparency (on/off bit-identity), and the
  * tepic-cache-v1 session report (determinism, geometry keying,
  * round-trip through the test JSON parser).
@@ -19,13 +20,19 @@
 #include <vector>
 
 #include "compiler/driver.hh"
+#include "core/artifact_engine.hh"
+#include "core/pipeline.hh"
+#include "fetch/att.hh"
 #include "fetch/banked_cache.hh"
 #include "fetch/cache_stats.hh"
 #include "fetch/fetch_sim.hh"
+#include "fetch/hot_stats.hh"
+#include "fetch/l0_buffer.hh"
 #include "isa/baseline.hh"
 #include "schemes/huffman_scheme.hh"
 #include "sim/emulator.hh"
 #include "support/rng.hh"
+#include "workloads/workload.hh"
 
 #include "json_mini.hh"
 
@@ -218,6 +225,52 @@ TEST(ReuseDistance, MatchesBruteForceAcrossCompactions)
     EXPECT_GT(tracker.compactions(), 5u);
 }
 
+/**
+ * The tracker against a move-to-front oracle at scale: 600 distinct
+ * blocks over 50 000 accesses, as loops with random excursions. An
+ * 8-block start (one 64-position word) makes the run cross word
+ * boundaries, grow the position space and compact many times.
+ */
+TEST(ReuseDistance, MatchesBruteForceAtScale)
+{
+    constexpr std::uint32_t kBlocks = 600;
+    constexpr std::size_t kAccesses = 50000;
+    support::Rng rng(20);
+    std::vector<std::uint32_t> stream;
+    while (stream.size() < kAccesses) {
+        // A loop body of consecutive blocks, a few trips round it,
+        // with an occasional excursion to a random block.
+        const auto base = std::uint32_t(rng.below(kBlocks));
+        const auto length = std::uint32_t(rng.range(2, 40));
+        const std::int64_t trips = rng.range(1, 12);
+        for (std::int64_t trip = 0; trip < trips; ++trip) {
+            for (std::uint32_t i = 0; i < length; ++i) {
+                stream.push_back((base + i) % kBlocks);
+                if (rng.below(16) == 0)
+                    stream.push_back(std::uint32_t(rng.below(kBlocks)));
+            }
+        }
+    }
+    stream.resize(kAccesses);
+
+    ReuseDistanceTracker tracker(8);
+    std::vector<std::uint32_t> recency;  // most recent first
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+        const std::uint32_t block = stream[i];
+        std::uint64_t expected = ReuseDistanceTracker::kCold;
+        const auto it = std::find(recency.begin(), recency.end(), block);
+        if (it != recency.end()) {
+            expected = std::uint64_t(it - recency.begin());
+            recency.erase(it);
+        }
+        recency.insert(recency.begin(), block);
+        ASSERT_EQ(tracker.access(block), expected)
+            << "access " << i << " of block " << block;
+    }
+    EXPECT_EQ(recency.size(), kBlocks);  // every block was touched
+    EXPECT_GT(tracker.compactions(), 10u);
+}
+
 TEST(ReuseDistance, DistanceZeroAndColdAreDistinct)
 {
     ReuseDistanceTracker tracker(4);
@@ -291,20 +344,36 @@ TEST(Recorder, HeatmapColumnsSumToPerSetVectors)
     EXPECT_GT(last_epoch, 0u);
 }
 
+/** min(E-1, pos·E/N), 0 when N == 0: the epoch of trace position
+ *  @p pos that the recorders' epoch clock must reproduce. */
+unsigned
+formulaEpoch(std::uint64_t pos, unsigned epochs, std::uint64_t n)
+{
+    return n == 0 ? 0
+                  : unsigned(std::min<std::uint64_t>(epochs - 1,
+                                                     pos * epochs / n));
+}
+
 /**
- * Line events per (epoch, set) with each fetch's epoch from the
- * closed formula min(E-1, pos·E/N) — the reference the recorder's
- * threshold walk must reproduce.
+ * Line events per (epoch, set), with each fetch's epoch set by the
+ * caller from formulaEpoch() — the reference the recorder's
+ * threshold walk must reproduce — plus the per-set totals and the
+ * eviction use counts, counted directly.
  */
 struct EpochOracle final : fetch::CacheLineObserver
 {
     unsigned sets;
     unsigned epoch = 0;
     std::vector<std::uint64_t> accesses, fills, evictions;
+    std::vector<std::uint64_t> setAccesses, setHits, setFills;
+    std::vector<std::uint64_t> setEvictions, setDeadOnFill;
+    support::Histogram uses{CacheStats::kUseHistogramOverflow};
 
     EpochOracle(unsigned sets_, unsigned epochs)
         : sets(sets_), accesses(std::size_t(sets_) * epochs, 0),
-          fills(accesses), evictions(accesses)
+          fills(accesses), evictions(accesses), setAccesses(sets_, 0),
+          setHits(setAccesses), setFills(setAccesses),
+          setEvictions(setAccesses), setDeadOnFill(setAccesses)
     {
     }
 
@@ -312,6 +381,8 @@ struct EpochOracle final : fetch::CacheLineObserver
     onLineHit(std::uint64_t, std::uint32_t set) override
     {
         ++accesses[std::size_t(epoch) * sets + set];
+        ++setAccesses[set];
+        ++setHits[set];
     }
 
     void
@@ -319,13 +390,19 @@ struct EpochOracle final : fetch::CacheLineObserver
     {
         ++accesses[std::size_t(epoch) * sets + set];
         ++fills[std::size_t(epoch) * sets + set];
+        ++setAccesses[set];
+        ++setFills[set];
     }
 
     void
     onLineEvict(std::uint64_t, std::uint32_t set,
-                std::uint64_t) override
+                std::uint64_t use_count) override
     {
         ++evictions[std::size_t(epoch) * sets + set];
+        ++setEvictions[set];
+        if (use_count == 0)
+            ++setDeadOnFill[set];
+        uses.sample(std::int64_t(use_count));
     }
 };
 
@@ -352,10 +429,7 @@ expectFormulaEpochs(unsigned epochs, std::uint64_t expected_events,
     support::Rng rng(epochs * 1000 + expected_events);
     std::uint64_t pos = 0;
     for (std::size_t i = 0; i < blocks.size(); ++i) {
-        oracle.epoch = expected_events == 0
-            ? 0
-            : unsigned(std::min<std::uint64_t>(
-                  epochs - 1, pos * epochs / expected_events));
+        oracle.epoch = formulaEpoch(pos, epochs, expected_events);
         fetch::FetchObservation fetch;
         fetch.firstLine = std::uint32_t(rng.below(24));
         fetch.lastLine = fetch.firstLine + std::uint32_t(rng.below(3));
@@ -574,6 +648,120 @@ TEST(FetchSimCacheStats, RerunsAreBitIdentical)
     EXPECT_EQ(a.heatAccesses, b.heatAccesses);
     EXPECT_EQ(a.heatFills, b.heatFills);
     EXPECT_EQ(a.heatEvictions, b.heatEvictions);
+}
+
+// ---------------------------------------------------------------------------
+// Whole-record oracle: a real trace's CACHE and HOT records against a
+// naive rebuild from the trace alone.
+
+/**
+ * simulateFetch with both recorders on fir and gcc, every scheme at
+ * FetchConfig::paper, against a reference rebuilt in the test from
+ * the trace: move-to-front reuse distances in a plain map, the L0 and
+ * L1 replayed into an EpochOracle with formula epochs, and the HOT
+ * phase matrix from the formula.
+ */
+TEST(WholeRecord, MatchesANaiveRebuildOfTheTrace)
+{
+    core::ArtifactEngine engine(1);
+    for (const char *name : {"fir", "gcc"}) {
+        SCOPED_TRACE(name);
+        const auto artifacts = engine.build(
+            workloads::workloadByName(name).source,
+            {core::ArtifactKind::kBase, core::ArtifactKind::kFull,
+             core::ArtifactKind::kTailored, core::ArtifactKind::kTrace});
+        const isa::VliwProgram &program = artifacts->compiled.program;
+        const auto &events = artifacts->trace().events;
+        const std::uint64_t n = events.size();
+
+        // Plain fetch: one fetch per trace event, so the reuse stream
+        // is the event stream whatever the scheme.
+        std::vector<std::uint32_t> recency;  // most recent first
+        std::map<std::int64_t, std::uint64_t> reuse_bins;
+        std::uint64_t reuse_cold = 0, reuse_max = 0;
+        for (const sim::TraceEvent &event : events) {
+            const auto it =
+                std::find(recency.begin(), recency.end(), event.block);
+            if (it == recency.end()) {
+                ++reuse_cold;
+            } else {
+                const auto distance = std::uint64_t(it - recency.begin());
+                reuse_max = std::max(reuse_max, distance);
+                std::int64_t key = 0;
+                while ((std::uint64_t(1) << key) <= distance)
+                    ++key;
+                ++reuse_bins[key];
+                recency.erase(it);
+            }
+            recency.insert(recency.begin(), event.block);
+        }
+
+        for (auto scheme :
+             {SchemeClass::kBase, SchemeClass::kCompressed,
+              SchemeClass::kTailored}) {
+            SCOPED_TRACE(fetch::schemeClassName(scheme));
+            const isa::Image &image = core::imageFor(*artifacts, scheme);
+            auto config = fetch::FetchConfig::paper(scheme);
+            config.cacheStats.enabled = true;
+            config.hotStats.enabled = true;
+            const auto stats = fetch::simulateFetch(
+                image, program, artifacts->trace(), config);
+            const CacheStats &cs = stats.cacheStats;
+            const fetch::HotStats &hs = stats.hotStats;
+            ASSERT_TRUE(cs.recorded);
+            ASSERT_TRUE(hs.recorded);
+
+            EXPECT_EQ(cs.reuseSamples, n);
+            EXPECT_EQ(cs.reuseCold, reuse_cold);
+            EXPECT_EQ(cs.reuseMax, reuse_max);
+            EXPECT_EQ(cs.reuseLog2Histogram.bins(), reuse_bins);
+
+            const fetch::Att att = fetch::Att::build(image, program);
+            const unsigned line_bytes = config.cache.lineBytes;
+            const unsigned heat_epochs = cs.heatmapEpochs;
+            const unsigned phase_epochs = hs.phaseEpochs;
+            const std::size_t statics = att.entries().size();
+            fetch::L0Buffer l0(config.l0CapacityOps);
+            fetch::BankedCache l1(config.cache);
+            EpochOracle oracle(config.cache.sets, heat_epochs);
+            l1.setObserver(&oracle);
+            std::vector<std::uint64_t> phase(
+                std::size_t(phase_epochs) * statics, 0);
+            std::vector<std::uint64_t> block_fetches(statics, 0);
+            for (std::uint64_t i = 0; i < n; ++i) {
+                const isa::BlockId block = events[i].block;
+                const fetch::AttEntry &entry = att.entry(block);
+                oracle.epoch = formulaEpoch(i, heat_epochs, n);
+                const bool l0_hit =
+                    scheme == SchemeClass::kCompressed &&
+                    l0.access(block, entry.numOps);
+                if (!l0_hit) {
+                    l1.accessLines(
+                        entry.byteAddress / line_bytes,
+                        (entry.byteAddress + entry.byteSize - 1) /
+                            line_bytes);
+                }
+                ++phase[std::size_t(formulaEpoch(i, phase_epochs, n)) *
+                            statics +
+                        block];
+                ++block_fetches[block];
+            }
+
+            EXPECT_EQ(cs.setAccesses, oracle.setAccesses);
+            EXPECT_EQ(cs.setHits, oracle.setHits);
+            EXPECT_EQ(cs.setFills, oracle.setFills);
+            EXPECT_EQ(cs.setEvictions, oracle.setEvictions);
+            EXPECT_EQ(cs.setDeadOnFill, oracle.setDeadOnFill);
+            EXPECT_EQ(cs.heatAccesses, oracle.accesses);
+            EXPECT_EQ(cs.heatFills, oracle.fills);
+            EXPECT_EQ(cs.heatEvictions, oracle.evictions);
+            EXPECT_EQ(cs.evictionUseHistogram.bins(), oracle.uses.bins());
+            EXPECT_EQ(cs.evictionUseHistogram.overflow(),
+                      oracle.uses.overflow());
+            EXPECT_EQ(hs.phaseFetches, phase);
+            EXPECT_EQ(hs.blockFetches, block_fetches);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

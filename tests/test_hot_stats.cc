@@ -5,13 +5,15 @@
  * branch-site ledger must tile the mispredict stall counter (with the
  * one-behind attribution and the unconsumed final prediction handled
  * exactly), the phase matrix columns must reproduce the per-block
- * fetch counts, the recorder's architectural transparency (on/off
- * bit-identity), and the tepic-hot-v1 session report (determinism,
- * shape keying, round-trip through the test JSON parser).
+ * fetch counts and its rows the epoch formula, the recorder's
+ * architectural transparency (on/off bit-identity), and the
+ * tepic-hot-v1 session report (determinism, shape keying, round-trip
+ * through the test JSON parser).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "isa/baseline.hh"
 #include "schemes/huffman_scheme.hh"
 #include "sim/emulator.hh"
+#include "support/rng.hh"
 
 #include "json_mini.hh"
 
@@ -144,6 +147,63 @@ TEST(HotRecorder, PhaseEpochsComeFromTheEventIndex)
         EXPECT_EQ(hs.phaseFetches[b] + hs.phaseFetches[4 + b],
                   hs.blockFetches[b])
             << "phase column " << b;
+    }
+}
+
+/**
+ * Drive a recorder through fetches over distinct blocks, fetch i
+ * starting at the trace position after blocks[0..i) (a fetch unit
+ * when > 1), with @p expected_events as N and @p epochs as E: each
+ * fetch must land in phase row min(E-1, index·E/N), or 0 when N == 0.
+ */
+void
+expectFormulaPhases(unsigned epochs, std::uint64_t expected_events,
+                    const std::vector<std::uint32_t> &blocks)
+{
+    SCOPED_TRACE(testing::Message() << epochs << " epochs over "
+                                    << expected_events << " events");
+    const auto statics = std::uint32_t(blocks.size());
+    HotStatsRecorder rec(statics, expected_events,
+                         enabledConfig(epochs));
+    std::vector<std::uint64_t> expected(std::size_t(epochs) * statics,
+                                        0);
+    std::uint64_t pos = 0;
+    for (std::uint32_t i = 0; i < statics; ++i) {
+        const unsigned epoch =
+            expected_events == 0
+                ? 0
+                : unsigned(std::min<std::uint64_t>(
+                      epochs - 1, pos * epochs / expected_events));
+        ++expected[std::size_t(epoch) * statics + i];
+        fetch::FetchObservation fetch =
+            observe(pos, i, 1, 0, 0, true, true);
+        fetch.blocks = blocks[i];
+        rec.onFetch(fetch);
+        pos += blocks[i];
+    }
+    EXPECT_EQ(rec.finish().phaseFetches, expected);
+}
+
+TEST(HotRecorder, PhaseEpochsMatchTheFormula)
+{
+    // Fewer events than epochs.
+    expectFormulaPhases(16, 5, std::vector<std::uint32_t>(5, 1));
+    expectFormulaPhases(7, 1, {1});
+    // Epochs that do not divide the events, one epoch, no events.
+    expectFormulaPhases(8, 37, std::vector<std::uint32_t>(37, 1));
+    expectFormulaPhases(3, 100, std::vector<std::uint32_t>(100, 1));
+    expectFormulaPhases(1, 20, std::vector<std::uint32_t>(20, 1));
+    expectFormulaPhases(4, 0, std::vector<std::uint32_t>(10, 1));
+    // Fetch units of 1-4 blocks.
+    support::Rng rng(5);
+    for (const unsigned epochs : {6u, 16u, 50u}) {
+        std::vector<std::uint32_t> blocks(40);
+        std::uint64_t total = 0;
+        for (std::uint32_t &b : blocks) {
+            b = std::uint32_t(rng.range(1, 4));
+            total += b;
+        }
+        expectFormulaPhases(epochs, total, blocks);
     }
 }
 
