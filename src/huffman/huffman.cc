@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <numeric>
 
 #include "support/logging.hh"
 
@@ -33,69 +35,60 @@ packageMergeLengths(const std::vector<std::uint64_t> &freqs,
                  "max code length ", max_length, " too small for ", n,
                  " symbols");
 
-    // Package-merge: item (weight, coverage-set of original symbols).
-    // Each selection of an original item at level L contributes one to
-    // that symbol's code length. We track per-item symbol counts.
+    // Package-merge (Larmore & Hirschberg). Each level's list merges
+    // the leaves, sorted by weight, with pairwise packages of the list
+    // one level deeper; a leaf goes before an equal-weight package.
+    // Level 1 selects its cheapest 2(n-1) items. A package covers two
+    // items of the level below, so the selection at each level is a
+    // prefix of that level's list, and its leaves are a prefix of the
+    // sorted leaves. A symbol's length is the number of levels whose
+    // selected prefix holds its leaf.
     struct Item
     {
         std::uint64_t weight;
-        std::vector<std::uint32_t> symbols;  // original indices, with
-                                             // multiplicity
+        bool leaf;
+    };
+    const auto lighter = [](const Item &a, const Item &b) {
+        return a.weight < b.weight;
     };
 
-    auto originals = [&] {
-        std::vector<Item> items;
-        items.reserve(n);
-        for (std::uint32_t i = 0; i < n; ++i)
-            items.push_back({freqs[i], {i}});
-        std::sort(items.begin(), items.end(),
-                  [](const Item &a, const Item &b) {
-                      return a.weight < b.weight;
-                  });
-        return items;
-    };
+    std::vector<std::uint32_t> order(n);
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                  return freqs[a] < freqs[b];
+              });
+    std::vector<Item> leaves;
+    leaves.reserve(n);
+    for (auto sym : order)
+        leaves.push_back({freqs[sym], true});
 
-    std::vector<Item> prev;  // packages from the previous level
-    std::vector<unsigned> lengths(n, 0);
-
-    // Levels run from max_length (deepest) to 1. At each level, merge
-    // the original items with pairwise packages from the level below,
-    // then keep them for packaging at the next level up. At level 1 we
-    // select the cheapest 2(n-1) items; every original occurrence
-    // inside a selected item adds one bit to that symbol's length.
+    // levels[L - 1] is level L's list, built from the deepest up.
+    std::vector<std::vector<Item>> levels(max_length);
+    std::vector<Item> packages;
     for (unsigned level = max_length; level >= 1; --level) {
-        std::vector<Item> merged = originals();
-        // Package pairs from the previous (deeper) level.
-        std::vector<Item> packages;
-        for (std::size_t i = 0; i + 1 < prev.size(); i += 2) {
-            Item pack;
-            pack.weight = prev[i].weight + prev[i + 1].weight;
-            pack.symbols = prev[i].symbols;
-            pack.symbols.insert(pack.symbols.end(),
-                                prev[i + 1].symbols.begin(),
-                                prev[i + 1].symbols.end());
-            packages.push_back(std::move(pack));
+        packages.clear();
+        if (level < max_length) {
+            const auto &deeper = levels[level];
+            for (std::size_t i = 0; i + 1 < deeper.size(); i += 2)
+                packages.push_back(
+                    {deeper[i].weight + deeper[i + 1].weight, false});
         }
-        std::vector<Item> level_items;
-        level_items.reserve(merged.size() + packages.size());
-        std::merge(std::make_move_iterator(merged.begin()),
-                   std::make_move_iterator(merged.end()),
-                   std::make_move_iterator(packages.begin()),
-                   std::make_move_iterator(packages.end()),
-                   std::back_inserter(level_items),
-                   [](const Item &a, const Item &b) {
-                       return a.weight < b.weight;
-                   });
+        auto &list = levels[level - 1];
+        list.reserve(n + packages.size());
+        std::merge(leaves.begin(), leaves.end(), packages.begin(),
+                   packages.end(), std::back_inserter(list), lighter);
+    }
 
-        if (level == 1) {
-            const std::size_t take =
-                std::min(level_items.size(), 2 * (n - 1));
-            for (std::size_t i = 0; i < take; ++i)
-                for (auto sym : level_items[i].symbols)
-                    ++lengths[sym];
-        } else {
-            prev = std::move(level_items);
-        }
+    std::vector<unsigned> lengths(n, 0);
+    std::size_t take = std::min(levels[0].size(), 2 * (n - 1));
+    for (const auto &list : levels) {
+        std::size_t selected_leaves = 0;
+        for (std::size_t i = 0; i < take; ++i)
+            selected_leaves += list[i].leaf;
+        for (std::size_t rank = 0; rank < selected_leaves; ++rank)
+            ++lengths[order[rank]];
+        take = 2 * (take - selected_leaves);
     }
 
     for (auto len : lengths)
@@ -193,7 +186,7 @@ CodeTable::buildDecodeTables()
     }
 }
 
-void
+unsigned
 CodeTable::encode(std::uint64_t symbol,
                   support::BitWriter &writer) const
 {
@@ -202,6 +195,7 @@ CodeTable::encode(std::uint64_t symbol,
                  "symbol not in code table: ", symbol);
     const CodeEntry &entry = entries_[it->second];
     writer.writeBits(entry.code, entry.length);
+    return entry.length;
 }
 
 unsigned

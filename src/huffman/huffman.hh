@@ -88,8 +88,11 @@ class CodeTable
     /** Number of dictionary entries (the `k` of the cost model). */
     std::size_t size() const { return entries_.size(); }
 
-    /** Append the code for @p symbol. Fatal if symbol is unknown. */
-    void encode(std::uint64_t symbol, support::BitWriter &writer) const;
+    /**
+     * Append the code for @p symbol and return its length in bits
+     * (one table lookup). Fatal if symbol is unknown.
+     */
+    unsigned encode(std::uint64_t symbol, support::BitWriter &writer) const;
 
     /** Code length for @p symbol (encoded size accounting). */
     unsigned codeLength(std::uint64_t symbol) const;

@@ -16,16 +16,18 @@ using isa::kOpBits;
 using isa::Operation;
 using isa::VliwProgram;
 
+/** One op's stream symbols: a stream is at least one bit wide. */
+using OpSlices = std::array<std::uint64_t, kOpBits>;
+
 /** Slice the 40-bit op into this config's stream symbols (MSB first). */
-std::vector<std::uint64_t>
+OpSlices
 sliceOp(std::uint64_t bits, const std::vector<unsigned> &widths)
 {
-    std::vector<std::uint64_t> out;
-    out.reserve(widths.size());
+    OpSlices out{};
     unsigned shift = kOpBits;
-    for (unsigned w : widths) {
-        shift -= w;
-        out.push_back((bits >> shift) & ((std::uint64_t(1) << w) - 1));
+    for (std::size_t s = 0; s < widths.size(); ++s) {
+        shift -= widths[s];
+        out[s] = (bits >> shift) & ((std::uint64_t(1) << widths[s]) - 1);
     }
     return out;
 }
@@ -127,10 +129,8 @@ compressByte(const VliwProgram &program, const HuffmanOptions &options)
     out.image = assembleImage(
         program, "huff-byte",
         [&](const Operation &op, support::BitWriter &writer) {
-            for (auto byte : opBytes(op.encode())) {
-                table.encode(byte, writer);
-                split.addCode(table.codeLength(byte), 8);
-            }
+            for (auto byte : opBytes(op.encode()))
+                split.addCode(table.encode(byte, writer), 8);
         });
     out.image.ledger.addBits("code/payload", split.payload);
     out.image.ledger.addBits("code/overhead", split.overhead);
@@ -147,6 +147,9 @@ compressStream(const VliwProgram &program, const StreamConfig &config,
         total += w;
     TEPIC_ASSERT(total == kOpBits, "stream config '", config.name,
                  "' widths sum to ", total);
+    TEPIC_ASSERT(config.widths.size() <= kOpBits, "stream config '",
+                 config.name, "' has ", config.widths.size(),
+                 " streams");
 
     std::vector<SymbolHistogram> hists(config.streamCount());
     for (const auto &blk : program.blocks()) {
@@ -154,7 +157,7 @@ compressStream(const VliwProgram &program, const StreamConfig &config,
             for (const auto &op : mop.ops()) {
                 const auto symbols =
                     sliceOp(op.encode(), config.widths);
-                for (std::size_t s = 0; s < symbols.size(); ++s)
+                for (std::size_t s = 0; s < hists.size(); ++s)
                     hists[s].add(symbols[s]);
             }
         }
@@ -176,10 +179,9 @@ compressStream(const VliwProgram &program, const StreamConfig &config,
         program, "huff-stream:" + config.name,
         [&](const Operation &op, support::BitWriter &writer) {
             const auto symbols = sliceOp(op.encode(), config.widths);
-            for (std::size_t s = 0; s < symbols.size(); ++s) {
-                out.tables[s].encode(symbols[s], writer);
+            for (std::size_t s = 0; s < splits.size(); ++s) {
                 splits[s].addCode(
-                    out.tables[s].codeLength(symbols[s]),
+                    out.tables[s].encode(symbols[s], writer),
                     config.widths[s]);
             }
         });
@@ -219,8 +221,7 @@ compressFull(const VliwProgram &program, const HuffmanOptions &options)
     out.image = assembleImage(
         program, "huff-full",
         [&](const Operation &op, support::BitWriter &writer) {
-            table.encode(op.encode(), writer);
-            split.addCode(table.codeLength(op.encode()),
+            split.addCode(table.encode(op.encode(), writer),
                           unsigned(kOpBits));
         });
     out.image.ledger.addBits("code/payload", split.payload);

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 
 #include "support/logging.hh"
@@ -34,21 +35,49 @@ signExtend(std::uint32_t value, unsigned bits)
 constexpr unsigned kShadow = 32;
 constexpr unsigned kNumSlots = 2 * kShadow;
 
+enum RegFile : std::uint8_t { kNone, kGpr, kFpr, kPred };
+
 /**
- * One dispatch id per (format, opcode) pair, plus the shadow-slot
- * copies. `brct` decodes to kBr (its guard is the condition); `brcf`
- * runs unguarded and tests its predicate as src1.
+ * Every micro-op, listed once: X(name, dst file, src1 file, src2 file).
+ * One dispatch id per (format, opcode) pair, in opcode order within
+ * each format (uopFor() relies on it), plus the shadow-slot copies and
+ * the end-of-block sentinel. `brct` decodes to kBr (its guard is the
+ * condition); `brcf` runs unguarded and tests its predicate as src1.
  */
+#define TEPIC_UOPS(X)                                                       \
+    X(Add, kGpr, kGpr, kGpr) X(Sub, kGpr, kGpr, kGpr)                       \
+    X(Mul, kGpr, kGpr, kGpr) X(Div, kGpr, kGpr, kGpr)                       \
+    X(Rem, kGpr, kGpr, kGpr) X(And, kGpr, kGpr, kGpr)                       \
+    X(Or, kGpr, kGpr, kGpr) X(Xor, kGpr, kGpr, kGpr)                        \
+    X(Shl, kGpr, kGpr, kGpr) X(Shr, kGpr, kGpr, kGpr)                       \
+    X(Sra, kGpr, kGpr, kGpr) X(Mov, kGpr, kGpr, kNone)                      \
+    X(CmppEq, kPred, kGpr, kGpr) X(CmppNe, kPred, kGpr, kGpr)               \
+    X(CmppLt, kPred, kGpr, kGpr) X(CmppLe, kPred, kGpr, kGpr)               \
+    X(CmppGt, kPred, kGpr, kGpr) X(CmppGe, kPred, kGpr, kGpr)               \
+    X(Ldi, kGpr, kNone, kNone)                                              \
+    X(Fadd, kFpr, kFpr, kFpr) X(Fsub, kFpr, kFpr, kFpr)                     \
+    X(Fmul, kFpr, kFpr, kFpr) X(Fdiv, kFpr, kFpr, kFpr)                     \
+    X(Fmov, kFpr, kFpr, kNone) X(Itof, kFpr, kGpr, kNone)                   \
+    X(Ftoi, kGpr, kFpr, kNone)                                              \
+    X(FcmppEq, kPred, kFpr, kFpr) X(FcmppLt, kPred, kFpr, kFpr)             \
+    X(FcmppLe, kPred, kFpr, kFpr)                                           \
+    X(Load, kGpr, kGpr, kNone) X(Fload, kFpr, kGpr, kNone)                  \
+    X(Store, kNone, kGpr, kGpr) X(Fstore, kNone, kGpr, kFpr)                \
+    X(Br, kNone, kNone, kNone) X(Brcf, kNone, kPred, kNone)                 \
+    X(Call, kGpr, kNone, kNone) X(Ret, kNone, kGpr, kNone)                  \
+    X(Brlc, kGpr, kGpr, kNone)                                              \
+    X(CopyGpr, kGpr, kGpr, kNone) X(CopyFpr, kFpr, kFpr, kNone)             \
+    X(CopyPred, kPred, kPred, kNone) X(End, kNone, kNone, kNone)
+
 enum class Uop : std::uint8_t {
-    kAdd, kSub, kMul, kDiv, kRem, kAnd, kOr, kXor, kShl, kShr, kSra, kMov,
-    kCmppEq, kCmppNe, kCmppLt, kCmppLe, kCmppGt, kCmppGe,
-    kLdi,
-    kFadd, kFsub, kFmul, kFdiv, kFmov, kItof, kFtoi,
-    kFcmppEq, kFcmppLt, kFcmppLe,
-    kLoad, kFload, kStore, kFstore,
-    kBr, kBrcf, kCall, kRet, kBrlc,
-    kCopyGpr, kCopyFpr, kCopyPred,
+#define TEPIC_UOP_ENUM(name, dst, src1, src2) k##name,
+    TEPIC_UOPS(TEPIC_UOP_ENUM)
+#undef TEPIC_UOP_ENUM
 };
+
+#define TEPIC_UOP_COUNT(name, dst, src1, src2) +1
+constexpr std::size_t kNumUops = 0 TEPIC_UOPS(TEPIC_UOP_COUNT);
+#undef TEPIC_UOP_COUNT
 
 /** One pre-decoded micro-op: operands are register-file slots. */
 struct DecodedOp
@@ -62,17 +91,17 @@ struct DecodedOp
 };
 static_assert(sizeof(DecodedOp) == 12);
 
-/** A block's slice of the decoded stream. */
+/**
+ * A block's slice of the decoded stream, which ends in a kEnd
+ * sentinel (guard p0, so it always runs).
+ */
 struct DecodedBlock
 {
     std::uint32_t firstOp = 0;
-    std::uint32_t endOp = 0;
     std::uint32_t numMops = 0;
     std::uint32_t numOps = 0;
     isa::BlockId fallthrough = isa::kNoBlock;
 };
-
-enum RegFile : std::uint8_t { kNone, kGpr, kFpr, kPred };
 
 /** Which register file each operand of a micro-op names. */
 struct OperandFiles
@@ -83,33 +112,13 @@ struct OperandFiles
 OperandFiles
 operandFiles(Uop uop)
 {
-    switch (uop) {
-      case Uop::kMov: return {kGpr, kGpr, kNone};
-      case Uop::kCmppEq: case Uop::kCmppNe: case Uop::kCmppLt:
-      case Uop::kCmppLe: case Uop::kCmppGt: case Uop::kCmppGe:
-        return {kPred, kGpr, kGpr};
-      case Uop::kLdi: return {kGpr, kNone, kNone};
-      case Uop::kFadd: case Uop::kFsub: case Uop::kFmul: case Uop::kFdiv:
-        return {kFpr, kFpr, kFpr};
-      case Uop::kFmov: return {kFpr, kFpr, kNone};
-      case Uop::kItof: return {kFpr, kGpr, kNone};
-      case Uop::kFtoi: return {kGpr, kFpr, kNone};
-      case Uop::kFcmppEq: case Uop::kFcmppLt: case Uop::kFcmppLe:
-        return {kPred, kFpr, kFpr};
-      case Uop::kLoad: return {kGpr, kGpr, kNone};
-      case Uop::kFload: return {kFpr, kGpr, kNone};
-      case Uop::kStore: return {kNone, kGpr, kGpr};
-      case Uop::kFstore: return {kNone, kGpr, kFpr};
-      case Uop::kBr: return {kNone, kNone, kNone};
-      case Uop::kBrcf: return {kNone, kPred, kNone};
-      case Uop::kCall: return {kGpr, kNone, kNone};
-      case Uop::kRet: return {kNone, kGpr, kNone};
-      case Uop::kBrlc: return {kGpr, kGpr, kNone};
-      case Uop::kCopyGpr: return {kGpr, kGpr, kNone};
-      case Uop::kCopyFpr: return {kFpr, kFpr, kNone};
-      case Uop::kCopyPred: return {kPred, kPred, kNone};
-      default: return {kGpr, kGpr, kGpr};  // the IntAlu binaries
-    }
+    static constexpr OperandFiles kFiles[] = {
+#define TEPIC_UOP_FILES(name, dst, src1, src2) {dst, src1, src2},
+        TEPIC_UOPS(TEPIC_UOP_FILES)
+#undef TEPIC_UOP_FILES
+    };
+    static_assert(std::size(kFiles) == kNumUops);
+    return kFiles[std::size_t(uop)];
 }
 
 /** The fused dispatch id of @p op; panics on an opcode with no format. */
@@ -277,40 +286,7 @@ class Machine
         decode();
     }
 
-    EmulationResult
-    run()
-    {
-        EmulationResult result;
-        result.blockCounts.assign(blocks_.size(), 0);
-
-        isa::BlockId cur = program_.entry();
-        while (cur != compiler::kHaltBlockId) {
-            TEPIC_ASSERT(cur < blocks_.size(),
-                         "control transfer to bad block ", cur);
-            const DecodedBlock &blk = blocks_[cur];
-            ++result.dynamicBlocks;
-            ++result.blockCounts[cur];
-            // The count only grows and every block is finite, so one
-            // check per block trips exactly when a per-MOP one would.
-            result.dynamicMops += blk.numMops;
-            result.dynamicOps += blk.numOps;
-            if (result.dynamicMops > config_.maxMops)
-                TEPIC_FATAL("emulated MOP budget exceeded (",
-                            config_.maxMops, "): runaway program?");
-
-            isa::BlockId next = blk.fallthrough;
-            bool taken = false;
-            executeBlock(cur, blk, next, taken);
-            TEPIC_ASSERT(next != isa::kNoBlock,
-                         "fell off block ", cur, " (",
-                         program_.block(cur).label, ") with no successor");
-            if (config_.recordTrace)
-                result.trace.events.push_back({cur, next, taken});
-            cur = next;
-        }
-        result.exitValue = gpr_[3];
-        return result;
-    }
+    EmulationResult run();
 
   private:
     const isa::VliwProgram &program_;
@@ -332,7 +308,7 @@ class Machine
             blk.firstOp = std::uint32_t(ops_.size());
             for (const auto &mop : src.mops)
                 decodeMop(mop, ops_);
-            blk.endOp = std::uint32_t(ops_.size());
+            ops_.push_back({Uop::kEnd, isa::kPredTrue, 0, 0, 0, 0});
             blk.numMops = std::uint32_t(src.mops.size());
             blk.numOps = std::uint32_t(src.opCount());
             blk.fallthrough = src.fallthrough;
@@ -382,137 +358,302 @@ class Machine
         std::memcpy(memory_.data() + addr, &value, 8);
     }
 
-    // ---- execution ----
-
     static std::int32_t
     wrap32(std::int64_t v)
     {
         return std::int32_t(std::uint32_t(std::uint64_t(v)));
     }
-
-    void
-    executeBlock(isa::BlockId id, const DecodedBlock &blk,
-                 isa::BlockId &next, bool &taken)
-    {
-        const DecodedOp *const end = ops_.data() + blk.endOp;
-        for (const DecodedOp *op = ops_.data() + blk.firstOp; op != end;
-             ++op) {
-            if (!pred_[op->guard])
-                continue;  // guard false: op is a NOP
-            const std::int32_t a = gpr_[op->src1];
-            const std::int32_t b = gpr_[op->src2];
-            const double fa = fpr_[op->src1];
-            const double fb = fpr_[op->src2];
-            switch (op->uop) {
-              case Uop::kAdd:
-                gpr_[op->dst] = wrap32(std::int64_t(a) + b);
-                break;
-              case Uop::kSub:
-                gpr_[op->dst] = wrap32(std::int64_t(a) - b);
-                break;
-              case Uop::kMul:
-                gpr_[op->dst] = wrap32(std::int64_t(a) * b);
-                break;
-              case Uop::kDiv:
-                TEPIC_ASSERT(b != 0, "division by zero in ",
-                             program_.block(id).label);
-                TEPIC_ASSERT(!(a == INT32_MIN && b == -1),
-                             "integer overflow in division");
-                gpr_[op->dst] = a / b;
-                break;
-              case Uop::kRem:
-                TEPIC_ASSERT(b != 0, "remainder by zero in ",
-                             program_.block(id).label);
-                TEPIC_ASSERT(!(a == INT32_MIN && b == -1),
-                             "integer overflow in remainder");
-                gpr_[op->dst] = a % b;
-                break;
-              case Uop::kAnd: gpr_[op->dst] = a & b; break;
-              case Uop::kOr: gpr_[op->dst] = a | b; break;
-              case Uop::kXor: gpr_[op->dst] = a ^ b; break;
-              case Uop::kShl:
-                gpr_[op->dst] = wrap32(std::int64_t(a) << (b & 31));
-                break;
-              case Uop::kShr:
-                gpr_[op->dst] =
-                    std::int32_t(std::uint32_t(a) >> (b & 31));
-                break;
-              case Uop::kSra: gpr_[op->dst] = a >> (b & 31); break;
-              case Uop::kMov:
-              case Uop::kCopyGpr:
-                gpr_[op->dst] = a;
-                break;
-              case Uop::kCmppEq: pred_[op->dst] = a == b; break;
-              case Uop::kCmppNe: pred_[op->dst] = a != b; break;
-              case Uop::kCmppLt: pred_[op->dst] = a < b; break;
-              case Uop::kCmppLe: pred_[op->dst] = a <= b; break;
-              case Uop::kCmppGt: pred_[op->dst] = a > b; break;
-              case Uop::kCmppGe: pred_[op->dst] = a >= b; break;
-              case Uop::kLdi: gpr_[op->dst] = op->imm; break;
-              case Uop::kFadd: fpr_[op->dst] = fa + fb; break;
-              case Uop::kFsub: fpr_[op->dst] = fa - fb; break;
-              case Uop::kFmul: fpr_[op->dst] = fa * fb; break;
-              case Uop::kFdiv: fpr_[op->dst] = fa / fb; break;
-              case Uop::kFmov:
-              case Uop::kCopyFpr:
-                fpr_[op->dst] = fa;
-                break;
-              case Uop::kItof: fpr_[op->dst] = double(a); break;
-              case Uop::kFtoi: {
-                std::int32_t r = 0;
-                if (std::isfinite(fa) &&
-                    fa >= double(std::numeric_limits<
-                                 std::int32_t>::min()) &&
-                    fa <= double(std::numeric_limits<
-                                 std::int32_t>::max())) {
-                    r = std::int32_t(fa);
-                }
-                gpr_[op->dst] = r;
-                break;
-              }
-              case Uop::kFcmppEq: pred_[op->dst] = fa == fb; break;
-              case Uop::kFcmppLt: pred_[op->dst] = fa < fb; break;
-              case Uop::kFcmppLe: pred_[op->dst] = fa <= fb; break;
-              case Uop::kCopyPred: pred_[op->dst] = pred_[op->src1]; break;
-              case Uop::kLoad:
-                gpr_[op->dst] = load32(std::uint32_t(a));
-                break;
-              case Uop::kFload:
-                fpr_[op->dst] = load64(std::uint32_t(a));
-                break;
-              case Uop::kStore: store32(std::uint32_t(a), b); break;
-              case Uop::kFstore: store64(std::uint32_t(a), fb); break;
-              case Uop::kBr:
-                next = isa::BlockId(op->imm);
-                taken = true;
-                break;
-              case Uop::kBrcf:
-                if (!pred_[op->src1]) {
-                    next = isa::BlockId(op->imm);
-                    taken = true;
-                }
-                break;
-              case Uop::kCall:
-                gpr_[op->dst] = std::int32_t(blk.fallthrough);
-                next = isa::BlockId(op->imm);
-                taken = true;
-                break;
-              case Uop::kRet:
-                TEPIC_ASSERT(a >= 0, "bad return address ", a);
-                next = isa::BlockId(a);
-                taken = true;
-                break;
-              case Uop::kBrlc:
-                gpr_[op->dst] = wrap32(std::int64_t(a) - 1);
-                if (gpr_[op->dst] != 0) {
-                    next = isa::BlockId(op->imm);
-                    taken = true;
-                }
-                break;
-            }
-        }
-    }
 };
+
+/*
+ * Token-threaded dispatch: every handler ends by skipping the ops
+ * whose guard is false and jumping straight to the next op's handler;
+ * the kEnd sentinel closes the block and enters the next one. The
+ * jump is the only part that differs by compiler: labels-as-values
+ * under GNU C++, a switch re-entered per op elsewhere.
+ */
+#if defined(__GNUC__)
+#define TEPIC_UOP_LABEL(name, dst, src1, src2) &&op_##name,
+#define TEPIC_DISPATCH_TABLE                                                \
+    static const void *const kTable[] = {TEPIC_UOPS(TEPIC_UOP_LABEL)};     \
+    static_assert(std::size(kTable) == kNumUops,                            \
+                  "one dispatch entry per Uop")
+#define TEPIC_OP(name) op_##name:
+#define TEPIC_DISPATCH_BEGIN
+#define TEPIC_DISPATCH_END
+#define TEPIC_JUMP() goto *kTable[std::size_t(op->uop)]
+#else
+#define TEPIC_DISPATCH_TABLE static_assert(true)
+#define TEPIC_OP(name) case Uop::k##name:
+#define TEPIC_DISPATCH_BEGIN dispatch: switch (op->uop) {
+#define TEPIC_DISPATCH_END } TEPIC_PANIC("bad micro-op");
+#define TEPIC_JUMP() goto dispatch
+#endif
+
+#define TEPIC_DISPATCH()                                                    \
+    do {                                                                    \
+        while (!pred[op->guard])                                            \
+            ++op;  /* guard false: the op is a NOP */                       \
+        TEPIC_JUMP();                                                       \
+    } while (0)
+#define TEPIC_NEXT()                                                        \
+    do {                                                                    \
+        ++op;                                                               \
+        TEPIC_DISPATCH();                                                   \
+    } while (0)
+
+EmulationResult
+Machine::run()
+{
+    TEPIC_DISPATCH_TABLE;
+    EmulationResult result;
+    result.blockCounts.assign(blocks_.size(), 0);
+
+    std::int32_t *const gpr = gpr_.data();
+    double *const fpr = fpr_.data();
+    bool *const pred = pred_.data();
+    const DecodedOp *const ops = ops_.data();
+    const bool record_trace = config_.recordTrace;
+    isa::BlockId cur = program_.entry();
+    const DecodedBlock *blk = nullptr;
+    const DecodedOp *op = nullptr;
+    isa::BlockId next = isa::kNoBlock;
+    bool taken = false;
+
+enter_block:
+    if (cur == compiler::kHaltBlockId) {
+        result.exitValue = gpr[3];
+        return result;
+    }
+    TEPIC_ASSERT(cur < blocks_.size(), "control transfer to bad block ",
+                 cur);
+    blk = &blocks_[cur];
+    ++result.dynamicBlocks;
+    ++result.blockCounts[cur];
+    // The count only grows and every block is finite, so one check per
+    // block trips exactly when a per-MOP one would.
+    result.dynamicMops += blk->numMops;
+    result.dynamicOps += blk->numOps;
+    if (result.dynamicMops > config_.maxMops)
+        TEPIC_FATAL("emulated MOP budget exceeded (", config_.maxMops,
+                    "): runaway program?");
+    next = blk->fallthrough;
+    taken = false;
+    op = ops + blk->firstOp;
+    TEPIC_DISPATCH();
+
+    TEPIC_DISPATCH_BEGIN
+    TEPIC_OP(Add) {
+        gpr[op->dst] = wrap32(std::int64_t(gpr[op->src1]) + gpr[op->src2]);
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(Sub) {
+        gpr[op->dst] = wrap32(std::int64_t(gpr[op->src1]) - gpr[op->src2]);
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(Mul) {
+        gpr[op->dst] = wrap32(std::int64_t(gpr[op->src1]) * gpr[op->src2]);
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(Div) {
+        const std::int32_t a = gpr[op->src1], b = gpr[op->src2];
+        TEPIC_ASSERT(b != 0, "division by zero in ",
+                     program_.block(cur).label);
+        TEPIC_ASSERT(!(a == INT32_MIN && b == -1),
+                     "integer overflow in division");
+        gpr[op->dst] = a / b;
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(Rem) {
+        const std::int32_t a = gpr[op->src1], b = gpr[op->src2];
+        TEPIC_ASSERT(b != 0, "remainder by zero in ",
+                     program_.block(cur).label);
+        TEPIC_ASSERT(!(a == INT32_MIN && b == -1),
+                     "integer overflow in remainder");
+        gpr[op->dst] = a % b;
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(And) {
+        gpr[op->dst] = gpr[op->src1] & gpr[op->src2];
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(Or) {
+        gpr[op->dst] = gpr[op->src1] | gpr[op->src2];
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(Xor) {
+        gpr[op->dst] = gpr[op->src1] ^ gpr[op->src2];
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(Shl) {
+        gpr[op->dst] =
+            wrap32(std::int64_t(gpr[op->src1]) << (gpr[op->src2] & 31));
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(Shr) {
+        gpr[op->dst] = std::int32_t(std::uint32_t(gpr[op->src1]) >>
+                                    (gpr[op->src2] & 31));
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(Sra) {
+        gpr[op->dst] = gpr[op->src1] >> (gpr[op->src2] & 31);
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(Mov)
+    TEPIC_OP(CopyGpr) {
+        gpr[op->dst] = gpr[op->src1];
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(CmppEq) {
+        pred[op->dst] = gpr[op->src1] == gpr[op->src2];
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(CmppNe) {
+        pred[op->dst] = gpr[op->src1] != gpr[op->src2];
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(CmppLt) {
+        pred[op->dst] = gpr[op->src1] < gpr[op->src2];
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(CmppLe) {
+        pred[op->dst] = gpr[op->src1] <= gpr[op->src2];
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(CmppGt) {
+        pred[op->dst] = gpr[op->src1] > gpr[op->src2];
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(CmppGe) {
+        pred[op->dst] = gpr[op->src1] >= gpr[op->src2];
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(Ldi) {
+        gpr[op->dst] = op->imm;
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(Fadd) {
+        fpr[op->dst] = fpr[op->src1] + fpr[op->src2];
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(Fsub) {
+        fpr[op->dst] = fpr[op->src1] - fpr[op->src2];
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(Fmul) {
+        fpr[op->dst] = fpr[op->src1] * fpr[op->src2];
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(Fdiv) {
+        fpr[op->dst] = fpr[op->src1] / fpr[op->src2];
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(Fmov)
+    TEPIC_OP(CopyFpr) {
+        fpr[op->dst] = fpr[op->src1];
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(Itof) {
+        fpr[op->dst] = double(gpr[op->src1]);
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(Ftoi) {
+        const double fa = fpr[op->src1];
+        std::int32_t r = 0;
+        if (std::isfinite(fa) &&
+            fa >= double(std::numeric_limits<std::int32_t>::min()) &&
+            fa <= double(std::numeric_limits<std::int32_t>::max())) {
+            r = std::int32_t(fa);
+        }
+        gpr[op->dst] = r;
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(FcmppEq) {
+        pred[op->dst] = fpr[op->src1] == fpr[op->src2];
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(FcmppLt) {
+        pred[op->dst] = fpr[op->src1] < fpr[op->src2];
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(FcmppLe) {
+        pred[op->dst] = fpr[op->src1] <= fpr[op->src2];
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(CopyPred) {
+        pred[op->dst] = pred[op->src1];
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(Load) {
+        gpr[op->dst] = load32(std::uint32_t(gpr[op->src1]));
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(Fload) {
+        fpr[op->dst] = load64(std::uint32_t(gpr[op->src1]));
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(Store) {
+        store32(std::uint32_t(gpr[op->src1]), gpr[op->src2]);
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(Fstore) {
+        store64(std::uint32_t(gpr[op->src1]), fpr[op->src2]);
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(Br) {
+        next = isa::BlockId(op->imm);
+        taken = true;
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(Brcf) {
+        if (!pred[op->src1]) {
+            next = isa::BlockId(op->imm);
+            taken = true;
+        }
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(Call) {
+        gpr[op->dst] = std::int32_t(blk->fallthrough);
+        next = isa::BlockId(op->imm);
+        taken = true;
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(Ret) {
+        const std::int32_t a = gpr[op->src1];
+        TEPIC_ASSERT(a >= 0, "bad return address ", a);
+        next = isa::BlockId(a);
+        taken = true;
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(Brlc) {
+        const std::int32_t count = wrap32(std::int64_t(gpr[op->src1]) - 1);
+        gpr[op->dst] = count;
+        if (count != 0) {
+            next = isa::BlockId(op->imm);
+            taken = true;
+        }
+        TEPIC_NEXT();
+    }
+    TEPIC_OP(End) {
+        TEPIC_ASSERT(next != isa::kNoBlock, "fell off block ", cur, " (",
+                     program_.block(cur).label, ") with no successor");
+        if (record_trace)
+            result.trace.events.push_back({cur, next, taken});
+        cur = next;
+        goto enter_block;
+    }
+    TEPIC_DISPATCH_END
+}
+
+#undef TEPIC_NEXT
+#undef TEPIC_DISPATCH
+#undef TEPIC_JUMP
+#undef TEPIC_DISPATCH_END
+#undef TEPIC_DISPATCH_BEGIN
+#undef TEPIC_OP
+#undef TEPIC_DISPATCH_TABLE
+#undef TEPIC_UOP_LABEL
+#undef TEPIC_UOPS
 
 } // namespace
 

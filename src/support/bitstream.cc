@@ -12,23 +12,26 @@ BitWriter::writeBits(std::uint64_t value, unsigned width)
         TEPIC_ASSERT((value >> width) == 0,
                      "value ", value, " does not fit in ", width, " bits");
 
-    for (unsigned i = width; i-- > 0;) {
-        const bool bit = (value >> i) & 1;
-        const std::size_t byte_idx = bitSize_ / 8;
-        const unsigned bit_idx = 7 - (bitSize_ % 8);
-        if (byte_idx == bytes_.size())
+    // Fill the open byte's free low bits from the field's top, one
+    // chunk of up to 8 bits per step.
+    while (width > 0) {
+        const unsigned used = unsigned(bitSize_ % 8);
+        if (used == 0)
             bytes_.push_back(0);
-        if (bit)
-            bytes_[byte_idx] |= std::uint8_t(1u << bit_idx);
-        ++bitSize_;
+        const unsigned room = 8 - used;
+        const unsigned take = width < room ? width : room;
+        width -= take;
+        const unsigned chunk =
+            unsigned(value >> width) & ((1u << take) - 1);
+        bytes_.back() |= std::uint8_t(chunk << (room - take));
+        bitSize_ += take;
     }
 }
 
 void
 BitWriter::alignToByte()
 {
-    while (bitSize_ % 8 != 0)
-        writeBit(false);
+    writeBits(0, unsigned((8 - bitSize_ % 8) % 8));
 }
 
 std::vector<std::uint8_t>

@@ -9,7 +9,13 @@
 #ifndef TEPIC_SUPPORT_POPCOUNT_HH
 #define TEPIC_SUPPORT_POPCOUNT_HH
 
-#if defined(__GNUC__) && defined(__x86_64__) && defined(__ELF__)
+/*
+ * Not under ThreadSanitizer: the clones' ifunc resolver runs during
+ * relocation, before the TSan runtime is initialised, and the
+ * instrumented resolver crashes every binary that links a clone.
+ */
+#if defined(__GNUC__) && defined(__x86_64__) && defined(__ELF__) &&        \
+    !defined(__SANITIZE_THREAD__)
 #define TEPIC_POPCNT_CLONES [[gnu::target_clones("popcnt", "default")]]
 #else
 #define TEPIC_POPCNT_CLONES

@@ -644,28 +644,102 @@ TEST(Emulator, BrlcLoopCounter)
     }
 }
 
+/** The panic message of running @p prog; empty when it runs clean. */
+std::string
+panicOf(const isa::VliwProgram &prog)
+{
+    try {
+        exitOf(prog);
+    } catch (const std::logic_error &e) {
+        return e.what();
+    }
+    return {};
+}
+
+/** Whether @p message (a panic, or "" for a clean run) names @p fault. */
+::testing::AssertionResult
+names(const std::string &message, const std::string &fault)
+{
+    if (message.find(fault) != std::string::npos)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+        << "expected a panic naming \"" << fault << "\", got \""
+        << message << "\"";
+}
+
+isa::Operation
+memOp(Opcode opcode, unsigned dest, unsigned addr, unsigned value = 0,
+      unsigned pred = isa::kPredTrue)
+{
+    isa::Operation op = makeOp(isa::OpType::kMemory, opcode);
+    op.setDest(dest);
+    op.setSrc1(addr);
+    op.setSrc2(value);
+    op.setPred(pred);
+    return op;
+}
+
 TEST(Emulator, FaultsAreFatal)
 {
-    // Division by zero.
+    const auto fault = [](std::vector<isa::Operation> ops) {
+        return panicOf(singleBlock(std::move(ops)));
+    };
+    // r4 = INT32_MIN, r5 = -1 (ldi sign-extends its 20-bit field).
+    const auto min_by_minus_one = [](Opcode opcode) {
+        return std::vector<isa::Operation>{
+            ldi(4, 1), ldi(5, 31), intOp(Opcode::kShl, 4, 4, 5),
+            ldi(5, 0xfffff), intOp(opcode, 3, 4, 5)};
+    };
+    EXPECT_TRUE(names(fault({ldi(4, 7), intOp(Opcode::kDiv, 3, 4, 0)}),
+                      "division by zero"));
+    EXPECT_TRUE(names(fault({ldi(4, 7), intOp(Opcode::kRem, 3, 4, 0)}),
+                      "remainder by zero"));
+    EXPECT_TRUE(names(fault(min_by_minus_one(Opcode::kDiv)),
+                      "integer overflow in division"));
+    EXPECT_TRUE(names(fault(min_by_minus_one(Opcode::kRem)),
+                      "integer overflow in remainder"));
+    EXPECT_TRUE(names(fault({ldi(4, 0x1002),
+                             memOp(Opcode::kLoad, 3, 4)}),
+                      "misaligned access at 4098"));
+    EXPECT_TRUE(names(fault({ldi(4, 0x1004),
+                             memOp(Opcode::kFstore, 0, 4, 1)}),
+                      "misaligned access at 4100"));
+    // 1 << 19 is the first byte past the default 512 KiB memory.
+    EXPECT_TRUE(names(fault({ldi(4, 1), ldi(5, 19),
+                             intOp(Opcode::kShl, 4, 4, 5),
+                             memOp(Opcode::kStore, 0, 4, 0)}),
+                      "memory access out of bounds at 524288"));
+    // The closing `ret` jumps through a link register holding -1.
+    EXPECT_TRUE(names(fault({ldi(isa::kRegLink, 0xfffff)}),
+                      "bad return address -1"));
+
+    // Controls: the same ops with benign operands, or with a false
+    // guard, run clean.
+    EXPECT_EQ(fault({ldi(4, 7), ldi(5, 2), intOp(Opcode::kDiv, 3, 4, 5),
+                     intOp(Opcode::kRem, 3, 4, 5)}),
+              "");
+    EXPECT_EQ(fault({ldi(4, 0x1002), intOp(Opcode::kDiv, 3, 4, 0, 1),
+                     memOp(Opcode::kLoad, 3, 4, 0, 1)}),
+              "");
+    EXPECT_EQ(fault({ldi(4, 0x1008), memOp(Opcode::kFstore, 0, 4, 1),
+                     memOp(Opcode::kStore, 0, 4, 0)}),
+              "");
+}
+
+TEST(Emulator, ControlFaultsAreFatal)
+{
     {
-        isa::Operation div = makeOp(isa::OpType::kInt,
-                                    isa::Opcode::kDiv);
-        div.setDest(3);
-        div.setSrc1(0);
-        div.setSrc2(0);
-        EXPECT_ANY_THROW(runSingle({div}));
+        isa::VliwProgram prog;
+        prog.addBlock().mops.push_back(mopOf({branchOp(Opcode::kBr, 7)}));
+        EXPECT_TRUE(
+            names(panicOf(prog), "control transfer to bad block 7"));
     }
-    // Misaligned load (address 2).
     {
-        isa::Operation addr = makeOp(isa::OpType::kInt,
-                                     isa::Opcode::kLdi);
-        addr.setDest(4);
-        addr.setImm(2);
-        isa::Operation load = makeOp(isa::OpType::kMemory,
-                                     isa::Opcode::kLoad);
-        load.setDest(3);
-        load.setSrc1(4);
-        EXPECT_ANY_THROW(runSingle({addr, load}));
+        // Block 0 runs off its end: no branch was taken and it has no
+        // fallthrough.
+        isa::VliwProgram prog;
+        prog.addBlock().mops.push_back(mopOf({ldi(3, 1)}));
+        EXPECT_TRUE(names(panicOf(prog), "fell off block 0"));
     }
 }
 

@@ -6,17 +6,96 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 
+#include "core/artifact_engine.hh"
 #include "huffman/huffman.hh"
+#include "schemes/huffman_scheme.hh"
+#include "schemes/stream_config.hh"
 #include "support/bitstream.hh"
 #include "support/rng.hh"
+#include "workloads/workload.hh"
 
 namespace {
 
 using tepic::huffman::CodeTable;
 using tepic::huffman::packageMergeLengths;
 using tepic::huffman::SymbolHistogram;
+
+/**
+ * The textbook package-merge: every item carries the symbols it
+ * covers, with multiplicity, and each selected occurrence adds one
+ * bit to its symbol's length. The counting implementation must agree
+ * with it length for length, ties included, because tie-breaking
+ * decides which equal-frequency symbols get which codes.
+ */
+std::vector<unsigned>
+referencePackageMergeLengths(const std::vector<std::uint64_t> &freqs,
+                             unsigned max_length)
+{
+    const std::size_t n = freqs.size();
+    if (n == 1)
+        return {1};
+
+    struct Item
+    {
+        std::uint64_t weight;
+        std::vector<std::uint32_t> symbols;
+    };
+    const auto lighter = [](const Item &a, const Item &b) {
+        return a.weight < b.weight;
+    };
+    const auto originals = [&] {
+        std::vector<Item> items;
+        for (std::uint32_t i = 0; i < n; ++i)
+            items.push_back({freqs[i], {i}});
+        std::sort(items.begin(), items.end(), lighter);
+        return items;
+    };
+
+    std::vector<Item> prev;
+    std::vector<unsigned> lengths(n, 0);
+    for (unsigned level = max_length; level >= 1; --level) {
+        std::vector<Item> merged = originals();
+        std::vector<Item> packages;
+        for (std::size_t i = 0; i + 1 < prev.size(); i += 2) {
+            Item pack{prev[i].weight + prev[i + 1].weight,
+                      prev[i].symbols};
+            pack.symbols.insert(pack.symbols.end(),
+                                prev[i + 1].symbols.begin(),
+                                prev[i + 1].symbols.end());
+            packages.push_back(std::move(pack));
+        }
+        std::vector<Item> level_items;
+        std::merge(std::make_move_iterator(merged.begin()),
+                   std::make_move_iterator(merged.end()),
+                   std::make_move_iterator(packages.begin()),
+                   std::make_move_iterator(packages.end()),
+                   std::back_inserter(level_items), lighter);
+        if (level == 1) {
+            const std::size_t take =
+                std::min(level_items.size(), 2 * (n - 1));
+            for (std::size_t i = 0; i < take; ++i)
+                for (auto sym : level_items[i].symbols)
+                    ++lengths[sym];
+        } else {
+            prev = std::move(level_items);
+        }
+    }
+    return lengths;
+}
+
+/** The smallest bound a code for @p n symbols can meet. */
+unsigned
+minBound(std::size_t n)
+{
+    unsigned bound = 1;
+    while ((std::size_t(1) << bound) < n)
+        ++bound;
+    return bound;
+}
 
 TEST(PackageMerge, SingleSymbol)
 {
@@ -96,6 +175,95 @@ TEST(PackageMerge, TighterBoundNeverBeatsLooser)
     };
     EXPECT_GE(cost(7), cost(10));
     EXPECT_GE(cost(10), cost(16));
+}
+
+TEST(PackageMerge, MatchesTheSymbolVectorReference)
+{
+    // Few distinct weights make long runs of ties, the case where the
+    // sort and merge order decide the lengths.
+    tepic::support::Rng rng(21);
+    for (int trial = 0; trial < 300; ++trial) {
+        const std::size_t n = 2 + rng.below(trial % 10 == 0 ? 2999 : 199);
+        const std::uint64_t distinct = std::uint64_t(1)
+            << rng.below(12);
+        std::vector<std::uint64_t> freqs;
+        for (std::size_t i = 0; i < n; ++i)
+            freqs.push_back(rng.below(distinct) + 1);
+        const unsigned lo = minBound(n);
+        const unsigned bound = lo + unsigned(rng.below(17 - lo));
+        ASSERT_EQ(packageMergeLengths(freqs, bound),
+                  referencePackageMergeLengths(freqs, bound))
+            << "trial " << trial << ": n=" << n << " bound=" << bound
+            << " distinct weights <= " << distinct;
+    }
+}
+
+TEST(PackageMerge, MatchesTheReferenceOnEverySuiteTable)
+{
+    // Rebuild the histogram behind every table the byte, stream and
+    // full schemes build for the suite; the table's code lengths must
+    // be the reference's for that histogram and bound.
+    using namespace tepic;
+    const schemes::HuffmanOptions options;
+    core::ArtifactEngine engine(1);
+    const auto check = [&](const SymbolHistogram &hist,
+                           const CodeTable &table, unsigned bound,
+                           const std::string &what) {
+        std::vector<std::uint64_t> freqs;
+        for (const auto &[sym, count] : hist.counts())
+            freqs.push_back(count);
+        const auto lengths = referencePackageMergeLengths(freqs, bound);
+        EXPECT_EQ(packageMergeLengths(freqs, bound), lengths) << what;
+        ASSERT_EQ(table.size(), hist.distinctSymbols()) << what;
+        std::size_t i = 0;
+        for (const auto &[sym, count] : hist.counts())
+            ASSERT_EQ(table.codeLength(sym), lengths[i++]) << what;
+    };
+    const core::ArtifactRequest request{core::ArtifactKind::kByte,
+                                        core::ArtifactKind::kStream,
+                                        core::ArtifactKind::kFull};
+    for (const auto &workload : workloads::allWorkloads()) {
+        const auto built = engine.build(workload.source, request);
+        const auto &configs = schemes::allStreamConfigs();
+        SymbolHistogram bytes, full;
+        std::vector<std::vector<SymbolHistogram>> by_config(
+            configs.size());
+        for (std::size_t c = 0; c < configs.size(); ++c)
+            by_config[c].resize(configs[c].widths.size());
+        for (const auto &blk : built->compiled.program.blocks()) {
+            for (const auto &mop : blk.mops) {
+                for (const auto &op : mop.ops()) {
+                    const std::uint64_t bits = op.encode();
+                    full.add(bits);
+                    for (int shift = 32; shift >= 0; shift -= 8)
+                        bytes.add((bits >> shift) & 0xff);
+                    for (std::size_t c = 0; c < configs.size(); ++c) {
+                        unsigned at = isa::kOpBits;
+                        for (std::size_t s = 0;
+                             s < configs[c].widths.size(); ++s) {
+                            const unsigned w = configs[c].widths[s];
+                            at -= w;
+                            by_config[c][s].add(
+                                (bits >> at) &
+                                ((std::uint64_t(1) << w) - 1));
+                        }
+                    }
+                }
+            }
+        }
+        check(bytes, built->byteImage().tables[0],
+              options.byteMaxCodeLength, workload.name + " byte");
+        check(full, built->fullImage().tables[0], options.maxCodeLength,
+              workload.name + " full");
+        for (std::size_t c = 0; c < configs.size(); ++c) {
+            for (std::size_t s = 0; s < by_config[c].size(); ++s) {
+                check(by_config[c][s], built->streamImage(c).tables[s],
+                      options.maxCodeLength,
+                      workload.name + " " + configs[c].name + " s" +
+                          std::to_string(s));
+            }
+        }
+    }
 }
 
 TEST(CodeTable, CanonicalCodesArePrefixFree)

@@ -143,6 +143,45 @@ TEST(BitStream, ValueWiderThanFieldPanics)
 {
     BitWriter w;
     EXPECT_ANY_THROW(w.writeBits(4, 2));
+    w.writeBits(5, 3);  // an open byte: the check still fires
+    EXPECT_ANY_THROW(w.writeBits(std::uint64_t(1) << 40, 40));
+    EXPECT_ANY_THROW(w.writeBits(0, 65));
+    EXPECT_EQ(w.bitSize(), 3u);
+}
+
+/**
+ * Property: the byte-chunked writer lays down exactly the bits of a
+ * bit-serial reference, for any mix of widths 0..64 and alignments.
+ */
+TEST(BitStream, MatchesABitSerialWriter)
+{
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        tepic::support::Rng rng(seed);
+        BitWriter w;
+        std::vector<bool> bits;  // the reference stream
+        for (int i = 0; i < 400; ++i) {
+            if (rng.chance(0.1)) {
+                w.alignToByte();
+                while (bits.size() % 8 != 0)
+                    bits.push_back(false);
+                continue;
+            }
+            const unsigned width = unsigned(rng.below(65));
+            const std::uint64_t value = width == 64 ? rng.next()
+                : rng.next() & ((std::uint64_t(1) << width) - 1);
+            w.writeBits(value, width);
+            for (unsigned b = width; b-- > 0;)
+                bits.push_back((value >> b) & 1);
+        }
+        ASSERT_EQ(w.bitSize(), bits.size()) << "seed " << seed;
+        ASSERT_EQ(w.byteSize(), (bits.size() + 7) / 8);
+        std::vector<std::uint8_t> expected(w.byteSize(), 0);
+        for (std::size_t i = 0; i < bits.size(); ++i)
+            if (bits[i])
+                expected[i / 8] |= std::uint8_t(0x80u >> (i % 8));
+        // The final byte's unwritten low bits are zero padding.
+        ASSERT_EQ(w.bytes(), expected) << "seed " << seed;
+    }
 }
 
 /** Property: any sequence of (value,width) fields round-trips. */
