@@ -13,9 +13,9 @@
  *   3. print the reproduced table/figure rows (the deliverable),
  *   4. snapshot observability: write every core::reports report,
  *      --metrics=/BENCH_<name>.json/BENCH_fetch.json and print the
- *      engine cache + per-phase timing summary to stderr (before the
- *      timing loops run, so the deterministic metric sections are
- *      untouched by machine-dependent iteration counts),
+ *      engine cache summary to stderr (before the timing loops run,
+ *      so the deterministic metric sections are untouched by
+ *      machine-dependent iteration counts),
  *   5. hand control to google-benchmark for the timing section, then
  *      flush the --trace= file (timed loops are included in traces —
  *      traces are wall-clock data anyway).
@@ -272,7 +272,7 @@ buildAllArtifacts(const BenchOptions &options)
 }
 
 /**
- * Snapshot the process metrics (engine + fetch + phase timings) and
+ * Snapshot the process metrics (engine + fetch) and
  * report them: a human summary on stderr, every core::reports report
  * (<KIND>_<name>.json) in the working directory, `--metrics=` JSON if
  * asked for, BENCH_<name>.json, and BENCH_fetch.json whenever the
@@ -295,11 +295,6 @@ reportBenchSummary(const BenchOptions &options)
             artifacts.push_back(
                 core::SizeReportEntry{named.name, named.ptr.get()});
         }
-    }
-    for (const auto &[name, stat] : metrics.timingsSnapshot()) {
-        TEPIC_INFORM("[bench] phase ", name, ": sum=", stat.sum(),
-                     " ms over ", stat.count(), " samples (mean=",
-                     stat.mean(), " ms)");
     }
 
     bool ok = core::reports::writeReports(".", options.benchName,

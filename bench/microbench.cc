@@ -20,6 +20,7 @@
 #include "support/bitstream.hh"
 #include "support/rng.hh"
 #include "support/sched.hh"
+#include "support/scope.hh"
 #include "workloads/workload.hh"
 
 namespace {
@@ -181,10 +182,6 @@ void
 recordMicroSentinels()
 {
     auto &m = support::MetricsRegistry::global();
-    // The sentinel pass is the microbench's "kernel work": charge it
-    // to kBenchKernel so prof.ops_encoded_per_sec has a denominator.
-    support::prof::ProfScope prof(
-        support::prof::Phase::kBenchKernel);
 
     // The microbench has no ArtifactEngine DAG, but its sentinel
     // pass is still schedulable work: declare it up front (the
@@ -192,6 +189,8 @@ recordMicroSentinels()
     // SCHED_microbench.json exercises the serial-on-main shape of
     // the tepic-sched-v1 contract. The only true edge is
     // compile -> baseline (the image needs the compiled program).
+    // Each task is "kernel work", charged to kBenchKernel so the
+    // PROF report's ops_encoded_per_sec has a denominator.
     const auto t_bits = support::sched::declareTask(
         {"micro/bitwriter", "micro", "micro", "", {}, false});
     const auto t_huff = support::sched::declareTask(
@@ -205,7 +204,7 @@ recordMicroSentinels()
          false});
 
     {
-        support::sched::TaskScope scope(t_bits);
+        const support::Scope scope(support::Layer::kBenchKernel, t_bits);
         support::BitWriter w;
         for (int i = 0; i < 10000; ++i)
             w.writeBits(std::uint64_t(i) & 0x1fff, 13);
@@ -213,7 +212,7 @@ recordMicroSentinels()
     }
 
     {
-        support::sched::TaskScope scope(t_huff);
+        const support::Scope scope(support::Layer::kBenchKernel, t_huff);
         const auto &table = sampleTable();
         support::Rng rng(2);
         support::BitWriter hw;
@@ -237,7 +236,7 @@ recordMicroSentinels()
     }
 
     {
-        support::sched::TaskScope scope(t_cache);
+        const support::Scope scope(support::Layer::kBenchKernel, t_cache);
         fetch::BankedCache cache(
             fetch::CacheConfig::paperCompressed());
         support::Rng cache_rng(7);
@@ -253,19 +252,19 @@ recordMicroSentinels()
     }
 
     const compiler::CompiledProgram compiled = [&] {
-        support::sched::TaskScope scope(t_compile);
+        const support::Scope scope(support::Layer::kBenchKernel, t_compile);
         return compiler::compileSource(
             workloads::workloadByName("compress").source);
     }();
     m.addCounter("micro.compile.ops", compiled.program.opCount());
     {
-        support::sched::TaskScope scope(t_base);
+        const support::Scope scope(support::Layer::kBenchKernel, t_base);
         m.addCounter("micro.baseline.image_bits",
                      isa::buildBaselineImage(compiled.program)
                          .bitSize);
     }
 
-    // Deterministic work units behind prof.ops_encoded_per_sec: the
+    // Deterministic work units behind ops_encoded_per_sec: the
     // 10000 Huffman symbol encodes plus the baseline image's ops.
     m.addCounter("prof.work.ops_encoded",
                  10000 + compiled.program.opCount());

@@ -6,7 +6,7 @@
 #include "compiler/parser.hh"
 #include "ir/analysis.hh"
 #include "support/logging.hh"
-#include "support/profiler.hh"
+#include "support/scope.hh"
 
 namespace tepic::compiler {
 
@@ -31,24 +31,21 @@ layoutAndSchedule(CompiledProgram &out,
 CompiledProgram
 compileSource(const std::string &source, const CompileOptions &options)
 {
-    using support::prof::Phase;
-    using support::prof::ProfScope;
-
     AstProgram ast;
     ir::IrModule module;
     {
-        ProfScope prof(Phase::kFrontend);
+        const support::Scope scope(support::Layer::kFrontend);
         ast = parse(source);
         module = generateIr(ast);
     }
     {
-        ProfScope prof(Phase::kOptimise);
+        const support::Scope scope(support::Layer::kOptimise);
         optimise(module, options.opt);
         for (auto &fn : module.functions)
             ir::estimateWeights(fn, options.loopWeightFactor);
     }
 
-    ProfScope prof(Phase::kBackend);
+    const support::Scope scope(support::Layer::kBackend);
     LirProgram lir = lower(module);
     CompiledProgram out;
     out.hoistOptions = options.hoist;
@@ -63,7 +60,7 @@ applyProfileAndRelayout(CompiledProgram &compiled,
                         const std::vector<std::uint64_t> &counts,
                         const isa::MachineConfig &machine)
 {
-    support::prof::ProfScope prof(support::prof::Phase::kBackend);
+    const support::Scope scope(support::Layer::kBackend);
     TEPIC_ASSERT(counts.size() == compiled.blockSource.size(),
                  "profile size mismatch: ", counts.size(), " vs ",
                  compiled.blockSource.size());

@@ -5,8 +5,8 @@
 
 #include "support/logging.hh"
 #include "support/metrics.hh"
-#include "support/profiler.hh"
 #include "support/sched.hh"
+#include "support/scope.hh"
 #include "support/trace.hh"
 
 namespace tepic::core {
@@ -184,9 +184,6 @@ ArtifactEngine::global()
 void
 ArtifactEngine::compileStage(Artifacts &a, const BuildRequest &req)
 {
-    TEPIC_TRACE_SPAN("engine.compile", "engine");
-    support::ScopedTimerMs timer(support::MetricsRegistry::global(),
-                                 "engine.phase.compile_ms");
     const bool want_trace = req.request.has(ArtifactKind::kTrace) &&
                             req.config.emulator.recordTrace;
     a.request_ = want_trace
@@ -198,9 +195,7 @@ ArtifactEngine::compileStage(Artifacts &a, const BuildRequest &req)
     compiles_.fetch_add(1, std::memory_order_relaxed);
 
     if (req.config.profileGuided) {
-        TEPIC_TRACE_SPAN("engine.emulate.profile", "engine");
-        support::prof::ProfScope prof(
-            support::prof::Phase::kEmulate);
+        const support::Scope scope(support::Layer::kEmulateProfile);
         // The profile pass only needs block counts, never the trace.
         auto profile_config = req.config.emulator;
         profile_config.recordTrace = false;
@@ -213,8 +208,7 @@ ArtifactEngine::compileStage(Artifacts &a, const BuildRequest &req)
                                           req.config.compile.machine);
     }
 
-    TEPIC_TRACE_SPAN("engine.emulate", "engine");
-    support::prof::ProfScope prof(support::prof::Phase::kEmulate);
+    const support::Scope scope(support::Layer::kEmulate);
     auto run_config = req.config.emulator;
     run_config.recordTrace = want_trace;
     a.execution = sim::emulate(a.compiled.program, a.compiled.data,
@@ -225,8 +219,8 @@ ArtifactEngine::compileStage(Artifacts &a, const BuildRequest &req)
 namespace {
 
 /**
- * Deterministic work counter behind the prof.ops_encoded_per_sec
- * throughput gauge: one unit per operation encoded into an image.
+ * Deterministic work counter behind the PROF report's
+ * ops_encoded_per_sec throughput: one unit per operation encoded.
  * Charged per *performed* build (cache hits charge nothing), which is
  * identical for any --jobs value.
  */
@@ -260,7 +254,7 @@ declareSchedTask(const std::string &workload, const char *kind,
                  bool cache_hit = false)
 {
     if (!support::sched::enabled())
-        return ~std::uint64_t(0);
+        return support::sched::kNoTask;
     support::sched::TaskDecl decl;
     decl.label = workload + "/" + kind +
                  (scheme.empty() ? "" : "." + scheme);
@@ -285,21 +279,15 @@ ArtifactEngine::schemeTasks(Artifacts &a, const BuildRequest &req,
     const schemes::HuffmanOptions huffman = req.config.huffman;
 
     // Ids of the image tasks the phase-3 builders depend on.
-    std::uint64_t base_task = ~std::uint64_t(0);
-    std::uint64_t full_task = ~std::uint64_t(0);
-    std::uint64_t tailored_task = ~std::uint64_t(0);
+    std::uint64_t base_task = support::sched::kNoTask;
+    std::uint64_t full_task = support::sched::kNoTask;
+    std::uint64_t tailored_task = support::sched::kNoTask;
 
     if (request.has(ArtifactKind::kBase)) {
         base_task = declareSchedTask(workload, "base", "",
                                      {compile_task});
         tasks.push_back([this, &a, base_task] {
-            support::sched::TaskScope sched_scope(base_task);
-            TEPIC_TRACE_SPAN("engine.build.base", "engine");
-            support::prof::ProfScope prof(
-                support::prof::Phase::kBuildBase);
-            support::ScopedTimerMs timer(
-                support::MetricsRegistry::global(),
-                "engine.build.base_ms");
+            const support::Scope scope(support::Layer::kBuildBase, base_task);
             a.base_ = isa::buildBaselineImage(a.compiled.program);
             chargeEncodedOps(a);
             baseImages_.fetch_add(1, std::memory_order_relaxed);
@@ -309,13 +297,7 @@ ArtifactEngine::schemeTasks(Artifacts &a, const BuildRequest &req,
         const std::uint64_t task_id =
             declareSchedTask(workload, "byte", "", {compile_task});
         tasks.push_back([this, &a, huffman, task_id] {
-            support::sched::TaskScope sched_scope(task_id);
-            TEPIC_TRACE_SPAN("engine.build.byte", "engine");
-            support::prof::ProfScope prof(
-                support::prof::Phase::kBuildByte);
-            support::ScopedTimerMs timer(
-                support::MetricsRegistry::global(),
-                "engine.build.byte_ms");
+            const support::Scope scope(support::Layer::kBuildByte, task_id);
             a.byte_ = schemes::compressByte(a.compiled.program,
                                             huffman);
             chargeEncodedOps(a);
@@ -332,13 +314,8 @@ ArtifactEngine::schemeTasks(Artifacts &a, const BuildRequest &req,
                                  {compile_task});
             tasks.push_back([this, &a, huffman, i, &configs,
                              task_id] {
-                support::sched::TaskScope sched_scope(task_id);
-                TEPIC_TRACE_SPAN("engine.build.stream", "engine");
-                support::prof::ProfScope prof(
-                    support::prof::Phase::kBuildStream);
-                support::ScopedTimerMs timer(
-                    support::MetricsRegistry::global(),
-                    "engine.build.stream_ms");
+                const support::Scope scope(support::Layer::kBuildStream,
+                                            task_id);
                 a.streams_[i] = schemes::compressStream(
                     a.compiled.program, configs[i], huffman);
                 chargeEncodedOps(a);
@@ -350,13 +327,7 @@ ArtifactEngine::schemeTasks(Artifacts &a, const BuildRequest &req,
         full_task = declareSchedTask(workload, "full", "",
                                      {compile_task});
         tasks.push_back([this, &a, huffman, full_task] {
-            support::sched::TaskScope sched_scope(full_task);
-            TEPIC_TRACE_SPAN("engine.build.full", "engine");
-            support::prof::ProfScope prof(
-                support::prof::Phase::kBuildFull);
-            support::ScopedTimerMs timer(
-                support::MetricsRegistry::global(),
-                "engine.build.full_ms");
+            const support::Scope scope(support::Layer::kBuildFull, full_task);
             a.full_ = schemes::compressFull(a.compiled.program,
                                             huffman);
             chargeEncodedOps(a);
@@ -367,13 +338,8 @@ ArtifactEngine::schemeTasks(Artifacts &a, const BuildRequest &req,
         tailored_task = declareSchedTask(workload, "tailored", "",
                                          {compile_task});
         tasks.push_back([this, &a, tailored_task] {
-            support::sched::TaskScope sched_scope(tailored_task);
-            TEPIC_TRACE_SPAN("engine.build.tailored", "engine");
-            support::prof::ProfScope prof(
-                support::prof::Phase::kBuildTailored);
-            support::ScopedTimerMs timer(
-                support::MetricsRegistry::global(),
-                "engine.build.tailored_ms");
+            const support::Scope scope(support::Layer::kBuildTailored,
+                                        tailored_task);
             a.tailoredIsa_ =
                 schemes::TailoredIsa::build(a.compiled.program);
             a.tailoredImage_ =
@@ -388,13 +354,7 @@ ArtifactEngine::schemeTasks(Artifacts &a, const BuildRequest &req,
         const std::uint64_t task_id =
             declareSchedTask(workload, "att", "", {full_task});
         att_tasks.push_back([this, &a, task_id] {
-            support::sched::TaskScope sched_scope(task_id);
-            TEPIC_TRACE_SPAN("engine.build.att", "engine");
-            support::prof::ProfScope prof(
-                support::prof::Phase::kBuildAtt);
-            support::ScopedTimerMs timer(
-                support::MetricsRegistry::global(),
-                "engine.build.att_ms");
+            const support::Scope scope(support::Layer::kBuildAtt, task_id);
             a.att_ = fetch::Att::build(a.full_->image,
                                        a.compiled.program);
             attBuilds_.fetch_add(1, std::memory_order_relaxed);
@@ -411,11 +371,7 @@ ArtifactEngine::schemeTasks(Artifacts &a, const BuildRequest &req,
             workload, "decoder", "",
             {base_task, full_task, tailored_task});
         att_tasks.push_back([this, &a, task_id] {
-            support::sched::TaskScope sched_scope(task_id);
-            TEPIC_TRACE_SPAN("engine.build.decoder", "engine");
-            support::ScopedTimerMs timer(
-                support::MetricsRegistry::global(),
-                "engine.build.decoder_ms");
+            const support::Scope scope(support::Layer::kBuildDecoder, task_id);
             a.decoder(fetch::SchemeClass::kBase);
             a.decoder(fetch::SchemeClass::kCompressed);
             a.decoder(fetch::SchemeClass::kTailored);
@@ -483,7 +439,7 @@ ArtifactEngine::build(const std::string &source,
 std::vector<std::shared_ptr<const Artifacts>>
 ArtifactEngine::buildMany(const std::vector<BuildRequest> &requests)
 {
-    TEPIC_TRACE_SPAN("engine.buildMany", "engine");
+    const support::Scope scope(support::Layer::kBuildMany);
     const std::size_t n = requests.size();
     std::vector<std::shared_ptr<const Artifacts>> results(n);
 
@@ -547,7 +503,7 @@ ArtifactEngine::buildMany(const std::vector<BuildRequest> &requests)
     // visible to the sched idle-cause attribution while phase 1 runs.
     std::vector<BuildRequest> effective(misses.size());
     std::vector<std::uint64_t> compile_tasks(misses.size(),
-                                             ~std::uint64_t(0));
+                                             support::sched::kNoTask);
     std::vector<std::function<void()>> tasks;
     std::vector<std::function<void()>> att_tasks;
     for (std::size_t m = 0; m < misses.size(); ++m) {
@@ -565,11 +521,12 @@ ArtifactEngine::buildMany(const std::vector<BuildRequest> &requests)
     // Phase 1: the shared compile + emulate stage, one task per
     // workload, concurrently across workloads.
     const auto compile_one = [&](std::size_t m) {
-        support::sched::TaskScope sched_scope(compile_tasks[m]);
+        const support::Scope scope(support::Layer::kCompile,
+                                   compile_tasks[m]);
         compileStage(*pending[misses[m]].building, effective[m]);
     };
     {
-        TEPIC_TRACE_SPAN("engine.phase.compile", "engine");
+        const support::Scope scope(support::Layer::kPhaseCompile);
         if (pool_ && misses.size() > 1) {
             pool_->parallelFor(misses.size(), compile_one);
         } else {
@@ -582,11 +539,11 @@ ArtifactEngine::buildMany(const std::vector<BuildRequest> &requests)
     // each writes a pre-assigned slot, so scheduling order cannot
     // change the result. ATTs run third — they read the Full image.
     {
-        TEPIC_TRACE_SPAN("engine.phase.schemes", "engine");
+        const support::Scope scope(support::Layer::kPhaseSchemes);
         runScheduled(tasks);
     }
     {
-        TEPIC_TRACE_SPAN("engine.phase.att", "engine");
+        const support::Scope scope(support::Layer::kPhaseAtt);
         runScheduled(att_tasks);
     }
 
@@ -630,7 +587,7 @@ ArtifactEngine::buildUncached(const std::string &source,
     serial.schemeTasks(artifacts, req, workload, compile_task, tasks,
                        att_tasks);
     {
-        support::sched::TaskScope sched_scope(compile_task);
+        const support::Scope scope(support::Layer::kCompile, compile_task);
         serial.compileStage(artifacts, req);
     }
     serial.runScheduled(tasks);

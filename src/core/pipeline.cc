@@ -10,7 +10,7 @@
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/profiler.hh"
-#include "support/trace.hh"
+#include "support/scope.hh"
 
 namespace tepic::core {
 
@@ -241,9 +241,8 @@ recordFetchMetrics(fetch::SchemeClass scheme,
  * Fold one simulation's cache-behavior record into the process
  * metrics. Every counter and histogram here is a pure function of
  * (trace, config) — deterministic, exact-gated. The *_rate gauges
- * are derived ratios and band-gated by naming convention
- * (tools/tepic_reports.py masks `cache.*_rate` values like
- * `prof.*_per_sec`).
+ * are derived ratios of those counters (tools/tepic_reports.py
+ * --compare masks `cache.*_rate` values; --diff compares them).
  */
 void
 recordCacheMetrics(fetch::SchemeClass scheme,
@@ -324,7 +323,7 @@ runFetch(const Artifacts &artifacts, fetch::SchemeClass scheme,
          std::optional<fetch::FetchConfig> config,
          const std::string &label)
 {
-    TEPIC_TRACE_SPAN("fetch.simulate", "fetch");
+    const support::Scope scope(support::Layer::kFetchSim);
     fetch::FetchConfig fetch_config =
         config ? *config : fetch::FetchConfig::paper(scheme);
 
@@ -370,7 +369,6 @@ runFetch(const Artifacts &artifacts, fetch::SchemeClass scheme,
     const std::uint64_t misses_before = cache.misses();
     const std::uint64_t decoded_before = cache.opsDecoded();
 
-    support::prof::ProfScope prof(support::prof::Phase::kFetchSim);
     const std::uint64_t cpu_begin = support::prof::threadCpuNowNs();
     auto stats = fetch::simulateFetch(imageFor(artifacts, scheme),
                                       artifacts.compiled.program,
@@ -415,9 +413,10 @@ runFetch(const Artifacts &artifacts, fetch::SchemeClass scheme,
         recordHotMetrics(scheme, hs);
         fetch::hotstats::record(label, scheme, hs);
     }
-    // Deterministic work units feeding prof.blocks_simulated_per_sec
-    // and the per-scheme prof.fetch.<scheme>.blocks_per_sec gauges;
-    // the cpu-time delta lands in the env-dependent runtime section.
+    // Deterministic work units behind the PROF report's
+    // blocks_simulated_per_sec and per-scheme fetch.<scheme>.
+    // blocks_per_sec throughput; the cpu-time delta, their
+    // denominator, lands in the env-dependent runtime section.
     auto &m = support::MetricsRegistry::global();
     m.addCounter("prof.work.blocks_simulated", stats.blocksFetched);
     const std::string scheme_name = fetch::schemeClassName(scheme);

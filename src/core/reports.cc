@@ -51,7 +51,7 @@ const Report kReports[] = {
      [](const Context &c) {
          return support::prof::reportJson(c.name, c.metrics);
      },
-     nullptr},
+     support::prof::endSession},
     {"SCHED", "tepic-sched-v1",
      support::sched::startSession,
      [](const Context &c) { support::sched::exportMetricsTo(c.metrics); },

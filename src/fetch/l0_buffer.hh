@@ -12,9 +12,8 @@
  * of the unordered_map + std::list pair this replaced. Semantics
  * (hit/miss decisions, eviction order, resident-op accounting) are
  * identical; only the host cost per access changed. This sits on the
- * compressed scheme's per-event path, which fig14's
- * prof.fetch.compressed.blocks_per_sec gauge measures (band-checked
- * by tools/tepic_reports.py --diff).
+ * compressed scheme's per-event path, which fig14's PROF report
+ * measures as throughput fetch.compressed.blocks_per_sec.
  */
 
 #ifndef TEPIC_FETCH_L0_BUFFER_HH

@@ -423,17 +423,21 @@ Machine::run()
 enter_block:
     if (cur == compiler::kHaltBlockId) {
         result.exitValue = gpr[3];
+        // Only the MOP count feeds the per-block budget check; the
+        // block and op totals follow from the per-block counts.
+        for (std::size_t b = 0; b < blocks_.size(); ++b) {
+            result.dynamicBlocks += result.blockCounts[b];
+            result.dynamicOps += result.blockCounts[b] * blocks_[b].numOps;
+        }
         return result;
     }
     TEPIC_ASSERT(cur < blocks_.size(), "control transfer to bad block ",
                  cur);
     blk = &blocks_[cur];
-    ++result.dynamicBlocks;
     ++result.blockCounts[cur];
     // The count only grows and every block is finite, so one check per
     // block trips exactly when a per-MOP one would.
     result.dynamicMops += blk->numMops;
-    result.dynamicOps += blk->numOps;
     if (result.dynamicMops > config_.maxMops)
         TEPIC_FATAL("emulated MOP budget exceeded (", config_.maxMops,
                     "): runaway program?");

@@ -98,12 +98,18 @@ panicImpl(const char *file, int line, const std::string &msg)
     throw std::logic_error("panic: " + msg);
 }
 
+FatalError::FatalError(const std::string &msg, const char *file,
+                       int line)
+    : std::runtime_error(msg + " (" + file + ":" + std::to_string(line) +
+                         ")"),
+      message_(msg)
+{
+}
+
 void
 fatalImpl(const char *file, int line, const std::string &msg)
 {
-    writeLine("fatal: ",
-              msg + " (" + file + ":" + std::to_string(line) + ")");
-    throw std::runtime_error("fatal: " + msg);
+    throw FatalError(msg, file, line);
 }
 
 void

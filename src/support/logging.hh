@@ -5,12 +5,14 @@
  * Follows the gem5 convention: panic() for internal invariant violations
  * (a bug in this library), fatal() for conditions caused by user input
  * (bad source program, impossible configuration), warn()/inform()/
- * debug() for non-fatal status messages.
+ * debug() for non-fatal status messages. fatal() prints nothing: it
+ * throws a FatalError, and the program that catches it prints one
+ * diagnostic naming its input.
  *
  * Severity filtering: the TEPIC_LOG environment variable (one of
  * debug, info, warn, error, none) sets the minimum level that prints;
- * the default is info (debug messages are dropped). panic/fatal
- * diagnostics always print.
+ * the default is info (debug messages are dropped). panic diagnostics
+ * always print.
  *
  * Concurrency: every message is rendered into one string (prefix,
  * body and newline) and written with a single stderr write, so
@@ -23,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 namespace tepic::support {
@@ -61,7 +64,23 @@ bool logEnabled(LogLevel level);
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
 
-/** Terminate due to a user-caused error. Never returns. */
+/**
+ * A user-caused error (TEPIC_FATAL). what() is "<message> (file:line)",
+ * so an uncaught one still names the library source that noticed;
+ * message() is the bare text a front end prints after its input name.
+ */
+class FatalError : public std::runtime_error
+{
+  public:
+    FatalError(const std::string &msg, const char *file, int line);
+
+    const std::string &message() const { return message_; }
+
+  private:
+    std::string message_;
+};
+
+/** Throw a FatalError. Never returns. */
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 

@@ -172,13 +172,6 @@ MetricsRegistry::hasCounterWithPrefix(std::string_view prefix) const
                prefix;
 }
 
-std::vector<std::pair<std::string, ScalarStat>>
-MetricsRegistry::timingsSnapshot() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return {timings_.begin(), timings_.end()};
-}
-
 std::string
 MetricsRegistry::toJson() const
 {

@@ -26,13 +26,11 @@
 #ifndef TEPIC_SUPPORT_METRICS_HH
 #define TEPIC_SUPPORT_METRICS_HH
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "support/json_writer.hh"
@@ -86,8 +84,6 @@ class MetricsRegistry
     std::vector<std::string> counterNames() const;
     std::vector<std::string> gaugeNames() const;
     bool hasCounterWithPrefix(std::string_view prefix) const;
-    std::vector<std::pair<std::string, ScalarStat>> timingsSnapshot()
-        const;
 
     // --- export --------------------------------------------------------
 
@@ -107,35 +103,6 @@ class MetricsRegistry
     std::map<std::string, Histogram, std::less<>> histograms_;
     std::map<std::string, ScalarStat, std::less<>> timings_;
     std::map<std::string, std::uint64_t, std::less<>> runtime_;
-};
-
-/** Samples elapsed milliseconds into a timing at destruction. */
-class ScopedTimerMs
-{
-  public:
-    ScopedTimerMs(MetricsRegistry &registry, const char *name)
-        : registry_(registry), name_(name),
-          start_(std::chrono::steady_clock::now())
-    {
-    }
-
-    ~ScopedTimerMs()
-    {
-        const auto elapsed =
-            std::chrono::steady_clock::now() - start_;
-        registry_.recordTimingMs(
-            name_,
-            std::chrono::duration<double, std::milli>(elapsed)
-                .count());
-    }
-
-    ScopedTimerMs(const ScopedTimerMs &) = delete;
-    ScopedTimerMs &operator=(const ScopedTimerMs &) = delete;
-
-  private:
-    MetricsRegistry &registry_;
-    const char *name_;
-    std::chrono::steady_clock::time_point start_;
 };
 
 } // namespace tepic::support

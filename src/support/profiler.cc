@@ -4,6 +4,7 @@
 
 #include "support/profiler.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -15,7 +16,7 @@
 #include "support/metrics.hh"
 #include "support/text_file.hh"
 
-#if TEPIC_PROFILING_ENABLED
+#if TEPIC_TRACING_ENABLED
 #include <atomic>
 #include <cstdlib>
 
@@ -40,31 +41,42 @@
 #else
 #define TEPIC_PROF_HAVE_SIGNALS 0
 #endif
-#endif // TEPIC_PROFILING_ENABLED
+#endif // TEPIC_TRACING_ENABLED
 
 namespace tepic::support::prof {
 
-const char *
-phaseName(Phase phase)
+const std::vector<std::string_view> &
+phaseNames()
 {
-    switch (phase) {
-      case Phase::kFrontend: return "frontend";
-      case Phase::kOptimise: return "optimise";
-      case Phase::kBackend: return "backend";
-      case Phase::kEmulate: return "emulate";
-      case Phase::kBuildBase: return "build_base";
-      case Phase::kBuildByte: return "build_byte";
-      case Phase::kBuildStream: return "build_stream";
-      case Phase::kBuildFull: return "build_full";
-      case Phase::kBuildTailored: return "build_tailored";
-      case Phase::kBuildAtt: return "build_att";
-      case Phase::kFetchSim: return "fetch_sim";
-      case Phase::kWorker: return "worker";
-      case Phase::kBenchKernel: return "bench_kernel";
-      case Phase::kReport: return "report";
-      case Phase::kOther: return "other";
+    static const std::vector<std::string_view> names = [] {
+        std::vector<std::string_view> out;
+        for (const LayerRow &row : kLayers)
+            if (row.phase && std::find(out.begin(), out.end(),
+                                       row.phase) == out.end())
+                out.push_back(row.phase);
+        out.push_back("other");
+        return out;
+    }();
+    return names;
+}
+
+PhaseCounters
+Snapshot::phase(std::string_view name) const
+{
+    if (name == "other")
+        return other;
+    PhaseCounters sum;
+    for (unsigned l = 0; l < kNumLayers; ++l) {
+        if (!kLayers[l].phase || name != kLayers[l].phase)
+            continue;
+        sum.cycles += layers[l].cycles;
+        sum.instructions += layers[l].instructions;
+        sum.cacheMisses += layers[l].cacheMisses;
+        sum.branchMisses += layers[l].branchMisses;
+        sum.cpuNs += layers[l].cpuNs;
+        sum.enters += layers[l].enters;
     }
-    TEPIC_PANIC("bad profiler phase");
+    return sum;
 }
 
 namespace {
@@ -86,10 +98,54 @@ writeCounters(JsonWriter &json, const PhaseCounters &c, bool with_enters)
 }
 
 /**
+ * The throughput section: each work counter over the CPU time of the
+ * phases that did the work. A rate is written only when its work
+ * counter is non-zero, so the key set follows the (deterministic)
+ * work, never the host.
+ */
+void
+writeThroughput(JsonWriter &json, const Snapshot &snap,
+                const MetricsRegistry &metrics)
+{
+    const auto rate = [&](const std::string &key, std::uint64_t work,
+                          std::uint64_t ns) {
+        if (work == 0)
+            return;
+        const double seconds = double(ns) / 1e9;
+        json.key(key).value(seconds > 0.0 ? double(work) / seconds
+                                          : 0.0);
+    };
+    json.key("throughput").object();
+    rate("blocks_simulated_per_sec",
+         metrics.counter("prof.work.blocks_simulated"),
+         snap.phase("fetch_sim").cpuNs);
+    for (const char *scheme : {"base", "compressed", "tailored"}) {
+        const std::string fetch = std::string("fetch.") + scheme;
+        rate(fetch + ".blocks_per_sec",
+             metrics.counter("prof.work." + fetch + ".blocks_simulated"),
+             metrics.runtime("prof." + fetch + ".cpu_ns"));
+    }
+    // Always present (0.0 without perf events) so the key set does not
+    // depend on the host's perf_event_paranoid setting.
+    json.key("ipc_host").value(snap.perfEvents && snap.total.cycles > 0
+                                   ? double(snap.total.instructions) /
+                                         double(snap.total.cycles)
+                                   : 0.0);
+    std::uint64_t encode_ns = 0;
+    for (const char *phase : {"build_base", "build_byte", "build_stream",
+                              "build_full", "build_tailored",
+                              "bench_kernel"})
+        encode_ns += snap.phase(phase).cpuNs;
+    rate("ops_encoded_per_sec", metrics.counter("prof.work.ops_encoded"),
+         encode_ns);
+    json.end();
+}
+
+/**
  * Render the shared report body from a snapshot plus the registry's
- * prof.work.* counters and prof.* gauges. Also used by the disabled
- * build (with an all-zero snapshot and source "disabled") so the
- * PROF report stays valid in every configuration.
+ * prof.work.* counters and prof.fetch.* runtime. Also used by the
+ * disabled build (with an all-zero snapshot and source "disabled") so
+ * the PROF report stays valid in every configuration.
  */
 std::string
 renderReport(const std::string &name, const char *source,
@@ -104,9 +160,9 @@ renderReport(const std::string &name, const char *source,
     json.key("total");
     writeCounters(json, snap.total, false);
     json.key("phases").object();
-    for (unsigned i = 0; i < kNumPhases; ++i) {
-        json.key(phaseName(Phase(i)));
-        writeCounters(json, snap.phases[i], true);
+    for (const std::string_view phase : phaseNames()) {
+        json.key(phase);
+        writeCounters(json, snap.phase(phase), true);
     }
     json.end();
 
@@ -119,14 +175,7 @@ renderReport(const std::string &name, const char *source,
     }
     json.end();
 
-    json.key("throughput").object();
-    for (const auto &gauge : metrics.gaugeNames()) {
-        if (gauge.rfind("prof.", 0) != 0)
-            continue;
-        json.key(gauge.substr(std::strlen("prof.")))
-            .value(metrics.gauge(gauge));
-    }
-    json.end();
+    writeThroughput(json, snap, metrics);
 
     json.key("samples").object(JsonWriter::kInline);
     json.key("taken").value(snap.samplesTaken);
@@ -136,7 +185,7 @@ renderReport(const std::string &name, const char *source,
 
 } // namespace
 
-#if TEPIC_PROFILING_ENABLED
+#if TEPIC_TRACING_ENABLED
 
 namespace {
 
@@ -150,12 +199,15 @@ using Values = std::uint64_t[kNumValues];
 /** Process-wide perf mode: -1 undecided, 0 fallback, 1 perf events. */
 std::atomic<int> g_perfMode{-1};
 
+/** Whether a session is charging phases. */
+std::atomic<bool> g_session{false};
+
 struct ThreadState
 {
-    // Scope stack (owner thread only).
+    // Frame stack (owner thread only).
     struct Frame
     {
-        Phase phase;
+        Layer layer;
         Values enter;
         Values child;  ///< Σ inclusive cost of completed children
     };
@@ -164,8 +216,8 @@ struct ThreadState
 
     // Committed charges: written by the owner with relaxed stores,
     // summed by snapshot() with relaxed loads (no torn u64 reads).
-    std::atomic<std::uint64_t> self[kNumPhases][kNumValues] = {};
-    std::atomic<std::uint64_t> enters[kNumPhases] = {};
+    std::atomic<std::uint64_t> self[kNumLayers][kNumValues] = {};
+    std::atomic<std::uint64_t> enters[kNumLayers] = {};
     std::atomic<std::uint64_t> topLevel[kNumValues] = {};
 
 #if TEPIC_PROF_HAVE_PERF
@@ -181,14 +233,12 @@ struct Registry
     std::mutex mutex;
     ThreadState *head = nullptr;
     // Charges of threads that exited (folded under mutex).
-    std::uint64_t retiredSelf[kNumPhases][kNumValues] = {};
-    std::uint64_t retiredEnters[kNumPhases] = {};
-    std::uint64_t retiredTopLevel[kNumValues] = {};
+    std::uint64_t retiredSelf[kNumLayers][kNumValues] = {};
+    std::uint64_t retiredEnters[kNumLayers] = {};
 
-    // Session mark (Phase::kOther baseline).
+    // Session mark ("other" baseline).
     ThreadState *sessionThread = nullptr;
     Values sessionStart = {};
-    std::uint64_t sessionTopLevel[kNumValues] = {};
 };
 
 Registry &
@@ -239,8 +289,10 @@ openPerfGroup(ThreadState &state)
 
 #endif // TEPIC_PROF_HAVE_PERF
 
+} // namespace
+
 std::uint64_t
-threadCpuNs()
+threadCpuNowNs()
 {
 #if TEPIC_PROF_HAVE_SIGNALS
     timespec ts;
@@ -253,10 +305,12 @@ threadCpuNs()
 #endif
 }
 
+namespace {
+
 void
 readNow(ThreadState &state, Values &out)
 {
-    const std::uint64_t ns = threadCpuNs();
+    const std::uint64_t ns = threadCpuNowNs();
     out[4] = ns;
 #if TEPIC_PROF_HAVE_PERF
     if (state.perfOpen) {
@@ -317,9 +371,6 @@ perfMode(ThreadState &state)
     return mode;
 }
 
-struct ThreadHolder;
-ThreadState &threadState();
-
 /** Folds a dying thread's charges into the retired accumulators. */
 struct ThreadHolder
 {
@@ -331,17 +382,13 @@ struct ThreadHolder
             return;
         auto &reg = registry();
         std::lock_guard<std::mutex> lock(reg.mutex);
-        for (unsigned p = 0; p < kNumPhases; ++p) {
+        for (unsigned l = 0; l < kNumLayers; ++l) {
             for (unsigned v = 0; v < kNumValues; ++v) {
-                reg.retiredSelf[p][v] += state->self[p][v].load(
+                reg.retiredSelf[l][v] += state->self[l][v].load(
                     std::memory_order_relaxed);
             }
-            reg.retiredEnters[p] +=
-                state->enters[p].load(std::memory_order_relaxed);
-        }
-        for (unsigned v = 0; v < kNumValues; ++v) {
-            reg.retiredTopLevel[v] += state->topLevel[v].load(
-                std::memory_order_relaxed);
+            reg.retiredEnters[l] +=
+                state->enters[l].load(std::memory_order_relaxed);
         }
         if (reg.sessionThread == state)
             reg.sessionThread = nullptr;
@@ -359,11 +406,12 @@ struct ThreadHolder
     }
 };
 
+thread_local ThreadHolder t_holder;
+
 ThreadState &
 threadState()
 {
-    static thread_local ThreadHolder holder;
-    if (!holder.state) {
+    if (!t_holder.state) {
         auto *state = new ThreadState;
 #if TEPIC_PROF_HAVE_PERF
         if (perfMode(*state) == 1 && !state->perfOpen)
@@ -375,9 +423,9 @@ threadState()
         std::lock_guard<std::mutex> lock(reg.mutex);
         state->next = reg.head;
         reg.head = state;
-        holder.state = state;
+        t_holder.state = state;
     }
-    return *holder.state;
+    return *t_holder.state;
 }
 
 // ---------------------------------------------------------------------------
@@ -460,37 +508,45 @@ sampleCounts()
 } // namespace
 
 // ---------------------------------------------------------------------------
-// ProfScope.
+// Scope frames.
 
-ProfScope::ProfScope(Phase phase)
+bool
+enabled()
 {
-    ThreadState &state = threadState();
-    if (state.depth >= kMaxDepth)
-        return;
-    ThreadState::Frame &frame = state.stack[state.depth++];
-    frame.phase = phase;
-    std::memset(frame.child, 0, sizeof(frame.child));
-    readNow(state, frame.enter);
-    active_ = true;
+    return g_session.load(std::memory_order_relaxed);
 }
 
-ProfScope::~ProfScope()
+bool
+pushFrame(Layer layer)
 {
-    if (!active_)
-        return;
+    if (!enabled())
+        return false;
+    ThreadState &state = threadState();
+    if (state.depth >= kMaxDepth)
+        return false;
+    ThreadState::Frame &frame = state.stack[state.depth++];
+    frame.layer = layer;
+    std::memset(frame.child, 0, sizeof(frame.child));
+    readNow(state, frame.enter);
+    return true;
+}
+
+void
+popFrame()
+{
     ThreadState &state = threadState();
     ThreadState::Frame &frame = state.stack[--state.depth];
     Values now;
     readNow(state, now);
-    const unsigned p = unsigned(frame.phase);
+    const unsigned l = unsigned(frame.layer);
     for (unsigned v = 0; v < kNumValues; ++v) {
         const std::uint64_t inclusive =
             now[v] >= frame.enter[v] ? now[v] - frame.enter[v] : 0;
         const std::uint64_t self = inclusive >= frame.child[v]
                                        ? inclusive - frame.child[v]
                                        : 0;
-        state.self[p][v].store(
-            state.self[p][v].load(std::memory_order_relaxed) + self,
+        state.self[l][v].store(
+            state.self[l][v].load(std::memory_order_relaxed) + self,
             std::memory_order_relaxed);
         if (state.depth > 0) {
             state.stack[state.depth - 1].child[v] += inclusive;
@@ -501,32 +557,42 @@ ProfScope::~ProfScope()
                 std::memory_order_relaxed);
         }
     }
-    state.enters[p].store(
-        state.enters[p].load(std::memory_order_relaxed) + 1,
+    state.enters[l].store(
+        state.enters[l].load(std::memory_order_relaxed) + 1,
         std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
 // Session / snapshot / export.
 
-std::uint64_t
-threadCpuNowNs()
-{
-    return threadCpuNs();
-}
-
 void
 startSession()
 {
     ThreadState &state = threadState();
     auto &reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    reg.sessionThread = &state;
-    readNow(state, reg.sessionStart);
-    for (unsigned v = 0; v < kNumValues; ++v) {
-        reg.sessionTopLevel[v] =
-            state.topLevel[v].load(std::memory_order_relaxed);
+    {
+        std::lock_guard<std::mutex> lock(reg.mutex);
+        for (ThreadState *t = reg.head; t; t = t->next) {
+            for (unsigned l = 0; l < kNumLayers; ++l) {
+                for (unsigned v = 0; v < kNumValues; ++v)
+                    t->self[l][v].store(0, std::memory_order_relaxed);
+                t->enters[l].store(0, std::memory_order_relaxed);
+            }
+            for (unsigned v = 0; v < kNumValues; ++v)
+                t->topLevel[v].store(0, std::memory_order_relaxed);
+        }
+        std::memset(reg.retiredSelf, 0, sizeof(reg.retiredSelf));
+        std::memset(reg.retiredEnters, 0, sizeof(reg.retiredEnters));
+        reg.sessionThread = &state;
+        readNow(state, reg.sessionStart);
     }
+    g_session.store(true, std::memory_order_release);
+}
+
+void
+endSession()
+{
+    g_session.store(false, std::memory_order_relaxed);
 }
 
 Snapshot
@@ -537,30 +603,47 @@ snapshot()
     auto &reg = registry();
     std::lock_guard<std::mutex> lock(reg.mutex);
 
-    std::uint64_t self[kNumPhases][kNumValues];
-    std::uint64_t enters[kNumPhases];
-    for (unsigned p = 0; p < kNumPhases; ++p) {
+    std::uint64_t self[kNumLayers][kNumValues];
+    std::uint64_t enters[kNumLayers];
+    for (unsigned l = 0; l < kNumLayers; ++l) {
         for (unsigned v = 0; v < kNumValues; ++v)
-            self[p][v] = reg.retiredSelf[p][v];
-        enters[p] = reg.retiredEnters[p];
+            self[l][v] = reg.retiredSelf[l][v];
+        enters[l] = reg.retiredEnters[l];
     }
     for (ThreadState *state = reg.head; state; state = state->next) {
-        for (unsigned p = 0; p < kNumPhases; ++p) {
+        for (unsigned l = 0; l < kNumLayers; ++l) {
             for (unsigned v = 0; v < kNumValues; ++v) {
-                self[p][v] += state->self[p][v].load(
+                self[l][v] += state->self[l][v].load(
                     std::memory_order_relaxed);
             }
-            enters[p] +=
-                state->enters[p].load(std::memory_order_relaxed);
+            enters[l] +=
+                state->enters[l].load(std::memory_order_relaxed);
         }
     }
 
-    // Phase::kOther: session-thread CPU time not inside any scope.
+    const auto fill = [](PhaseCounters &c, const Values &values) {
+        c.cycles = values[0];
+        c.instructions = values[1];
+        c.cacheMisses = values[2];
+        c.branchMisses = values[3];
+        c.cpuNs = values[4];
+    };
+    Values total = {};
+    for (unsigned l = 0; l < kNumLayers; ++l) {
+        fill(snap.layers[l], self[l]);
+        snap.layers[l].enters = enters[l];
+        snap.total.enters += enters[l];
+        for (unsigned v = 0; v < kNumValues; ++v)
+            total[v] += self[l][v];
+    }
+
+    // "other": session-thread CPU time not inside any scope.
     // Computable only from the session thread itself (thread CPU
     // clocks are per-calling-thread); from elsewhere it stays 0.
-    if (reg.sessionThread && reg.sessionThread == &threadState()) {
+    if (reg.sessionThread && reg.sessionThread == t_holder.state) {
         Values now;
         readNow(*reg.sessionThread, now);
+        Values other;
         for (unsigned v = 0; v < kNumValues; ++v) {
             const std::uint64_t session =
                 now[v] >= reg.sessionStart[v]
@@ -568,65 +651,26 @@ snapshot()
                     : 0;
             const std::uint64_t scoped =
                 reg.sessionThread->topLevel[v].load(
-                    std::memory_order_relaxed) -
-                reg.sessionTopLevel[v];
-            self[unsigned(Phase::kOther)][v] +=
-                session >= scoped ? session - scoped : 0;
+                    std::memory_order_relaxed);
+            other[v] = session >= scoped ? session - scoped : 0;
+            total[v] += other[v];
         }
+        fill(snap.other, other);
     }
-
-    for (unsigned p = 0; p < kNumPhases; ++p) {
-        snap.phases[p].cycles = self[p][0];
-        snap.phases[p].instructions = self[p][1];
-        snap.phases[p].cacheMisses = self[p][2];
-        snap.phases[p].branchMisses = self[p][3];
-        snap.phases[p].cpuNs = self[p][4];
-        snap.phases[p].enters = enters[p];
-        snap.total.cycles += self[p][0];
-        snap.total.instructions += self[p][1];
-        snap.total.cacheMisses += self[p][2];
-        snap.total.branchMisses += self[p][3];
-        snap.total.cpuNs += self[p][4];
-        snap.total.enters += enters[p];
-    }
+    fill(snap.total, total);
     const auto [taken, dropped] = sampleCounts();
     snap.samplesTaken = taken;
     snap.samplesDropped = dropped;
     return snap;
 }
 
-namespace {
-
-double
-phaseSeconds(const Snapshot &snap,
-             std::initializer_list<Phase> phases)
-{
-    std::uint64_t ns = 0;
-    for (Phase phase : phases)
-        ns += snap.phases[unsigned(phase)].cpuNs;
-    return double(ns) / 1e9;
-}
-
-void
-setThroughputGauge(MetricsRegistry &metrics, const char *gauge,
-                   std::uint64_t work, double seconds)
-{
-    if (work == 0)
-        return;  // bench never did this work: keep its key set lean
-    metrics.setGauge(gauge, seconds > 0.0 ? double(work) / seconds
-                                          : 0.0);
-}
-
-} // namespace
-
 void
 exportMetricsTo(MetricsRegistry &metrics)
 {
     const Snapshot snap = snapshot();
-    for (unsigned p = 0; p < kNumPhases; ++p) {
-        const std::string prefix =
-            std::string("prof.") + phaseName(Phase(p)) + ".";
-        const PhaseCounters &c = snap.phases[p];
+    for (const std::string_view phase : phaseNames()) {
+        const std::string prefix = "prof." + std::string(phase) + ".";
+        const PhaseCounters c = snap.phase(phase);
         metrics.addRuntime(prefix + "cycles", c.cycles);
         metrics.addRuntime(prefix + "instructions", c.instructions);
         metrics.addRuntime(prefix + "cache_misses", c.cacheMisses);
@@ -638,39 +682,6 @@ exportMetricsTo(MetricsRegistry &metrics)
     metrics.addRuntime("prof.total.instructions",
                        snap.total.instructions);
     metrics.addRuntime("prof.total.cpu_ns", snap.total.cpuNs);
-
-    setThroughputGauge(
-        metrics, "prof.ops_encoded_per_sec",
-        metrics.counter("prof.work.ops_encoded"),
-        phaseSeconds(snap,
-                     {Phase::kBuildBase, Phase::kBuildByte,
-                      Phase::kBuildStream, Phase::kBuildFull,
-                      Phase::kBuildTailored, Phase::kBenchKernel}));
-    setThroughputGauge(metrics, "prof.blocks_simulated_per_sec",
-                       metrics.counter("prof.work.blocks_simulated"),
-                       phaseSeconds(snap, {Phase::kFetchSim}));
-    static const char *kFetchSchemes[] = {"base", "compressed",
-                                          "tailored"};
-    for (const char *scheme : kFetchSchemes) {
-        const std::string base = std::string("prof.fetch.") + scheme;
-        const std::uint64_t blocks =
-            metrics.counter("prof.work.fetch." + std::string(scheme) +
-                            ".blocks_simulated");
-        const double seconds =
-            double(metrics.runtime(base + ".cpu_ns")) / 1e9;
-        if (blocks > 0) {
-            metrics.setGauge(base + ".blocks_per_sec",
-                             seconds > 0.0 ? double(blocks) / seconds
-                                           : 0.0);
-        }
-    }
-    // Always present (0.0 without perf events) so the gauge key set
-    // does not depend on the host's perf_event_paranoid setting.
-    metrics.setGauge("prof.ipc_host",
-                     snap.perfEvents && snap.total.cycles > 0
-                         ? double(snap.total.instructions) /
-                               double(snap.total.cycles)
-                         : 0.0);
 }
 
 std::string
@@ -679,8 +690,8 @@ reportJson(const std::string &name, const MetricsRegistry &metrics)
     const Snapshot snap = snapshot();
     // Re-assert the tiling invariant the schema promises.
     std::uint64_t sum = 0;
-    for (unsigned p = 0; p < kNumPhases; ++p)
-        sum += snap.phases[p].cycles;
+    for (const std::string_view phase : phaseNames())
+        sum += snap.phase(phase).cycles;
     TEPIC_ASSERT(sum == snap.total.cycles,
                  "profiler phase tiling violated: ", sum, " vs ",
                  snap.total.cycles);
@@ -786,30 +797,7 @@ collapsedStacks()
 #endif
 }
 
-void
-resetForTest()
-{
-    auto &reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    for (ThreadState *state = reg.head; state; state = state->next) {
-        for (unsigned p = 0; p < kNumPhases; ++p) {
-            for (unsigned v = 0; v < kNumValues; ++v)
-                state->self[p][v].store(0, std::memory_order_relaxed);
-            state->enters[p].store(0, std::memory_order_relaxed);
-        }
-        for (unsigned v = 0; v < kNumValues; ++v)
-            state->topLevel[v].store(0, std::memory_order_relaxed);
-    }
-    std::memset(reg.retiredSelf, 0, sizeof(reg.retiredSelf));
-    std::memset(reg.retiredEnters, 0, sizeof(reg.retiredEnters));
-    std::memset(reg.retiredTopLevel, 0, sizeof(reg.retiredTopLevel));
-    reg.sessionThread = nullptr;
-#if TEPIC_PROF_HAVE_SIGNALS
-    g_nextSlot.store(0, std::memory_order_relaxed);
-#endif
-}
-
-#else // !TEPIC_PROFILING_ENABLED
+#else // !TEPIC_TRACING_ENABLED
 
 std::string
 reportJson(const std::string &name, const MetricsRegistry &metrics)
@@ -817,7 +805,7 @@ reportJson(const std::string &name, const MetricsRegistry &metrics)
     return renderReport(name, "disabled", Snapshot{}, metrics);
 }
 
-#endif // TEPIC_PROFILING_ENABLED
+#endif // TEPIC_TRACING_ENABLED
 
 bool
 writeCollapsed(const std::string &path)

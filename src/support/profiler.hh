@@ -3,17 +3,17 @@
  * Host-performance profiling: where does the *simulator's own* CPU
  * time go, in hardware-counter terms?
  *
- * Two instruments, both scoped to a fixed phase taxonomy:
+ * Two instruments:
  *
- *  - Phase counters: `ProfScope scope(Phase::kFetchSim)` attributes
- *    the host cycles / instructions / cache-misses / branch-misses /
- *    CPU-ns spent inside the scope to that phase. Attribution is
- *    *self-time*: a scope nested inside another (on the same thread)
- *    subtracts its inclusive cost from its parent, so the per-phase
- *    charges tile the total with no double counting — the same
- *    invariant discipline as SizeLedger leaves tiling an artifact's
- *    bits. Counters come from perf_event_open when the kernel allows
- *    it; the fallback ladder is
+ *  - Phase counters: a support::Scope (scope.hh) whose Layer row names
+ *    a PROF phase attributes the host cycles / instructions /
+ *    cache-misses / branch-misses / CPU-ns spent inside it to that
+ *    phase. Attribution is *self-time*: a scope nested inside another
+ *    (on the same thread) subtracts its inclusive cost from its
+ *    parent, so the per-phase charges tile the total with no double
+ *    counting — the same invariant discipline as SizeLedger leaves
+ *    tiling an artifact's bits. Counters come from perf_event_open
+ *    when the kernel allows it; the fallback ladder is
  *
  *        perf_event (cycles/instr/cache-miss/branch-miss + cpu-ns)
  *          -> CLOCK_THREAD_CPUTIME_ID (cpu-ns only; "cycles" is then
@@ -28,25 +28,23 @@
  *    collapsedStacks() folds them into FlameGraph "collapsed" text
  *    (root;child;leaf count), rendered by tools/tepic_reports.py.
  *
- * The phase set is a closed enum so every report carries the *same
- * key set* regardless of --jobs or which phases actually ran —
- * zero-valued phases are emitted, making PROF_<name>.json key-set
- * deterministic (a tested guarantee; only the counter *values* are
- * wall-clock data).
+ * Charging is session-scoped, and the phase set is the Layer table's
+ * PROF column plus "other", so every report carries the *same key
+ * set* regardless of --jobs or which phases actually ran — zero-valued
+ * phases are emitted, making PROF_<name>.json key-set deterministic
+ * (a tested guarantee; only the counter *values* are wall-clock data).
  *
  * Determinism contract with support::MetricsRegistry:
  *
  *   prof.work.*   counters — deterministic work counts (ops encoded,
  *                 blocks simulated), exact-gated like any counter
- *   prof.*        gauges — derived throughput (work / phase CPU-s),
- *                 key-set stable but value-varying; the comparison
- *                 tools treat the prof. gauge namespace like timings
- *   prof.*        runtime — raw per-phase counter values (env data)
+ *   prof.*        runtime — raw per-phase counter values and the
+ *                 per-scheme fetch cpu-ns (env data); the report's
+ *                 throughput section divides the work by them
  *
  * Compile-time disable: profiling follows the tracing switch
- * (-DTEPIC_ENABLE_TRACING=OFF) unless TEPIC_PROFILING_ENABLED is set
- * explicitly; disabled, ProfScope is an empty type and every entry
- * point folds to an inline no-op.
+ * (-DTEPIC_ENABLE_TRACING=OFF); disabled, every entry point folds to
+ * an inline no-op.
  */
 
 #ifndef TEPIC_SUPPORT_PROFILER_HH
@@ -54,12 +52,10 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
-#include "support/trace.hh"
-
-#ifndef TEPIC_PROFILING_ENABLED
-#define TEPIC_PROFILING_ENABLED TEPIC_TRACING_ENABLED
-#endif
+#include "support/scope.hh"
 
 namespace tepic::support {
 
@@ -68,33 +64,10 @@ class MetricsRegistry;
 namespace prof {
 
 /**
- * The closed phase taxonomy. Every phase a ProfScope can charge —
- * reports always emit all of them (zero or not) so the key set never
- * depends on --jobs, cache hits, or which commands ran.
+ * The PROF phase names: the Layer table's phase column in first-use
+ * order, then "other" (session-thread time outside any scope).
  */
-enum class Phase : unsigned
-{
-    kFrontend,       ///< lex + parse + IR generation
-    kOptimise,       ///< IR optimisation + weight estimation
-    kBackend,        ///< lower, regalloc, emit, layout, schedule
-    kEmulate,        ///< emulator runs (profile pass + final)
-    kBuildBase,      ///< baseline image encode
-    kBuildByte,      ///< Huffman byte-stream encode
-    kBuildStream,    ///< six-stream encodes
-    kBuildFull,      ///< Huffman full-stream encode
-    kBuildTailored,  ///< tailored ISA build + encode
-    kBuildAtt,       ///< ATT construction
-    kFetchSim,       ///< cycle-accurate fetch simulation
-    kWorker,         ///< thread-pool dispatch overhead (self time)
-    kBenchKernel,    ///< microbench sentinel kernels
-    kReport,         ///< metrics / report serialization
-    kOther,          ///< session time outside any scope (main thread)
-};
-
-inline constexpr unsigned kNumPhases = 15;
-
-/** Stable lowercase name ("frontend", "fetch_sim", ...). */
-const char *phaseName(Phase phase);
+const std::vector<std::string_view> &phaseNames();
 
 /** One phase's (or the total's) accumulated hardware counters. */
 struct PhaseCounters
@@ -107,46 +80,45 @@ struct PhaseCounters
     std::uint64_t enters = 0;
 };
 
-/** Aggregated view of every phase across every thread. */
+/** Aggregated view of every layer across every thread. */
 struct Snapshot
 {
     bool perfEvents = false;  ///< true: real HW counters; false: cpu-ns
-    PhaseCounters phases[kNumPhases];
-    PhaseCounters total;  ///< == Σ phases, asserted (tiling invariant)
+    PhaseCounters layers[kNumLayers];  ///< self-time per Layer row
+    PhaseCounters other;  ///< session-thread time outside any scope
+    PhaseCounters total;  ///< == Σ layers + other (tiling invariant)
     std::uint64_t samplesTaken = 0;
     std::uint64_t samplesDropped = 0;
+
+    /** Σ of the layers charging phase @p name (or other). */
+    PhaseCounters phase(std::string_view name) const;
 };
 
-#if TEPIC_PROFILING_ENABLED
+#if TEPIC_TRACING_ENABLED
 
-/** Compiled in? (Runtime phase accounting is always on when so.) */
-inline bool available() { return true; }
+/** Whether a session is charging phases; one relaxed atomic load. */
+bool enabled();
 
 /**
- * Reset all accumulators and mark the session start on the calling
- * thread; Phase::kOther charges this thread's CPU time spent outside
- * any scope between here and snapshot().
+ * Reset all accumulators, mark the session start on the calling
+ * thread and start charging; "other" is this thread's CPU time spent
+ * outside any scope between here and snapshot().
  */
 void startSession();
+
+/** Stop charging; the charges stay until the next startSession(). */
+void endSession();
 
 /** Fold every thread's charges (relaxed reads; tiling re-asserted). */
 Snapshot snapshot();
 
-/**
- * Raw per-phase values into the registry's *runtime* section
- * ("prof.<phase>.<counter>") plus derived throughput gauges
- * ("prof.ops_encoded_per_sec", "prof.blocks_simulated_per_sec",
- * "prof.fetch.<scheme>.blocks_per_sec", "prof.ipc_host") computed
- * from the registry's deterministic prof.work.* counters. Gauges are
- * emitted only when their work counter is non-zero, so a binary's
- * gauge key set is stable run to run.
- */
+/** Raw per-phase values into the registry's runtime section. */
 void exportMetricsTo(MetricsRegistry &metrics);
 
 /**
  * Render schema "tepic-prof-v1": source, total, all phases (tiling
- * total exactly), the registry's prof.work.* counters, the derived
- * prof.* throughput gauges, and sampling stats.
+ * total exactly), the registry's prof.work.* counters, throughput
+ * derived from them and the phase times, and sampling stats.
  */
 std::string reportJson(const std::string &name,
                        const MetricsRegistry &metrics);
@@ -156,6 +128,14 @@ std::string reportJson(const std::string &name,
  * cpu-time deltas (e.g. per-scheme fetch runtime in core::runFetch).
  */
 std::uint64_t threadCpuNowNs();
+
+/**
+ * Scope's hooks: open a self-time frame for @p layer on the calling
+ * thread (false, and nothing to close, outside a session), and close
+ * the innermost one.
+ */
+bool pushFrame(Layer layer);
+void popFrame();
 
 // --- sampling --------------------------------------------------------
 
@@ -176,36 +156,17 @@ void stopSampling();
  */
 std::string collapsedStacks();
 
-/** Scoped phase attribution (self-time; see file comment). */
-class ProfScope
-{
-  public:
-    explicit ProfScope(Phase phase);
-    ~ProfScope();
+#else // !TEPIC_TRACING_ENABLED — everything folds away.
 
-    ProfScope(const ProfScope &) = delete;
-    ProfScope &operator=(const ProfScope &) = delete;
-
-  private:
-    bool active_ = false;
-};
-
-// Test hooks.
-
-/** Drop every thread's charges and the session mark (tests only). */
-void resetForTest();
-
-#else // !TEPIC_PROFILING_ENABLED — everything folds away.
-
-inline bool available() { return false; }
+inline bool enabled() { return false; }
 inline void startSession() {}
+inline void endSession() {}
 inline std::uint64_t threadCpuNowNs() { return 0; }
 inline Snapshot snapshot() { return {}; }
 inline void exportMetricsTo(MetricsRegistry &) {}
 inline bool startSampling(unsigned = 997) { return false; }
 inline void stopSampling() {}
 inline std::string collapsedStacks() { return {}; }
-inline void resetForTest() {}
 
 // Out of line even when disabled: a stub PROF report (all-zero
 // phases, source "disabled") keeps report writers working in
@@ -213,15 +174,7 @@ inline void resetForTest() {}
 std::string reportJson(const std::string &name,
                        const MetricsRegistry &metrics);
 
-class ProfScope
-{
-  public:
-    explicit ProfScope(Phase) {}
-    ProfScope(const ProfScope &) = delete;
-    ProfScope &operator=(const ProfScope &) = delete;
-};
-
-#endif // TEPIC_PROFILING_ENABLED
+#endif // TEPIC_TRACING_ENABLED
 
 /**
  * collapsedStacks() to a file (empty when profiling is compiled out);

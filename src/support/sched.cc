@@ -185,7 +185,7 @@ std::uint64_t
 declareTask(TaskDecl decl)
 {
     if (!enabled())
-        return ~std::uint64_t(0);
+        return kNoTask;
     auto &r = recorder();
     const std::uint64_t ts = nowNs();
     std::lock_guard<std::mutex> lock(r.mutex);
@@ -196,7 +196,7 @@ declareTask(TaskDecl decl)
     // Sentinel deps come from ids handed out while recording was
     // disabled (a session started mid-build); drop them. A real
     // forward reference would make the graph ill-formed.
-    std::erase(record.decl.deps, ~std::uint64_t(0));
+    std::erase(record.decl.deps, kNoTask);
     for (std::uint64_t dep : record.decl.deps) {
         TEPIC_ASSERT(dep < record.id,
                      "sched task depends on a not-yet-declared task");

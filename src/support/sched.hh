@@ -5,9 +5,10 @@
  * The engine declares every unit of scheduled work as a *task* —
  * compile+emulate stages, per-scheme image builds, ATT and decoder
  * pre-warm tasks, and cache hits (zero-duration records) — each with
- * its dependency edges, and wraps execution in a TaskScope so the
- * recorder sees enqueue/start/finish timestamps and the worker that
- * ran it (the ThreadPool tags its workers via workerAttach()). From
+ * its dependency edges, and runs each task body inside a
+ * support::Scope (scope.hh) given the task's id, so the recorder sees
+ * enqueue/start/finish timestamps and the worker that ran it (the
+ * ThreadPool tags its workers via workerAttach()). From
  * that event stream analyze() reconstructs the build DAG and answers
  * "why didn't --jobs=8 run 8x faster?":
  *
@@ -50,6 +51,9 @@ namespace tepic::support {
 class MetricsRegistry;
 
 namespace sched {
+
+/** The id declareTask() hands out while no session is recording. */
+inline constexpr std::uint64_t kNoTask = ~std::uint64_t(0);
 
 /** Worker id of a task that never ran (cache hit). */
 inline constexpr std::uint32_t kNoWorker = 0xffffffffu;
@@ -143,7 +147,7 @@ void endSession();
 
 /**
  * Declare one task (assigning the next id in declaration order) and
- * stamp its enqueue time. Returns the id, or ~0 when disabled.
+ * stamp its enqueue time. Returns the id, or kNoTask when disabled.
  * Dependency ids must come from earlier declareTask() calls, which
  * makes the recorded graph acyclic by construction.
  */
@@ -154,31 +158,6 @@ void taskStarted(std::uint64_t id);
 
 /** Mark @p id finished. */
 void taskFinished(std::uint64_t id);
-
-/** RAII taskStarted()/taskFinished() pair around a task body. */
-class TaskScope
-{
-  public:
-    explicit
-    TaskScope(std::uint64_t id)
-        : id_(id)
-    {
-        if (id_ != ~std::uint64_t(0))
-            taskStarted(id_);
-    }
-
-    ~TaskScope()
-    {
-        if (id_ != ~std::uint64_t(0))
-            taskFinished(id_);
-    }
-
-    TaskScope(const TaskScope &) = delete;
-    TaskScope &operator=(const TaskScope &) = delete;
-
-  private:
-    std::uint64_t id_;
-};
 
 /**
  * ThreadPool hook: tag the calling thread as pool worker @p worker

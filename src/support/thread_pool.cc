@@ -3,9 +3,8 @@
 #include <exception>
 
 #include "support/logging.hh"
-#include "support/profiler.hh"
 #include "support/sched.hh"
-#include "support/trace.hh"
+#include "support/scope.hh"
 
 namespace tepic::support {
 
@@ -89,11 +88,10 @@ ThreadPool::workerLoop(unsigned index)
                               .count()),
             std::memory_order_relaxed);
         {
-            TEPIC_TRACE_SPAN("pool.task", "pool");
-            // Worker-side charge: jobs re-scope themselves (e.g. the
-            // engine's kBuild* phases), so only the residue between
-            // pickup and the job's own scopes lands in kWorker.
-            prof::ProfScope prof_scope(prof::Phase::kWorker);
+            // Jobs re-scope themselves (e.g. the engine's kBuild*
+            // layers), so only the residue between pickup and the
+            // job's own scopes lands in kPoolTask's phase.
+            const Scope scope(Layer::kPoolTask);
             job.fn();  // packaged_task captures any exception
         }
         execNanos_.fetch_add(

@@ -20,7 +20,7 @@ namespace {
 struct Event
 {
     const char *name = nullptr;
-    const char *cat = nullptr;
+    std::string_view cat;
     char phase = 'X';          // 'X' complete, 'i' instant, 'C' counter
     std::uint64_t tsNs = 0;    // since start()
     std::uint64_t durNs = 0;   // 'X' only
@@ -290,7 +290,7 @@ counter(const char *name, double value, const char *cat)
     append(std::move(event));
 }
 
-Span::Span(const char *name, const char *cat)
+Span::Span(const char *name, std::string_view cat)
 {
     if (!enabled())
         return;
@@ -300,7 +300,7 @@ Span::Span(const char *name, const char *cat)
     active_ = true;
 }
 
-Span::Span(const char *name, const char *cat, std::string args)
+Span::Span(const char *name, std::string_view cat, std::string args)
 {
     if (!enabled())
         return;

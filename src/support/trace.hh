@@ -6,8 +6,10 @@
  *
  * Design:
  *
- *  - Scoped spans (RAII): `TEPIC_TRACE_SPAN("engine.compile")` records
- *    one complete ("X") event with the span's wall-clock duration.
+ *  - Scoped spans (RAII): `TEPIC_TRACE_SPAN("bench.setup", "bench")`
+ *    records one complete ("X") event with the span's wall-clock
+ *    duration. Library code opens its spans through support::Scope
+ *    (scope.hh), whose Layer table names every library span.
  *  - Per-thread buffers: each thread appends to its own vector under a
  *    thread-local, uncontended mutex; buffers are gathered and written
  *    only at stop(). A thread that exits first parks its events in a
@@ -31,6 +33,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #ifndef TEPIC_TRACING_ENABLED
 #define TEPIC_TRACING_ENABLED 1
@@ -69,10 +72,10 @@ void counter(const char *name, double value, const char *cat = "tepic");
 class Span
 {
   public:
-    explicit Span(const char *name, const char *cat = "tepic");
+    explicit Span(const char *name, std::string_view cat = "tepic");
 
     /** @p args must be a preformatted JSON object ("{...}"). */
-    Span(const char *name, const char *cat, std::string args);
+    Span(const char *name, std::string_view cat, std::string args);
 
     ~Span();
 
@@ -81,7 +84,7 @@ class Span
 
   private:
     const char *name_ = nullptr;
-    const char *cat_ = nullptr;
+    std::string_view cat_;
     std::string args_;
     std::uint64_t startNs_ = 0;
     bool active_ = false;
@@ -107,8 +110,8 @@ inline void counter(const char *, double, const char * = "tepic") {}
 class Span
 {
   public:
-    explicit Span(const char *, const char * = "tepic") {}
-    Span(const char *, const char *, std::string) {}
+    explicit Span(const char *, std::string_view = "tepic") {}
+    Span(const char *, std::string_view, std::string) {}
     Span(const Span &) = delete;
     Span &operator=(const Span &) = delete;
 };
@@ -123,7 +126,10 @@ inline std::size_t pendingEvents() { return 0; }
 #define TEPIC_TRACE_CONCAT2(a, b) a##b
 #define TEPIC_TRACE_CONCAT(a, b) TEPIC_TRACE_CONCAT2(a, b)
 
-/** Scoped span with an unpollutable variable name. */
+/**
+ * Scoped span with an unpollutable variable name, for harness code
+ * (bench/); library stages use support::Scope instead.
+ */
 #define TEPIC_TRACE_SPAN(...)                                            \
     ::tepic::support::trace::Span TEPIC_TRACE_CONCAT(                    \
         tepic_trace_span_, __COUNTER__)(__VA_ARGS__)

@@ -29,7 +29,6 @@ using tepic::support::JsonWriter;
 using tepic::support::LogLevel;
 using tepic::support::MetricsRegistry;
 using tepic::support::ScalarStat;
-using tepic::support::ScopedTimerMs;
 
 TEST(Metrics, CountersAccumulate)
 {
@@ -149,16 +148,6 @@ TEST(Metrics, ClearAndEmpty)
     EXPECT_FALSE(m.empty());
     m.clear();
     EXPECT_TRUE(m.empty());
-}
-
-TEST(Metrics, ScopedTimerRecordsOneSample)
-{
-    MetricsRegistry m;
-    {
-        ScopedTimerMs timer(m, "scoped");
-    }
-    EXPECT_EQ(m.timing("scoped").count(), 1u);
-    EXPECT_GE(m.timing("scoped").min(), 0.0);
 }
 
 TEST(Metrics, JsonRoundTrip)

@@ -1,36 +1,45 @@
 /**
  * @file
- * Tests for support::prof — the host-performance profiler. Covers
- * the scoped phase attribution (self-time, nesting), the tiling
- * invariant (Σ phase cycles == total, like the SizeLedger tiles an
- * image's bits), the tepic-prof-v1 report, the determinism contract
- * (work counters and key sets identical for any --jobs value), and
- * the sampling profiler's collapsed-stack output.
+ * Tests for support::Scope and its Layer table, and for support::prof
+ * — the host-performance profiler behind Scope's PROF part. Covers
+ * the closed table (unique span names, the PROF phase key set), the
+ * spans and SCHED records a Scope emits, session gating, the scoped
+ * phase attribution (self-time, nesting), the tiling invariant
+ * (Σ phase cycles == total, like the SizeLedger tiles an image's
+ * bits), the tepic-prof-v1 report, the determinism contract (work
+ * counters and key sets identical for any --jobs value), and the
+ * sampling profiler's collapsed-stack output.
  *
  * The whole suite compiles in both configurations: under
- * -DTEPIC_ENABLE_TRACING=OFF the profiler folds to no-op stubs and
- * the *Disabled tests assert exactly that (ProfScope is an empty
- * class, reports come back all-zero with source "disabled").
+ * -DTEPIC_ENABLE_TRACING=OFF Scope keeps only its SCHED part and the
+ * profiler folds to no-op stubs; the *Disabled tests assert exactly
+ * that (reports come back all-zero with source "disabled").
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <set>
 #include <string>
-#include <type_traits>
+#include <string_view>
+#include <thread>
+#include <vector>
 
 #include "core/artifact_engine.hh"
 #include "json_mini.hh"
 #include "support/metrics.hh"
 #include "support/profiler.hh"
+#include "support/sched.hh"
+#include "support/scope.hh"
 #include "workloads/workload.hh"
 
 namespace {
 
 using namespace tepic;
-using support::prof::Phase;
-using support::prof::ProfScope;
+using support::Layer;
+using support::Scope;
 
 /** Burn roughly @p ms milliseconds of this thread's CPU time. */
 [[maybe_unused]] std::uint64_t
@@ -53,60 +62,164 @@ spinCpu(unsigned ms)
 phaseCycleSum(const support::prof::Snapshot &snap)
 {
     std::uint64_t sum = 0;
-    for (unsigned p = 0; p < support::prof::kNumPhases; ++p)
-        sum += snap.phases[p].cycles;
+    for (const std::string_view phase : support::prof::phaseNames())
+        sum += snap.phase(phase).cycles;
     return sum;
+}
+
+TEST(ScopeLayers, SpanNamesAreUniqueAndFixed)
+{
+    // tepic-perf's per-layer table keys off these exact strings.
+    const std::set<std::string> expected = {
+        "engine.compile", "engine.emulate.profile", "engine.emulate",
+        "engine.build.base", "engine.build.byte", "engine.build.stream",
+        "engine.build.full", "engine.build.tailored", "engine.build.att",
+        "engine.build.decoder", "engine.buildMany",
+        "engine.phase.compile", "engine.phase.schemes",
+        "engine.phase.att", "fetch.simulate", "pool.task"};
+    std::set<std::string> spans;
+    unsigned rows_with_span = 0;
+    for (const support::LayerRow &row : support::kLayers) {
+        if (!row.span)
+            continue;
+        ++rows_with_span;
+        spans.insert(row.span);
+    }
+    EXPECT_EQ(spans.size(), rows_with_span) << "a span name repeats";
+    EXPECT_EQ(spans, expected);
+}
+
+TEST(ScopeTask, RecordsStartAndFinish)
+{
+    namespace sched = support::sched;
+    sched::resetForTest();
+    sched::startSession(1);
+    const std::uint64_t id =
+        sched::declareTask({"unit/base", "base", "unit", "", {}, false});
+    {
+        const Scope scope(Layer::kBuildBase, id);
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    sched::endSession();
+    const auto analysis = sched::analyze();
+    ASSERT_EQ(analysis.tasks.size(), 1u);
+    const auto &task = analysis.tasks[0];
+    EXPECT_TRUE(task.ran);
+    EXPECT_EQ(task.worker, sched::kMainWorker);
+    EXPECT_GE(task.startNs, task.enqueueNs);
+    EXPECT_GT(task.finishNs, task.startNs);
 }
 
 TEST(ProfilerPhaseNames, CoverTheClosedEnum)
 {
-    // The report's phase key set is the full enum — a closed, always-
-    // emitted set is what makes PROF key sets --jobs-deterministic.
-    for (unsigned p = 0; p < support::prof::kNumPhases; ++p) {
-        const char *name = support::prof::phaseName(Phase(p));
-        ASSERT_NE(name, nullptr);
-        EXPECT_GT(std::string(name).size(), 0u);
-    }
+    // The report's phase key set is the Layer table's PROF column plus
+    // "other" — a closed, always-emitted set is what makes PROF key
+    // sets --jobs-deterministic.
+    const std::vector<std::string_view> expected = {
+        "frontend",   "optimise",     "backend",    "emulate",
+        "build_base", "build_byte",   "build_stream", "build_full",
+        "build_tailored", "build_att", "fetch_sim", "worker",
+        "bench_kernel", "other"};
+    EXPECT_EQ(support::prof::phaseNames(), expected);
 }
 
-#if TEPIC_PROFILING_ENABLED
+#if TEPIC_TRACING_ENABLED
+
+TEST(ScopeTrace, NestedPairEmitsTheTableSpans)
+{
+    namespace trace = support::trace;
+    trace::start("");
+    {
+        const Scope outer(Layer::kBuildMany);
+        const Scope inner(Layer::kFetchSim);
+        const Scope unspanned(Layer::kFrontend);
+    }
+    const auto doc = testjson::parse(trace::stopToJson());
+    const auto &events = doc.at("traceEvents").array;
+    ASSERT_EQ(events.size(), 2u);
+    std::multiset<std::string> names;
+    for (const auto &event : events) {
+        names.insert(event.at("name").str);
+        EXPECT_EQ(event.at("ph").str, "X");
+        // The category is the span name's first dotted component.
+        const std::string &name = event.at("name").str;
+        EXPECT_EQ(event.at("cat").str, name.substr(0, name.find('.')));
+    }
+    EXPECT_EQ(names, (std::multiset<std::string>{"engine.buildMany",
+                                                 "fetch.simulate"}));
+}
 
 TEST(Profiler, ScopeChargesItsPhase)
 {
-    support::prof::resetForTest();
     support::prof::startSession();
     {
-        ProfScope scope(Phase::kFrontend);
+        const Scope scope(Layer::kFrontend);
         spinCpu(5);
     }
     const auto snap = support::prof::snapshot();
-    const auto &fe = snap.phases[unsigned(Phase::kFrontend)];
+    const auto fe = snap.phase("frontend");
     EXPECT_EQ(fe.enters, 1u);
     EXPECT_GT(fe.cycles, 0u);
     EXPECT_GT(fe.cpuNs, 0u);
     // Untouched phases stay zero-entered (but still reported).
-    EXPECT_EQ(snap.phases[unsigned(Phase::kFetchSim)].enters, 0u);
+    EXPECT_EQ(snap.phase("fetch_sim").enters, 0u);
+}
+
+TEST(Profiler, ScopeOutsideASessionChargesNothing)
+{
+    support::prof::startSession();
+    support::prof::endSession();
+    EXPECT_FALSE(support::prof::enabled());
+    {
+        const Scope scope(Layer::kFrontend);
+        spinCpu(3);
+    }
+    const auto snap = support::prof::snapshot();
+    EXPECT_EQ(snap.phase("frontend").enters, 0u);
+    EXPECT_EQ(snap.phase("frontend").cycles, 0u);
+}
+
+TEST(Profiler, SecondSessionStartsFromZero)
+{
+    support::prof::startSession();
+    {
+        const Scope scope(Layer::kBuildFull);
+        spinCpu(3);
+    }
+    std::thread worker([] {
+        const Scope scope(Layer::kPoolTask);
+        spinCpu(3);
+    });
+    worker.join();
+    ASSERT_EQ(support::prof::snapshot().phase("build_full").enters, 1u);
+    ASSERT_EQ(support::prof::snapshot().phase("worker").enters, 1u);
+
+    support::prof::startSession();
+    const auto snap = support::prof::snapshot();
+    for (const auto &layer : snap.layers) {
+        EXPECT_EQ(layer.enters, 0u);
+        EXPECT_EQ(layer.cycles, 0u);
+    }
 }
 
 TEST(Profiler, NestedScopesAttributeSelfTime)
 {
-    support::prof::resetForTest();
     support::prof::startSession();
     {
-        ProfScope outer(Phase::kBackend);
+        const Scope outer(Layer::kBackend);
         spinCpu(4);
         {
-            ProfScope inner(Phase::kOptimise);
+            const Scope inner(Layer::kOptimise);
             spinCpu(12);
         }
         spinCpu(4);
     }
     const auto snap = support::prof::snapshot();
-    const auto &outer = snap.phases[unsigned(Phase::kBackend)];
-    const auto &inner = snap.phases[unsigned(Phase::kOptimise)];
+    const auto outer = snap.phase("backend");
+    const auto inner = snap.phase("optimise");
     EXPECT_EQ(outer.enters, 1u);
     EXPECT_EQ(inner.enters, 1u);
-    // Self-time: the inner 12 ms belong to kOptimise alone; kBackend
+    // Self-time: the inner 12 ms belong to optimise alone; backend
     // keeps only its own ~8 ms. Generous bounds — CI timers jitter.
     EXPECT_GT(inner.cpuNs, outer.cpuNs);
     // No double counting: the two phases plus scope overhead must not
@@ -116,35 +229,38 @@ TEST(Profiler, NestedScopesAttributeSelfTime)
 
 TEST(Profiler, PhasesTileTheTotal)
 {
-    support::prof::resetForTest();
     support::prof::startSession();
     {
-        ProfScope a(Phase::kEmulate);
+        const Scope a(Layer::kEmulate);
         spinCpu(3);
     }
-    spinCpu(3);  // unscoped work -> Phase::kOther
+    spinCpu(3);  // unscoped work -> "other"
     {
-        ProfScope b(Phase::kFetchSim);
+        const Scope b(Layer::kFetchSim);
         spinCpu(3);
+    }
+    {
+        // Two rows charge "emulate"; the phase sums them.
+        const Scope c(Layer::kEmulateProfile);
+        spinCpu(1);
     }
     const auto snap = support::prof::snapshot();
     EXPECT_EQ(snap.total.cycles, phaseCycleSum(snap));
-    EXPECT_GT(snap.phases[unsigned(Phase::kOther)].cycles, 0u)
-        << "unscoped session-thread time must land in kOther";
+    EXPECT_EQ(snap.phase("emulate").enters, 2u);
+    EXPECT_GT(snap.phase("other").cycles, 0u)
+        << "unscoped session-thread time must land in other";
 }
 
 TEST(Profiler, ReportJsonIsValidAndTiles)
 {
-    support::prof::resetForTest();
     support::prof::startSession();
     {
-        ProfScope scope(Phase::kBenchKernel);
+        const Scope scope(Layer::kBenchKernel);
         spinCpu(5);
     }
     support::MetricsRegistry metrics;
     metrics.addCounter("prof.work.ops_encoded", 1234);
-    metrics.setGauge("prof.ops_encoded_per_sec", 456.0);
-    metrics.setGauge("fig05.ratio", 0.5);  // non-prof: excluded
+    metrics.setGauge("fig05.ratio", 0.5);  // a gauge: never throughput
     const std::string json =
         support::prof::reportJson("test_bin", metrics);
 
@@ -155,17 +271,23 @@ TEST(Profiler, ReportJsonIsValidAndTiles)
     EXPECT_TRUE(source == "perf_event" || source == "thread_cputime")
         << source;
     EXPECT_EQ(doc.at("phases").object.size(),
-              std::size_t(support::prof::kNumPhases));
+              support::prof::phaseNames().size());
     double tiled = 0.0;
     for (const auto &[name, phase] : doc.at("phases").object)
         tiled += phase.at("cycles").number;
     EXPECT_DOUBLE_EQ(tiled, doc.at("total").at("cycles").number);
-    // prof.work.* counters surface (prefix stripped); prof gauges
-    // surface under throughput; foreign gauges stay out.
+    // prof.work.* counters surface (prefix stripped); throughput is
+    // derived from them and the phase times, one rate per non-zero
+    // work counter plus ipc_host.
     EXPECT_DOUBLE_EQ(doc.at("work").at("ops_encoded").number, 1234.0);
-    EXPECT_DOUBLE_EQ(
-        doc.at("throughput").at("ops_encoded_per_sec").number, 456.0);
-    EXPECT_FALSE(doc.at("throughput").has("fig05.ratio"));
+    const auto &throughput = doc.at("throughput");
+    const double kernel_s =
+        doc.at("phases").at("bench_kernel").at("cpu_ns").number / 1e9;
+    ASSERT_GT(kernel_s, 0.0);
+    EXPECT_NEAR(throughput.at("ops_encoded_per_sec").number,
+                1234.0 / kernel_s, 1e-6 * 1234.0 / kernel_s);
+    EXPECT_TRUE(throughput.has("ipc_host"));
+    EXPECT_EQ(throughput.object.size(), 2u);
 }
 
 TEST(Profiler, WorkCountersAreJobsInvariant)
@@ -198,13 +320,12 @@ TEST(Profiler, WorkCountersAreJobsInvariant)
 
 TEST(Profiler, SamplingProducesCollapsedStacks)
 {
-    support::prof::resetForTest();
     support::prof::startSession();
     ASSERT_TRUE(support::prof::startSampling(2000));
     EXPECT_FALSE(support::prof::startSampling(2000))
         << "second sampler must be refused";
     {
-        ProfScope scope(Phase::kBenchKernel);
+        const Scope scope(Layer::kBenchKernel);
         spinCpu(250);
     }
     support::prof::stopSampling();
@@ -229,13 +350,14 @@ TEST(Profiler, SamplingProducesCollapsedStacks)
     }
 }
 
-#else // !TEPIC_PROFILING_ENABLED
+#else // !TEPIC_TRACING_ENABLED
 
-TEST(ProfilerDisabled, ScopeIsAnEmptyClass)
+TEST(ProfilerDisabled, ScopeKeepsOnlyItsSchedPart)
 {
-    // The whole point of the kill switch: zero footprint.
-    EXPECT_TRUE(std::is_empty_v<ProfScope>);
-    EXPECT_FALSE(support::prof::available());
+    // The whole point of the kill switch: no span, no PROF frame.
+    EXPECT_EQ(sizeof(Scope), sizeof(std::uint64_t));
+    support::prof::startSession();
+    EXPECT_FALSE(support::prof::enabled());
     EXPECT_FALSE(support::prof::startSampling());
     EXPECT_TRUE(support::prof::collapsedStacks().empty());
 }
@@ -251,11 +373,11 @@ TEST(ProfilerDisabled, ReportIsStubButValid)
     EXPECT_EQ(doc.at("source").str, "disabled");
     EXPECT_DOUBLE_EQ(doc.at("total").at("cycles").number, 0.0);
     EXPECT_EQ(doc.at("phases").object.size(),
-              std::size_t(support::prof::kNumPhases));
+              support::prof::phaseNames().size());
     // Deterministic work counters still surface in the stub report.
     EXPECT_DOUBLE_EQ(doc.at("work").at("ops_encoded").number, 7.0);
 }
 
-#endif // TEPIC_PROFILING_ENABLED
+#endif // TEPIC_TRACING_ENABLED
 
 } // namespace

@@ -28,6 +28,7 @@
 #include "json_mini.hh"
 #include "support/metrics.hh"
 #include "support/sched.hh"
+#include "support/scope.hh"
 #include "workloads/workload.hh"
 
 namespace {
@@ -35,7 +36,7 @@ namespace {
 using namespace tepic;
 namespace sched = support::sched;
 
-constexpr std::uint64_t kNoTask = ~std::uint64_t(0);
+using sched::kNoTask;
 
 sched::TaskDecl
 decl(std::string label, std::vector<std::uint64_t> deps = {},
@@ -54,7 +55,7 @@ decl(std::string label, std::vector<std::uint64_t> deps = {},
 void
 runFor(std::uint64_t id, unsigned ms)
 {
-    sched::TaskScope scope(id);
+    const support::Scope scope(support::Layer::kCompile, id);
     if (ms)
         std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
@@ -91,9 +92,9 @@ TEST(SchedDisabled, EntryPointsAreInertWithoutASession)
     sched::resetForTest();
     EXPECT_FALSE(sched::enabled());
     EXPECT_EQ(sched::declareTask(decl("t")), kNoTask);
-    // TaskScope on the sentinel id must be a no-op, not a crash.
+    // A Scope on the sentinel id must be a no-op, not a crash.
     {
-        sched::TaskScope scope(kNoTask);
+        const support::Scope scope(support::Layer::kCompile, kNoTask);
     }
     sched::taskStarted(0);
     sched::taskFinished(0);

@@ -11,9 +11,6 @@ Every document is validated first (schema errors exit 2). Then:
   counters, histograms  exact
   gauges                within GAUGE_EPSILON relative (cross-platform
                         float formatting only)
-  prof.* gauges         host throughput: key sets exact, values within
-                        the TIME_BAND ratio (skipped when either side
-                        is 0, i.e. one run had no perf/cpu-time source)
   timings               key sets exact, sums within TIME_BAND
                         (wall-clock noise)
   SIZE ledgers          every tree/by_function leaf and total_bits
@@ -68,14 +65,13 @@ def flatten_size(doc):
 
 
 def flatten_metrics(doc):
-    """Counters, histograms and every gauge but prof.* (host
-    throughput is wall-clock data, band-checked by band_drifts)."""
+    """Counters, gauges and histograms (timings are wall-clock data,
+    band-checked by band_drifts)."""
     flat = {}
     for key, value in doc["counters"].items():
         flat[f"counter {key}"] = value
     for key, value in doc["gauges"].items():
-        if not key.startswith("prof."):
-            flat[f"gauge {key}"] = value
+        flat[f"gauge {key}"] = value
     for key, hist in doc["histograms"].items():
         flat[f"hist {key}.total"] = hist["total"]
         flat[f"hist {key}.overflow"] = hist["overflow"]
@@ -123,32 +119,21 @@ def diff_flat(old, new):
 
 
 def band_drifts(old, new):
-    """Drift lines for the wall-clock parts of two metrics snapshots:
-    prof.* gauge and timing key sets, then their values against the
-    TIME_BAND ratio."""
-    drifts = []
-    sections = (
-        ("gauge", "throughput band", "",
-         {k: v for k, v in old["gauges"].items() if k.startswith("prof.")},
-         {k: v for k, v in new["gauges"].items() if k.startswith("prof.")}),
-        ("timing", "noise band", " ms",
-         {k: t["sum"] for k, t in old["timings"].items()},
-         {k: t["sum"] for k, t in new["timings"].items()}),
-    )
-    for what, band, unit, a, b in sections:
-        for key in sorted(set(a) ^ set(b)):
-            side = "NEW" if key in a else "OLD"
-            drifts.append(f"{what} {key} missing from {side}")
-        for key in sorted(set(a) & set(b)):
-            # Throughput is only comparable when both runs measured
-            # it; a timing sum of 0 on the OLD side has no ratio.
-            if a[key] <= 0.0 or (what == "gauge" and b[key] <= 0.0):
-                continue
-            ratio = b[key] / a[key]
-            if ratio > TIME_BAND or ratio < 1.0 / TIME_BAND:
-                drifts.append(f"{what} {key} outside the "
-                              f"x{TIME_BAND:g} {band}: {a[key]:g}{unit}"
-                              f" -> {b[key]:g}{unit} (x{ratio:.2f})")
+    """Drift lines for the timings of two metrics snapshots: their key
+    sets, then their sums against the TIME_BAND ratio."""
+    a = {k: t["sum"] for k, t in old["timings"].items()}
+    b = {k: t["sum"] for k, t in new["timings"].items()}
+    drifts = [f"timing {key} missing from {'NEW' if key in a else 'OLD'}"
+              for key in sorted(set(a) ^ set(b))]
+    for key in sorted(set(a) & set(b)):
+        # A sum of 0 on the OLD side has no ratio.
+        if a[key] <= 0.0:
+            continue
+        ratio = b[key] / a[key]
+        if ratio > TIME_BAND or ratio < 1.0 / TIME_BAND:
+            drifts.append(f"timing {key} outside the x{TIME_BAND:g} "
+                          f"noise band: {a[key]:g} ms -> {b[key]:g} ms "
+                          f"(x{ratio:.2f})")
     return drifts
 
 

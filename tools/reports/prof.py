@@ -9,7 +9,7 @@ Validation is layered to match how the data can degrade:
     with perf_event_paranoid locked down.
 
 --compare covers the phase key set, the work counters (exact) and the
-throughput gauge key set; host counter values and gauge rates are
+throughput key set; host counter values and throughput rates are
 wall-clock data and exempt. The module also renders FlameGraph SVGs
 from collapsed-stack text (the --prof-collapse= output).
 """
@@ -89,7 +89,7 @@ def degradation_notes(doc):
         notes.append(f"{doc['samples']['dropped']} stack sample(s) "
                      f"dropped (ring buffer full)")
     if doc["source"] != "disabled" and doc["total"]["cycles"] == 0:
-        notes.append("total cycles is 0: no ProfScope ran (or the "
+        notes.append("total cycles is 0: no Scope ran (or the "
                      "session thread never started a session)")
     return notes
 
@@ -101,7 +101,7 @@ def summary(doc):
 
 
 def comparable(doc):
-    """Key sets for phases and throughput gauges, exact work values."""
+    """Key sets for phases and throughput, exact work values."""
     return {"phases": dict.fromkeys(doc["phases"]),
             "throughput": dict.fromkeys(doc["throughput"]),
             "work": doc["work"]}

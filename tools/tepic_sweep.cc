@@ -308,8 +308,13 @@ main(int argc, char **argv)
     core::sweep::SweepResult result;
     try {
         result = core::sweep::runSweep(engine, options);
+    } catch (const support::FatalError &error) {
+        std::fprintf(stderr, "tepic-sweep: error: %s\n",
+                     error.message().c_str());
+        return 1;
     } catch (const std::exception &error) {
-        std::fprintf(stderr, "tepic-sweep: error: %s\n", error.what());
+        std::fprintf(stderr, "tepic-sweep: internal error: %s\n",
+                     error.what());
         return 1;
     }
 

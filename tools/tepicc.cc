@@ -30,7 +30,6 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -471,14 +470,11 @@ main(int argc, char **argv)
     int status = 0;
     try {
         status = dispatch(cmd, opts);
-    } catch (const std::runtime_error &error) {
-        // A TEPIC_FATAL: the input was rejected. Name the input, not
-        // the library source line that noticed.
-        std::string what = error.what();
-        if (what.rfind("fatal: ", 0) == 0)
-            what.erase(0, 7);
+    } catch (const support::FatalError &error) {
+        // The input was rejected. Name the input, not the library
+        // source line that noticed.
         std::fprintf(stderr, "%s: error: %s\n",
-                     opts.positional[1].c_str(), what.c_str());
+                     opts.positional[1].c_str(), error.message().c_str());
         status = 1;
     } catch (const std::exception &error) {
         std::fprintf(stderr, "tepicc: internal error on %s: %s\n",

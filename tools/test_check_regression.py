@@ -108,39 +108,6 @@ class CheckRegressionTest(TempDirs):
         self.assertEqual(result.returncode, 1)
         self.assertIn("noise band", result.stderr)
 
-    def test_prof_gauge_noise_within_band_passes(self):
-        doc = bench_doc()
-        doc["gauges"]["prof.ops_encoded_per_sec"] = 500000.0
-        self.write(self.baseline, "BENCH_x.json", doc)
-        doc = bench_doc()
-        doc["gauges"]["prof.ops_encoded_per_sec"] = 750000.0
-        self.write(self.fresh, "BENCH_x.json", doc)
-        result = self.run_check()
-        self.assertEqual(result.returncode, 0, result.stderr)
-
-    def test_prof_gauge_outside_band_fails(self):
-        doc = bench_doc()
-        doc["gauges"]["prof.ops_encoded_per_sec"] = 500000.0
-        self.write(self.baseline, "BENCH_x.json", doc)
-        doc = bench_doc()
-        doc["gauges"]["prof.ops_encoded_per_sec"] = 2000.0
-        self.write(self.fresh, "BENCH_x.json", doc)
-        result = self.run_check()
-        self.assertEqual(result.returncode, 1)
-        self.assertIn("throughput band", result.stderr)
-
-    def test_prof_gauge_zero_side_skipped(self):
-        # One run without a perf/cpu-time source reports 0 — never a
-        # regression by itself, on either side.
-        for old, new in ((0.0, 1.7), (1.7, 0.0)):
-            doc = bench_doc()
-            doc["gauges"]["prof.ipc_host"] = old
-            self.write(self.baseline, "BENCH_x.json", doc)
-            doc["gauges"]["prof.ipc_host"] = new
-            self.write(self.fresh, "BENCH_x.json", doc)
-            result = self.run_check()
-            self.assertEqual(result.returncode, 0, result.stderr)
-
     def test_prof_gauge_key_set_still_gated(self):
         doc = bench_doc()
         doc["gauges"]["prof.ops_encoded_per_sec"] = 500000.0
@@ -157,11 +124,11 @@ class CheckRegressionTest(TempDirs):
         # that would read as drift.
         self.write(self.baseline, "BENCH_x.json", bench_doc())
         doc = bench_doc()
-        doc["timings"]["engine.build.base_ms"] = 5
+        doc["timings"]["sweep.run"] = 5
         self.write(self.fresh, "BENCH_x.json", doc)
         result = self.run_check()
         self.assertEqual(result.returncode, 2)
-        self.assertIn("BENCH_x.json: timing 'engine.build.base_ms' is "
+        self.assertIn("BENCH_x.json: timing 'sweep.run' is "
                       "not an object", result.stderr)
         self.assertNotIn("Traceback", result.stderr)
 

@@ -160,18 +160,6 @@ class TepicDiffTest(TempDirs):
         self.assertEqual(result.returncode, 1)
         self.assertIn("size.huff-byte.codelen.bin4", result.stdout)
 
-    def test_prof_gauges_excluded_from_ranking(self):
-        doc = metrics_doc()
-        doc["gauges"]["prof.ops_encoded_per_sec"] = 500000.0
-        doc["gauges"]["prof.ipc_host"] = 0.0
-        a = self.write(self.old_dir, "BENCH_x.json", doc)
-        # A faster machine is not a snapshot difference.
-        doc["gauges"]["prof.ops_encoded_per_sec"] = 900000.0
-        b = self.write(self.new_dir, "BENCH_x.json", doc)
-        result = self.run_diff(a, b)
-        self.assertEqual(result.returncode, 0, result.stderr)
-        self.assertIn("identical", result.stdout)
-
     def test_prof_gauge_on_one_side_only_fails(self):
         a = self.write(self.old_dir, "BENCH_x.json", metrics_doc())
         doc = metrics_doc()

@@ -16,8 +16,7 @@ PROFILE = os.path.join(TOOLS_DIR, "tepic_reports.py")
 
 PHASES = ("frontend", "optimise", "backend", "emulate", "build_base",
           "build_byte", "build_stream", "build_full", "build_tailored",
-          "build_att", "fetch_sim", "worker", "bench_kernel", "report",
-          "other")
+          "build_att", "fetch_sim", "worker", "bench_kernel", "other")
 
 
 def zero_counters(enters=False):
