@@ -33,7 +33,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -245,15 +244,11 @@ buildAllArtifacts(const BenchOptions &options)
             w->source, options.request, {}, w->name});
     }
 
-    const auto start = std::chrono::steady_clock::now();
     std::vector<std::shared_ptr<const core::Artifacts>> built;
     {
         TEPIC_TRACE_SPAN("bench.build_artifacts", "bench");
         built = engine->buildMany(requests);
     }
-    const auto elapsed =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - start);
 
     auto &list = detail::artifactsSlot();
     for (std::size_t i = 0; i < selected.size(); ++i) {
@@ -263,9 +258,8 @@ buildAllArtifacts(const BenchOptions &options)
     }
 
     const auto stats = engine->stats();
-    TEPIC_INFORM("[bench] built ", list.size(), " workloads in ",
-                 elapsed.count(), " ms with ", engine->jobs(),
-                 " jobs (", stats.compiles, " compiles, ",
+    TEPIC_INFORM("[bench] built ", list.size(), " workloads with ",
+                 engine->jobs(), " jobs (", stats.compiles, " compiles, ",
                  stats.huffmanImages(), " huffman images, ",
                  stats.tailoredImages, " tailored, ", stats.attBuilds,
                  " ATTs, ", stats.cacheHits, " cache hits)");

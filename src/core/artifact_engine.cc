@@ -629,15 +629,6 @@ ArtifactEngine::exportMetrics(support::MetricsRegistry &out) const
     out.addCounter("engine.images.tailored", s.tailoredImages);
     out.addCounter("engine.att_builds", s.attBuilds);
     out.addCounter("engine.decoder_builds", s.decoderBuilds);
-    if (pool_) {
-        const support::PoolStats pool = pool_->stats();
-        out.addRuntime("threadpool.workers", pool_->threadCount());
-        out.addRuntime("threadpool.tasks_executed",
-                       pool.tasksExecuted);
-        out.addRuntime("threadpool.queue_wait_us",
-                       pool.queueWaitNanos / 1000);
-        out.addRuntime("threadpool.exec_us", pool.execNanos / 1000);
-    }
 }
 
 } // namespace tepic::core

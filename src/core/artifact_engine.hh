@@ -126,13 +126,9 @@ class ArtifactEngine
     EngineStats stats() const;
 
     /**
-     * Export the engine's observable state into @p out:
-     * `engine.*` counters (cache hits/misses, per-scheme build
-     * counts — deterministic for any --jobs) and, when a pool
-     * exists, `threadpool.*` runtime entries (task count, queue-wait
-     * and execution nanoseconds — environment-dependent). Phase
-     * *timings* are recorded into MetricsRegistry::global() as the
-     * engine runs, not here.
+     * Export the engine's `engine.*` counters (cache hits/misses,
+     * per-scheme build counts — deterministic for any --jobs) into
+     * @p out. Task timing is SCHED's and PROF's, not the registry's.
      */
     void exportMetrics(support::MetricsRegistry &out) const;
 

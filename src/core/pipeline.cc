@@ -28,6 +28,26 @@ missingArtifact(ArtifactKind kind)
                 "ArtifactEngine");
 }
 
+/** A decoder over the image @p artifacts built for @p scheme. */
+std::unique_ptr<const codec::Decoder>
+makeSchemeDecoder(const Artifacts &artifacts, fetch::SchemeClass scheme)
+{
+    codec::DecoderSources sources;
+    switch (scheme) {
+      case fetch::SchemeClass::kBase:
+        sources.baseImage = &artifacts.baseImage();
+        break;
+      case fetch::SchemeClass::kCompressed:
+        sources.compressedImage = &artifacts.fullImage();
+        break;
+      case fetch::SchemeClass::kTailored:
+        sources.tailoredIsa = &artifacts.tailoredIsa();
+        sources.tailoredImage = &artifacts.tailoredImage();
+        break;
+    }
+    return codec::makeDecoder(scheme, sources);
+}
+
 } // namespace
 
 const isa::Image &
@@ -111,22 +131,8 @@ Artifacts::decoder(fetch::SchemeClass scheme) const
     TEPIC_ASSERT(slot_index < decoderSlots_.byScheme.size(),
                  "bad scheme class");
     auto &slot = decoderSlots_.byScheme[slot_index];
-    if (!slot) {
-        codec::DecoderSources sources;
-        switch (scheme) {
-          case fetch::SchemeClass::kBase:
-            sources.baseImage = &baseImage();
-            break;
-          case fetch::SchemeClass::kCompressed:
-            sources.compressedImage = &fullImage();
-            break;
-          case fetch::SchemeClass::kTailored:
-            sources.tailoredIsa = &tailoredIsa();
-            sources.tailoredImage = &tailoredImage();
-            break;
-        }
-        slot = codec::makeDecoder(scheme, sources);
-    }
+    if (!slot)
+        slot = makeSchemeDecoder(*this, scheme);
     return *slot;
 }
 
@@ -223,18 +229,6 @@ recordFetchMetrics(fetch::SchemeClass scheme,
     m.addCounter(prefix + "lines_transferred", stats.linesTransferred);
     m.addCounter(prefix + "bus_bit_flips", stats.busBitFlips);
     m.addCounter(prefix + "bytes_transferred", stats.bytesTransferred);
-    if (stats.stallHistogram.total() > 0) {
-        m.mergeHistogram(prefix + "stall_cycles_hist",
-                         stats.stallHistogram);
-        m.mergeHistogram(prefix + "stall.mispredict_hist",
-                         stats.mispredictHistogram);
-        m.mergeHistogram(prefix + "stall.l1_refill_hist",
-                         stats.refillHistogram);
-        m.mergeHistogram(prefix + "stall.decode_stage_hist",
-                         stats.decodeHistogram);
-        m.mergeHistogram(prefix + "stall.atb_miss_hist",
-                         stats.atbHistogram);
-    }
 }
 
 /**
@@ -337,29 +331,16 @@ runFetch(const Artifacts &artifacts, fetch::SchemeClass scheme,
 
     // Attach a decoded-block cache unless the caller brought one.
     // Decoder construction happens here, *before* the profiled fetch
-    // window opens, so prof.fetch.<scheme>.cpu_ns measures the
-    // simulation loop only (the engine's kDecoder pre-warm makes the
-    // memoized path free; the fallback builds a local decoder).
+    // window opens, so the CPU time charged to PROF below measures
+    // the simulation loop only (the engine's kDecoder pre-warm makes
+    // the memoized path free; the fallback builds a local decoder).
     std::unique_ptr<const codec::Decoder> local_decoder;
     std::optional<codec::DecodedBlockCache> local_cache;
     if (fetch_config.decodedBlocks == nullptr) {
         if (artifacts.has(ArtifactKind::kDecoder)) {
             local_cache.emplace(artifacts.decoder(scheme));
         } else {
-            codec::DecoderSources sources;
-            switch (scheme) {
-              case fetch::SchemeClass::kBase:
-                sources.baseImage = &artifacts.baseImage();
-                break;
-              case fetch::SchemeClass::kCompressed:
-                sources.compressedImage = &artifacts.fullImage();
-                break;
-              case fetch::SchemeClass::kTailored:
-                sources.tailoredIsa = &artifacts.tailoredIsa();
-                sources.tailoredImage = &artifacts.tailoredImage();
-                break;
-            }
-            local_decoder = codec::makeDecoder(scheme, sources);
+            local_decoder = makeSchemeDecoder(artifacts, scheme);
             local_cache.emplace(*local_decoder);
         }
         fetch_config.decodedBlocks = &*local_cache;
@@ -415,16 +396,16 @@ runFetch(const Artifacts &artifacts, fetch::SchemeClass scheme,
     }
     // Deterministic work units behind the PROF report's
     // blocks_simulated_per_sec and per-scheme fetch.<scheme>.
-    // blocks_per_sec throughput; the cpu-time delta, their
-    // denominator, lands in the env-dependent runtime section.
+    // blocks_per_sec throughput; PROF keeps the cpu-time delta, their
+    // denominator, in its own session state.
     auto &m = support::MetricsRegistry::global();
     m.addCounter("prof.work.blocks_simulated", stats.blocksFetched);
     const std::string scheme_name = fetch::schemeClassName(scheme);
     m.addCounter("prof.work.fetch." + scheme_name +
                      ".blocks_simulated",
                  stats.blocksFetched);
-    m.addRuntime("prof.fetch." + scheme_name + ".cpu_ns",
-                 support::prof::threadCpuNowNs() - cpu_begin);
+    support::prof::chargeFetchCpu(
+        scheme_name, support::prof::threadCpuNowNs() - cpu_begin);
     // Host-side decode cache effectiveness (deterministic: a function
     // of the trace and the static block set — this run's deltas, so a
     // caller-owned cache reused across runs charges each run its own

@@ -47,7 +47,7 @@ sizeJson(const Context &c)
 const Report kReports[] = {
     {"PROF", "tepic-prof-v1",
      [](unsigned) { support::prof::startSession(); },
-     [](const Context &c) { support::prof::exportMetricsTo(c.metrics); },
+     nullptr,
      [](const Context &c) {
          return support::prof::reportJson(c.name, c.metrics);
      },

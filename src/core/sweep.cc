@@ -287,12 +287,10 @@ recordMemoryStream(const sim::BlockTrace &trace,
         }
         if (recorder) {
             fetch::FetchObservation fetch;
-            fetch.record.index = f;
-            fetch.record.block = head;
-            fetch.record.l0Hit = mem.l0Hit;
-            fetch.record.l1Hit = mem.l1Hit;
-            fetch.byteAddress = entry.byteAddress;
-            fetch.byteSize = entry.byteSize;
+            fetch.index = f;
+            fetch.block = head;
+            fetch.l0Hit = mem.l0Hit;
+            fetch.l1Hit = mem.l1Hit;
             fetch.firstLine = lines.first;
             fetch.lastLine = lines.last;
             recorder->onFetch(fetch);
@@ -805,12 +803,6 @@ exportMetricsTo(support::MetricsRegistry &metrics,
     metrics.addCounter("sweep.front_size", result.front.size());
     metrics.addCounter("sweep.workloads",
                        result.grid.workloads.size());
-    metrics.recordTimingMs("sweep.run", double(result.wallMs));
-    if (result.wallMs) {
-        metrics.setGauge("sweep.points_rate",
-                         double(result.points.size()) * 1000.0 /
-                             double(result.wallMs));
-    }
 }
 
 } // namespace tepic::core::sweep

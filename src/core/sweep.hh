@@ -327,9 +327,9 @@ std::string reportJson(const SweepResult &result,
                        const std::string &name);
 
 /**
- * Export deterministic sweep.* counters (points, configs,
- * front_size, workloads) plus the band-gated sweep.points_rate gauge
- * and sweep.run timing.
+ * Export the deterministic sweep.* counters (points, configs,
+ * front_size, workloads); the run's wall time and point rate live in
+ * the SWEEP report's timing section.
  */
 void exportMetricsTo(support::MetricsRegistry &metrics,
                      const SweepResult &result);

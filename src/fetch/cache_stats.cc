@@ -314,11 +314,10 @@ CacheStatsRecorder::shadowTouch(std::uint64_t lineId)
 void
 CacheStatsRecorder::onFetch(const FetchObservation &fetch)
 {
-    const FetchTraceRecord &rec = fetch.record;
     ++stats_.fetches;
     if (reuseCountdown_-- == 0) {
         reuseCountdown_ = options_.reuseSampleEvery - 1;
-        const std::uint64_t distance = reuse_.access(rec.block);
+        const std::uint64_t distance = reuse_.access(fetch.block);
         ++stats_.reuseSamples;
         if (distance == ReuseDistanceTracker::kCold) {
             ++stats_.reuseCold;
@@ -329,20 +328,20 @@ CacheStatsRecorder::onFetch(const FetchObservation &fetch)
         }
     }
 
-    if (rec.atbHit)
+    if (fetch.atbHit)
         ++stats_.atbHits;
     else
         ++stats_.atbMisses;
-    if (rec.l0Hit)
+    if (fetch.l0Hit)
         ++stats_.l0Bypasses;  // the L1 was never consulted
     else
-        classifyL1(fetch.firstLine, fetch.lastLine, rec.l1Hit);
+        classifyL1(fetch.firstLine, fetch.lastLine, fetch.l1Hit);
 
     // Epoch of the *next* fetch — whose L1 line events arrive before
     // its own observation — from the trace index it starts at (never
     // wall clock: the heatmaps must be bit-identical across --jobs).
     row_ = cells_.data() +
-           std::size_t(clock_.at(rec.index + fetch.blocks)) * stats_.sets;
+           std::size_t(clock_.at(fetch.index + fetch.blocks)) * stats_.sets;
 }
 
 void

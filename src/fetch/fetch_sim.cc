@@ -3,7 +3,6 @@
 #include <array>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "fetch/fetch_stages.hh"
 #include "fetch/superblock.hh"
@@ -33,68 +32,7 @@ stallRateCounterName(SchemeClass scheme)
 /** Fetches between counter-track samples (power of two). */
 constexpr std::uint64_t kCounterInterval = 1024;
 
-/**
- * The per-fetch FetchTrace ring plus the per-cause stall histograms,
- * sampled every FetchTraceOptions::sampleEvery fetches.
- */
-class TraceRecorder final : public FetchObserver
-{
-  public:
-    TraceRecorder(const FetchTraceOptions &options, FetchStats &stats)
-        : options_(options), stats_(stats) {}
-
-    void
-    onFetch(const FetchObservation &fetch) override
-    {
-        const std::uint64_t ordinal = fetches_++;
-        if (options_.sampleEvery > 1 &&
-            ordinal % options_.sampleEvery != 0) {
-            return;
-        }
-        const FetchTraceRecord &rec = fetch.record;
-        stats_.trace.record(options_, rec);
-        stats_.stallHistogram.sample(std::int64_t(rec.stallCycles));
-        stats_.mispredictHistogram.sample(
-            std::int64_t(rec.mispredictStall));
-        stats_.refillHistogram.sample(std::int64_t(rec.refillStall));
-        stats_.decodeHistogram.sample(std::int64_t(rec.decodeStall));
-        stats_.atbHistogram.sample(std::int64_t(rec.atbStall));
-    }
-
-  private:
-    const FetchTraceOptions &options_;
-    FetchStats &stats_;
-    std::uint64_t fetches_ = 0;
-};
-
 } // namespace
-
-void
-FetchTrace::record(const FetchTraceOptions &options,
-                   const FetchTraceRecord &rec)
-{
-    ++recorded_;
-    if (options.ringCapacity == 0 ||
-        records_.size() < options.ringCapacity) {
-        records_.push_back(rec);
-        return;
-    }
-    // Ring full: overwrite the oldest record.
-    records_[head_] = rec;
-    head_ = (head_ + 1) % records_.size();
-}
-
-std::vector<FetchTraceRecord>
-FetchTrace::inOrder() const
-{
-    std::vector<FetchTraceRecord> out;
-    out.reserve(records_.size());
-    out.insert(out.end(), records_.begin() + std::ptrdiff_t(head_),
-               records_.end());
-    out.insert(out.end(), records_.begin(),
-               records_.begin() + std::ptrdiff_t(head_));
-    return out;
-}
 
 FetchStats
 simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
@@ -124,15 +62,12 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
     // Recorders attach to the one per-fetch observation point, after
     // the cost stage; the loop pays one branch per fetch when none is
     // attached. The cache recorder also takes the L1's line events
-    // (CacheLineObserver). Both stats recorders fold to no-op stubs
-    // under -DTEPIC_ENABLE_TRACING=OFF.
-    std::optional<TraceRecorder> trace_rec;
+    // (CacheLineObserver). Both recorders fold to no-op stubs under
+    // -DTEPIC_ENABLE_TRACING=OFF.
     std::optional<CacheStatsRecorder> cache_stats;
     std::optional<HotStatsRecorder> hot_stats;
-    std::array<FetchObserver *, 3> observers{};
+    std::array<FetchObserver *, 2> observers{};
     std::size_t n_observers = 0;
-    if (config.trace.enabled)
-        observers[n_observers++] = &trace_rec.emplace(config.trace, stats);
     if (config.cacheStats.enabled) {
         cache.setObserver(&cache_stats.emplace(
             config.cache, std::uint64_t(events.size()),
@@ -228,23 +163,16 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
 
         if (n_observers != 0) {
             FetchObservation fetch;
-            FetchTraceRecord &rec = fetch.record;
             const std::uint64_t stall = causes.total();
-            rec.index = first;
-            rec.block = head;
-            rec.cycles = std::uint32_t(shape.mops + stall);
-            rec.stallCycles = std::uint32_t(stall);
-            rec.mispredictStall = std::uint32_t(causes.mispredict);
-            rec.refillStall = std::uint32_t(causes.l1Refill);
-            rec.decodeStall = std::uint32_t(causes.decodeStage);
-            rec.atbStall = std::uint32_t(causes.atbMiss);
-            rec.atbHit = ctl.atbHit;
-            rec.l1Hit = mem.l1Hit;
-            rec.l0Hit = mem.l0Hit;
-            rec.predictionCorrect = ctl.predictionCorrect;
+            fetch.index = first;
+            fetch.block = head;
             fetch.blocks = shape.blocks;
-            fetch.byteAddress = entry.byteAddress;
-            fetch.byteSize = entry.byteSize;
+            fetch.cycles = std::uint32_t(shape.mops + stall);
+            fetch.stallCycles = std::uint32_t(stall);
+            fetch.mispredictStall = std::uint32_t(causes.mispredict);
+            fetch.atbHit = ctl.atbHit;
+            fetch.l1Hit = mem.l1Hit;
+            fetch.l0Hit = mem.l0Hit;
             fetch.firstLine = lines.first;
             fetch.lastLine = lines.last;
             fetch.branchTaken = exit.branchTaken;

@@ -22,9 +22,7 @@
 #ifndef TEPIC_FETCH_FETCH_SIM_HH
 #define TEPIC_FETCH_FETCH_SIM_HH
 
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "codec/decoder.hh"
 #include "fetch/att.hh"
@@ -38,45 +36,8 @@
 #include "isa/program.hh"
 #include "power/bitflips.hh"
 #include "sim/emulator.hh"
-#include "support/stats.hh"
 
 namespace tepic::fetch {
-
-/** How (and how much of) the per-fetch trace to record. */
-struct FetchTraceOptions
-{
-    bool enabled = false;
-    std::size_t ringCapacity = 4096;  ///< 0 = unbounded
-    std::uint64_t sampleEvery = 1;    ///< record every Nth fetch
-};
-
-/** Bounded (ring) or unbounded store of FetchTraceRecords. */
-class FetchTrace
-{
-  public:
-    void record(const FetchTraceOptions &options,
-                const FetchTraceRecord &rec);
-
-    /** Records in chronological order (unwinds the ring). */
-    std::vector<FetchTraceRecord> inOrder() const;
-
-    /** Records accepted, including ones later overwritten. */
-    std::uint64_t recorded() const { return recorded_; }
-
-    /** Records lost to ring overwrite. */
-    std::uint64_t
-    dropped() const
-    {
-        return recorded_ - records_.size();
-    }
-
-    std::size_t size() const { return records_.size(); }
-
-  private:
-    std::vector<FetchTraceRecord> records_;
-    std::size_t head_ = 0;  ///< next overwrite slot once full
-    std::uint64_t recorded_ = 0;
-};
 
 struct FetchUnits;
 
@@ -89,7 +50,6 @@ struct FetchConfig
     unsigned l0CapacityOps = 32;  ///< compressed scheme only
     unsigned busWidthBytes = 8;
     CyclePenalties penalties;
-    FetchTraceOptions trace;      ///< off by default: zero-cost loop
     /**
      * Cache-behavior recording (cache_stats.hh): 3C miss
      * classification, reuse distances, per-set heatmaps. Off by
@@ -192,24 +152,6 @@ struct FetchStats
      *  deliberately outside the tiling sum). Compressed only. */
     std::uint64_t l0SavedCycles = 0;
 
-    /**
-     * Per-fetch stall-cycle distributions (overflow bucket at 64) —
-     * the total and one histogram per cause — and the per-fetch
-     * record trace; all populated only when FetchConfig::trace.enabled
-     * — the hot loop pays one branch otherwise.
-     */
-    support::Histogram stallHistogram =
-        support::Histogram(kStallHistogramOverflow);
-    support::Histogram mispredictHistogram =
-        support::Histogram(kStallHistogramOverflow);
-    support::Histogram refillHistogram =
-        support::Histogram(kStallHistogramOverflow);
-    support::Histogram decodeHistogram =
-        support::Histogram(kStallHistogramOverflow);
-    support::Histogram atbHistogram =
-        support::Histogram(kStallHistogramOverflow);
-    FetchTrace trace;
-
     /** Cache-behavior record; recorded only when
      *  FetchConfig::cacheStats.enabled (and the build has tracing
      *  compiled in). See cache_stats.hh for the tiling contract. */
@@ -219,8 +161,6 @@ struct FetchStats
      *  FetchConfig::hotStats.enabled (and the build has tracing
      *  compiled in). See hot_stats.hh for the tiling contract. */
     HotStats hotStats;
-
-    static constexpr std::int64_t kStallHistogramOverflow = 64;
 
     double
     ipc() const

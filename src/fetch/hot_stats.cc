@@ -207,30 +207,29 @@ HotStatsRecorder::HotStatsRecorder(std::uint32_t staticBlocks,
 void
 HotStatsRecorder::onFetch(const FetchObservation &fetch)
 {
-    const FetchTraceRecord &rec = fetch.record;
-    const std::uint32_t block = rec.block;
+    const std::uint32_t block = fetch.block;
     TEPIC_ASSERT(block < stats_.staticBlocks,
                  "fetch of an unknown static block");
     // Epoch of *this* fetch, from the trace index it starts at (never
     // wall clock: the phase matrix must be bit-identical across
     // --jobs).
-    const unsigned epoch = clock_.at(rec.index);
+    const unsigned epoch = clock_.at(fetch.index);
     ++stats_.blocksSimulated;
-    stats_.cycles += rec.cycles;
-    stats_.stallCycles += rec.stallCycles;
+    stats_.cycles += fetch.cycles;
+    stats_.stallCycles += fetch.stallCycles;
     ++stats_.blockFetches[block];
-    stats_.blockCycles[block] += rec.cycles;
-    stats_.blockStalls[block] += rec.stallCycles;
+    stats_.blockCycles[block] += fetch.cycles;
+    stats_.blockStalls[block] += fetch.stallCycles;
     ++stats_.phaseFetches[std::size_t(epoch) * stats_.staticBlocks +
                           block];
-    if (rec.mispredictStall > 0) {
+    if (fetch.mispredictStall > 0) {
         // The repair stall of a wrong prediction is charged at the
         // *following* fetch; the responsible site made the prediction
         // one fetch earlier (the cold-start fetch charges none).
         TEPIC_ASSERT(lastSite_ != kNoSite,
                      "mispredict stall before any prediction");
-        stats_.siteMispredictStall[lastSite_] += rec.mispredictStall;
-        stats_.mispredictStallCycles += rec.mispredictStall;
+        stats_.siteMispredictStall[lastSite_] += fetch.mispredictStall;
+        stats_.mispredictStallCycles += fetch.mispredictStall;
     }
 
     // The prediction made at the end of this fetch: the block is the

@@ -51,20 +51,6 @@ MetricsRegistry::mergeHistogram(std::string_view name,
 }
 
 void
-MetricsRegistry::recordTimingMs(std::string_view name, double ms)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    timings_[std::string(name)].sample(ms);
-}
-
-void
-MetricsRegistry::addRuntime(std::string_view name, std::uint64_t delta)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    runtime_[std::string(name)] += delta;
-}
-
-void
 MetricsRegistry::merge(const MetricsRegistry &other)
 {
     TEPIC_ASSERT(&other != this, "MetricsRegistry self-merge");
@@ -75,10 +61,6 @@ MetricsRegistry::merge(const MetricsRegistry &other)
         gauges_[name] = value;
     for (const auto &[name, hist] : other.histograms_)
         histograms_[name].merge(hist);
-    for (const auto &[name, stat] : other.timings_)
-        timings_[name].merge(stat);
-    for (const auto &[name, value] : other.runtime_)
-        runtime_[name] += value;
 }
 
 void
@@ -88,16 +70,13 @@ MetricsRegistry::clear()
     counters_.clear();
     gauges_.clear();
     histograms_.clear();
-    timings_.clear();
-    runtime_.clear();
 }
 
 bool
 MetricsRegistry::empty() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return counters_.empty() && gauges_.empty() &&
-           histograms_.empty() && timings_.empty() && runtime_.empty();
+    return counters_.empty() && gauges_.empty() && histograms_.empty();
 }
 
 std::uint64_t
@@ -122,22 +101,6 @@ MetricsRegistry::histogram(std::string_view name) const
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = histograms_.find(name);
     return it == histograms_.end() ? Histogram() : it->second;
-}
-
-ScalarStat
-MetricsRegistry::timing(std::string_view name) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = timings_.find(name);
-    return it == timings_.end() ? ScalarStat() : it->second;
-}
-
-std::uint64_t
-MetricsRegistry::runtime(std::string_view name) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = runtime_.find(name);
-    return it == runtime_.end() ? 0 : it->second;
 }
 
 std::vector<std::string>
@@ -195,16 +158,6 @@ MetricsRegistry::toJson() const
     section("histograms", histograms_, [&json](const Histogram &hist) {
         writeHistogram(json, hist);
     });
-    section("timings", timings_, [&json](const ScalarStat &stat) {
-        json.object(JsonWriter::kInline);
-        json.key("count").value(stat.count());
-        json.key("min").value(stat.min());
-        json.key("max").value(stat.max());
-        json.key("mean").value(stat.mean());
-        json.key("sum").value(stat.sum());
-        json.end();
-    });
-    section("runtime", runtime_, scalar);
     return json.end().take();
 }
 

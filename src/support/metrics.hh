@@ -2,22 +2,21 @@
  * @file
  * Process-wide metrics registry with a stable JSON export schema.
  *
- * Five named sections, split by their determinism contract:
+ * Three named sections, every one deterministic:
  *
  *   counters    uint64 sums           deterministic across --jobs
  *   gauges      doubles (last write)  deterministic across --jobs
  *   histograms  support::Histogram    deterministic across --jobs
- *   timings     support::ScalarStat   wall-clock; values vary run to
- *                                     run (the *key set* is stable)
- *   runtime     uint64 sums           environment-dependent (thread
- *                                     pool task counts, queue waits)
  *
- * The first three sections are bit-identical for any engine --jobs
- * value (the same guarantee as the artifact engine's outputs); the
- * comparison tool (tools/tepic_reports.py --compare) checks exactly
- * those. Registries merge per-name in the caller's order — the same
- * ordered-reduction discipline as ScalarStat/Histogram — so parallel
- * code can keep one registry per task and fold deterministically.
+ * Every section is bit-identical for any engine --jobs value (the
+ * same guarantee as the artifact engine's outputs) and for two runs
+ * of the same binary: tools/tepic_reports.py --compare and --diff
+ * check all three. Wall-clock data has its own homes — PROF's phase
+ * times, SCHED's task timeline, SWEEP's timing section — and never
+ * enters the registry. Registries merge per-name in the caller's
+ * order — the same ordered-reduction discipline as Histogram::merge —
+ * so parallel code can keep one registry per task and fold
+ * deterministically.
  *
  * All recording methods are thread-safe (one internal mutex); hot
  * loops should accumulate locally and record once at the end.
@@ -51,19 +50,12 @@ class MetricsRegistry
     MetricsRegistry(const MetricsRegistry &) = delete;
     MetricsRegistry &operator=(const MetricsRegistry &) = delete;
 
-    // --- deterministic sections ---------------------------------------
-
     void addCounter(std::string_view name, std::uint64_t delta = 1);
     void setGauge(std::string_view name, double value);
     void sampleHistogram(std::string_view name, std::int64_t key,
                          std::uint64_t weight = 1);
     /** Fold a locally-built (possibly bounded) histogram in. */
     void mergeHistogram(std::string_view name, const Histogram &hist);
-
-    // --- wall-clock / environment sections ----------------------------
-
-    void recordTimingMs(std::string_view name, double ms);
-    void addRuntime(std::string_view name, std::uint64_t delta);
 
     // --- aggregation ---------------------------------------------------
 
@@ -78,8 +70,6 @@ class MetricsRegistry
     std::uint64_t counter(std::string_view name) const;
     double gauge(std::string_view name) const;
     Histogram histogram(std::string_view name) const;
-    ScalarStat timing(std::string_view name) const;
-    std::uint64_t runtime(std::string_view name) const;
 
     std::vector<std::string> counterNames() const;
     std::vector<std::string> gaugeNames() const;
@@ -101,8 +91,6 @@ class MetricsRegistry
     std::map<std::string, std::uint64_t, std::less<>> counters_;
     std::map<std::string, double, std::less<>> gauges_;
     std::map<std::string, Histogram, std::less<>> histograms_;
-    std::map<std::string, ScalarStat, std::less<>> timings_;
-    std::map<std::string, std::uint64_t, std::less<>> runtime_;
 };
 
 } // namespace tepic::support

@@ -119,11 +119,11 @@ writeThroughput(JsonWriter &json, const Snapshot &snap,
     rate("blocks_simulated_per_sec",
          metrics.counter("prof.work.blocks_simulated"),
          snap.phase("fetch_sim").cpuNs);
-    for (const char *scheme : {"base", "compressed", "tailored"}) {
-        const std::string fetch = std::string("fetch.") + scheme;
+    for (unsigned s = 0; s < kNumFetchSchemes; ++s) {
+        const std::string fetch = "fetch." + std::string(kFetchSchemes[s]);
         rate(fetch + ".blocks_per_sec",
              metrics.counter("prof.work." + fetch + ".blocks_simulated"),
-             metrics.runtime("prof." + fetch + ".cpu_ns"));
+             snap.fetchCpuNs[s]);
     }
     // Always present (0.0 without perf events) so the key set does not
     // depend on the host's perf_event_paranoid setting.
@@ -143,9 +143,9 @@ writeThroughput(JsonWriter &json, const Snapshot &snap,
 
 /**
  * Render the shared report body from a snapshot plus the registry's
- * prof.work.* counters and prof.fetch.* runtime. Also used by the
- * disabled build (with an all-zero snapshot and source "disabled") so
- * the PROF report stays valid in every configuration.
+ * prof.work.* counters. Also used by the disabled build (with an
+ * all-zero snapshot and source "disabled") so the PROF report stays
+ * valid in every configuration.
  */
 std::string
 renderReport(const std::string &name, const char *source,
@@ -239,6 +239,8 @@ struct Registry
     // Session mark ("other" baseline).
     ThreadState *sessionThread = nullptr;
     Values sessionStart = {};
+
+    std::uint64_t fetchCpuNs[kNumFetchSchemes] = {};
 };
 
 Registry &
@@ -583,6 +585,7 @@ startSession()
         }
         std::memset(reg.retiredSelf, 0, sizeof(reg.retiredSelf));
         std::memset(reg.retiredEnters, 0, sizeof(reg.retiredEnters));
+        std::memset(reg.fetchCpuNs, 0, sizeof(reg.fetchCpuNs));
         reg.sessionThread = &state;
         readNow(state, reg.sessionStart);
     }
@@ -593,6 +596,20 @@ void
 endSession()
 {
     g_session.store(false, std::memory_order_relaxed);
+}
+
+void
+chargeFetchCpu(std::string_view scheme, std::uint64_t ns)
+{
+    if (!enabled())
+        return;
+    const auto *it = std::find(std::begin(kFetchSchemes),
+                               std::end(kFetchSchemes), scheme);
+    TEPIC_ASSERT(it != std::end(kFetchSchemes),
+                 "unknown fetch scheme '", scheme, "'");
+    auto &reg = registry();
+    std::lock_guard<std::mutex> lock(reg.mutex);
+    reg.fetchCpuNs[it - std::begin(kFetchSchemes)] += ns;
 }
 
 Snapshot
@@ -610,6 +627,7 @@ snapshot()
             self[l][v] = reg.retiredSelf[l][v];
         enters[l] = reg.retiredEnters[l];
     }
+    std::memcpy(snap.fetchCpuNs, reg.fetchCpuNs, sizeof(snap.fetchCpuNs));
     for (ThreadState *state = reg.head; state; state = state->next) {
         for (unsigned l = 0; l < kNumLayers; ++l) {
             for (unsigned v = 0; v < kNumValues; ++v) {
@@ -662,26 +680,6 @@ snapshot()
     snap.samplesTaken = taken;
     snap.samplesDropped = dropped;
     return snap;
-}
-
-void
-exportMetricsTo(MetricsRegistry &metrics)
-{
-    const Snapshot snap = snapshot();
-    for (const std::string_view phase : phaseNames()) {
-        const std::string prefix = "prof." + std::string(phase) + ".";
-        const PhaseCounters c = snap.phase(phase);
-        metrics.addRuntime(prefix + "cycles", c.cycles);
-        metrics.addRuntime(prefix + "instructions", c.instructions);
-        metrics.addRuntime(prefix + "cache_misses", c.cacheMisses);
-        metrics.addRuntime(prefix + "branch_misses", c.branchMisses);
-        metrics.addRuntime(prefix + "cpu_ns", c.cpuNs);
-        metrics.addRuntime(prefix + "enters", c.enters);
-    }
-    metrics.addRuntime("prof.total.cycles", snap.total.cycles);
-    metrics.addRuntime("prof.total.instructions",
-                       snap.total.instructions);
-    metrics.addRuntime("prof.total.cpu_ns", snap.total.cpuNs);
 }
 
 std::string

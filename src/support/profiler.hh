@@ -34,13 +34,13 @@
  * phases are emitted, making PROF_<name>.json key-set deterministic
  * (a tested guarantee; only the counter *values* are wall-clock data).
  *
- * Determinism contract with support::MetricsRegistry:
- *
- *   prof.work.*   counters — deterministic work counts (ops encoded,
- *                 blocks simulated), exact-gated like any counter
- *   prof.*        runtime — raw per-phase counter values and the
- *                 per-scheme fetch cpu-ns (env data); the report's
- *                 throughput section divides the work by them
+ * Every number PROF measures stays in its own session state — the
+ * per-phase counters and the per-scheme fetch CPU time core::runFetch
+ * charges (chargeFetchCpu) — and reaches the outside only through the
+ * PROF report. The one thing it takes from support::MetricsRegistry
+ * is the prof.work.* counters: deterministic work counts (ops
+ * encoded, blocks simulated), exact-gated like any counter, which
+ * the report's throughput section divides by those CPU times.
  *
  * Compile-time disable: profiling follows the tracing switch
  * (-DTEPIC_ENABLE_TRACING=OFF); disabled, every entry point folds to
@@ -51,6 +51,7 @@
 #define TEPIC_SUPPORT_PROFILER_HH
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -80,6 +81,11 @@ struct PhaseCounters
     std::uint64_t enters = 0;
 };
 
+/** The fetch schemes chargeFetchCpu() keeps, in report order. */
+inline constexpr std::string_view kFetchSchemes[] = {"base", "compressed",
+                                                     "tailored"};
+constexpr unsigned kNumFetchSchemes = std::size(kFetchSchemes);
+
 /** Aggregated view of every layer across every thread. */
 struct Snapshot
 {
@@ -87,6 +93,8 @@ struct Snapshot
     PhaseCounters layers[kNumLayers];  ///< self-time per Layer row
     PhaseCounters other;  ///< session-thread time outside any scope
     PhaseCounters total;  ///< == Σ layers + other (tiling invariant)
+    /** CPU-ns charged per kFetchSchemes entry (chargeFetchCpu). */
+    std::uint64_t fetchCpuNs[kNumFetchSchemes] = {};
     std::uint64_t samplesTaken = 0;
     std::uint64_t samplesDropped = 0;
 
@@ -112,9 +120,6 @@ void endSession();
 /** Fold every thread's charges (relaxed reads; tiling re-asserted). */
 Snapshot snapshot();
 
-/** Raw per-phase values into the registry's runtime section. */
-void exportMetricsTo(MetricsRegistry &metrics);
-
 /**
  * Render schema "tepic-prof-v1": source, total, all phases (tiling
  * total exactly), the registry's prof.work.* counters, throughput
@@ -128,6 +133,13 @@ std::string reportJson(const std::string &name,
  * cpu-time deltas (e.g. per-scheme fetch runtime in core::runFetch).
  */
 std::uint64_t threadCpuNowNs();
+
+/**
+ * Charge @p ns of CPU time to the fetch simulations of @p scheme (a
+ * kFetchSchemes name): the denominator of the report's
+ * fetch.<scheme>.blocks_per_sec. Ignored outside a session.
+ */
+void chargeFetchCpu(std::string_view scheme, std::uint64_t ns);
 
 /**
  * Scope's hooks: open a self-time frame for @p layer on the calling
@@ -162,8 +174,8 @@ inline bool enabled() { return false; }
 inline void startSession() {}
 inline void endSession() {}
 inline std::uint64_t threadCpuNowNs() { return 0; }
+inline void chargeFetchCpu(std::string_view, std::uint64_t) {}
 inline Snapshot snapshot() { return {}; }
-inline void exportMetricsTo(MetricsRegistry &) {}
 inline bool startSampling(unsigned = 997) { return false; }
 inline void stopSampling() {}
 inline std::string collapsedStacks() { return {}; }

@@ -1,5 +1,6 @@
 #include "support/stats.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "support/logging.hh"

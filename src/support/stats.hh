@@ -6,63 +6,12 @@
 #ifndef TEPIC_SUPPORT_STATS_HH
 #define TEPIC_SUPPORT_STATS_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
 namespace tepic::support {
-
-/** Running scalar statistic: count, sum, min, max, mean. */
-class ScalarStat
-{
-  public:
-    void
-    sample(double value)
-    {
-        if (count_ == 0) {
-            min_ = max_ = value;
-        } else {
-            min_ = std::min(min_, value);
-            max_ = std::max(max_, value);
-        }
-        sum_ += value;
-        ++count_;
-    }
-
-    /**
-     * Fold @p other into this accumulator. Parallel code keeps one
-     * ScalarStat per task and merges in a fixed order on the calling
-     * thread — deterministic, and no locking on the sample path.
-     */
-    void
-    merge(const ScalarStat &other)
-    {
-        if (other.count_ == 0)
-            return;
-        if (count_ == 0) {
-            *this = other;
-            return;
-        }
-        min_ = std::min(min_, other.min_);
-        max_ = std::max(max_, other.max_);
-        sum_ += other.sum_;
-        count_ += other.count_;
-    }
-
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-    double mean() const { return count_ ? sum_ / double(count_) : 0.0; }
-
-  private:
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
 
 /**
  * Integer-keyed histogram, optionally bounded: with an overflow
@@ -91,8 +40,9 @@ class Histogram
     }
 
     /**
-     * Fold @p other in (same ordered-reduction discipline as
-     * ScalarStat). Mixed bounds take the *tighter* (minimum)
+     * Fold @p other in. Parallel code keeps one histogram per task
+     * and merges in a fixed order on the calling thread —
+     * deterministic, and no locking on the sample path. Mixed bounds take the *tighter* (minimum)
      * threshold and re-clamp, which keeps merge associative: any
      * grouping of the same operands yields the same bins, overflow
      * and threshold. Self-merge doubles every bucket, as if merging

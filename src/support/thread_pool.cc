@@ -42,8 +42,7 @@ ThreadPool::enqueue(std::function<void()> job)
         std::lock_guard<std::mutex> lock(mutex_);
         TEPIC_ASSERT(!stopping_,
                      "submit() on a ThreadPool being destroyed");
-        queue_.push_back(
-            Job{std::move(job), std::chrono::steady_clock::now()});
+        queue_.push_back(std::move(job));
     }
     available_.notify_one();
 }
@@ -67,7 +66,7 @@ ThreadPool::workerLoop(unsigned index)
 {
     const SchedWorkerTag sched_tag(index);
     for (;;) {
-        Job job;
+        std::function<void()> job;
         {
             std::unique_lock<std::mutex> lock(mutex_);
             available_.wait(lock, [this] {
@@ -80,41 +79,12 @@ ThreadPool::workerLoop(unsigned index)
             job = std::move(queue_.front());
             queue_.pop_front();
         }
-        const auto picked_up = std::chrono::steady_clock::now();
-        queueWaitNanos_.fetch_add(
-            std::uint64_t(std::chrono::duration_cast<
-                              std::chrono::nanoseconds>(
-                              picked_up - job.enqueued)
-                              .count()),
-            std::memory_order_relaxed);
-        {
-            // Jobs re-scope themselves (e.g. the engine's kBuild*
-            // layers), so only the residue between pickup and the
-            // job's own scopes lands in kPoolTask's phase.
-            const Scope scope(Layer::kPoolTask);
-            job.fn();  // packaged_task captures any exception
-        }
-        execNanos_.fetch_add(
-            std::uint64_t(std::chrono::duration_cast<
-                              std::chrono::nanoseconds>(
-                              std::chrono::steady_clock::now() -
-                              picked_up)
-                              .count()),
-            std::memory_order_relaxed);
-        tasksExecuted_.fetch_add(1, std::memory_order_relaxed);
+        // Jobs re-scope themselves (e.g. the engine's kBuild* layers),
+        // so only the residue between pickup and the job's own scopes
+        // lands in kPoolTask's phase.
+        const Scope scope(Layer::kPoolTask);
+        job();  // packaged_task captures any exception
     }
-}
-
-PoolStats
-ThreadPool::stats() const
-{
-    PoolStats stats;
-    stats.tasksExecuted =
-        tasksExecuted_.load(std::memory_order_relaxed);
-    stats.queueWaitNanos =
-        queueWaitNanos_.load(std::memory_order_relaxed);
-    stats.execNanos = execNanos_.load(std::memory_order_relaxed);
-    return stats;
 }
 
 void

@@ -21,11 +21,8 @@
 #ifndef TEPIC_SUPPORT_THREAD_POOL_HH
 #define TEPIC_SUPPORT_THREAD_POOL_HH
 
-#include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
@@ -36,20 +33,6 @@
 #include <vector>
 
 namespace tepic::support {
-
-/**
- * Aggregate scheduling statistics for one pool: how many tasks ran,
- * how long they sat queued before a worker picked them up, and how
- * long they executed. Durations are wall-clock and therefore
- * environment-dependent; exported under the metrics "runtime"
- * section, never compared across runs.
- */
-struct PoolStats
-{
-    std::uint64_t tasksExecuted = 0;
-    std::uint64_t queueWaitNanos = 0;
-    std::uint64_t execNanos = 0;
-};
 
 class ThreadPool
 {
@@ -94,29 +77,15 @@ class ThreadPool
     /** std::thread::hardware_concurrency(), never zero. */
     static unsigned hardwareThreads();
 
-    /** Snapshot of the scheduling counters (relaxed reads). */
-    PoolStats stats() const;
-
   private:
-    struct Job
-    {
-        std::function<void()> fn;
-        std::chrono::steady_clock::time_point enqueued;
-    };
-
     void enqueue(std::function<void()> job);
     void workerLoop(unsigned index);
 
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::condition_variable available_;
-    std::deque<Job> queue_;
+    std::deque<std::function<void()>> queue_;
     std::vector<std::thread> workers_;
     bool stopping_ = false;
-
-    // Scheduling counters; never feed back into task results.
-    std::atomic<std::uint64_t> tasksExecuted_{0};
-    std::atomic<std::uint64_t> queueWaitNanos_{0};
-    std::atomic<std::uint64_t> execNanos_{0};
 };
 
 } // namespace tepic::support

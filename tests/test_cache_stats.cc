@@ -82,16 +82,14 @@ struct Rig
     access(std::uint32_t addr, std::uint32_t size = 1)
     {
         fetch::FetchObservation fetch;
-        fetch.byteAddress = addr;
-        fetch.byteSize = size;
         fetch.firstLine = addr / lineBytes;
         fetch.lastLine = (addr + size - 1) / lineBytes;
         const bool hit =
             cache.accessLines(fetch.firstLine, fetch.lastLine);
-        fetch.record.index = nextFetch;
-        fetch.record.block = nextFetch++;
-        fetch.record.atbHit = true;
-        fetch.record.l1Hit = hit;
+        fetch.index = nextFetch;
+        fetch.block = nextFetch++;
+        fetch.atbHit = true;
+        fetch.l1Hit = hit;
         rec.onFetch(fetch);
         return hit;
     }
@@ -433,10 +431,10 @@ expectFormulaEpochs(unsigned epochs, std::uint64_t expected_events,
         fetch::FetchObservation fetch;
         fetch.firstLine = std::uint32_t(rng.below(24));
         fetch.lastLine = fetch.firstLine + std::uint32_t(rng.below(3));
-        fetch.record.index = pos;
-        fetch.record.block = std::uint32_t(i);
-        fetch.record.atbHit = true;
-        fetch.record.l1Hit =
+        fetch.index = pos;
+        fetch.block = std::uint32_t(i);
+        fetch.atbHit = true;
+        fetch.l1Hit =
             cache.accessLines(fetch.firstLine, fetch.lastLine);
         reference.accessLines(fetch.firstLine, fetch.lastLine);
         fetch.blocks = blocks[i];

@@ -141,7 +141,7 @@ TEST_P(FuzzStallTiling, CausesTileUnderRandomConfigs)
         config.atbEntries = unsigned(rng.range(1, 64));
         config.l0CapacityOps = unsigned(rng.range(4, 64));
         config.busWidthBytes = 1u << rng.range(0, 4);
-        config.trace.enabled = rng.below(2) == 0;
+        config.hotStats.enabled = rng.below(2) == 0;
 
         const auto &image = scheme == SchemeClass::kCompressed
             ? full.image

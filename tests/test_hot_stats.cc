@@ -60,11 +60,11 @@ observe(std::uint64_t index, std::uint32_t block, std::uint32_t cycles,
         bool next_correct)
 {
     fetch::FetchObservation fetch;
-    fetch.record.index = index;
-    fetch.record.block = block;
-    fetch.record.cycles = cycles;
-    fetch.record.stallCycles = stall;
-    fetch.record.mispredictStall = mispredict_stall;
+    fetch.index = index;
+    fetch.block = block;
+    fetch.cycles = cycles;
+    fetch.stallCycles = stall;
+    fetch.mispredictStall = mispredict_stall;
     fetch.branchTaken = taken;
     fetch.nextPredictionCorrect = next_correct;
     return fetch;

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "core/artifact_engine.hh"
+#include "core/pipeline.hh"
 #include "json_mini.hh"
 #include "support/metrics.hh"
 #include "support/profiler.hh"
@@ -316,6 +317,33 @@ TEST(Profiler, WorkCountersAreJobsInvariant)
     const std::uint64_t delta4 = after4 - after1;
     EXPECT_GT(delta1, 0u);
     EXPECT_EQ(delta1, delta4);
+}
+
+/**
+ * core::runFetch charges each scheme's fetch CPU time to the PROF
+ * session: the report carries a positive per-scheme rate for every
+ * scheme that ran and no key for one that did not.
+ */
+TEST(Profiler, FetchThroughputPerSchemeThatRan)
+{
+    auto &metrics = support::MetricsRegistry::global();
+    metrics.clear();
+    core::ArtifactEngine engine(1);
+    const auto artifacts =
+        engine.build(workloads::workloadByName("fir").source,
+                     core::ArtifactRequest::parse("base,tailored,trace"));
+
+    support::prof::startSession();
+    core::runFetch(*artifacts, fetch::SchemeClass::kBase);
+    core::runFetch(*artifacts, fetch::SchemeClass::kTailored);
+    support::prof::endSession();
+
+    const auto doc =
+        testjson::parse(support::prof::reportJson("test_bin", metrics));
+    const auto &throughput = doc.at("throughput");
+    EXPECT_GT(throughput.at("fetch.base.blocks_per_sec").number, 0.0);
+    EXPECT_GT(throughput.at("fetch.tailored.blocks_per_sec").number, 0.0);
+    EXPECT_FALSE(throughput.has("fetch.compressed.blocks_per_sec"));
 }
 
 TEST(Profiler, SamplingProducesCollapsedStacks)

@@ -210,19 +210,6 @@ TEST_P(BitStreamRoundTrip, RandomFields)
 INSTANTIATE_TEST_SUITE_P(Seeds, BitStreamRoundTrip,
                          ::testing::Range(0, 8));
 
-TEST(Stats, ScalarStat)
-{
-    tepic::support::ScalarStat s;
-    EXPECT_EQ(s.mean(), 0.0);
-    s.sample(2.0);
-    s.sample(4.0);
-    s.sample(9.0);
-    EXPECT_EQ(s.count(), 3u);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
 TEST(Stats, Histogram)
 {
     tepic::support::Histogram h;

@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the Chrome trace-event layer (support/trace) and the
- * fetch simulator's per-block record trace: span nesting, per-thread
- * buffer flushing, JSON round trips through the mini parser,
- * disabled-mode cost, and the golden self-consistency check that the
- * per-block records sum exactly to the aggregate FetchStats.
+ * fetch simulator's per-fetch view: span nesting, per-thread buffer
+ * flushing, JSON round trips through the mini parser, disabled-mode
+ * cost, and the golden self-consistency check that the HOT record's
+ * per-block attribution sums exactly to the aggregate FetchStats.
  */
 
 #include <gtest/gtest.h>
@@ -216,8 +216,8 @@ TEST(Trace, CompiledOutLayerIsInert)
 
 #endif // TEPIC_TRACING_ENABLED
 
-// --- fetch-simulator per-block trace (independent of the Chrome
-// --- layer: gated by FetchConfig::trace, not TEPIC_TRACING_ENABLED)
+// --- the fetch simulator's per-fetch view (independent of the Chrome
+// --- layer): the HOT record, built from one observation per fetch
 
 const core::Artifacts &
 firArtifacts()
@@ -231,132 +231,43 @@ firArtifacts()
     return artifacts;
 }
 
-fetch::FetchStats
-runTracedFetch(fetch::FetchTraceOptions options)
-{
-    const auto &a = firArtifacts();
-    auto config = fetch::FetchConfig::paper(fetch::SchemeClass::kBase);
-    config.trace = options;
-    return fetch::simulateFetch(a.baseImage(), a.compiled.program,
-                                a.trace(), config);
-}
-
 /**
- * Golden self-consistency check: with an unbounded, unsampled trace,
- * the per-block records tile the aggregate stats exactly — same
- * event count, and cycles/stalls that sum to the totals.
+ * Golden self-consistency check: the stall causes tile the aggregate
+ * stall cycles, and the HOT record's per-block attribution tiles the
+ * aggregate stats exactly — every fetch, cycle and stall lands on
+ * exactly one static block.
  */
 TEST(FetchTrace, RecordsTileAggregateStats)
 {
-    fetch::FetchTraceOptions options;
-    options.enabled = true;
-    options.ringCapacity = 0;
-    const auto stats = runTracedFetch(options);
+    const auto &a = firArtifacts();
+    auto config = fetch::FetchConfig::paper(fetch::SchemeClass::kBase);
+    config.hotStats.enabled = true;
+    const auto stats = fetch::simulateFetch(
+        a.baseImage(), a.compiled.program, a.trace(), config);
 
     ASSERT_GT(stats.blocksFetched, 0u);
-    EXPECT_EQ(stats.trace.recorded(), stats.blocksFetched);
-    EXPECT_EQ(stats.trace.dropped(), 0u);
+    EXPECT_EQ(stats.cycles, stats.idealCycles + stats.stallCycles);
+    EXPECT_EQ(stats.mispredictStallCycles + stats.refillStallCycles +
+                  stats.decodeStallCycles + stats.atbStallCycles,
+              stats.stallCycles);
 
-    const auto records = stats.trace.inOrder();
-    ASSERT_EQ(records.size(), stats.blocksFetched);
+    // The HOT recorder folds away with the tracing layer.
+    const fetch::HotStats &hs = stats.hotStats;
+    ASSERT_EQ(hs.recorded, bool(TEPIC_HOTSTATS_ENABLED));
+    if (!hs.recorded)
+        return;
+    std::uint64_t fetches = 0;
     std::uint64_t cycles = 0;
     std::uint64_t stalls = 0;
-    std::uint64_t l1_hits = 0;
-    std::uint64_t pred_correct = 0;
-    std::uint64_t mispredict = 0;
-    std::uint64_t refill = 0;
-    std::uint64_t decode = 0;
-    std::uint64_t atb = 0;
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        EXPECT_EQ(records[i].index, i);
-        cycles += records[i].cycles;
-        stalls += records[i].stallCycles;
-        l1_hits += records[i].l1Hit ? 1 : 0;
-        pred_correct += records[i].predictionCorrect ? 1 : 0;
-        // Per-record tiling of the stall-cause taxonomy.
-        EXPECT_EQ(records[i].mispredictStall + records[i].refillStall +
-                      records[i].decodeStall + records[i].atbStall,
-                  records[i].stallCycles);
-        mispredict += records[i].mispredictStall;
-        refill += records[i].refillStall;
-        decode += records[i].decodeStall;
-        atb += records[i].atbStall;
+    for (std::uint32_t b = 0; b < hs.staticBlocks; ++b) {
+        fetches += hs.blockFetches[b];
+        cycles += hs.blockCycles[b];
+        stalls += hs.blockStalls[b];
     }
+    EXPECT_EQ(fetches, stats.blocksFetched);
     EXPECT_EQ(cycles, stats.cycles);
     EXPECT_EQ(stalls, stats.stallCycles);
-    EXPECT_EQ(l1_hits, stats.l1Hits);
-    EXPECT_EQ(pred_correct, stats.predictionsCorrect);
-    EXPECT_EQ(mispredict, stats.mispredictStallCycles);
-    EXPECT_EQ(refill, stats.refillStallCycles);
-    EXPECT_EQ(decode, stats.decodeStallCycles);
-    EXPECT_EQ(atb, stats.atbStallCycles);
-
-    // The stall histograms (total and per cause) saw every block.
-    EXPECT_EQ(stats.stallHistogram.total(), stats.blocksFetched);
-    EXPECT_EQ(stats.mispredictHistogram.total(), stats.blocksFetched);
-    EXPECT_EQ(stats.refillHistogram.total(), stats.blocksFetched);
-    EXPECT_EQ(stats.decodeHistogram.total(), stats.blocksFetched);
-    EXPECT_EQ(stats.atbHistogram.total(), stats.blocksFetched);
-}
-
-/** The record stream is identical run to run (golden determinism). */
-TEST(FetchTrace, Deterministic)
-{
-    fetch::FetchTraceOptions options;
-    options.enabled = true;
-    options.ringCapacity = 0;
-    const auto first = runTracedFetch(options).trace.inOrder();
-    const auto second = runTracedFetch(options).trace.inOrder();
-    ASSERT_EQ(first.size(), second.size());
-    for (std::size_t i = 0; i < first.size(); ++i) {
-        EXPECT_EQ(first[i].block, second[i].block);
-        EXPECT_EQ(first[i].cycles, second[i].cycles);
-        EXPECT_EQ(first[i].stallCycles, second[i].stallCycles);
-        EXPECT_EQ(first[i].l1Hit, second[i].l1Hit);
-    }
-}
-
-TEST(FetchTrace, RingKeepsNewestRecords)
-{
-    fetch::FetchTraceOptions options;
-    options.enabled = true;
-    options.ringCapacity = 8;
-    const auto stats = runTracedFetch(options);
-    ASSERT_GT(stats.blocksFetched, 8u) << "fir trace too short to "
-                                          "exercise the ring";
-
-    EXPECT_EQ(stats.trace.size(), 8u);
-    EXPECT_EQ(stats.trace.recorded(), stats.blocksFetched);
-    EXPECT_EQ(stats.trace.dropped(), stats.blocksFetched - 8u);
-
-    // inOrder() unwinds the ring: the newest 8 events, oldest first.
-    const auto records = stats.trace.inOrder();
-    ASSERT_EQ(records.size(), 8u);
-    for (std::size_t i = 0; i < records.size(); ++i)
-        EXPECT_EQ(records[i].index, stats.blocksFetched - 8u + i);
-}
-
-TEST(FetchTrace, SamplingRecordsEveryNth)
-{
-    fetch::FetchTraceOptions options;
-    options.enabled = true;
-    options.ringCapacity = 0;
-    options.sampleEvery = 4;
-    const auto stats = runTracedFetch(options);
-
-    const std::uint64_t expected = (stats.blocksFetched + 3) / 4;
-    EXPECT_EQ(stats.trace.recorded(), expected);
-    for (const auto &rec : stats.trace.inOrder())
-        EXPECT_EQ(rec.index % 4, 0u);
-    EXPECT_EQ(stats.stallHistogram.total(), expected);
-}
-
-TEST(FetchTrace, DisabledByDefault)
-{
-    const auto stats = runTracedFetch(fetch::FetchTraceOptions{});
-    EXPECT_EQ(stats.trace.recorded(), 0u);
-    EXPECT_EQ(stats.trace.size(), 0u);
-    EXPECT_EQ(stats.stallHistogram.total(), 0u);
+    EXPECT_EQ(hs.mispredictStallCycles, stats.mispredictStallCycles);
 }
 
 } // namespace

@@ -11,11 +11,8 @@ Every document is validated first (schema errors exit 2). Then:
   counters, histograms  exact
   gauges                within GAUGE_EPSILON relative (cross-platform
                         float formatting only)
-  timings               key sets exact, sums within TIME_BAND
-                        (wall-clock noise)
   SIZE ledgers          every tree/by_function leaf and total_bits
                         exact
-  runtime               ignored (thread counts, host environment)
 
 Every drift is one stderr line. The Markdown report ranks the changed
 leaves by |delta| with the responsible scheme alongside ("what grew,
@@ -30,7 +27,6 @@ from reports import metrics, size
 from tepic_reports import PROG, kind_of, load, usage_error, write_file
 
 GAUGE_EPSILON = 1e-9
-TIME_BAND = 100.0
 TOP = 20
 
 
@@ -65,8 +61,7 @@ def flatten_size(doc):
 
 
 def flatten_metrics(doc):
-    """Counters, gauges and histograms (timings are wall-clock data,
-    band-checked by band_drifts)."""
+    """Counters, gauges and histograms."""
     flat = {}
     for key, value in doc["counters"].items():
         flat[f"counter {key}"] = value
@@ -116,25 +111,6 @@ def diff_flat(old, new):
     added = sorted(set(new) - set(old))
     removed = sorted(set(old) - set(new))
     return changed, added, removed
-
-
-def band_drifts(old, new):
-    """Drift lines for the timings of two metrics snapshots: their key
-    sets, then their sums against the TIME_BAND ratio."""
-    a = {k: t["sum"] for k, t in old["timings"].items()}
-    b = {k: t["sum"] for k, t in new["timings"].items()}
-    drifts = [f"timing {key} missing from {'NEW' if key in a else 'OLD'}"
-              for key in sorted(set(a) ^ set(b))]
-    for key in sorted(set(a) & set(b)):
-        # A sum of 0 on the OLD side has no ratio.
-        if a[key] <= 0.0:
-            continue
-        ratio = b[key] / a[key]
-        if ratio > TIME_BAND or ratio < 1.0 / TIME_BAND:
-            drifts.append(f"timing {key} outside the x{TIME_BAND:g} "
-                          f"noise band: {a[key]:g} ms -> {b[key]:g} ms "
-                          f"(x{ratio:.2f})")
-    return drifts
 
 
 def fmt(value):
@@ -228,8 +204,6 @@ def diff_pair(title, old_path, new_path):
     drifts = [f"{key} drifted: {a} -> {b}" for key, a, b, _ in changed]
     drifts += [f"{key} missing from OLD" for key in added]
     drifts += [f"{key} missing from NEW" for key in removed]
-    if old["schema"] == metrics.SCHEMA:
-        drifts += band_drifts(old, new)
     lines = render_pair(title, changed, added, removed, old_flat,
                         new_flat)
     return lines, [f"{title}: {drift}" for drift in drifts]

@@ -1,27 +1,22 @@
 """tepic-metrics-v1: metrics snapshots (BENCH_*.json and every
 --metrics= output).
 
---compare covers the deterministic sections (counters, gauges,
-histograms) — the --jobs determinism contract; the timings and
-runtime sections are wall-clock/environment data and excluded.
-"prof." gauges (host throughput) are compared by key set only: their
-values are wall-clock rates, but which gauges a binary emits is part
-of the contract. "cache.*_rate", "hot.*_rate" and "sweep.*_rate"
-gauges (derived ratios) are masked the same way: their numerator and
-denominator counters are already compared exactly.
+All three sections (counters, gauges, histograms) are deterministic:
+--compare checks them for the --jobs determinism contract. The
+"cache.*_rate" and "hot.*_rate" gauges (derived ratios) are compared
+by key set only: their numerator and denominator counters are already
+compared exactly.
 """
 
-from tepic_reports import (check_hist, check_keys, check_nonneg_int,
-                           hist_mass, invariant_error, usage_error)
+from tepic_reports import (check_hist, check_nonneg_int, hist_mass,
+                           invariant_error, usage_error)
 
 SCHEMA = "tepic-metrics-v1"
-DETERMINISTIC_SECTIONS = ("counters", "gauges", "histograms")
-ALL_SECTIONS = DETERMINISTIC_SECTIONS + ("timings", "runtime")
-TIMING_KEYS = ("count", "min", "max", "mean", "sum")
+SECTIONS = ("counters", "gauges", "histograms")
 
 
 def validate(path, doc):
-    for section in ALL_SECTIONS:
+    for section in SECTIONS:
         if not isinstance(doc.get(section), dict):
             usage_error(f"{path}: missing section '{section}'")
     for name, value in doc["counters"].items():
@@ -31,8 +26,6 @@ def validate(path, doc):
             usage_error(f"{path}: gauge '{name}' is not a number")
     for name, hist in doc["histograms"].items():
         check_hist(path, f"histogram '{name}'", hist)
-    for name, stat in doc["timings"].items():
-        check_keys(path, f"timing '{name}'", stat, TIMING_KEYS)
     for name, hist in doc["histograms"].items():
         if hist_mass(hist) != hist["total"]:
             invariant_error(f"{path}: histogram '{name}' bins+overflow "
@@ -43,25 +36,18 @@ def validate(path, doc):
 def summary(doc):
     return (f"{len(doc['counters'])} counters, "
             f"{len(doc['gauges'])} gauges, "
-            f"{len(doc['histograms'])} histograms, "
-            f"{len(doc['timings'])} timings")
+            f"{len(doc['histograms'])} histograms")
 
 
 def masked_gauge(key):
     """Gauges whose values are compared as mere presence.
 
-    prof.* gauges are host throughput rates (wall-clock data).
-    cache.*_rate, hot.*_rate and sweep.*_rate gauges are derived
-    ratios of exact counters (or, for the sweep, of wall time) — the
-    counters themselves are compared exactly, so re-comparing the
-    float quotient only adds a formatting-sensitive duplicate; like
-    prof.*, their key set stays part of the contract.
+    cache.*_rate and hot.*_rate gauges are derived ratios of exact
+    counters — the counters themselves are compared exactly, so
+    re-comparing the float quotient only adds a formatting-sensitive
+    duplicate; their key set stays part of the contract.
     """
-    if key.startswith("prof."):
-        return True
-    return key.endswith("_rate") and \
-        (key.startswith("cache.") or key.startswith("hot.") or
-         key.startswith("sweep."))
+    return key.endswith("_rate") and key.startswith(("cache.", "hot."))
 
 
 def comparable(doc):

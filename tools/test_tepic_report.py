@@ -26,11 +26,6 @@ def bench_doc():
         },
         "gauges": {"fig13.ipc.base": 1.5},
         "histograms": {},
-        "timings": {
-            "phase_ms": {"count": 1, "min": 10.0, "max": 10.0,
-                         "mean": 10.0, "sum": 10.0},
-        },
-        "runtime": {"jobs": 4},
     }
 
 
@@ -50,8 +45,6 @@ def fig10_doc():
                 "bins": [[2, 1], [3, 1], [4, 2]],
             },
         },
-        "timings": {},
-        "runtime": {},
     }
 
 

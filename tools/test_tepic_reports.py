@@ -21,8 +21,7 @@ SCHEMAS = ("tepic-cache-v1", "tepic-hot-v1", "tepic-metrics-v1",
 
 def metrics_doc():
     return {"schema": "tepic-metrics-v1", "counters": {"a": 1},
-            "gauges": {}, "histograms": {}, "timings": {},
-            "runtime": {}}
+            "gauges": {}, "histograms": {}}
 
 
 def size_doc():
