@@ -1,6 +1,8 @@
 #include "compiler/lexer.hh"
 
 #include <cctype>
+#include <charconv>
+#include <system_error>
 #include <unordered_map>
 
 #include "support/logging.hh"
@@ -75,6 +77,25 @@ const std::unordered_map<std::string, TokKind> kKeywords = {
     {"int", TokKind::kKwInt},
     {"float", TokKind::kKwFloat},
 };
+
+/**
+ * The scanned digits @p text of a @p kind ("integer" or "float")
+ * literal as a Value, parsed in @p base... (none for a float); fatal
+ * when the value does not fit.
+ */
+template <typename Value, typename... Base>
+Value
+parseLiteral(const std::string &text, const char *kind, unsigned line,
+             unsigned col, Base... base)
+{
+    Value value{};
+    const char *end = text.data() + text.size();
+    const auto parsed = std::from_chars(text.data(), end, value, base...);
+    if (parsed.ec != std::errc() || parsed.ptr != end)
+        TEPIC_FATAL(kind, " literal out of range at line ", line, " col ",
+                    col);
+    return value;
+}
 
 } // namespace
 
@@ -173,7 +194,8 @@ lex(const std::string &source)
                     TEPIC_FATAL("malformed hex literal at line ", tok_line);
                 Token tok;
                 tok.kind = TokKind::kIntLit;
-                tok.intValue = std::stoll(text, nullptr, 16);
+                tok.intValue = parseLiteral<std::int64_t>(
+                    text, "integer", tok_line, tok_col, 16);
                 tok.line = tok_line;
                 tok.col = tok_col;
                 tokens.push_back(std::move(tok));
@@ -200,10 +222,12 @@ lex(const std::string &source)
             tok.col = tok_col;
             if (is_float) {
                 tok.kind = TokKind::kFloatLit;
-                tok.floatValue = std::stod(text);
+                tok.floatValue = parseLiteral<double>(text, "float",
+                                                      tok_line, tok_col);
             } else {
                 tok.kind = TokKind::kIntLit;
-                tok.intValue = std::stoll(text);
+                tok.intValue = parseLiteral<std::int64_t>(
+                    text, "integer", tok_line, tok_col, 10);
             }
             tokens.push_back(std::move(tok));
             continue;

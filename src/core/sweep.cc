@@ -15,6 +15,7 @@
 #include "core/pipeline.hh"
 #include "decoder/complexity.hh"
 #include "fetch/fetch_stages.hh"
+#include "fetch/lru_stack.hh"
 #include "support/keys.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
@@ -133,10 +134,6 @@ SweepConfig::fetchConfig(bool record_3c) const
     config.predictor.kind = predictor;
     config.penalties = penaltyProfileByName(penaltyProfile).penalties;
     config.cacheStats.enabled = record_3c;
-    // The sweep consumes only the 3C split, recorded once per memory
-    // stream; sample the reuse stream coarsely so recording stays a
-    // small share of each stream's simulation.
-    config.cacheStats.reuseSampleEvery = 64;
     return config;
 }
 
@@ -230,13 +227,10 @@ putBit(Bits &bits, std::size_t fetch, bool value)
     bits[fetch >> 6] |= std::uint64_t(value) << (fetch & 63);
 }
 
-/** One memory stream (scheme image, L1 geometry, L0 ops). */
-struct MemoryStream
+/** One L1 geometry's misses over an access stream. */
+struct GeometryStream
 {
-    Bits l0Hit;
     Bits l1Miss;
-    std::uint64_t mops = 0;        ///< Σ n_mops
-    std::uint64_t ops = 0;         ///< Σ n_ops
     std::uint64_t l1Misses = 0;
     std::uint64_t missRepair = 0;  ///< Σ over L1 misses of n_lines−1
     bool cacheRecorded = false;
@@ -246,88 +240,116 @@ struct MemoryStream
 };
 
 /**
- * Run the memory stage of @p config over @p trace, with the 3C
- * recorder attached when config.cacheStats asks for it. The recorder
- * is fed the same observations simulateFetch gives it; the control
- * fields it sees are placeholders, since the 3C split never reads
- * them.
+ * One L1 access stream (scheme image, line bytes, L0 ops): the L0
+ * side every L1 geometry behind the buffer shares, and each
+ * geometry's misses.
  */
-MemoryStream
-recordMemoryStream(const sim::BlockTrace &trace,
-                   const fetch::FetchTable &table,
-                   const fetch::FetchConfig &config)
+struct AccessStream
+{
+    Bits l0Hit;
+    std::uint64_t mops = 0;  ///< Σ n_mops
+    std::uint64_t ops = 0;   ///< Σ n_ops
+    std::vector<GeometryStream> geometries;
+};
+
+/**
+ * Run @p rep's L0 buffer over @p trace once, and every L1 of
+ * @p geometries (its group's sets and ways) in lockstep behind it.
+ * With @p record_3c, one LRU stack over line ids classifies every
+ * geometry's misses, exactly as the CACHE recorder's shadow cache of
+ * that geometry's capacity would.
+ */
+AccessStream
+recordAccessStream(const sim::BlockTrace &trace,
+                   const fetch::FetchTable &table, const SweepConfig &rep,
+                   const std::vector<fetch::CacheConfig> &geometries,
+                   bool record_3c)
 {
     const std::span<const sim::TraceEvent> events = trace.events;
     const fetch::Att &att = table.att();
-    MemoryStream out;
-    out.l0Hit = zeroBits(events.size());
-    out.l1Miss = zeroBits(events.size());
-    fetch::BankedCache cache(config.cache);
-    fetch::L0Buffer buffer(config.l0CapacityOps);
-    std::optional<fetch::CacheStatsRecorder> recorder;
-    if (config.cacheStats.enabled) {
-        cache.setObserver(&recorder.emplace(
-            config.cache, std::uint64_t(events.size()),
-            config.cacheStats));
+    AccessStream access;
+    access.l0Hit = zeroBits(events.size());
+    std::vector<GeometryStream> &out = access.geometries;
+    out.resize(geometries.size());
+    fetch::L0Buffer buffer(rep.l0Ops);
+    std::vector<fetch::BankedCache> caches;
+    std::vector<std::uint32_t> capacities;
+    for (std::size_t g = 0; g < geometries.size(); ++g) {
+        caches.emplace_back(geometries[g]);
+        capacities.push_back(geometries[g].sets * geometries[g].ways);
+        out[g].l1Miss = zeroBits(events.size());
+        out[g].cacheRecorded = record_3c;
+    }
+    std::optional<fetch::LruStack> stack;
+    std::vector<std::uint32_t> zones;
+    if (record_3c) {
+        stack.emplace(capacities);
+        for (std::uint32_t capacity : capacities)
+            zones.push_back(stack->zoneOf(capacity));
     }
 
     for (std::size_t f = 0; f < events.size(); ++f) {
         const isa::BlockId head = events[f].block;
         const fetch::AttEntry &entry = att.entry(head);
         const fetch::FetchTable::Lines &lines = table.lines(head);
-        const fetch::MemoryOutcome mem = fetch::accessMemory(
-            config, buffer, cache, head, entry.numOps, lines);
-        out.mops += entry.numMops;
-        out.ops += entry.numOps;
-        putBit(out.l0Hit, f, mem.l0Hit);
-        putBit(out.l1Miss, f, !mem.l1Hit);
-        if (!mem.l1Hit) {
-            ++out.l1Misses;
-            out.missRepair += lines.count() - 1;
+        access.mops += entry.numMops;
+        access.ops += entry.numOps;
+        // accessMemory(), with the L1 side run once per geometry.
+        if (rep.scheme == fetch::SchemeClass::kCompressed &&
+            buffer.access(head, entry.numOps)) {
+            putBit(access.l0Hit, f, true);
+            continue;
         }
-        if (recorder) {
-            fetch::FetchObservation fetch;
-            fetch.index = f;
-            fetch.block = head;
-            fetch.l0Hit = mem.l0Hit;
-            fetch.l1Hit = mem.l1Hit;
-            fetch.firstLine = lines.first;
-            fetch.lastLine = lines.last;
-            recorder->onFetch(fetch);
+        const std::uint32_t verdict =
+            stack ? stack->access(lines.first, lines.last) : 0;
+        for (std::size_t g = 0; g < caches.size(); ++g) {
+            if (caches[g].accessLines(lines.first, lines.last))
+                continue;
+            GeometryStream &geometry = out[g];
+            putBit(geometry.l1Miss, f, true);
+            ++geometry.l1Misses;
+            geometry.missRepair += lines.count() - 1;
+            if (!stack)
+                continue;
+            switch (fetch::classifyMiss(verdict, zones[g])) {
+              case fetch::MissClass::kCompulsory:
+                ++geometry.compulsory;
+                break;
+              case fetch::MissClass::kCapacity:
+                ++geometry.capacity;
+                break;
+              case fetch::MissClass::kConflict:
+                ++geometry.conflict;
+                break;
+            }
         }
     }
-    if (recorder) {
-        const fetch::CacheStats stats = recorder->finish();
-        out.cacheRecorded = stats.recorded;
-        out.compulsory = stats.compulsory;
-        out.capacity = stats.capacity;
-        out.conflict = stats.conflict;
-    }
-    return out;
+    return access;
 }
 
 /**
- * The cost stage folded over one (control, memory) stream pair: the
- * bit counts fetch::foldCost needs, then the bus traffic replayed in
- * fetch order — only the fetches that missed the ATB or the L1 move
- * anything, the upload before the fill within a fetch.
+ * The cost stage folded over one control stream and one geometry of
+ * an access stream: the bit counts fetch::foldCost needs, then the
+ * bus traffic replayed in fetch order — only the fetches that missed
+ * the ATB or the L1 move anything, the upload before the fill within
+ * a fetch.
  */
 TEPIC_POPCNT_CLONES PointMetrics
-foldPoint(const ControlStream &control, const MemoryStream &memory,
-          const sim::BlockTrace &trace, fetch::FetchTable &table,
-          const fetch::FetchConfig &config)
+foldPoint(const ControlStream &control, const AccessStream &access,
+          const GeometryStream &geometry, const sim::BlockTrace &trace,
+          fetch::FetchTable &table, const fetch::FetchConfig &config)
 {
     const std::span<const sim::TraceEvent> events = trace.events;
     fetch::FoldCounts n;
-    n.mops = memory.mops;
-    n.l1Misses = memory.l1Misses;
-    n.missRepair = memory.missRepair;
+    n.mops = access.mops;
+    n.l1Misses = geometry.l1Misses;
+    n.missRepair = geometry.missRepair;
     std::uint64_t mispredicts = 0;
     power::BusModel bus(config.busWidthBytes);
-    for (std::size_t w = 0; w < memory.l1Miss.size(); ++w) {
+    for (std::size_t w = 0; w < geometry.l1Miss.size(); ++w) {
         const std::uint64_t wrong = control.mispredict[w];
-        const std::uint64_t missed = memory.l1Miss[w];
-        const std::uint64_t served = ~(memory.l0Hit[w] | missed);
+        const std::uint64_t missed = geometry.l1Miss[w];
+        const std::uint64_t served = ~(access.l0Hit[w] | missed);
         const std::uint64_t uploads = control.atbMiss[w];
         mispredicts += std::uint64_t(std::popcount(wrong));
         n.mispredictServed += std::uint64_t(std::popcount(wrong & served));
@@ -351,22 +373,22 @@ foldPoint(const ControlStream &control, const MemoryStream &memory,
     m.stallCycles = cost.causes.total();
     m.cycles = n.mops + m.stallCycles;
     m.idealCycles = n.mops;
-    m.opsDelivered = memory.ops;
+    m.opsDelivered = access.ops;
     m.blocksFetched = events.size();
     m.mispredictStall = cost.causes.mispredict;
     m.refillStall = cost.causes.l1Refill;
     m.decodeStall = cost.causes.decodeStage;
     m.atbStall = cost.causes.atbMiss;
     m.l0SavedCycles = cost.l0Saved;
-    m.l1Hits = events.size() - memory.l1Misses;
-    m.l1Misses = memory.l1Misses;
+    m.l1Hits = events.size() - geometry.l1Misses;
+    m.l1Misses = geometry.l1Misses;
     m.busBitFlips = bus.bitFlips();
     m.busBeats = bus.beats();
     m.bytesTransferred = bus.bytesTransferred();
-    m.cacheRecorded = memory.cacheRecorded;
-    m.compulsory = memory.compulsory;
-    m.capacity = memory.capacity;
-    m.conflict = memory.conflict;
+    m.cacheRecorded = geometry.cacheRecorded;
+    m.compulsory = geometry.compulsory;
+    m.capacity = geometry.capacity;
+    m.conflict = geometry.conflict;
     return m;
 }
 
@@ -378,26 +400,33 @@ struct SchemeInputs
     std::uint64_t decoderTransistors = 0;
 };
 
+/** The configurations that read one L1 access stream, by geometry. */
+struct AccessGroup
+{
+    std::vector<fetch::CacheConfig> geometries;
+    std::vector<std::vector<std::size_t>> members;  ///< per geometry
+};
+
 /**
  * The configurations grouped by the streams they read: configs with
  * equal (atb entries, predictor) share a control stream, configs with
- * equal (scheme, sets, ways, line bytes, L0 ops) a memory stream.
+ * equal (scheme, line bytes, L0 ops) an L1 access stream, split by
+ * their (sets, ways).
  */
 struct StreamPlan
 {
     std::vector<std::size_t> controlReps;  ///< a config per control stream
     std::vector<std::size_t> controlOf;    ///< config -> control stream
-    std::vector<std::vector<std::size_t>> memoryMembers;  ///< configs
+    std::vector<AccessGroup> accessGroups;
 
     explicit StreamPlan(const std::vector<SweepConfig> &configs)
         : controlOf(configs.size())
     {
         std::map<std::pair<unsigned, fetch::PredictorKind>, std::size_t>
             controls;
-        std::map<std::tuple<fetch::SchemeClass, unsigned, unsigned,
-                            unsigned, unsigned>,
+        std::map<std::tuple<fetch::SchemeClass, unsigned, unsigned>,
                  std::size_t>
-            memories;
+            accesses;
         for (std::size_t c = 0; c < configs.size(); ++c) {
             const SweepConfig &config = configs[c];
             const auto [control, new_control] = controls.emplace(
@@ -406,13 +435,24 @@ struct StreamPlan
             if (new_control)
                 controlReps.push_back(c);
             controlOf[c] = control->second;
-            const auto [memory, new_memory] = memories.emplace(
-                std::tuple(config.scheme, config.sets, config.ways,
-                           config.lineBytes, config.l0Ops),
-                memories.size());
-            if (new_memory)
-                memoryMembers.emplace_back();
-            memoryMembers[memory->second].push_back(c);
+            const auto [access, new_access] = accesses.emplace(
+                std::tuple(config.scheme, config.lineBytes, config.l0Ops),
+                accesses.size());
+            if (new_access)
+                accessGroups.emplace_back();
+            AccessGroup &group = accessGroups[access->second];
+            const fetch::CacheConfig geometry{config.sets, config.ways,
+                                              config.lineBytes};
+            std::size_t g = 0;
+            while (g < group.geometries.size() &&
+                   (group.geometries[g].sets != geometry.sets ||
+                    group.geometries[g].ways != geometry.ways))
+                ++g;
+            if (g == group.geometries.size()) {
+                group.geometries.push_back(geometry);
+                group.members.emplace_back();
+            }
+            group.members[g].push_back(c);
         }
     }
 };
@@ -450,7 +490,6 @@ evaluatePoints(const std::vector<const Artifacts *> &workloads,
         return out;
     const StreamPlan plan(configs);
     const std::size_t control_count = plan.controlReps.size();
-    const std::size_t memory_count = plan.memoryMembers.size();
 
     // One ATT and one decoder cost per (workload, scheme).
     std::vector<std::array<SchemeInputs, 3>> inputs(workloads.size());
@@ -495,36 +534,39 @@ evaluatePoints(const std::vector<const Artifacts *> &workloads,
             rep.fetchConfig(false).predictor);
     });
 
-    // Phase 2: the memory streams, longest trace first, each folded
-    // into every point that reads it, then dropped.
-    std::vector<std::size_t> tasks(workloads.size() * memory_count);
+    // Phase 2: the L1 access streams, longest trace first, each with
+    // every geometry of its group in lockstep; each geometry is folded
+    // into every point that reads it, then the task's bits are dropped.
+    const std::size_t group_count = plan.accessGroups.size();
+    const bool record = record_3c && TEPIC_CACHESTATS_ENABLED;
+    std::vector<std::size_t> tasks(workloads.size() * group_count);
     std::iota(tasks.begin(), tasks.end(), std::size_t(0));
     std::stable_sort(tasks.begin(), tasks.end(),
                      [&](std::size_t a, std::size_t b) {
-                         return workloads[a / memory_count]
+                         return workloads[a / group_count]
                                     ->trace().events.size() >
-                                workloads[b / memory_count]
+                                workloads[b / group_count]
                                     ->trace().events.size();
                      });
     run(tasks.size(), [&](std::size_t i) {
-        const std::size_t w = tasks[i] / memory_count;
-        const std::vector<std::size_t> &members =
-            plan.memoryMembers[tasks[i] % memory_count];
+        const std::size_t w = tasks[i] / group_count;
+        const AccessGroup &group = plan.accessGroups[tasks[i] % group_count];
+        const SweepConfig &rep = configs[group.members.front().front()];
         const sim::BlockTrace &trace = workloads[w]->trace();
-        const SchemeInputs &in =
-            inputs[w][std::size_t(configs[members.front()].scheme)];
-        fetch::FetchTable table(*in.att, *in.image,
-                                configs[members.front()].lineBytes);
-        const MemoryStream memory = recordMemoryStream(
-            trace, table,
-            configs[members.front()].fetchConfig(record_3c));
-        for (std::size_t c : members) {
-            PointMetrics &m = out[w * config_count + c];
-            m = foldPoint(
-                controls[w * control_count + plan.controlOf[c]], memory,
-                trace, table, configs[c].fetchConfig(record_3c));
-            m.sizeBits = in.image->bitSize;
-            m.decoderTransistors = in.decoderTransistors;
+        const SchemeInputs &in = inputs[w][std::size_t(rep.scheme)];
+        fetch::FetchTable table(*in.att, *in.image, rep.lineBytes);
+        const AccessStream access =
+            recordAccessStream(trace, table, rep, group.geometries, record);
+        for (std::size_t g = 0; g < group.members.size(); ++g) {
+            for (std::size_t c : group.members[g]) {
+                PointMetrics &m = out[w * config_count + c];
+                m = foldPoint(
+                    controls[w * control_count + plan.controlOf[c]],
+                    access, access.geometries[g], trace, table,
+                    configs[c].fetchConfig(record_3c));
+                m.sizeBits = in.image->bitSize;
+                m.decoderTransistors = in.decoderTransistors;
+            }
         }
     });
     return out;

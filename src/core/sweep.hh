@@ -30,17 +30,22 @@
  * (L0 + L1) only on (scheme image, sets, ways, line bytes, L0 ops),
  * and its cost stage is a function of their per-fetch bits. So the
  * sweep simulates each distinct stream once — on the CI grid, 6
- * control streams and 48 memory streams per workload instead of 288
- * full runs — in three phases:
+ * control streams and 8 L1 access streams per workload, each running
+ * its 6 geometries in lockstep, instead of 288 full runs — in three
+ * phases:
  *
  *  1. control streams, one pool task each, into packed bit vectors
  *     (ATB miss, mispredict) over the ATT of any swept scheme (the
  *     streams are scheme-independent, a tested fact);
- *  2. memory streams, one pool task per (workload, stream) with the
- *     3C recorder attached, so 3C is recorded once per stream; each
- *     task then folds every configuration sharing its stream
- *     (control stream x penalty profile) into that point's slot and
- *     drops its bit vectors;
+ *  2. L1 access streams, one pool task per (workload, scheme, line
+ *     bytes, L0 ops): the L0 buffer runs once, and one BankedCache
+ *     per (sets, ways) of the group walks the trace in lockstep
+ *     behind it, into one shared L0-hit vector and one L1-miss vector
+ *     per geometry. One fetch::LruStack over line ids classifies
+ *     every geometry's 3C misses in the same pass. Each task then
+ *     folds every configuration of each geometry (control stream x
+ *     penalty profile) into that point's slot and drops its bit
+ *     vectors;
  *  3. the fold: fetch::foldCost over popcounts of ANDed bit vectors
  *     and per-stream sums, plus one walk over the ATB-miss and
  *     L1-miss bits in fetch order that replays the folded bus bursts
@@ -254,8 +259,10 @@ struct SweepOptions
     /** Simulation fan-out: 0 = hardware concurrency, 1 = serial. */
     unsigned jobs = 1;
     /**
-     * Record the 3C miss split: once per memory stream (48 per CI
-     * workload), shared by every point of that stream.
+     * Record the 3C miss split: one LRU stack per L1 access stream
+     * (8 per CI workload) classifies the misses of all its
+     * geometries, shared by every point of each geometry. Builds
+     * without TEPIC_CACHESTATS_ENABLED report recorded == false.
      */
     bool record3c = true;
 };

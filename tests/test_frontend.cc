@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "compiler/driver.hh"
 #include "compiler/irgen.hh"
 #include "compiler/lexer.hh"
@@ -15,6 +18,7 @@
 #include "compiler/opt.hh"
 #include "compiler/parser.hh"
 #include "sim/emulator.hh"
+#include "support/logging.hh"
 
 namespace {
 
@@ -64,6 +68,36 @@ TEST(Lexer, LineNumbersAndErrors)
     EXPECT_EQ(tokens[2].col, 3u);
     EXPECT_ANY_THROW(lex("@"));
     EXPECT_ANY_THROW(lex("/* unterminated"));
+}
+
+/** The diagnostic lex(@p source) fails with ("" if it lexes). */
+std::string
+lexError(const std::string &source)
+{
+    try {
+        lex(source);
+    } catch (const tepic::support::FatalError &error) {
+        return error.message();
+    }
+    return "";
+}
+
+TEST(Lexer, LiteralRanges)
+{
+    // The extremes that fit lex to their values.
+    const auto tokens =
+        lex("9223372036854775807 0x7fffffffffffffff 0.5");
+    EXPECT_EQ(tokens[0].intValue, INT64_MAX);
+    EXPECT_EQ(tokens[1].intValue, INT64_MAX);
+    EXPECT_EQ(tokens[2].floatValue, 0.5);
+
+    // One past them is a diagnostic naming the literal's position.
+    EXPECT_EQ(lexError("x = 9223372036854775808"),
+              "integer literal out of range at line 1 col 5");
+    EXPECT_EQ(lexError("\n  0x8000000000000000"),
+              "integer literal out of range at line 2 col 3");
+    EXPECT_EQ(lexError(std::string(400, '9') + ".5"),
+              "float literal out of range at line 1 col 1");
 }
 
 TEST(Lexer, BlockComments)

@@ -5,14 +5,19 @@
  * determinism contract (the structure section is byte-identical for
  * any jobs value; the front is invariant under input order), and the
  * factored evaluation against the composed kernel: control streams
- * are scheme-independent, and every folded point equals
+ * are scheme-independent, the LRU stack's 3C verdicts equal one naive
+ * shadow list per capacity, and every folded point equals
  * fetch::simulateFetch field by field on random programs and grids.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <list>
+#include <optional>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -23,6 +28,7 @@
 #include "fetch/cache_stats.hh"
 #include "fetch/fetch_sim.hh"
 #include "fetch/fetch_stages.hh"
+#include "fetch/lru_stack.hh"
 #include "support/rng.hh"
 #include "support/sweep.hh"
 #include "support/thread_pool.hh"
@@ -517,6 +523,111 @@ TEST(SweepFactored, MatchesComposedKernel)
         EXPECT_EQ(point.metrics.cacheRecorded,
                   bool(TEPIC_CACHESTATS_ENABLED))
             << point.key;
+    }
+}
+
+/**
+ * The naive 3C reference for one capacity: a fully associative LRU
+ * list of @p capacity lines, probed over the whole block before any
+ * line is touched (the CACHE recorder's shadow-cache rule).
+ */
+class ShadowList
+{
+  public:
+    explicit ShadowList(std::uint32_t capacity) : capacity_(capacity) {}
+
+    /** Whether every line of [first, last] is resident, then touch. */
+    bool
+    access(std::uint32_t first, std::uint32_t last)
+    {
+        bool all = true;
+        for (std::uint32_t line = first; line <= last; ++line)
+            all &= std::find(lines_.begin(), lines_.end(), line) !=
+                   lines_.end();
+        for (std::uint32_t line = first; line <= last; ++line) {
+            lines_.remove(line);
+            lines_.push_front(line);
+            if (lines_.size() > capacity_)
+                lines_.pop_back();
+        }
+        return all;
+    }
+
+    /** The least recent resident line when full: the one that sits
+     *  exactly on this capacity's boundary. */
+    std::optional<std::uint32_t>
+    boundary() const
+    {
+        if (lines_.size() < capacity_)
+            return std::nullopt;
+        return lines_.back();
+    }
+
+  private:
+    std::uint32_t capacity_;
+    std::list<std::uint32_t> lines_;  ///< most recent first
+};
+
+TEST(SweepFactored, LruStackZonesMatchShadowLists)
+{
+    struct Case
+    {
+        std::vector<std::uint32_t> capacities;
+        std::uint32_t maxSpan;  ///< lines per block, at most
+        std::uint32_t universe;  ///< distinct line ids
+    };
+    const Case cases[] = {
+        {{1}, 1, 6},
+        {{1}, 4, 8},            // blocks wider than the capacity
+        {{9, 300}, 3, 400},     // 3 x 3 and 100 x 3
+        {{4, 4, 8, 2, 8}, 3, 24},  // duplicates, any order
+        {{2, 5, 3}, 7, 16},     // blocks wider than every zone
+        {{64, 128, 256, 512, 128, 256}, 4, 700},  // the CI grid
+    };
+    for (std::uint64_t c = 0; c < std::size(cases); ++c) {
+        const Case &test = cases[c];
+        SCOPED_TRACE("case " + std::to_string(c));
+        support::Rng rng(c * 7919 + 17);
+        fetch::LruStack stack(test.capacities);
+        std::vector<ShadowList> shadows;
+        std::vector<std::uint32_t> zones;
+        for (std::uint32_t capacity : test.capacities) {
+            shadows.emplace_back(capacity);
+            zones.push_back(stack.zoneOf(capacity));
+        }
+        std::set<std::uint32_t> touched;
+        std::uint32_t first = 0, last = 0;
+        for (int step = 0; step < 6000; ++step) {
+            const std::uint64_t pick = rng.below(8);
+            const std::optional<std::uint32_t> edge =
+                shadows[rng.below(shadows.size())].boundary();
+            if (pick == 0) {
+                // Re-touch the previous block: its last line is the
+                // head of the stack.
+            } else if (pick == 1) {
+                first = last;  // the head alone
+            } else if (pick == 2 && edge) {
+                first = last = *edge;  // the line on a boundary
+            } else {
+                first = std::uint32_t(rng.below(test.universe));
+                last = first +
+                       std::uint32_t(rng.below(test.maxSpan));
+            }
+            bool first_touch = false;
+            for (std::uint32_t line = first; line <= last; ++line)
+                first_touch |= touched.insert(line).second;
+            const std::uint32_t verdict = stack.access(first, last);
+            for (std::size_t g = 0; g < shadows.size(); ++g) {
+                const bool resident = shadows[g].access(first, last);
+                const fetch::MissClass want = first_touch
+                    ? fetch::MissClass::kCompulsory
+                    : resident ? fetch::MissClass::kConflict
+                               : fetch::MissClass::kCapacity;
+                ASSERT_EQ(fetch::classifyMiss(verdict, zones[g]), want)
+                    << "step " << step << " lines [" << first << ", "
+                    << last << "] capacity " << test.capacities[g];
+            }
+        }
     }
 }
 
