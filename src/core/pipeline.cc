@@ -325,9 +325,9 @@ runFetch(const Artifacts &artifacts, fetch::SchemeClass scheme,
     // phase, tepicc --report-dir=); callers that enabled it in
     // their own config are honored as-is.
     if (fetch::cachestats::enabled())
-        fetch_config.cacheStats.enabled = true;
+        fetch_config.recordCacheStats = true;
     if (fetch::hotstats::enabled())
-        fetch_config.hotStats.enabled = true;
+        fetch_config.recordHotStats = true;
 
     // Attach a decoded-block cache unless the caller brought one.
     // Decoder construction happens here, *before* the profiled fetch

@@ -122,7 +122,7 @@ SweepConfig::key() const
 }
 
 fetch::FetchConfig
-SweepConfig::fetchConfig(bool record_3c) const
+SweepConfig::fetchConfig() const
 {
     fetch::FetchConfig config;
     config.scheme = scheme;
@@ -133,7 +133,6 @@ SweepConfig::fetchConfig(bool record_3c) const
     config.atbEntries = atbEntries;
     config.predictor.kind = predictor;
     config.penalties = penaltyProfileByName(penaltyProfile).penalties;
-    config.cacheStats.enabled = record_3c;
     return config;
 }
 
@@ -256,8 +255,8 @@ struct AccessStream
  * Run @p rep's L0 buffer over @p trace once, and every L1 of
  * @p geometries (its group's sets and ways) in lockstep behind it.
  * With @p record_3c, one LRU stack over line ids classifies every
- * geometry's misses, exactly as the CACHE recorder's shadow cache of
- * that geometry's capacity would.
+ * geometry's misses, as the CACHE recorder's one-capacity stack does
+ * for its geometry.
  */
 AccessStream
 recordAccessStream(const sim::BlockTrace &trace,
@@ -531,7 +530,7 @@ evaluatePoints(const std::vector<const Artifacts *> &workloads,
             [](const SchemeInputs &in) { return in.att.has_value(); });
         controls[task] = recordControlStream(
             *with_att->att, workloads[w]->trace(), rep.atbEntries,
-            rep.fetchConfig(false).predictor);
+            rep.fetchConfig().predictor);
     });
 
     // Phase 2: the L1 access streams, longest trace first, each with
@@ -563,7 +562,7 @@ evaluatePoints(const std::vector<const Artifacts *> &workloads,
                 m = foldPoint(
                     controls[w * control_count + plan.controlOf[c]],
                     access, access.geometries[g], trace, table,
-                    configs[c].fetchConfig(record_3c));
+                    configs[c].fetchConfig());
                 m.sizeBits = in.image->bitSize;
                 m.decoderTransistors = in.decoderTransistors;
             }

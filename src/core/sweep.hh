@@ -51,8 +51,9 @@
  *     L1-miss bits in fetch order that replays the folded bus bursts
  *     (upload before fill within a fetch).
  *
- * Every point equals simulateFetch under SweepConfig::fetchConfig(),
- * field for field (property-tested on random programs and grids).
+ * Every point equals simulateFetch under SweepConfig::fetchConfig()
+ * with recordCacheStats set, field for field (property-tested on
+ * random programs and grids).
  *
  * Dominance (support/sweep.hh): a configuration dominates another
  * when it is no worse on all four objectives — total size bits (min),
@@ -167,7 +168,7 @@ struct SweepConfig
      * The fetch::FetchConfig this point stands for: simulateFetch
      * under it reproduces the point's metrics exactly.
      */
-    fetch::FetchConfig fetchConfig(bool record_3c) const;
+    fetch::FetchConfig fetchConfig() const;
 };
 
 /**

@@ -9,7 +9,7 @@
 namespace tepic::fetch {
 
 // ---------------------------------------------------------------------------
-// CacheStats: merge + invariants (compiled unconditionally).
+// CacheStats: merge + invariants.
 
 void
 CacheStats::merge(const CacheStats &other)
@@ -86,14 +86,11 @@ CacheStats::assertTiling() const
     TEPIC_ASSERT(evictionUseHistogram.total() == lineEvictions,
                  "every eviction samples the use histogram once");
 
-    std::uint64_t acc_sum = 0, hit_sum = 0, fill_sum = 0;
-    std::uint64_t evict_sum = 0;
+    std::uint64_t fill_sum = 0, evict_sum = 0;
     for (std::size_t s = 0; s < setAccesses.size(); ++s) {
         TEPIC_ASSERT(setAccesses[s] == setHits[s] + setFills[s],
                      "per-set line accesses must tile into hits + "
                      "fills (set ", s, ")");
-        acc_sum += setAccesses[s];
-        hit_sum += setHits[s];
         fill_sum += setFills[s];
         evict_sum += setEvictions[s];
     }
@@ -108,7 +105,7 @@ CacheStats::assertTiling() const
                           const char *what) {
         for (unsigned s = 0; s < sets; ++s) {
             std::uint64_t col = 0;
-            for (unsigned e = 0; e < heatmapEpochs; ++e)
+            for (unsigned e = 0; e < kHeatmapEpochs; ++e)
                 col += heat[std::size_t(e) * sets + s];
             TEPIC_ASSERT(col == per_set[s],
                          "heatmap ", what, " column must sum to the "
@@ -118,11 +115,7 @@ CacheStats::assertTiling() const
     check_heat(heatAccesses, setAccesses, "accesses");
     check_heat(heatFills, setFills, "fills");
     check_heat(heatEvictions, setEvictions, "evictions");
-    (void)acc_sum;
-    (void)hit_sum;
 }
-
-#if TEPIC_CACHESTATS_ENABLED
 
 // ---------------------------------------------------------------------------
 // ReuseDistanceTracker.
@@ -237,95 +230,35 @@ ReuseDistanceTracker::access(std::uint32_t block)
 // CacheStatsRecorder.
 
 CacheStatsRecorder::CacheStatsRecorder(const CacheConfig &cache,
-                                       std::uint64_t expectedEvents,
-                                       const CacheStatsConfig &options)
-    : options_(options),
-      clock_(std::max(1u, options.heatmapEpochs), expectedEvents),
-      // Seed the position space with the shadow capacity: the
+                                       std::uint64_t expectedEvents)
+    : clock_(CacheStats::kHeatmapEpochs, expectedEvents),
+      lru_({cache.sets * cache.ways}),
+      // Seed the position space with the cache's line capacity: the
       // distinct-block count is unknown here and the tracker grows
       // itself on compaction anyway.
       reuse_(std::size_t(cache.sets) * cache.ways)
 {
-    options_.heatmapEpochs = std::max(1u, options_.heatmapEpochs);
-    options_.reuseSampleEvery =
-        std::max<std::uint64_t>(1, options_.reuseSampleEvery);
     stats_.sets = cache.sets;
     stats_.ways = cache.ways;
     stats_.lineBytes = cache.lineBytes;
-    stats_.heatmapEpochs = options_.heatmapEpochs;
-    cells_.assign(std::size_t(options_.heatmapEpochs) * cache.sets,
+    cells_.assign(std::size_t(CacheStats::kHeatmapEpochs) * cache.sets,
                   LineCell{});
     row_ = cells_.data();
-    shadowCapacity_ = cache.sets * cache.ways;
     evictionUses_.assign(CacheStats::kUseHistogramOverflow, 0);
-}
-
-void
-CacheStatsRecorder::shadowUnlink(std::uint32_t line)
-{
-    ShadowNode &node = shadow_[line];
-    if (node.prev != kNil)
-        shadow_[node.prev].next = node.next;
-    else
-        shadowHead_ = node.next;
-    if (node.next != kNil)
-        shadow_[node.next].prev = node.prev;
-    else
-        shadowTail_ = node.prev;
-    node.prev = node.next = kNil;
-}
-
-void
-CacheStatsRecorder::shadowPushFront(std::uint32_t line)
-{
-    ShadowNode &node = shadow_[line];
-    node.prev = kNil;
-    node.next = shadowHead_;
-    if (shadowHead_ != kNil)
-        shadow_[shadowHead_].prev = line;
-    shadowHead_ = line;
-    if (shadowTail_ == kNil)
-        shadowTail_ = line;
-}
-
-void
-CacheStatsRecorder::shadowTouch(std::uint64_t lineId)
-{
-    const auto line = std::uint32_t(lineId);
-    ShadowNode &node = shadow_[line];
-    if (node.resident) {
-        if (shadowHead_ == line)
-            return;  // already most recent
-        shadowUnlink(line);
-        shadowPushFront(line);
-        return;
-    }
-    if (shadowResident_ == shadowCapacity_) {
-        const std::uint32_t victim = shadowTail_;
-        shadow_[victim].resident = false;
-        shadowUnlink(victim);
-        --shadowResident_;
-    }
-    node.resident = true;
-    shadowPushFront(line);
-    ++shadowResident_;
 }
 
 void
 CacheStatsRecorder::onFetch(const FetchObservation &fetch)
 {
     ++stats_.fetches;
-    if (reuseCountdown_-- == 0) {
-        reuseCountdown_ = options_.reuseSampleEvery - 1;
-        const std::uint64_t distance = reuse_.access(fetch.block);
-        ++stats_.reuseSamples;
-        if (distance == ReuseDistanceTracker::kCold) {
-            ++stats_.reuseCold;
-        } else {
-            stats_.reuseMax = std::max(stats_.reuseMax, distance);
-            // bit_width(0) == 0: distance 0 keeps its own key.
-            ++reuseBins_[std::bit_width(distance)];
-        }
+    const std::uint64_t distance = reuse_.access(fetch.block);
+    ++stats_.reuseSamples;
+    if (distance == ReuseDistanceTracker::kCold) {
+        ++stats_.reuseCold;
+    } else {
+        stats_.reuseMax = std::max(stats_.reuseMax, distance);
+        // bit_width(0) == 0: distance 0 keeps its own key.
+        ++reuseBins_[std::bit_width(distance)];
     }
 
     if (fetch.atbHit)
@@ -345,40 +278,29 @@ CacheStatsRecorder::onFetch(const FetchObservation &fetch)
 }
 
 void
-CacheStatsRecorder::classifyL1(std::uint64_t first, std::uint64_t last,
+CacheStatsRecorder::classifyL1(std::uint32_t first, std::uint32_t last,
                                bool hit)
 {
-    TEPIC_ASSERT(first <= last, "empty line span");
-    if (last >= shadow_.size())
-        shadow_.resize(std::size_t(last) + 1);
-
-    // Probe first (pre-access state), then update: a block's own
-    // earlier lines must not satisfy its later ones.
-    bool first_touch = false;
-    bool shadow_all = true;
-    for (std::uint64_t line = first; line <= last; ++line) {
-        if (!shadow_[line].touched)
-            first_touch = true;
-        if (!shadow_[line].resident)
-            shadow_all = false;
-    }
-    for (std::uint64_t line = first; line <= last; ++line) {
-        shadow_[line].touched = true;
-        shadowTouch(line);
-    }
-
+    // Probe before touch (LruStack::access): a block's own earlier
+    // lines must not satisfy its later ones.
+    const std::uint32_t verdict = lru_.access(first, last);
     ++stats_.accesses;
     if (hit) {
         ++stats_.hits;
         return;
     }
     ++stats_.misses;
-    if (first_touch)
+    switch (classifyMiss(verdict, 0)) {
+      case MissClass::kCompulsory:
         ++stats_.compulsory;
-    else if (shadow_all)
-        ++stats_.conflict;
-    else
+        break;
+      case MissClass::kCapacity:
         ++stats_.capacity;
+        break;
+      case MissClass::kConflict:
+        ++stats_.conflict;
+        break;
+    }
 }
 
 void
@@ -464,8 +386,6 @@ CacheStatsRecorder::finish()
     return std::move(stats_);
 }
 
-#endif // TEPIC_CACHESTATS_ENABLED
-
 // ---------------------------------------------------------------------------
 // CACHE-report rendering (the store is report_store.hh).
 
@@ -494,7 +414,7 @@ writeScheme(support::JsonWriter &json, const CacheStats &s)
     json.key("sets").value(s.sets);
     json.key("ways").value(s.ways);
     json.key("line_bytes").value(s.lineBytes);
-    json.key("heatmap_epochs").value(s.heatmapEpochs);
+    json.key("heatmap_epochs").value(CacheStats::kHeatmapEpochs);
     json.end();
     json.key("blocks").object(JsonWriter::kInline);
     json.key("fetches").value(s.fetches);
@@ -542,13 +462,13 @@ writeScheme(support::JsonWriter &json, const CacheStats &s)
     json.end();
 
     json.key("heatmap").object();
-    json.key("epochs").value(s.heatmapEpochs);
+    json.key("epochs").value(CacheStats::kHeatmapEpochs);
     for (const auto &[label, vec] :
          {std::make_pair("accesses", &s.heatAccesses),
           std::make_pair("fills", &s.heatFills),
           std::make_pair("evictions", &s.heatEvictions)}) {
         json.key(label).array();
-        for (unsigned e = 0; e < s.heatmapEpochs; ++e)
+        for (unsigned e = 0; e < CacheStats::kHeatmapEpochs; ++e)
             writeArray(json, *vec, std::size_t(e) * s.sets, s.sets);
         json.end();
     }

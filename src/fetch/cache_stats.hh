@@ -12,12 +12,12 @@
  * paths:
  *
  *  - L1 (BankedCache): every block miss is classified as exactly one
- *    of compulsory / capacity / conflict. Compulsory = the block
- *    touches at least one never-before-seen line (first-touch
- *    tracking). Otherwise a fully-associative LRU *shadow cache* of
- *    the same total line capacity is probed: if the shadow holds the
- *    whole block the set-associative cache lost it to mapping
- *    restrictions (conflict); if even the fully-associative cache
+ *    of compulsory / capacity / conflict by a fetch::LruStack
+ *    (lru_stack.hh) with the one capacity sets x ways. Compulsory =
+ *    the block touches at least one never-before-seen line.
+ *    Otherwise, if a fully-associative LRU cache of the same total
+ *    line capacity holds the whole block, the set-associative cache
+ *    lost it to mapping restrictions (conflict); if even that cache
  *    would have missed, the working set simply does not fit
  *    (capacity). Tiling invariant, TEPIC_ASSERTed in finish() and
  *    fuzz-tested like the stall taxonomy:
@@ -54,12 +54,9 @@
  * Determinism contract: everything a recorder produces is a pure
  * function of (trace, config) — the whole CACHE report is
  * exact-gated "structure", unlike prof/sched which carry wall-clock
- * sections. Recording is sampling-capable (reuseSampleEvery thins
- * the reuse-distance stream; the 3C state must see every access and
- * cannot be sampled) and the recorder folds to no-op stubs under
- * -DTEPIC_ENABLE_TRACING=OFF: the disabled hot loop pays one branch
- * per fetch, bounded by the --diff gate's x100 band on fig14's
- * prof.* throughput gauges.
+ * sections. simulateFetch attaches no recorder under
+ * -DTEPIC_ENABLE_TRACING=OFF (TEPIC_CACHESTATS_ENABLED == 0), so
+ * those builds report recorded == false.
  *
  * Session layer: cachestats is the report_store.hh template over
  * CacheStats. core::reports starts its session, runFetch() records
@@ -79,6 +76,7 @@
 #include "fetch/cycle_model.hh"
 #include "fetch/epoch_clock.hh"
 #include "fetch/fetch_observer.hh"
+#include "fetch/lru_stack.hh"
 #include "fetch/report_store.hh"
 #include "support/keys.hh"
 #include "support/stats.hh"
@@ -90,24 +88,9 @@
 
 namespace tepic::fetch {
 
-/** How (and how much of) the cache behavior to record. */
-struct CacheStatsConfig
-{
-    bool enabled = false;
-    /** Time resolution of the per-set heatmap matrices. */
-    unsigned heatmapEpochs = 16;
-    /**
-     * Record every Nth fetch event into the reuse-distance stream
-     * (1 = every event). Distances are measured within the sampled
-     * substream — still deterministic, just coarser.
-     */
-    std::uint64_t reuseSampleEvery = 1;
-};
-
 /**
- * Everything one recorder accumulated. Plain data, compiled
- * unconditionally (disabled builds produce recorded == false), and
- * mergeable across simulations of the same cache geometry.
+ * Everything one recorder accumulated: plain data, mergeable across
+ * simulations of the same cache geometry.
  */
 struct CacheStats
 {
@@ -117,7 +100,6 @@ struct CacheStats
     unsigned sets = 0;
     unsigned ways = 0;
     unsigned lineBytes = 0;
-    unsigned heatmapEpochs = 0;
 
     /** Fetches seen (== FetchStats::fetches of the simulation). */
     std::uint64_t fetches = 0;
@@ -145,8 +127,8 @@ struct CacheStats
     support::Histogram evictionUseHistogram =
         support::Histogram(kUseHistogramOverflow);
 
-    // Reuse distances over the (sampled) block stream.
-    std::uint64_t reuseSamples = 0;  ///< sampled events, incl. cold
+    // Reuse distances over the block stream.
+    std::uint64_t reuseSamples = 0;  ///< fetches, incl. cold
     std::uint64_t reuseCold = 0;     ///< first touches
     std::uint64_t reuseMax = 0;
     /** Key k >= 1 covers distances [2^(k-1), 2^k); key 0 = dist 0. */
@@ -159,13 +141,15 @@ struct CacheStats
     std::vector<std::uint64_t> setEvictions;
     std::vector<std::uint64_t> setDeadOnFill;
 
-    // Heatmaps: heatmapEpochs rows x sets columns, row-major. Column
+    // Heatmaps: kHeatmapEpochs rows x sets columns, row-major. Column
     // sums reproduce the per-set vectors above (asserted by
     // tepic_reports.py).
     std::vector<std::uint64_t> heatAccesses;
     std::vector<std::uint64_t> heatFills;
     std::vector<std::uint64_t> heatEvictions;
 
+    /** Time resolution of the per-set heatmap matrices. */
+    static constexpr unsigned kHeatmapEpochs = 16;
     static constexpr std::int64_t kUseHistogramOverflow = 64;
     static constexpr const char *kReportSchema = "tepic-cache-v1";
 
@@ -174,8 +158,7 @@ struct CacheStats
     sameShape(const CacheStats &other) const
     {
         return sets == other.sets && ways == other.ways &&
-               lineBytes == other.lineBytes &&
-               heatmapEpochs == other.heatmapEpochs;
+               lineBytes == other.lineBytes;
     }
 
     /** The store's split key, "@<sets>x<ways>x<lineBytes>". */
@@ -211,8 +194,6 @@ struct CacheStats
     /** TEPIC_ASSERT every tiling invariant (no-op if !recorded). */
     void assertTiling() const;
 };
-
-#if TEPIC_CACHESTATS_ENABLED
 
 /**
  * Exact reuse distances: each live block owns one marker at its most
@@ -258,8 +239,7 @@ class CacheStatsRecorder final : public CacheLineObserver,
 {
   public:
     CacheStatsRecorder(const CacheConfig &cache,
-                       std::uint64_t expectedEvents,
-                       const CacheStatsConfig &options);
+                       std::uint64_t expectedEvents);
     // row_ points into cells_: a copy would write the original's.
     CacheStatsRecorder(const CacheStatsRecorder &) = delete;
     CacheStatsRecorder &operator=(const CacheStatsRecorder &) = delete;
@@ -267,7 +247,7 @@ class CacheStatsRecorder final : public CacheLineObserver,
     /**
      * One completed fetch: its block-stream reuse sample, ATB outcome
      * and either the L0 bypass or the 3C classification of its L1
-     * access over [firstLine, lastLine] (the shadow is probed from
+     * access over [firstLine, lastLine] (the LRU stack is
      * recorder-private state, so running after the real access
      * changes nothing). Fetches arrive in trace order.
      */
@@ -293,15 +273,12 @@ class CacheStatsRecorder final : public CacheLineObserver,
         std::uint64_t deadEvictions = 0;
     };
 
-    CacheStatsConfig options_;
     CacheStats stats_;
     EpochClock clock_;
     /** epochs x sets, row-major; folded into stats_ by finish(). */
     std::vector<LineCell> cells_;
     /** The row of the fetch now accessing the L1. */
     LineCell *row_ = nullptr;
-    /** Fetches until the next reuse sample (reuseSampleEvery). */
-    std::uint64_t reuseCountdown_ = 0;
     /** Warm reuse samples by log2 key (0..64), folded into
      *  reuseLog2Histogram by finish(). */
     std::array<std::uint64_t, 65> reuseBins_{};
@@ -310,63 +287,12 @@ class CacheStatsRecorder final : public CacheLineObserver,
      *  evictionUseHistogram by finish(). */
     std::vector<std::uint64_t> evictionUses_;
 
-    // First-touch tracking + fully-associative LRU shadow over line
-    // ids, as one dense grow-on-demand array (line ids are bounded by
-    // image bytes / lineBytes).
-    struct ShadowNode
-    {
-        std::uint32_t prev = kNil;
-        std::uint32_t next = kNil;
-        bool resident = false;
-        bool touched = false;  ///< ever accessed (first-touch test)
-    };
-    static constexpr std::uint32_t kNil = 0xffffffffu;
-    std::vector<ShadowNode> shadow_;
-    std::uint32_t shadowHead_ = kNil;
-    std::uint32_t shadowTail_ = kNil;
-    std::uint32_t shadowResident_ = 0;
-    std::uint32_t shadowCapacity_ = 0;
-
+    /** First touches and fully-associative residency, for 3C. */
+    LruStack lru_;
     ReuseDistanceTracker reuse_;
 
-    void classifyL1(std::uint64_t first, std::uint64_t last, bool hit);
-    void shadowTouch(std::uint64_t lineId);
-    void shadowUnlink(std::uint32_t line);
-    void shadowPushFront(std::uint32_t line);
+    void classifyL1(std::uint32_t first, std::uint32_t last, bool hit);
 };
-
-#else // !TEPIC_CACHESTATS_ENABLED — the recorder folds away.
-
-class ReuseDistanceTracker
-{
-  public:
-    static constexpr std::uint64_t kCold = ~std::uint64_t(0);
-    explicit ReuseDistanceTracker(std::size_t) {}
-    std::uint64_t access(std::uint32_t) { return kCold; }
-    std::uint64_t compactions() const { return 0; }
-};
-
-class CacheStatsRecorder final : public CacheLineObserver,
-                                 public FetchObserver
-{
-  public:
-    CacheStatsRecorder(const CacheConfig &, std::uint64_t,
-                       const CacheStatsConfig &)
-    {
-    }
-
-    void onFetch(const FetchObservation &) override {}
-    void onLineHit(std::uint64_t, std::uint32_t) override {}
-    void onLineFill(std::uint64_t, std::uint32_t) override {}
-    void onLineEvict(std::uint64_t, std::uint32_t,
-                     std::uint64_t) override
-    {
-    }
-
-    CacheStats finish() { return CacheStats{}; }
-};
-
-#endif // TEPIC_CACHESTATS_ENABLED
 
 /** One merged record as a CACHE-report scheme object. */
 void writeScheme(support::JsonWriter &json, const CacheStats &stats);

@@ -62,22 +62,20 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
     // Recorders attach to the one per-fetch observation point, after
     // the cost stage; the loop pays one branch per fetch when none is
     // attached. The cache recorder also takes the L1's line events
-    // (CacheLineObserver). Both recorders fold to no-op stubs under
-    // -DTEPIC_ENABLE_TRACING=OFF.
+    // (CacheLineObserver). Builds without tracing attach none.
     std::optional<CacheStatsRecorder> cache_stats;
     std::optional<HotStatsRecorder> hot_stats;
     std::array<FetchObserver *, 2> observers{};
     std::size_t n_observers = 0;
-    if (config.cacheStats.enabled) {
+    if (TEPIC_CACHESTATS_ENABLED && config.recordCacheStats) {
         cache.setObserver(&cache_stats.emplace(
-            config.cache, std::uint64_t(events.size()),
-            config.cacheStats));
+            config.cache, std::uint64_t(events.size())));
         observers[n_observers++] = &*cache_stats;
     }
-    if (config.hotStats.enabled) {
+    if (TEPIC_HOTSTATS_ENABLED && config.recordHotStats) {
         observers[n_observers++] = &hot_stats.emplace(
             std::uint32_t(att.entries().size()),
-            std::uint64_t(events.size()), config.hotStats);
+            std::uint64_t(events.size()));
     }
 
     std::uint64_t fetches = 0;

@@ -51,24 +51,15 @@ struct FetchConfig
     unsigned busWidthBytes = 8;
     CyclePenalties penalties;
     /**
-     * Cache-behavior recording (cache_stats.hh): 3C miss
-     * classification, reuse distances, per-set heatmaps. Off by
-     * default — the hot loop pays one null check per path; purely
-     * observational, so stats with and without recording are
-     * identical (asserted by tests). Folds to no-op stubs under
-     * -DTEPIC_ENABLE_TRACING=OFF.
+     * Attach the recorders: cache behavior (cache_stats.hh: 3C,
+     * reuse distances, per-set heatmaps) and dynamic program
+     * behavior (hot_stats.hh: block hotness, branch sites, phases).
+     * Purely observational, so every other stat is the same either
+     * way. Ignored in builds without tracing
+     * (TEPIC_CACHESTATS_ENABLED / TEPIC_HOTSTATS_ENABLED == 0).
      */
-    CacheStatsConfig cacheStats;
-
-    /**
-     * Dynamic program-behavior recording (hot_stats.hh): per-block
-     * hotness, branch-site accuracy, phase profile. Off by default —
-     * the hot loop pays one null check per event; purely
-     * observational, so stats with and without recording are
-     * identical (asserted by tests). Folds to no-op stubs under
-     * -DTEPIC_ENABLE_TRACING=OFF.
-     */
-    HotStatsConfig hotStats;
+    bool recordCacheStats = false;
+    bool recordHotStats = false;
 
     /**
      * Optional decoded-block cache (codec/decoder.hh): when set, the
@@ -152,14 +143,10 @@ struct FetchStats
      *  deliberately outside the tiling sum). Compressed only. */
     std::uint64_t l0SavedCycles = 0;
 
-    /** Cache-behavior record; recorded only when
-     *  FetchConfig::cacheStats.enabled (and the build has tracing
-     *  compiled in). See cache_stats.hh for the tiling contract. */
+    /** The recorders' records (FetchConfig::recordCacheStats /
+     *  recordHotStats); see cache_stats.hh and hot_stats.hh for
+     *  their tiling contracts. */
     CacheStats cacheStats;
-
-    /** Dynamic-behavior record; recorded only when
-     *  FetchConfig::hotStats.enabled (and the build has tracing
-     *  compiled in). See hot_stats.hh for the tiling contract. */
     HotStats hotStats;
 
     double

@@ -10,7 +10,7 @@
 namespace tepic::fetch {
 
 // ---------------------------------------------------------------------------
-// HotStats: merge + invariants (compiled unconditionally).
+// HotStats: merge + invariants.
 
 std::uint64_t
 HotStats::executedBlocks() const
@@ -59,7 +59,6 @@ HotStats::merge(const HotStats &other)
     TEPIC_ASSERT(sameShape(other),
                  "HotStats::merge across program shapes (the session "
                  "layer must key these apart)");
-    topBlocks = std::max(topBlocks, other.topBlocks);
     blocksSimulated += other.blocksSimulated;
     cycles += other.cycles;
     stallCycles += other.stallCycles;
@@ -157,11 +156,11 @@ HotStats::assertTiling() const
 
     // Phase columns reproduce the per-block fetch counts.
     TEPIC_ASSERT(phaseFetches.size() ==
-                     std::size_t(phaseEpochs) * staticBlocks,
+                     std::size_t(kPhaseEpochs) * staticBlocks,
                  "phase matrix must be epochs x static blocks");
     for (std::uint32_t b = 0; b < staticBlocks; ++b) {
         std::uint64_t col = 0;
-        for (unsigned e = 0; e < phaseEpochs; ++e)
+        for (unsigned e = 0; e < kPhaseEpochs; ++e)
             col += phaseFetches[std::size_t(e) * staticBlocks + b];
         TEPIC_ASSERT(col == blockFetches[b],
                      "phase column must sum to the per-block fetch "
@@ -178,21 +177,14 @@ HotStats::assertTiling() const
     }
 }
 
-#if TEPIC_HOTSTATS_ENABLED
-
 // ---------------------------------------------------------------------------
 // HotStatsRecorder.
 
 HotStatsRecorder::HotStatsRecorder(std::uint32_t staticBlocks,
-                                   std::uint64_t expectedEvents,
-                                   const HotStatsConfig &options)
-    : options_(options),
-      clock_(std::max(1u, options.phaseEpochs), expectedEvents)
+                                   std::uint64_t expectedEvents)
+    : clock_(HotStats::kPhaseEpochs, expectedEvents)
 {
-    options_.phaseEpochs = std::max(1u, options_.phaseEpochs);
     stats_.staticBlocks = staticBlocks;
-    stats_.phaseEpochs = options_.phaseEpochs;
-    stats_.topBlocks = options_.topBlocks;
     stats_.blockFetches.assign(staticBlocks, 0);
     stats_.blockCycles.assign(staticBlocks, 0);
     stats_.blockStalls.assign(staticBlocks, 0);
@@ -201,7 +193,7 @@ HotStatsRecorder::HotStatsRecorder(std::uint32_t staticBlocks,
     stats_.siteMispredicts.assign(staticBlocks, 0);
     stats_.siteMispredictStall.assign(staticBlocks, 0);
     stats_.phaseFetches.assign(
-        std::size_t(options_.phaseEpochs) * staticBlocks, 0);
+        std::size_t(HotStats::kPhaseEpochs) * staticBlocks, 0);
 }
 
 void
@@ -261,8 +253,6 @@ HotStatsRecorder::finish()
     return std::move(stats_);
 }
 
-#endif // TEPIC_HOTSTATS_ENABLED
-
 // ---------------------------------------------------------------------------
 // HOT-report rendering (the store is report_store.hh).
 
@@ -272,7 +262,7 @@ namespace {
 std::size_t
 exportWidth(const HotStats &s)
 {
-    return std::min<std::size_t>(std::max(1u, s.topBlocks),
+    return std::min<std::size_t>(HotStats::kTopBlocks,
                                  s.blockFetches.size());
 }
 
@@ -288,7 +278,7 @@ writeScheme(support::JsonWriter &json, const HotStats &s)
     json.object();
     json.key("config").object(JsonWriter::kInline);
     json.key("static_blocks").value(s.staticBlocks);
-    json.key("phase_epochs").value(s.phaseEpochs);
+    json.key("phase_epochs").value(HotStats::kPhaseEpochs);
     json.key("top_blocks").value(k);
     json.end();
     json.key("totals").object(JsonWriter::kInline);
@@ -427,7 +417,7 @@ writeScheme(support::JsonWriter &json, const HotStats &s)
     json.end();
     json.key("matrix").array();
     std::vector<std::uint64_t> rest_row;
-    for (unsigned e = 0; e < s.phaseEpochs; ++e) {
+    for (unsigned e = 0; e < HotStats::kPhaseEpochs; ++e) {
         const std::size_t row = std::size_t(e) * s.staticBlocks;
         std::uint64_t row_total = 0;
         for (std::uint32_t b = 0; b < s.staticBlocks; ++b)

@@ -40,7 +40,7 @@
  *        Σ per-site mispredicts == predictionsWrong
  *                                  + unconsumedMispredicts
  *
- *  - An epoch-indexed phase profile: phaseEpochs x static-blocks
+ *  - An epoch-indexed phase profile: kPhaseEpochs x static-blocks
  *    fetch counts, the epoch derived from the fetch's *index* in the
  *    trace (never wall clock) by the same clock as the cache
  *    heatmaps (epoch_clock.hh), so every matrix is bit-identical for
@@ -57,9 +57,10 @@
  * Determinism contract: everything a recorder produces is a pure
  * function of (trace, config); the whole HOT report is exact-gated
  * "structure". Recording is architecturally invisible (FetchStats
- * with and without recording are identical, asserted by tests) and
- * the recorder folds to no-op stubs under -DTEPIC_ENABLE_TRACING=OFF
- * — the disabled hot loop pays one branch per fetch.
+ * with and without recording are identical, asserted by tests);
+ * simulateFetch attaches no recorder under -DTEPIC_ENABLE_TRACING=OFF
+ * (TEPIC_HOTSTATS_ENABLED == 0), so those builds report
+ * recorded == false.
  *
  * Session layer: hotstats is the report_store.hh template over
  * HotStats, run exactly like cachestats; reportJson() renders schema
@@ -86,21 +87,9 @@
 
 namespace tepic::fetch {
 
-/** How (and how much of) the dynamic behavior to record. */
-struct HotStatsConfig
-{
-    bool enabled = false;
-    /** Time resolution of the phase (epochs x blocks) profile. */
-    unsigned phaseEpochs = 16;
-    /** Blocks/sites listed individually in the report's top-K view
-     *  (everything else folds into an exact "rest" residual). */
-    unsigned topBlocks = 32;
-};
-
 /**
- * Everything one recorder accumulated. Plain data, compiled
- * unconditionally (disabled builds produce recorded == false), and
- * mergeable across simulations of the same program shape.
+ * Everything one recorder accumulated: plain data, mergeable across
+ * simulations of the same program shape.
  */
 struct HotStats
 {
@@ -108,8 +97,6 @@ struct HotStats
 
     // Shape the run used (merge requires equality).
     std::uint32_t staticBlocks = 0;
-    unsigned phaseEpochs = 0;
-    unsigned topBlocks = 0;
 
     /** Fetches seen (== FetchStats::fetches of the simulation). */
     std::uint64_t blocksSimulated = 0;
@@ -138,7 +125,7 @@ struct HotStats
     std::vector<std::uint64_t> siteMispredicts;
     std::vector<std::uint64_t> siteMispredictStall;
 
-    /** Phase profile: phaseEpochs rows x staticBlocks columns,
+    /** Phase profile: kPhaseEpochs rows x staticBlocks columns,
      *  row-major fetch counts. Column sums == blockFetches. */
     std::vector<std::uint64_t> phaseFetches;
 
@@ -149,22 +136,26 @@ struct HotStats
     std::vector<std::string> functionNames;
     std::vector<std::uint32_t> blockFunction;
 
+    /** Time resolution of the phase (epochs x blocks) profile. */
+    static constexpr unsigned kPhaseEpochs = 16;
+    /** Blocks/sites listed individually in the report's top-K view
+     *  (everything else folds into an exact "rest" residual). */
+    static constexpr unsigned kTopBlocks = 32;
     static constexpr const char *kReportSchema = "tepic-hot-v1";
 
     /** Same program shape: the records may merge. */
     bool
     sameShape(const HotStats &other) const
     {
-        return staticBlocks == other.staticBlocks &&
-               phaseEpochs == other.phaseEpochs;
+        return staticBlocks == other.staticBlocks;
     }
 
-    /** The store's split key, "@B<staticBlocks>xE<phaseEpochs>". */
+    /** The store's split key, "@B<staticBlocks>xE<kPhaseEpochs>". */
     std::string
     shapeKey() const
     {
         return support::shapeSuffix({{"B", staticBlocks},
-                                     {"E", phaseEpochs}});
+                                     {"E", kPhaseEpochs}});
     }
 
     /** Predictions made (== blocksSimulated; one per fetch). */
@@ -201,15 +192,12 @@ struct HotStats
     void assertTiling() const;
 };
 
-#if TEPIC_HOTSTATS_ENABLED
-
 /** One simulation's recording hooks; see the file comment. */
 class HotStatsRecorder final : public FetchObserver
 {
   public:
     HotStatsRecorder(std::uint32_t staticBlocks,
-                     std::uint64_t expectedEvents,
-                     const HotStatsConfig &options);
+                     std::uint64_t expectedEvents);
 
     /**
      * One completed fetch: its cycle and stall attribution to the
@@ -225,7 +213,6 @@ class HotStatsRecorder final : public FetchObserver
   private:
     static constexpr std::uint32_t kNoSite = 0xffffffffu;
 
-    HotStatsConfig options_;
     HotStats stats_;
     EpochClock clock_;
     /** Site of the most recent prediction (mispredict stall lands
@@ -233,23 +220,6 @@ class HotStatsRecorder final : public FetchObserver
     std::uint32_t lastSite_ = kNoSite;
     bool lastPredictionWrong_ = false;
 };
-
-#else // !TEPIC_HOTSTATS_ENABLED — the recorder folds away.
-
-class HotStatsRecorder final : public FetchObserver
-{
-  public:
-    HotStatsRecorder(std::uint32_t, std::uint64_t,
-                     const HotStatsConfig &)
-    {
-    }
-
-    void onFetch(const FetchObservation &) override {}
-
-    HotStats finish() { return HotStats{}; }
-};
-
-#endif // TEPIC_HOTSTATS_ENABLED
 
 /** One merged record as a HOT-report scheme object. */
 void writeScheme(support::JsonWriter &json, const HotStats &stats);

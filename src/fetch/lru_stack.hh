@@ -18,12 +18,13 @@
  * and the line's old zone then overflows by one and hands its last
  * node to the next zone: one move plus at most K marker shifts.
  *
- * access() is the shadow probe of the CACHE recorder's 3C split
- * (cache_stats.hh) for all capacities at once: every line of the block
- * is probed before any is touched (a block's own earlier lines must
- * not satisfy its later ones), and the verdict is kFirstTouch if any
- * line was never touched, else the largest zone among its lines.
- * classifyMiss() turns that verdict into one geometry's class.
+ * It is the 3C classifier of the CACHE recorder (cache_stats.hh, one
+ * capacity) and of the sweep (core/sweep.cc, every L1 geometry of an
+ * access stream). access() probes every line of the block before it
+ * touches any (a block's own earlier lines must not satisfy its later
+ * ones); the verdict is kFirstTouch if any line was never touched,
+ * else the largest zone among its lines. classifyMiss() turns that
+ * verdict into one geometry's class.
  */
 
 #ifndef TEPIC_FETCH_LRU_STACK_HH
@@ -62,6 +63,7 @@ class LruStack
         }
         count_.assign(capacities_.size(), 0);
         last_.assign(capacities_.size(), kNil);
+        zones_ = std::uint32_t(capacities_.size());
     }
 
     /** The zone index of @p capacity, one of the constructor's. */
@@ -104,8 +106,6 @@ class LruStack
         std::uint32_t zone = kFirstTouch;  ///< untouched until accessed
     };
 
-    std::uint32_t zones() const { return std::uint32_t(limit_.size()); }
-
     void
     unlink(std::uint32_t line)
     {
@@ -125,11 +125,10 @@ class LruStack
         if (line == head_)
             return;  // already most recent: no zone changes
         Node &node = nodes_[line];
-        if (node.zone < zones()) {
-            const std::uint32_t z = node.zone;
-            if (last_[z] == line)
-                last_[z] = node.prev;  // stale once count_[z] is 0
-            --count_[z];
+        const std::uint32_t from = node.zone;
+        if (from < zones_) {
+            if (last_[from] == line)
+                last_[from] = node.prev;  // stale once count_[from] is 0
             unlink(line);
         }
         node.zone = 0;
@@ -137,17 +136,31 @@ class LruStack
         if (head_ != kNil)
             nodes_[head_].prev = line;
         head_ = line;
+        if (from != 0)
+            enterZone0(line, from);  // a move within zone 0 changes none
+    }
+
+    /**
+     * Count @p line into zone 0, out of zone @p from (or from outside
+     * the stack), then hand each overflowing zone's last node to the
+     * next zone; the cascade stops at the zone the line left. Kept out
+     * of line so touch(), whose common case is a move within zone 0,
+     * stays small enough to inline.
+     */
+    [[gnu::noinline]] void
+    enterZone0(std::uint32_t line, std::uint32_t from)
+    {
+        if (from < zones_)
+            --count_[from];
         if (count_[0]++ == 0)
             last_[0] = line;
-        // Hand each overflowing zone's last node to the next zone; the
-        // cascade stops at the zone the line left.
         for (std::uint32_t k = 0; count_[k] > limit_[k]; ++k) {
             const std::uint32_t moved = last_[k];
             last_[k] = nodes_[moved].prev;
             --count_[k];
-            if (k + 1 == zones()) {
+            if (k + 1 == zones_) {
                 unlink(moved);
-                nodes_[moved].zone = zones();
+                nodes_[moved].zone = zones_;
                 break;
             }
             nodes_[moved].zone = k + 1;
@@ -162,6 +175,7 @@ class LruStack
     std::vector<std::uint32_t> last_;   ///< zone k's least recent line
     std::vector<Node> nodes_;           ///< indexed by line id
     std::uint32_t head_ = kNil;         ///< most recently used line
+    std::uint32_t zones_ = 0;           ///< distinct capacities
 };
 
 /** The 3C class of one L1 miss (cache_stats.hh). */

@@ -5,16 +5,19 @@
  * hand-built traces hitting each class), the Olken-style reuse
  * distance tracker checked against brute-force oracles across
  * compactions and at scale, line-lifetime (dead-on-fill) accounting,
- * whole-sim tiling for all three fetch organisations, whole CACHE and
- * HOT records of real traces against a naive rebuild, the recorder's
- * architectural transparency (on/off bit-identity), and the
- * tepic-cache-v1 session report (determinism, geometry keying,
- * round-trip through the test JSON parser).
+ * the epoch clock against its formula, whole-sim tiling for all three
+ * fetch organisations, whole CACHE and HOT records of real traces
+ * against a naive rebuild (3C included), the recorder's architectural
+ * transparency (on/off bit-identity), and the tepic-cache-v1 session
+ * report (determinism, geometry keying, round-trip through the test
+ * JSON parser). Only the tests that need simulateFetch to attach a
+ * recorder depend on TEPIC_CACHESTATS_ENABLED.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <list>
 #include <map>
 #include <set>
 #include <vector>
@@ -25,6 +28,7 @@
 #include "fetch/att.hh"
 #include "fetch/banked_cache.hh"
 #include "fetch/cache_stats.hh"
+#include "fetch/epoch_clock.hh"
 #include "fetch/fetch_sim.hh"
 #include "fetch/hot_stats.hh"
 #include "fetch/l0_buffer.hh"
@@ -41,13 +45,9 @@ namespace {
 using namespace tepic;
 using fetch::CacheConfig;
 using fetch::CacheStats;
-using fetch::CacheStatsConfig;
-using fetch::SchemeClass;
-
-#if TEPIC_CACHESTATS_ENABLED
-
 using fetch::CacheStatsRecorder;
 using fetch::ReuseDistanceTracker;
+using fetch::SchemeClass;
 
 /**
  * A BankedCache with its recorder attached, driven the way
@@ -62,20 +62,11 @@ struct Rig
     std::uint32_t nextFetch = 0;
 
     explicit Rig(const CacheConfig &config,
-                 std::uint64_t expected_events = 1024,
-                 const CacheStatsConfig &options = enabledConfig())
-        : cache(config), rec(config, expected_events, options),
+                 std::uint64_t expected_events = 1024)
+        : cache(config), rec(config, expected_events),
           lineBytes(config.lineBytes)
     {
         cache.setObserver(&rec);
-    }
-
-    static CacheStatsConfig
-    enabledConfig()
-    {
-        CacheStatsConfig c;
-        c.enabled = true;
-        return c;
     }
 
     bool
@@ -297,39 +288,20 @@ TEST(LineLifetime, DeadOnFillCountsZeroUseEvictions)
     EXPECT_EQ(bins.at(1), 1u);
 }
 
-/** Reuse sampling thins the stream but never breaks the tiling. */
-TEST(Recorder, ReuseSamplingIsExactCeilDivision)
-{
-    CacheStatsConfig options;
-    options.enabled = true;
-    options.reuseSampleEvery = 7;
-    Rig rig({4, 2, 16}, 1024, options);
-    support::Rng rng(3);
-    const std::uint64_t n = 100;
-    for (std::uint64_t i = 0; i < n; ++i)
-        rig.access(std::uint32_t(rng.below(16)) * 16, 16);
-    const CacheStats stats = rig.rec.finish();
-    EXPECT_EQ(stats.reuseSamples, (n + 6) / 7);
-    EXPECT_EQ(stats.reuseSamples,
-              stats.reuseCold + stats.reuseLog2Histogram.total());
-}
-
 /** The per-set vectors and heatmap matrices tile each other. */
 TEST(Recorder, HeatmapColumnsSumToPerSetVectors)
 {
-    CacheStatsConfig options;
-    options.enabled = true;
-    options.heatmapEpochs = 4;
-    Rig rig({8, 2, 16}, 500, options);
+    constexpr unsigned kEpochs = CacheStats::kHeatmapEpochs;
+    Rig rig({8, 2, 16}, 500);
     support::Rng rng(11);
     for (int i = 0; i < 500; ++i)
         rig.access(std::uint32_t(rng.below(64)) * 16, 16);
     const CacheStats stats = rig.rec.finish();
-    ASSERT_EQ(stats.heatAccesses.size(), 4u * 8u);
+    ASSERT_EQ(stats.heatAccesses.size(), kEpochs * 8u);
     std::uint64_t heat_total = 0;
     for (unsigned s = 0; s < 8; ++s) {
         std::uint64_t col = 0;
-        for (unsigned e = 0; e < 4; ++e)
+        for (unsigned e = 0; e < kEpochs; ++e)
             col += stats.heatAccesses[e * 8 + s];
         EXPECT_EQ(col, stats.setAccesses[s]) << "set " << s;
         heat_total += col;
@@ -338,7 +310,7 @@ TEST(Recorder, HeatmapColumnsSumToPerSetVectors)
     // Events spread across epochs, not just the first row.
     std::uint64_t last_epoch = 0;
     for (unsigned s = 0; s < 8; ++s)
-        last_epoch += stats.heatAccesses[3 * 8 + s];
+        last_epoch += stats.heatAccesses[(kEpochs - 1) * 8 + s];
     EXPECT_GT(last_epoch, 0u);
 }
 
@@ -350,6 +322,51 @@ formulaEpoch(std::uint64_t pos, unsigned epochs, std::uint64_t n)
     return n == 0 ? 0
                   : unsigned(std::min<std::uint64_t>(epochs - 1,
                                                      pos * epochs / n));
+}
+
+/**
+ * The clock's threshold walk against the formula, over fetches that
+ * start at increasing trace positions: fetch i walks blocks[i] events
+ * (a fetch unit when > 1).
+ */
+void
+expectClockMatchesFormula(unsigned epochs, std::uint64_t n,
+                          const std::vector<std::uint32_t> &blocks)
+{
+    SCOPED_TRACE(testing::Message() << epochs << " epochs over " << n
+                                    << " events");
+    fetch::EpochClock clock(epochs, n);
+    std::uint64_t pos = 0;
+    for (const std::uint32_t walked : blocks) {
+        ASSERT_EQ(clock.at(pos), formulaEpoch(pos, epochs, n))
+            << "position " << pos;
+        pos += walked;
+    }
+}
+
+TEST(EpochClock, MatchesTheFormula)
+{
+    // Fewer events than epochs.
+    expectClockMatchesFormula(16, 5, std::vector<std::uint32_t>(5, 1));
+    expectClockMatchesFormula(7, 1, {1});
+    // Epochs that do not divide the events, one epoch, no events.
+    expectClockMatchesFormula(8, 37, std::vector<std::uint32_t>(37, 1));
+    expectClockMatchesFormula(3, 100,
+                              std::vector<std::uint32_t>(100, 1));
+    expectClockMatchesFormula(16, 20, std::vector<std::uint32_t>(20, 1));
+    expectClockMatchesFormula(1, 20, std::vector<std::uint32_t>(20, 1));
+    expectClockMatchesFormula(4, 0, std::vector<std::uint32_t>(10, 1));
+    // Fetch units of 1-4 blocks.
+    support::Rng rng(5);
+    for (const unsigned epochs : {6u, 16u, 50u}) {
+        std::vector<std::uint32_t> blocks(40);
+        std::uint64_t total = 0;
+        for (std::uint32_t &b : blocks) {
+            b = std::uint32_t(rng.range(1, 4));
+            total += b;
+        }
+        expectClockMatchesFormula(epochs, total, blocks);
+    }
 }
 
 /**
@@ -407,24 +424,22 @@ struct EpochOracle final : fetch::CacheLineObserver
 /**
  * Drive a recorder and the oracle through the same fetches, fetch i
  * walking blocks[i] trace events (a fetch unit when > 1), with
- * @p expected_events as N and @p epochs as E; the heatmaps must be
- * equal cell for cell.
+ * @p expected_events as N; the heatmaps must be equal cell for cell.
  */
 void
-expectFormulaEpochs(unsigned epochs, std::uint64_t expected_events,
+expectFormulaEpochs(std::uint64_t expected_events,
                     const std::vector<std::uint32_t> &blocks)
 {
+    SCOPED_TRACE(testing::Message() << expected_events << " events");
+    constexpr unsigned epochs = CacheStats::kHeatmapEpochs;
     const CacheConfig geometry{4, 1, 16};
-    CacheStatsConfig options;
-    options.enabled = true;
-    options.heatmapEpochs = epochs;
     fetch::BankedCache cache(geometry), reference(geometry);
-    CacheStatsRecorder rec(geometry, expected_events, options);
+    CacheStatsRecorder rec(geometry, expected_events);
     EpochOracle oracle(geometry.sets, epochs);
     cache.setObserver(&rec);
     reference.setObserver(&oracle);
 
-    support::Rng rng(epochs * 1000 + expected_events);
+    support::Rng rng(1000 + expected_events);
     std::uint64_t pos = 0;
     for (std::size_t i = 0; i < blocks.size(); ++i) {
         oracle.epoch = formulaEpoch(pos, epochs, expected_events);
@@ -449,30 +464,31 @@ expectFormulaEpochs(unsigned epochs, std::uint64_t expected_events,
 
 TEST(Recorder, EpochThresholdsMatchTheFormulaWhenFewerEventsThanEpochs)
 {
-    expectFormulaEpochs(16, 5, std::vector<std::uint32_t>(5, 1));
-    expectFormulaEpochs(7, 1, {1});
+    expectFormulaEpochs(5, std::vector<std::uint32_t>(5, 1));
+    expectFormulaEpochs(1, {1});
+    expectFormulaEpochs(15, std::vector<std::uint32_t>(15, 1));
 }
 
 TEST(Recorder, EpochThresholdsMatchTheFormulaOffMultiples)
 {
-    expectFormulaEpochs(8, 37, std::vector<std::uint32_t>(37, 1));
-    expectFormulaEpochs(3, 100, std::vector<std::uint32_t>(100, 1));
-    expectFormulaEpochs(1, 20, std::vector<std::uint32_t>(20, 1));
+    expectFormulaEpochs(37, std::vector<std::uint32_t>(37, 1));
+    expectFormulaEpochs(100, std::vector<std::uint32_t>(100, 1));
+    expectFormulaEpochs(20, std::vector<std::uint32_t>(20, 1));
     // No expected events: everything stays in epoch 0.
-    expectFormulaEpochs(4, 0, std::vector<std::uint32_t>(10, 1));
+    expectFormulaEpochs(0, std::vector<std::uint32_t>(10, 1));
 }
 
 TEST(Recorder, EpochThresholdsMatchTheFormulaUnderFetchUnits)
 {
     support::Rng rng(5);
-    for (const unsigned epochs : {6u, 16u, 50u}) {
-        std::vector<std::uint32_t> blocks(40);
+    for (const std::size_t fetches : {10u, 40u, 90u}) {
+        std::vector<std::uint32_t> blocks(fetches);
         std::uint64_t total = 0;
         for (std::uint32_t &b : blocks) {
             b = std::uint32_t(rng.range(1, 4));
             total += b;
         }
-        expectFormulaEpochs(epochs, total, blocks);
+        expectFormulaEpochs(total, blocks);
     }
 }
 
@@ -524,8 +540,10 @@ TEST(Recorder, MergeSumsSameGeometryRecords)
     merged.assertTiling();
 }
 
+#if TEPIC_CACHESTATS_ENABLED
+
 // ---------------------------------------------------------------------------
-// Whole-simulation coverage.
+// Whole-simulation coverage: simulateFetch must attach the recorder.
 
 /** One compiled+emulated workload for the sim-level tests. */
 struct SimFixture
@@ -569,7 +587,7 @@ TEST(FetchSimCacheStats, TilesAndCrossChecksAllSchemes)
           SchemeClass::kTailored}) {
         SCOPED_TRACE(fetch::schemeClassName(scheme));
         auto config = fetch::FetchConfig::paper(scheme);
-        config.cacheStats.enabled = true;
+        config.recordCacheStats = true;
         const auto stats = fetch::simulateFetch(
             fx.imageFor(scheme), fx.compiled.program, fx.emu.trace,
             config);
@@ -606,7 +624,7 @@ TEST(FetchSimCacheStats, RecordingIsArchitecturallyInvisible)
             fx.imageFor(scheme), fx.compiled.program, fx.emu.trace,
             fetch::FetchConfig::paper(scheme));
         auto config = fetch::FetchConfig::paper(scheme);
-        config.cacheStats.enabled = true;
+        config.recordCacheStats = true;
         const auto recorded = fetch::simulateFetch(
             fx.imageFor(scheme), fx.compiled.program, fx.emu.trace,
             config);
@@ -630,7 +648,7 @@ TEST(FetchSimCacheStats, RerunsAreBitIdentical)
 {
     SimFixture fx;
     auto config = fetch::FetchConfig::paper(SchemeClass::kCompressed);
-    config.cacheStats.enabled = true;
+    config.recordCacheStats = true;
     auto run = [&] {
         return fetch::simulateFetch(fx.full.image, fx.compiled.program,
                                     fx.emu.trace, config);
@@ -656,8 +674,10 @@ TEST(FetchSimCacheStats, RerunsAreBitIdentical)
  * simulateFetch with both recorders on fir and gcc, every scheme at
  * FetchConfig::paper, against a reference rebuilt in the test from
  * the trace: move-to-front reuse distances in a plain map, the L0 and
- * L1 replayed into an EpochOracle with formula epochs, and the HOT
- * phase matrix from the formula.
+ * L1 replayed into an EpochOracle with formula epochs, the 3C split
+ * from a std::list LRU of sets x ways lines and a first-touch set
+ * (independent of fetch::LruStack), and the HOT phase matrix from the
+ * formula.
  */
 TEST(WholeRecord, MatchesANaiveRebuildOfTheTrace)
 {
@@ -700,8 +720,8 @@ TEST(WholeRecord, MatchesANaiveRebuildOfTheTrace)
             SCOPED_TRACE(fetch::schemeClassName(scheme));
             const isa::Image &image = core::imageFor(*artifacts, scheme);
             auto config = fetch::FetchConfig::paper(scheme);
-            config.cacheStats.enabled = true;
-            config.hotStats.enabled = true;
+            config.recordCacheStats = true;
+            config.recordHotStats = true;
             const auto stats = fetch::simulateFetch(
                 image, program, artifacts->trace(), config);
             const CacheStats &cs = stats.cacheStats;
@@ -716,13 +736,24 @@ TEST(WholeRecord, MatchesANaiveRebuildOfTheTrace)
 
             const fetch::Att att = fetch::Att::build(image, program);
             const unsigned line_bytes = config.cache.lineBytes;
-            const unsigned heat_epochs = cs.heatmapEpochs;
-            const unsigned phase_epochs = hs.phaseEpochs;
+            const unsigned heat_epochs = CacheStats::kHeatmapEpochs;
+            const unsigned phase_epochs = fetch::HotStats::kPhaseEpochs;
             const std::size_t statics = att.entries().size();
             fetch::L0Buffer l0(config.l0CapacityOps);
             fetch::BankedCache l1(config.cache);
             EpochOracle oracle(config.cache.sets, heat_epochs);
             l1.setObserver(&oracle);
+            // The 3C reference: a fully associative LRU of the L1's
+            // line capacity, probed for every line of a block before
+            // any line is touched.
+            const std::size_t lru_lines =
+                std::size_t(config.cache.sets) * config.cache.ways;
+            std::list<std::uint32_t> lru;  // most recent first
+            std::map<std::uint32_t, std::list<std::uint32_t>::iterator>
+                resident_at;
+            std::set<std::uint32_t> touched;
+            std::uint64_t misses = 0, compulsory = 0, capacity = 0;
+            std::uint64_t conflict = 0;
             std::vector<std::uint64_t> phase(
                 std::size_t(phase_epochs) * statics, 0);
             std::vector<std::uint64_t> block_fetches(statics, 0);
@@ -734,10 +765,37 @@ TEST(WholeRecord, MatchesANaiveRebuildOfTheTrace)
                     scheme == SchemeClass::kCompressed &&
                     l0.access(block, entry.numOps);
                 if (!l0_hit) {
-                    l1.accessLines(
-                        entry.byteAddress / line_bytes,
+                    const std::uint32_t first =
+                        entry.byteAddress / line_bytes;
+                    const std::uint32_t last =
                         (entry.byteAddress + entry.byteSize - 1) /
-                            line_bytes);
+                        line_bytes;
+                    bool first_touch = false, resident = true;
+                    for (std::uint32_t line = first; line <= last; ++line) {
+                        first_touch |= touched.count(line) == 0;
+                        resident &= resident_at.count(line) != 0;
+                    }
+                    for (std::uint32_t line = first; line <= last; ++line) {
+                        touched.insert(line);
+                        if (const auto it = resident_at.find(line);
+                            it != resident_at.end())
+                            lru.erase(it->second);
+                        lru.push_front(line);
+                        resident_at[line] = lru.begin();
+                        if (lru.size() > lru_lines) {
+                            resident_at.erase(lru.back());
+                            lru.pop_back();
+                        }
+                    }
+                    if (!l1.accessLines(first, last)) {
+                        ++misses;
+                        if (first_touch)
+                            ++compulsory;
+                        else if (resident)
+                            ++conflict;
+                        else
+                            ++capacity;
+                    }
                 }
                 ++phase[std::size_t(formulaEpoch(i, phase_epochs, n)) *
                             statics +
@@ -756,11 +814,17 @@ TEST(WholeRecord, MatchesANaiveRebuildOfTheTrace)
             EXPECT_EQ(cs.evictionUseHistogram.bins(), oracle.uses.bins());
             EXPECT_EQ(cs.evictionUseHistogram.overflow(),
                       oracle.uses.overflow());
+            EXPECT_EQ(cs.misses, misses);
+            EXPECT_EQ(cs.compulsory, compulsory);
+            EXPECT_EQ(cs.capacity, capacity);
+            EXPECT_EQ(cs.conflict, conflict);
             EXPECT_EQ(hs.phaseFetches, phase);
             EXPECT_EQ(hs.blockFetches, block_fetches);
         }
     }
 }
+
+#endif // TEPIC_CACHESTATS_ENABLED
 
 // ---------------------------------------------------------------------------
 // Session store + tepic-cache-v1 report.
@@ -863,11 +927,8 @@ TEST(CacheReport, DisabledSessionRecordsNothing)
         doc.at("structure").at("workloads").object.empty());
 }
 
-#endif // TEPIC_CACHESTATS_ENABLED
-
-// ---------------------------------------------------------------------------
-// Unconditional: the report stays a valid document in disabled
-// builds, and an unrecorded CacheStats is inert.
+// An empty report stays a valid document, and an unrecorded
+// CacheStats is inert.
 
 TEST(CacheReport, EmptyReportIsValidJson)
 {

@@ -555,7 +555,7 @@ TEST(FetchSim, SiteCounterDeltasTileMispredicts)
     auto emu = sim::emulate(compiled.program, compiled.data);
     const auto image = isa::buildBaselineImage(compiled.program);
     auto config = fetch::FetchConfig::paper(SchemeClass::kBase);
-    config.hotStats.enabled = true;
+    config.recordHotStats = true;
     const auto stats = fetch::simulateFetch(image, compiled.program,
                                             emu.trace, config);
     const fetch::HotStats &hs = stats.hotStats;
@@ -675,7 +675,7 @@ TEST(FetchSim, StallCausesTileStallCyclesAllSchemes)
             ? full.image
             : base_image;
         auto config = fetch::FetchConfig::paper(scheme);
-        config.hotStats.enabled = true;
+        config.recordHotStats = true;
         const auto stats = fetch::simulateFetch(
             image, compiled.program, emu.trace, config);
         SCOPED_TRACE(schemeClassName(scheme));

@@ -141,7 +141,7 @@ TEST_P(FuzzStallTiling, CausesTileUnderRandomConfigs)
         config.atbEntries = unsigned(rng.range(1, 64));
         config.l0CapacityOps = unsigned(rng.range(4, 64));
         config.busWidthBytes = 1u << rng.range(0, 4);
-        config.hotStats.enabled = rng.below(2) == 0;
+        config.recordHotStats = rng.below(2) == 0;
 
         const auto &image = scheme == SchemeClass::kCompressed
             ? full.image
@@ -309,9 +309,7 @@ TEST_P(FuzzCacheTiling, ThreeCTilesUnderRandomGeometries)
         config.cache.lineBytes = 8u << rng.range(0, 3);
         config.atbEntries = unsigned(rng.range(1, 64));
         config.l0CapacityOps = unsigned(rng.range(4, 64));
-        config.cacheStats.enabled = true;
-        config.cacheStats.heatmapEpochs = unsigned(rng.range(1, 32));
-        config.cacheStats.reuseSampleEvery = rng.range(1, 8);
+        config.recordCacheStats = true;
 
         const auto &image = scheme == SchemeClass::kCompressed
             ? full.image
@@ -342,7 +340,7 @@ TEST_P(FuzzCacheTiling, ThreeCTilesUnderRandomGeometries)
 
         // Recording must not move a single architectural counter.
         auto off_config = config;
-        off_config.cacheStats.enabled = false;
+        off_config.recordCacheStats = false;
         const auto off = tepic::fetch::simulateFetch(
             image, compiled.program, emu.trace, off_config);
         EXPECT_EQ(off.cycles, stats.cycles);

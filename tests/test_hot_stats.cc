@@ -8,7 +8,8 @@
  * fetch counts and its rows the epoch formula, the recorder's
  * architectural transparency (on/off bit-identity), and the
  * tepic-hot-v1 session report (determinism, shape keying, round-trip
- * through the test JSON parser).
+ * through the test JSON parser). Only the tests that need
+ * simulateFetch to attach a recorder depend on TEPIC_HOTSTATS_ENABLED.
  */
 
 #include <gtest/gtest.h>
@@ -31,22 +32,8 @@ namespace {
 
 using namespace tepic;
 using fetch::HotStats;
-using fetch::HotStatsConfig;
-using fetch::SchemeClass;
-
-#if TEPIC_HOTSTATS_ENABLED
-
 using fetch::HotStatsRecorder;
-
-HotStatsConfig
-enabledConfig(unsigned epochs = 2, unsigned top = 32)
-{
-    HotStatsConfig c;
-    c.enabled = true;
-    c.phaseEpochs = epochs;
-    c.topBlocks = top;
-    return c;
-}
+using fetch::SchemeClass;
 
 /**
  * One fetch as simulateFetch hands it to the recorder: the fetch's
@@ -82,7 +69,7 @@ observe(std::uint64_t index, std::uint32_t block, std::uint32_t cycles,
 HotStats
 handTrace()
 {
-    HotStatsRecorder rec(4, 6, enabledConfig());
+    HotStatsRecorder rec(4, 6);
     rec.onFetch(observe(0, 0, 2, 0, 0, true, true));
     rec.onFetch(observe(1, 1, 3, 1, 0, false, false));  // bubble next
     rec.onFetch(observe(2, 0, 5, 3, 3, true, true));  // b1's repair
@@ -136,35 +123,41 @@ TEST(HotRecorder, SiteLedgerChargesTheMispredictingSite)
 TEST(HotRecorder, PhaseEpochsComeFromTheEventIndex)
 {
     const HotStats hs = handTrace();
-    ASSERT_EQ(hs.phaseEpochs, 2u);
-    ASSERT_EQ(hs.phaseFetches.size(), 2u * 4u);
-    // Events 0-2 land in epoch 0 (b0 b1 b0), events 3-5 in epoch 1
-    // (b1 b0 b2) — a pure function of the index, never wall clock.
-    const std::vector<std::uint64_t> expected = {2, 1, 0, 0,
-                                                 1, 1, 1, 0};
+    ASSERT_EQ(HotStats::kPhaseEpochs, 16u);
+    ASSERT_EQ(hs.phaseFetches.size(), 16u * 4u);
+    // Event i of 6 lands in epoch i·16/6 — a pure function of the
+    // index, never wall clock: b0 b1 b0 b1 b0 b2 in epochs
+    // 0 2 5 8 10 13.
+    std::vector<std::uint64_t> expected(16 * 4, 0);
+    expected[0 * 4 + 0] = 1;
+    expected[2 * 4 + 1] = 1;
+    expected[5 * 4 + 0] = 1;
+    expected[8 * 4 + 1] = 1;
+    expected[10 * 4 + 0] = 1;
+    expected[13 * 4 + 2] = 1;
     EXPECT_EQ(hs.phaseFetches, expected);
     for (std::uint32_t b = 0; b < 4; ++b) {
-        EXPECT_EQ(hs.phaseFetches[b] + hs.phaseFetches[4 + b],
-                  hs.blockFetches[b])
-            << "phase column " << b;
+        std::uint64_t column = 0;
+        for (unsigned e = 0; e < 16; ++e)
+            column += hs.phaseFetches[e * 4 + b];
+        EXPECT_EQ(column, hs.blockFetches[b]) << "phase column " << b;
     }
 }
 
 /**
  * Drive a recorder through fetches over distinct blocks, fetch i
  * starting at the trace position after blocks[0..i) (a fetch unit
- * when > 1), with @p expected_events as N and @p epochs as E: each
+ * when > 1), with @p expected_events as N and E = kPhaseEpochs: each
  * fetch must land in phase row min(E-1, index·E/N), or 0 when N == 0.
  */
 void
-expectFormulaPhases(unsigned epochs, std::uint64_t expected_events,
+expectFormulaPhases(std::uint64_t expected_events,
                     const std::vector<std::uint32_t> &blocks)
 {
-    SCOPED_TRACE(testing::Message() << epochs << " epochs over "
-                                    << expected_events << " events");
+    SCOPED_TRACE(testing::Message() << expected_events << " events");
+    constexpr unsigned epochs = HotStats::kPhaseEpochs;
     const auto statics = std::uint32_t(blocks.size());
-    HotStatsRecorder rec(statics, expected_events,
-                         enabledConfig(epochs));
+    HotStatsRecorder rec(statics, expected_events);
     std::vector<std::uint64_t> expected(std::size_t(epochs) * statics,
                                         0);
     std::uint64_t pos = 0;
@@ -187,23 +180,23 @@ expectFormulaPhases(unsigned epochs, std::uint64_t expected_events,
 TEST(HotRecorder, PhaseEpochsMatchTheFormula)
 {
     // Fewer events than epochs.
-    expectFormulaPhases(16, 5, std::vector<std::uint32_t>(5, 1));
-    expectFormulaPhases(7, 1, {1});
-    // Epochs that do not divide the events, one epoch, no events.
-    expectFormulaPhases(8, 37, std::vector<std::uint32_t>(37, 1));
-    expectFormulaPhases(3, 100, std::vector<std::uint32_t>(100, 1));
-    expectFormulaPhases(1, 20, std::vector<std::uint32_t>(20, 1));
-    expectFormulaPhases(4, 0, std::vector<std::uint32_t>(10, 1));
+    expectFormulaPhases(5, std::vector<std::uint32_t>(5, 1));
+    expectFormulaPhases(1, {1});
+    // Epochs that do not divide the events, no events.
+    expectFormulaPhases(37, std::vector<std::uint32_t>(37, 1));
+    expectFormulaPhases(100, std::vector<std::uint32_t>(100, 1));
+    expectFormulaPhases(20, std::vector<std::uint32_t>(20, 1));
+    expectFormulaPhases(0, std::vector<std::uint32_t>(10, 1));
     // Fetch units of 1-4 blocks.
     support::Rng rng(5);
-    for (const unsigned epochs : {6u, 16u, 50u}) {
-        std::vector<std::uint32_t> blocks(40);
+    for (const std::size_t fetches : {10u, 40u, 90u}) {
+        std::vector<std::uint32_t> blocks(fetches);
         std::uint64_t total = 0;
         for (std::uint32_t &b : blocks) {
             b = std::uint32_t(rng.range(1, 4));
             total += b;
         }
-        expectFormulaPhases(epochs, total, blocks);
+        expectFormulaPhases(total, blocks);
     }
 }
 
@@ -236,8 +229,10 @@ TEST(HotRecorder, MergeSumsSameShapeRecords)
     merged.assertTiling();
 }
 
+#if TEPIC_HOTSTATS_ENABLED
+
 // ---------------------------------------------------------------------------
-// Whole-simulation coverage.
+// Whole-simulation coverage: simulateFetch must attach the recorder.
 
 /** One compiled+emulated workload for the sim-level tests. */
 struct SimFixture
@@ -281,7 +276,7 @@ TEST(FetchSimHotStats, TilesAndCrossChecksAllSchemes)
           SchemeClass::kTailored}) {
         SCOPED_TRACE(fetch::schemeClassName(scheme));
         auto config = fetch::FetchConfig::paper(scheme);
-        config.hotStats.enabled = true;
+        config.recordHotStats = true;
         const auto stats = fetch::simulateFetch(
             fx.imageFor(scheme), fx.compiled.program, fx.emu.trace,
             config);
@@ -319,7 +314,7 @@ TEST(FetchSimHotStats, RecordingIsArchitecturallyInvisible)
             fx.imageFor(scheme), fx.compiled.program, fx.emu.trace,
             fetch::FetchConfig::paper(scheme));
         auto config = fetch::FetchConfig::paper(scheme);
-        config.hotStats.enabled = true;
+        config.recordHotStats = true;
         const auto recorded = fetch::simulateFetch(
             fx.imageFor(scheme), fx.compiled.program, fx.emu.trace,
             config);
@@ -343,7 +338,7 @@ TEST(FetchSimHotStats, RerunsAreBitIdentical)
 {
     SimFixture fx;
     auto config = fetch::FetchConfig::paper(SchemeClass::kCompressed);
-    config.hotStats.enabled = true;
+    config.recordHotStats = true;
     auto run = [&] {
         return fetch::simulateFetch(fx.full.image, fx.compiled.program,
                                     fx.emu.trace, config);
@@ -358,6 +353,8 @@ TEST(FetchSimHotStats, RerunsAreBitIdentical)
     EXPECT_EQ(a.phaseFetches, b.phaseFetches);
     EXPECT_EQ(a.unconsumedMispredicts, b.unconsumedMispredicts);
 }
+
+#endif // TEPIC_HOTSTATS_ENABLED
 
 // ---------------------------------------------------------------------------
 // Session store + tepic-hot-v1 report.
@@ -429,17 +426,17 @@ TEST(HotReport, ShapeSweepsAreKeyedApartNotMerged)
     fetch::hotstats::startSession();
     fetch::hotstats::record("go", SchemeClass::kBase, handTrace());
     // Same workload+scheme, different program shape: must not merge.
-    HotStatsRecorder other(8, 4, enabledConfig(4));
+    HotStatsRecorder other(8, 4);
     other.onFetch(observe(0, 5, 1, 0, 0, true, true));
     fetch::hotstats::record("go", SchemeClass::kBase, other.finish());
     const auto doc = testjson::parse(fetch::hotstats::reportJson("t"));
     const auto &workloads = doc.at("structure").at("workloads");
     EXPECT_TRUE(workloads.has("go"));
-    EXPECT_TRUE(workloads.has("go@B8xE4"));
+    EXPECT_TRUE(workloads.has("go@B8xE16"));
     EXPECT_EQ(workloads.at("go").at("base").at("config").at(
                                              "static_blocks").number,
               4.0);
-    EXPECT_EQ(workloads.at("go@B8xE4")
+    EXPECT_EQ(workloads.at("go@B8xE16")
                   .at("base")
                   .at("config")
                   .at("static_blocks")
@@ -456,11 +453,8 @@ TEST(HotReport, DisabledSessionRecordsNothing)
     EXPECT_TRUE(doc.at("structure").at("workloads").object.empty());
 }
 
-#endif // TEPIC_HOTSTATS_ENABLED
-
-// ---------------------------------------------------------------------------
-// Unconditional: the report stays a valid document in disabled
-// builds, and an unrecorded HotStats is inert.
+// An empty report stays a valid document, and an unrecorded HotStats
+// is inert.
 
 TEST(HotReport, EmptyReportIsValidJson)
 {

@@ -240,8 +240,8 @@ TEST(FetchUnits, UnitRunsTileStallsMissesAndHotness)
                 name + "/" + fetch::schemeClassName(scheme);
             auto config = fetch::FetchConfig::paper(scheme);
             config.units = &units;
-            config.cacheStats.enabled = true;
-            config.hotStats.enabled = true;
+            config.recordCacheStats = true;
+            config.recordHotStats = true;
             const auto s = fetch::simulateFetch(
                 core::imageFor(a, scheme), a.compiled.program,
                 a.trace(), config);

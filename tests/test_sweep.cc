@@ -238,15 +238,18 @@ TEST(SweepDriver, StructureByteIdenticalAcrossJobs)
               options.grid.workloads.size() * serial.configs.size());
 }
 
-/** What simulateFetch says about @p config: the per-point kernel. */
+/** What simulateFetch says about @p config, with the CACHE recorder
+ *  attached for the 3C split: the per-point kernel. */
 core::sweep::PointMetrics
 composedPoint(const core::Artifacts &artifacts,
-              const core::sweep::SweepConfig &config, bool record_3c)
+              const core::sweep::SweepConfig &config)
 {
     const isa::Image &image = core::imageFor(artifacts, config.scheme);
+    fetch::FetchConfig fetch_config = config.fetchConfig();
+    fetch_config.recordCacheStats = true;
     const fetch::FetchStats stats = fetch::simulateFetch(
         image, artifacts.compiled.program, artifacts.trace(),
-        config.fetchConfig(record_3c));
+        fetch_config);
     core::sweep::PointMetrics m;
     m.sizeBits = image.bitSize;
     m.cycles = stats.cycles;
@@ -331,7 +334,7 @@ TEST(SweepDriver, PointMatchesDirectSimulation)
             core::ArtifactKind::kFull, core::ArtifactKind::kTailored});
     for (const auto &point : result.points) {
         expectSameMetrics(point.metrics,
-                          composedPoint(*artifacts, point.config, true),
+                          composedPoint(*artifacts, point.config),
                           point.key);
         // The exact stall tiling the validator re-derives.
         EXPECT_EQ(point.metrics.mispredictStall +
@@ -498,7 +501,7 @@ TEST(SweepFactored, MatchesComposedKernel)
         ASSERT_EQ(metrics.size(), configs.size());
         for (std::size_t c = 0; c < configs.size(); ++c) {
             expectSameMetrics(metrics[c],
-                              composedPoint(artifacts, configs[c], true),
+                              composedPoint(artifacts, configs[c]),
                               configs[c].key());
             // 3C is recorded exactly when the build compiles it in.
             EXPECT_EQ(metrics[c].cacheRecorded,

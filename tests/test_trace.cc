@@ -241,7 +241,7 @@ TEST(FetchTrace, RecordsTileAggregateStats)
 {
     const auto &a = firArtifacts();
     auto config = fetch::FetchConfig::paper(fetch::SchemeClass::kBase);
-    config.hotStats.enabled = true;
+    config.recordHotStats = true;
     const auto stats = fetch::simulateFetch(
         a.baseImage(), a.compiled.program, a.trace(), config);
 
