@@ -257,7 +257,8 @@ recordCacheMetrics(fetch::SchemeClass scheme,
     m.addCounter(prefix + "line.fills", cs.lineFills);
     m.addCounter(prefix + "line.evictions", cs.lineEvictions);
     m.addCounter(prefix + "line.dead_on_fill", cs.deadOnFill);
-    m.addCounter(prefix + "reuse.samples", cs.reuseSamples);
+    // Every fetch is one reuse sample.
+    m.addCounter(prefix + "reuse.samples", cs.fetches);
     m.addCounter(prefix + "reuse.cold", cs.reuseCold);
     if (cs.reuseLog2Histogram.total() > 0) {
         m.mergeHistogram(prefix + "reuse.log2_hist",

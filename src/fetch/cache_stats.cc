@@ -38,7 +38,6 @@ CacheStats::merge(const CacheStats &other)
     deadOnFill += other.deadOnFill;
     residentAtEnd += other.residentAtEnd;
     evictionUseHistogram.merge(other.evictionUseHistogram);
-    reuseSamples += other.reuseSamples;
     reuseCold += other.reuseCold;
     reuseMax = std::max(reuseMax, other.reuseMax);
     reuseLog2Histogram.merge(other.reuseLog2Histogram);
@@ -80,9 +79,8 @@ CacheStats::assertTiling() const
                  "resident lines must be fills - evictions");
     TEPIC_ASSERT(deadOnFill <= lineEvictions,
                  "dead-on-fill lines are a subset of evictions");
-    TEPIC_ASSERT(reuseSamples ==
-                     reuseCold + reuseLog2Histogram.total(),
-                 "reuse histogram + cold must tile the samples");
+    TEPIC_ASSERT(fetches == reuseCold + reuseLog2Histogram.total(),
+                 "reuse histogram + cold must tile the fetches");
     TEPIC_ASSERT(evictionUseHistogram.total() == lineEvictions,
                  "every eviction samples the use histogram once");
 
@@ -248,11 +246,10 @@ CacheStatsRecorder::CacheStatsRecorder(const CacheConfig &cache,
 }
 
 void
-CacheStatsRecorder::onFetch(const FetchObservation &fetch)
+CacheStatsRecorder::beginFetch(std::uint64_t index, std::uint32_t block)
 {
     ++stats_.fetches;
-    const std::uint64_t distance = reuse_.access(fetch.block);
-    ++stats_.reuseSamples;
+    const std::uint64_t distance = reuse_.access(block);
     if (distance == ReuseDistanceTracker::kCold) {
         ++stats_.reuseCold;
     } else {
@@ -260,25 +257,14 @@ CacheStatsRecorder::onFetch(const FetchObservation &fetch)
         // bit_width(0) == 0: distance 0 keeps its own key.
         ++reuseBins_[std::bit_width(distance)];
     }
-
-    if (fetch.atbHit)
-        ++stats_.atbHits;
-    else
-        ++stats_.atbMisses;
-    if (fetch.l0Hit)
-        ++stats_.l0Bypasses;  // the L1 was never consulted
-    else
-        classifyL1(fetch.firstLine, fetch.lastLine, fetch.l1Hit);
-
-    // Epoch of the *next* fetch — whose L1 line events arrive before
-    // its own observation — from the trace index it starts at (never
-    // wall clock: the heatmaps must be bit-identical across --jobs).
-    row_ = cells_.data() +
-           std::size_t(clock_.at(fetch.index + fetch.blocks)) * stats_.sets;
+    // The epoch of this fetch's L1 line events, from the trace index
+    // it starts at (never wall clock: the heatmaps must be
+    // bit-identical across --jobs).
+    row_ = cells_.data() + std::size_t(clock_.at(index)) * stats_.sets;
 }
 
 void
-CacheStatsRecorder::classifyL1(std::uint32_t first, std::uint32_t last,
+CacheStatsRecorder::onL1Access(std::uint32_t first, std::uint32_t last,
                                bool hit)
 {
     // Probe before touch (LruStack::access): a block's own earlier
@@ -382,7 +368,6 @@ CacheStatsRecorder::finish()
     TEPIC_ASSERT(stats_.residentAtEnd <=
                      std::uint64_t(stats_.sets) * stats_.ways,
                  "more resident lines than the cache holds");
-    stats_.assertTiling();
     return std::move(stats_);
 }
 
@@ -442,7 +427,8 @@ writeScheme(support::JsonWriter &json, const CacheStats &s)
     support::writeHistogram(json, s.evictionUseHistogram);
     json.end();
     json.key("reuse").object(JsonWriter::kInline);
-    json.key("samples").value(s.reuseSamples);
+    // Every fetch is one reuse sample.
+    json.key("samples").value(s.fetches);
     json.key("cold").value(s.reuseCold);
     json.key("max").value(s.reuseMax);
     json.key("log2_hist");

@@ -6,9 +6,16 @@
  * the classic 3C model and of reuse-distance profiling per Ozturk et
  * al., PAPERS.md).
  *
- * A CacheStatsRecorder rides along one simulateFetch() run as one of
- * its FetchObservers (fetch_observer.hh) — one call per completed
- * fetch — plus the L1's line-event hook, and covers all three fetch
+ * A CacheStatsRecorder records the memory stage of one simulateFetch()
+ * run. It reads nothing from the control or cost stages, so the
+ * kernel does not drive it: recordCacheStats() (fetch_stages.hh)
+ * replays the same fetches through its own L0 buffer and L1, beside
+ * the kernel on a thread of its own, with the recorder as that L1's
+ * line observer. Per fetch the replay calls beginFetch() (reuse sample
+ * and heatmap epoch), runs the L0/L1 access, then reports it through
+ * onL0Bypass() or onL1Access(). The kernel joins the replay, copies
+ * its own ATB totals into the record and checks that the record's
+ * L1/L0 counts equal its counters. The record covers all three fetch
  * paths:
  *
  *  - L1 (BankedCache): every block miss is classified as exactly one
@@ -19,8 +26,9 @@
  *    line capacity holds the whole block, the set-associative cache
  *    lost it to mapping restrictions (conflict); if even that cache
  *    would have missed, the working set simply does not fit
- *    (capacity). Tiling invariant, TEPIC_ASSERTed in finish() and
- *    fuzz-tested like the stall taxonomy:
+ *    (capacity). Tiling invariant, TEPIC_ASSERTed by assertTiling()
+ *    once the record is complete and fuzz-tested like the stall
+ *    taxonomy:
  *
  *        misses == compulsory + capacity + conflict
  *
@@ -37,24 +45,25 @@
  *    distinct blocks. Distances land in a log2 histogram; first
  *    touches count as cold.
  *
- *  - L0 / ATB: bypasses and translation hits/misses are recorded so
- *    a CACHE report shows the traffic each level absorbed.
+ *  - L0 / ATB: bypasses (counted by the replay) and translation
+ *    hits/misses (the kernel's totals) so a CACHE report shows the
+ *    traffic each level absorbed.
  *
  * Per-set occupancy is accumulated over time into epochs x sets
  * matrices (accesses / fills / evictions at line granularity) for
  * the tepic_reports.py heatmaps. The epoch of an event is derived from
  * its *index* in the trace (epoch_clock.hh), never from wall clock,
  * so every matrix is bit-identical for any --jobs value: line events
- * arrive during a fetch's L1 access, before its observation, so each
- * observation sets the epoch of the *next* fetch from the trace
- * position that fetch starts at. Each line event bumps one counter
- * of its (epoch, set) cell; finish() derives the per-set vectors,
- * the heatmaps and the line totals from the cells.
+ * arrive during a fetch's L1 access, so beginFetch() sets the epoch
+ * from the trace position the fetch starts at before that access.
+ * Each line event bumps one counter of its (epoch, set) cell;
+ * finish() derives the per-set vectors, the heatmaps and the line
+ * totals from the cells.
  *
  * Determinism contract: everything a recorder produces is a pure
  * function of (trace, config) — the whole CACHE report is
  * exact-gated "structure", unlike prof/sched which carry wall-clock
- * sections. simulateFetch attaches no recorder under
+ * sections. simulateFetch starts no replay under
  * -DTEPIC_ENABLE_TRACING=OFF (TEPIC_CACHESTATS_ENABLED == 0), so
  * those builds report recorded == false.
  *
@@ -75,7 +84,6 @@
 #include "fetch/banked_cache.hh"
 #include "fetch/cycle_model.hh"
 #include "fetch/epoch_clock.hh"
-#include "fetch/fetch_observer.hh"
 #include "fetch/lru_stack.hh"
 #include "fetch/report_store.hh"
 #include "support/keys.hh"
@@ -127,8 +135,8 @@ struct CacheStats
     support::Histogram evictionUseHistogram =
         support::Histogram(kUseHistogramOverflow);
 
-    // Reuse distances over the block stream.
-    std::uint64_t reuseSamples = 0;  ///< fetches, incl. cold
+    // Reuse distances over the block stream: every fetch is one
+    // sample, so fetches == reuseCold + reuseLog2Histogram.total().
     std::uint64_t reuseCold = 0;     ///< first touches
     std::uint64_t reuseMax = 0;
     /** Key k >= 1 covers distances [2^(k-1), 2^k); key 0 = dist 0. */
@@ -234,8 +242,7 @@ class ReuseDistanceTracker
 };
 
 /** One simulation's recording hooks; see the file comment. */
-class CacheStatsRecorder final : public CacheLineObserver,
-                                 public FetchObserver
+class CacheStatsRecorder final : public CacheLineObserver
 {
   public:
     CacheStatsRecorder(const CacheConfig &cache,
@@ -245,13 +252,23 @@ class CacheStatsRecorder final : public CacheLineObserver,
     CacheStatsRecorder &operator=(const CacheStatsRecorder &) = delete;
 
     /**
-     * One completed fetch: its block-stream reuse sample, ATB outcome
-     * and either the L0 bypass or the 3C classification of its L1
-     * access over [firstLine, lastLine] (the LRU stack is
-     * recorder-private state, so running after the real access
-     * changes nothing). Fetches arrive in trace order.
+     * The fetch of @p block starts at trace position @p index: its
+     * block-stream reuse sample, and the heatmap epoch its L1 line
+     * events land in. Call before the fetch's L1 access; fetches
+     * arrive in trace order.
      */
-    void onFetch(const FetchObservation &fetch) override;
+    void beginFetch(std::uint64_t index, std::uint32_t block);
+
+    /** The fetch was served by the L0 buffer; the L1 never saw it. */
+    void onL0Bypass() { ++stats_.l0Bypasses; }
+
+    /**
+     * The fetch's L1 access over lines [first, last] and its outcome:
+     * the 3C classification of a miss. The LRU stack is
+     * recorder-private state, so running after the real access
+     * changes nothing.
+     */
+    void onL1Access(std::uint32_t first, std::uint32_t last, bool hit);
 
     // CacheLineObserver (line granularity, from BankedCache).
     void onLineHit(std::uint64_t lineId, std::uint32_t set) override;
@@ -259,7 +276,10 @@ class CacheStatsRecorder final : public CacheLineObserver,
     void onLineEvict(std::uint64_t lineId, std::uint32_t set,
                      std::uint64_t uses) override;
 
-    /** Seal the record: derived fields + tiling asserts. */
+    /**
+     * Seal the record: the derived fields. The ATB totals are the
+     * kernel's, so the caller sets them and then asserts the tiling.
+     */
     CacheStats finish();
 
   private:
@@ -277,7 +297,7 @@ class CacheStatsRecorder final : public CacheLineObserver,
     EpochClock clock_;
     /** epochs x sets, row-major; folded into stats_ by finish(). */
     std::vector<LineCell> cells_;
-    /** The row of the fetch now accessing the L1. */
+    /** The row of the fetch now accessing the L1 (beginFetch). */
     LineCell *row_ = nullptr;
     /** Warm reuse samples by log2 key (0..64), folded into
      *  reuseLog2Histogram by finish(). */
@@ -290,8 +310,6 @@ class CacheStatsRecorder final : public CacheLineObserver,
     /** First touches and fully-associative residency, for 3C. */
     LruStack lru_;
     ReuseDistanceTracker reuse_;
-
-    void classifyL1(std::uint32_t first, std::uint32_t last, bool hit);
 };
 
 /** One merged record as a CACHE-report scheme object. */

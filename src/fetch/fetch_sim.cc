@@ -1,12 +1,13 @@
 #include "fetch/fetch_sim.hh"
 
-#include <array>
+#include <future>
 #include <optional>
 #include <span>
 
 #include "fetch/fetch_stages.hh"
 #include "fetch/superblock.hh"
 #include "support/logging.hh"
+#include "support/profiler.hh"
 #include "support/trace.hh"
 
 namespace tepic::fetch {
@@ -34,6 +35,33 @@ constexpr std::uint64_t kCounterInterval = 1024;
 
 } // namespace
 
+CacheStats
+recordCacheStats(std::span<const sim::TraceEvent> events,
+                 const AttEntry *entries,
+                 std::span<const FetchTable::Lines> lines,
+                 const FetchUnits *units, const FetchConfig &config)
+{
+    L0Buffer buffer(config.l0CapacityOps);
+    BankedCache cache(config.cache);
+    CacheStatsRecorder recorder(config.cache,
+                                std::uint64_t(events.size()));
+    cache.setObserver(&recorder);
+    for (std::size_t first = 0; first < events.size();) {
+        const isa::BlockId head = events[first].block;
+        const std::size_t last = walkUnit(events, first, units).last;
+        const FetchTable::Lines &request = lines[head];
+        recorder.beginFetch(first, head);
+        const MemoryOutcome mem = accessMemory(
+            config, buffer, cache, head, entries[head].numOps, request);
+        if (mem.l0Hit)
+            recorder.onL0Bypass();
+        else
+            recorder.onL1Access(request.first, request.last, mem.l1Hit);
+        first = last + 1;
+    }
+    return recorder.finish();
+}
+
 FetchStats
 simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
               const sim::BlockTrace &trace, const FetchConfig &config)
@@ -41,6 +69,37 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
     const FetchUnits *units = config.units;
     const Att att = Att::build(image, program, units);
     FetchTable table(att, image, config.cache.lineBytes);
+    // A local view: its pointer and size stay in registers across the
+    // opaque calls in the loop (a reference to the vector would be
+    // reloaded after each).
+    const std::span<const sim::TraceEvent> events = trace.events;
+
+    // The CACHE record reads the memory stage alone, so it replays the
+    // same fetches on its own thread while the kernel runs, and is
+    // joined after the loop. It captures copies only — the event span,
+    // the ATT entries, the table's line spans, the partition and the
+    // config — and reads heap data the kernel never writes: reading
+    // the kernel's stack would share its cache lines. Declared after
+    // what it reads, so an exception out of the loop joins it before
+    // any of that is destroyed. Its thread's CPU is charged to the
+    // same PROF fetch entry as the kernel's (core::runFetch).
+    std::future<CacheStats> cache_record;
+    if (TEPIC_CACHESTATS_ENABLED && config.recordCacheStats) {
+        cache_record = std::async(
+            std::launch::async,
+            [events, entries = att.entries().data(),
+             lines = table.lines(), units, config] {
+                const std::uint64_t cpu_begin =
+                    support::prof::threadCpuNowNs();
+                CacheStats record = recordCacheStats(
+                    events, entries, lines, units, config);
+                support::prof::chargeFetchCpu(
+                    schemeClassName(config.scheme),
+                    support::prof::threadCpuNowNs() - cpu_begin);
+                return record;
+            });
+    }
+
     // The three stages of fetch_stages.hh, composed per fetch.
     ControlStage control(att, config.atbEntries, config.predictor);
     BankedCache cache(config.cache);
@@ -49,33 +108,19 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
     CostStage cost(config, table, bus);
 
     FetchStats stats;
-    // A local view: its pointer and size stay in registers across the
-    // opaque calls in the loop (a reference to the vector would be
-    // reloaded after each).
-    const std::span<const sim::TraceEvent> events = trace.events;
 
     // One relaxed atomic load, hoisted out of the hot loop so the
     // tracing-off path keeps its < 2 % overhead bound.
     const bool trace_sink = support::trace::enabled();
     const char *stall_rate_name = stallRateCounterName(config.scheme);
 
-    // Recorders attach to the one per-fetch observation point, after
-    // the cost stage; the loop pays one branch per fetch when none is
-    // attached. The cache recorder also takes the L1's line events
-    // (CacheLineObserver). Builds without tracing attach none.
-    std::optional<CacheStatsRecorder> cache_stats;
+    // The hot recorder is the one per-fetch hook, called after the
+    // cost stage; the loop pays one branch per fetch without it.
+    // Builds without tracing attach none.
     std::optional<HotStatsRecorder> hot_stats;
-    std::array<FetchObserver *, 2> observers{};
-    std::size_t n_observers = 0;
-    if (TEPIC_CACHESTATS_ENABLED && config.recordCacheStats) {
-        cache.setObserver(&cache_stats.emplace(
-            config.cache, std::uint64_t(events.size())));
-        observers[n_observers++] = &*cache_stats;
-    }
     if (TEPIC_HOTSTATS_ENABLED && config.recordHotStats) {
-        observers[n_observers++] = &hot_stats.emplace(
-            std::uint32_t(att.entries().size()),
-            std::uint64_t(events.size()));
+        hot_stats.emplace(std::uint32_t(att.entries().size()),
+                          std::uint64_t(events.size()));
     }
 
     std::uint64_t fetches = 0;
@@ -85,39 +130,18 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
         const AttEntry &entry = att.entry(head);
         const FetchTable::Lines &lines = table.lines(head);
 
-        // Walk the unit: the fetch streams on while the trace follows
-        // the unit's fallthrough chain, and leaving before the tail is
-        // a side exit. Under the identity partition the walk is the
-        // head alone.
-        std::size_t last = first;
-        FetchShape shape{entry.numMops, entry.numOps, lines.count(), 1};
-        bool side_exit = false;
-        if (units) {
-            TEPIC_ASSERT(units->isHead(head),
-                         "entered a fetch unit off its head (side "
-                         "entrance?) at block ", head);
-            const isa::BlockId tail = head + units->lengthOf[head] - 1;
-            while (events[last].block != tail &&
-                   events[last].next == events[last].block + 1) {
-                TEPIC_ASSERT(last + 1 < events.size() &&
-                                 events[last + 1].block ==
-                                     events[last].next,
-                             "trace discontinuity");
-                ++last;
-            }
-            side_exit = events[last].block != tail;
-            if (side_exit) {
-                // A partial traversal delivers only the walked blocks.
-                shape.mops = shape.ops = 0;
-                for (isa::BlockId b = head; b <= events[last].block;
-                     ++b) {
-                    shape.mops += image.blocks[b].numMops;
-                    shape.ops += image.blocks[b].numOps;
-                }
-            }
-            shape.blocks = std::uint32_t(last - first + 1);
-        }
+        const auto [last, side_exit] = walkUnit(events, first, units);
         const sim::TraceEvent &exit = events[last];
+        FetchShape shape{entry.numMops, entry.numOps, lines.count(),
+                         std::uint32_t(last - first + 1)};
+        if (side_exit) {
+            // A partial traversal delivers only the walked blocks.
+            shape.mops = shape.ops = 0;
+            for (isa::BlockId b = head; b <= exit.block; ++b) {
+                shape.mops += image.blocks[b].numMops;
+                shape.ops += image.blocks[b].numOps;
+            }
+        }
 
         // Control, then memory: the translation must be resident
         // before the unit can be fetched (a miss costs the ATT upload
@@ -159,24 +183,17 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
             ++stats.sideExits;
         const bool next_correct = control.leave(head, exit, side_exit);
 
-        if (n_observers != 0) {
+        if (hot_stats) {
             FetchObservation fetch;
             const std::uint64_t stall = causes.total();
             fetch.index = first;
             fetch.block = head;
-            fetch.blocks = shape.blocks;
             fetch.cycles = std::uint32_t(shape.mops + stall);
             fetch.stallCycles = std::uint32_t(stall);
             fetch.mispredictStall = std::uint32_t(causes.mispredict);
-            fetch.atbHit = ctl.atbHit;
-            fetch.l1Hit = mem.l1Hit;
-            fetch.l0Hit = mem.l0Hit;
-            fetch.firstLine = lines.first;
-            fetch.lastLine = lines.last;
             fetch.branchTaken = exit.branchTaken;
             fetch.nextPredictionCorrect = next_correct;
-            for (std::size_t k = 0; k < n_observers; ++k)
-                observers[k]->onFetch(fetch);
+            hot_stats->onFetch(fetch);
         }
 
         first = last + 1;
@@ -188,10 +205,23 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
     stats.busBeats = bus.beats();
     stats.busBitFlips = bus.bitFlips();
     stats.bytesTransferred = bus.bytesTransferred();
-    if (cache_stats)
-        stats.cacheStats = cache_stats->finish();
     if (hot_stats)
         stats.hotStats = hot_stats->finish();
+    if (cache_record.valid()) {
+        CacheStats &cs = stats.cacheStats = cache_record.get();
+        // The replay must have seen the kernel's memory stream.
+        TEPIC_ASSERT(cs.fetches == stats.fetches &&
+                         cs.l0Bypasses == stats.l0Hits &&
+                         cs.accesses == stats.l1Hits + stats.l1Misses -
+                                            stats.l0Hits &&
+                         cs.hits == stats.l1Hits - stats.l0Hits &&
+                         cs.misses == stats.l1Misses,
+                     "the CACHE replay disagrees with the kernel's "
+                     "L1/L0 counters");
+        cs.atbHits = stats.atbHits;
+        cs.atbMisses = stats.atbMisses;
+        cs.assertTiling();
+    }
     return stats;
 }
 

@@ -15,8 +15,13 @@
  * block per unit). Each fetch is the composition of three stages
  * (fetch_stages.hh): control (ATB + predictor), memory (L0 + L1) and
  * cost (cycle model, counters, bus). Every completed fetch is then
- * handed to the attached recorders through one FetchObserver call
- * (fetch_observer.hh).
+ * handed to the hot recorder, the kernel's one per-fetch hook
+ * (fetch_observer.hh). The CACHE record reads only the memory stage,
+ * so it is not a hook: recordCacheStats() (fetch_stages.hh) replays
+ * the same fetches through an L0 and an L1 of its own on a second
+ * thread while the kernel runs, and simulateFetch joins it, adds the
+ * kernel's ATB totals and checks its L1/L0 counts against the
+ * kernel's.
  */
 
 #ifndef TEPIC_FETCH_FETCH_SIM_HH
@@ -51,11 +56,12 @@ struct FetchConfig
     unsigned busWidthBytes = 8;
     CyclePenalties penalties;
     /**
-     * Attach the recorders: cache behavior (cache_stats.hh: 3C,
-     * reuse distances, per-set heatmaps) and dynamic program
-     * behavior (hot_stats.hh: block hotness, branch sites, phases).
-     * Purely observational, so every other stat is the same either
-     * way. Ignored in builds without tracing
+     * Record cache behavior (cache_stats.hh: 3C, reuse distances,
+     * per-set heatmaps; a replay of the memory stage on its own
+     * thread) and dynamic program behavior (hot_stats.hh: block
+     * hotness, branch sites, phases; a per-fetch hook). Purely
+     * observational, so every other stat is the same either way.
+     * Ignored in builds without tracing
      * (TEPIC_CACHESTATS_ENABLED / TEPIC_HOTSTATS_ENABLED == 0).
      */
     bool recordCacheStats = false;

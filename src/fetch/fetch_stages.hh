@@ -24,8 +24,11 @@
  *    simulate each distinct control and memory stream once.
  *
  * simulateFetch() is the per-fetch composition control → memory →
- * cost, with its observers after the cost stage. FetchTable holds
- * what every stage reads per head and is built once per simulation.
+ * cost, with the hot recorder after the cost stage. The CACHE record
+ * reads the memory stage alone, so recordCacheStats() replays just
+ * walkUnit() and accessMemory() over its own L0 and L1, beside the
+ * kernel. FetchTable holds what every stage reads per head and is
+ * built once per simulation.
  * The per-fetch entry points are always_inline (left to its own
  * heuristics the compiler calls the cost stage out of line), and the
  * stages read the simulation's FetchConfig and borrow the L1, the L0
@@ -49,6 +52,7 @@
 #include "fetch/cycle_model.hh"
 #include "fetch/fetch_sim.hh"
 #include "fetch/l0_buffer.hh"
+#include "fetch/superblock.hh"
 #include "isa/image.hh"
 #include "power/bitflips.hh"
 #include "sim/emulator.hh"
@@ -96,6 +100,8 @@ class FetchTable
 
     const Att &att() const { return att_; }
     const Lines &lines(isa::BlockId head) const { return lines_[head]; }
+    /** Every entry's span, indexed by block id. */
+    std::span<const Lines> lines() const { return lines_; }
 
     /** A miss's traffic: the entry's lines from its first byte,
      *  clipped to the image. */
@@ -155,6 +161,41 @@ class FetchTable
     std::vector<Traffic> traffic_;   ///< indexed by block id
     std::vector<std::uint8_t> upload_;  ///< scratch ATT-entry bytes
 };
+
+/** Where one fetch leaves the trace. */
+struct UnitWalk
+{
+    std::size_t last = 0;   ///< trace position of the last block walked
+    bool sideExit = false;  ///< left before the unit's tail
+};
+
+/**
+ * Walk the fetch that enters the trace at @p first: the fetch streams
+ * on while the trace follows the unit's fallthrough chain, and leaving
+ * before the tail is a side exit. Under the identity partition
+ * (@p units null) the walk is the head alone.
+ */
+[[gnu::always_inline]] inline UnitWalk
+walkUnit(std::span<const sim::TraceEvent> events, std::size_t first,
+         const FetchUnits *units)
+{
+    if (!units)
+        return {first, false};
+    const isa::BlockId head = events[first].block;
+    TEPIC_ASSERT(units->isHead(head),
+                 "entered a fetch unit off its head (side "
+                 "entrance?) at block ", head);
+    const isa::BlockId tail = head + units->lengthOf[head] - 1;
+    std::size_t last = first;
+    while (events[last].block != tail &&
+           events[last].next == events[last].block + 1) {
+        TEPIC_ASSERT(last + 1 < events.size() &&
+                         events[last + 1].block == events[last].next,
+                     "trace discontinuity");
+        ++last;
+    }
+    return {last, events[last].block != tail};
+}
 
 /** The control stage's verdict on one fetch. */
 struct ControlOutcome
@@ -233,6 +274,22 @@ accessMemory(const FetchConfig &config, L0Buffer &l0, BankedCache &l1,
         out.l1Hit = l1.accessLines(lines.first, lines.last);
     return out;
 }
+
+/**
+ * The CACHE record of one simulation (cache_stats.hh): the fetches of
+ * @p events, walked as the kernel walks them (walkUnit), replayed
+ * through an L0 buffer and an L1 of its own under @p config, with the
+ * recorder as that L1's line observer. @p entries and @p lines are
+ * the simulation's ATT entries and FetchTable spans, indexed by block
+ * id. A pure function of its arguments: simulateFetch runs it on its
+ * own thread, so everything it reads is a copy or heap data the kernel
+ * never writes. The ATB totals are left to the caller.
+ */
+CacheStats recordCacheStats(std::span<const sim::TraceEvent> events,
+                            const AttEntry *entries,
+                            std::span<const FetchTable::Lines> lines,
+                            const FetchUnits *units,
+                            const FetchConfig &config);
 
 /** What one fetch delivers: the shape the cost stage charges. */
 struct FetchShape

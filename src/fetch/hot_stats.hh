@@ -6,9 +6,9 @@
  * compression pass (keep hot blocks uncompressed, compress cold ones,
  * per Ozturk et al., PAPERS.md) starts from.
  *
- * A HotStatsRecorder rides along one simulateFetch() run as one of
- * its FetchObservers (fetch_observer.hh) and derives, purely from
- * the per-fetch observation, with every count attributed to the
+ * A HotStatsRecorder rides along one simulateFetch() run as the
+ * kernel's one per-fetch hook (fetch_observer.hh) and derives, purely
+ * from the per-fetch observation, with every count attributed to the
  * fetch's head block (the block itself in plain fetch; the unit head
  * under a fetch-unit partition, where "blocks_simulated" counts unit
  * traversals):
@@ -193,7 +193,7 @@ struct HotStats
 };
 
 /** One simulation's recording hooks; see the file comment. */
-class HotStatsRecorder final : public FetchObserver
+class HotStatsRecorder
 {
   public:
     HotStatsRecorder(std::uint32_t staticBlocks,
@@ -205,7 +205,7 @@ class HotStatsRecorder final : public FetchObserver
      * the *site* that made the wrong prediction (the previous fetch's
      * head) — and the prediction it made for its follower.
      */
-    void onFetch(const FetchObservation &fetch) override;
+    void onFetch(const FetchObservation &fetch);
 
     /** Seal the record: derived fields + tiling asserts. */
     HotStats finish();

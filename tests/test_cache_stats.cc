@@ -20,6 +20,7 @@
 #include <list>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "compiler/driver.hh"
@@ -32,6 +33,7 @@
 #include "fetch/fetch_sim.hh"
 #include "fetch/hot_stats.hh"
 #include "fetch/l0_buffer.hh"
+#include "fetch/superblock.hh"
 #include "isa/baseline.hh"
 #include "schemes/huffman_scheme.hh"
 #include "sim/emulator.hh"
@@ -51,8 +53,8 @@ using fetch::SchemeClass;
 
 /**
  * A BankedCache with its recorder attached, driven the way
- * simulateFetch drives them: every access is one fetch — an L1 block
- * access, then its observation (ATB always a hit — irrelevant here).
+ * recordCacheStats drives them: every access is one fetch — its
+ * beginFetch, an L1 block access, then the access's outcome.
  */
 struct Rig
 {
@@ -72,17 +74,24 @@ struct Rig
     bool
     access(std::uint32_t addr, std::uint32_t size = 1)
     {
-        fetch::FetchObservation fetch;
-        fetch.firstLine = addr / lineBytes;
-        fetch.lastLine = (addr + size - 1) / lineBytes;
-        const bool hit =
-            cache.accessLines(fetch.firstLine, fetch.lastLine);
-        fetch.index = nextFetch;
-        fetch.block = nextFetch++;
-        fetch.atbHit = true;
-        fetch.l1Hit = hit;
-        rec.onFetch(fetch);
+        const std::uint32_t first = addr / lineBytes;
+        const std::uint32_t last = (addr + size - 1) / lineBytes;
+        rec.beginFetch(nextFetch, nextFetch);
+        ++nextFetch;
+        const bool hit = cache.accessLines(first, last);
+        rec.onL1Access(first, last, hit);
         return hit;
+    }
+
+    /** The sealed record, every fetch an ATB hit (simulateFetch
+     *  fills in the kernel's totals), its tiling asserted. */
+    CacheStats
+    finish()
+    {
+        CacheStats stats = rec.finish();
+        stats.atbHits = stats.fetches;
+        stats.assertTiling();
+        return stats;
     }
 };
 
@@ -95,7 +104,7 @@ TEST(ThreeC, ColdStreamIsAllCompulsory)
     Rig rig({4, 2, 16});
     for (std::uint32_t i = 0; i < 32; ++i)
         EXPECT_FALSE(rig.access(i * 16, 16));
-    const CacheStats stats = rig.rec.finish();
+    const CacheStats stats = rig.finish();
     EXPECT_EQ(stats.misses, 32u);
     EXPECT_EQ(stats.compulsory, 32u);
     EXPECT_EQ(stats.capacity, 0u);
@@ -118,7 +127,7 @@ TEST(ThreeC, SameSetPingPongIsConflict)
         EXPECT_FALSE(rig.access(a, 16));
         EXPECT_FALSE(rig.access(b, 16));
     }
-    const CacheStats stats = rig.rec.finish();
+    const CacheStats stats = rig.finish();
     EXPECT_EQ(stats.compulsory, 2u);
     EXPECT_EQ(stats.conflict, 10u);
     EXPECT_EQ(stats.capacity, 0u);
@@ -143,7 +152,7 @@ TEST(ThreeC, WorkingSetLargerThanCacheIsCapacity)
     EXPECT_FALSE(rig.access(0, 16));   // shadow holds {1,2}: capacity
     EXPECT_TRUE(rig.access(16, 16));   // line 1 undisturbed in set 1
     EXPECT_FALSE(rig.access(32, 16));  // shadow holds {1,0}: capacity
-    const CacheStats stats = rig.rec.finish();
+    const CacheStats stats = rig.finish();
     EXPECT_EQ(stats.accesses, 6u);
     EXPECT_EQ(stats.hits, 1u);
     EXPECT_EQ(stats.misses, 5u);
@@ -163,7 +172,7 @@ TEST(ThreeC, FullyAssociativeNeverConflicts)
     support::Rng rng(42);
     for (int i = 0; i < 2000; ++i)
         rig.access(std::uint32_t(rng.below(24)) * 16, 16);
-    const CacheStats stats = rig.rec.finish();
+    const CacheStats stats = rig.finish();
     EXPECT_GT(stats.misses, stats.compulsory);  // working set > 8
     EXPECT_EQ(stats.conflict, 0u);
     EXPECT_EQ(stats.misses,
@@ -180,7 +189,7 @@ TEST(ThreeC, MultiLineBlocksClassifyOnPreAccessState)
     EXPECT_FALSE(rig.access(0, 48));
     // A block overlapping 2 touched + 1 fresh line: still compulsory.
     EXPECT_FALSE(rig.access(16, 48));
-    const CacheStats stats = rig.rec.finish();
+    const CacheStats stats = rig.finish();
     EXPECT_EQ(stats.compulsory, 2u);
     EXPECT_EQ(stats.capacity + stats.conflict, 0u);
 }
@@ -277,7 +286,7 @@ TEST(LineLifetime, DeadOnFillCountsZeroUseEvictions)
     rig.access(16, 16);  // evicts line 0 with zero uses: dead
     rig.access(16, 16);  // hit: line 1 now has one use
     rig.access(0, 16);   // evicts line 1 with one use: not dead
-    const CacheStats stats = rig.rec.finish();
+    const CacheStats stats = rig.finish();
     EXPECT_EQ(stats.lineFills, 3u);
     EXPECT_EQ(stats.lineEvictions, 2u);
     EXPECT_EQ(stats.deadOnFill, 1u);
@@ -296,7 +305,7 @@ TEST(Recorder, HeatmapColumnsSumToPerSetVectors)
     support::Rng rng(11);
     for (int i = 0; i < 500; ++i)
         rig.access(std::uint32_t(rng.below(64)) * 16, 16);
-    const CacheStats stats = rig.rec.finish();
+    const CacheStats stats = rig.finish();
     ASSERT_EQ(stats.heatAccesses.size(), kEpochs * 8u);
     std::uint64_t heat_total = 0;
     for (unsigned s = 0; s < 8; ++s) {
@@ -443,17 +452,12 @@ expectFormulaEpochs(std::uint64_t expected_events,
     std::uint64_t pos = 0;
     for (std::size_t i = 0; i < blocks.size(); ++i) {
         oracle.epoch = formulaEpoch(pos, epochs, expected_events);
-        fetch::FetchObservation fetch;
-        fetch.firstLine = std::uint32_t(rng.below(24));
-        fetch.lastLine = fetch.firstLine + std::uint32_t(rng.below(3));
-        fetch.index = pos;
-        fetch.block = std::uint32_t(i);
-        fetch.atbHit = true;
-        fetch.l1Hit =
-            cache.accessLines(fetch.firstLine, fetch.lastLine);
-        reference.accessLines(fetch.firstLine, fetch.lastLine);
-        fetch.blocks = blocks[i];
-        rec.onFetch(fetch);
+        const auto first = std::uint32_t(rng.below(24));
+        const std::uint32_t last = first + std::uint32_t(rng.below(3));
+        rec.beginFetch(pos, std::uint32_t(i));
+        const bool hit = cache.accessLines(first, last);
+        reference.accessLines(first, last);
+        rec.onL1Access(first, last, hit);
         pos += blocks[i];
     }
     const CacheStats stats = rec.finish();
@@ -506,7 +510,7 @@ TEST(LineLifetime, EvictionUseHistogramCountsEveryUseCount)
             rig.access(addr, 16);
     }
     rig.access(std::uint32_t(uses.size() * 16), 16);  // evict the last
-    const CacheStats stats = rig.rec.finish();
+    const CacheStats stats = rig.finish();
     const auto &bins = stats.evictionUseHistogram.bins();
     EXPECT_EQ(stats.evictionUseHistogram.total(), uses.size());
     EXPECT_EQ(stats.evictionUseHistogram.overflow(), 2u);
@@ -524,7 +528,7 @@ TEST(Recorder, MergeSumsSameGeometryRecords)
         rig.access(0, 16);
         rig.access(32, 16);
         rig.access(0, 16);
-        return rig.rec.finish();
+        return rig.finish();
     };
     const CacheStats one = run();
     CacheStats merged;  // unrecorded: adopts
@@ -666,6 +670,169 @@ TEST(FetchSimCacheStats, RerunsAreBitIdentical)
     EXPECT_EQ(a.heatEvictions, b.heatEvictions);
 }
 
+/** @p got equals @p want field for field. */
+void
+expectSameRecord(const CacheStats &got, const CacheStats &want)
+{
+    EXPECT_EQ(got.recorded, want.recorded);
+    EXPECT_EQ(got.sets, want.sets);
+    EXPECT_EQ(got.ways, want.ways);
+    EXPECT_EQ(got.lineBytes, want.lineBytes);
+    EXPECT_EQ(got.fetches, want.fetches);
+    EXPECT_EQ(got.l0Bypasses, want.l0Bypasses);
+    EXPECT_EQ(got.atbHits, want.atbHits);
+    EXPECT_EQ(got.atbMisses, want.atbMisses);
+    EXPECT_EQ(got.accesses, want.accesses);
+    EXPECT_EQ(got.hits, want.hits);
+    EXPECT_EQ(got.misses, want.misses);
+    EXPECT_EQ(got.compulsory, want.compulsory);
+    EXPECT_EQ(got.capacity, want.capacity);
+    EXPECT_EQ(got.conflict, want.conflict);
+    EXPECT_EQ(got.lineFills, want.lineFills);
+    EXPECT_EQ(got.lineEvictions, want.lineEvictions);
+    EXPECT_EQ(got.deadOnFill, want.deadOnFill);
+    EXPECT_EQ(got.residentAtEnd, want.residentAtEnd);
+    EXPECT_EQ(got.evictionUseHistogram.bins(),
+              want.evictionUseHistogram.bins());
+    EXPECT_EQ(got.evictionUseHistogram.overflow(),
+              want.evictionUseHistogram.overflow());
+    EXPECT_EQ(got.reuseCold, want.reuseCold);
+    EXPECT_EQ(got.reuseMax, want.reuseMax);
+    EXPECT_EQ(got.reuseLog2Histogram.bins(),
+              want.reuseLog2Histogram.bins());
+    EXPECT_EQ(got.reuseLog2Histogram.overflow(),
+              want.reuseLog2Histogram.overflow());
+    EXPECT_EQ(got.setAccesses, want.setAccesses);
+    EXPECT_EQ(got.setHits, want.setHits);
+    EXPECT_EQ(got.setFills, want.setFills);
+    EXPECT_EQ(got.setEvictions, want.setEvictions);
+    EXPECT_EQ(got.setDeadOnFill, want.setDeadOnFill);
+    EXPECT_EQ(got.heatAccesses, want.heatAccesses);
+    EXPECT_EQ(got.heatFills, want.heatFills);
+    EXPECT_EQ(got.heatEvictions, want.heatEvictions);
+}
+
+/**
+ * The replayed record against the kernel and against a serial oracle,
+ * under plain fetch and multi-block fetch units (with side exits), for
+ * base and compressed (the L0 path): its L1/L0 counts must equal the
+ * kernel's counters, and the whole record must equal one
+ * CacheStatsRecorder driven here, fetch by fetch, over its own L0
+ * buffer and L1.
+ */
+TEST(FetchSimCacheStats, UnitsReplayMatchesKernel)
+{
+    SimFixture fx;
+    const isa::VliwProgram &program = fx.compiled.program;
+    const auto &events = fx.emu.trace.events;
+    fetch::FetchUnitConfig unit_config;
+    unit_config.maxBlocks = 4;
+    const fetch::FetchUnits units =
+        fetch::formFetchUnits(program, fx.emu.trace, unit_config);
+    for (const fetch::FetchUnits *partition :
+         {static_cast<const fetch::FetchUnits *>(nullptr), &units}) {
+        for (auto scheme : {SchemeClass::kBase, SchemeClass::kCompressed}) {
+            SCOPED_TRACE(testing::Message()
+                         << fetch::schemeClassName(scheme)
+                         << (partition ? " units" : " plain"));
+            const isa::Image &image = fx.imageFor(scheme);
+            auto config = fetch::FetchConfig::paper(scheme);
+            config.units = partition;
+            config.recordCacheStats = true;
+            const auto stats = fetch::simulateFetch(image, program,
+                                                    fx.emu.trace, config);
+            const CacheStats &cs = stats.cacheStats;
+            ASSERT_TRUE(cs.recorded);
+            EXPECT_EQ(cs.fetches, stats.fetches);
+            EXPECT_EQ(cs.l0Bypasses, stats.l0Hits);
+            EXPECT_EQ(cs.accesses, stats.fetches - stats.l0Hits);
+            EXPECT_EQ(cs.hits, stats.l1Hits - stats.l0Hits);
+            EXPECT_EQ(cs.misses, stats.l1Misses);
+            if (partition) {
+                EXPECT_LT(stats.fetches, stats.blocksFetched);
+                EXPECT_GT(stats.sideExits, 0u);
+            }
+            if (scheme == SchemeClass::kCompressed) {
+                EXPECT_GT(stats.l0Hits, 0u);
+            }
+
+            const fetch::Att att =
+                fetch::Att::build(image, program, partition);
+            const unsigned line_bytes = config.cache.lineBytes;
+            fetch::L0Buffer l0(config.l0CapacityOps);
+            fetch::BankedCache l1(config.cache);
+            CacheStatsRecorder oracle(config.cache, events.size());
+            l1.setObserver(&oracle);
+            for (std::size_t first = 0; first < events.size();) {
+                const isa::BlockId head = events[first].block;
+                // A unit streams on along its fallthrough chain up to
+                // its tail.
+                std::size_t last = first;
+                if (partition) {
+                    const isa::BlockId tail =
+                        head + partition->lengthOf[head] - 1;
+                    while (events[last].block != tail &&
+                           events[last].next == events[last].block + 1)
+                        ++last;
+                }
+                const fetch::AttEntry &entry = att.entry(head);
+                oracle.beginFetch(first, head);
+                if (scheme == SchemeClass::kCompressed &&
+                    l0.access(head, entry.numOps)) {
+                    oracle.onL0Bypass();
+                } else {
+                    const std::uint32_t line_first =
+                        entry.byteAddress / line_bytes;
+                    const std::uint32_t line_last =
+                        (entry.byteAddress + entry.byteSize - 1) /
+                        line_bytes;
+                    oracle.onL1Access(line_first, line_last,
+                                      l1.accessLines(line_first, line_last));
+                }
+                first = last + 1;
+            }
+            CacheStats want = oracle.finish();
+            want.atbHits = stats.atbHits;
+            want.atbMisses = stats.atbMisses;
+            expectSameRecord(cs, want);
+        }
+    }
+}
+
+/**
+ * A trace that enters a fetch unit off its head trips the kernel's
+ * walk, and the replay's, on their first fetch. With recording on the
+ * panic must still reach the caller as std::logic_error: the kernel's
+ * unwinding joins the replay thread rather than abandoning it (which
+ * would std::terminate).
+ */
+TEST(FetchSimCacheStats, KernelPanicJoinsReplay)
+{
+    SimFixture fx;
+    fetch::FetchUnitConfig unit_config;
+    unit_config.maxBlocks = 4;
+    const fetch::FetchUnits units = fetch::formFetchUnits(
+        fx.compiled.program, fx.emu.trace, unit_config);
+    const auto &events = fx.emu.trace.events;
+    const auto member = std::find_if(
+        events.begin(), events.end(),
+        [&](const sim::TraceEvent &e) { return !units.isHead(e.block); });
+    ASSERT_NE(member, events.end()) << "no multi-block unit formed";
+    const sim::BlockTrace side_entered{{member, events.end()}};
+
+    for (auto scheme : {SchemeClass::kBase, SchemeClass::kCompressed}) {
+        SCOPED_TRACE(fetch::schemeClassName(scheme));
+        auto config = fetch::FetchConfig::paper(scheme);
+        config.units = &units;
+        config.recordCacheStats = true;
+        config.recordHotStats = true;
+        EXPECT_THROW(fetch::simulateFetch(fx.imageFor(scheme),
+                                          fx.compiled.program,
+                                          side_entered, config),
+                     std::logic_error);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Whole-record oracle: a real trace's CACHE and HOT records against a
 // naive rebuild from the trace alone.
@@ -729,7 +896,7 @@ TEST(WholeRecord, MatchesANaiveRebuildOfTheTrace)
             ASSERT_TRUE(cs.recorded);
             ASSERT_TRUE(hs.recorded);
 
-            EXPECT_EQ(cs.reuseSamples, n);
+            EXPECT_EQ(cs.fetches, n);
             EXPECT_EQ(cs.reuseCold, reuse_cold);
             EXPECT_EQ(cs.reuseMax, reuse_max);
             EXPECT_EQ(cs.reuseLog2Histogram.bins(), reuse_bins);
@@ -842,7 +1009,7 @@ tinyRecord(std::uint32_t salt = 0)
     rig.access(0, 16);
     rig.access(32, 16);
     rig.access((salt % 2) * 32, 16);
-    return rig.rec.finish();
+    return rig.finish();
 }
 
 TEST(CacheReport, RecordOrderDoesNotChangeTheReport)
@@ -899,7 +1066,7 @@ TEST(CacheReport, GeometrySweepsAreKeyedApartNotMerged)
     Rig other({4, 2, 32});
     other.access(0, 32);
     fetch::cachestats::record("go", SchemeClass::kBase,
-                              other.rec.finish());
+                              other.finish());
     const auto doc =
         testjson::parse(fetch::cachestats::reportJson("t"));
     const auto &workloads = doc.at("structure").at("workloads");

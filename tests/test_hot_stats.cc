@@ -168,10 +168,7 @@ expectFormulaPhases(std::uint64_t expected_events,
                 : unsigned(std::min<std::uint64_t>(
                       epochs - 1, pos * epochs / expected_events));
         ++expected[std::size_t(epoch) * statics + i];
-        fetch::FetchObservation fetch =
-            observe(pos, i, 1, 0, 0, true, true);
-        fetch.blocks = blocks[i];
-        rec.onFetch(fetch);
+        rec.onFetch(observe(pos, i, 1, 0, 0, true, true));
         pos += blocks[i];
     }
     EXPECT_EQ(rec.finish().phaseFetches, expected);
