@@ -6,21 +6,14 @@
  * with speculation on and off, plus a hoist-budget sweep.
  *
  * This harness needs a different PipelineConfig per build, so it
- * drives the ArtifactEngine directly instead of the shared
- * buildAllArtifacts() path: all hoist-on/off builds are batched
- * through one buildMany() call, and the budget sweep hits the engine
- * cache for the configurations the first phase already built.
+ * asks benchMain() for no shared build and drives a private
+ * ArtifactEngine inside its print function: all hoist-on/off builds
+ * are batched through one buildMany() call, and the budget sweep hits
+ * the engine cache for the configurations the first phase already
+ * built.
  */
 
-#include <benchmark/benchmark.h>
-
-#include <cstdio>
-
 #include "common.hh"
-#include "core/artifact_engine.hh"
-#include "support/stats.hh"
-#include "support/table.hh"
-#include "workloads/workload.hh"
 
 namespace {
 
@@ -31,9 +24,6 @@ using support::TextTable;
 const core::ArtifactRequest kRequest{core::ArtifactKind::kBase,
                                      core::ArtifactKind::kTailored,
                                      core::ArtifactKind::kTrace};
-
-core::ArtifactEngine *engine = nullptr;
-std::vector<const workloads::Workload *> selected;
 
 core::PipelineConfig
 hoistConfig(bool hoist, unsigned budget = 4)
@@ -49,6 +39,8 @@ printAblation()
 {
     std::printf("=== Ablation: speculative hoisting "
                 "(treegion-style code motion) ===\n\n");
+    core::ArtifactEngine engine(bench::benchOptions().jobs);
+    const auto &selected = bench::benchOptions().workloads;
 
     // One batch: {off, on} per workload, built concurrently.
     std::vector<core::BuildRequest> requests;
@@ -56,7 +48,7 @@ printAblation()
         requests.push_back({w->source, kRequest, hoistConfig(false), {}});
         requests.push_back({w->source, kRequest, hoistConfig(true), {}});
     }
-    const auto built = engine->buildMany(requests);
+    const auto built = engine.buildMany(requests);
 
     TextTable table;
     table.setHeader({"workload", "hoisted ops", "ILP off", "ILP on",
@@ -100,7 +92,7 @@ printAblation()
     sweep.setHeader({"max ops/edge", "hoisted", "ILP", "base IPC"});
     const auto &go = workloads::workloadByName("go");
     for (unsigned budget : {0u, 1u, 2u, 4u, 8u}) {
-        const auto a = engine->build(
+        const auto a = engine.build(
             go.source, kRequest, hoistConfig(budget > 0, budget));
         const auto stats = core::runFetch(
             *a, fetch::SchemeClass::kBase, std::nullopt, "go");
@@ -111,7 +103,7 @@ printAblation()
     }
     std::printf("%s", sweep.render().c_str());
 
-    const auto stats = engine->stats();
+    const auto stats = engine.stats();
     std::fprintf(stderr,
                  "[bench] engine: %llu compiles, %llu cache hits, "
                  "%llu huffman images (expected 0)\n",
@@ -133,23 +125,4 @@ BENCHMARK(BM_HoistPass)->Unit(benchmark::kMillisecond);
 
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    const auto options =
-        tepic::bench::parseBenchOptions(&argc, argv, kRequest);
-    core::ArtifactEngine hoist_engine(options.jobs);
-    engine = &hoist_engine;
-    if (options.workloads.empty()) {
-        for (const auto &w : workloads::allWorkloads())
-            selected.push_back(&w);
-    } else {
-        for (const auto &name : options.workloads)
-            selected.push_back(&workloads::workloadByName(name));
-    }
-    printAblation();
-    ::benchmark::Initialize(&argc, argv);
-    ::benchmark::RunSpecifiedBenchmarks();
-    engine = nullptr;
-    return 0;
-}
+TEPIC_BENCH_MAIN(printAblation, std::nullopt)

@@ -4,9 +4,9 @@
  * parallel artifact engine. Every bench binary follows the same
  * pattern:
  *
- *   1. parse the shared BenchOptions CLI layer (--workloads=,
- *      --schemes=, --jobs=, --trace=, --metrics=) before
- *      google-benchmark sees argv,
+ *   1. parse the shared CLI layer (BenchOptions) through support/cli.hh
+ *      before google-benchmark sees argv; a rejected flag or value,
+ *      unknown workloads and artefact kinds included, exits 2,
  *   2. build the requested artefacts for the requested workloads —
  *      up front, in main, so build logging never interleaves with
  *      benchmark output and build failures surface before timings,
@@ -20,12 +20,11 @@
  *      flush the --trace= file (timed loops are included in traces —
  *      traces are wall-clock data anyway).
  *
- * Each binary declares the artefact kinds it actually consumes via
- * TEPIC_BENCH_MAIN's request argument; the engine builds nothing
- * else. `--schemes=` narrows (or widens) that set from the command
- * line, `--workloads=` selects a workload subset, and `--jobs=`
- * controls engine parallelism (output is bit-identical for any jobs
- * value — the determinism guarantee is tested in tests/test_engine).
+ * Each binary declares the artefact kinds it consumes via
+ * TEPIC_BENCH_MAIN's request argument and the engine builds nothing
+ * else; `--schemes=` replaces that set. With no request there is no
+ * shared engine: a harness that drives its own reads benchOptions().
+ * Output is bit-identical for any `--jobs=` (tests/test_engine).
  */
 
 #ifndef TEPIC_BENCH_COMMON_HH
@@ -33,18 +32,19 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include <cstdlib>
-
 #include "core/artifact_engine.hh"
 #include "core/pipeline.hh"
 #include "core/reports.hh"
+#include "support/cli.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/profiler.hh"
@@ -58,7 +58,8 @@ namespace tepic::bench {
 /** The shared CLI layer, parsed before google-benchmark init. */
 struct BenchOptions
 {
-    std::vector<std::string> workloads;  ///< empty = the full suite
+    /// --workloads= in order; the full suite when not given.
+    std::vector<const workloads::Workload *> workloads;
     core::ArtifactRequest request;       ///< what to build
     unsigned jobs = 0;                   ///< 0 = hardware concurrency
     std::string tracePath;               ///< Chrome trace JSON out
@@ -68,110 +69,79 @@ struct BenchOptions
 };
 
 /** The harness CLI contract, shared by every bench binary. */
-inline void
-printBenchUsage(const std::string &bench_name, std::FILE *out)
-{
-    std::fprintf(
-        out,
-        "usage: %s [options] [--benchmark_* flags]\n"
-        "  --workloads=a,b       run a workload subset (default: all)\n"
-        "  --schemes=s1,s2       artefact kinds to build (see\n"
-        "                        core::ArtifactRequest::parse)\n"
-        "  --jobs=N              engine parallelism (0 = hardware)\n"
-        "  --trace=FILE          write a Chrome trace JSON\n"
-        "  --metrics=FILE        write the metrics snapshot JSON\n"
-        "  --prof-collapse=FILE  sample the run; write FlameGraph\n"
-        "                        collapsed stacks\n"
-        "  --log-level=LEVEL     debug|info|warn|error|none\n"
-        "  --help                print this and exit\n"
-        "Unrecognised --flags are an error; google-benchmark's own\n"
-        "--benchmark_* and --v= flags pass through untouched.\n",
-        bench_name.c_str());
-}
-
-/** argv[0] stripped to its basename: the canonical bench name. */
 inline std::string
-benchNameFromArgv0(const char *argv0)
+benchUsage(const std::string &bench_name)
 {
-    std::string name = argv0 ? argv0 : "bench";
-    const std::size_t slash = name.find_last_of('/');
-    if (slash != std::string::npos)
-        name = name.substr(slash + 1);
-    return name.empty() ? "bench" : name;
+    return "usage: " + bench_name +
+           " [options] [--benchmark_* flags]\n"
+           "  --workloads=a,b       run a workload subset (default: all)\n"
+           "  --schemes=s1,s2       artefact kinds to build (see\n"
+           "                        core::ArtifactRequest::parse)\n"
+           "  --jobs=N              engine parallelism (0 = hardware)\n"
+           "  --trace=FILE          write a Chrome trace JSON\n"
+           "  --metrics=FILE        write the metrics snapshot JSON\n"
+           "  --prof-collapse=FILE  sample the run; write FlameGraph\n"
+           "                        collapsed stacks\n"
+           "  --log-level=LEVEL     debug|info|warn|error|none\n"
+           "  --help                print this and exit\n"
+           "Unrecognised --flags are an error; google-benchmark's own\n"
+           "--benchmark_* and --v= flags pass through untouched.\n";
 }
 
 /**
- * Parse and strip the harness flags from argv. `--schemes=` replaces
- * the binary's default request but inherits its trace bit (traces are
- * an input of the fetch sims, not a scheme a user would think to
- * list).
+ * Parse and strip the harness flags from argv, leaving
+ * google-benchmark's. `--schemes=` replaces the binary's default
+ * request but inherits its trace bit (traces are an input of the
+ * fetch sims, not a scheme a user would think to list). A rejected
+ * flag or value — an unknown workload or artefact kind included —
+ * exits 2.
  */
 inline BenchOptions
 parseBenchOptions(int *argc, char **argv,
                   core::ArtifactRequest default_request)
 {
+    namespace cli = support::cli;
     BenchOptions options;
     options.request = default_request;
-    options.benchName = benchNameFromArgv0(*argc > 0 ? argv[0]
-                                                     : nullptr);
-    int out = 1;
-    for (int i = 1; i < *argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strncmp(arg, "--workloads=", 12) == 0) {
-            std::string list(arg + 12);
-            std::size_t pos = 0;
-            while (pos <= list.size()) {
-                std::size_t comma = list.find(',', pos);
-                if (comma == std::string::npos)
-                    comma = list.size();
-                if (comma > pos) {
-                    options.workloads.push_back(
-                        list.substr(pos, comma - pos));
-                }
-                pos = comma + 1;
-            }
-        } else if (std::strncmp(arg, "--schemes=", 10) == 0) {
-            auto parsed = core::ArtifactRequest::parse(arg + 10);
-            if (default_request.has(core::ArtifactKind::kTrace))
-                parsed = parsed.with(core::ArtifactKind::kTrace);
-            options.request = parsed;
-        } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-            options.jobs = unsigned(std::atoi(arg + 7));
-        } else if (std::strncmp(arg, "--trace=", 8) == 0) {
-            options.tracePath = arg + 8;
-        } else if (std::strncmp(arg, "--metrics=", 10) == 0) {
-            options.metricsPath = arg + 10;
-        } else if (std::strncmp(arg, "--prof-collapse=", 16) == 0) {
-            options.profCollapsePath = arg + 16;
-        } else if (std::strncmp(arg, "--log-level=", 12) == 0) {
-            // CLI takes precedence over the TEPIC_LOG env filter.
-            const char *level = arg + 12;
-            if (!support::isLogLevelName(level)) {
-                TEPIC_FATAL("unknown --log-level '", level,
-                            "' (expected debug|info|warn|error|none)");
-            }
-            support::setLogThreshold(support::parseLogLevel(level));
-        } else if (std::strcmp(arg, "--help") == 0) {
-            printBenchUsage(options.benchName, stdout);
-            std::exit(0);
-        } else if (std::strncmp(arg, "--benchmark_", 12) == 0 ||
-                   std::strncmp(arg, "--v=", 4) == 0) {
-            // google-benchmark's namespace; forwarded untouched.
-            argv[out++] = argv[i];
-        } else if (std::strncmp(arg, "--", 2) == 0) {
-            // A typo'd harness flag silently reaching
-            // google-benchmark would run the full suite with the
-            // option dropped — fail loudly instead.
-            std::fprintf(stderr, "%s: unknown flag '%s'\n",
-                         options.benchName.c_str(), arg);
-            printBenchUsage(options.benchName, stderr);
-            std::exit(2);
-        } else {
-            argv[out++] = argv[i];
-            continue;
-        }
+    // argv[0]'s basename is the canonical bench name.
+    if (*argc > 0)
+        options.benchName = std::filesystem::path(argv[0]).filename();
+    if (options.benchName.empty())
+        options.benchName = "bench";
+    const std::string usage = benchUsage(options.benchName);
+    const cli::Flag flags[] = {
+        {"--workloads=",
+         [&](const std::string &v) {
+             for (const std::string &name : cli::splitCsv(v))
+                 options.workloads.push_back(&workloads::workloadByName(name));
+         }},
+        {"--schemes=",
+         [&](const std::string &v) {
+             auto parsed = core::ArtifactRequest::parse(v);
+             if (default_request.has(core::ArtifactKind::kTrace))
+                 parsed = parsed.with(core::ArtifactKind::kTrace);
+             options.request = parsed;
+         }},
+        cli::jobs(options.jobs),
+        cli::text("--trace=", options.tracePath),
+        cli::text("--metrics=", options.metricsPath),
+        cli::text("--prof-collapse=", options.profCollapsePath),
+        {"--help",
+         [&](const std::string &) {
+             std::fputs(usage.c_str(), stdout);
+             std::exit(0);
+         }},
+    };
+    cli::checked(options.benchName, usage, [&] {
+        const auto rest =
+            cli::parse(*argc, argv, flags, cli::googleBenchmarkArg);
+        *argc = 1 + int(rest.size());
+        std::copy(rest.begin(), rest.end(), argv + 1);
+    });
+    if (options.workloads.empty()) {
+        for (const auto &w : workloads::allWorkloads())
+            options.workloads.push_back(&w);
     }
-    *argc = out;
     return options;
 }
 
@@ -186,27 +156,35 @@ struct NamedArtifacts
 
 namespace detail {
 
-inline std::unique_ptr<core::ArtifactEngine> &
-engineSlot()
+/** The process-wide harness state benchMain() fills in. */
+struct State
 {
-    static std::unique_ptr<core::ArtifactEngine> engine;
-    return engine;
-}
+    BenchOptions options;
+    std::unique_ptr<core::ArtifactEngine> engine;
+    std::vector<NamedArtifacts> artifacts;
+};
 
-inline std::vector<NamedArtifacts> &
-artifactsSlot()
+inline State &
+state()
 {
-    static std::vector<NamedArtifacts> artifacts;
-    return artifacts;
+    static State state;
+    return state;
 }
 
 } // namespace detail
+
+/** The parsed command line; valid once benchMain() has parsed it. */
+inline const BenchOptions &
+benchOptions()
+{
+    return detail::state().options;
+}
 
 /** The binary's engine; valid after buildAllArtifacts(). */
 inline core::ArtifactEngine &
 benchEngine()
 {
-    auto &engine = detail::engineSlot();
+    auto &engine = detail::state().engine;
     TEPIC_ASSERT(engine != nullptr,
                  "benchEngine() used before buildAllArtifacts()");
     return *engine;
@@ -221,21 +199,13 @@ benchEngine()
 inline void
 buildAllArtifacts(const BenchOptions &options)
 {
-    auto &engine = detail::engineSlot();
+    auto &engine = detail::state().engine;
     TEPIC_ASSERT(engine == nullptr,
                  "buildAllArtifacts() called twice");
     engine = std::make_unique<core::ArtifactEngine>(options.jobs);
 
-    std::vector<const workloads::Workload *> selected;
-    if (options.workloads.empty()) {
-        for (const auto &w : workloads::allWorkloads())
-            selected.push_back(&w);
-    } else {
-        for (const auto &name : options.workloads)
-            selected.push_back(&workloads::workloadByName(name));
-    }
-
     std::vector<core::BuildRequest> requests;
+    const auto &selected = options.workloads;
     requests.reserve(selected.size());
     for (const auto *w : selected) {
         TEPIC_INFORM("[bench] requesting {",
@@ -250,7 +220,7 @@ buildAllArtifacts(const BenchOptions &options)
         built = engine->buildMany(requests);
     }
 
-    auto &list = detail::artifactsSlot();
+    auto &list = detail::state().artifacts;
     for (std::size_t i = 0; i < selected.size(); ++i) {
         list.push_back(NamedArtifacts{selected[i]->name,
                                       selected[i]->isDspKernel,
@@ -280,12 +250,12 @@ reportBenchSummary(const BenchOptions &options)
 {
     auto &metrics = support::MetricsRegistry::global();
     std::vector<core::SizeReportEntry> artifacts;
-    if (detail::engineSlot() != nullptr) {
+    if (detail::state().engine != nullptr) {
         benchEngine().exportMetrics(metrics);
         const auto stats = benchEngine().stats();
         TEPIC_INFORM("[bench] engine cache: ", stats.cacheHits,
                      " hits / ", stats.cacheMisses, " misses");
-        for (const auto &named : detail::artifactsSlot()) {
+        for (const auto &named : detail::state().artifacts) {
             artifacts.push_back(
                 core::SizeReportEntry{named.name, named.ptr.get()});
         }
@@ -310,7 +280,7 @@ reportBenchSummary(const BenchOptions &options)
 inline const std::vector<NamedArtifacts> &
 allArtifacts()
 {
-    const auto &list = detail::artifactsSlot();
+    const auto &list = detail::state().artifacts;
     TEPIC_ASSERT(!list.empty(),
                  "allArtifacts() used before buildAllArtifacts() — "
                  "bench binaries must go through TEPIC_BENCH_MAIN");
@@ -337,8 +307,9 @@ inline int
 benchMain(int argc, char **argv, void (*print_fn)(),
           std::optional<core::ArtifactRequest> request)
 {
-    const auto options = parseBenchOptions(
-        &argc, argv, request.value_or(core::ArtifactRequest{}));
+    const BenchOptions &options = detail::state().options =
+        parseBenchOptions(&argc, argv,
+                          request.value_or(core::ArtifactRequest{}));
     core::reports::startSessions(options.jobs);
     if (!options.profCollapsePath.empty())
         support::prof::startSampling();

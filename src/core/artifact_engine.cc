@@ -3,11 +3,11 @@
 #include <cstdio>
 #include <cstring>
 
+#include "support/cli.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/sched.hh"
 #include "support/scope.hh"
-#include "support/trace.hh"
 
 namespace tepic::core {
 
@@ -48,15 +48,7 @@ ArtifactRequest
 ArtifactRequest::parse(const std::string &csv)
 {
     ArtifactRequest request;
-    std::size_t pos = 0;
-    while (pos <= csv.size()) {
-        std::size_t comma = csv.find(',', pos);
-        if (comma == std::string::npos)
-            comma = csv.size();
-        const std::string name = csv.substr(pos, comma - pos);
-        pos = comma + 1;
-        if (name.empty())
-            continue;
+    for (const std::string &name : support::cli::splitCsv(csv)) {
         if (name == "all") {
             request = request | all();
             continue;
@@ -557,16 +549,6 @@ ArtifactEngine::buildMany(const std::vector<BuildRequest> &requests)
             results[idx] = done;
     }
 
-    if (support::trace::enabled()) {
-        support::trace::counter(
-            "engine.cache_hits",
-            double(cacheHits_.load(std::memory_order_relaxed)),
-            "engine");
-        support::trace::counter(
-            "engine.cache_misses",
-            double(cacheMisses_.load(std::memory_order_relaxed)),
-            "engine");
-    }
     return results;
 }
 

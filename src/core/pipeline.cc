@@ -225,7 +225,6 @@ recordFetchMetrics(fetch::SchemeClass scheme,
     m.addCounter(prefix + "stall.atb_miss", stats.atbStallCycles);
     // A saving, not a stall — outside the stall.* tiling sum.
     m.addCounter(prefix + "l0_saved_cycles", stats.l0SavedCycles);
-    m.addCounter(prefix + "atb_stall_cycles", stats.atbStallCycles);
     m.addCounter(prefix + "lines_transferred", stats.linesTransferred);
     m.addCounter(prefix + "bus_bit_flips", stats.busBitFlips);
     m.addCounter(prefix + "bytes_transferred", stats.bytesTransferred);

@@ -81,8 +81,8 @@ penaltyProfileByName(const std::string &name)
     for (const PenaltyProfile &profile : penaltyProfiles())
         if (profile.name == name)
             return profile;
-    TEPIC_FATAL("unknown penalty profile: ", name,
-                " (known: paper, slowmem, deeppipe)");
+    TEPIC_FATAL("unknown penalty profile '", name,
+                "' (known: paper, slowmem, deeppipe)");
 }
 
 SweepGrid

@@ -8,32 +8,8 @@
 #include "fetch/superblock.hh"
 #include "support/logging.hh"
 #include "support/profiler.hh"
-#include "support/trace.hh"
 
 namespace tepic::fetch {
-
-namespace {
-
-/**
- * Perfetto counter-track names per scheme. trace::counter() keeps the
- * pointer (names are not copied), so these must be string literals.
- */
-const char *
-stallRateCounterName(SchemeClass scheme)
-{
-    switch (scheme) {
-      case SchemeClass::kBase: return "fetch.base.stall_rate";
-      case SchemeClass::kTailored: return "fetch.tailored.stall_rate";
-      case SchemeClass::kCompressed:
-        return "fetch.compressed.stall_rate";
-    }
-    return "fetch.?.stall_rate";
-}
-
-/** Fetches between counter-track samples (power of two). */
-constexpr std::uint64_t kCounterInterval = 1024;
-
-} // namespace
 
 CacheStats
 recordCacheStats(std::span<const sim::TraceEvent> events,
@@ -109,11 +85,6 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
 
     FetchStats stats;
 
-    // One relaxed atomic load, hoisted out of the hot loop so the
-    // tracing-off path keeps its < 2 % overhead bound.
-    const bool trace_sink = support::trace::enabled();
-    const char *stall_rate_name = stallRateCounterName(config.scheme);
-
     // The hot recorder is the one per-fetch hook, called after the
     // cost stage; the loop pays one branch per fetch without it.
     // Builds without tracing attach none.
@@ -162,22 +133,6 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
         const StallBreakdown causes =
             cost.charge(stats, ctl, mem, shape);
         ++fetches;
-
-        if (trace_sink && fetches % kCounterInterval == 0) {
-            // Counter tracks: running stall rate (stall cycles per
-            // total cycle so far) and, for compressed, L0 occupancy.
-            support::trace::counter(
-                stall_rate_name,
-                stats.cycles ? double(stats.stallCycles) /
-                                   double(stats.cycles)
-                             : 0.0,
-                "fetch");
-            if (config.scheme == SchemeClass::kCompressed) {
-                support::trace::counter("fetch.compressed.l0_occupancy",
-                                        double(buffer.residentOps()),
-                                        "fetch");
-            }
-        }
 
         if (side_exit)
             ++stats.sideExits;

@@ -21,11 +21,10 @@ struct Event
 {
     const char *name = nullptr;
     std::string_view cat;
-    char phase = 'X';          // 'X' complete, 'i' instant, 'C' counter
+    char phase = 'X';          // 'X' complete, 'i' instant
     std::uint64_t tsNs = 0;    // since start()
     std::uint64_t durNs = 0;   // 'X' only
     std::uint32_t tid = 0;
-    double value = 0.0;        // 'C' only
     std::string args;          // preformatted JSON object, or empty
 };
 
@@ -146,11 +145,7 @@ formatEvent(std::string &out, const Event &event)
     out += num;
     if (event.phase == 'i')
         out += ",\"s\":\"t\"";
-    if (event.phase == 'C') {
-        std::snprintf(num, sizeof(num), ",\"args\":{\"value\":%.12g}",
-                      event.value);
-        out += num;
-    } else if (!event.args.empty()) {
+    if (!event.args.empty()) {
         out += ",\"args\":";
         out += event.args;
     }
@@ -273,20 +268,6 @@ instant(const char *name, const char *cat)
     event.cat = cat;
     event.phase = 'i';
     event.tsNs = nowNs();
-    append(std::move(event));
-}
-
-void
-counter(const char *name, double value, const char *cat)
-{
-    if (!enabled())
-        return;
-    Event event;
-    event.name = name;
-    event.cat = cat;
-    event.phase = 'C';
-    event.tsNs = nowNs();
-    event.value = value;
     append(std::move(event));
 }
 

@@ -65,9 +65,6 @@ std::string stopToJson();
 /** Record an instant ("i") event. */
 void instant(const char *name, const char *cat = "tepic");
 
-/** Record a counter ("C") event. */
-void counter(const char *name, double value, const char *cat = "tepic");
-
 /** RAII scoped span; records one complete event at destruction. */
 class Span
 {
@@ -105,7 +102,6 @@ inline void start(const std::string &) {}
 inline bool stop() { return true; }
 inline std::string stopToJson() { return "{\"traceEvents\":[]}"; }
 inline void instant(const char *, const char * = "tepic") {}
-inline void counter(const char *, double, const char * = "tepic") {}
 
 class Span
 {

@@ -30,7 +30,10 @@ workloadByName(const std::string &name)
     for (const auto &w : allWorkloads())
         if (w.name == name)
             return w;
-    TEPIC_FATAL("unknown workload '", name, "'");
+    std::string known;
+    for (const auto &w : allWorkloads())
+        known += (known.empty() ? "" : ", ") + w.name;
+    TEPIC_FATAL("unknown workload '", name, "' (known: ", known, ")");
 }
 
 } // namespace tepic::workloads

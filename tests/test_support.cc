@@ -1,16 +1,21 @@
 /**
  * @file
  * Unit tests for the support substrate: bit streams, statistics,
- * text tables, the checked file writer and the deterministic RNG.
+ * text tables, the checked file writer, the deterministic RNG and the
+ * command-line layer.
  */
 
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "support/bitstream.hh"
+#include "support/cli.hh"
 #include "support/keys.hh"
+#include "support/logging.hh"
 #include "support/rng.hh"
 #include "support/stats.hh"
 #include "support/table.hh"
@@ -274,6 +279,120 @@ TEST(TextTable, RowArityChecked)
     tepic::support::TextTable t;
     t.setHeader({"a", "b"});
     EXPECT_ANY_THROW(t.addRow({"only-one"}));
+}
+
+namespace cli = tepic::support::cli;
+
+/** parse() over @p args (argv[0] is added), as strings. */
+std::vector<std::string>
+parseArgs(std::vector<std::string> args, std::span<const cli::Flag> flags,
+          bool (*pass_through)(std::string_view) = nullptr)
+{
+    args.insert(args.begin(), "prog");
+    std::vector<char *> argv;
+    for (std::string &arg : args)
+        argv.push_back(arg.data());
+    std::vector<std::string> rest;
+    for (const char *arg :
+         cli::parse(int(argv.size()), argv.data(), flags, pass_through))
+        rest.emplace_back(arg);
+    return rest;
+}
+
+TEST(Cli, ParseMatchesDeclaredFlags)
+{
+    bool off = false;
+    std::vector<std::string> values;
+    const cli::Flag flags[] = {
+        {"--no-x", [&](const std::string &) { off = true; }},
+        {"--val=", [&](const std::string &v) { values.push_back(v); }},
+    };
+    EXPECT_EQ(parseArgs({"--val=a,b", "pos", "--no-x", "-", "--val="},
+                        flags),
+              (std::vector<std::string>{"pos", "-"}));
+    EXPECT_TRUE(off);
+    EXPECT_EQ(values, (std::vector<std::string>{"a,b", ""}));
+    // A valueless flag matches exactly; anything flag-like left over
+    // is rejected by name.
+    EXPECT_THROW(parseArgs({"--no-xy"}, flags), cli::UsageError);
+    EXPECT_THROW(parseArgs({"--val"}, flags), cli::UsageError);
+    EXPECT_THROW(parseArgs({"-v"}, flags), cli::UsageError);
+    EXPECT_THROW(parseArgs({"--log-level=loud"}, flags), cli::UsageError);
+    EXPECT_TRUE(parseArgs({"--log-level=info"}, flags).empty());
+}
+
+TEST(Cli, GoogleBenchmarkArgsPassThrough)
+{
+    EXPECT_TRUE(cli::googleBenchmarkArg("--benchmark_filter=NONE"));
+    EXPECT_TRUE(cli::googleBenchmarkArg("--v=2"));
+    EXPECT_TRUE(cli::googleBenchmarkArg("-x"));
+    EXPECT_TRUE(cli::googleBenchmarkArg("plain"));
+    EXPECT_FALSE(cli::googleBenchmarkArg("--worklods=fir"));
+    EXPECT_EQ(parseArgs({"--benchmark_filter=NONE", "x", "--v=1"}, {},
+                        cli::googleBenchmarkArg),
+              (std::vector<std::string>{"--benchmark_filter=NONE", "x",
+                                        "--v=1"}));
+    EXPECT_THROW(parseArgs({"--worklods=fir"}, {}, cli::googleBenchmarkArg),
+                 cli::UsageError);
+}
+
+TEST(Cli, JobsAreDigitsUpToTheCeiling)
+{
+    unsigned jobs = 7;
+    const cli::Flag flags[] = {cli::jobs(jobs)};
+    parseArgs({"--jobs=0"}, flags);
+    EXPECT_EQ(jobs, 0u);
+    parseArgs({"--jobs=1024"}, flags);
+    EXPECT_EQ(jobs, cli::kMaxJobs);
+    for (const char *bad : {"", "abc", "-1", "+4", " 4", "4 ", "4x",
+                            "1025", "4294967295", "4294967296",
+                            "99999999999999999999"}) {
+        EXPECT_THROW(parseArgs({std::string("--jobs=") + bad}, flags),
+                     cli::UsageError)
+            << bad;
+    }
+}
+
+TEST(Cli, ListsSplitOnCommasAndDropEmptyItems)
+{
+    EXPECT_EQ(cli::splitCsv(",a,,b,"), (std::vector<std::string>{"a", "b"}));
+    EXPECT_TRUE(cli::splitCsv("").empty());
+    std::vector<unsigned> sets;
+    const cli::Flag flags[] = {cli::positiveList("--sets=", sets)};
+    parseArgs({"--sets=1", "--sets=128,,4294967295"}, flags);
+    EXPECT_EQ(sets, (std::vector<unsigned>{128, 4294967295u}));
+    for (const char *bad : {"", ",", "0", "1,x", "-1", "4294967296"}) {
+        EXPECT_THROW(parseArgs({std::string("--sets=") + bad}, flags),
+                     cli::UsageError)
+            << bad;
+    }
+    const cli::Choices<int> choices{{"one", 1}, {"two", 2}};
+    EXPECT_EQ(cli::choiceList("--n", "two,one", choices),
+              (std::vector<int>{2, 1}));
+    EXPECT_THROW(cli::choiceList("--n", ",", choices), cli::UsageError);
+    try {
+        cli::choice("--n", "three", choices);
+        ADD_FAILURE() << "no throw";
+    } catch (const cli::UsageError &error) {
+        EXPECT_STREQ(error.what(),
+                     "unknown --n value 'three' (expected one|two)");
+    }
+}
+
+TEST(CliDeathTest, CheckedExitsTwoWithOneDiagnostic)
+{
+    bool ran = false;
+    cli::checked("prog", "usage\n", [&] { ran = true; });
+    EXPECT_TRUE(ran);
+    EXPECT_EXIT(cli::checked("prog", "usage\n",
+                             [] { throw cli::UsageError("bad"); }),
+                testing::ExitedWithCode(2), "^prog: bad\nusage\n$");
+    // A library lookup's FatalError is a usage error too, printed as
+    // its bare message.
+    EXPECT_EXIT(cli::checked("prog", "usage\n",
+                             [] { TEPIC_FATAL("unknown thing 'x'"); }),
+                testing::ExitedWithCode(2),
+                "^prog: unknown thing 'x'\nusage\n$");
 }
 
 } // namespace

@@ -41,7 +41,7 @@ findEvent(const testjson::Value &doc, const std::string &name)
 }
 
 // Must run before any start() in this binary: while tracing is
-// disabled, span/instant/counter calls may not materialize a thread
+// disabled, span and instant calls may not materialize a thread
 // buffer or enqueue anything.
 TEST(Trace, DisabledModeRecordsNothing)
 {
@@ -51,7 +51,6 @@ TEST(Trace, DisabledModeRecordsNothing)
         {
             TEPIC_TRACE_SPAN("disabled.span");
             trace::instant("disabled.instant");
-            trace::counter("disabled.counter", 1.0);
         }
         worker_has_buffer = trace::threadHasBuffer();
     });
@@ -69,13 +68,12 @@ TEST(Trace, SpanNestingRoundTrip)
             TEPIC_TRACE_SPAN("inner", "test");
         }
         trace::instant("mark", "test");
-        trace::counter("cache_hits", 42.0, "test");
     }
     const auto doc = testjson::parse(trace::stopToJson());
     EXPECT_FALSE(trace::enabled());
 
     EXPECT_EQ(doc.at("displayTimeUnit").str, "ms");
-    EXPECT_EQ(doc.at("traceEvents").array.size(), 4u);
+    EXPECT_EQ(doc.at("traceEvents").array.size(), 3u);
 
     const auto outer = findEvent(doc, "outer");
     const auto inner = findEvent(doc, "inner");
@@ -92,10 +90,6 @@ TEST(Trace, SpanNestingRoundTrip)
     const auto mark = findEvent(doc, "mark");
     EXPECT_EQ(mark.at("ph").str, "i");
     EXPECT_EQ(mark.at("s").str, "t");
-
-    const auto counter = findEvent(doc, "cache_hits");
-    EXPECT_EQ(counter.at("ph").str, "C");
-    EXPECT_EQ(counter.at("args").at("value").number, 42.0);
 }
 
 TEST(Trace, SpanArgsEmitted)

@@ -25,12 +25,13 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "compiler/irgen.hh"
@@ -38,6 +39,7 @@
 #include "core/artifact_engine.hh"
 #include "core/reports.hh"
 #include "decoder/complexity.hh"
+#include "support/cli.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/profiler.hh"
@@ -49,23 +51,21 @@ namespace {
 
 using namespace tepic;
 
+constexpr std::string_view kUsage =
+    "usage: tepicc <command> [args]\n"
+    "  run|disasm|ir|stats|compress|fetch|verilog|trace|verify <prog>\n"
+    "  workloads\n"
+    "flags: --no-pgo, -O0, --trace=<file>, --metrics=<file>,\n"
+    "       --report-dir=<dir> (PROF, SCHED, CACHE, HOT and, for commands\n"
+    "         that build images, SIZE reports as <dir>/<KIND>_tepicc.json),\n"
+    "       --prof-collapse=<file> (FlameGraph collapsed stacks),\n"
+    "       --log-level=debug|info|warn|error|none (overrides TEPIC_LOG)\n"
+    "<prog> = tinkerc file or built-in workload name\n";
+
 int
 usage()
 {
-    std::fprintf(stderr,
-        "usage: tepicc <command> [args]\n"
-        "  run|disasm|ir|stats|compress|fetch|verilog|trace|verify "
-        "<prog>\n"
-        "  workloads\n"
-        "flags: --no-pgo, -O0, --trace=<file>, --metrics=<file>,\n"
-        "       --report-dir=<dir> (PROF, SCHED, CACHE, HOT and, for "
-        "commands\n"
-        "         that build images, SIZE reports as "
-        "<dir>/<KIND>_tepicc.json),\n"
-        "       --prof-collapse=<file> (FlameGraph collapsed stacks),\n"
-        "       --log-level=debug|info|warn|error|none (overrides "
-        "TEPIC_LOG)\n"
-        "<prog> = tinkerc file or built-in workload name\n");
+    std::fwrite(kUsage.data(), 1, kUsage.size(), stderr);
     return 2;
 }
 
@@ -96,6 +96,10 @@ struct Options
     std::string reportDir;
     std::string profCollapsePath;
     std::vector<std::string> positional;
+    /** `fetch <prog> [scheme]`: the one named, or all three. */
+    std::vector<fetch::SchemeClass> fetchSchemes = {
+        fetch::SchemeClass::kBase, fetch::SchemeClass::kCompressed,
+        fetch::SchemeClass::kTailored};
 
     /** Whether the report sessions run (their metrics feed --metrics=). */
     bool
@@ -115,65 +119,33 @@ struct
     std::shared_ptr<const core::Artifacts> artifacts;
 } g_lastBuild;
 
-std::shared_ptr<const core::Artifacts>
-noteBuild(const std::string &name,
-          std::shared_ptr<const core::Artifacts> built)
-{
-    g_lastBuild.name = name;
-    g_lastBuild.artifacts = built;
-    return built;
-}
-
 Options
 parseArgs(int argc, char **argv)
 {
+    namespace cli = support::cli;
     Options opts;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--no-pgo") == 0)
-            opts.pgo = false;
-        else if (std::strcmp(argv[i], "-O0") == 0)
-            opts.optimise = false;
-        else if (std::strncmp(argv[i], "--trace=", 8) == 0)
-            opts.tracePath = argv[i] + 8;
-        else if (std::strncmp(argv[i], "--metrics=", 10) == 0)
-            opts.metricsPath = argv[i] + 10;
-        else if (std::strncmp(argv[i], "--report-dir=", 13) == 0)
-            opts.reportDir = argv[i] + 13;
-        else if (std::strncmp(argv[i], "--prof-collapse=", 16) == 0)
-            opts.profCollapsePath = argv[i] + 16;
-        else if (std::strncmp(argv[i], "--log-level=", 12) == 0) {
-            const char *level = argv[i] + 12;
-            if (!support::isLogLevelName(level)) {
-                std::fprintf(stderr,
-                             "tepicc: unknown --log-level '%s' "
-                             "(expected debug|info|warn|error|none)\n",
-                             level);
-                std::exit(2);
-            }
-            // CLI takes precedence over the TEPIC_LOG env filter.
-            support::setLogThreshold(support::parseLogLevel(level));
-        } else if (argv[i][0] == '-' && argv[i][1] != '\0') {
-            // A typo'd flag would otherwise be taken for a <prog>
-            // positional and fail with a confusing "not a workload
-            // or file" error — name the bad flag instead.
-            std::fprintf(stderr, "tepicc: unknown flag '%s'\n",
-                         argv[i]);
-            usage();
-            std::exit(2);
-        } else
-            opts.positional.push_back(argv[i]);
-    }
+    const cli::Flag flags[] = {
+        {"--no-pgo", [&](const std::string &) { opts.pgo = false; }},
+        {"-O0", [&](const std::string &) { opts.optimise = false; }},
+        cli::text("--trace=", opts.tracePath),
+        cli::text("--metrics=", opts.metricsPath),
+        cli::text("--report-dir=", opts.reportDir),
+        cli::text("--prof-collapse=", opts.profCollapsePath),
+    };
+    cli::checked("tepicc", kUsage, [&] {
+        // A typo'd flag is named, not taken for <prog>.
+        for (const char *arg : cli::parse(argc, argv, flags))
+            opts.positional.push_back(arg);
+        if (opts.positional.size() > 2 && opts.positional[0] == "fetch") {
+            using fetch::SchemeClass;
+            opts.fetchSchemes = {cli::choice<SchemeClass>(
+                "fetch scheme", opts.positional[2],
+                {{"base", SchemeClass::kBase},
+                 {"compressed", SchemeClass::kCompressed},
+                 {"tailored", SchemeClass::kTailored}})};
+        }
+    });
     return opts;
-}
-
-core::PipelineConfig
-pipelineConfig(const Options &opts)
-{
-    core::PipelineConfig config;
-    config.profileGuided = opts.pgo;
-    if (!opts.optimise)
-        config.compile.opt = compiler::OptConfig::none();
-    return config;
 }
 
 compiler::CompileOptions
@@ -185,12 +157,39 @@ compileOptions(const Options &opts)
     return options;
 }
 
+core::PipelineConfig
+pipelineConfig(const Options &opts)
+{
+    core::PipelineConfig config;
+    config.profileGuided = opts.pgo;
+    config.compile = compileOptions(opts);
+    return config;
+}
+
+/** <prog> compiled on its own, without the engine. */
+compiler::CompiledProgram
+compile(const Options &opts)
+{
+    return compiler::compileSource(loadSource(opts.positional[1]),
+                                   compileOptions(opts));
+}
+
+/** <prog>'s @p request built through the global engine and noted for
+ *  finalizeObservability(). */
+std::shared_ptr<const core::Artifacts>
+build(const Options &opts, core::ArtifactRequest request)
+{
+    const std::string &prog = opts.positional[1];
+    auto built = core::ArtifactEngine::global().build(
+        loadSource(prog), request, pipelineConfig(opts), prog);
+    g_lastBuild = {prog, built};
+    return built;
+}
+
 int
 cmdRun(const Options &opts)
 {
-    const auto source = loadSource(opts.positional[1]);
-    auto compiled = compiler::compileSource(source,
-                                            compileOptions(opts));
+    auto compiled = compile(opts);
     auto result = sim::emulate(compiled.program, compiled.data);
     std::printf("exit value: %d\n", result.exitValue);
     std::printf("dynamic: %lu ops, %lu MOPs, %lu blocks\n",
@@ -203,9 +202,7 @@ cmdRun(const Options &opts)
 int
 cmdDisasm(const Options &opts)
 {
-    const auto source = loadSource(opts.positional[1]);
-    auto compiled = compiler::compileSource(source,
-                                            compileOptions(opts));
+    auto compiled = compile(opts);
     std::fputs(compiled.program.toString().c_str(), stdout);
     return 0;
 }
@@ -213,8 +210,8 @@ cmdDisasm(const Options &opts)
 int
 cmdIr(const Options &opts)
 {
-    const auto source = loadSource(opts.positional[1]);
-    auto module = compiler::generateIr(compiler::parse(source));
+    auto module = compiler::generateIr(
+        compiler::parse(loadSource(opts.positional[1])));
     if (opts.optimise)
         compiler::optimise(module);
     std::fputs(module.toString().c_str(), stdout);
@@ -224,9 +221,7 @@ cmdIr(const Options &opts)
 int
 cmdStats(const Options &opts)
 {
-    const auto source = loadSource(opts.positional[1]);
-    auto compiled = compiler::compileSource(source,
-                                            compileOptions(opts));
+    auto compiled = compile(opts);
     const auto &prog = compiled.program;
     std::printf("blocks:            %zu\n", prog.blocks().size());
     std::printf("ops:               %zu\n", prog.opCount());
@@ -247,12 +242,7 @@ cmdStats(const Options &opts)
 int
 cmdCompress(const Options &opts)
 {
-    const auto source = loadSource(opts.positional[1]);
-    const auto built = noteBuild(
-        opts.positional[1],
-        core::ArtifactEngine::global().build(
-            source, core::ArtifactRequest::all(),
-            pipelineConfig(opts), opts.positional[1]));
+    const auto built = build(opts, core::ArtifactRequest::all());
     const auto &artifacts = *built;
     core::verifyRoundTrips(artifacts);
     support::TextTable table;
@@ -269,32 +259,11 @@ cmdCompress(const Options &opts)
 int
 cmdFetch(const Options &opts)
 {
-    const auto source = loadSource(opts.positional[1]);
-    const auto built = noteBuild(
-        opts.positional[1],
-        core::ArtifactEngine::global().build(
-            source, core::ArtifactRequest::all(),
-            pipelineConfig(opts), opts.positional[1]));
+    const auto built = build(opts, core::ArtifactRequest::all());
     const auto &artifacts = *built;
-    std::vector<fetch::SchemeClass> schemes;
-    if (opts.positional.size() > 2) {
-        const std::string &which = opts.positional[2];
-        if (which == "base")
-            schemes = {fetch::SchemeClass::kBase};
-        else if (which == "compressed")
-            schemes = {fetch::SchemeClass::kCompressed};
-        else if (which == "tailored")
-            schemes = {fetch::SchemeClass::kTailored};
-        else
-            return usage();
-    } else {
-        schemes = {fetch::SchemeClass::kBase,
-                   fetch::SchemeClass::kCompressed,
-                   fetch::SchemeClass::kTailored};
-    }
     support::TextTable table;
     table.setHeader({"scheme", "IPC", "ideal", "L1 hit", "pred"});
-    for (auto scheme : schemes) {
+    for (auto scheme : opts.fetchSchemes) {
         const auto stats = core::runFetch(
             artifacts, scheme, std::nullopt, opts.positional[1]);
         table.addRow({fetch::schemeClassName(scheme),
@@ -314,12 +283,7 @@ cmdVerify(const Options &opts)
     // Full self-check: compile, emulate, build every image, verify
     // all round trips, and cross-check the three fetch organisations
     // deliver the identical op stream.
-    const auto source = loadSource(opts.positional[1]);
-    const auto built = noteBuild(
-        opts.positional[1],
-        core::ArtifactEngine::global().build(
-            source, core::ArtifactRequest::all(),
-            pipelineConfig(opts), opts.positional[1]));
+    const auto built = build(opts, core::ArtifactRequest::all());
     const auto &artifacts = *built;
     core::verifyRoundTrips(artifacts);
     std::printf("round trips: ok (base, byte, 6 streams, full, "
@@ -349,15 +313,10 @@ cmdVerify(const Options &opts)
 int
 cmdVerilog(const Options &opts)
 {
-    const auto source = loadSource(opts.positional[1]);
     // Only the tailored ISA is needed: a selective engine request
     // skips the baseline and Huffman images entirely.
-    const auto artifacts = noteBuild(
-        opts.positional[1],
-        core::ArtifactEngine::global().build(
-            source,
-            core::ArtifactRequest{core::ArtifactKind::kTailored},
-            pipelineConfig(opts), opts.positional[1]));
+    const auto artifacts = build(
+        opts, core::ArtifactRequest{core::ArtifactKind::kTailored});
     std::fputs(artifacts->tailoredIsa().emitVerilog("tailored_decoder")
                    .c_str(), stdout);
     return 0;
@@ -366,9 +325,7 @@ cmdVerilog(const Options &opts)
 int
 cmdTrace(const Options &opts)
 {
-    const auto source = loadSource(opts.positional[1]);
-    auto compiled = compiler::compileSource(source,
-                                            compileOptions(opts));
+    auto compiled = compile(opts);
     auto result = sim::emulate(compiled.program, compiled.data);
     std::size_t limit = 50;
     if (opts.positional.size() > 2)
@@ -388,24 +345,15 @@ cmdTrace(const Options &opts)
 int
 dispatch(const std::string &cmd, const Options &opts)
 {
-    if (cmd == "run")
-        return cmdRun(opts);
-    if (cmd == "disasm")
-        return cmdDisasm(opts);
-    if (cmd == "ir")
-        return cmdIr(opts);
-    if (cmd == "stats")
-        return cmdStats(opts);
-    if (cmd == "compress")
-        return cmdCompress(opts);
-    if (cmd == "fetch")
-        return cmdFetch(opts);
-    if (cmd == "verilog")
-        return cmdVerilog(opts);
-    if (cmd == "verify")
-        return cmdVerify(opts);
-    if (cmd == "trace")
-        return cmdTrace(opts);
+    static const std::pair<const char *, int (*)(const Options &)>
+        kCommands[] = {{"run", cmdRun},           {"disasm", cmdDisasm},
+                       {"ir", cmdIr},             {"stats", cmdStats},
+                       {"compress", cmdCompress}, {"fetch", cmdFetch},
+                       {"verilog", cmdVerilog},   {"verify", cmdVerify},
+                       {"trace", cmdTrace}};
+    for (const auto &[name, command] : kCommands)
+        if (cmd == name)
+            return command(opts);
     return usage();
 }
 
