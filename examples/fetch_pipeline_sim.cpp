@@ -9,33 +9,56 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <string_view>
 
 #include "core/artifact_engine.hh"
 #include "core/pipeline.hh"
+#include "support/cli.hh"
 #include "support/table.hh"
 #include "workloads/workload.hh"
+
+namespace {
+
+constexpr std::string_view kUsage =
+    "usage: fetch_pipeline_sim [workload] [--cache-kb N] [--atb N]\n"
+    "  --cache-kb N  L1 capacity in KB, up to 65536 (0 = paper default)\n"
+    "  --atb N       ATB entries, up to 65536 (0 = paper default)\n";
+
+/** The largest --cache-kb and --atb: each sizes one simulated table. */
+constexpr unsigned kMaxSize = 65536;
+
+} // namespace
 
 int
 main(int argc, char **argv)
 {
+    namespace cli = tepic::support::cli;
     using tepic::fetch::SchemeClass;
     using tepic::support::TextTable;
 
     std::string name = "m88ksim";
     unsigned cache_kb = 0;  // 0 = paper default
     unsigned atb = 0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--cache-kb") == 0 && i + 1 < argc)
-            cache_kb = unsigned(std::atoi(argv[++i]));
-        else if (std::strcmp(argv[i], "--atb") == 0 && i + 1 < argc)
-            atb = unsigned(std::atoi(argv[++i]));
-        else
-            name = argv[i];
-    }
-
-    const auto &workload = tepic::workloads::workloadByName(name);
+    const tepic::workloads::Workload *found = nullptr;
+    cli::checked("fetch_pipeline_sim", kUsage, [&] {
+        for (int i = 1; i < argc; ++i) {
+            const std::string flag = argv[i];
+            if (flag != "--cache-kb" && flag != "--atb") {
+                name = flag;
+                continue;
+            }
+            const std::string value = i + 1 < argc ? argv[++i] : "";
+            if (!cli::readUnsigned(value, kMaxSize,
+                                   flag == "--atb" ? atb : cache_kb)) {
+                throw cli::UsageError(
+                    flag + " wants an integer from 0 to " +
+                    std::to_string(kMaxSize) + ", got '" + value + "'");
+            }
+        }
+        found = &tepic::workloads::workloadByName(name);
+    });
+    const auto &workload = *found;
     std::printf("workload: %s — %s\n", workload.name.c_str(),
                 workload.description.c_str());
 

@@ -10,16 +10,29 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string_view>
 
 #include "core/artifact_engine.hh"
 #include "decoder/complexity.hh"
+#include "support/cli.hh"
 #include "workloads/workload.hh"
+
+namespace {
+
+constexpr std::string_view kUsage =
+    "usage: tailored_decoder_gen [workload] [out.v]\n";
+
+} // namespace
 
 int
 main(int argc, char **argv)
 {
     const std::string name = argc > 1 ? argv[1] : "matmul";
-    const auto &workload = tepic::workloads::workloadByName(name);
+    const tepic::workloads::Workload *found = nullptr;
+    tepic::support::cli::checked("tailored_decoder_gen", kUsage, [&] {
+        found = &tepic::workloads::workloadByName(name);
+    });
+    const auto &workload = *found;
 
     // Only the tailored ISA is consumed: request exactly that (the
     // engine then builds no baseline or Huffman image at all).

@@ -8,14 +8,13 @@
  *
  * A CacheStatsRecorder records the memory stage of one simulateFetch()
  * run. It reads nothing from the control or cost stages, so the
- * kernel does not drive it: recordCacheStats() (fetch_stages.hh)
- * replays the same fetches through its own L0 buffer and L1, beside
- * the kernel on a thread of its own, with the recorder as that L1's
- * line observer. Per fetch the replay calls beginFetch() (reuse sample
- * and heatmap epoch), runs the L0/L1 access, then reports it through
- * onL0Bypass() or onL1Access(). The kernel joins the replay, copies
- * its own ATB totals into the record and checks that the record's
- * L1/L0 counts equal its counters. The record covers all three fetch
+ * kernel does not drive it: it observes the one memory walk on its
+ * own thread (walkMemory(), fetch_stages.hh) as that walk's L1 line
+ * observer. Per fetch the walk calls beginFetch() (reuse sample and
+ * heatmap epoch), runs the L0/L1 access, then reports it through
+ * onL0Bypass() or onL1Access(). The kernel joins the walk, copies its
+ * own ATB totals into the record and checks that the record's L1/L0
+ * counts equal its counters. The record covers all three fetch
  * paths:
  *
  *  - L1 (BankedCache): every block miss is classified as exactly one
@@ -45,7 +44,7 @@
  *    distinct blocks. Distances land in a log2 histogram; first
  *    touches count as cold.
  *
- *  - L0 / ATB: bypasses (counted by the replay) and translation
+ *  - L0 / ATB: bypasses (counted on the walk) and translation
  *    hits/misses (the kernel's totals) so a CACHE report shows the
  *    traffic each level absorbed.
  *
@@ -63,7 +62,7 @@
  * Determinism contract: everything a recorder produces is a pure
  * function of (trace, config) — the whole CACHE report is
  * exact-gated "structure", unlike prof/sched which carry wall-clock
- * sections. simulateFetch starts no replay under
+ * sections. The memory walk builds no recorder under
  * -DTEPIC_ENABLE_TRACING=OFF (TEPIC_CACHESTATS_ENABLED == 0), so
  * those builds report recorded == false.
  *

@@ -7,9 +7,9 @@
  * HotStatsRecorder (hot_stats.hh) exactly once, by a direct call made
  * after the fetch's cycle accounting and its next-fetch prediction
  * are known. The CACHE record needs none of that: it reads only the
- * memory stage, so recordCacheStats() (fetch_stages.hh) replays the
- * L0 and L1 on their own beside the kernel, and the replay's L1 keeps
- * the cache's own line hook (CacheLineObserver, banked_cache.hh).
+ * memory stage, the one memory walk on its own thread beside the
+ * kernel (walkMemory(), fetch_stages.hh), whose L1 keeps the cache's
+ * own line hook (CacheLineObserver, banked_cache.hh).
  * Recording is purely observational: nothing feeds back into the
  * architectural model.
  */

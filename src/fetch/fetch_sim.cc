@@ -12,30 +12,53 @@
 namespace tepic::fetch {
 
 CacheStats
-recordCacheStats(std::span<const sim::TraceEvent> events,
-                 const AttEntry *entries,
-                 std::span<const FetchTable::Lines> lines,
-                 const FetchUnits *units, const FetchConfig &config)
+walkMemory(std::span<const sim::TraceEvent> events,
+           const AttEntry *entries,
+           std::span<const FetchTable::Lines> lines,
+           const FetchUnits *units, const FetchConfig &config,
+           MemoryStream &stream)
 {
-    L0Buffer buffer(config.l0CapacityOps);
-    BankedCache cache(config.cache);
-    CacheStatsRecorder recorder(config.cache,
-                                std::uint64_t(events.size()));
-    cache.setObserver(&recorder);
-    for (std::size_t first = 0; first < events.size();) {
-        const isa::BlockId head = events[first].block;
-        const std::size_t last = walkUnit(events, first, units).last;
-        const FetchTable::Lines &request = lines[head];
-        recorder.beginFetch(first, head);
-        const MemoryOutcome mem = accessMemory(
-            config, buffer, cache, head, entries[head].numOps, request);
-        if (mem.l0Hit)
-            recorder.onL0Bypass();
-        else
-            recorder.onL1Access(request.first, request.last, mem.l1Hit);
-        first = last + 1;
+    try {
+        L0Buffer buffer(config.l0CapacityOps);
+        BankedCache cache(config.cache);
+        // The CACHE recorder, when on, observes this walk. The loop
+        // tests a raw pointer to it, which (unlike the optional) stays
+        // in a register across the recorder's calls.
+        std::optional<CacheStatsRecorder> record;
+        if (TEPIC_CACHESTATS_ENABLED && config.recordCacheStats) {
+            record.emplace(config.cache, std::uint64_t(events.size()));
+            cache.setObserver(&*record);
+        }
+        CacheStatsRecorder *const recorder = record ? &*record : nullptr;
+        std::uint8_t *const outcomes = stream.outcomes();
+        std::size_t fetches = 0;
+        for (std::size_t first = 0; first < events.size();) {
+            const isa::BlockId head = events[first].block;
+            const std::size_t last = walkUnit(events, first, units).last;
+            const FetchTable::Lines &request = lines[head];
+            if (recorder)
+                recorder->beginFetch(first, head);
+            const MemoryOutcome mem = accessMemory(
+                config, buffer, cache, head, entries[head].numOps,
+                request);
+            MemoryStream::put(outcomes, first, mem);
+            if (recorder) {
+                if (mem.l0Hit)
+                    recorder->onL0Bypass();
+                else
+                    recorder->onL1Access(request.first, request.last,
+                                         mem.l1Hit);
+            }
+            first = last + 1;
+            if (++fetches % MemoryStream::kChunk == 0)
+                stream.publish(first);
+        }
+        stream.publish(events.size());
+        return recorder ? recorder->finish() : CacheStats();
+    } catch (...) {
+        stream.publish(MemoryStream::kFailed);
+        throw;
     }
-    return recorder.finish();
 }
 
 FetchStats
@@ -50,36 +73,35 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
     // reloaded after each).
     const std::span<const sim::TraceEvent> events = trace.events;
 
-    // The CACHE record reads the memory stage alone, so it replays the
-    // same fetches on its own thread while the kernel runs, and is
-    // joined after the loop. It captures copies only — the event span,
+    // The memory stage is the one L0/L1 walk: it runs on its own
+    // thread beside the kernel, which reads each fetch's outcome from
+    // the stream and is left with control, cost, the decode touch and
+    // the hot hook. The walk captures copies only — the event span,
     // the ATT entries, the table's line spans, the partition and the
-    // config — and reads heap data the kernel never writes: reading
-    // the kernel's stack would share its cache lines. Declared after
-    // what it reads, so an exception out of the loop joins it before
-    // any of that is destroyed. Its thread's CPU is charged to the
-    // same PROF fetch entry as the kernel's (core::runFetch).
-    std::future<CacheStats> cache_record;
-    if (TEPIC_CACHESTATS_ENABLED && config.recordCacheStats) {
-        cache_record = std::async(
-            std::launch::async,
-            [events, entries = att.entries().data(),
-             lines = table.lines(), units, config] {
-                const std::uint64_t cpu_begin =
-                    support::prof::threadCpuNowNs();
-                CacheStats record = recordCacheStats(
-                    events, entries, lines, units, config);
-                support::prof::chargeFetchCpu(
-                    schemeClassName(config.scheme),
-                    support::prof::threadCpuNowNs() - cpu_begin);
-                return record;
-            });
-    }
+    // config — plus the stream, and reads heap data the kernel never
+    // writes: reading the kernel's stack would share its cache lines.
+    // Declared after everything it captures, so an exception out of
+    // the loop joins it before any of that is destroyed. Its thread's
+    // CPU is charged to the same PROF fetch entry as the kernel's
+    // (core::runFetch).
+    MemoryStream memory(events.size());
+    std::future<CacheStats> memory_walk = std::async(
+        std::launch::async,
+        [events, entries = att.entries().data(), lines = table.lines(),
+         units, config, &memory] {
+            const std::uint64_t cpu_begin =
+                support::prof::threadCpuNowNs();
+            CacheStats record =
+                walkMemory(events, entries, lines, units, config, memory);
+            support::prof::chargeFetchCpu(
+                schemeClassName(config.scheme),
+                support::prof::threadCpuNowNs() - cpu_begin);
+            return record;
+        });
 
-    // The three stages of fetch_stages.hh, composed per fetch.
+    // The control and cost stages of fetch_stages.hh, composed per
+    // fetch with the memory stage's published outcome.
     ControlStage control(att, config.atbEntries, config.predictor);
-    BankedCache cache(config.cache);
-    L0Buffer buffer(config.l0CapacityOps);
     power::BusModel bus(config.busWidthBytes);
     CostStage cost(config, table, bus);
 
@@ -95,6 +117,7 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
     }
 
     std::uint64_t fetches = 0;
+    std::size_t published = 0;  // fetches entering before it are out
 
     for (std::size_t first = 0; first < events.size();) {
         const isa::BlockId head = events[first].block;
@@ -118,8 +141,10 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
         // before the unit can be fetched (a miss costs the ATT upload
         // from ROM), and the L0 is checked before/with the L1.
         const ControlOutcome ctl = control.enter(head);
-        const MemoryOutcome mem =
-            accessMemory(config, buffer, cache, head, entry.numOps, lines);
+        if (first >= published &&
+            (published = memory.await(first)) == MemoryStream::kFailed)
+            memory_walk.get();  // rethrows what stopped the walk
+        const MemoryOutcome mem = memory.at(first);
         cost.transfer(stats, head, ctl, mem, shape);
 
         // Host-side decode: first touch decodes a block, replays come
@@ -162,16 +187,16 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
     stats.bytesTransferred = bus.bytesTransferred();
     if (hot_stats)
         stats.hotStats = hot_stats->finish();
-    if (cache_record.valid()) {
-        CacheStats &cs = stats.cacheStats = cache_record.get();
-        // The replay must have seen the kernel's memory stream.
+    CacheStats &cs = stats.cacheStats = memory_walk.get();
+    if (cs.recorded) {
+        // The record must have seen the kernel's memory stream.
         TEPIC_ASSERT(cs.fetches == stats.fetches &&
                          cs.l0Bypasses == stats.l0Hits &&
                          cs.accesses == stats.l1Hits + stats.l1Misses -
                                             stats.l0Hits &&
                          cs.hits == stats.l1Hits - stats.l0Hits &&
                          cs.misses == stats.l1Misses,
-                     "the CACHE replay disagrees with the kernel's "
+                     "the CACHE record disagrees with the kernel's "
                      "L1/L0 counters");
         cs.atbHits = stats.atbHits;
         cs.atbMisses = stats.atbMisses;

@@ -16,12 +16,13 @@
  * (fetch_stages.hh): control (ATB + predictor), memory (L0 + L1) and
  * cost (cycle model, counters, bus). Every completed fetch is then
  * handed to the hot recorder, the kernel's one per-fetch hook
- * (fetch_observer.hh). The CACHE record reads only the memory stage,
- * so it is not a hook: recordCacheStats() (fetch_stages.hh) replays
- * the same fetches through an L0 and an L1 of its own on a second
- * thread while the kernel runs, and simulateFetch joins it, adds the
- * kernel's ATB totals and checks its L1/L0 counts against the
- * kernel's.
+ * (fetch_observer.hh). The memory stage is the one memory walk on its
+ * own thread: walkMemory() (fetch_stages.hh) runs the L0 and the L1
+ * over the fetches beside the kernel, which reads each fetch's outcome
+ * once it is published. The CACHE record reads only that stage, so it
+ * is not a hook: its recorder rides the walk, and simulateFetch joins
+ * it, adds the kernel's ATB totals and checks its L1/L0 counts against
+ * the kernel's.
  */
 
 #ifndef TEPIC_FETCH_FETCH_SIM_HH
@@ -57,7 +58,7 @@ struct FetchConfig
     CyclePenalties penalties;
     /**
      * Record cache behavior (cache_stats.hh: 3C, reuse distances,
-     * per-set heatmaps; a replay of the memory stage on its own
+     * per-set heatmaps; observed on the one memory walk on its own
      * thread) and dynamic program behavior (hot_stats.hh: block
      * hotness, branch sites, phases; a per-fetch hook). Purely
      * observational, so every other stat is the same either way.

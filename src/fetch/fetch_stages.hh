@@ -24,11 +24,13 @@
  *    simulate each distinct control and memory stream once.
  *
  * simulateFetch() is the per-fetch composition control → memory →
- * cost, with the hot recorder after the cost stage. The CACHE record
- * reads the memory stage alone, so recordCacheStats() replays just
- * walkUnit() and accessMemory() over its own L0 and L1, beside the
- * kernel. FetchTable holds what every stage reads per head and is
- * built once per simulation.
+ * cost, with the hot recorder after the cost stage. The memory stage
+ * needs nothing from the other two, so it is the one memory walk on
+ * its own thread: walkMemory() runs walkUnit() and accessMemory() over
+ * the simulation's only L0 and L1 beside the kernel and hands each
+ * outcome over through a MemoryStream, and the CACHE recorder, when
+ * on, observes that walk. FetchTable holds what every stage reads per
+ * head and is built once per simulation.
  * The per-fetch entry points are always_inline (left to its own
  * heuristics the compiler calls the cost stage out of line), and the
  * stages read the simulation's FetchConfig and borrow the L1, the L0
@@ -42,6 +44,7 @@
 #define TEPIC_FETCH_FETCH_STAGES_HH
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -276,20 +279,98 @@ accessMemory(const FetchConfig &config, L0Buffer &l0, BankedCache &l1,
 }
 
 /**
- * The CACHE record of one simulation (cache_stats.hh): the fetches of
- * @p events, walked as the kernel walks them (walkUnit), replayed
- * through an L0 buffer and an L1 of its own under @p config, with the
- * recorder as that L1's line observer. @p entries and @p lines are
- * the simulation's ATT entries and FetchTable spans, indexed by block
- * id. A pure function of its arguments: simulateFetch runs it on its
- * own thread, so everything it reads is a copy or heap data the kernel
- * never writes. The ATB totals are left to the caller.
+ * The memory stage's outcome of every fetch of one simulation, handed
+ * from the memory walk (walkMemory) to the kernel's loop on another
+ * thread. The walk writes each fetch's outcome at the trace position
+ * the fetch enters at, and publishes how far it has written (release
+ * order) every kChunk fetches and at its end; the kernel acquires that
+ * index and waits only when it has caught up with it. The walk never
+ * waits on the kernel.
  */
-CacheStats recordCacheStats(std::span<const sim::TraceEvent> events,
-                            const AttEntry *entries,
-                            std::span<const FetchTable::Lines> lines,
-                            const FetchUnits *units,
-                            const FetchConfig &config);
+class MemoryStream
+{
+  public:
+    /** Fetches the walk writes between two publications. */
+    static constexpr std::size_t kChunk = 8192;
+    /** Published instead of an index when the walk throws. */
+    static constexpr std::size_t kFailed = SIZE_MAX;
+
+    explicit MemoryStream(std::size_t events) : outcomes_(events) {}
+    // The walk's thread holds its address.
+    MemoryStream(const MemoryStream &) = delete;
+    MemoryStream &operator=(const MemoryStream &) = delete;
+
+    /** Walk side: the outcome slots, one per trace position. A raw
+     *  pointer, so the walk keeps it in a register across the
+     *  recorder's calls (reloading it per fetch costs ~2 % of a
+     *  recorded walk). */
+    std::uint8_t *outcomes() { return outcomes_.data(); }
+
+    /** Walk side: the outcome of the fetch entering at @p index. */
+    [[gnu::always_inline]] static void
+    put(std::uint8_t *outcomes, std::size_t index, MemoryOutcome out)
+    {
+        outcomes[index] = std::uint8_t(out.l0Hit | out.l1Hit << 1);
+    }
+
+    /** Walk side: every fetch entering before @p end is written, or
+     *  (kFailed) the walk stopped on an exception. */
+    void
+    publish(std::size_t end)
+    {
+        ready_.store(end, std::memory_order_release);
+        ready_.notify_one();
+    }
+
+    /** Kernel side: wait until the fetch entering at @p index is
+     *  published; returns the published index (kFailed if the walk
+     *  threw). */
+    std::size_t
+    await(std::size_t index) const
+    {
+        std::size_t ready = ready_.load(std::memory_order_acquire);
+        while (ready <= index) {
+            ready_.wait(ready, std::memory_order_acquire);
+            ready = ready_.load(std::memory_order_acquire);
+        }
+        return ready;
+    }
+
+    /** Kernel side: a published outcome. */
+    [[gnu::always_inline]] MemoryOutcome
+    at(std::size_t index) const
+    {
+        const std::uint8_t bits = outcomes_[index];
+        return {bool(bits & 1), bool(bits & 2)};
+    }
+
+  private:
+    /** l0Hit | l1Hit << 1, by trace position. */
+    std::vector<std::uint8_t> outcomes_;
+    /** On a cache line of its own: the stream lives on the kernel's
+     *  stack, beside locals the kernel writes every fetch. */
+    alignas(64) std::atomic<std::size_t> ready_{0};
+};
+
+/**
+ * The one L0/L1 walk of a simulation: the fetches of @p events, walked
+ * as the kernel walks them (walkUnit), through an L0 buffer and an L1
+ * of its own under @p config, each outcome put into @p stream. With
+ * config.recordCacheStats (and TEPIC_CACHESTATS_ENABLED) a
+ * CacheStatsRecorder observes the same walk — beginFetch(), the L1's
+ * line observer, then onL0Bypass() or onL1Access() — and its record is
+ * returned; otherwise an unrecorded CacheStats. @p entries and
+ * @p lines are the simulation's ATT entries and FetchTable spans,
+ * indexed by block id. simulateFetch runs it on its own thread, so
+ * everything it reads is a copy or heap data the kernel never writes.
+ * If it throws, it publishes MemoryStream::kFailed first. The ATB
+ * totals of the record are left to the caller.
+ */
+CacheStats walkMemory(std::span<const sim::TraceEvent> events,
+                      const AttEntry *entries,
+                      std::span<const FetchTable::Lines> lines,
+                      const FetchUnits *units, const FetchConfig &config,
+                      MemoryStream &stream);
 
 /** What one fetch delivers: the shape the cost stage charges. */
 struct FetchShape

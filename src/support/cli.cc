@@ -10,13 +10,11 @@
 
 namespace tepic::support::cli {
 
-namespace {
-
-/** @p text as a decimal unsigned up to @p max; from_chars takes no
- *  sign or blanks for an unsigned type and reports overflow. */
 bool
 readUnsigned(std::string_view text, unsigned max, unsigned &out)
 {
+    // from_chars takes no sign or blanks for an unsigned type and
+    // reports overflow.
     const char *last = text.data() + text.size();
     unsigned value = 0;
     const auto [end, error] = std::from_chars(text.data(), last, value);
@@ -25,6 +23,8 @@ readUnsigned(std::string_view text, unsigned max, unsigned &out)
     out = value;
     return true;
 }
+
+namespace {
 
 void
 setLogLevel(const std::string &level)

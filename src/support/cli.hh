@@ -43,6 +43,13 @@ struct Flag
     std::function<void(const std::string &value)> set;
 };
 
+/**
+ * @p text as a decimal unsigned of at most @p max into @p out: digits
+ * only, no sign, blank or overflow. False (and @p out untouched) on
+ * anything else.
+ */
+bool readUnsigned(std::string_view text, unsigned max, unsigned &out);
+
 /** "--name=": store the value. */
 Flag text(std::string_view name, std::string &target);
 

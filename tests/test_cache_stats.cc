@@ -53,7 +53,7 @@ using fetch::SchemeClass;
 
 /**
  * A BankedCache with its recorder attached, driven the way
- * recordCacheStats drives them: every access is one fetch — its
+ * fetch::walkMemory drives them: every access is one fetch — its
  * beginFetch, an L1 block access, then the access's outcome.
  */
 struct Rig
@@ -544,10 +544,8 @@ TEST(Recorder, MergeSumsSameGeometryRecords)
     merged.assertTiling();
 }
 
-#if TEPIC_CACHESTATS_ENABLED
-
 // ---------------------------------------------------------------------------
-// Whole-simulation coverage: simulateFetch must attach the recorder.
+// Whole-simulation coverage.
 
 /** One compiled+emulated workload for the sim-level tests. */
 struct SimFixture
@@ -582,6 +580,50 @@ struct SimFixture
                                                   : baseImage;
     }
 };
+
+/**
+ * A trace that enters a fetch unit off its head trips the kernel's
+ * walk, and the memory thread's, on their first fetch. The memory
+ * thread runs in every simulation, so with recording on or off the
+ * panic must reach the caller as std::logic_error and never hang:
+ * a failed walk publishes its failure, and the kernel's unwinding
+ * joins the thread rather than abandoning it (which would
+ * std::terminate).
+ */
+TEST(FetchSimCacheStats, KernelPanicJoinsReplay)
+{
+    SimFixture fx;
+    fetch::FetchUnitConfig unit_config;
+    unit_config.maxBlocks = 4;
+    const fetch::FetchUnits units = fetch::formFetchUnits(
+        fx.compiled.program, fx.emu.trace, unit_config);
+    const auto &events = fx.emu.trace.events;
+    const auto member = std::find_if(
+        events.begin(), events.end(),
+        [&](const sim::TraceEvent &e) { return !units.isHead(e.block); });
+    ASSERT_NE(member, events.end()) << "no multi-block unit formed";
+    const sim::BlockTrace side_entered{{member, events.end()}};
+
+    for (auto scheme : {SchemeClass::kBase, SchemeClass::kCompressed}) {
+        for (const bool record : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << fetch::schemeClassName(scheme)
+                         << (record ? " recorded" : ""));
+            auto config = fetch::FetchConfig::paper(scheme);
+            config.units = &units;
+            config.recordCacheStats = record;
+            config.recordHotStats = record;
+            EXPECT_THROW(fetch::simulateFetch(fx.imageFor(scheme),
+                                              fx.compiled.program,
+                                              side_entered, config),
+                         std::logic_error);
+        }
+    }
+}
+
+#if TEPIC_CACHESTATS_ENABLED
+
+// Recorded simulations: simulateFetch must attach the recorder.
 
 TEST(FetchSimCacheStats, TilesAndCrossChecksAllSchemes)
 {
@@ -713,12 +755,12 @@ expectSameRecord(const CacheStats &got, const CacheStats &want)
 }
 
 /**
- * The replayed record against the kernel and against a serial oracle,
- * under plain fetch and multi-block fetch units (with side exits), for
- * base and compressed (the L0 path): its L1/L0 counts must equal the
- * kernel's counters, and the whole record must equal one
- * CacheStatsRecorder driven here, fetch by fetch, over its own L0
- * buffer and L1.
+ * The record of the memory thread's walk against the kernel and a
+ * serial oracle, under plain fetch and multi-block fetch units (with
+ * side exits), for base and compressed (the L0 path): its L1/L0
+ * counts must equal the kernel's counters, and the whole record must
+ * equal one CacheStatsRecorder driven here, fetch by fetch, over its
+ * own L0 buffer and L1.
  */
 TEST(FetchSimCacheStats, UnitsReplayMatchesKernel)
 {
@@ -796,40 +838,6 @@ TEST(FetchSimCacheStats, UnitsReplayMatchesKernel)
             want.atbMisses = stats.atbMisses;
             expectSameRecord(cs, want);
         }
-    }
-}
-
-/**
- * A trace that enters a fetch unit off its head trips the kernel's
- * walk, and the replay's, on their first fetch. With recording on the
- * panic must still reach the caller as std::logic_error: the kernel's
- * unwinding joins the replay thread rather than abandoning it (which
- * would std::terminate).
- */
-TEST(FetchSimCacheStats, KernelPanicJoinsReplay)
-{
-    SimFixture fx;
-    fetch::FetchUnitConfig unit_config;
-    unit_config.maxBlocks = 4;
-    const fetch::FetchUnits units = fetch::formFetchUnits(
-        fx.compiled.program, fx.emu.trace, unit_config);
-    const auto &events = fx.emu.trace.events;
-    const auto member = std::find_if(
-        events.begin(), events.end(),
-        [&](const sim::TraceEvent &e) { return !units.isHead(e.block); });
-    ASSERT_NE(member, events.end()) << "no multi-block unit formed";
-    const sim::BlockTrace side_entered{{member, events.end()}};
-
-    for (auto scheme : {SchemeClass::kBase, SchemeClass::kCompressed}) {
-        SCOPED_TRACE(fetch::schemeClassName(scheme));
-        auto config = fetch::FetchConfig::paper(scheme);
-        config.units = &units;
-        config.recordCacheStats = true;
-        config.recordHotStats = true;
-        EXPECT_THROW(fetch::simulateFetch(fx.imageFor(scheme),
-                                          fx.compiled.program,
-                                          side_entered, config),
-                     std::logic_error);
     }
 }
 

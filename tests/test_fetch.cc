@@ -2,18 +2,23 @@
  * @file
  * Fetch-subsystem tests: the Table-1 cycle model (checked cell by
  * cell against the paper), the banked cache's restricted-placement
- * behaviour, the L0 buffer, the ATB with its coupled predictor, and
- * end-to-end fetch-simulation invariants.
+ * behaviour, the L0 buffer, the ATB with its coupled predictor,
+ * end-to-end fetch-simulation invariants, and the kernel's handoff
+ * from its memory thread against the stages composed serially.
  */
 
 #include <gtest/gtest.h>
 
 #include "compiler/driver.hh"
+#include "core/artifact_engine.hh"
+#include "core/pipeline.hh"
 #include "fetch/att.hh"
 #include "fetch/banked_cache.hh"
 #include "fetch/cycle_model.hh"
 #include "fetch/fetch_sim.hh"
+#include "fetch/fetch_stages.hh"
 #include "fetch/l0_buffer.hh"
+#include "fetch/superblock.hh"
 #include "isa/baseline.hh"
 #include "schemes/huffman_scheme.hh"
 #include "sim/emulator.hh"
@@ -704,6 +709,175 @@ TEST(FetchSim, StallCausesTileStallCyclesAllSchemes)
         }
         EXPECT_EQ(block_stalls, stats.stallCycles);
         EXPECT_EQ(site_stalls, stats.mispredictStallCycles);
+    }
+}
+
+/**
+ * simulateFetch's loop composed serially on one thread from the
+ * stages of fetch_stages.hh — the oracle for the kernel, whose memory
+ * stage runs on a thread of its own.
+ */
+fetch::FetchStats
+serialFetch(const isa::Image &image, const isa::VliwProgram &program,
+            const sim::BlockTrace &trace, const fetch::FetchConfig &config)
+{
+    const fetch::Att att = fetch::Att::build(image, program, config.units);
+    fetch::FetchTable table(att, image, config.cache.lineBytes);
+    fetch::ControlStage control(att, config.atbEntries, config.predictor);
+    fetch::L0Buffer l0(config.l0CapacityOps);
+    fetch::BankedCache l1(config.cache);
+    power::BusModel bus(config.busWidthBytes);
+    fetch::CostStage cost(config, table, bus);
+    fetch::FetchStats stats;
+    const auto &events = trace.events;
+    for (std::size_t first = 0; first < events.size();) {
+        const isa::BlockId head = events[first].block;
+        const fetch::AttEntry &entry = att.entry(head);
+        const auto [last, side_exit] =
+            fetch::walkUnit(events, first, config.units);
+        const sim::TraceEvent &exit = events[last];
+        fetch::FetchShape shape{entry.numMops, entry.numOps,
+                                table.lines(head).count(),
+                                std::uint32_t(last - first + 1)};
+        if (side_exit) {
+            shape.mops = shape.ops = 0;
+            for (isa::BlockId b = head; b <= exit.block; ++b) {
+                shape.mops += image.blocks[b].numMops;
+                shape.ops += image.blocks[b].numOps;
+            }
+        }
+        const fetch::ControlOutcome ctl = control.enter(head);
+        const fetch::MemoryOutcome mem = fetch::accessMemory(
+            config, l0, l1, head, entry.numOps, table.lines(head));
+        cost.transfer(stats, head, ctl, mem, shape);
+        cost.charge(stats, ctl, mem, shape);
+        ++stats.fetches;
+        stats.sideExits += side_exit;
+        control.leave(head, exit, side_exit);
+        first = last + 1;
+    }
+    stats.atbHits = control.atb().hits();
+    stats.atbMisses = control.atb().misses();
+    stats.busBeats = bus.beats();
+    stats.busBitFlips = bus.bitFlips();
+    stats.bytesTransferred = bus.bytesTransferred();
+    return stats;
+}
+
+/** The events of the first @p fetches fetches of @p trace under
+ *  @p units (fewer if the trace runs out). */
+sim::BlockTrace
+firstFetches(const sim::BlockTrace &trace, const fetch::FetchUnits *units,
+             std::size_t fetches)
+{
+    std::size_t end = 0;
+    for (std::size_t n = 0; n < fetches && end < trace.events.size(); ++n)
+        end = fetch::walkUnit(trace.events, end, units).last + 1;
+    return {{trace.events.begin(),
+             trace.events.begin() + std::ptrdiff_t(end)}};
+}
+
+/** Every counter of FetchStats (the records aside) is equal. */
+void
+expectSameCounters(const fetch::FetchStats &got,
+                   const fetch::FetchStats &want)
+{
+#define TEPIC_EXPECT_FIELD(field) EXPECT_EQ(got.field, want.field) << #field
+    TEPIC_EXPECT_FIELD(cycles);
+    TEPIC_EXPECT_FIELD(idealCycles);
+    TEPIC_EXPECT_FIELD(opsDelivered);
+    TEPIC_EXPECT_FIELD(blocksFetched);
+    TEPIC_EXPECT_FIELD(fetches);
+    TEPIC_EXPECT_FIELD(sideExits);
+    TEPIC_EXPECT_FIELD(l1Hits);
+    TEPIC_EXPECT_FIELD(l1Misses);
+    TEPIC_EXPECT_FIELD(l0Hits);
+    TEPIC_EXPECT_FIELD(l0Misses);
+    TEPIC_EXPECT_FIELD(atbHits);
+    TEPIC_EXPECT_FIELD(atbMisses);
+    TEPIC_EXPECT_FIELD(predictionsCorrect);
+    TEPIC_EXPECT_FIELD(predictionsWrong);
+    TEPIC_EXPECT_FIELD(linesTransferred);
+    TEPIC_EXPECT_FIELD(busBeats);
+    TEPIC_EXPECT_FIELD(busBitFlips);
+    TEPIC_EXPECT_FIELD(bytesTransferred);
+    TEPIC_EXPECT_FIELD(stallCycles);
+    TEPIC_EXPECT_FIELD(mispredictStallCycles);
+    TEPIC_EXPECT_FIELD(refillStallCycles);
+    TEPIC_EXPECT_FIELD(decodeStallCycles);
+    TEPIC_EXPECT_FIELD(atbStallCycles);
+    TEPIC_EXPECT_FIELD(l0SavedCycles);
+#undef TEPIC_EXPECT_FIELD
+}
+
+/**
+ * The kernel reads each fetch's memory outcome from its memory thread,
+ * which publishes every MemoryStream::kChunk fetches and at its end.
+ * Around that boundary — 1, kChunk - 1, kChunk and kChunk + 1 fetches
+ * of a real trace — every counter must equal the serial composition
+ * of the stages, for every scheme, plain fetch and 4-block units, with
+ * the recorders on and off.
+ */
+TEST(FetchSim, MemoryHandoffMatchesSerialStages)
+{
+    core::ArtifactEngine engine(1);
+    const auto artifacts = engine.build(
+        R"(
+            func f(x): int {
+                if (x % 3 == 0) { return x * 2; }
+                if (x % 5 == 1) { return x - 7; }
+                return x + 1;
+            }
+            func main(): int {
+                var s = 0;
+                for (var i = 0; i < 6000; i = i + 1) { s = s + f(i); }
+                return s;
+            }
+        )",
+        {core::ArtifactKind::kBase, core::ArtifactKind::kFull,
+         core::ArtifactKind::kTailored, core::ArtifactKind::kTrace});
+    const isa::VliwProgram &program = artifacts->compiled.program;
+    fetch::FetchUnitConfig unit_config;
+    unit_config.maxBlocks = 4;
+    const fetch::FetchUnits units =
+        fetch::formFetchUnits(program, artifacts->trace(), unit_config);
+    constexpr std::size_t kChunk = fetch::MemoryStream::kChunk;
+
+    for (const fetch::FetchUnits *partition :
+         {static_cast<const fetch::FetchUnits *>(nullptr), &units}) {
+        for (const std::size_t fetches :
+             {std::size_t(1), kChunk - 1, kChunk, kChunk + 1}) {
+            const sim::BlockTrace trace =
+                firstFetches(artifacts->trace(), partition, fetches);
+            for (auto scheme :
+                 {SchemeClass::kBase, SchemeClass::kCompressed,
+                  SchemeClass::kTailored}) {
+                const isa::Image &image =
+                    core::imageFor(*artifacts, scheme);
+                auto config = fetch::FetchConfig::paper(scheme);
+                config.units = partition;
+                const fetch::FetchStats want =
+                    serialFetch(image, program, trace, config);
+                ASSERT_EQ(want.fetches, fetches) << "trace too short";
+                for (const bool record : {false, true}) {
+                    SCOPED_TRACE(testing::Message()
+                                 << schemeClassName(scheme) << ' '
+                                 << fetches << " fetches"
+                                 << (partition ? ", units" : ", plain")
+                                 << (record ? ", recorded" : ""));
+                    config.recordCacheStats = record;
+                    config.recordHotStats = record;
+                    const fetch::FetchStats got = fetch::simulateFetch(
+                        image, program, trace, config);
+                    expectSameCounters(got, want);
+                    EXPECT_EQ(got.cacheStats.recorded,
+                              record && TEPIC_CACHESTATS_ENABLED);
+                    if (got.cacheStats.recorded) {
+                        EXPECT_EQ(got.cacheStats.fetches, fetches);
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -24,6 +24,7 @@
  * and 2 on a usage error.
  */
 
+#include <climits>
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -96,6 +97,8 @@ struct Options
     std::string reportDir;
     std::string profCollapsePath;
     std::vector<std::string> positional;
+    /** `trace <prog> [N]`: how many events to print. */
+    unsigned traceEvents = 50;
     /** `fetch <prog> [scheme]`: the one named, or all three. */
     std::vector<fetch::SchemeClass> fetchSchemes = {
         fetch::SchemeClass::kBase, fetch::SchemeClass::kCompressed,
@@ -143,6 +146,13 @@ parseArgs(int argc, char **argv)
                 {{"base", SchemeClass::kBase},
                  {"compressed", SchemeClass::kCompressed},
                  {"tailored", SchemeClass::kTailored}})};
+        }
+        if (opts.positional.size() > 2 && opts.positional[0] == "trace" &&
+            !cli::readUnsigned(opts.positional[2], UINT_MAX,
+                               opts.traceEvents)) {
+            throw cli::UsageError("trace wants a non-negative event "
+                                  "count, got '" + opts.positional[2] +
+                                  "'");
         }
     });
     return opts;
@@ -327,10 +337,8 @@ cmdTrace(const Options &opts)
 {
     auto compiled = compile(opts);
     auto result = sim::emulate(compiled.program, compiled.data);
-    std::size_t limit = 50;
-    if (opts.positional.size() > 2)
-        limit = std::size_t(std::atoll(opts.positional[2].c_str()));
-    limit = std::min(limit, result.trace.events.size());
+    const std::size_t limit =
+        std::min<std::size_t>(opts.traceEvents, result.trace.events.size());
     for (std::size_t i = 0; i < limit; ++i) {
         const auto &ev = result.trace.events[i];
         const auto &blk = compiled.program.block(ev.block);
