@@ -64,7 +64,8 @@ main(int argc, char **argv)
 
     // The fetch study needs the three organisation images, the block
     // trace, and the memoized decoders runFetch replays blocks from —
-    // not the byte/stream alphabets buildArtifacts() would also pay.
+    // not the byte/stream alphabets ArtifactRequest::all() would also
+    // pay.
     using tepic::core::ArtifactKind;
     const auto built = tepic::core::ArtifactEngine::global().build(
         workload.source,

@@ -6,15 +6,17 @@
  *
  *   $ ./tailored_decoder_gen matmul            # print to stdout
  *   $ ./tailored_decoder_gen gcc decoder.v     # write to a file
+ *
+ * An output file that cannot be written is an error (exit 1).
  */
 
 #include <cstdio>
-#include <fstream>
 #include <string_view>
 
 #include "core/artifact_engine.hh"
 #include "decoder/complexity.hh"
 #include "support/cli.hh"
+#include "support/text_file.hh"
 #include "workloads/workload.hh"
 
 namespace {
@@ -55,8 +57,8 @@ main(int argc, char **argv)
     const std::string verilog =
         isa.emitVerilog(name + "_tailored_decoder");
     if (argc > 2) {
-        std::ofstream out(argv[2]);
-        out << verilog;
+        if (!tepic::support::writeTextFile(argv[2], verilog, "verilog"))
+            return 1;
         std::fprintf(stderr, "wrote %zu bytes to %s\n",
                      verilog.size(), argv[2]);
     } else {

@@ -137,15 +137,14 @@ class ArtifactEngine
 
     /**
      * The process-wide engine (hardware-concurrency jobs), shared by
-     * the bench harnesses and the compatibility wrappers so repeated
-     * builds of the same workload are free across helpers.
+     * tepicc and the examples so repeated builds of the same workload
+     * are free across helpers.
      */
     static ArtifactEngine &global();
 
     /**
-     * Serial, uncached build-everything path — the implementation of
-     * the legacy core::buildArtifacts() wrapper. Exposed for callers
-     * that want a fresh value object with no shared ownership.
+     * Serial, uncached build of @p request: a fresh value object with
+     * no shared ownership, for callers that want one.
      */
     static Artifacts buildUncached(const std::string &source,
                                    ArtifactRequest request,

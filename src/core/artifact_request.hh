@@ -50,7 +50,7 @@ class ArtifactRequest
             bits_ |= bit(kind);
     }
 
-    /** Every kind, trace included (the classic buildArtifacts()). */
+    /** Every kind, trace included. */
     static constexpr ArtifactRequest
     all()
     {

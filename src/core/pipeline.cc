@@ -5,7 +5,6 @@
 #include <string>
 
 #include "asmgen/layout.hh"
-#include "core/artifact_engine.hh"
 #include "decoder/complexity.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
@@ -165,13 +164,6 @@ Artifacts::bestStreamByDecoder() const
         }
     }
     return best;
-}
-
-Artifacts
-buildArtifacts(const std::string &source, const PipelineConfig &config)
-{
-    return ArtifactEngine::buildUncached(source, ArtifactRequest::all(),
-                                         config);
 }
 
 const isa::Image &

@@ -15,8 +15,8 @@
  *
  * Artifacts exposes the results through *checked accessors* — asking
  * for an image that was not requested is a loud, fatal error, never a
- * silently empty object. buildArtifacts() remains as the thin
- * build-everything wrapper the original API shipped.
+ * silently empty object. ArtifactEngine::buildUncached() is the
+ * serial, uncached build for callers that want a plain value.
  */
 
 #ifndef TEPIC_CORE_PIPELINE_HH
@@ -137,16 +137,6 @@ struct Artifacts
     };
     DecoderSlots decoderSlots_;
 };
-
-/**
- * Run the full toolchain over tinkerc source text, building every
- * artefact. Thin wrapper over the engine's serial path; kept for
- * callers that genuinely want everything. Selective builds (e.g.
- * ArtifactRequest::all().without(ArtifactKind::kStream)), parallel and
- * cached ones live in core/artifact_engine.hh.
- */
-Artifacts buildArtifacts(const std::string &source,
-                         const PipelineConfig &config = {});
 
 /** The image the fetch organisation of @p scheme reads from. */
 const isa::Image &imageFor(const Artifacts &artifacts,

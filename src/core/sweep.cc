@@ -537,7 +537,6 @@ evaluatePoints(const std::vector<const Artifacts *> &workloads,
     // every geometry of its group in lockstep; each geometry is folded
     // into every point that reads it, then the task's bits are dropped.
     const std::size_t group_count = plan.accessGroups.size();
-    const bool record = record_3c && TEPIC_CACHESTATS_ENABLED;
     std::vector<std::size_t> tasks(workloads.size() * group_count);
     std::iota(tasks.begin(), tasks.end(), std::size_t(0));
     std::stable_sort(tasks.begin(), tasks.end(),
@@ -555,7 +554,7 @@ evaluatePoints(const std::vector<const Artifacts *> &workloads,
         const SchemeInputs &in = inputs[w][std::size_t(rep.scheme)];
         fetch::FetchTable table(*in.att, *in.image, rep.lineBytes);
         const AccessStream access =
-            recordAccessStream(trace, table, rep, group.geometries, record);
+            recordAccessStream(trace, table, rep, group.geometries, record_3c);
         for (std::size_t g = 0; g < group.members.size(); ++g) {
             for (std::size_t c : group.members[g]) {
                 PointMetrics &m = out[w * config_count + c];

@@ -199,7 +199,7 @@ struct PointMetrics
     std::uint64_t busBeats = 0;
     std::uint64_t bytesTransferred = 0;
     std::uint64_t decoderTransistors = 0;
-    // 3C split (cache_stats.hh); recorded == false in notrace builds.
+    // 3C split (cache_stats.hh); recorded == false without record3c.
     bool cacheRecorded = false;
     std::uint64_t compulsory = 0;
     std::uint64_t capacity = 0;
@@ -262,8 +262,7 @@ struct SweepOptions
     /**
      * Record the 3C miss split: one LRU stack per L1 access stream
      * (8 per CI workload) classifies the misses of all its
-     * geometries, shared by every point of each geometry. Builds
-     * without TEPIC_CACHESTATS_ENABLED report recorded == false.
+     * geometries, shared by every point of each geometry.
      */
     bool record3c = true;
 };

@@ -25,7 +25,7 @@ walkMemory(std::span<const sim::TraceEvent> events,
         // tests a raw pointer to it, which (unlike the optional) stays
         // in a register across the recorder's calls.
         std::optional<CacheStatsRecorder> record;
-        if (TEPIC_CACHESTATS_ENABLED && config.recordCacheStats) {
+        if (config.recordCacheStats) {
             record.emplace(config.cache, std::uint64_t(events.size()));
             cache.setObserver(&*record);
         }
@@ -109,9 +109,8 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
 
     // The hot recorder is the one per-fetch hook, called after the
     // cost stage; the loop pays one branch per fetch without it.
-    // Builds without tracing attach none.
     std::optional<HotStatsRecorder> hot_stats;
-    if (TEPIC_HOTSTATS_ENABLED && config.recordHotStats) {
+    if (config.recordHotStats) {
         hot_stats.emplace(std::uint32_t(att.entries().size()),
                           std::uint64_t(events.size()));
     }

@@ -62,8 +62,6 @@ struct FetchConfig
      * thread) and dynamic program behavior (hot_stats.hh: block
      * hotness, branch sites, phases; a per-fetch hook). Purely
      * observational, so every other stat is the same either way.
-     * Ignored in builds without tracing
-     * (TEPIC_CACHESTATS_ENABLED / TEPIC_HOTSTATS_ENABLED == 0).
      */
     bool recordCacheStats = false;
     bool recordHotStats = false;

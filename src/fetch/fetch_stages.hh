@@ -356,10 +356,10 @@ class MemoryStream
  * The one L0/L1 walk of a simulation: the fetches of @p events, walked
  * as the kernel walks them (walkUnit), through an L0 buffer and an L1
  * of its own under @p config, each outcome put into @p stream. With
- * config.recordCacheStats (and TEPIC_CACHESTATS_ENABLED) a
- * CacheStatsRecorder observes the same walk — beginFetch(), the L1's
- * line observer, then onL0Bypass() or onL1Access() — and its record is
- * returned; otherwise an unrecorded CacheStats. @p entries and
+ * config.recordCacheStats a CacheStatsRecorder observes the same walk
+ * — beginFetch(), the L1's line observer, then onL0Bypass() or
+ * onL1Access() — and its record is returned; otherwise an unrecorded
+ * CacheStats. @p entries and
  * @p lines are the simulation's ATT entries and FetchTable spans,
  * indexed by block id. simulateFetch runs it on its own thread, so
  * everything it reads is a copy or heap data the kernel never writes.

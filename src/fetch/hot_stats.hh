@@ -57,10 +57,7 @@
  * Determinism contract: everything a recorder produces is a pure
  * function of (trace, config); the whole HOT report is exact-gated
  * "structure". Recording is architecturally invisible (FetchStats
- * with and without recording are identical, asserted by tests);
- * simulateFetch attaches no recorder under -DTEPIC_ENABLE_TRACING=OFF
- * (TEPIC_HOTSTATS_ENABLED == 0), so those builds report
- * recorded == false.
+ * with and without recording are identical, asserted by tests).
  *
  * Session layer: hotstats is the report_store.hh template over
  * HotStats, run exactly like cachestats; reportJson() renders schema
@@ -79,11 +76,10 @@
 #include "fetch/fetch_observer.hh"
 #include "fetch/report_store.hh"
 #include "support/keys.hh"
-#include "support/trace.hh"
 
-#ifndef TEPIC_HOTSTATS_ENABLED
-#define TEPIC_HOTSTATS_ENABLED TEPIC_TRACING_ENABLED
-#endif
+// Read only by bench/perf/perf.cc (kRecorders); the recorder compiles
+// in every build. Goes when that harness stops reading it.
+#define TEPIC_HOTSTATS_ENABLED 1
 
 namespace tepic::fetch {
 

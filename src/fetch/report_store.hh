@@ -4,8 +4,6 @@
  * fetch::hotstats: core::runFetch() merges each simulation's record
  * under its (workload, scheme) label while a session is on, and
  * reportJson() renders {"schema", "name", "structure": {"workloads"}}.
- * Compiled unconditionally, so -DTEPIC_ENABLE_TRACING=OFF builds still
- * write valid (empty) reports.
  *
  * A Stats type plugs in with `recorded`, `merge(other)`, its schema id
  * `kReportSchema`, a free `writeScheme(json, stats)` (found by ADL)

@@ -5,7 +5,9 @@
 #include "support/profiler.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -15,10 +17,6 @@
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/text_file.hh"
-
-#if TEPIC_TRACING_ENABLED
-#include <atomic>
-#include <cstdlib>
 
 #if defined(__linux__)
 #define TEPIC_PROF_HAVE_PERF 1
@@ -41,7 +39,6 @@
 #else
 #define TEPIC_PROF_HAVE_SIGNALS 0
 #endif
-#endif // TEPIC_TRACING_ENABLED
 
 namespace tepic::support::prof {
 
@@ -142,10 +139,8 @@ writeThroughput(JsonWriter &json, const Snapshot &snap,
 }
 
 /**
- * Render the shared report body from a snapshot plus the registry's
- * prof.work.* counters. Also used by the disabled build (with an
- * all-zero snapshot and source "disabled") so the PROF report stays
- * valid in every configuration.
+ * Render the report body from a snapshot plus the registry's
+ * prof.work.* counters.
  */
 std::string
 renderReport(const std::string &name, const char *source,
@@ -182,12 +177,6 @@ renderReport(const std::string &name, const char *source,
     json.key("dropped").value(snap.samplesDropped);
     return json.end().end().take();
 }
-
-} // namespace
-
-#if TEPIC_TRACING_ENABLED
-
-namespace {
 
 // ---------------------------------------------------------------------------
 // Per-thread counter state.
@@ -794,16 +783,6 @@ collapsedStacks()
     return {};
 #endif
 }
-
-#else // !TEPIC_TRACING_ENABLED
-
-std::string
-reportJson(const std::string &name, const MetricsRegistry &metrics)
-{
-    return renderReport(name, "disabled", Snapshot{}, metrics);
-}
-
-#endif // TEPIC_TRACING_ENABLED
 
 bool
 writeCollapsed(const std::string &path)

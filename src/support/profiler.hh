@@ -41,10 +41,6 @@
  * is the prof.work.* counters: deterministic work counts (ops
  * encoded, blocks simulated), exact-gated like any counter, which
  * the report's throughput section divides by those CPU times.
- *
- * Compile-time disable: profiling follows the tracing switch
- * (-DTEPIC_ENABLE_TRACING=OFF); disabled, every entry point folds to
- * an inline no-op.
  */
 
 #ifndef TEPIC_SUPPORT_PROFILER_HH
@@ -101,8 +97,6 @@ struct Snapshot
     /** Σ of the layers charging phase @p name (or other). */
     PhaseCounters phase(std::string_view name) const;
 };
-
-#if TEPIC_TRACING_ENABLED
 
 /** Whether a session is charging phases; one relaxed atomic load. */
 bool enabled();
@@ -168,30 +162,7 @@ void stopSampling();
  */
 std::string collapsedStacks();
 
-#else // !TEPIC_TRACING_ENABLED — everything folds away.
-
-inline bool enabled() { return false; }
-inline void startSession() {}
-inline void endSession() {}
-inline std::uint64_t threadCpuNowNs() { return 0; }
-inline void chargeFetchCpu(std::string_view, std::uint64_t) {}
-inline Snapshot snapshot() { return {}; }
-inline bool startSampling(unsigned = 997) { return false; }
-inline void stopSampling() {}
-inline std::string collapsedStacks() { return {}; }
-
-// Out of line even when disabled: a stub PROF report (all-zero
-// phases, source "disabled") keeps report writers working in
-// -DTEPIC_ENABLE_TRACING=OFF builds.
-std::string reportJson(const std::string &name,
-                       const MetricsRegistry &metrics);
-
-#endif // TEPIC_TRACING_ENABLED
-
-/**
- * collapsedStacks() to a file (empty when profiling is compiled out);
- * warns (returns false) on I/O failure.
- */
+/** collapsedStacks() to a file; warns (returns false) on I/O failure. */
 bool writeCollapsed(const std::string &path);
 
 } // namespace prof

@@ -34,9 +34,7 @@
  * so they are stable run to run.
  *
  * Recording is session-scoped like prof: until startSession() every
- * entry point is one relaxed atomic load. The layer is compiled
- * unconditionally (it has no tracing dependency), so SCHED reports
- * exist in -DTEPIC_ENABLE_TRACING=OFF builds too.
+ * entry point is one relaxed atomic load.
  */
 
 #ifndef TEPIC_SUPPORT_SCHED_HH

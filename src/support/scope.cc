@@ -6,12 +6,11 @@
 
 namespace tepic::support {
 
-Scope::Scope([[maybe_unused]] Layer layer, std::uint64_t task)
+Scope::Scope(Layer layer, std::uint64_t task)
     : task_(task)
 {
     if (task_ != sched::kNoTask)
         sched::taskStarted(task_);
-#if TEPIC_TRACING_ENABLED
     const LayerRow &row = kLayers[unsigned(layer)];
     if (row.span && trace::enabled()) {
         const std::string_view name = row.span;
@@ -19,16 +18,13 @@ Scope::Scope([[maybe_unused]] Layer layer, std::uint64_t task)
     }
     if (row.phase)
         profiled_ = prof::pushFrame(layer);
-#endif
 }
 
 Scope::~Scope()
 {
-#if TEPIC_TRACING_ENABLED
     if (profiled_)
         prof::popFrame();
     span_.reset();
-#endif
     if (task_ != sched::kNoTask)
         sched::taskFinished(task_);
 }

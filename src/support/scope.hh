@@ -9,8 +9,7 @@
  * `Scope scope(Layer::kBuildFull, task)` is the only way library code
  * marks a stage: it starts and finishes SCHED task @p task, emits the
  * span while tracing and charges the phase's self-time while a PROF
- * session runs (one relaxed atomic load each when off). Built with
- * -DTEPIC_ENABLE_TRACING=OFF, Scope folds down to its SCHED part.
+ * session runs (one relaxed atomic load each when off).
  */
 
 #ifndef TEPIC_SUPPORT_SCOPE_HH
@@ -88,10 +87,8 @@ class Scope
 
   private:
     std::uint64_t task_;
-#if TEPIC_TRACING_ENABLED
     bool profiled_ = false;
     std::optional<trace::Span> span_;
-#endif
 };
 
 } // namespace tepic::support

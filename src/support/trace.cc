@@ -1,7 +1,5 @@
 #include "support/trace.hh"
 
-#if TEPIC_TRACING_ENABLED
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -329,5 +327,3 @@ pendingEvents()
 }
 
 } // namespace tepic::support::trace
-
-#endif // TEPIC_TRACING_ENABLED

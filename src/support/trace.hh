@@ -18,9 +18,6 @@
  *    point is a single relaxed atomic load — no allocation, no lock,
  *    no clock read. Span names/categories must be string literals (or
  *    otherwise outlive stop()); they are not copied.
- *  - Compile-time disable: build with TEPIC_TRACING_ENABLED=0 (CMake
- *    -DTEPIC_ENABLE_TRACING=OFF) and the whole layer folds to empty
- *    inline stubs.
  *
  * Determinism caveat: trace *timestamps and durations* vary run to
  * run; the event structure (which spans exist, their nesting and
@@ -35,13 +32,7 @@
 #include <string>
 #include <string_view>
 
-#ifndef TEPIC_TRACING_ENABLED
-#define TEPIC_TRACING_ENABLED 1
-#endif
-
 namespace tepic::support::trace {
-
-#if TEPIC_TRACING_ENABLED
 
 /** Runtime switch; one relaxed atomic load. */
 bool enabled();
@@ -94,28 +85,6 @@ bool threadHasBuffer();
 
 /** Total buffered (unflushed) events across all threads. */
 std::size_t pendingEvents();
-
-#else // !TEPIC_TRACING_ENABLED — everything folds away.
-
-inline bool enabled() { return false; }
-inline void start(const std::string &) {}
-inline bool stop() { return true; }
-inline std::string stopToJson() { return "{\"traceEvents\":[]}"; }
-inline void instant(const char *, const char * = "tepic") {}
-
-class Span
-{
-  public:
-    explicit Span(const char *, std::string_view = "tepic") {}
-    Span(const char *, std::string_view, std::string) {}
-    Span(const Span &) = delete;
-    Span &operator=(const Span &) = delete;
-};
-
-inline bool threadHasBuffer() { return false; }
-inline std::size_t pendingEvents() { return 0; }
-
-#endif // TEPIC_TRACING_ENABLED
 
 } // namespace tepic::support::trace
 

@@ -10,8 +10,7 @@
  * against a naive rebuild (3C included), the recorder's architectural
  * transparency (on/off bit-identity), and the tepic-cache-v1 session
  * report (determinism, geometry keying, round-trip through the test
- * JSON parser). Only the tests that need simulateFetch to attach a
- * recorder depend on TEPIC_CACHESTATS_ENABLED.
+ * JSON parser).
  */
 
 #include <gtest/gtest.h>
@@ -621,8 +620,6 @@ TEST(FetchSimCacheStats, KernelPanicJoinsReplay)
     }
 }
 
-#if TEPIC_CACHESTATS_ENABLED
-
 // Recorded simulations: simulateFetch must attach the recorder.
 
 TEST(FetchSimCacheStats, TilesAndCrossChecksAllSchemes)
@@ -998,8 +995,6 @@ TEST(WholeRecord, MatchesANaiveRebuildOfTheTrace)
         }
     }
 }
-
-#endif // TEPIC_CACHESTATS_ENABLED
 
 // ---------------------------------------------------------------------------
 // Session store + tepic-cache-v1 report.

@@ -217,18 +217,19 @@ TEST(ArtifactEngine, MultiThreadOutputIsBitIdenticalToSerial)
     }
 }
 
-TEST(ArtifactEngine, WrapperMatchesEngineOutput)
+TEST(ArtifactEngine, UncachedBuildMatchesEngineOutput)
 {
-    // The legacy value-returning wrapper is a thin shim over the
-    // engine; its images must match a cached engine build exactly.
-    const Artifacts wrapped = core::buildArtifacts(sourceOf("matmul"));
+    // The serial, uncached value build must match a cached, parallel
+    // engine build exactly.
+    const Artifacts uncached = ArtifactEngine::buildUncached(
+        sourceOf("matmul"), ArtifactRequest::all(), {});
     ArtifactEngine engine(2);
     const auto engined =
         engine.build(sourceOf("matmul"), ArtifactRequest::all());
-    expectSameImage(wrapped.baseImage(), engined->baseImage());
-    expectSameImage(wrapped.fullImage().image,
+    expectSameImage(uncached.baseImage(), engined->baseImage());
+    expectSameImage(uncached.fullImage().image,
                     engined->fullImage().image);
-    expectSameImage(wrapped.tailoredImage(), engined->tailoredImage());
+    expectSameImage(uncached.tailoredImage(), engined->tailoredImage());
 }
 
 TEST(ArtifactEngine, ClearCacheForcesRebuild)

@@ -539,7 +539,6 @@ TEST(Atb, SiteKeyingIsAliasFree)
     EXPECT_EQ(atb.predictNext(b), fx.att.entry(b).fallthrough);
 }
 
-#if TEPIC_HOTSTATS_ENABLED
 /**
  * The hot-stats site ledger against the architectural counters: the
  * per-site direction totals tile the fetch count (one prediction per
@@ -579,7 +578,6 @@ TEST(FetchSim, SiteCounterDeltasTileMispredicts)
               stats.predictionsWrong + hs.unconsumedMispredicts);
     EXPECT_GT(site_mispredicts, 0u);  // the if() ping-pongs
 }
-#endif // TEPIC_HOTSTATS_ENABLED
 
 TEST(FetchSim, InvariantsOnRealWorkload)
 {
@@ -697,11 +695,9 @@ TEST(FetchSim, StallCausesTileStallCyclesAllSchemes)
 
         // Per fetch: the HOT record charges every stall cycle to one
         // static block and every repair stall to the mispredicting
-        // site (folds away with the tracing layer).
+        // site.
         const auto &hs = stats.hotStats;
-        ASSERT_EQ(hs.recorded, bool(TEPIC_HOTSTATS_ENABLED));
-        if (!hs.recorded)
-            continue;
+        ASSERT_TRUE(hs.recorded);
         std::uint64_t block_stalls = 0, site_stalls = 0;
         for (std::uint32_t b = 0; b < hs.staticBlocks; ++b) {
             block_stalls += hs.blockStalls[b];
@@ -870,8 +866,7 @@ TEST(FetchSim, MemoryHandoffMatchesSerialStages)
                     const fetch::FetchStats got = fetch::simulateFetch(
                         image, program, trace, config);
                     expectSameCounters(got, want);
-                    EXPECT_EQ(got.cacheStats.recorded,
-                              record && TEPIC_CACHESTATS_ENABLED);
+                    EXPECT_EQ(got.cacheStats.recorded, record);
                     if (got.cacheStats.recorded) {
                         EXPECT_EQ(got.cacheStats.fetches, fetches);
                     }

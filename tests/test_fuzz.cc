@@ -317,7 +317,6 @@ TEST_P(FuzzCacheTiling, ThreeCTilesUnderRandomGeometries)
         const auto stats = tepic::fetch::simulateFetch(
             image, compiled.program, emu.trace, config);
 
-#if TEPIC_CACHESTATS_ENABLED
         const auto &cs = stats.cacheStats;
         ASSERT_TRUE(cs.recorded);
         cs.assertTiling();
@@ -334,9 +333,6 @@ TEST_P(FuzzCacheTiling, ThreeCTilesUnderRandomGeometries)
         if (config.cache.sets == 1) {
             EXPECT_EQ(cs.conflict, 0u);
         }
-#else
-        EXPECT_FALSE(stats.cacheStats.recorded);
-#endif
 
         // Recording must not move a single architectural counter.
         auto off_config = config;

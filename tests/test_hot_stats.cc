@@ -8,8 +8,7 @@
  * fetch counts and its rows the epoch formula, the recorder's
  * architectural transparency (on/off bit-identity), and the
  * tepic-hot-v1 session report (determinism, shape keying, round-trip
- * through the test JSON parser). Only the tests that need
- * simulateFetch to attach a recorder depend on TEPIC_HOTSTATS_ENABLED.
+ * through the test JSON parser).
  */
 
 #include <gtest/gtest.h>
@@ -226,8 +225,6 @@ TEST(HotRecorder, MergeSumsSameShapeRecords)
     merged.assertTiling();
 }
 
-#if TEPIC_HOTSTATS_ENABLED
-
 // ---------------------------------------------------------------------------
 // Whole-simulation coverage: simulateFetch must attach the recorder.
 
@@ -350,8 +347,6 @@ TEST(FetchSimHotStats, RerunsAreBitIdentical)
     EXPECT_EQ(a.phaseFetches, b.phaseFetches);
     EXPECT_EQ(a.unconsumedMispredicts, b.unconsumedMispredicts);
 }
-
-#endif // TEPIC_HOTSTATS_ENABLED
 
 // ---------------------------------------------------------------------------
 // Session store + tepic-hot-v1 report.

@@ -9,11 +9,6 @@
  * bits), the tepic-prof-v1 report, the determinism contract (work
  * counters and key sets identical for any --jobs value), and the
  * sampling profiler's collapsed-stack output.
- *
- * The whole suite compiles in both configurations: under
- * -DTEPIC_ENABLE_TRACING=OFF Scope keeps only its SCHED part and the
- * profiler folds to no-op stubs; the *Disabled tests assert exactly
- * that (reports come back all-zero with source "disabled").
  */
 
 #include <gtest/gtest.h>
@@ -43,7 +38,7 @@ using support::Layer;
 using support::Scope;
 
 /** Burn roughly @p ms milliseconds of this thread's CPU time. */
-[[maybe_unused]] std::uint64_t
+std::uint64_t
 spinCpu(unsigned ms)
 {
     const std::uint64_t start = support::prof::threadCpuNowNs();
@@ -59,7 +54,7 @@ spinCpu(unsigned ms)
     return acc;
 }
 
-[[maybe_unused]] std::uint64_t
+std::uint64_t
 phaseCycleSum(const support::prof::Snapshot &snap)
 {
     std::uint64_t sum = 0;
@@ -124,7 +119,43 @@ TEST(ProfilerPhaseNames, CoverTheClosedEnum)
     EXPECT_EQ(support::prof::phaseNames(), expected);
 }
 
-#if TEPIC_TRACING_ENABLED
+// Declared before any test that starts a session, so it sees a
+// process in which none has run (ctest runs each case on its own).
+TEST(Profiler, ReportWithoutASessionIsValid)
+{
+    ASSERT_FALSE(support::prof::enabled());
+    support::MetricsRegistry metrics;
+    metrics.addCounter("prof.work.ops_encoded", 7);
+    metrics.addCounter("prof.work.fetch.base.blocks_simulated", 3);
+    metrics.addCounter("fig05.not_work", 9);  // no prof.work. prefix
+    const std::string json =
+        support::prof::reportJson("no_session", metrics);
+
+    const auto doc = testjson::parse(json);
+    EXPECT_EQ(doc.at("schema").str, "tepic-prof-v1");
+    EXPECT_EQ(doc.at("name").str, "no_session");
+    const std::string source = doc.at("source").str;
+    EXPECT_TRUE(source == "perf_event" || source == "thread_cputime")
+        << source;
+    EXPECT_DOUBLE_EQ(doc.at("total").at("cycles").number, 0.0);
+    EXPECT_DOUBLE_EQ(doc.at("total").at("cpu_ns").number, 0.0);
+    const auto &phases = doc.at("phases");
+    ASSERT_EQ(phases.object.size(), support::prof::phaseNames().size());
+    for (const std::string_view name : support::prof::phaseNames()) {
+        const auto &phase = phases.at(std::string(name));
+        for (const char *counter : {"cycles", "instructions",
+                                    "cache_misses", "branch_misses",
+                                    "cpu_ns", "enters"})
+            EXPECT_DOUBLE_EQ(phase.at(counter).number, 0.0)
+                << name << "." << counter;
+    }
+    // The deterministic work counters surface, prefix stripped, and
+    // only those.
+    const auto &work = doc.at("work");
+    EXPECT_EQ(work.object.size(), 2u);
+    EXPECT_DOUBLE_EQ(work.at("ops_encoded").number, 7.0);
+    EXPECT_DOUBLE_EQ(work.at("fetch.base.blocks_simulated").number, 3.0);
+}
 
 TEST(ScopeTrace, NestedPairEmitsTheTableSpans)
 {
@@ -377,35 +408,5 @@ TEST(Profiler, SamplingProducesCollapsedStacks)
         start = end + 1;
     }
 }
-
-#else // !TEPIC_TRACING_ENABLED
-
-TEST(ProfilerDisabled, ScopeKeepsOnlyItsSchedPart)
-{
-    // The whole point of the kill switch: no span, no PROF frame.
-    EXPECT_EQ(sizeof(Scope), sizeof(std::uint64_t));
-    support::prof::startSession();
-    EXPECT_FALSE(support::prof::enabled());
-    EXPECT_FALSE(support::prof::startSampling());
-    EXPECT_TRUE(support::prof::collapsedStacks().empty());
-}
-
-TEST(ProfilerDisabled, ReportIsStubButValid)
-{
-    support::MetricsRegistry metrics;
-    metrics.addCounter("prof.work.ops_encoded", 7);
-    const std::string json =
-        support::prof::reportJson("stub_bin", metrics);
-    const auto doc = testjson::parse(json);
-    EXPECT_EQ(doc.at("schema").str, "tepic-prof-v1");
-    EXPECT_EQ(doc.at("source").str, "disabled");
-    EXPECT_DOUBLE_EQ(doc.at("total").at("cycles").number, 0.0);
-    EXPECT_EQ(doc.at("phases").object.size(),
-              support::prof::phaseNames().size());
-    // Deterministic work counters still surface in the stub report.
-    EXPECT_DOUBLE_EQ(doc.at("work").at("ops_encoded").number, 7.0);
-}
-
-#endif // TEPIC_TRACING_ENABLED
 
 } // namespace

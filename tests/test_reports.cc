@@ -79,11 +79,9 @@ TEST(Reports, WritesOneFilePerKindWithItsSchema)
         EXPECT_EQ(doc.at("name").str, "unit") << path;
     }
     // The fetch run was recorded, and each kind's counters exported.
-#if TEPIC_CACHESTATS_ENABLED
     const auto cache =
         testjson::parse(readFile(dir / "CACHE_unit.json"));
     EXPECT_TRUE(cache.at("structure").at("workloads").has("fir"));
-#endif
     EXPECT_GT(metrics.counter("size.base.total_bits"), 0u);
     EXPECT_GT(metrics.counter("sched.tasks"), 0u);
 

@@ -9,9 +9,6 @@
  * byte-identical for any --jobs value), and the ArtifactEngine
  * integration (compile -> scheme -> att/decoder edges, cache hits as
  * zero-duration records, sched.* metrics counters).
- *
- * sched compiles unconditionally (no tracing dependency), so this
- * whole suite runs in -DTEPIC_ENABLE_TRACING=OFF builds too.
  */
 
 #include <gtest/gtest.h>

@@ -259,19 +259,15 @@ TEST(FetchUnits, UnitRunsTileStallsMissesAndHotness)
             EXPECT_GT(s.stallCycles, 0u) << where;
 
             const auto &cs = s.cacheStats;
-            ASSERT_EQ(cs.recorded, bool(TEPIC_CACHESTATS_ENABLED));
-            if (cs.recorded) {
-                EXPECT_EQ(cs.fetches, s.fetches) << where;
-                EXPECT_EQ(cs.misses, s.l1Misses) << where;
-                EXPECT_EQ(cs.compulsory + cs.capacity + cs.conflict,
-                          s.l1Misses)
-                    << where;
-            }
+            ASSERT_TRUE(cs.recorded);
+            EXPECT_EQ(cs.fetches, s.fetches) << where;
+            EXPECT_EQ(cs.misses, s.l1Misses) << where;
+            EXPECT_EQ(cs.compulsory + cs.capacity + cs.conflict,
+                      s.l1Misses)
+                << where;
 
             const auto &hs = s.hotStats;
-            ASSERT_EQ(hs.recorded, bool(TEPIC_HOTSTATS_ENABLED));
-            if (!hs.recorded)
-                continue;
+            ASSERT_TRUE(hs.recorded);
             std::uint64_t fetches = 0, cycles = 0, stalls = 0;
             for (std::size_t b = 0; b < hs.blockFetches.size(); ++b) {
                 if (!units.isHead(isa::BlockId(b))) {

@@ -27,8 +27,6 @@ namespace {
 using namespace tepic;
 namespace trace = support::trace;
 
-#if TEPIC_TRACING_ENABLED
-
 /** Find the first event with @p name; fails the test when absent. */
 testjson::Value
 findEvent(const testjson::Value &doc, const std::string &name)
@@ -193,23 +191,6 @@ TEST(Trace, RestartClearsPreviousSession)
               "second.session");
 }
 
-#else // !TEPIC_TRACING_ENABLED
-
-TEST(Trace, CompiledOutLayerIsInert)
-{
-    trace::start("never_written.json");
-    {
-        TEPIC_TRACE_SPAN("noop");
-    }
-    EXPECT_FALSE(trace::enabled());
-    EXPECT_FALSE(trace::threadHasBuffer());
-    EXPECT_EQ(trace::pendingEvents(), 0u);
-    const auto doc = testjson::parse(trace::stopToJson());
-    EXPECT_EQ(doc.at("traceEvents").array.size(), 0u);
-}
-
-#endif // TEPIC_TRACING_ENABLED
-
 // --- the fetch simulator's per-fetch view (independent of the Chrome
 // --- layer): the HOT record, built from one observation per fetch
 
@@ -245,11 +226,8 @@ TEST(FetchTrace, RecordsTileAggregateStats)
                   stats.decodeStallCycles + stats.atbStallCycles,
               stats.stallCycles);
 
-    // The HOT recorder folds away with the tracing layer.
     const fetch::HotStats &hs = stats.hotStats;
-    ASSERT_EQ(hs.recorded, bool(TEPIC_HOTSTATS_ENABLED));
-    if (!hs.recorded)
-        return;
+    ASSERT_TRUE(hs.recorded);
     std::uint64_t fetches = 0;
     std::uint64_t cycles = 0;
     std::uint64_t stalls = 0;

@@ -4,9 +4,8 @@ Validation is layered to match how the data can degrade:
   * structural problems (missing sections, unknown source, phases
     that don't tile the total) are hard failures,
   * graceful degradation (no perf events -> source "thread_cputime",
-    profiler compiled out -> source "disabled", zero samples) is
-    reported as a note and exits 0 — CI containers routinely run
-    with perf_event_paranoid locked down.
+    zero samples) is reported as a note and exits 0 — CI containers
+    routinely run with perf_event_paranoid locked down.
 
 --compare covers the phase key set, the work counters (exact) and the
 throughput key set; host counter values and throughput rates are
@@ -22,7 +21,7 @@ from tepic_reports import (PROG, check_nonneg_int, fmt_pct,
 SCHEMA = "tepic-prof-v1"
 COUNTER_KEYS = ("cycles", "instructions", "cache_misses",
                 "branch_misses", "cpu_ns")
-SOURCES = ("perf_event", "thread_cputime", "disabled")
+SOURCES = ("perf_event", "thread_cputime")
 
 
 # --- validation ------------------------------------------------------
@@ -77,18 +76,14 @@ def validate(path, doc):
 
 def degradation_notes(doc):
     notes = []
-    if doc["source"] == "disabled":
-        notes.append("profiler compiled out "
-                     "(-DTEPIC_ENABLE_TRACING=OFF build): all-zero "
-                     "report")
-    elif doc["source"] == "thread_cputime":
+    if doc["source"] == "thread_cputime":
         notes.append("perf events unavailable (perf_event_paranoid?):"
                      " cycles fall back to CLOCK_THREAD_CPUTIME_ID ns"
                      "; instructions/cache/branch counters are 0")
     if doc["samples"]["dropped"] > 0:
         notes.append(f"{doc['samples']['dropped']} stack sample(s) "
                      f"dropped (ring buffer full)")
-    if doc["source"] != "disabled" and doc["total"]["cycles"] == 0:
+    if doc["total"]["cycles"] == 0:
         notes.append("total cycles is 0: no Scope ran (or the "
                      "session thread never started a session)")
     return notes

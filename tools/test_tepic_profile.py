@@ -90,7 +90,9 @@ class TepicProfileTest(unittest.TestCase):
         self.assertIn("ok", result.stdout)
         self.assertIn("perf events unavailable", result.stdout)
 
-    def test_disabled_source_is_a_note_not_an_error(self):
+    def test_disabled_source_exits_2(self):
+        # No build writes source "disabled": the profiler always
+        # compiles in, so such a file is a schema error.
         doc = prof_doc()
         doc["source"] = "disabled"
         for phase in doc["phases"].values():
@@ -98,8 +100,8 @@ class TepicProfileTest(unittest.TestCase):
         doc["total"] = zero_counters()
         doc["samples"] = {"taken": 0, "dropped": 0}
         result = run([self.write("PROF_x.json", doc)])
-        self.assertEqual(result.returncode, 0, result.stderr)
-        self.assertIn("compiled out", result.stdout)
+        self.assertEqual(result.returncode, 2, result.stdout)
+        self.assertIn("'disabled' not one of", result.stderr)
 
     def test_tiling_violation_exits_1(self):
         doc = prof_doc()
