@@ -13,14 +13,17 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
 #include "core/artifact_engine.hh"
 #include "core/pipeline.hh"
 #include "decoder/complexity.hh"
 #include "huffman/huffman.hh"
+#include "support/logging.hh"
 #include "support/table.hh"
 #include "workloads/workload.hh"
 
@@ -57,18 +60,26 @@ main(int argc, char **argv)
                         w.description.c_str());
         return 0;
     }
-    const std::string source =
-        loadSource(argc > 1 ? argv[1] : "compress");
+    const std::string input = argc > 1 ? argv[1] : "compress";
+    const std::string source = loadSource(input);
 
     // A size study needs every image but no trace: ask for exactly
     // that instead of the build-everything wrapper.
     using tepic::core::ArtifactKind;
-    const auto built = tepic::core::ArtifactEngine::global().build(
-        source,
-        tepic::core::ArtifactRequest{
-            ArtifactKind::kBase, ArtifactKind::kByte,
-            ArtifactKind::kStream, ArtifactKind::kFull,
-            ArtifactKind::kTailored});
+    std::shared_ptr<const tepic::core::Artifacts> built;
+    try {
+        built = tepic::core::ArtifactEngine::global().build(
+            source,
+            tepic::core::ArtifactRequest{
+                ArtifactKind::kBase, ArtifactKind::kByte,
+                ArtifactKind::kStream, ArtifactKind::kFull,
+                ArtifactKind::kTailored});
+    } catch (const tepic::support::FatalError &error) {
+        // A rejected program: one line naming the input, as tepicc.
+        std::fprintf(stderr, "%s: error: %s\n", input.c_str(),
+                     error.message().c_str());
+        return 1;
+    }
     const auto &artifacts = *built;
     tepic::core::verifyRoundTrips(artifacts);
 

@@ -25,9 +25,6 @@ constexpr std::string_view kUsage =
     "  --cache-kb N  L1 capacity in KB, up to 65536 (0 = paper default)\n"
     "  --atb N       ATB entries, up to 65536 (0 = paper default)\n";
 
-/** The largest --cache-kb and --atb: each sizes one simulated table. */
-constexpr unsigned kMaxSize = 65536;
-
 } // namespace
 
 int
@@ -49,11 +46,12 @@ main(int argc, char **argv)
                 continue;
             }
             const std::string value = i + 1 < argc ? argv[++i] : "";
-            if (!cli::readUnsigned(value, kMaxSize,
+            if (!cli::readUnsigned(value, cli::kMaxTableSize,
                                    flag == "--atb" ? atb : cache_kb)) {
                 throw cli::UsageError(
                     flag + " wants an integer from 0 to " +
-                    std::to_string(kMaxSize) + ", got '" + value + "'");
+                    std::to_string(cli::kMaxTableSize) + ", got '" +
+                    value + "'");
             }
         }
         found = &tepic::workloads::workloadByName(name);

@@ -40,9 +40,10 @@ compileSource(const std::string &source, const CompileOptions &options)
     }
     {
         const support::Scope scope(support::Layer::kOptimise);
-        optimise(module, options.opt);
+        if (options.optimise)
+            optimise(module);
         for (auto &fn : module.functions)
-            ir::estimateWeights(fn, options.loopWeightFactor);
+            ir::estimateWeights(fn);
     }
 
     const support::Scope scope(support::Layer::kBackend);

@@ -30,9 +30,9 @@ namespace tepic::compiler {
 
 struct CompileOptions
 {
-    OptConfig opt = OptConfig::all();
+    /** Run the IR optimisation pipeline (opt.hh); off is -O0. */
+    bool optimise = true;
     isa::MachineConfig machine = isa::MachineConfig::paperDefault();
-    double loopWeightFactor = 10.0;
 
     /** Treegion-style speculative hoisting (§3.1; on by default). */
     asmgen::HoistOptions hoist;

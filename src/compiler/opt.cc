@@ -89,8 +89,7 @@ foldInt(IrOp op, std::int32_t a, std::int32_t b)
 class LocalPass
 {
   public:
-    LocalPass(IrFunction &fn, const OptConfig &config)
-        : fn_(fn), config_(config) {}
+    explicit LocalPass(IrFunction &fn) : fn_(fn) {}
 
     bool
     run()
@@ -144,10 +143,8 @@ class LocalPass
     void
     propagate(RegClass cls, Vreg &v)
     {
-        if (!config_.copyPropagate || v == ir::kNoVreg ||
-            cls == RegClass::kNone) {
+        if (v == ir::kNoVreg || cls == RegClass::kNone)
             return;
-        }
         auto it = copies_.find(key(cls, v));
         if (it != copies_.end())
             v = it->second.second;
@@ -177,11 +174,10 @@ class LocalPass
                           instr.src1);
 
             // 2. Constant-fold.
-            if (config_.constantFold)
-                changed |= tryFold(instr);
+            changed |= tryFold(instr);
 
             // 3. Local CSE over pure binary/unary ops.
-            if (config_.localCse && isPure(instr.op) &&
+            if (isPure(instr.op) &&
                 hasDest(instr) && instr.op != IrOp::kConst &&
                 instr.op != IrOp::kFconst) {
                 const auto ekey = std::make_tuple(
@@ -258,7 +254,6 @@ class LocalPass
     }
 
     IrFunction &fn_;
-    const OptConfig &config_;
 
     using ExprKey = std::tuple<int, Vreg, Vreg, std::int64_t>;
 
@@ -445,22 +440,18 @@ deadCodeElim(IrFunction &fn)
 } // namespace
 
 void
-optimise(ir::IrModule &module, const OptConfig &config)
+optimise(ir::IrModule &module)
 {
     for (auto &fn : module.functions) {
         for (int iter = 0; iter < 8; ++iter) {
             bool changed = false;
-            LocalPass local(fn, config);
+            LocalPass local(fn);
             changed |= local.run();
-            if (config.branchFold) {
-                changed |= foldBranches(fn);
-                changed |= threadJumps(fn);
-                ir::removeUnreachable(fn);
-            }
-            if (config.mergeBlocks)
-                changed |= mergeStraightLine(fn);
-            if (config.deadCodeElim)
-                changed |= deadCodeElim(fn);
+            changed |= foldBranches(fn);
+            changed |= threadJumps(fn);
+            ir::removeUnreachable(fn);
+            changed |= mergeStraightLine(fn);
+            changed |= deadCodeElim(fn);
             if (!changed)
                 break;
         }

@@ -14,6 +14,9 @@
  *  - straight-line block merging (grows scheduling regions),
  *  - global dead-code elimination,
  *  - unreachable-block removal.
+ *
+ * The passes run as one pipeline or not at all
+ * (CompileOptions::optimise; tepicc -O0 turns it off).
  */
 
 #ifndef TEPIC_COMPILER_OPT_HH
@@ -23,30 +26,8 @@
 
 namespace tepic::compiler {
 
-/** Per-pass toggles (all on by default; ablations switch these). */
-struct OptConfig
-{
-    bool constantFold = true;
-    bool copyPropagate = true;
-    bool localCse = true;
-    bool branchFold = true;
-    bool mergeBlocks = true;
-    bool deadCodeElim = true;
-
-    static OptConfig all() { return OptConfig{}; }
-
-    static OptConfig
-    none()
-    {
-        OptConfig cfg;
-        cfg.constantFold = cfg.copyPropagate = cfg.localCse = false;
-        cfg.branchFold = cfg.mergeBlocks = cfg.deadCodeElim = false;
-        return cfg;
-    }
-};
-
 /** Run the pass pipeline to a fixpoint over every function. */
-void optimise(ir::IrModule &module, const OptConfig &config = {});
+void optimise(ir::IrModule &module);
 
 } // namespace tepic::compiler
 

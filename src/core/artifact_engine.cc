@@ -1,7 +1,6 @@
 #include "core/artifact_engine.hh"
 
 #include <cstdio>
-#include <cstring>
 
 #include "support/cli.hh"
 #include "support/logging.hh"
@@ -99,14 +98,6 @@ class Fnv1a
     }
 
     void
-    f64(double value)
-    {
-        std::uint64_t repr;
-        std::memcpy(&repr, &value, sizeof(repr));
-        u64(repr);
-    }
-
-    void
     str(const std::string &value)
     {
         u64(value.size());
@@ -127,30 +118,18 @@ pipelineCacheKey(const std::string &source, const PipelineConfig &config)
     Fnv1a h;
     h.str(source);
 
-    const auto &opt = config.compile.opt;
-    h.u64(opt.constantFold);
-    h.u64(opt.copyPropagate);
-    h.u64(opt.localCse);
-    h.u64(opt.branchFold);
-    h.u64(opt.mergeBlocks);
-    h.u64(opt.deadCodeElim);
+    h.u64(config.compile.optimise);
 
     const auto &machine = config.compile.machine;
     h.u64(machine.issueWidth);
     h.u64(machine.memoryUnits);
     h.u64(machine.branchUnits);
 
-    h.f64(config.compile.loopWeightFactor);
     h.u64(config.compile.hoist.enabled);
     h.u64(config.compile.hoist.maxOpsPerEdge);
 
     h.u64(config.profileGuided);
-    h.u64(config.huffman.maxCodeLength);
-    h.u64(config.huffman.byteMaxCodeLength);
-
-    h.u64(config.emulator.memoryBytes);
-    h.u64(config.emulator.maxMops);
-    h.u64(config.emulator.recordTrace);
+    h.u64(config.maxMops);
     return h.value();
 }
 
@@ -176,24 +155,19 @@ ArtifactEngine::global()
 void
 ArtifactEngine::compileStage(Artifacts &a, const BuildRequest &req)
 {
-    const bool want_trace = req.request.has(ArtifactKind::kTrace) &&
-                            req.config.emulator.recordTrace;
-    a.request_ = want_trace
-        ? req.request
-        : req.request.without(ArtifactKind::kTrace);
-
+    a.request_ = req.request;
     a.compiled = compiler::compileSource(req.source,
                                          req.config.compile);
     compiles_.fetch_add(1, std::memory_order_relaxed);
 
+    sim::EmulatorConfig emulator;
+    emulator.maxMops = req.config.maxMops;
     if (req.config.profileGuided) {
         const support::Scope scope(support::Layer::kEmulateProfile);
         // The profile pass only needs block counts, never the trace.
-        auto profile_config = req.config.emulator;
-        profile_config.recordTrace = false;
+        emulator.recordTrace = false;
         const auto profile_run = sim::emulate(a.compiled.program,
-                                              a.compiled.data,
-                                              profile_config);
+                                              a.compiled.data, emulator);
         emulations_.fetch_add(1, std::memory_order_relaxed);
         compiler::applyProfileAndRelayout(a.compiled,
                                           profile_run.blockCounts,
@@ -201,10 +175,9 @@ ArtifactEngine::compileStage(Artifacts &a, const BuildRequest &req)
     }
 
     const support::Scope scope(support::Layer::kEmulate);
-    auto run_config = req.config.emulator;
-    run_config.recordTrace = want_trace;
+    emulator.recordTrace = req.request.has(ArtifactKind::kTrace);
     a.execution = sim::emulate(a.compiled.program, a.compiled.data,
-                               run_config);
+                               emulator);
     emulations_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -268,7 +241,6 @@ ArtifactEngine::schemeTasks(Artifacts &a, const BuildRequest &req,
                             std::vector<std::function<void()>> &att_tasks)
 {
     const ArtifactRequest request = req.request;
-    const schemes::HuffmanOptions huffman = req.config.huffman;
 
     // Ids of the image tasks the phase-3 builders depend on.
     std::uint64_t base_task = support::sched::kNoTask;
@@ -288,10 +260,9 @@ ArtifactEngine::schemeTasks(Artifacts &a, const BuildRequest &req,
     if (request.has(ArtifactKind::kByte)) {
         const std::uint64_t task_id =
             declareSchedTask(workload, "byte", "", {compile_task});
-        tasks.push_back([this, &a, huffman, task_id] {
+        tasks.push_back([this, &a, task_id] {
             const support::Scope scope(support::Layer::kBuildByte, task_id);
-            a.byte_ = schemes::compressByte(a.compiled.program,
-                                            huffman);
+            a.byte_ = schemes::compressByte(a.compiled.program);
             chargeEncodedOps(a);
             byteImages_.fetch_add(1, std::memory_order_relaxed);
         });
@@ -304,12 +275,11 @@ ArtifactEngine::schemeTasks(Artifacts &a, const BuildRequest &req,
                 declareSchedTask(workload, "stream",
                                  "s" + std::to_string(i),
                                  {compile_task});
-            tasks.push_back([this, &a, huffman, i, &configs,
-                             task_id] {
+            tasks.push_back([this, &a, i, &configs, task_id] {
                 const support::Scope scope(support::Layer::kBuildStream,
                                             task_id);
                 a.streams_[i] = schemes::compressStream(
-                    a.compiled.program, configs[i], huffman);
+                    a.compiled.program, configs[i]);
                 chargeEncodedOps(a);
                 streamImages_.fetch_add(1, std::memory_order_relaxed);
             });
@@ -318,10 +288,9 @@ ArtifactEngine::schemeTasks(Artifacts &a, const BuildRequest &req,
     if (request.has(ArtifactKind::kFull)) {
         full_task = declareSchedTask(workload, "full", "",
                                      {compile_task});
-        tasks.push_back([this, &a, huffman, full_task] {
+        tasks.push_back([this, &a, full_task] {
             const support::Scope scope(support::Layer::kBuildFull, full_task);
-            a.full_ = schemes::compressFull(a.compiled.program,
-                                            huffman);
+            a.full_ = schemes::compressFull(a.compiled.program);
             chargeEncodedOps(a);
             fullImages_.fetch_add(1, std::memory_order_relaxed);
         });

@@ -102,7 +102,6 @@ class ArtifactRequest
     constexpr bool
     operator==(const ArtifactRequest &other) const = default;
 
-    constexpr unsigned rawBits() const { return bits_; }
     constexpr bool empty() const { return bits_ == 0; }
 
     /**

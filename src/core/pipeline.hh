@@ -23,6 +23,7 @@
 #define TEPIC_CORE_PIPELINE_HH
 
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -40,12 +41,17 @@
 
 namespace tepic::core {
 
+/**
+ * Every setting of one build, and every input of its cache key
+ * (pipelineCacheKey). Whether the emulator keeps the block trace is
+ * not a setting: the request's kTrace decides it.
+ */
 struct PipelineConfig
 {
     compiler::CompileOptions compile;
     bool profileGuided = true;
-    schemes::HuffmanOptions huffman;
-    sim::EmulatorConfig emulator;
+    /** The emulator's runaway guard (sim::EmulatorConfig::maxMops). */
+    std::uint64_t maxMops = sim::EmulatorConfig{}.maxMops;
 };
 
 /**

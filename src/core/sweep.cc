@@ -344,7 +344,7 @@ foldPoint(const ControlStream &control, const AccessStream &access,
     n.l1Misses = geometry.l1Misses;
     n.missRepair = geometry.missRepair;
     std::uint64_t mispredicts = 0;
-    power::BusModel bus(config.busWidthBytes);
+    power::BusModel bus(fetch::kBusWidthBytes);
     for (std::size_t w = 0; w < geometry.l1Miss.size(); ++w) {
         const std::uint64_t wrong = control.mispredict[w];
         const std::uint64_t missed = geometry.l1Miss[w];

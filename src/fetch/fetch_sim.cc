@@ -102,7 +102,7 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
     // The control and cost stages of fetch_stages.hh, composed per
     // fetch with the memory stage's published outcome.
     ControlStage control(att, config.atbEntries, config.predictor);
-    power::BusModel bus(config.busWidthBytes);
+    power::BusModel bus(kBusWidthBytes);
     CostStage cost(config, table, bus);
 
     FetchStats stats;

@@ -16,13 +16,13 @@
  * (fetch_stages.hh): control (ATB + predictor), memory (L0 + L1) and
  * cost (cycle model, counters, bus). Every completed fetch is then
  * handed to the hot recorder, the kernel's one per-fetch hook
- * (fetch_observer.hh). The memory stage is the one memory walk on its
- * own thread: walkMemory() (fetch_stages.hh) runs the L0 and the L1
- * over the fetches beside the kernel, which reads each fetch's outcome
- * once it is published. The CACHE record reads only that stage, so it
- * is not a hook: its recorder rides the walk, and simulateFetch joins
- * it, adds the kernel's ATB totals and checks its L1/L0 counts against
- * the kernel's.
+ * (FetchObservation, hot_stats.hh). The memory stage is the one
+ * memory walk on its own thread: walkMemory() (fetch_stages.hh) runs
+ * the L0 and the L1 over the fetches beside the kernel, which reads
+ * each fetch's outcome once it is published. The CACHE record reads
+ * only that stage, so it is not a hook: its recorder rides the walk,
+ * and simulateFetch joins it, adds the kernel's ATB totals and checks
+ * its L1/L0 counts against the kernel's.
  */
 
 #ifndef TEPIC_FETCH_FETCH_SIM_HH
@@ -35,7 +35,6 @@
 #include "fetch/banked_cache.hh"
 #include "fetch/cache_stats.hh"
 #include "fetch/cycle_model.hh"
-#include "fetch/fetch_observer.hh"
 #include "fetch/hot_stats.hh"
 #include "fetch/l0_buffer.hh"
 #include "isa/image.hh"
@@ -47,6 +46,9 @@ namespace tepic::fetch {
 
 struct FetchUnits;
 
+/** The memory bus width: the paper's 64-bit bus. */
+inline constexpr unsigned kBusWidthBytes = 8;
+
 struct FetchConfig
 {
     SchemeClass scheme = SchemeClass::kBase;
@@ -54,7 +56,6 @@ struct FetchConfig
     unsigned atbEntries = 64;
     PredictorConfig predictor;    ///< §3.4 default: per-entry 2-bit
     unsigned l0CapacityOps = 32;  ///< compressed scheme only
-    unsigned busWidthBytes = 8;
     CyclePenalties penalties;
     /**
      * Record cache behavior (cache_stats.hh: 3C, reuse distances,

@@ -69,8 +69,8 @@ namespace tepic::fetch {
  * and its two bus transfers — the miss fill and the ATT upload —
  * folded into bursts on first use and replayed after. Folding is
  * exact: a miss refills every line of the entry, so its fill always
- * moves the same bytes, and an upload is a fixed pattern per head. A
- * bus wider than 8 bytes cannot fold and gets the raw bytes each time.
+ * moves the same bytes, and an upload is a fixed pattern per head.
+ * The bus is kBusWidthBytes wide, so every transfer folds.
  */
 class FetchTable
 {
@@ -148,10 +148,6 @@ class FetchTable
     send(power::BusModel &bus, std::optional<power::Burst> &burst,
          Bytes bytes)
     {
-        if (!bus.foldable()) {
-            bus.transfer(bytes());
-            return;
-        }
         if (!burst)
             burst = bus.fold(bytes());
         bus.send(*burst);

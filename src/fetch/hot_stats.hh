@@ -7,10 +7,10 @@
  * per Ozturk et al., PAPERS.md) starts from.
  *
  * A HotStatsRecorder rides along one simulateFetch() run as the
- * kernel's one per-fetch hook (fetch_observer.hh) and derives, purely
- * from the per-fetch observation, with every count attributed to the
- * fetch's head block (the block itself in plain fetch; the unit head
- * under a fetch-unit partition, where "blocks_simulated" counts unit
+ * kernel's one per-fetch hook and derives, purely from the per-fetch
+ * FetchObservation, with every count attributed to the fetch's head
+ * block (the block itself in plain fetch; the unit head under a
+ * fetch-unit partition, where "blocks_simulated" counts unit
  * traversals):
  *
  *  - Per-static-block execution counts plus cycle and stall
@@ -73,7 +73,6 @@
 
 #include "fetch/cycle_model.hh"
 #include "fetch/epoch_clock.hh"
-#include "fetch/fetch_observer.hh"
 #include "fetch/report_store.hh"
 #include "support/keys.hh"
 
@@ -82,6 +81,31 @@
 #define TEPIC_HOTSTATS_ENABLED 1
 
 namespace tepic::fetch {
+
+/**
+ * One completed fetch as the hot recorder sees it: where it sits in
+ * the trace, what the cycle model charged and the prediction made for
+ * the follower. simulateFetch() hands every completed fetch — one
+ * fetch-unit traversal; one basic block in plain fetch — to the
+ * recorder exactly once, by a direct call made after the fetch's
+ * cycle accounting and its next-fetch prediction are known. This is
+ * the paper-facing per-access granularity (cf. the access-pattern
+ * traces of Ozturk et al.) that the aggregate FetchStats hide.
+ */
+struct FetchObservation
+{
+    std::uint64_t index = 0;         ///< trace position of the head block
+    std::uint32_t block = 0;         ///< head block of the fetch
+    std::uint32_t cycles = 0;        ///< total charged, incl. ATB stall
+    std::uint32_t stallCycles = 0;   ///< cycles beyond the n_mops stream
+    /** The mispredict-repair part of stallCycles (charged at the
+     *  fetch after the wrong prediction). */
+    std::uint32_t mispredictStall = 0;
+    bool branchTaken = false;        ///< direction the fetch left by
+    /** Whether the prediction made at the end of this fetch named
+     *  the follower (false on a side exit: nothing was predicted). */
+    bool nextPredictionCorrect = true;
+};
 
 /**
  * Everything one recorder accumulated: plain data, mergeable across

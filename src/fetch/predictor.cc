@@ -1,7 +1,5 @@
 #include "fetch/predictor.hh"
 
-#include "support/logging.hh"
-
 namespace tepic::fetch {
 
 const char *
@@ -18,18 +16,11 @@ predictorKindName(PredictorKind kind)
 DirectionPredictor::DirectionPredictor(const PredictorConfig &config)
     : config_(config)
 {
-    TEPIC_ASSERT(config.gshareHistoryBits >= 1 &&
-                 config.gshareHistoryBits <= 20,
-                 "bad gshare history width");
-    TEPIC_ASSERT(config.pasHistoryBits >= 1 &&
-                 config.pasHistoryBits <= 16,
-                 "bad PAs history width");
     if (config.kind == PredictorKind::kGshare) {
-        pht_.assign(std::size_t(1) << config.gshareHistoryBits, 1);
+        pht_.assign(std::size_t(1) << kGshareHistoryBits, 1);
     } else if (config.kind == PredictorKind::kPas) {
         historyRegs_.assign(kPasHistoryRegs, 0);
-        patternTable_.assign(std::size_t(1) << config.pasHistoryBits,
-                             1);
+        patternTable_.assign(std::size_t(1) << kPasHistoryBits, 1);
     }
 }
 

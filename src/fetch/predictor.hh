@@ -40,8 +40,6 @@ const char *predictorKindName(PredictorKind kind);
 struct PredictorConfig
 {
     PredictorKind kind = PredictorKind::kBimodal;
-    unsigned gshareHistoryBits = 8;   ///< also PHT index width
-    unsigned pasHistoryBits = 6;      ///< per-block history length
 };
 
 /**
@@ -64,18 +62,18 @@ class DirectionPredictor
     /** Train with the resolved outcome; updates global structures. */
     void update(isa::BlockId block, bool taken);
 
-    const PredictorConfig &config() const { return config_; }
-
   private:
+    /** gshare's global history length, also the PHT index width. */
+    static constexpr unsigned kGshareHistoryBits = 8;
+    /** PAs per-block history length. */
+    static constexpr unsigned kPasHistoryBits = 6;
     /** PAs history registers, direct-mapped by block id. */
     static constexpr std::uint32_t kPasHistoryRegs = 1024;
 
     std::size_t
     gshareIndex(isa::BlockId block) const
     {
-        const std::uint32_t mask =
-            (1u << config_.gshareHistoryBits) - 1;
-        return (globalHistory_ ^ block) & mask;
+        return (globalHistory_ ^ block) & ((1u << kGshareHistoryBits) - 1);
     }
 
     static std::size_t
@@ -87,8 +85,8 @@ class DirectionPredictor
     std::size_t
     pasPatternIndex(isa::BlockId block) const
     {
-        const std::uint32_t mask = (1u << config_.pasHistoryBits) - 1;
-        return historyRegs_[pasRegister(block)] & mask;
+        return historyRegs_[pasRegister(block)] &
+               ((1u << kPasHistoryBits) - 1);
     }
 
     PredictorConfig config_;

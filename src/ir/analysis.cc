@@ -108,13 +108,13 @@ loopDepths(const IrFunction &fn)
 }
 
 void
-estimateWeights(IrFunction &fn, double loop_factor)
+estimateWeights(IrFunction &fn)
 {
     const auto depths = loopDepths(fn);
     for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
         double w = 1.0;
         for (unsigned d = 0; d < depths[b]; ++d)
-            w *= loop_factor;
+            w *= kLoopWeightFactor;
         fn.blocks[b].weight = w;
     }
 }

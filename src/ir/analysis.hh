@@ -35,11 +35,12 @@ std::vector<unsigned> loopDepths(const IrFunction &fn);
 
 /**
  * Estimate per-block execution frequency: entry has weight 1, each
- * loop level multiplies by @p loop_factor, conditional branches split
- * weight by a taken-bias heuristic (backward branches taken). Writes
- * IrBlock::weight.
+ * loop level multiplies by kLoopWeightFactor. Writes IrBlock::weight.
  */
-void estimateWeights(IrFunction &fn, double loop_factor = 10.0);
+void estimateWeights(IrFunction &fn);
+
+/** Static weight multiplier per loop nesting level. */
+inline constexpr double kLoopWeightFactor = 10.0;
 
 /** Replace block weights with measured dynamic counts. */
 void applyProfile(IrFunction &fn,

@@ -47,13 +47,6 @@ struct Image
     support::SizeLedger ledger;
 
     std::size_t codeBytes() const { return (bitSize + 7) / 8; }
-
-    /** Byte address of a block's first op. */
-    std::size_t
-    blockByteAddress(std::uint32_t block_id) const
-    {
-        return blocks[block_id].bitOffset / 8;
-    }
 };
 
 } // namespace tepic::isa

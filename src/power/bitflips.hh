@@ -67,7 +67,6 @@ class BusModel
     std::uint64_t bitFlips() const { return bitFlips_; }
     std::uint64_t beats() const { return beats_; }
     std::uint64_t bytesTransferred() const { return bytes_; }
-    unsigned widthBytes() const { return widthBytes_; }
 
   private:
     unsigned widthBytes_;

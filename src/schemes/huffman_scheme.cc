@@ -110,7 +110,7 @@ alphabetName(HuffmanAlphabet alphabet)
 }
 
 CompressedImage
-compressByte(const VliwProgram &program, const HuffmanOptions &options)
+compressByte(const VliwProgram &program)
 {
     SymbolHistogram hist;
     for (const auto &blk : program.blocks())
@@ -121,8 +121,7 @@ compressByte(const VliwProgram &program, const HuffmanOptions &options)
 
     CompressedImage out;
     out.alphabet = HuffmanAlphabet::kByte;
-    out.tables.push_back(
-        CodeTable::build(hist, options.byteMaxCodeLength));
+    out.tables.push_back(CodeTable::build(hist, kByteMaxCodeLength));
     out.symbolBits.push_back(8);
     const CodeTable &table = out.tables.front();
     PayloadSplit split;

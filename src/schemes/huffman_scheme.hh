@@ -47,32 +47,25 @@ struct CompressedImage
      * 40 for full ops.
      */
     std::vector<unsigned> symbolBits;
-
-    /** Size ratio vs the baseline image (code segment only). */
-    double
-    ratioVsBaseline(const isa::VliwProgram &program) const
-    {
-        return double(image.bitSize) / double(program.baselineBits());
-    }
 };
 
 struct HuffmanOptions
 {
+    /** Code-length bound of the stream and full alphabets. */
     unsigned maxCodeLength = 16;
-
-    /**
-     * The byte alphabet gets a tighter bound: with at most 256
-     * dictionary entries a hardware decoder uses a shallower mux tree
-     * (this is what makes the byte-wise decoder the smallest of the
-     * Huffman options in the paper's Figure 10, at a small cost in
-     * compression).
-     */
-    unsigned byteMaxCodeLength = 12;
 };
 
+/**
+ * The byte alphabet's tighter code-length bound: with at most 256
+ * dictionary entries a hardware decoder uses a shallower mux tree
+ * (this is what makes the byte-wise decoder the smallest of the
+ * Huffman options in the paper's Figure 10, at a small cost in
+ * compression).
+ */
+inline constexpr unsigned kByteMaxCodeLength = 12;
+
 /** Build a byte-alphabet compressed image. */
-CompressedImage compressByte(const isa::VliwProgram &program,
-                             const HuffmanOptions &options = {});
+CompressedImage compressByte(const isa::VliwProgram &program);
 
 /** Build a stream-alphabet compressed image with @p config cuts. */
 CompressedImage compressStream(const isa::VliwProgram &program,

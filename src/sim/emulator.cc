@@ -269,7 +269,7 @@ class Machine
             const EmulatorConfig &config)
         : program_(program), config_(config)
     {
-        memory_.assign(config.memoryBytes, 0);
+        memory_.assign(kMemoryBytes, 0);
         TEPIC_ASSERT(data.base + data.bytes.size() <= memory_.size(),
                      "data segment does not fit in memory");
         if (!data.bytes.empty()) {
@@ -280,8 +280,7 @@ class Machine
         fpr_.fill(0.0);
         pred_.fill(false);
         pred_[isa::kPredTrue] = true;
-        gpr_[isa::kRegSp] =
-            std::int32_t(config.memoryBytes - 16);
+        gpr_[isa::kRegSp] = std::int32_t(kMemoryBytes - 16);
         gpr_[isa::kRegLink] = std::int32_t(compiler::kHaltBlockId);
         decode();
     }

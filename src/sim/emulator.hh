@@ -43,9 +43,11 @@ struct BlockTrace
     std::vector<TraceEvent> events;
 };
 
+/** The emulated data memory; the stack starts at its top. */
+inline constexpr std::size_t kMemoryBytes = 512 * 1024;
+
 struct EmulatorConfig
 {
-    std::size_t memoryBytes = 512 * 1024;
     std::uint64_t maxMops = 500'000'000;  ///< runaway guard
     bool recordTrace = true;
 };

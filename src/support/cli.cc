@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 
@@ -63,10 +62,11 @@ positiveList(std::string_view name, std::vector<unsigned> &target)
         target.clear();
         for (const std::string &item : splitCsv(csv)) {
             unsigned value = 0;
-            if (!readUnsigned(item, UINT_MAX, value) || value == 0) {
+            if (!readUnsigned(item, kMaxTableSize, value) || value == 0) {
                 throw UsageError(std::string(flag) +
-                                 " wants positive integers, got '" + item +
-                                 "'");
+                                 " wants integers from 1 to " +
+                                 std::to_string(kMaxTableSize) + ", got '" +
+                                 item + "'");
             }
             target.push_back(value);
         }

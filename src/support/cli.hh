@@ -26,6 +26,13 @@ namespace tepic::support::cli {
 /** Largest --jobs value; a larger one never reaches a thread pool. */
 inline constexpr unsigned kMaxJobs = 1024;
 
+/**
+ * Largest value of a size flag (sets, ways, line bytes, L0 ops, ATB
+ * entries, cache KB): each sizes one simulated table, so a larger one
+ * never reaches an allocation.
+ */
+inline constexpr unsigned kMaxTableSize = 65536;
+
 /** A rejected flag or value; checked() exits 2 on it. */
 class UsageError : public std::runtime_error
 {
@@ -56,7 +63,8 @@ Flag text(std::string_view name, std::string &target);
 /** "--jobs=": decimal digits, 0 (hardware) up to kMaxJobs. */
 Flag jobs(unsigned &target);
 
-/** "--name=": a non-empty comma-separated list of positive integers. */
+/** "--name=": a non-empty comma-separated list of integers from 1 to
+ *  kMaxTableSize. */
 Flag positiveList(std::string_view name, std::vector<unsigned> &target);
 
 /**

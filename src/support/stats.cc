@@ -1,9 +1,6 @@
 #include "support/stats.hh"
 
 #include <algorithm>
-#include <cmath>
-
-#include "support/logging.hh"
 
 namespace tepic::support {
 
@@ -68,19 +65,6 @@ mean(const std::vector<double> &values)
     for (double v : values)
         acc += v;
     return acc / double(values.size());
-}
-
-double
-geomean(const std::vector<double> &values)
-{
-    if (values.empty())
-        return 0.0;
-    double acc = 0.0;
-    for (double v : values) {
-        TEPIC_ASSERT(v > 0.0, "geomean requires positive values");
-        acc += std::log(v);
-    }
-    return std::exp(acc / double(values.size()));
 }
 
 } // namespace tepic::support

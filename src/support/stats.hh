@@ -65,18 +65,6 @@ class Histogram
         return bins_;
     }
 
-    /** Weighted mean of the keys; overflow counts at the threshold. */
-    double
-    mean() const
-    {
-        if (total_ == 0)
-            return 0.0;
-        double acc = double(threshold_) * double(overflow_);
-        for (const auto &[k, w] : bins_)
-            acc += double(k) * double(w);
-        return acc / double(total_);
-    }
-
   private:
     /** Move bins at/above the current threshold into overflow. */
     void clampToThreshold();
@@ -93,9 +81,6 @@ double median(std::vector<double> values);
 
 /** Arithmetic mean. */
 double mean(const std::vector<double> &values);
-
-/** Geometric mean (all values must be positive). */
-double geomean(const std::vector<double> &values);
 
 } // namespace tepic::support
 

@@ -10,9 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/artifact_engine.hh"
@@ -124,17 +127,72 @@ TEST(ArtifactEngine, SupersetEntrySatisfiesSubsetRequest)
     EXPECT_EQ(engine.stats().compiles, 1u);
 }
 
+/** Converts to any member type: counts an aggregate's members. */
+struct AnyMember
+{
+    template <typename T> operator T() const;
+};
+
+template <typename T, typename... Members>
+constexpr std::size_t
+memberCount()
+{
+    if constexpr (requires { T{Members{}..., AnyMember{}}; })
+        return memberCount<T, Members..., AnyMember>();
+    else
+        return sizeof...(Members);
+}
+
 TEST(ArtifactEngine, DifferentConfigMissesTheCache)
 {
+    // One change per settable PipelineConfig value; each must move
+    // the cache key, or two different builds would share an entry.
+    using Change = void (*)(core::PipelineConfig &);
+    const std::pair<const char *, Change> changes[] = {
+        {"compile.optimise",
+         [](core::PipelineConfig &c) { c.compile.optimise = false; }},
+        {"compile.machine.issueWidth",
+         [](core::PipelineConfig &c) { c.compile.machine.issueWidth = 4; }},
+        {"compile.machine.memoryUnits",
+         [](core::PipelineConfig &c) { c.compile.machine.memoryUnits = 1; }},
+        {"compile.machine.branchUnits",
+         [](core::PipelineConfig &c) { c.compile.machine.branchUnits = 2; }},
+        {"compile.hoist.enabled",
+         [](core::PipelineConfig &c) { c.compile.hoist.enabled = false; }},
+        {"compile.hoist.maxOpsPerEdge",
+         [](core::PipelineConfig &c) { c.compile.hoist.maxOpsPerEdge = 2; }},
+        {"profileGuided",
+         [](core::PipelineConfig &c) { c.profileGuided = false; }},
+        {"maxMops", [](core::PipelineConfig &c) { c.maxMops = 1000; }},
+    };
+    // A value added to any of these structs must join the table (and
+    // the key): the leaf count below is the table's size.
+    const std::size_t leaves =
+        memberCount<core::PipelineConfig>() - 1 +
+        memberCount<compiler::CompileOptions>() - 2 +
+        memberCount<isa::MachineConfig>() +
+        memberCount<asmgen::HoistOptions>();
+    EXPECT_EQ(leaves, std::size(changes))
+        << "a PipelineConfig value is missing from this table";
+
+    const std::string source = sourceOf("matmul");
+    std::vector<std::uint64_t> keys{core::pipelineCacheKey(source, {})};
+    for (const auto &[name, change] : changes) {
+        core::PipelineConfig config;
+        change(config);
+        const std::uint64_t key = core::pipelineCacheKey(source, config);
+        for (std::uint64_t seen : keys)
+            EXPECT_NE(key, seen) << name << " does not move the key";
+        keys.push_back(key);
+    }
+
     ArtifactEngine engine(1);
     const ArtifactRequest req{ArtifactKind::kBase};
     core::PipelineConfig other;
-    other.compile.opt.constantFold = false;
-    const auto a = engine.build(sourceOf("matmul"), req);
-    const auto b = engine.build(sourceOf("matmul"), req, other);
+    other.compile.optimise = false;
+    const auto a = engine.build(source, req);
+    const auto b = engine.build(source, req, other);
     EXPECT_NE(a.get(), b.get());
-    EXPECT_NE(core::pipelineCacheKey(sourceOf("matmul"), {}),
-              core::pipelineCacheKey(sourceOf("matmul"), other));
     EXPECT_EQ(engine.stats().compiles, 2u);
 }
 

@@ -722,7 +722,7 @@ serialFetch(const isa::Image &image, const isa::VliwProgram &program,
     fetch::ControlStage control(att, config.atbEntries, config.predictor);
     fetch::L0Buffer l0(config.l0CapacityOps);
     fetch::BankedCache l1(config.cache);
-    power::BusModel bus(config.busWidthBytes);
+    power::BusModel bus(fetch::kBusWidthBytes);
     fetch::CostStage cost(config, table, bus);
     fetch::FetchStats stats;
     const auto &events = trace.events;

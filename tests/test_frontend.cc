@@ -177,20 +177,20 @@ TEST(IrGen, MissingMainCaughtAtLowering)
 namespace {
 
 std::int32_t
-runWith(const std::string &source, const OptConfig &opt)
+runWith(const std::string &source, bool optimise)
 {
     CompileOptions options;
-    options.opt = opt;
+    options.optimise = optimise;
     auto compiled = compileSource(source, options);
     return tepic::sim::emulate(compiled.program, compiled.data)
         .exitValue;
 }
 
 std::size_t
-opCountWith(const std::string &source, const OptConfig &opt)
+opCountWith(const std::string &source, bool optimise)
 {
     CompileOptions options;
-    options.opt = opt;
+    options.optimise = optimise;
     return compileSource(source, options).program.opCount();
 }
 
@@ -230,9 +230,7 @@ TEST(Optimiser, NeverChangesResults)
         })",
     };
     for (const char *src : programs) {
-        EXPECT_EQ(runWith(src, OptConfig::all()),
-                  runWith(src, OptConfig::none()))
-            << src;
+        EXPECT_EQ(runWith(src, true), runWith(src, false)) << src;
     }
 }
 
@@ -240,9 +238,8 @@ TEST(Optimiser, FoldsConstants)
 {
     const char *src =
         "func main(): int { return (2 + 3) * (10 - 6); }";
-    EXPECT_LT(opCountWith(src, OptConfig::all()),
-              opCountWith(src, OptConfig::none()));
-    EXPECT_EQ(runWith(src, OptConfig::all()), 20);
+    EXPECT_LT(opCountWith(src, true), opCountWith(src, false));
+    EXPECT_EQ(runWith(src, true), 20);
 }
 
 TEST(Optimiser, EliminatesDeadCode)
@@ -254,8 +251,7 @@ TEST(Optimiser, EliminatesDeadCode)
             return 3;
         }
     )";
-    EXPECT_LT(opCountWith(src, OptConfig::all()),
-              opCountWith(src, OptConfig::none()));
+    EXPECT_LT(opCountWith(src, true), opCountWith(src, false));
 }
 
 TEST(Optimiser, CseReusesAddressArithmetic)
@@ -268,9 +264,8 @@ TEST(Optimiser, CseReusesAddressArithmetic)
             return a[i] + a[i];
         }
     )";
-    EXPECT_EQ(runWith(src, OptConfig::all()), 20);
-    EXPECT_LT(opCountWith(src, OptConfig::all()),
-              opCountWith(src, OptConfig::none()));
+    EXPECT_EQ(runWith(src, true), 20);
+    EXPECT_LT(opCountWith(src, true), opCountWith(src, false));
 }
 
 TEST(Optimiser, FoldsConstantBranches)
@@ -329,10 +324,8 @@ TEST(Compiler, RegisterPressureSpillsCorrectly)
     std::int64_t expected = 0;
     for (int i = 0; i < 30; ++i)
         expected = std::int32_t(expected * 3 + (i * 7 + 1));
-    EXPECT_EQ(runWith(src, OptConfig::all()),
-              std::int32_t(expected));
-    EXPECT_EQ(runWith(src, OptConfig::none()),
-              std::int32_t(expected));
+    EXPECT_EQ(runWith(src, true), std::int32_t(expected));
+    EXPECT_EQ(runWith(src, false), std::int32_t(expected));
 }
 
 TEST(Compiler, EveryBlockEndsAtomically)

@@ -46,7 +46,6 @@ TEST_P(FuzzDifferential, AllConfigsAgree)
 
     using tepic::compiler::CompileOptions;
     using tepic::compiler::compileSource;
-    using tepic::compiler::OptConfig;
 
     tepic::sim::EmulatorConfig emu;
     emu.maxMops = 20'000'000;  // generated programs are small
@@ -61,7 +60,7 @@ TEST_P(FuzzDifferential, AllConfigsAgree)
     CompileOptions no_hoist;
     no_hoist.hoist.enabled = false;
     CompileOptions o0;
-    o0.opt = OptConfig::none();
+    o0.optimise = false;
     o0.hoist.enabled = false;
     CompileOptions narrow;
     narrow.machine.issueWidth = 1;
@@ -81,7 +80,7 @@ TEST_P(FuzzDifferential, ImagesRoundTrip)
 
     tepic::core::PipelineConfig config;
     config.profileGuided = false;
-    config.emulator.maxMops = 20'000'000;
+    config.maxMops = 20'000'000;
     // Round-tripping needs every image but no trace or decoders.
     using tepic::core::ArtifactKind;
     const auto artifacts = tepic::core::ArtifactEngine::buildUncached(
@@ -140,7 +139,6 @@ TEST_P(FuzzStallTiling, CausesTileUnderRandomConfigs)
         config.penalties.atbMissPenalty = unsigned(rng.below(10));
         config.atbEntries = unsigned(rng.range(1, 64));
         config.l0CapacityOps = unsigned(rng.range(4, 64));
-        config.busWidthBytes = 1u << rng.range(0, 4);
         config.recordHotStats = rng.below(2) == 0;
 
         const auto &image = scheme == SchemeClass::kCompressed

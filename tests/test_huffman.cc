@@ -252,7 +252,7 @@ TEST(PackageMerge, MatchesTheReferenceOnEverySuiteTable)
             }
         }
         check(bytes, built->byteImage().tables[0],
-              options.byteMaxCodeLength, workload.name + " byte");
+              schemes::kByteMaxCodeLength, workload.name + " byte");
         check(full, built->fullImage().tables[0], options.maxCodeLength,
               workload.name + " full");
         for (std::size_t c = 0; c < configs.size(); ++c) {

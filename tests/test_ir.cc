@@ -144,7 +144,7 @@ TEST(Analysis, NestedLoopDepths)
 TEST(Analysis, EstimateWeightsScaleWithDepth)
 {
     IrFunction fn = diamondWithLoop();
-    estimateWeights(fn, 10.0);
+    estimateWeights(fn);
     EXPECT_DOUBLE_EQ(fn.blocks[0].weight, 1.0);
     EXPECT_DOUBLE_EQ(fn.blocks[2].weight, 10.0);
 }

@@ -47,7 +47,6 @@ TEST(Predictor, GshareLearnsAlternation)
     // threshold) but is perfectly predictable from 1 history bit.
     PredictorConfig config;
     config.kind = PredictorKind::kGshare;
-    config.gshareHistoryBits = 8;
     DirectionPredictor pred(config);
 
     const isa::BlockId block = 17;
@@ -71,7 +70,6 @@ TEST(Predictor, PasSeparatesBlocks)
     // history keeps them apart.
     PredictorConfig config;
     config.kind = PredictorKind::kPas;
-    config.pasHistoryBits = 4;
     DirectionPredictor pred(config);
     for (int i = 0; i < 32; ++i) {
         pred.update(1, true);
@@ -87,7 +85,6 @@ TEST(Predictor, PasLearnsPeriodicPattern)
     // with >= 2 bits of local history.
     PredictorConfig config;
     config.kind = PredictorKind::kPas;
-    config.pasHistoryBits = 6;
     DirectionPredictor pred(config);
     const isa::BlockId block = 9;
     for (int i = 0; i < 120; ++i)
@@ -100,16 +97,6 @@ TEST(Predictor, PasLearnsPeriodicPattern)
         pred.update(block, actual);
     }
     EXPECT_GT(correct, 90);
-}
-
-TEST(Predictor, BadConfigsRejected)
-{
-    PredictorConfig config;
-    config.kind = PredictorKind::kGshare;
-    config.gshareHistoryBits = 0;
-    EXPECT_ANY_THROW(DirectionPredictor{config});
-    config.gshareHistoryBits = 30;
-    EXPECT_ANY_THROW(DirectionPredictor{config});
 }
 
 TEST(Predictor, FetchSimAlternatingBranchBenefitsFromHistory)

@@ -146,11 +146,11 @@ TEST(HuffmanSchemes, MaxCodeLengthRespected)
     const auto &program = sampleProgram();
     schemes::HuffmanOptions opts;
     opts.maxCodeLength = 11;
-    opts.byteMaxCodeLength = 9;
     const auto full = schemes::compressFull(program, opts);
     EXPECT_LE(full.tables[0].maxCodeLength(), 11u);
-    const auto byte = schemes::compressByte(program, opts);
-    EXPECT_LE(byte.tables[0].maxCodeLength(), 9u);
+    const auto byte = schemes::compressByte(program);
+    EXPECT_LE(byte.tables[0].maxCodeLength(),
+              schemes::kByteMaxCodeLength);
 }
 
 TEST(Tailored, RoundTrip)

@@ -221,7 +221,7 @@ TEST(Stats, Histogram)
     h.sample(1, 2);
     h.sample(3, 2);
     EXPECT_EQ(h.total(), 4u);
-    EXPECT_DOUBLE_EQ(h.mean(), 2.0);
+    EXPECT_EQ(h.bins().size(), 2u);
 }
 
 TEST(Stats, MedianOddEven)
@@ -230,12 +230,6 @@ TEST(Stats, MedianOddEven)
     EXPECT_DOUBLE_EQ(tepic::support::median({4.0, 1.0, 2.0, 3.0}),
                      2.5);
     EXPECT_DOUBLE_EQ(tepic::support::median({}), 0.0);
-}
-
-TEST(Stats, Geomean)
-{
-    EXPECT_DOUBLE_EQ(tepic::support::geomean({2.0, 8.0}), 4.0);
-    EXPECT_ANY_THROW(tepic::support::geomean({1.0, -1.0}));
 }
 
 TEST(Rng, DeterministicAndBounded)
@@ -359,9 +353,10 @@ TEST(Cli, ListsSplitOnCommasAndDropEmptyItems)
     EXPECT_TRUE(cli::splitCsv("").empty());
     std::vector<unsigned> sets;
     const cli::Flag flags[] = {cli::positiveList("--sets=", sets)};
-    parseArgs({"--sets=1", "--sets=128,,4294967295"}, flags);
-    EXPECT_EQ(sets, (std::vector<unsigned>{128, 4294967295u}));
-    for (const char *bad : {"", ",", "0", "1,x", "-1", "4294967296"}) {
+    parseArgs({"--sets=1", "--sets=128,,65536"}, flags);
+    EXPECT_EQ(sets, (std::vector<unsigned>{128, cli::kMaxTableSize}));
+    for (const char *bad : {"", ",", "0", "1,x", "-1", "65537",
+                            "4294967296"}) {
         EXPECT_THROW(parseArgs({std::string("--sets=") + bad}, flags),
                      cli::UsageError)
             << bad;

@@ -481,7 +481,7 @@ TEST(SweepFactored, MatchesComposedKernel)
 
         core::PipelineConfig config;
         config.profileGuided = false;
-        config.emulator.maxMops = 20'000'000;  // generated programs
+        config.maxMops = 20'000'000;  // generated programs
                                                // are small
         const core::Artifacts artifacts =
             core::ArtifactEngine::buildUncached(

@@ -18,6 +18,7 @@
  *   tepic-sweep --workloads=fir --sets=128,256 --ways=1,2
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -47,7 +48,7 @@ constexpr std::string_view kUsage =
     "  --preset=paper|ci    grid preset (default: paper)\n"
     "  --workloads=a,b      workload names (see tepicc workloads)\n"
     "  --schemes=s,..       base|compressed|tailored\n"
-    "  --sets=n,..          L1 set counts\n"
+    "  --sets=n,..          L1 set counts (sets x ways <= 65536)\n"
     "  --ways=n,..          L1 associativities\n"
     "  --line-bytes=n,..    L1 line sizes\n"
     "  --l0=n,..            L0 capacities in ops (compressed only)\n"
@@ -124,6 +125,18 @@ parseArgs(int argc, char **argv)
     cli::checked("tepic-sweep", kUsage, [&] {
         for (const char *arg : cli::parse(argc, argv, flags))
             throw cli::UsageError("unknown flag '" + std::string(arg) + "'");
+        // One L1 holds sets x ways lines: bound the product as well.
+        for (unsigned sets : grid.cacheSets) {
+            for (unsigned ways : grid.cacheWays) {
+                if (std::uint64_t(sets) * ways > cli::kMaxTableSize) {
+                    throw cli::UsageError(
+                        "--sets x --ways wants at most " +
+                        std::to_string(cli::kMaxTableSize) +
+                        " lines, got " + std::to_string(sets) + " x " +
+                        std::to_string(ways));
+                }
+            }
+        }
         if (grid.workloads.empty())
             throw cli::UsageError("--workloads is empty");
         for (const std::string &workload : grid.workloads)

@@ -162,8 +162,7 @@ compiler::CompileOptions
 compileOptions(const Options &opts)
 {
     compiler::CompileOptions options;
-    if (!opts.optimise)
-        options.opt = compiler::OptConfig::none();
+    options.optimise = opts.optimise;
     return options;
 }
 
