@@ -162,7 +162,7 @@ layoutProgram(const EmittedProgram &prog)
     for (std::size_t i = 0; i < placements.size(); ++i) {
         const auto &p = placements[i];
         const auto &fn = prog.functions[p.func];
-        out.blockSource.emplace_back(p.func, p.local);
+        out.blockSource.push_back({p.func, p.local, p.isStub});
         LayoutBlock lb;
 
         if (p.isStub) {
@@ -254,9 +254,7 @@ layoutProgram(const EmittedProgram &prog)
 
 support::SizeLedger
 imageLayoutRollup(
-    const isa::Image &image,
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>
-        &blockSource,
+    const isa::Image &image, const std::vector<BlockOrigin> &blockSource,
     const std::vector<std::string> &functionNames)
 {
     TEPIC_ASSERT(image.blocks.size() == blockSource.size(),
@@ -266,16 +264,16 @@ imageLayoutRollup(
     std::size_t prev_end = 0;
     for (std::size_t i = 0; i < image.blocks.size(); ++i) {
         const isa::BlockLayout &layout = image.blocks[i];
-        const auto [func, local] = blockSource[i];
-        TEPIC_ASSERT(func < functionNames.size(),
+        const BlockOrigin &origin = blockSource[i];
+        TEPIC_ASSERT(origin.func < functionNames.size(),
                      "blockSource function index out of range");
-        const std::string prefix = "func/" + functionNames[func];
+        const std::string prefix = "func/" + functionNames[origin.func];
         // Alignment pad sits *before* the block it aligns.
         TEPIC_ASSERT(layout.bitOffset >= prev_end,
                      "blocks not in layout order");
         ledger.addBits(prefix + "/align_pad",
                        layout.bitOffset - prev_end);
-        ledger.addBits(prefix + "/b" + std::to_string(local),
+        ledger.addBits(prefix + "/b" + std::to_string(origin.local),
                        layout.bitSize);
         prev_end = layout.bitOffset + layout.bitSize;
     }

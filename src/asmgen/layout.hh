@@ -36,6 +36,18 @@ struct LayoutBlock
     std::string label;
 };
 
+/**
+ * Origin of one laid-out block: (function index, function-local
+ * emitted-block index). A synthetic jump stub carries the origin of
+ * the branch block it serves and is marked @c stub.
+ */
+struct BlockOrigin
+{
+    std::uint32_t func = 0;
+    std::uint32_t local = 0;
+    bool stub = false;
+};
+
 /** A fully laid-out (but not yet scheduled) program. */
 struct LaidOutProgram
 {
@@ -44,12 +56,11 @@ struct LaidOutProgram
     compiler::DataSegment data;
 
     /**
-     * Origin of each laid-out block: (function index, function-local
-     * emitted-block index). Synthetic jump stubs map to the branch
-     * block they serve. Used to fold dynamic profiles back into
-     * EmittedBlock weights.
+     * Origin of each laid-out block. Used to fold dynamic profiles
+     * back into EmittedBlock weights and to map one layout's block ids
+     * onto the next.
      */
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> blockSource;
+    std::vector<BlockOrigin> blockSource;
 };
 
 /** Lay out @p prog (main's entry becomes block 0). */
@@ -72,9 +83,7 @@ LaidOutProgram layoutProgram(const compiler::EmittedProgram &prog);
  * (asserted).
  */
 support::SizeLedger imageLayoutRollup(
-    const isa::Image &image,
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>
-        &blockSource,
+    const isa::Image &image, const std::vector<BlockOrigin> &blockSource,
     const std::vector<std::string> &functionNames);
 
 } // namespace tepic::asmgen

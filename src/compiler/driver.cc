@@ -56,7 +56,7 @@ compileSource(const std::string &source, const CompileOptions &options)
     return out;
 }
 
-void
+std::vector<isa::BlockId>
 applyProfileAndRelayout(CompiledProgram &compiled,
                         const std::vector<std::uint64_t> &counts,
                         const isa::MachineConfig &machine)
@@ -68,15 +68,35 @@ applyProfileAndRelayout(CompiledProgram &compiled,
 
     // Reset weights, then accumulate measured counts (stubs fold into
     // the branch block they serve).
-    for (auto &fn : compiled.emitted.functions)
+    auto &functions = compiled.emitted.functions;
+    for (auto &fn : functions)
         for (auto &blk : fn.blocks)
             blk.weight = 0.0;
     for (std::size_t g = 0; g < counts.size(); ++g) {
-        const auto [f, l] = compiled.blockSource[g];
-        compiled.emitted.functions[f].blocks[l].weight +=
+        const asmgen::BlockOrigin &origin = compiled.blockSource[g];
+        functions[origin.func].blocks[origin.local].weight +=
             double(counts[g]);
     }
+    const std::vector<asmgen::BlockOrigin> old_source =
+        std::move(compiled.blockSource);
     layoutAndSchedule(compiled, machine);
+
+    // Where each emitted block landed, then where each old block did.
+    std::vector<std::vector<isa::BlockId>> placed(functions.size());
+    for (std::size_t f = 0; f < functions.size(); ++f)
+        placed[f].resize(functions[f].blocks.size());
+    for (std::size_t b = 0; b < compiled.blockSource.size(); ++b) {
+        const asmgen::BlockOrigin &origin = compiled.blockSource[b];
+        if (!origin.stub)
+            placed[origin.func][origin.local] = isa::BlockId(b);
+    }
+    std::vector<isa::BlockId> new_id;
+    new_id.reserve(old_source.size());
+    for (const asmgen::BlockOrigin &origin : old_source) {
+        new_id.push_back(origin.stub ? isa::kNoBlock
+                                     : placed[origin.func][origin.local]);
+    }
+    return new_id;
 }
 
 } // namespace tepic::compiler

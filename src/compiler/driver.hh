@@ -10,8 +10,11 @@
  * Profile-guided recompilation (the paper's compiler is profile-driven,
  * §2.1) is a second layout+schedule pass over the same emitted code:
  * run the single-pass output through the emulator, then hand the
- * measured block counts to applyProfileAndRelayout(). The driver keeps
- * no emulator dependency; core/pipeline orchestrates the loop.
+ * measured block counts to applyProfileAndRelayout(). That returns
+ * where each old block landed, from which sim::deriveExecution() builds
+ * the relaid-out program's execution out of the profile run's trace, so
+ * each program is emulated once. The driver keeps no emulator
+ * dependency; core::ArtifactEngine orchestrates the loop.
  */
 
 #ifndef TEPIC_COMPILER_DRIVER_HH
@@ -23,6 +26,7 @@
 #include "compiler/opt.hh"
 #include "compiler/regalloc.hh"
 #include "asmgen/hoist.hh"
+#include "asmgen/layout.hh"
 #include "compiler/schedule.hh"
 #include "isa/program.hh"
 
@@ -53,7 +57,7 @@ struct CompiledProgram
     EmittedProgram emitted;
 
     /** Global block id -> (function, function-local block) origin. */
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> blockSource;
+    std::vector<asmgen::BlockOrigin> blockSource;
 };
 
 /** Compile tinkerc source text. Fatal on any front-end error. */
@@ -65,10 +69,16 @@ CompiledProgram compileSource(const std::string &source,
  * program's global block ids) back into the emitted code's weights and
  * redo layout + scheduling. The compiled program is updated in place;
  * block ids generally change.
+ *
+ * Returns the new id of every old block, indexed by old id; an old
+ * jump stub has no counterpart and maps to isa::kNoBlock. Every
+ * emitted block is placed in both layouts, so the new blocks that no
+ * old id maps to are exactly the new layout's stubs.
  */
-void applyProfileAndRelayout(CompiledProgram &compiled,
-                             const std::vector<std::uint64_t> &counts,
-                             const isa::MachineConfig &machine);
+std::vector<isa::BlockId>
+applyProfileAndRelayout(CompiledProgram &compiled,
+                        const std::vector<std::uint64_t> &counts,
+                        const isa::MachineConfig &machine);
 
 } // namespace tepic::compiler
 

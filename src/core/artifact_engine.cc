@@ -162,23 +162,33 @@ ArtifactEngine::compileStage(Artifacts &a, const BuildRequest &req)
 
     sim::EmulatorConfig emulator;
     emulator.maxMops = req.config.maxMops;
-    if (req.config.profileGuided) {
-        const support::Scope scope(support::Layer::kEmulateProfile);
-        // The profile pass only needs block counts, never the trace.
-        emulator.recordTrace = false;
-        const auto profile_run = sim::emulate(a.compiled.program,
-                                              a.compiled.data, emulator);
+    if (!req.config.profileGuided) {
+        const support::Scope scope(support::Layer::kEmulate);
+        emulator.recordTrace = req.request.has(ArtifactKind::kTrace);
+        a.execution = sim::emulate(a.compiled.program, a.compiled.data,
+                                   emulator);
         emulations_.fetch_add(1, std::memory_order_relaxed);
-        compiler::applyProfileAndRelayout(a.compiled,
-                                          profile_run.blockCounts,
-                                          req.config.compile.machine);
+        return;
     }
 
+    // The one emulation: the profile run keeps its trace, and the
+    // relaid-out program's execution is derived from it.
+    sim::EmulationResult profile_run;
+    std::vector<isa::BlockId> new_ids;
+    {
+        const support::Scope scope(support::Layer::kEmulateProfile);
+        profile_run = sim::emulate(a.compiled.program, a.compiled.data,
+                                   emulator);
+        emulations_.fetch_add(1, std::memory_order_relaxed);
+        new_ids = compiler::applyProfileAndRelayout(
+            a.compiled, profile_run.blockCounts,
+            req.config.compile.machine);
+    }
     const support::Scope scope(support::Layer::kEmulate);
     emulator.recordTrace = req.request.has(ArtifactKind::kTrace);
-    a.execution = sim::emulate(a.compiled.program, a.compiled.data,
-                               emulator);
-    emulations_.fetch_add(1, std::memory_order_relaxed);
+    a.execution = sim::deriveExecution(profile_run, new_ids,
+                                       a.compiled.program, emulator);
+    profile_run = {};  // freed under this scope, not the caller's
 }
 
 namespace {

@@ -71,7 +71,7 @@ struct EngineStats
     std::uint64_t cacheHits = 0;
     std::uint64_t cacheMisses = 0;
     std::uint64_t compiles = 0;
-    std::uint64_t emulations = 0;
+    std::uint64_t emulations = 0;     ///< real runs: one per program
     std::uint64_t baseImages = 0;
     std::uint64_t byteImages = 0;
     std::uint64_t streamImages = 0;   ///< counts individual configs
@@ -157,7 +157,11 @@ class ArtifactEngine
         std::shared_ptr<const Artifacts> artifacts;
     };
 
-    /** Shared compile + (profile) + emulate stage for one workload. */
+    /**
+     * Shared compile stage for one workload: compile, then emulate
+     * (single-pass) or profile-emulate, relay out and derive the new
+     * layout's execution from the profile run (profile-guided).
+     */
     void compileStage(Artifacts &artifacts, const BuildRequest &req);
 
     /**

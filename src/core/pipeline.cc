@@ -381,7 +381,7 @@ runFetch(const Artifacts &artifacts, fetch::SchemeClass scheme,
                 hs.functionNames.push_back(fn.name);
             hs.blockFunction.resize(sources.size());
             for (std::size_t b = 0; b < sources.size(); ++b)
-                hs.blockFunction[b] = sources[b].first;
+                hs.blockFunction[b] = sources[b].func;
         }
         recordHotMetrics(scheme, hs);
         fetch::hotstats::record(label, scheme, hs);

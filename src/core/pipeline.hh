@@ -9,7 +9,9 @@
  * parallelising across workloads and schemes. This header defines the
  * shared vocabulary:
  *
- *   compile (optionally profile-guided) -> emulate (trace + oracle)
+ *   compile (optionally profile-guided) -> emulate (trace + oracle;
+ *   a profile-guided build derives the relaid-out program's trace from
+ *   the profile run's)
  *   -> requested images only: baseline / Huffman byte / six streams /
  *   full / tailored ISA + image / ATT
  *

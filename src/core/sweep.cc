@@ -16,6 +16,7 @@
 #include "decoder/complexity.hh"
 #include "fetch/fetch_stages.hh"
 #include "fetch/lru_stack.hh"
+#include "support/cli.hh"
 #include "support/keys.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
@@ -574,6 +575,17 @@ SweepResult
 runSweep(ArtifactEngine &engine, const SweepOptions &options)
 {
     const auto start = std::chrono::steady_clock::now();
+
+    // One L1 holds sets x ways lines, counted in 32 bits below: bound
+    // the product by the cap every size flag has.
+    for (unsigned sets : options.grid.cacheSets) {
+        for (unsigned ways : options.grid.cacheWays) {
+            if (std::uint64_t(sets) * ways > support::cli::kMaxTableSize)
+                TEPIC_FATAL("sweep cache geometry ", sets, " sets x ",
+                            ways, " ways exceeds ",
+                            support::cli::kMaxTableSize, " lines");
+        }
+    }
 
     SweepResult out;
     out.grid = options.grid;

@@ -11,6 +11,11 @@
  * the workload suite) and produces the dynamic block trace that drives
  * every fetch/power simulation.
  *
+ * A profile-guided build emulates each program once: the profile run
+ * records its trace, and deriveExecution() turns that trace into the
+ * execution of the relaid-out program. emulate() stays the oracle the
+ * tests and `tepicc verify` hold the derivation to.
+ *
  * Conventions (must match the compiler):
  *  - r0 = 0, r30 = SP, r31 = link, p0 = true;
  *  - the link register holds *block ids*, not byte addresses (§3.3 of
@@ -35,12 +40,16 @@ struct TraceEvent
     isa::BlockId block;          ///< block that executed
     isa::BlockId next;           ///< block control went to
     bool branchTaken;            ///< via taken branch (vs fallthrough)
+
+    bool operator==(const TraceEvent &) const = default;
 };
 
 /** The dynamic block-level trace of one program run. */
 struct BlockTrace
 {
     std::vector<TraceEvent> events;
+
+    bool operator==(const BlockTrace &) const = default;
 };
 
 /** The emulated data memory; the stack starts at its top. */
@@ -60,12 +69,31 @@ struct EmulationResult
     std::uint64_t dynamicBlocks = 0;
     BlockTrace trace;
     std::vector<std::uint64_t> blockCounts;  ///< per block id
+
+    bool operator==(const EmulationResult &) const = default;
 };
 
 /** Run @p program to completion. */
 EmulationResult emulate(const isa::VliwProgram &program,
                         const compiler::DataSegment &data,
                         const EmulatorConfig &config = {});
+
+/**
+ * The execution of @p program, a relaid-out program, derived from
+ * @p profile, a traced run of its previous layout, instead of emulated.
+ *
+ * Relayout moves blocks and reschedules ops inside them; it never
+ * changes which emitted blocks run or in what order. So the new run
+ * follows from the profile trace and @p newIds, the old-id -> new-id
+ * map compiler::applyProfileAndRelayout() returns. The result equals
+ * emulate(program, data, config) in every field, event by event, and
+ * the call is fatal, with emulate()'s message, when its MOP total
+ * exceeds config.maxMops.
+ */
+EmulationResult deriveExecution(const EmulationResult &profile,
+                                const std::vector<isa::BlockId> &newIds,
+                                const isa::VliwProgram &program,
+                                const EmulatorConfig &config = {});
 
 } // namespace tepic::sim
 

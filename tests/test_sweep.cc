@@ -29,6 +29,7 @@
 #include "fetch/fetch_sim.hh"
 #include "fetch/fetch_stages.hh"
 #include "fetch/lru_stack.hh"
+#include "support/logging.hh"
 #include "support/rng.hh"
 #include "support/sweep.hh"
 #include "support/thread_pool.hh"
@@ -217,6 +218,28 @@ TEST(SweepDriver, CiGridMeetsTheFloor)
     const auto configs = core::sweep::expandConfigs(
         core::sweep::SweepGrid::ci());
     EXPECT_GE(configs.size(), 200u);  // the CI gate's floor
+}
+
+TEST(SweepDriver, RejectsGeometriesOverTheTableCap)
+{
+    // 65536 x 65536 lines wraps to 0 in 32 bits; 65536 x 2 does not
+    // wrap but still exceeds the cap.
+    core::ArtifactEngine engine(1);
+    for (unsigned ways : {2u, 65536u}) {
+        core::sweep::SweepOptions options;
+        options.grid.cacheSets = {65536};
+        options.grid.cacheWays = {1, ways};
+        try {
+            core::sweep::runSweep(engine, options);
+            ADD_FAILURE() << "65536 x " << ways << " was accepted";
+        } catch (const support::FatalError &error) {
+            EXPECT_EQ(error.message(),
+                      "sweep cache geometry 65536 sets x " +
+                          std::to_string(ways) +
+                          " ways exceeds 65536 lines");
+        }
+    }
+    EXPECT_EQ(engine.stats().compiles, 0u);
 }
 
 TEST(SweepDriver, StructureByteIdenticalAcrossJobs)

@@ -13,7 +13,11 @@
  *   tepicc verify     <prog>            round-trip + fetch self-check
  *   tepicc workloads                    list built-in workloads
  *
- * <prog> is a tinkerc file path or a built-in workload name.
+ * <prog> is a tinkerc file path or a built-in workload name. Every
+ * command but `ir` builds <prog> through the artifact engine, so it
+ * reads the profile-guided layout unless --no-pgo; `verify` also
+ * emulates that layout once more and exits 1 if the run differs from
+ * the execution the engine derived from the profile run.
  * Global flags: --no-pgo (single-pass layout), -O0 (optimiser off),
  * --trace=<file> (Chrome trace-event JSON for chrome://tracing or
  * Perfetto), --metrics=<file> (metrics registry JSON),
@@ -158,29 +162,13 @@ parseArgs(int argc, char **argv)
     return opts;
 }
 
-compiler::CompileOptions
-compileOptions(const Options &opts)
-{
-    compiler::CompileOptions options;
-    options.optimise = opts.optimise;
-    return options;
-}
-
 core::PipelineConfig
 pipelineConfig(const Options &opts)
 {
     core::PipelineConfig config;
     config.profileGuided = opts.pgo;
-    config.compile = compileOptions(opts);
+    config.compile.optimise = opts.optimise;
     return config;
-}
-
-/** <prog> compiled on its own, without the engine. */
-compiler::CompiledProgram
-compile(const Options &opts)
-{
-    return compiler::compileSource(loadSource(opts.positional[1]),
-                                   compileOptions(opts));
 }
 
 /** <prog>'s @p request built through the global engine and noted for
@@ -198,8 +186,8 @@ build(const Options &opts, core::ArtifactRequest request)
 int
 cmdRun(const Options &opts)
 {
-    auto compiled = compile(opts);
-    auto result = sim::emulate(compiled.program, compiled.data);
+    const auto built = build(opts, core::ArtifactRequest::none());
+    const auto &result = built->execution;
     std::printf("exit value: %d\n", result.exitValue);
     std::printf("dynamic: %lu ops, %lu MOPs, %lu blocks\n",
                 (unsigned long)result.dynamicOps,
@@ -211,8 +199,8 @@ cmdRun(const Options &opts)
 int
 cmdDisasm(const Options &opts)
 {
-    auto compiled = compile(opts);
-    std::fputs(compiled.program.toString().c_str(), stdout);
+    const auto built = build(opts, core::ArtifactRequest::none());
+    std::fputs(built->compiled.program.toString().c_str(), stdout);
     return 0;
 }
 
@@ -230,7 +218,8 @@ cmdIr(const Options &opts)
 int
 cmdStats(const Options &opts)
 {
-    auto compiled = compile(opts);
+    const auto built = build(opts, core::ArtifactRequest::none());
+    const auto &compiled = built->compiled;
     const auto &prog = compiled.program;
     std::printf("blocks:            %zu\n", prog.blocks().size());
     std::printf("ops:               %zu\n", prog.opCount());
@@ -315,7 +304,19 @@ cmdVerify(const Options &opts)
     std::printf("fetch: ok (%lu ops delivered by all three "
                 "organisations)\n",
                 (unsigned long)base.opsDelivered);
-    std::printf("exit value: %d\n", artifacts.execution.exitValue);
+    // The engine derives the relaid-out program's execution from the
+    // profile run; here the program itself runs once more.
+    const auto emulated = sim::emulate(artifacts.compiled.program,
+                                       artifacts.compiled.data);
+    if (emulated != artifacts.execution) {
+        std::printf("FAIL: the emulated execution differs from the "
+                    "engine's\n");
+        return 1;
+    }
+    std::printf("execution: ok (%lu blocks, emulated and engine "
+                "agree)\n",
+                (unsigned long)emulated.dynamicBlocks);
+    std::printf("exit value: %d\n", emulated.exitValue);
     return 0;
 }
 
@@ -334,8 +335,10 @@ cmdVerilog(const Options &opts)
 int
 cmdTrace(const Options &opts)
 {
-    auto compiled = compile(opts);
-    auto result = sim::emulate(compiled.program, compiled.data);
+    const auto built =
+        build(opts, core::ArtifactRequest{core::ArtifactKind::kTrace});
+    const auto &compiled = built->compiled;
+    const auto &result = built->execution;
     const std::size_t limit =
         std::min<std::size_t>(opts.traceEvents, result.trace.events.size());
     for (std::size_t i = 0; i < limit; ++i) {
