@@ -225,16 +225,11 @@ ReuseDistanceTracker::access(std::uint32_t block)
 }
 
 // ---------------------------------------------------------------------------
-// CacheStatsRecorder.
+// The two recorder halves: CacheStatsRecorder, CacheStreamRecorder.
 
 CacheStatsRecorder::CacheStatsRecorder(const CacheConfig &cache,
                                        std::uint64_t expectedEvents)
-    : clock_(CacheStats::kHeatmapEpochs, expectedEvents),
-      lru_({cache.sets * cache.ways}),
-      // Seed the position space with the cache's line capacity: the
-      // distinct-block count is unknown here and the tracker grows
-      // itself on compaction anyway.
-      reuse_(std::size_t(cache.sets) * cache.ways)
+    : clock_(CacheStats::kHeatmapEpochs, expectedEvents)
 {
     stats_.sets = cache.sets;
     stats_.ways = cache.ways;
@@ -246,47 +241,11 @@ CacheStatsRecorder::CacheStatsRecorder(const CacheConfig &cache,
 }
 
 void
-CacheStatsRecorder::beginFetch(std::uint64_t index, std::uint32_t block)
+CacheStatsRecorder::beginFetch(std::uint64_t index)
 {
     ++stats_.fetches;
-    const std::uint64_t distance = reuse_.access(block);
-    if (distance == ReuseDistanceTracker::kCold) {
-        ++stats_.reuseCold;
-    } else {
-        stats_.reuseMax = std::max(stats_.reuseMax, distance);
-        // bit_width(0) == 0: distance 0 keeps its own key.
-        ++reuseBins_[std::bit_width(distance)];
-    }
-    // The epoch of this fetch's L1 line events, from the trace index
-    // it starts at (never wall clock: the heatmaps must be
-    // bit-identical across --jobs).
+    // Its L1 line events' epoch, from its trace index (never wall clock).
     row_ = cells_.data() + std::size_t(clock_.at(index)) * stats_.sets;
-}
-
-void
-CacheStatsRecorder::onL1Access(std::uint32_t first, std::uint32_t last,
-                               bool hit)
-{
-    // Probe before touch (LruStack::access): a block's own earlier
-    // lines must not satisfy its later ones.
-    const std::uint32_t verdict = lru_.access(first, last);
-    ++stats_.accesses;
-    if (hit) {
-        ++stats_.hits;
-        return;
-    }
-    ++stats_.misses;
-    switch (classifyMiss(verdict, 0)) {
-      case MissClass::kCompulsory:
-        ++stats_.compulsory;
-        break;
-      case MissClass::kCapacity:
-        ++stats_.capacity;
-        break;
-      case MissClass::kConflict:
-        ++stats_.conflict;
-        break;
-    }
 }
 
 void
@@ -321,6 +280,7 @@ CacheStats
 CacheStatsRecorder::finish()
 {
     stats_.recorded = true;
+    stats_.accesses = stats_.hits + stats_.misses;
 
     // Fold the (epoch, set) cells into the heatmaps, the per-set
     // vectors and the line totals.
@@ -358,17 +318,51 @@ CacheStatsRecorder::finish()
                                                evictionUses_[uses]);
         }
     }
-    for (std::size_t key = 0; key < reuseBins_.size(); ++key) {
-        if (reuseBins_[key] != 0) {
-            stats_.reuseLog2Histogram.sample(std::int64_t(key),
-                                             reuseBins_[key]);
-        }
-    }
     stats_.residentAtEnd = stats_.lineFills - stats_.lineEvictions;
     TEPIC_ASSERT(stats_.residentAtEnd <=
                      std::uint64_t(stats_.sets) * stats_.ways,
                  "more resident lines than the cache holds");
     return std::move(stats_);
+}
+
+void
+CacheStreamRecorder::onFetch(std::uint32_t block)
+{
+    const std::uint64_t distance = reuse_.access(block);
+    if (distance == ReuseDistanceTracker::kCold) {
+        ++reuseCold_;
+    } else {
+        reuseMax_ = std::max(reuseMax_, distance);
+        // bit_width(0) == 0: distance 0 keeps its own key.
+        ++reuseBins_[std::bit_width(distance)];
+    }
+}
+
+void
+CacheStreamRecorder::onL1Access(std::uint32_t first, std::uint32_t last,
+                                bool hit)
+{
+    // Probe before touch (LruStack::access): a block's own earlier
+    // lines must not satisfy its later ones.
+    const std::uint32_t verdict = lru_.access(first, last);
+    if (!hit)
+        ++missClasses_[std::size_t(classifyMiss(verdict, 0))];
+}
+
+void
+CacheStreamRecorder::finish(CacheStats &record) const
+{
+    record.reuseCold = reuseCold_;
+    record.reuseMax = reuseMax_;
+    for (std::size_t key = 0; key < reuseBins_.size(); ++key) {
+        if (reuseBins_[key] != 0) {
+            record.reuseLog2Histogram.sample(std::int64_t(key),
+                                             reuseBins_[key]);
+        }
+    }
+    record.compulsory = missClasses_[std::size_t(MissClass::kCompulsory)];
+    record.capacity = missClasses_[std::size_t(MissClass::kCapacity)];
+    record.conflict = missClasses_[std::size_t(MissClass::kConflict)];
 }
 
 // ---------------------------------------------------------------------------

@@ -6,63 +6,35 @@
  * the classic 3C model and of reuse-distance profiling per Ozturk et
  * al., PAPERS.md).
  *
- * A CacheStatsRecorder records the memory stage of one simulateFetch()
- * run. It reads nothing from the control or cost stages, so the
- * kernel does not drive it: it observes the one memory walk on its
- * own thread (walkMemory(), fetch_stages.hh) as that walk's L1 line
- * observer. Per fetch the walk calls beginFetch() (reuse sample and
- * heatmap epoch), runs the L0/L1 access, then reports it through
- * onL0Bypass() or onL1Access(). The kernel joins the walk, copies its
- * own ATB totals into the record and checks that the record's L1/L0
- * counts equal its counters. The record covers all three fetch
- * paths:
+ * The kernel drives no recorder; a record has two halves. A
+ * CacheStatsRecorder, the L1 line observer of the one memory walk
+ * (walkMemory(), fetch_sim.cc), keeps what only the real L0/L1 give:
+ * per fetch the walk calls beginFetch() (heatmap epoch), then
+ * onL0Bypass() or onL1Access(). A CacheStreamRecorder, on a second
+ * reader of the walk's published stream, keeps the reuse distances
+ * and the 3C split. The kernel joins both, merges them, copies in its
+ * ATB totals and checks the L1/L0 counts against its own. Paths:
  *
- *  - L1 (BankedCache): every block miss is classified as exactly one
- *    of compulsory / capacity / conflict by a fetch::LruStack
- *    (lru_stack.hh) with the one capacity sets x ways. Compulsory =
- *    the block touches at least one never-before-seen line.
- *    Otherwise, if a fully-associative LRU cache of the same total
- *    line capacity holds the whole block, the set-associative cache
- *    lost it to mapping restrictions (conflict); if even that cache
- *    would have missed, the working set simply does not fit
- *    (capacity). Tiling invariant, TEPIC_ASSERTed by assertTiling()
- *    once the record is complete and fuzz-tested like the stall
- *    taxonomy:
+ *  - L1 (BankedCache): every block miss is exactly one of compulsory,
+ *    capacity or conflict, by a fetch::LruStack (lru_stack.hh): a
+ *    fully associative LRU (Mattson et al.) of sets x ways lines over
+ *    the L1 accesses. Compulsory = the block touches a never-seen
+ *    line; else conflict if that LRU holds the whole block (the set
+ *    mapping lost it), else capacity (the working set does not fit).
+ *    assertTiling() checks misses == compulsory + capacity + conflict
+ *    once the record is complete. Line fills, hits and evictions, with
+ *    the victim's use count so dead-on-fill lines are exact, arrive
+ *    through the CacheLineObserver interface (banked_cache.hh).
+ *  - Block stream: exact reuse distances (ReuseDistanceTracker) in a
+ *    log2 histogram; first touches count as cold.
+ *  - L0 / ATB: bypasses (the walk's) and translation hits/misses (the
+ *    kernel's totals), so a report shows what each level absorbed.
  *
- *        misses == compulsory + capacity + conflict
- *
- *    Per-line fill/hit/eviction events arrive through the
- *    CacheLineObserver interface (banked_cache.hh), which also
- *    carries the victim's use count so dead-on-fill lines (filled,
- *    never re-referenced, evicted) are counted exactly.
- *
- *  - Block stream: reuse distances (number of *distinct* blocks
- *    between consecutive accesses to the same block) via an
- *    Olken-style order-statistic structure — one bit per access
- *    position, a Fenwick tree over the 64-bit words' popcounts and
- *    periodic position compaction, O(log(B/64)) per access for B
- *    distinct blocks. Distances land in a log2 histogram; first
- *    touches count as cold.
- *
- *  - L0 / ATB: bypasses (counted on the walk) and translation
- *    hits/misses (the kernel's totals) so a CACHE report shows the
- *    traffic each level absorbed.
- *
- * Per-set occupancy is accumulated over time into epochs x sets
- * matrices (accesses / fills / evictions at line granularity) for
- * the tepic_reports.py heatmaps. The epoch of an event is derived from
- * its *index* in the trace (epoch_clock.hh), never from wall clock,
- * so every matrix is bit-identical for any --jobs value: line events
- * arrive during a fetch's L1 access, so beginFetch() sets the epoch
- * from the trace position the fetch starts at before that access.
- * Each line event bumps one counter of its (epoch, set) cell;
- * finish() derives the per-set vectors, the heatmaps and the line
- * totals from the cells.
- *
- * Determinism contract: everything a recorder produces is a pure
- * function of (trace, config) — the whole CACHE report is
- * exact-gated "structure", unlike prof/sched which carry wall-clock
- * sections.
+ * Line events also fill epochs x sets matrices (accesses / fills /
+ * evictions) for the tepic_reports.py heatmaps. An event's epoch comes
+ * from its fetch's trace index (epoch_clock.hh), never wall clock, so
+ * the whole record is a pure function of (trace, config): identical
+ * for any --jobs, and exact-gated "structure" in the CACHE report.
  *
  * Session layer: cachestats is the report_store.hh template over
  * CacheStats. core::reports starts its session, runFetch() records
@@ -237,7 +209,7 @@ class ReuseDistanceTracker
     void compact();
 };
 
-/** One simulation's recording hooks; see the file comment. */
+/** The memory walk's half of a record; see the file comment. */
 class CacheStatsRecorder final : public CacheLineObserver
 {
   public:
@@ -247,24 +219,15 @@ class CacheStatsRecorder final : public CacheLineObserver
     CacheStatsRecorder(const CacheStatsRecorder &) = delete;
     CacheStatsRecorder &operator=(const CacheStatsRecorder &) = delete;
 
-    /**
-     * The fetch of @p block starts at trace position @p index: its
-     * block-stream reuse sample, and the heatmap epoch its L1 line
-     * events land in. Call before the fetch's L1 access; fetches
-     * arrive in trace order.
-     */
-    void beginFetch(std::uint64_t index, std::uint32_t block);
+    /** A fetch starts at trace position @p index (in trace order,
+     *  before its L1 access): the heatmap epoch of its line events. */
+    void beginFetch(std::uint64_t index);
 
     /** The fetch was served by the L0 buffer; the L1 never saw it. */
     void onL0Bypass() { ++stats_.l0Bypasses; }
 
-    /**
-     * The fetch's L1 access over lines [first, last] and its outcome:
-     * the 3C classification of a miss. The LRU stack is
-     * recorder-private state, so running after the real access
-     * changes nothing.
-     */
-    void onL1Access(std::uint32_t first, std::uint32_t last, bool hit);
+    /** The fetch's L1 access hit or missed. */
+    void onL1Access(bool hit) { ++(hit ? stats_.hits : stats_.misses); }
 
     // CacheLineObserver (line granularity, from BankedCache).
     void onLineHit(std::uint64_t lineId, std::uint32_t set) override;
@@ -272,10 +235,9 @@ class CacheStatsRecorder final : public CacheLineObserver
     void onLineEvict(std::uint64_t lineId, std::uint32_t set,
                      std::uint64_t uses) override;
 
-    /**
-     * Seal the record: the derived fields. The ATB totals are the
-     * kernel's, so the caller sets them and then asserts the tiling.
-     */
+    /** Seal the walk's half: the derived fields. The caller adds the
+     *  stream's half and the kernel's ATB totals, then asserts the
+     *  tiling. */
     CacheStats finish();
 
   private:
@@ -295,16 +257,35 @@ class CacheStatsRecorder final : public CacheLineObserver
     std::vector<LineCell> cells_;
     /** The row of the fetch now accessing the L1 (beginFetch). */
     LineCell *row_ = nullptr;
-    /** Warm reuse samples by log2 key (0..64), folded into
-     *  reuseLog2Histogram by finish(). */
-    std::array<std::uint64_t, 65> reuseBins_{};
     /** Evictions by use count below the histogram's overflow (the
      *  dead-on-fill slot 0 comes from the cells), folded into
      *  evictionUseHistogram by finish(). */
     std::vector<std::uint64_t> evictionUses_;
+};
 
-    /** First touches and fully-associative residency, for 3C. */
-    LruStack lru_;
+/** The memory stream's half of a record; see the file comment. */
+class CacheStreamRecorder
+{
+  public:
+    /** The tracker's position space starts at the line capacity: the
+     *  distinct-block count is unknown, and compaction grows it. */
+    explicit CacheStreamRecorder(const CacheConfig &cache)
+        : lru_({cache.sets * cache.ways}),
+          reuse_(std::size_t(cache.sets) * cache.ways) {}
+
+    /** The fetch of @p block, in trace order: its reuse sample. */
+    void onFetch(std::uint32_t block);
+    /** A fetch the L0 did not serve: its L1 lines [first, last] and
+     *  whether they hit; a miss gets its 3C class. */
+    void onL1Access(std::uint32_t first, std::uint32_t last, bool hit);
+    /** Write the reuse and 3C fields into the walk's @p record. */
+    void finish(CacheStats &record) const;
+
+  private:
+    std::uint64_t reuseCold_ = 0, reuseMax_ = 0;
+    std::array<std::uint64_t, 65> reuseBins_{};  ///< warm, by log2 key
+    std::array<std::uint64_t, 3> missClasses_{};  ///< by MissClass
+    LruStack lru_;  ///< first touches and FA residency, for 3C
     ReuseDistanceTracker reuse_;
 };
 

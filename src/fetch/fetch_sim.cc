@@ -1,5 +1,6 @@
 #include "fetch/fetch_sim.hh"
 
+#include <functional>
 #include <future>
 #include <optional>
 #include <span>
@@ -11,6 +12,15 @@
 
 namespace tepic::fetch {
 
+namespace {
+
+/**
+ * The one L0/L1 walk of a simulation: the fetches of @p events, walked
+ * as the kernel walks them, through an L0 and an L1 of its own, each
+ * outcome put into @p stream for its readers. With recordCacheStats a
+ * CacheStatsRecorder observes the walk and its half of the record is
+ * returned. If it throws, it publishes kFailed first.
+ */
 CacheStats
 walkMemory(std::span<const sim::TraceEvent> events,
            const AttEntry *entries,
@@ -35,19 +45,17 @@ walkMemory(std::span<const sim::TraceEvent> events,
         for (std::size_t first = 0; first < events.size();) {
             const isa::BlockId head = events[first].block;
             const std::size_t last = walkUnit(events, first, units).last;
-            const FetchTable::Lines &request = lines[head];
             if (recorder)
-                recorder->beginFetch(first, head);
+                recorder->beginFetch(first);
             const MemoryOutcome mem = accessMemory(
                 config, buffer, cache, head, entries[head].numOps,
-                request);
+                lines[head]);
             MemoryStream::put(outcomes, first, mem);
             if (recorder) {
                 if (mem.l0Hit)
                     recorder->onL0Bypass();
                 else
-                    recorder->onL1Access(request.first, request.last,
-                                         mem.l1Hit);
+                    recorder->onL1Access(mem.l1Hit);
             }
             first = last + 1;
             if (++fetches % MemoryStream::kChunk == 0)
@@ -61,6 +69,50 @@ walkMemory(std::span<const sim::TraceEvent> events,
     }
 }
 
+/** The record's other half: the stream's second reader walks the
+ *  fetches as walkMemory() does, feeding a CacheStreamRecorder; it
+ *  stops if the walk fails (the kernel then rethrows). */
+CacheStreamRecorder
+readMemoryStream(std::span<const sim::TraceEvent> events,
+                 std::span<const FetchTable::Lines> lines,
+                 const FetchUnits *units, const CacheConfig &cache,
+                 const MemoryStream &stream)
+{
+    CacheStreamRecorder record(cache);
+    std::size_t published = 0;  // fetches entering before it are out
+    for (std::size_t first = 0; first < events.size();) {
+        const isa::BlockId head = events[first].block;
+        const std::size_t last = walkUnit(events, first, units).last;
+        record.onFetch(head);
+        if (first >= published &&
+            (published = stream.await(first)) == MemoryStream::kFailed)
+            break;
+        if (const MemoryOutcome mem = stream.at(first); !mem.l0Hit)
+            record.onL1Access(lines[head].first, lines[head].last,
+                              mem.l1Hit);
+        first = last + 1;
+    }
+    return record;
+}
+
+/** @p work(@p args...) on a thread of its own, its CPU charged to the
+ *  same PROF fetch entry as the kernel's (core::runFetch). */
+template <typename Work, typename... Args>
+auto
+launchCharged(SchemeClass scheme, Work work, Args... args)
+{
+    return std::async(std::launch::async, [scheme, work, args...] {
+        const std::uint64_t cpu_begin = support::prof::threadCpuNowNs();
+        auto result = work(args...);
+        support::prof::chargeFetchCpu(
+            schemeClassName(scheme),
+            support::prof::threadCpuNowNs() - cpu_begin);
+        return result;
+    });
+}
+
+} // namespace
+
 FetchStats
 simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
               const sim::BlockTrace &trace, const FetchConfig &config)
@@ -73,31 +125,22 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
     // reloaded after each).
     const std::span<const sim::TraceEvent> events = trace.events;
 
-    // The memory stage is the one L0/L1 walk: it runs on its own
-    // thread beside the kernel, which reads each fetch's outcome from
-    // the stream and is left with control, cost, the decode touch and
-    // the hot hook. The walk captures copies only — the event span,
-    // the ATT entries, the table's line spans, the partition and the
-    // config — plus the stream, and reads heap data the kernel never
-    // writes: reading the kernel's stack would share its cache lines.
-    // Declared after everything it captures, so an exception out of
-    // the loop joins it before any of that is destroyed. Its thread's
-    // CPU is charged to the same PROF fetch entry as the kernel's
-    // (core::runFetch).
+    // The memory stage is the one L0/L1 walk on its own thread; the
+    // kernel reads each outcome from the stream and keeps control,
+    // cost, the decode touch and the hot hook. A recorded run adds the
+    // stream's second reader. Both take copies and the stream only,
+    // and read heap data the kernel never writes (its stack would
+    // share its cache lines). Declared after everything they read, so
+    // an exception out of the loop joins them first.
     MemoryStream memory(events.size());
-    std::future<CacheStats> memory_walk = std::async(
-        std::launch::async,
-        [events, entries = att.entries().data(), lines = table.lines(),
-         units, config, &memory] {
-            const std::uint64_t cpu_begin =
-                support::prof::threadCpuNowNs();
-            CacheStats record =
-                walkMemory(events, entries, lines, units, config, memory);
-            support::prof::chargeFetchCpu(
-                schemeClassName(config.scheme),
-                support::prof::threadCpuNowNs() - cpu_begin);
-            return record;
-        });
+    std::future<CacheStats> memory_walk = launchCharged(
+        config.scheme, walkMemory, events, att.entries().data(),
+        table.lines(), units, config, std::ref(memory));
+    std::future<CacheStreamRecorder> stream_reader;
+    if (config.recordCacheStats)
+        stream_reader = launchCharged(config.scheme, readMemoryStream,
+                                      events, table.lines(), units,
+                                      config.cache, std::cref(memory));
 
     // The control and cost stages of fetch_stages.hh, composed per
     // fetch with the memory stage's published outcome.
@@ -188,11 +231,10 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
         stats.hotStats = hot_stats->finish();
     CacheStats &cs = stats.cacheStats = memory_walk.get();
     if (cs.recorded) {
+        stream_reader.get().finish(cs);
         // The record must have seen the kernel's memory stream.
         TEPIC_ASSERT(cs.fetches == stats.fetches &&
                          cs.l0Bypasses == stats.l0Hits &&
-                         cs.accesses == stats.l1Hits + stats.l1Misses -
-                                            stats.l0Hits &&
                          cs.hits == stats.l1Hits - stats.l0Hits &&
                          cs.misses == stats.l1Misses,
                      "the CACHE record disagrees with the kernel's "

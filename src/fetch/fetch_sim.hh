@@ -17,12 +17,12 @@
  * cost (cycle model, counters, bus). Every completed fetch is then
  * handed to the hot recorder, the kernel's one per-fetch hook
  * (FetchObservation, hot_stats.hh). The memory stage is the one
- * memory walk on its own thread: walkMemory() (fetch_stages.hh) runs
- * the L0 and the L1 over the fetches beside the kernel, which reads
- * each fetch's outcome once it is published. The CACHE record reads
- * only that stage, so it is not a hook: its recorder rides the walk,
- * and simulateFetch joins it, adds the kernel's ATB totals and checks
- * its L1/L0 counts against the kernel's.
+ * memory walk on its own thread: walkMemory() runs the L0 and the L1
+ * over the fetches beside the kernel, which reads each fetch's outcome
+ * once it is published. The CACHE record reads only that stage, so it
+ * is not a hook: its L0/L1 half rides the walk, its reuse and 3C half
+ * a second reader of the published outcomes (a third thread), and
+ * simulateFetch merges them and checks them against its counters.
  */
 
 #ifndef TEPIC_FETCH_FETCH_SIM_HH
@@ -59,8 +59,8 @@ struct FetchConfig
     CyclePenalties penalties;
     /**
      * Record cache behavior (cache_stats.hh: 3C, reuse distances,
-     * per-set heatmaps; observed on the one memory walk on its own
-     * thread) and dynamic program behavior (hot_stats.hh: block
+     * per-set heatmaps; read off the memory walk on two threads of
+     * their own) and dynamic program behavior (hot_stats.hh: block
      * hotness, branch sites, phases; a per-fetch hook). Purely
      * observational, so every other stat is the same either way.
      */

@@ -25,12 +25,12 @@
  *
  * simulateFetch() is the per-fetch composition control → memory →
  * cost, with the hot recorder after the cost stage. The memory stage
- * needs nothing from the other two, so it is the one memory walk on
- * its own thread: walkMemory() runs walkUnit() and accessMemory() over
- * the simulation's only L0 and L1 beside the kernel and hands each
- * outcome over through a MemoryStream, and the CACHE recorder, when
- * on, observes that walk. FetchTable holds what every stage reads per
- * head and is built once per simulation.
+ * needs nothing from the other two, so it is one walk on its own
+ * thread (fetch_sim.cc) over the simulation's only L0 and L1, handing
+ * each outcome over through a MemoryStream. A recorded simulation runs
+ * three threads: the walk also carries the CACHE record's L0/L1 half,
+ * and a second reader of the stream its reuse and 3C half
+ * (cache_stats.hh). FetchTable holds what every stage reads per head.
  * The per-fetch entry points are always_inline (left to its own
  * heuristics the compiler calls the cost stage out of line), and the
  * stages read the simulation's FetchConfig and borrow the L1, the L0
@@ -276,12 +276,12 @@ accessMemory(const FetchConfig &config, L0Buffer &l0, BankedCache &l1,
 
 /**
  * The memory stage's outcome of every fetch of one simulation, handed
- * from the memory walk (walkMemory) to the kernel's loop on another
- * thread. The walk writes each fetch's outcome at the trace position
- * the fetch enters at, and publishes how far it has written (release
- * order) every kChunk fetches and at its end; the kernel acquires that
- * index and waits only when it has caught up with it. The walk never
- * waits on the kernel.
+ * from the memory walk to its readers on other threads: the kernel,
+ * and the CACHE record's stream reader. The walk writes each outcome
+ * at the trace position the fetch enters at, and publishes how far it
+ * has written (release order) every kChunk fetches and at its end; a
+ * reader acquires that index and waits only when it has caught up
+ * with it. The walk never waits on a reader.
  */
 class MemoryStream
 {
@@ -310,15 +310,15 @@ class MemoryStream
     }
 
     /** Walk side: every fetch entering before @p end is written, or
-     *  (kFailed) the walk stopped on an exception. */
+     *  (kFailed) the walk stopped on an exception. Wakes every reader. */
     void
     publish(std::size_t end)
     {
         ready_.store(end, std::memory_order_release);
-        ready_.notify_one();
+        ready_.notify_all();
     }
 
-    /** Kernel side: wait until the fetch entering at @p index is
+    /** Reader side: wait until the fetch entering at @p index is
      *  published; returns the published index (kFailed if the walk
      *  threw). */
     std::size_t
@@ -332,7 +332,7 @@ class MemoryStream
         return ready;
     }
 
-    /** Kernel side: a published outcome. */
+    /** Reader side: a published outcome. */
     [[gnu::always_inline]] MemoryOutcome
     at(std::size_t index) const
     {
@@ -347,26 +347,6 @@ class MemoryStream
      *  stack, beside locals the kernel writes every fetch. */
     alignas(64) std::atomic<std::size_t> ready_{0};
 };
-
-/**
- * The one L0/L1 walk of a simulation: the fetches of @p events, walked
- * as the kernel walks them (walkUnit), through an L0 buffer and an L1
- * of its own under @p config, each outcome put into @p stream. With
- * config.recordCacheStats a CacheStatsRecorder observes the same walk
- * — beginFetch(), the L1's line observer, then onL0Bypass() or
- * onL1Access() — and its record is returned; otherwise an unrecorded
- * CacheStats. @p entries and
- * @p lines are the simulation's ATT entries and FetchTable spans,
- * indexed by block id. simulateFetch runs it on its own thread, so
- * everything it reads is a copy or heap data the kernel never writes.
- * If it throws, it publishes MemoryStream::kFailed first. The ATB
- * totals of the record are left to the caller.
- */
-CacheStats walkMemory(std::span<const sim::TraceEvent> events,
-                      const AttEntry *entries,
-                      std::span<const FetchTable::Lines> lines,
-                      const FetchUnits *units, const FetchConfig &config,
-                      MemoryStream &stream);
 
 /** What one fetch delivers: the shape the cost stage charges. */
 struct FetchShape

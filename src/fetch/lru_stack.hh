@@ -18,7 +18,7 @@
  * and the line's old zone then overflows by one and hands its last
  * node to the next zone: one move plus at most K marker shifts.
  *
- * It is the 3C classifier of the CACHE recorder (cache_stats.hh, one
+ * It is the 3C classifier of CacheStreamRecorder (cache_stats.hh, one
  * capacity) and of the sweep (core/sweep.cc, every L1 geometry of an
  * access stream). access() probes every line of the block before it
  * touches any (a block's own earlier lines must not satisfy its later

@@ -47,24 +47,27 @@ using namespace tepic;
 using fetch::CacheConfig;
 using fetch::CacheStats;
 using fetch::CacheStatsRecorder;
+using fetch::CacheStreamRecorder;
 using fetch::ReuseDistanceTracker;
 using fetch::SchemeClass;
 
 /**
- * A BankedCache with its recorder attached, driven the way
- * fetch::walkMemory drives them: every access is one fetch — its
- * beginFetch, an L1 block access, then the access's outcome.
+ * A BankedCache with both halves of the recorder attached, driven the
+ * way simulateFetch drives them: every access is one fetch of its own
+ * block — the walk's beginFetch and the stream's reuse sample, an L1
+ * block access, then the access's outcome to each half.
  */
 struct Rig
 {
     fetch::BankedCache cache;
     CacheStatsRecorder rec;
+    CacheStreamRecorder stream;
     std::uint32_t lineBytes;
     std::uint32_t nextFetch = 0;
 
     explicit Rig(const CacheConfig &config,
                  std::uint64_t expected_events = 1024)
-        : cache(config), rec(config, expected_events),
+        : cache(config), rec(config, expected_events), stream(config),
           lineBytes(config.lineBytes)
     {
         cache.setObserver(&rec);
@@ -75,10 +78,12 @@ struct Rig
     {
         const std::uint32_t first = addr / lineBytes;
         const std::uint32_t last = (addr + size - 1) / lineBytes;
-        rec.beginFetch(nextFetch, nextFetch);
+        rec.beginFetch(nextFetch);
+        stream.onFetch(nextFetch);
         ++nextFetch;
         const bool hit = cache.accessLines(first, last);
-        rec.onL1Access(first, last, hit);
+        rec.onL1Access(hit);
+        stream.onL1Access(first, last, hit);
         return hit;
     }
 
@@ -88,6 +93,7 @@ struct Rig
     finish()
     {
         CacheStats stats = rec.finish();
+        stream.finish(stats);
         stats.atbHits = stats.fetches;
         stats.assertTiling();
         return stats;
@@ -453,10 +459,10 @@ expectFormulaEpochs(std::uint64_t expected_events,
         oracle.epoch = formulaEpoch(pos, epochs, expected_events);
         const auto first = std::uint32_t(rng.below(24));
         const std::uint32_t last = first + std::uint32_t(rng.below(3));
-        rec.beginFetch(pos, std::uint32_t(i));
+        rec.beginFetch(pos);
         const bool hit = cache.accessLines(first, last);
         reference.accessLines(first, last);
-        rec.onL1Access(first, last, hit);
+        rec.onL1Access(hit);
         pos += blocks[i];
     }
     const CacheStats stats = rec.finish();
@@ -582,11 +588,12 @@ struct SimFixture
 
 /**
  * A trace that enters a fetch unit off its head trips the kernel's
- * walk, and the memory thread's, on their first fetch. The memory
- * thread runs in every simulation, so with recording on or off the
- * panic must reach the caller as std::logic_error and never hang:
- * a failed walk publishes its failure, and the kernel's unwinding
- * joins the thread rather than abandoning it (which would
+ * walk, the memory thread's and (recording on) the stream reader's on
+ * their first fetch. The memory thread runs in every simulation, so
+ * with recording on or off the panic must reach the caller as
+ * std::logic_error and never hang: a failed walk publishes its
+ * failure, which releases every reader, and the kernel's unwinding
+ * joins both threads rather than abandoning them (which would
  * std::terminate).
  */
 TEST(FetchSimCacheStats, KernelPanicJoinsReplay)
@@ -752,12 +759,12 @@ expectSameRecord(const CacheStats &got, const CacheStats &want)
 }
 
 /**
- * The record of the memory thread's walk against the kernel and a
- * serial oracle, under plain fetch and multi-block fetch units (with
- * side exits), for base and compressed (the L0 path): its L1/L0
+ * The record of the memory walk and the stream reader against the
+ * kernel and a serial oracle, under plain fetch and multi-block fetch
+ * units (with side exits), for base and compressed (the L0 path): its L1/L0
  * counts must equal the kernel's counters, and the whole record must
- * equal one CacheStatsRecorder driven here, fetch by fetch, over its
- * own L0 buffer and L1.
+ * equal the two recorder halves driven here, fetch by fetch, over one
+ * L0 buffer and L1 of the test's own.
  */
 TEST(FetchSimCacheStats, UnitsReplayMatchesKernel)
 {
@@ -801,6 +808,7 @@ TEST(FetchSimCacheStats, UnitsReplayMatchesKernel)
             fetch::L0Buffer l0(config.l0CapacityOps);
             fetch::BankedCache l1(config.cache);
             CacheStatsRecorder oracle(config.cache, events.size());
+            CacheStreamRecorder stream_oracle(config.cache);
             l1.setObserver(&oracle);
             for (std::size_t first = 0; first < events.size();) {
                 const isa::BlockId head = events[first].block;
@@ -815,7 +823,8 @@ TEST(FetchSimCacheStats, UnitsReplayMatchesKernel)
                         ++last;
                 }
                 const fetch::AttEntry &entry = att.entry(head);
-                oracle.beginFetch(first, head);
+                oracle.beginFetch(first);
+                stream_oracle.onFetch(head);
                 if (scheme == SchemeClass::kCompressed &&
                     l0.access(head, entry.numOps)) {
                     oracle.onL0Bypass();
@@ -825,12 +834,14 @@ TEST(FetchSimCacheStats, UnitsReplayMatchesKernel)
                     const std::uint32_t line_last =
                         (entry.byteAddress + entry.byteSize - 1) /
                         line_bytes;
-                    oracle.onL1Access(line_first, line_last,
-                                      l1.accessLines(line_first, line_last));
+                    const bool hit = l1.accessLines(line_first, line_last);
+                    oracle.onL1Access(hit);
+                    stream_oracle.onL1Access(line_first, line_last, hit);
                 }
                 first = last + 1;
             }
             CacheStats want = oracle.finish();
+            stream_oracle.finish(want);
             want.atbHits = stats.atbHits;
             want.atbMisses = stats.atbMisses;
             expectSameRecord(cs, want);

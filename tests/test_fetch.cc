@@ -3,11 +3,17 @@
  * Fetch-subsystem tests: the Table-1 cycle model (checked cell by
  * cell against the paper), the banked cache's restricted-placement
  * behaviour, the L0 buffer, the ATB with its coupled predictor,
- * end-to-end fetch-simulation invariants, and the kernel's handoff
- * from its memory thread against the stages composed serially.
+ * end-to-end fetch-simulation invariants, the kernel's handoff from
+ * its memory thread against the stages composed serially, and the
+ * memory stream releasing every reader when the walk fails.
  */
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <chrono>
+#include <future>
+#include <thread>
 
 #include "compiler/driver.hh"
 #include "core/artifact_engine.hh"
@@ -874,6 +880,42 @@ TEST(FetchSim, MemoryHandoffMatchesSerialStages)
             }
         }
     }
+}
+
+/**
+ * A recorded simulation has two readers of its memory stream, the
+ * kernel and the CACHE stream reader. When the walk fails, its one
+ * publish(kFailed) must release both: a reader left waiting would
+ * hang the simulation.
+ */
+TEST(MemoryStream, FailureReleasesEveryReader)
+{
+    using fetch::MemoryStream;
+    MemoryStream stream(4);
+    std::atomic<int> started{0};
+    const auto reader = [&] {
+        ++started;
+        return stream.await(0);
+    };
+    auto first = std::async(std::launch::async, reader);
+    auto second = std::async(std::launch::async, reader);
+    while (started.load() < 2)
+        std::this_thread::yield();
+    // Give both time to block in wait(); a reader that has not yet
+    // waited sees kFailed at once, so the test cannot pass falsely.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    stream.publish(MemoryStream::kFailed);
+    const auto released = [](std::future<std::size_t> &f) {
+        return f.wait_for(std::chrono::seconds(10)) ==
+               std::future_status::ready;
+    };
+    const bool both = released(first) && released(second);
+    // A stuck reader would block its future's destructor for good.
+    for (int i = 0; !both && i < 2; ++i)
+        stream.publish(MemoryStream::kFailed);
+    ASSERT_TRUE(both) << "publish(kFailed) left a reader waiting";
+    EXPECT_EQ(first.get(), MemoryStream::kFailed);
+    EXPECT_EQ(second.get(), MemoryStream::kFailed);
 }
 
 } // namespace
