@@ -25,6 +25,7 @@
 #include "huffman/huffman.hh"
 #include "support/logging.hh"
 #include "support/table.hh"
+#include "support/text_file.hh"
 #include "workloads/workload.hh"
 
 namespace {
@@ -47,10 +48,9 @@ loadSource(const std::string &arg)
     return buffer.str();
 }
 
-} // namespace
-
+/** The explorer; main() then checks standard output. */
 int
-main(int argc, char **argv)
+explore(int argc, char **argv)
 {
     using tepic::support::TextTable;
 
@@ -148,4 +148,13 @@ main(int argc, char **argv)
     }
     std::printf("%s", formats.render().c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return tepic::support::stdoutStatus("compression_explorer",
+                                        explore(argc, argv));
 }

@@ -16,6 +16,7 @@
 #include "core/pipeline.hh"
 #include "support/cli.hh"
 #include "support/table.hh"
+#include "support/text_file.hh"
 #include "workloads/workload.hh"
 
 namespace {
@@ -116,5 +117,5 @@ main(int argc, char **argv)
                 "IPC %.3f)\n",
                 double(artifacts.execution.dynamicOps) /
                     double(artifacts.execution.dynamicMops));
-    return 0;
+    return tepic::support::stdoutStatus("fetch_pipeline_sim", 0);
 }

@@ -19,6 +19,7 @@
 
 #include "core/artifact_engine.hh"
 #include "support/table.hh"
+#include "support/text_file.hh"
 
 int
 main()
@@ -100,5 +101,5 @@ main()
                           stats.predictionAccuracy(), 1)});
     }
     std::printf("%s", fetch.render().c_str());
-    return 0;
+    return tepic::support::stdoutStatus("quickstart", 0);
 }

@@ -64,5 +64,5 @@ main(int argc, char **argv)
     } else {
         std::fputs(verilog.c_str(), stdout);
     }
-    return 0;
+    return tepic::support::stdoutStatus("tailored_decoder_gen", 0);
 }

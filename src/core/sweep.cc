@@ -9,7 +9,6 @@
 #include <numeric>
 #include <optional>
 #include <set>
-#include <span>
 #include <tuple>
 
 #include "core/pipeline.hh"
@@ -265,7 +264,7 @@ recordAccessStream(const sim::BlockTrace &trace,
                    const std::vector<fetch::CacheConfig> &geometries,
                    bool record_3c)
 {
-    const std::span<const sim::TraceEvent> events = trace.events;
+    const sim::TraceView events = trace.view();
     const fetch::Att &att = table.att();
     AccessStream access;
     access.l0Hit = zeroBits(events.size());
@@ -289,7 +288,7 @@ recordAccessStream(const sim::BlockTrace &trace,
     }
 
     for (std::size_t f = 0; f < events.size(); ++f) {
-        const isa::BlockId head = events[f].block;
+        const isa::BlockId head = events.block(f);
         const fetch::AttEntry &entry = att.entry(head);
         const fetch::FetchTable::Lines &lines = table.lines(head);
         access.mops += entry.numMops;
@@ -339,7 +338,7 @@ foldPoint(const ControlStream &control, const AccessStream &access,
           const GeometryStream &geometry, const sim::BlockTrace &trace,
           fetch::FetchTable &table, const fetch::FetchConfig &config)
 {
-    const std::span<const sim::TraceEvent> events = trace.events;
+    const sim::TraceView events = trace.view();
     fetch::FoldCounts n;
     n.mops = access.mops;
     n.l1Misses = geometry.l1Misses;
@@ -358,7 +357,7 @@ foldPoint(const ControlStream &control, const AccessStream &access,
         for (std::uint64_t any = uploads | missed; any != 0;
              any &= any - 1) {
             const int b = std::countr_zero(any);
-            const isa::BlockId head = events[w * 64 + unsigned(b)].block;
+            const isa::BlockId head = events.block(w * 64 + unsigned(b));
             if ((uploads >> b) & 1)
                 table.sendUpload(head, bus);
             if ((missed >> b) & 1)
@@ -464,13 +463,13 @@ recordControlStream(const fetch::Att &att, const sim::BlockTrace &trace,
                     unsigned atb_entries,
                     const fetch::PredictorConfig &predictor)
 {
-    const std::span<const sim::TraceEvent> events = trace.events;
+    const sim::TraceView events = trace.view();
     ControlStream out;
     out.atbMiss = zeroBits(events.size());
     out.mispredict = zeroBits(events.size());
     fetch::ControlStage control(att, atb_entries, predictor);
     for (std::size_t f = 0; f < events.size(); ++f) {
-        const sim::TraceEvent &event = events[f];
+        const sim::TraceEvent event = events.event(f);
         const fetch::ControlOutcome ctl = control.enter(event.block);
         putBit(out.atbMiss, f, !ctl.atbHit);
         putBit(out.mispredict, f, !ctl.predictionCorrect);

@@ -22,7 +22,7 @@ namespace {
  * returned. If it throws, it publishes kFailed first.
  */
 CacheStats
-walkMemory(std::span<const sim::TraceEvent> events,
+walkMemory(sim::TraceView events,
            const AttEntry *entries,
            std::span<const FetchTable::Lines> lines,
            const FetchUnits *units, const FetchConfig &config,
@@ -43,7 +43,7 @@ walkMemory(std::span<const sim::TraceEvent> events,
         std::uint8_t *const outcomes = stream.outcomes();
         std::size_t fetches = 0;
         for (std::size_t first = 0; first < events.size();) {
-            const isa::BlockId head = events[first].block;
+            const isa::BlockId head = events.block(first);
             const std::size_t last = walkUnit(events, first, units).last;
             if (recorder)
                 recorder->beginFetch(first);
@@ -73,7 +73,7 @@ walkMemory(std::span<const sim::TraceEvent> events,
  *  fetches as walkMemory() does, feeding a CacheStreamRecorder; it
  *  stops if the walk fails (the kernel then rethrows). */
 CacheStreamRecorder
-readMemoryStream(std::span<const sim::TraceEvent> events,
+readMemoryStream(sim::TraceView events,
                  std::span<const FetchTable::Lines> lines,
                  const FetchUnits *units, const CacheConfig &cache,
                  const MemoryStream &stream)
@@ -81,7 +81,7 @@ readMemoryStream(std::span<const sim::TraceEvent> events,
     CacheStreamRecorder record(cache);
     std::size_t published = 0;  // fetches entering before it are out
     for (std::size_t first = 0; first < events.size();) {
-        const isa::BlockId head = events[first].block;
+        const isa::BlockId head = events.block(first);
         const std::size_t last = walkUnit(events, first, units).last;
         record.onFetch(head);
         if (first >= published &&
@@ -120,10 +120,10 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
     const FetchUnits *units = config.units;
     const Att att = Att::build(image, program, units);
     FetchTable table(att, image, config.cache.lineBytes);
-    // A local view: its pointer and size stay in registers across the
-    // opaque calls in the loop (a reference to the vector would be
-    // reloaded after each).
-    const std::span<const sim::TraceEvent> events = trace.events;
+    // A local view of the trace words: its pointer and size stay in
+    // registers across the opaque calls in the loop (a reference to the
+    // vector would be reloaded after each).
+    const sim::TraceView events = trace.view();
 
     // The memory stage is the one L0/L1 walk on its own thread; the
     // kernel reads each outcome from the stream and keeps control,
@@ -162,18 +162,18 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
     std::size_t published = 0;  // fetches entering before it are out
 
     for (std::size_t first = 0; first < events.size();) {
-        const isa::BlockId head = events[first].block;
+        const isa::BlockId head = events.block(first);
         const AttEntry &entry = att.entry(head);
         const FetchTable::Lines &lines = table.lines(head);
 
         const auto [last, side_exit] = walkUnit(events, first, units);
-        const sim::TraceEvent &exit = events[last];
+        const isa::BlockId exit_block = events.block(last);
         FetchShape shape{entry.numMops, entry.numOps, lines.count(),
                          std::uint32_t(last - first + 1)};
         if (side_exit) {
             // A partial traversal delivers only the walked blocks.
             shape.mops = shape.ops = 0;
-            for (isa::BlockId b = head; b <= exit.block; ++b) {
+            for (isa::BlockId b = head; b <= exit_block; ++b) {
                 shape.mops += image.blocks[b].numMops;
                 shape.ops += image.blocks[b].numOps;
             }
@@ -193,7 +193,7 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
         // from the cache. Outside the architectural model by
         // construction — nothing below reads the decoded ops.
         if (config.decodedBlocks != nullptr) {
-            for (isa::BlockId b = head; b <= exit.block; ++b)
+            for (isa::BlockId b = head; b <= exit_block; ++b)
                 config.decodedBlocks->ops(b);
         }
 
@@ -203,7 +203,8 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
 
         if (side_exit)
             ++stats.sideExits;
-        const bool next_correct = control.leave(head, exit, side_exit);
+        const bool next_correct =
+            control.leave(head, events.event(last), side_exit);
 
         if (hot_stats) {
             FetchObservation fetch;
@@ -213,7 +214,7 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
             fetch.cycles = std::uint32_t(shape.mops + stall);
             fetch.stallCycles = std::uint32_t(stall);
             fetch.mispredictStall = std::uint32_t(causes.mispredict);
-            fetch.branchTaken = exit.branchTaken;
+            fetch.branchTaken = events.taken(last);
             fetch.nextPredictionCorrect = next_correct;
             hot_stats->onFetch(fetch);
         }

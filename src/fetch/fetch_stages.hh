@@ -175,25 +175,21 @@ struct UnitWalk
  * (@p units null) the walk is the head alone.
  */
 [[gnu::always_inline]] inline UnitWalk
-walkUnit(std::span<const sim::TraceEvent> events, std::size_t first,
+walkUnit(sim::TraceView events, std::size_t first,
          const FetchUnits *units)
 {
     if (!units)
         return {first, false};
-    const isa::BlockId head = events[first].block;
+    const isa::BlockId head = events.block(first);
     TEPIC_ASSERT(units->isHead(head),
                  "entered a fetch unit off its head (side "
                  "entrance?) at block ", head);
     const isa::BlockId tail = head + units->lengthOf[head] - 1;
     std::size_t last = first;
-    while (events[last].block != tail &&
-           events[last].next == events[last].block + 1) {
-        TEPIC_ASSERT(last + 1 < events.size() &&
-                         events[last + 1].block == events[last].next,
-                     "trace discontinuity");
+    while (events.block(last) != tail && last + 1 < events.size() &&
+           events.block(last + 1) == events.block(last) + 1)
         ++last;
-    }
-    return {last, events[last].block != tail};
+    return {last, events.block(last) != tail};
 }
 
 /** The control stage's verdict on one fetch. */
@@ -230,7 +226,7 @@ class ControlStage
      * predicted correctly.
      */
     [[gnu::always_inline]] bool
-    leave(isa::BlockId head, const sim::TraceEvent &exit, bool side_exit)
+    leave(isa::BlockId head, sim::TraceEvent exit, bool side_exit)
     {
         nextCorrect_ = !side_exit && atb_.predictNext(head) == exit.next;
         atb_.update(head, exit.branchTaken, exit.next);

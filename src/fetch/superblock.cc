@@ -12,10 +12,10 @@ formFetchUnits(const isa::VliwProgram &program,
     // Dynamic side-exit bias per block.
     std::vector<std::uint64_t> exec(n, 0);
     std::vector<std::uint64_t> taken(n, 0);
-    for (const auto &ev : trace.events) {
-        ++exec[ev.block];
-        if (ev.branchTaken)
-            ++taken[ev.block];
+    const sim::TraceView events = trace.view();
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        ++exec[events.block(i)];
+        taken[events.block(i)] += events.taken(i);
     }
 
     // Static predecessor counts (side entrances are forbidden).

@@ -62,7 +62,9 @@ deriveExecution(const EmulationResult &profile,
                 const EmulatorConfig &config)
 {
     const auto &blocks = program.blocks();
-    const auto &events = profile.trace.events;
+    const TraceView events = profile.trace.view();
+    TEPIC_ASSERT(blocks.size() <= TraceView::kMaxBlocks, "program has ",
+                 blocks.size(), " blocks, more than a trace word holds");
     TEPIC_ASSERT(newIds.size() == profile.blockCounts.size(),
                  "relayout map covers ", newIds.size(), " blocks, the "
                  "profile ", profile.blockCounts.size());
@@ -108,21 +110,20 @@ deriveExecution(const EmulationResult &profile,
     }
 
     for (std::size_t i = 0; i < events.size(); ++i) {
-        const TraceEvent &ev = events[i];
-        const isa::BlockId block = newIds[ev.block];
+        const isa::BlockId block = newIds[events.block(i)];
         if (block == isa::kNoBlock)
             continue;  // an old stub: the event before reached past it
-        isa::BlockId dest = ev.next;
+        isa::BlockId dest = events.next(i);
         if (dest != compiler::kHaltBlockId) {
             dest = newIds[dest];
             if (dest == isa::kNoBlock)  // through an old stub: its jump
-                dest = newIds[events[i + 1].next];
+                dest = newIds[events.next(i + 1)];
         }
         const BlockShape &shape = shapes[block];
         bool taken = true;
         if (shape.exit != Exit::kAlways) {
             taken = shape.exit == Exit::kConditional &&
-                    (shape.sidesMeet ? ev.branchTaken
+                    (shape.sidesMeet ? events.taken(i)
                                      : dest == shape.branchTarget);
             TEPIC_ASSERT(dest == (taken ? shape.branchTarget : shape.reach),
                          "block ", blocks[block].label, " cannot reach ",
@@ -132,13 +133,11 @@ deriveExecution(const EmulationResult &profile,
         if (!taken && shape.stubFallthrough) {
             ++result.blockCounts[shape.fallthrough];
             if (record_trace) {
-                result.trace.events.push_back(
-                    {block, shape.fallthrough, false});
-                result.trace.events.push_back(
-                    {shape.fallthrough, dest, true});
+                result.trace.push(block, false);
+                result.trace.push(shape.fallthrough, true);
             }
         } else if (record_trace) {
-            result.trace.events.push_back({block, dest, taken});
+            result.trace.push(block, taken);
         }
     }
 

@@ -269,6 +269,9 @@ class Machine
             const EmulatorConfig &config)
         : program_(program), config_(config)
     {
+        TEPIC_ASSERT(program.blocks().size() <= TraceView::kMaxBlocks,
+                     "program has ", program.blocks().size(),
+                     " blocks, more than a trace word holds");
         memory_.assign(kMemoryBytes, 0);
         TEPIC_ASSERT(data.base + data.bytes.size() <= memory_.size(),
                      "data segment does not fit in memory");
@@ -641,7 +644,7 @@ enter_block:
         TEPIC_ASSERT(next != isa::kNoBlock, "fell off block ", cur, " (",
                      program_.block(cur).label, ") with no successor");
         if (record_trace)
-            result.trace.events.push_back({cur, next, taken});
+            result.trace.push(cur, taken);
         cur = next;
         goto enter_block;
     }

@@ -9,7 +9,9 @@
  * construction. The emulator both validates compiled programs (its
  * exit value is checked against native reference implementations in
  * the workload suite) and produces the dynamic block trace that drives
- * every fetch/power simulation.
+ * every fetch/power simulation: one 32-bit word per dynamic block, the
+ * block id and whether a taken branch left it (TraceWord), with the
+ * successor implied by the word that follows.
  *
  * A profile-guided build emulates each program once: the profile run
  * records its trace, and deriveExecution() turns that trace into the
@@ -26,6 +28,7 @@
 #ifndef TEPIC_SIM_EMULATOR_HH
 #define TEPIC_SIM_EMULATOR_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -34,7 +37,10 @@
 
 namespace tepic::sim {
 
-/** One dynamic block execution. */
+/**
+ * One dynamic block execution, as read from a trace by value
+ * (TraceView::event()); no trace stores it.
+ */
 struct TraceEvent
 {
     isa::BlockId block;          ///< block that executed
@@ -44,10 +50,61 @@ struct TraceEvent
     bool operator==(const TraceEvent &) const = default;
 };
 
+/**
+ * One dynamic block of a trace: the block id in the low 31 bits, the
+ * taken flag in bit 31. The successor is not stored: it is the next
+ * word's block, or kHaltBlockId after the last word.
+ */
+using TraceWord = std::uint32_t;
+static_assert(sizeof(TraceWord) == 4, "one 32-bit word per block");
+
+/** A read-only view of a trace's words: a pointer and a size, which a
+ *  loop keeps in registers. */
+class TraceView
+{
+  public:
+    static constexpr TraceWord kTakenBit = TraceWord(1) << 31;
+    /** Block ids a trace can hold: those below the taken bit. */
+    static constexpr std::size_t kMaxBlocks = kTakenBit;
+
+    TraceView(const TraceWord *words, std::size_t size)
+        : words_(words), size_(size) {}
+
+    std::size_t size() const { return size_; }
+
+    isa::BlockId block(std::size_t i) const
+    {
+        return words_[i] & ~kTakenBit;
+    }
+    bool taken(std::size_t i) const { return (words_[i] & kTakenBit) != 0; }
+    isa::BlockId next(std::size_t i) const
+    {
+        return i + 1 < size_ ? block(i + 1) : compiler::kHaltBlockId;
+    }
+    TraceEvent event(std::size_t i) const
+    {
+        return {block(i), next(i), taken(i)};
+    }
+
+  private:
+    const TraceWord *words_;
+    std::size_t size_;
+};
+
 /** The dynamic block-level trace of one program run. */
 struct BlockTrace
 {
-    std::vector<TraceEvent> events;
+    /** One word per dynamic block, in execution order. */
+    std::vector<TraceWord> events;
+
+    /** Append a run of @p block, left by a taken branch iff @p taken;
+     *  @p block must be below TraceView::kMaxBlocks. */
+    void push(isa::BlockId block, bool taken)
+    {
+        events.push_back(block | (taken ? TraceView::kTakenBit : 0));
+    }
+    TraceView view() const { return {events.data(), events.size()}; }
+    TraceEvent event(std::size_t i) const { return view().event(i); }
 
     bool operator==(const BlockTrace &) const = default;
 };

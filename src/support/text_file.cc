@@ -31,4 +31,16 @@ writeTextFile(const std::string &path, const std::string &text,
     return true;
 }
 
+int
+stdoutStatus(const char *prog, int status)
+{
+    // As above, a buffered write fails only at the flush; an earlier
+    // failed write leaves the stream's error flag set (and errno long
+    // since overwritten, so no reason is given).
+    if (std::fflush(stdout) == 0 && !std::ferror(stdout))
+        return status;
+    std::fprintf(stderr, "%s: cannot write standard output\n", prog);
+    return 1;
+}
+
 } // namespace tepic::support

@@ -349,6 +349,87 @@ packDigitsAndReturn(isa::VliwBlock &blk,
 
 } // namespace
 
+// ---- the packed block trace ----
+
+TEST(BlockTrace, PushReadsBackEveryField)
+{
+    sim::BlockTrace trace;
+    trace.push(3, false);
+    trace.push(4, true);
+    trace.push(9, true);
+    const sim::TraceView view = trace.view();
+    ASSERT_EQ(view.size(), 3u);
+    ASSERT_EQ(trace.events.size(), 3u);
+    EXPECT_EQ(view.block(0), 3u);
+    EXPECT_FALSE(view.taken(0));
+    EXPECT_EQ(view.next(0), 4u);
+    EXPECT_EQ(view.block(1), 4u);
+    EXPECT_TRUE(view.taken(1));
+    EXPECT_EQ(view.next(1), 9u);
+    EXPECT_EQ(trace.event(0), (sim::TraceEvent{3, 4, false}));
+    EXPECT_EQ(trace.event(1), (sim::TraceEvent{4, 9, true}));
+    EXPECT_EQ(view.event(1), trace.event(1));
+}
+
+TEST(BlockTrace, LastSuccessorIsTheHaltId)
+{
+    sim::BlockTrace trace;
+    trace.push(7, true);
+    EXPECT_EQ(trace.view().next(0), compiler::kHaltBlockId);
+    EXPECT_EQ(trace.event(0),
+              (sim::TraceEvent{7, compiler::kHaltBlockId, true}));
+}
+
+TEST(BlockTrace, TakenBitKeptAtTheLargestId)
+{
+    constexpr isa::BlockId kLargest =
+        isa::BlockId(sim::TraceView::kMaxBlocks - 1);
+    sim::BlockTrace trace;
+    trace.push(kLargest, true);
+    trace.push(kLargest, false);
+    trace.push(0, true);
+    const sim::TraceView view = trace.view();
+    EXPECT_EQ(view.block(0), kLargest);
+    EXPECT_TRUE(view.taken(0));
+    EXPECT_EQ(view.next(0), kLargest);
+    EXPECT_EQ(view.block(1), kLargest);
+    EXPECT_FALSE(view.taken(1));
+    EXPECT_EQ(view.next(1), 0u);
+    EXPECT_EQ(view.block(2), 0u);
+    EXPECT_TRUE(view.taken(2));
+}
+
+TEST(BlockTrace, EqualityComparesBlocksAndTakenFlags)
+{
+    sim::BlockTrace a, b;
+    EXPECT_EQ(a, b);
+    a.push(1, true);
+    b.push(1, true);
+    EXPECT_EQ(a, b);
+    sim::BlockTrace other_flag, other_block, longer = a;
+    other_flag.push(1, false);
+    other_block.push(2, true);
+    longer.push(2, false);
+    EXPECT_NE(a, other_flag);
+    EXPECT_NE(a, other_block);
+    EXPECT_NE(a, longer);
+}
+
+TEST(BlockTrace, PrefixEndsInHalt)
+{
+    sim::BlockTrace trace;
+    for (isa::BlockId b : {0u, 1u, 2u, 1u, 2u, 5u})
+        trace.push(b, b == 2);
+    const sim::BlockTrace prefix{
+        {trace.events.begin(), trace.events.begin() + 3}};
+    ASSERT_EQ(prefix.events.size(), 3u);
+    for (std::size_t i = 0; i < 2; ++i)
+        EXPECT_EQ(prefix.event(i), trace.event(i)) << "event " << i;
+    EXPECT_EQ(trace.event(2), (sim::TraceEvent{2, 1, true}));
+    EXPECT_EQ(prefix.event(2),
+              (sim::TraceEvent{2, compiler::kHaltBlockId, true}));
+}
+
 TEST(Emulator, PredicatedOpsMerge)
 {
     // p1 = (0 != 0) = false; r3 = 7; r3 = 9 if p1 -> stays 7.

@@ -603,12 +603,14 @@ TEST(FetchSimCacheStats, KernelPanicJoinsReplay)
     unit_config.maxBlocks = 4;
     const fetch::FetchUnits units = fetch::formFetchUnits(
         fx.compiled.program, fx.emu.trace, unit_config);
-    const auto &events = fx.emu.trace.events;
-    const auto member = std::find_if(
-        events.begin(), events.end(),
-        [&](const sim::TraceEvent &e) { return !units.isHead(e.block); });
-    ASSERT_NE(member, events.end()) << "no multi-block unit formed";
-    const sim::BlockTrace side_entered{{member, events.end()}};
+    const sim::TraceView events = fx.emu.trace.view();
+    std::size_t member = 0;
+    while (member < events.size() && units.isHead(events.block(member)))
+        ++member;
+    ASSERT_NE(member, events.size()) << "no multi-block unit formed";
+    const auto &words = fx.emu.trace.events;
+    const sim::BlockTrace side_entered{
+        {words.begin() + std::ptrdiff_t(member), words.end()}};
 
     for (auto scheme : {SchemeClass::kBase, SchemeClass::kCompressed}) {
         for (const bool record : {false, true}) {
@@ -770,7 +772,7 @@ TEST(FetchSimCacheStats, UnitsReplayMatchesKernel)
 {
     SimFixture fx;
     const isa::VliwProgram &program = fx.compiled.program;
-    const auto &events = fx.emu.trace.events;
+    const sim::TraceView events = fx.emu.trace.view();
     fetch::FetchUnitConfig unit_config;
     unit_config.maxBlocks = 4;
     const fetch::FetchUnits units =
@@ -811,15 +813,15 @@ TEST(FetchSimCacheStats, UnitsReplayMatchesKernel)
             CacheStreamRecorder stream_oracle(config.cache);
             l1.setObserver(&oracle);
             for (std::size_t first = 0; first < events.size();) {
-                const isa::BlockId head = events[first].block;
+                const isa::BlockId head = events.block(first);
                 // A unit streams on along its fallthrough chain up to
                 // its tail.
                 std::size_t last = first;
                 if (partition) {
                     const isa::BlockId tail =
                         head + partition->lengthOf[head] - 1;
-                    while (events[last].block != tail &&
-                           events[last].next == events[last].block + 1)
+                    while (events.block(last) != tail &&
+                           events.next(last) == events.block(last) + 1)
                         ++last;
                 }
                 const fetch::AttEntry &entry = att.entry(head);
@@ -872,7 +874,7 @@ TEST(WholeRecord, MatchesANaiveRebuildOfTheTrace)
             {core::ArtifactKind::kBase, core::ArtifactKind::kFull,
              core::ArtifactKind::kTailored, core::ArtifactKind::kTrace});
         const isa::VliwProgram &program = artifacts->compiled.program;
-        const auto &events = artifacts->trace().events;
+        const sim::TraceView events = artifacts->trace().view();
         const std::uint64_t n = events.size();
 
         // Plain fetch: one fetch per trace event, so the reuse stream
@@ -880,9 +882,9 @@ TEST(WholeRecord, MatchesANaiveRebuildOfTheTrace)
         std::vector<std::uint32_t> recency;  // most recent first
         std::map<std::int64_t, std::uint64_t> reuse_bins;
         std::uint64_t reuse_cold = 0, reuse_max = 0;
-        for (const sim::TraceEvent &event : events) {
-            const auto it =
-                std::find(recency.begin(), recency.end(), event.block);
+        for (std::size_t i = 0; i < n; ++i) {
+            const isa::BlockId block = events.block(i);
+            const auto it = std::find(recency.begin(), recency.end(), block);
             if (it == recency.end()) {
                 ++reuse_cold;
             } else {
@@ -894,7 +896,7 @@ TEST(WholeRecord, MatchesANaiveRebuildOfTheTrace)
                 ++reuse_bins[key];
                 recency.erase(it);
             }
-            recency.insert(recency.begin(), event.block);
+            recency.insert(recency.begin(), block);
         }
 
         for (auto scheme :
@@ -941,7 +943,7 @@ TEST(WholeRecord, MatchesANaiveRebuildOfTheTrace)
                 std::size_t(phase_epochs) * statics, 0);
             std::vector<std::uint64_t> block_fetches(statics, 0);
             for (std::uint64_t i = 0; i < n; ++i) {
-                const isa::BlockId block = events[i].block;
+                const isa::BlockId block = events.block(i);
                 const fetch::AttEntry &entry = att.entry(block);
                 oracle.epoch = formulaEpoch(i, heat_epochs, n);
                 const bool l0_hit =

@@ -297,18 +297,15 @@ TEST(CompileSmoke, TraceIsConsistent)
     )");
     auto result = tepic::sim::emulate(compiled.program, compiled.data);
     EXPECT_EQ(result.exitValue, 45);
-    ASSERT_FALSE(result.trace.events.empty());
-    // Every event's `next` matches the following event's block.
-    for (std::size_t i = 0; i + 1 < result.trace.events.size(); ++i) {
-        EXPECT_EQ(result.trace.events[i].next,
-                  result.trace.events[i + 1].block);
-    }
-    EXPECT_EQ(result.trace.events.front().block,
-              compiled.program.entry());
+    const tepic::sim::TraceView trace = result.trace.view();
+    ASSERT_NE(trace.size(), 0u);
+    EXPECT_EQ(trace.block(0), compiled.program.entry());
+    // The run ends in main's return, a taken branch into the halt id.
+    EXPECT_TRUE(trace.taken(trace.size() - 1));
     // Block counts agree with the trace.
     std::vector<std::uint64_t> counts(compiled.program.blocks().size());
-    for (const auto &ev : result.trace.events)
-        ++counts[ev.block];
+    for (std::size_t i = 0; i < trace.size(); ++i)
+        ++counts[trace.block(i)];
     EXPECT_EQ(counts, result.blockCounts);
 }
 

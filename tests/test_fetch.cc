@@ -731,13 +731,13 @@ serialFetch(const isa::Image &image, const isa::VliwProgram &program,
     power::BusModel bus(fetch::kBusWidthBytes);
     fetch::CostStage cost(config, table, bus);
     fetch::FetchStats stats;
-    const auto &events = trace.events;
+    const sim::TraceView events = trace.view();
     for (std::size_t first = 0; first < events.size();) {
-        const isa::BlockId head = events[first].block;
+        const isa::BlockId head = events.block(first);
         const fetch::AttEntry &entry = att.entry(head);
         const auto [last, side_exit] =
             fetch::walkUnit(events, first, config.units);
-        const sim::TraceEvent &exit = events[last];
+        const sim::TraceEvent exit = events.event(last);
         fetch::FetchShape shape{entry.numMops, entry.numOps,
                                 table.lines(head).count(),
                                 std::uint32_t(last - first + 1)};
@@ -767,14 +767,16 @@ serialFetch(const isa::Image &image, const isa::VliwProgram &program,
 }
 
 /** The events of the first @p fetches fetches of @p trace under
- *  @p units (fewer if the trace runs out). */
+ *  @p units (fewer if the trace runs out). Like every trace, the
+ *  prefix ends in the halt id: its last fetch leaves to kHaltBlockId,
+ *  not to the block that followed it in @p trace. */
 sim::BlockTrace
 firstFetches(const sim::BlockTrace &trace, const fetch::FetchUnits *units,
              std::size_t fetches)
 {
     std::size_t end = 0;
     for (std::size_t n = 0; n < fetches && end < trace.events.size(); ++n)
-        end = fetch::walkUnit(trace.events, end, units).last + 1;
+        end = fetch::walkUnit(trace.view(), end, units).last + 1;
     return {{trace.events.begin(),
              trace.events.begin() + std::ptrdiff_t(end)}};
 }

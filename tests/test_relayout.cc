@@ -47,11 +47,13 @@ expectSameExecution(const sim::EmulationResult &derived,
     ASSERT_EQ(a.size(), b.size());
     const auto [da, db] = std::mismatch(a.begin(), a.end(), b.begin());
     if (da != a.end()) {
-        ADD_FAILURE() << "event " << (da - a.begin()) << ": derived {"
-                      << da->block << ", " << da->next << ", "
-                      << da->branchTaken << "}, emulated {" << db->block
-                      << ", " << db->next << ", " << db->branchTaken
-                      << "}";
+        const std::size_t i = std::size_t(da - a.begin());
+        const sim::TraceEvent d = derived.trace.event(i);
+        const sim::TraceEvent e = emulated.trace.event(i);
+        ADD_FAILURE() << "event " << i << ": derived {" << d.block << ", "
+                      << d.next << ", " << d.branchTaken
+                      << "}, emulated {" << e.block << ", " << e.next
+                      << ", " << e.branchTaken << "}";
     }
     EXPECT_TRUE(derived == emulated);
 }
@@ -216,8 +218,8 @@ struct Relaid
              const sim::EmulationResult &result)
     {
         std::uint64_t runs = 0;
-        for (const auto &ev : result.trace.events)
-            runs += source[ev.block].stub;
+        for (std::size_t i = 0; i < result.trace.events.size(); ++i)
+            runs += source[result.trace.event(i).block].stub;
         return runs;
     }
 
@@ -226,7 +228,8 @@ struct Relaid
     eventsOf(std::uint32_t local) const
     {
         std::vector<sim::TraceEvent> out;
-        for (const auto &ev : derived.trace.events) {
+        for (std::size_t i = 0; i < derived.trace.events.size(); ++i) {
+            const sim::TraceEvent ev = derived.trace.event(i);
             const auto &origin = compiled.blockSource[ev.block];
             if (origin.local == local && !origin.stub)
                 out.push_back(ev);

@@ -147,10 +147,9 @@ parseArgs(int argc, char **argv)
     return opts;
 }
 
-} // namespace
-
+/** The sweep; main() then checks standard output. */
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     const Options opts = parseArgs(argc, argv);
 
@@ -199,4 +198,12 @@ main(int argc, char **argv)
                     (unsigned long long)a.busBitFlips);
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return support::stdoutStatus("tepic-sweep", run(argc, argv));
 }

@@ -49,6 +49,7 @@
 #include "support/metrics.hh"
 #include "support/profiler.hh"
 #include "support/table.hh"
+#include "support/text_file.hh"
 #include "support/trace.hh"
 #include "workloads/workload.hh"
 
@@ -342,7 +343,7 @@ cmdTrace(const Options &opts)
     const std::size_t limit =
         std::min<std::size_t>(opts.traceEvents, result.trace.events.size());
     for (std::size_t i = 0; i < limit; ++i) {
-        const auto &ev = result.trace.events[i];
+        const sim::TraceEvent ev = result.trace.event(i);
         const auto &blk = compiled.program.block(ev.block);
         std::printf("%6zu  B%-5u %-24s -> B%-5u %s\n", i, ev.block,
                     blk.label.c_str(), ev.next,
@@ -398,10 +399,9 @@ finalizeObservability(const Options &opts)
     return ok;
 }
 
-} // namespace
-
+/** The command line's work; main() then checks standard output. */
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     const Options opts = parseArgs(argc, argv);
     if (opts.positional.empty())
@@ -442,4 +442,12 @@ main(int argc, char **argv)
     if (!finalizeObservability(opts))
         return 1;
     return status;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return support::stdoutStatus("tepicc", run(argc, argv));
 }
