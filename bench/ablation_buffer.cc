@@ -58,21 +58,6 @@ printAblation()
                 "should stay flat)\n");
 }
 
-void
-BM_L0Buffer(benchmark::State &state)
-{
-    const auto &a = bench::allArtifacts().front().artifacts();
-    auto config = fetch::FetchConfig::paper(SchemeClass::kCompressed);
-    config.l0CapacityOps = unsigned(state.range(0));
-    for (auto _ : state) {
-        auto stats =
-            core::runFetch(a, SchemeClass::kCompressed, config);
-        benchmark::DoNotOptimize(stats.cycles);
-    }
-}
-BENCHMARK(BM_L0Buffer)->Arg(8)->Arg(32)->Arg(128)
-    ->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 TEPIC_BENCH_MAIN(printAblation,

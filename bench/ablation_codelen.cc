@@ -69,25 +69,6 @@ printAblation()
                 "profile)\n");
 }
 
-void
-BM_PackageMerge(benchmark::State &state)
-{
-    const auto &program =
-        bench::allArtifacts().front().artifacts().compiled.program;
-    huffman::SymbolHistogram hist;
-    for (const auto &blk : program.blocks())
-        for (const auto &mop : blk.mops)
-            for (const auto &op : mop.ops())
-                hist.add(op.encode());
-    for (auto _ : state) {
-        auto table = huffman::CodeTable::build(
-            hist, unsigned(state.range(0)));
-        benchmark::DoNotOptimize(table.size());
-    }
-}
-BENCHMARK(BM_PackageMerge)->Arg(12)->Arg(16)->Arg(20)
-    ->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 TEPIC_BENCH_MAIN(printAblation,

@@ -112,17 +112,6 @@ printAblation()
                  (unsigned long long)stats.huffmanImages());
 }
 
-void
-BM_HoistPass(benchmark::State &state)
-{
-    const auto &source = workloads::workloadByName("gcc").source;
-    for (auto _ : state) {
-        auto compiled = compiler::compileSource(source);
-        benchmark::DoNotOptimize(compiled.hoistStats.hoistedOps);
-    }
-}
-BENCHMARK(BM_HoistPass)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 TEPIC_BENCH_MAIN(printAblation, std::nullopt)

@@ -86,18 +86,6 @@ printAblation()
                 "decoder-stage penalty exposure — §7's conjecture)\n");
 }
 
-void
-BM_GsharePredictor(benchmark::State &state)
-{
-    const auto &a = bench::allArtifacts().front().artifacts();
-    for (auto _ : state) {
-        auto stats = runWith(a, SchemeClass::kBase,
-                             PredictorKind::kGshare);
-        benchmark::DoNotOptimize(stats.cycles);
-    }
-}
-BENCHMARK(BM_GsharePredictor)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 TEPIC_BENCH_MAIN(printAblation,

@@ -98,18 +98,6 @@ printAblation()
                 "are rare)\n");
 }
 
-void
-BM_UnitFormation(benchmark::State &state)
-{
-    const auto &a = bench::allArtifacts().front().artifacts();
-    for (auto _ : state) {
-        auto units = fetch::formFetchUnits(a.compiled.program,
-                                           a.execution.trace);
-        benchmark::DoNotOptimize(units.units);
-    }
-}
-BENCHMARK(BM_UnitFormation)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 TEPIC_BENCH_MAIN(printAblation,

@@ -4,21 +4,18 @@
  * parallel artifact engine. Every bench binary follows the same
  * pattern:
  *
- *   1. parse the shared CLI layer (BenchOptions) through support/cli.hh
- *      before google-benchmark sees argv; a rejected flag or value,
- *      unknown workloads and artefact kinds included, exits 2,
+ *   1. parse the shared CLI layer (BenchOptions) through support/cli.hh;
+ *      a rejected flag, value or argument, unknown workloads and
+ *      artefact kinds included, exits 2,
  *   2. build the requested artefacts for the requested workloads —
- *      up front, in main, so build logging never interleaves with
- *      benchmark output and build failures surface before timings,
+ *      up front, in main, so build failures surface before any row
+ *      is printed,
  *   3. print the reproduced table/figure rows (the deliverable),
  *   4. snapshot observability: write every core::reports report,
  *      --metrics=/BENCH_<name>.json/BENCH_fetch.json and print the
- *      engine cache summary to stderr (before the timing loops run,
- *      so the deterministic metric sections are untouched by
- *      machine-dependent iteration counts),
- *   5. hand control to google-benchmark for the timing section, then
- *      flush the --trace= file (timed loops are included in traces —
- *      traces are wall-clock data anyway).
+ *      engine cache summary to stderr,
+ *   5. flush the --trace= and --prof-collapse= files and exit 1 if
+ *      any output, standard output included, could not be written.
  *
  * Each binary declares the artefact kinds it consumes via
  * TEPIC_BENCH_MAIN's request argument and the engine builds nothing
@@ -30,9 +27,6 @@
 #ifndef TEPIC_BENCH_COMMON_HH
 #define TEPIC_BENCH_COMMON_HH
 
-#include <benchmark/benchmark.h>
-
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -50,12 +44,13 @@
 #include "support/profiler.hh"
 #include "support/stats.hh"
 #include "support/table.hh"
+#include "support/text_file.hh"
 #include "support/trace.hh"
 #include "workloads/workload.hh"
 
 namespace tepic::bench {
 
-/** The shared CLI layer, parsed before google-benchmark init. */
+/** The shared CLI layer. */
 struct BenchOptions
 {
     /// --workloads= in order; the full suite when not given.
@@ -73,7 +68,7 @@ inline std::string
 benchUsage(const std::string &bench_name)
 {
     return "usage: " + bench_name +
-           " [options] [--benchmark_* flags]\n"
+           " [options]\n"
            "  --workloads=a,b       run a workload subset (default: all)\n"
            "  --schemes=s1,s2       artefact kinds to build (see\n"
            "                        core::ArtifactRequest::parse)\n"
@@ -83,28 +78,25 @@ benchUsage(const std::string &bench_name)
            "  --prof-collapse=FILE  sample the run; write FlameGraph\n"
            "                        collapsed stacks\n"
            "  --log-level=LEVEL     debug|info|warn|error|none\n"
-           "  --help                print this and exit\n"
-           "Unrecognised --flags are an error; google-benchmark's own\n"
-           "--benchmark_* and --v= flags pass through untouched.\n";
+           "  --help                print this and exit\n";
 }
 
 /**
- * Parse and strip the harness flags from argv, leaving
- * google-benchmark's. `--schemes=` replaces the binary's default
+ * Parse the harness flags. `--schemes=` replaces the binary's default
  * request but inherits its trace bit (traces are an input of the
  * fetch sims, not a scheme a user would think to list). A rejected
- * flag or value — an unknown workload or artefact kind included —
- * exits 2.
+ * flag or value — an unknown workload or artefact kind included — or
+ * any other argument exits 2.
  */
 inline BenchOptions
-parseBenchOptions(int *argc, char **argv,
+parseBenchOptions(int argc, char **argv,
                   core::ArtifactRequest default_request)
 {
     namespace cli = support::cli;
     BenchOptions options;
     options.request = default_request;
     // argv[0]'s basename is the canonical bench name.
-    if (*argc > 0)
+    if (argc > 0)
         options.benchName = std::filesystem::path(argv[0]).filename();
     if (options.benchName.empty())
         options.benchName = "bench";
@@ -129,14 +121,13 @@ parseBenchOptions(int *argc, char **argv,
         {"--help",
          [&](const std::string &) {
              std::fputs(usage.c_str(), stdout);
-             std::exit(0);
+             std::exit(support::stdoutStatus(options.benchName.c_str(), 0));
          }},
     };
     cli::checked(options.benchName, usage, [&] {
-        const auto rest =
-            cli::parse(*argc, argv, flags, cli::googleBenchmarkArg);
-        *argc = 1 + int(rest.size());
-        std::copy(rest.begin(), rest.end(), argv + 1);
+        for (const char *arg : cli::parse(argc, argv, flags))
+            throw cli::UsageError("unexpected argument '" +
+                                  std::string(arg) + "'");
     });
     if (options.workloads.empty()) {
         for (const auto &w : workloads::allWorkloads())
@@ -193,8 +184,8 @@ benchEngine()
 /**
  * Build the requested artefacts for every selected workload, batched
  * through the engine. Called from TEPIC_BENCH_MAIN before any table
- * printing or benchmark registration; all logging goes to stderr so
- * stdout tables stay byte-identical across --jobs values.
+ * printing; all logging goes to stderr so stdout tables stay
+ * byte-identical across --jobs values.
  */
 inline void
 buildAllArtifacts(const BenchOptions &options)
@@ -240,10 +231,8 @@ buildAllArtifacts(const BenchOptions &options)
  * report them: a human summary on stderr, every core::reports report
  * (<KIND>_<name>.json) in the working directory, `--metrics=` JSON if
  * asked for, BENCH_<name>.json, and BENCH_fetch.json whenever the
- * binary ran fetch simulations. Ends the report sessions, so it must
- * run before google-benchmark's timed loops — they re-run fetch sims
- * with machine-dependent iteration counts, which would poison the
- * deterministic counter section. Returns false if a write failed.
+ * binary ran fetch simulations. Ends the report sessions. Returns
+ * false if a write failed.
  */
 inline bool
 reportBenchSummary(const BenchOptions &options)
@@ -300,15 +289,15 @@ findArtifacts(const std::string &name)
 /**
  * The bench main: parse the shared CLI layer, start the report
  * sessions, build @p request's artefacts (no engine at all when it is
- * nullopt), run @p print_fn, report, then run the timings. Exits 1
- * when a requested output could not be written.
+ * nullopt), run @p print_fn, then report. Exits 1 when a requested
+ * output or standard output could not be written.
  */
 inline int
 benchMain(int argc, char **argv, void (*print_fn)(),
           std::optional<core::ArtifactRequest> request)
 {
     const BenchOptions &options = detail::state().options =
-        parseBenchOptions(&argc, argv,
+        parseBenchOptions(argc, argv,
                           request.value_or(core::ArtifactRequest{}));
     core::reports::startSessions(options.jobs);
     if (!options.profCollapsePath.empty())
@@ -319,15 +308,13 @@ benchMain(int argc, char **argv, void (*print_fn)(),
         buildAllArtifacts(options);
     print_fn();
     bool ok = reportBenchSummary(options);
-    ::benchmark::Initialize(&argc, argv);
-    ::benchmark::RunSpecifiedBenchmarks();
     if (!options.tracePath.empty())
         ok = support::trace::stop() && ok;
     if (!options.profCollapsePath.empty()) {
         support::prof::stopSampling();
         ok = support::prof::writeCollapsed(options.profCollapsePath) && ok;
     }
-    return ok ? 0 : 1;
+    return support::stdoutStatus(options.benchName.c_str(), ok ? 0 : 1);
 }
 
 /** Standard bench main over benchMain() and the engine. */

@@ -136,43 +136,6 @@ printFigure5()
                 dict.render().c_str());
 }
 
-void
-BM_CompressFull(benchmark::State &state)
-{
-    const auto &program =
-        bench::allArtifacts().front().artifacts().compiled.program;
-    for (auto _ : state) {
-        auto img = schemes::compressFull(program);
-        benchmark::DoNotOptimize(img.image.bitSize);
-    }
-}
-BENCHMARK(BM_CompressFull)->Unit(benchmark::kMillisecond);
-
-void
-BM_CompressByte(benchmark::State &state)
-{
-    const auto &program =
-        bench::allArtifacts().front().artifacts().compiled.program;
-    for (auto _ : state) {
-        auto img = schemes::compressByte(program);
-        benchmark::DoNotOptimize(img.image.bitSize);
-    }
-}
-BENCHMARK(BM_CompressByte)->Unit(benchmark::kMillisecond);
-
-void
-BM_TailorEncode(benchmark::State &state)
-{
-    const auto &program =
-        bench::allArtifacts().front().artifacts().compiled.program;
-    for (auto _ : state) {
-        auto isa = schemes::TailoredIsa::build(program);
-        auto img = isa.encode(program);
-        benchmark::DoNotOptimize(img.bitSize);
-    }
-}
-BENCHMARK(BM_TailorEncode)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 TEPIC_BENCH_MAIN(printFigure5,

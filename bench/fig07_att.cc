@@ -92,18 +92,6 @@ printFigure7()
     std::printf("%s\n", sweep.render().c_str());
 }
 
-void
-BM_AttBuild(benchmark::State &state)
-{
-    const auto &a = bench::allArtifacts().front().artifacts();
-    for (auto _ : state) {
-        auto att = fetch::Att::build(a.fullImage().image,
-                                     a.compiled.program);
-        benchmark::DoNotOptimize(att.totalBits());
-    }
-}
-BENCHMARK(BM_AttBuild)->Unit(benchmark::kMicrosecond);
-
 } // namespace
 
 TEPIC_BENCH_MAIN(printFigure7,

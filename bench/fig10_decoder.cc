@@ -108,28 +108,6 @@ printFigure10()
                 "with 1-16 bit codes = 10k-28k transistors)\n");
 }
 
-void
-BM_DecoderCostModel(benchmark::State &state)
-{
-    const auto &a = bench::allArtifacts().front().artifacts();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            decoder::decoderTransistors(a.fullImage()));
-    }
-}
-BENCHMARK(BM_DecoderCostModel);
-
-void
-BM_VerilogEmission(benchmark::State &state)
-{
-    const auto &a = bench::allArtifacts().front().artifacts();
-    for (auto _ : state) {
-        auto text = a.tailoredIsa().emitVerilog("decoder");
-        benchmark::DoNotOptimize(text.size());
-    }
-}
-BENCHMARK(BM_VerilogEmission)->Unit(benchmark::kMicrosecond);
-
 } // namespace
 
 TEPIC_BENCH_MAIN(printFigure10,

@@ -159,48 +159,6 @@ printFigure13()
                 "buffer ---\n\n%s\n", dsp.render().c_str());
 }
 
-void
-BM_FetchSimBase(benchmark::State &state)
-{
-    const auto &a = bench::allArtifacts().front().artifacts();
-    for (auto _ : state) {
-        auto stats = core::runFetch(a, SchemeClass::kBase);
-        benchmark::DoNotOptimize(stats.cycles);
-    }
-    state.SetItemsProcessed(
-        std::int64_t(state.iterations()) *
-        std::int64_t(a.execution.trace.events.size()));
-}
-BENCHMARK(BM_FetchSimBase)->Unit(benchmark::kMillisecond);
-
-void
-BM_FetchSimCompressed(benchmark::State &state)
-{
-    const auto &a = bench::allArtifacts().front().artifacts();
-    for (auto _ : state) {
-        auto stats = core::runFetch(a, SchemeClass::kCompressed);
-        benchmark::DoNotOptimize(stats.cycles);
-    }
-}
-BENCHMARK(BM_FetchSimCompressed)->Unit(benchmark::kMillisecond);
-
-void
-BM_Emulate(benchmark::State &state)
-{
-    const auto &a = bench::allArtifacts().front().artifacts();
-    sim::EmulatorConfig config;
-    config.recordTrace = false;
-    for (auto _ : state) {
-        auto result = sim::emulate(a.compiled.program,
-                                   a.compiled.data, config);
-        benchmark::DoNotOptimize(result.exitValue);
-    }
-    state.SetItemsProcessed(
-        std::int64_t(state.iterations()) *
-        std::int64_t(a.execution.dynamicOps));
-}
-BENCHMARK(BM_Emulate)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 TEPIC_BENCH_MAIN(printFigure13,

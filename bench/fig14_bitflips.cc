@@ -69,21 +69,6 @@ printFigure14()
                 "each scheme brings in more instructions per flip)\n");
 }
 
-void
-BM_BusTransfer(benchmark::State &state)
-{
-    const auto &bytes =
-        bench::allArtifacts().front().artifacts().fullImage().image.bytes;
-    for (auto _ : state) {
-        power::BusModel bus(8);
-        bus.transfer(bytes);
-        benchmark::DoNotOptimize(bus.bitFlips());
-    }
-    state.SetBytesProcessed(std::int64_t(state.iterations()) *
-                            std::int64_t(bytes.size()));
-}
-BENCHMARK(BM_BusTransfer);
-
 } // namespace
 
 TEPIC_BENCH_MAIN(printFigure14,

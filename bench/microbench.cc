@@ -1,22 +1,19 @@
 /**
  * @file
- * Microbenchmarks over the library's hot kernels: bit streams,
- * Huffman encode/decode, cache/ATB accesses, the full compiler, and
- * block-trace simulation. These are performance regression guards for
- * the library itself (not paper reproductions).
+ * Deterministic sentinels over the library's hot kernels: bit
+ * streams, Huffman encode/decode, cache accesses, the full compiler
+ * and the baseline image. Their micro.* counters are behaviour guards
+ * for the library itself (not paper reproductions); timing the
+ * kernels is tepic-perf's job (bench/perf/).
  */
-
-#include <benchmark/benchmark.h>
 
 #include "common.hh"
 
 #include "codec/codec.hh"
 #include "compiler/driver.hh"
-#include "fetch/att.hh"
 #include "fetch/banked_cache.hh"
 #include "huffman/huffman.hh"
 #include "isa/baseline.hh"
-#include "sim/emulator.hh"
 #include "support/bitstream.hh"
 #include "support/rng.hh"
 #include "support/sched.hh"
@@ -26,36 +23,6 @@
 namespace {
 
 using namespace tepic;
-
-void
-BM_BitWriter(benchmark::State &state)
-{
-    for (auto _ : state) {
-        support::BitWriter w;
-        for (int i = 0; i < 10000; ++i)
-            w.writeBits(std::uint64_t(i) & 0x1fff, 13);
-        benchmark::DoNotOptimize(w.byteSize());
-    }
-    state.SetItemsProcessed(state.iterations() * 10000);
-}
-BENCHMARK(BM_BitWriter);
-
-void
-BM_BitReader(benchmark::State &state)
-{
-    support::BitWriter w;
-    for (int i = 0; i < 10000; ++i)
-        w.writeBits(std::uint64_t(i) & 0x1fff, 13);
-    for (auto _ : state) {
-        support::BitReader r(w.bytes().data(), w.bitSize());
-        std::uint64_t acc = 0;
-        for (int i = 0; i < 10000; ++i)
-            acc ^= r.readBits(13);
-        benchmark::DoNotOptimize(acc);
-    }
-    state.SetItemsProcessed(state.iterations() * 10000);
-}
-BENCHMARK(BM_BitReader);
 
 const huffman::CodeTable &
 sampleTable()
@@ -70,113 +37,11 @@ sampleTable()
     return table;
 }
 
-void
-BM_HuffmanEncode(benchmark::State &state)
-{
-    const auto &table = sampleTable();
-    support::Rng rng(2);
-    std::vector<std::uint64_t> symbols;
-    for (int i = 0; i < 10000; ++i)
-        symbols.push_back(rng.below(500));
-    for (auto _ : state) {
-        support::BitWriter w;
-        for (auto s : symbols)
-            table.encode(s, w);
-        benchmark::DoNotOptimize(w.byteSize());
-    }
-    state.SetItemsProcessed(state.iterations() * 10000);
-}
-BENCHMARK(BM_HuffmanEncode);
-
-void
-BM_HuffmanDecode(benchmark::State &state)
-{
-    const auto &table = sampleTable();
-    support::Rng rng(2);
-    support::BitWriter w;
-    for (int i = 0; i < 10000; ++i)
-        table.encode(rng.below(500), w);
-    for (auto _ : state) {
-        support::BitReader r(w.bytes().data(), w.bitSize());
-        benchmark::DoNotOptimize(
-            codec::decodeChecksum(table, r, 10000));
-    }
-    state.SetItemsProcessed(state.iterations() * 10000);
-}
-BENCHMARK(BM_HuffmanDecode);
-
 /**
- * The pre-LUT per-bit canonical walk, kept as a measurable reference:
- * the BM_HuffmanDecode / BM_HuffmanDecodeReference ratio is the
- * observable win of the first-level lookup table.
- */
-void
-BM_HuffmanDecodeReference(benchmark::State &state)
-{
-    const auto &table = sampleTable();
-    support::Rng rng(2);
-    support::BitWriter w;
-    for (int i = 0; i < 10000; ++i)
-        table.encode(rng.below(500), w);
-    for (auto _ : state) {
-        support::BitReader r(w.bytes().data(), w.bitSize());
-        benchmark::DoNotOptimize(
-            codec::decodeChecksumReference(table, r, 10000));
-    }
-    state.SetItemsProcessed(state.iterations() * 10000);
-}
-BENCHMARK(BM_HuffmanDecodeReference);
-
-void
-BM_CacheAccess(benchmark::State &state)
-{
-    fetch::BankedCache cache(fetch::CacheConfig::paperCompressed());
-    support::Rng rng(7);
-    std::vector<std::uint32_t> addrs;
-    for (int i = 0; i < 4096; ++i)
-        addrs.push_back(std::uint32_t(rng.below(64 * 1024)));
-    for (auto _ : state) {
-        std::uint64_t acc = 0;
-        for (auto a : addrs)
-            acc += cache.accessBlock(a, 24).hit;
-        benchmark::DoNotOptimize(acc);
-    }
-    state.SetItemsProcessed(state.iterations() * 4096);
-}
-BENCHMARK(BM_CacheAccess);
-
-void
-BM_CompileWorkload(benchmark::State &state)
-{
-    const auto &source =
-        workloads::workloadByName("compress").source;
-    for (auto _ : state) {
-        auto compiled = compiler::compileSource(source);
-        benchmark::DoNotOptimize(compiled.program.opCount());
-    }
-}
-BENCHMARK(BM_CompileWorkload)->Unit(benchmark::kMillisecond);
-
-void
-BM_BaselineImage(benchmark::State &state)
-{
-    static const auto compiled = compiler::compileSource(
-        workloads::workloadByName("gcc").source);
-    for (auto _ : state) {
-        auto image = isa::buildBaselineImage(compiled.program);
-        benchmark::DoNotOptimize(image.bitSize);
-    }
-    state.SetItemsProcessed(
-        std::int64_t(state.iterations()) *
-        std::int64_t(compiled.program.opCount()));
-}
-BENCHMARK(BM_BaselineImage)->Unit(benchmark::kMicrosecond);
-
-/**
- * Deterministic sentinels over the same kernels the timed loops
- * exercise: any functional change to a hot kernel moves one of these
- * counters, which the regression gate (tools/tepic_reports.py --diff)
- * compares exactly against bench/baselines/BENCH_microbench.json.
+ * One deterministic pass over each kernel: any functional change to a
+ * hot kernel moves one of these counters, which the regression gate
+ * (tools/tepic_reports.py --diff) compares exactly against
+ * bench/baselines/BENCH_microbench.json.
  */
 void
 recordMicroSentinels()

@@ -8,7 +8,7 @@
  * fetch-side entry point: given the artifacts of one of the three
  * study organisations it returns the matching decoder. The per-image
  * overloads cover the remaining alphabets (byte, stream, dictionary)
- * for round-trip verification and the decode microbenchmarks.
+ * for round-trip verification.
  */
 
 #ifndef TEPIC_CODEC_CODEC_HH
@@ -76,7 +76,7 @@ struct DictionaryShape
 DictionaryShape describeShape(const schemes::CompressedImage &compressed);
 
 /**
- * Decode-microbenchmark kernels (bench/microbench.cc): run the
+ * Decode-checksum kernels (bench/microbench.cc): run the
  * production LUT decoder / the reference canonical walk over @p count
  * symbols of a stream produced by the matching encoder, folding the
  * symbols into a checksum. The two must agree bit-exactly — the

@@ -3,8 +3,7 @@
  * The one report lifecycle: which session-scoped reports exist (host
  * time, task graph, cache behavior, hotness, code size), that each is
  * written as <KIND>_<name>.json, and their order — startSessions()
- * before the work, writeReports() after it, endSessions() before a
- * bench's timed loops (CACHE/HOT recording slows every fetch sim).
+ * before the work, writeReports() after it, endSessions() last.
  * Benches (bench/common.hh) and tepicc --report-dir= are the callers.
  */
 

@@ -2,6 +2,16 @@
 
 namespace tepic::fetch {
 
+namespace {
+
+/// Absorb only well-biased edges: a side exit taken at most this often.
+constexpr double kMaxSideExitProb = 0.15;
+
+/// Most ops in one unit.
+constexpr std::size_t kMaxOps = 32;
+
+} // namespace
+
 FetchUnits
 formFetchUnits(const isa::VliwProgram &program,
                const sim::BlockTrace &trace,
@@ -70,12 +80,12 @@ formFetchUnits(const isa::VliwProgram &program,
                     break;
                 const double prob =
                     double(taken[cur]) / double(exec[cur]);
-                if (prob > config.maxSideExitProb)
+                if (prob > kMaxSideExitProb)
                     break;
             }
             const std::size_t next_ops =
                 program.block(next).opCount();
-            if (ops + next_ops > config.maxOps)
+            if (ops + next_ops > kMaxOps)
                 break;
             units.headOf[next] = head;
             ops += next_ops;

@@ -38,9 +38,7 @@ namespace tepic::fetch {
 
 struct FetchUnitConfig
 {
-    double maxSideExitProb = 0.15;  ///< absorb only well-biased edges
-    unsigned maxBlocks = 4;
-    unsigned maxOps = 32;
+    unsigned maxBlocks = 4;  ///< 1 forms no multi-block unit
 };
 
 /** The unit partition: heads, membership and geometry. */

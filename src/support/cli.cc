@@ -76,8 +76,7 @@ positiveList(std::string_view name, std::vector<unsigned> &target)
 }
 
 std::vector<char *>
-parse(int argc, char **argv, std::span<const Flag> flags,
-      bool (*pass_through)(std::string_view))
+parse(int argc, char **argv, std::span<const Flag> flags)
 {
     static const Flag kLogLevel{"--log-level=", setLogLevel};
     std::vector<char *> rest;
@@ -95,20 +94,12 @@ parse(int argc, char **argv, std::span<const Flag> flags,
             match->set(match->name.ends_with('=')
                            ? std::string(arg.substr(match->name.size()))
                            : std::string());
-        else if (arg.size() > 1 && arg[0] == '-' &&
-                 !(pass_through && pass_through(arg)))
+        else if (arg.size() > 1 && arg[0] == '-')
             throw UsageError("unknown flag '" + std::string(arg) + "'");
         else
             rest.push_back(argv[i]);
     }
     return rest;
-}
-
-bool
-googleBenchmarkArg(std::string_view arg)
-{
-    return !arg.starts_with("--") || arg.starts_with("--benchmark_") ||
-           arg.starts_with("--v=");
 }
 
 std::vector<std::string>

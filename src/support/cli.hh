@@ -70,16 +70,10 @@ Flag positiveList(std::string_view name, std::vector<unsigned> &target);
 /**
  * Match argv[1..] against @p flags and --log-level= (which overrides
  * TEPIC_LOG). An argument that starts with '-' and matches none is a
- * UsageError unless @p pass_through claims it. Returns the unmatched
- * arguments in order.
+ * UsageError. Returns the unmatched arguments in order.
  */
 std::vector<char *> parse(int argc, char **argv,
-                          std::span<const Flag> flags,
-                          bool (*pass_through)(std::string_view) = nullptr);
-
-/** google-benchmark's arguments: --benchmark_*, --v= and anything
- *  not starting with "--". */
-bool googleBenchmarkArg(std::string_view arg);
+                          std::span<const Flag> flags);
 
 /** The non-empty items of a comma-separated list. */
 std::vector<std::string> splitCsv(std::string_view csv);

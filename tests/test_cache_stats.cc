@@ -599,10 +599,8 @@ struct SimFixture
 TEST(FetchSimCacheStats, KernelPanicJoinsReplay)
 {
     SimFixture fx;
-    fetch::FetchUnitConfig unit_config;
-    unit_config.maxBlocks = 4;
-    const fetch::FetchUnits units = fetch::formFetchUnits(
-        fx.compiled.program, fx.emu.trace, unit_config);
+    const fetch::FetchUnits units =
+        fetch::formFetchUnits(fx.compiled.program, fx.emu.trace);
     const sim::TraceView events = fx.emu.trace.view();
     std::size_t member = 0;
     while (member < events.size() && units.isHead(events.block(member)))
@@ -773,10 +771,8 @@ TEST(FetchSimCacheStats, UnitsReplayMatchesKernel)
     SimFixture fx;
     const isa::VliwProgram &program = fx.compiled.program;
     const sim::TraceView events = fx.emu.trace.view();
-    fetch::FetchUnitConfig unit_config;
-    unit_config.maxBlocks = 4;
     const fetch::FetchUnits units =
-        fetch::formFetchUnits(program, fx.emu.trace, unit_config);
+        fetch::formFetchUnits(program, fx.emu.trace);
     for (const fetch::FetchUnits *partition :
          {static_cast<const fetch::FetchUnits *>(nullptr), &units}) {
         for (auto scheme : {SchemeClass::kBase, SchemeClass::kCompressed}) {

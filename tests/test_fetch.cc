@@ -841,10 +841,8 @@ TEST(FetchSim, MemoryHandoffMatchesSerialStages)
         {core::ArtifactKind::kBase, core::ArtifactKind::kFull,
          core::ArtifactKind::kTailored, core::ArtifactKind::kTrace});
     const isa::VliwProgram &program = artifacts->compiled.program;
-    fetch::FetchUnitConfig unit_config;
-    unit_config.maxBlocks = 4;
     const fetch::FetchUnits units =
-        fetch::formFetchUnits(program, artifacts->trace(), unit_config);
+        fetch::formFetchUnits(program, artifacts->trace());
     constexpr std::size_t kChunk = fetch::MemoryStream::kChunk;
 
     for (const fetch::FetchUnits *partition :

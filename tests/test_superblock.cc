@@ -230,11 +230,9 @@ TEST(FetchUnits, UnitRunsTileStallsMissesAndHotness)
     // Multi-block units (up to 4 blocks) on every organisation, both
     // recorders on: the stall taxonomy, the 3C split and the per-head
     // hot attribution must tile the unit run's own totals exactly.
-    fetch::FetchUnitConfig unit_config;
-    unit_config.maxBlocks = 4;
     for (const auto &[name, a] : schemeArtifacts()) {
-        const auto units = fetch::formFetchUnits(
-            a.compiled.program, a.trace(), unit_config);
+        const auto units =
+            fetch::formFetchUnits(a.compiled.program, a.trace());
         for (const auto scheme : kSchemes) {
             const std::string where =
                 name + "/" + fetch::schemeClassName(scheme);

@@ -279,8 +279,7 @@ namespace cli = tepic::support::cli;
 
 /** parse() over @p args (argv[0] is added), as strings. */
 std::vector<std::string>
-parseArgs(std::vector<std::string> args, std::span<const cli::Flag> flags,
-          bool (*pass_through)(std::string_view) = nullptr)
+parseArgs(std::vector<std::string> args, std::span<const cli::Flag> flags)
 {
     args.insert(args.begin(), "prog");
     std::vector<char *> argv;
@@ -288,7 +287,7 @@ parseArgs(std::vector<std::string> args, std::span<const cli::Flag> flags,
         argv.push_back(arg.data());
     std::vector<std::string> rest;
     for (const char *arg :
-         cli::parse(int(argv.size()), argv.data(), flags, pass_through))
+         cli::parse(int(argv.size()), argv.data(), flags))
         rest.emplace_back(arg);
     return rest;
 }
@@ -313,21 +312,6 @@ TEST(Cli, ParseMatchesDeclaredFlags)
     EXPECT_THROW(parseArgs({"-v"}, flags), cli::UsageError);
     EXPECT_THROW(parseArgs({"--log-level=loud"}, flags), cli::UsageError);
     EXPECT_TRUE(parseArgs({"--log-level=info"}, flags).empty());
-}
-
-TEST(Cli, GoogleBenchmarkArgsPassThrough)
-{
-    EXPECT_TRUE(cli::googleBenchmarkArg("--benchmark_filter=NONE"));
-    EXPECT_TRUE(cli::googleBenchmarkArg("--v=2"));
-    EXPECT_TRUE(cli::googleBenchmarkArg("-x"));
-    EXPECT_TRUE(cli::googleBenchmarkArg("plain"));
-    EXPECT_FALSE(cli::googleBenchmarkArg("--worklods=fir"));
-    EXPECT_EQ(parseArgs({"--benchmark_filter=NONE", "x", "--v=1"}, {},
-                        cli::googleBenchmarkArg),
-              (std::vector<std::string>{"--benchmark_filter=NONE", "x",
-                                        "--v=1"}));
-    EXPECT_THROW(parseArgs({"--worklods=fir"}, {}, cli::googleBenchmarkArg),
-                 cli::UsageError);
 }
 
 TEST(Cli, JobsAreDigitsUpToTheCeiling)
